@@ -72,17 +72,6 @@ class Vec3:
     def max_abs(self) -> float:
         return max(abs(self.x), abs(self.y), abs(self.z))
 
-    @staticmethod
-    def from_iterable(it) -> "Vec3":
-        a, b, c = it
-        return Vec3(a, b, c)
-
-
-ZERO = Vec3(0.0, 0.0, 0.0)
-E1 = Vec3(1.0, 0.0, 0.0)
-E2 = Vec3(0.0, 1.0, 0.0)
-E3 = Vec3(0.0, 0.0, 1.0)
-
 
 def inner(m: Metric, u: Vec3, v: Vec3) -> float:
     """Scalar product of u and v in the given signature."""

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .algebra import Metric, Vec3, cross, inner, norm
 from .curves import Curve
@@ -227,19 +226,29 @@ def _embedding_frame(v: Vec3, ruling: Vec3, m: Metric) -> Vec3:
     return cross(m, ruling, v)
 
 
-def plane_curve(curve, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN) -> Curve:
-    """Embed a planar polyline into the plane spanned by v and ruling x v."""
+def _spline_embedding(curve, v: Vec3, ruling: Vec3, m: Metric) -> tuple[Curve, float, float]:
+    """Cubic-spline embedding of a planar polyline and its arclength range."""
+    # scipy.interpolate costs most of the package import time, and the sweep
+    # and catenary commands never build a spline
+    from scipy.interpolate import CubicSpline
+
     d = _embedding_frame(v, ruling, m)
     s, u, y = _polyline_arrays(curve)
     su = CubicSpline(s, u)
     sy = CubicSpline(s, y)
     su1, sy1 = su.derivative(1), sy.derivative(1)
     su2, sy2 = su.derivative(2), sy.derivative(2)
-    return Curve(
+    embedded = Curve(
         lambda t: d * float(su(t)) + v * float(sy(t)),
         lambda t: d * float(su1(t)) + v * float(sy1(t)),
         lambda t: d * float(su2(t)) + v * float(sy2(t)),
     )
+    return embedded, float(s[0]), float(s[-1])
+
+
+def plane_curve(curve, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN) -> Curve:
+    """Embed a planar polyline into the plane spanned by v and ruling x v."""
+    return _spline_embedding(curve, v, ruling, m)[0]
 
 
 def catenary_cylinder(curve, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN,
@@ -250,19 +259,12 @@ def catenary_cylinder(curve, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN
     extruded along the ruling; jets come from cubic splines of the polyline,
     so second derivatives are piecewise linear in s and exactly zero in t.
     """
-    d = _embedding_frame(v, ruling, m)
-    s, u, y = _polyline_arrays(curve)
-    su = CubicSpline(s, u)
-    sy = CubicSpline(s, y)
-    su1, sy1 = su.derivative(1), sy.derivative(1)
-    su2, sy2 = su.derivative(2), sy.derivative(2)
+    profile, s0, s1 = _spline_embedding(curve, v, ruling, m)
     zero = Vec3(0.0, 0.0, 0.0)
 
     def jet_fn(ss: float, tt: float) -> Jet2:
-        pos = d * float(su(ss)) + v * float(sy(ss)) + ruling * tt
-        xs = d * float(su1(ss)) + v * float(sy1(ss))
-        xss = d * float(su2(ss)) + v * float(sy2(ss))
-        return Jet2(pos, xs, ruling, xss, zero, zero)
+        return Jet2(profile.value(ss) + ruling * tt, profile.d1(ss), ruling, profile.d2(ss),
+                    zero, zero)
 
-    domain = (float(s[0]), float(s[-1]), float(t_window[0]), float(t_window[1]))
+    domain = (s0, s1, float(t_window[0]), float(t_window[1]))
     return ParamSurface.exact(domain, jet_fn)

@@ -1,9 +1,10 @@
 """Command-line front end: surfaces, residual fields, sweeps, catenaries, descent.
 
-Every command resolves its parameters as  defaults < --config JSON < flags,
-logs the resolved configuration to stderr, and writes plain-text artifacts
-(CSV fields and traces, JSON sweep reports, OBJ meshes) whose bytes depend
-only on the flags and the seed.
+Every command resolves its parameters as  defaults < SINGULAR_GEOM_SEED (seed
+only) < --config JSON < flags, where config and environment values pass the
+same type and choice checks as the flags.  It logs the resolved configuration
+to stderr and writes plain-text artifacts (CSV fields and traces, JSON sweep
+reports, OBJ meshes) whose bytes depend only on the flags and the seed.
 
 Exit codes: 0 success; 1 bad flags or config; 2 halfspace exit during
 catenary integration (partial polyline written); 3 degenerate metric or
@@ -31,7 +32,7 @@ from .errors import (
     NotSpacelike,
 )
 from .ruled import DirectorClass, SweepConfig, falsification_sweep, helicoid, lightlike_reference
-from .surface import ParamSurface, singular_residual
+from .surface import Jet2, ParamSurface, singular_residual
 from .variational import HeightField, catenary_heights, descend, height_surface, trace_to_csv
 
 EXIT_OK = 0
@@ -49,6 +50,15 @@ _METRICS = {
     "lorentz": Metric.LORENTZIAN,
     "lorentzian": Metric.LORENTZIAN,
 }
+
+_CLASSES = {
+    "standard": DirectorClass.EUCLID_STANDARD,
+    "nondegenerate": DirectorClass.LORENTZ_NONDEGENERATE,
+    "lightlike": DirectorClass.LORENTZ_LIGHTLIKE,
+}
+
+_SURFACES = ["catenary-cylinder", "helicoid", "sphere", "hyperboloid", "lightlike-reference",
+             "file"]
 
 # arclength budget per alpha for built-in catenary cylinders: negative alpha
 # curves bend toward the halfplane floor, so they get shorter runs
@@ -68,37 +78,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
+def _flag_value(action: argparse.Action, raw, source: str):
+    """A config or environment value converted and checked like the flag itself."""
+    numeric = action.type in (int, float)
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float) if numeric else str):
+        kind = "a number" if numeric else "a string"
+        raise ConfigError(f"{source}: expected {kind}, got {json.dumps(raw)}")
     try:
-        return int(raw)
+        value = action.type(str(raw)) if action.type else raw
     except ValueError:
-        return 0
+        raise ConfigError(f"{source}: invalid {action.type.__name__} value {raw!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{source}: {value!r} is not one of {list(action.choices)}")
+    return value
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, --config JSON and explicit flags (flags win)."""
-    file_cfg = {}
-    if getattr(args, "config", None):
+def _fill_unset_flags(args: argparse.Namespace) -> None:
+    """Fill flags not given on the command line from --config, then the seed from
+    SINGULAR_GEOM_SEED; unknown config keys are rejected."""
+    actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
+    if args.config:
         try:
             with open(args.config) as f:
                 file_cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    out = {}
-    for key, default in defaults.items():
-        val = getattr(args, key, None)
-        if val is None:
-            val = file_cfg.get(key, default)
-        out[key] = val
-    return out
+            raise ConfigError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        for key, raw in file_cfg.items():
+            if key not in actions:
+                raise ConfigError(f"unknown config key {key!r}; expected one of {sorted(actions)}")
+            value = _flag_value(actions[key], raw, f"config key {key!r}")
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    if "seed" in actions and args.seed is None and SEED_ENV in os.environ:
+        args.seed = _flag_value(actions["seed"], os.environ[SEED_ENV], SEED_ENV)
 
 
-def _log_config(command: str, cfg: dict) -> None:
+def _resolve(command: str, args: argparse.Namespace, defaults: dict) -> dict:
+    """Flags (config and environment already merged in) over defaults, logged to stderr."""
+    cfg = {key: default if getattr(args, key) is None else getattr(args, key)
+           for key, default in defaults.items()}
     print(f"[{command}] resolved config: {json.dumps(cfg, sort_keys=True)}", file=sys.stderr)
+    return cfg
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -133,10 +155,7 @@ def _write_text(path: str, text: str) -> None:
 # built-in surfaces
 # ---------------------------------------------------------------------------
 
-def build_named_surface(name: str, metric: Metric, alpha: float,
-                        file_path: str | None = None) -> ParamSurface:
-    from .surface import Jet2
-
+def build_named_surface(name: str, alpha: float, file_path: str | None = None) -> ParamSurface:
     if name == "catenary-cylinder":
         path = cat.integrate(cat.CatenaryState(0.0, 1.0, 0.0, 0.0), alpha,
                              _catenary_length(alpha), 5e-4)
@@ -186,15 +205,12 @@ def build_named_surface(name: str, metric: Metric, alpha: float,
 # ---------------------------------------------------------------------------
 
 def cmd_catenary(args) -> int:
-    cfg = _resolve(args, {"alpha": 1.0, "y0": 1.0, "theta0": 0.0, "length": 2.0,
-                          "step": 1e-3, "out": "catenary.csv"})
-    _log_config("catenary", cfg)
+    cfg = _resolve("catenary", args, {"alpha": 1.0, "y0": 1.0, "theta0": 0.0, "length": 2.0,
+                                      "step": 1e-3, "out": "catenary.csv"})
     if cfg["y0"] <= 0.0:
-        print("error: --y0 must be positive (open upper halfplane)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--y0 must be positive (open upper halfplane)")
     if cfg["step"] <= 0.0 or cfg["length"] <= 0.0:
-        print("error: --length and --step must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--length and --step must be positive")
     path = cat.integrate(cat.CatenaryState(0.0, cfg["y0"], cfg["theta0"], 0.0),
                          cfg["alpha"], cfg["length"], cfg["step"])
     _write_text(cfg["out"], path.to_csv())
@@ -206,21 +222,13 @@ def cmd_catenary(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    cfg = _resolve(args, {"surface": "catenary-cylinder", "metric": "euclid",
-                          "alpha": 1.0, "v": "0,0,1", "grid": "50x50",
-                          "out": "residual.csv", "file": None})
-    _log_config("residual", cfg)
-    metric = _METRICS.get(str(cfg["metric"]).lower())
-    if metric is None:
-        print(f"error: unknown metric {cfg['metric']!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = _parse_grid(cfg["grid"])
-        v = _parse_vec(cfg["v"])
-        surf = build_named_surface(cfg["surface"], metric, cfg["alpha"], cfg["file"])
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _resolve("residual", args, {"surface": "catenary-cylinder", "metric": "euclid",
+                                      "alpha": 1.0, "v": "0,0,1", "grid": "50x50",
+                                      "out": "residual.csv", "file": None})
+    metric = _METRICS[cfg["metric"]]
+    grid = _parse_grid(cfg["grid"])
+    v = _parse_vec(cfg["v"])
+    surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
 
     s0, s1, t0, t1 = surf.domain
     rows = ["s,t,residual"]
@@ -241,39 +249,23 @@ def cmd_residual(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args, {"metric": "euclid", "klass": None, "delta": 1, "n": 100,
-                          "samples": 10, "seed": _default_seed(),
-                          "alpha_min": -3.0, "alpha_max": 3.0, "out": "sweep.json"})
-    _log_config("sweep", cfg)
-    metric = _METRICS.get(str(cfg["metric"]).lower())
-    if metric is None:
-        print(f"error: unknown metric {cfg['metric']!r}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _resolve("sweep", args, {"metric": "euclid", "klass": None, "delta": 1, "n": 100,
+                                   "samples": 10, "seed": 0, "alpha_min": -3.0,
+                                   "alpha_max": 3.0, "out": "sweep.json"})
+    metric = _METRICS[cfg["metric"]]
     klass_name = cfg["klass"]
     if klass_name is None:
         klass_name = "standard" if metric is Metric.EUCLIDEAN else "nondegenerate"
-    classes = {
-        "standard": DirectorClass.EUCLID_STANDARD,
-        "nondegenerate": DirectorClass.LORENTZ_NONDEGENERATE,
-        "lightlike": DirectorClass.LORENTZ_LIGHTLIKE,
-    }
-    if klass_name not in classes:
-        print(f"error: unknown director class {klass_name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        sweep_cfg = SweepConfig(
-            n_surfaces=int(cfg["n"]),
-            n_s_samples=int(cfg["samples"]),
-            seed=int(cfg["seed"]),
-            metric=metric,
-            director_class=classes[klass_name],
-            delta=int(cfg["delta"]),
-            alpha_range=(float(cfg["alpha_min"]), float(cfg["alpha_max"])),
-        )
-        report = falsification_sweep(sweep_cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sweep_cfg = SweepConfig(
+        n_surfaces=cfg["n"],
+        n_s_samples=cfg["samples"],
+        seed=cfg["seed"],
+        metric=metric,
+        director_class=_CLASSES[klass_name],
+        delta=cfg["delta"],
+        alpha_range=(cfg["alpha_min"], cfg["alpha_max"]),
+    )
+    report = falsification_sweep(sweep_cfg)
     _write_text(cfg["out"], report.to_json())
     n_flagged = len(report.counterexamples)
     print(f"surfaces={sweep_cfg.n_surfaces} counterexamples={n_flagged} "
@@ -282,21 +274,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    cfg = _resolve(args, {"surface": "catenary-cylinder", "metric": "euclid",
-                          "alpha": 1.0, "grid": "50x50", "out": "mesh.obj",
-                          "file": None})
-    _log_config("export-mesh", cfg)
-    metric = _METRICS.get(str(cfg["metric"]).lower())
-    if metric is None:
-        print(f"error: unknown metric {cfg['metric']!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = _parse_grid(cfg["grid"])
-        surf = build_named_surface(cfg["surface"], metric, cfg["alpha"], cfg["file"])
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ns, nt = grid
+    cfg = _resolve("export-mesh", args, {"surface": "catenary-cylinder", "alpha": 1.0,
+                                         "grid": "50x50", "out": "mesh.obj", "file": None})
+    ns, nt = _parse_grid(cfg["grid"])
+    surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
     s0, s1, t0, t1 = surf.domain
     lines = []
     for s in np.linspace(s0, s1, ns):
@@ -312,43 +293,30 @@ def cmd_export_mesh(args) -> int:
             d = i * nt + j + 2
             lines.append(f"f {a} {b} {c}")
             lines.append(f"f {a} {c} {d}")
-    try:
-        _write_text(cfg["out"], "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _write_text(cfg["out"], "\n".join(lines) + "\n")
     print(f"wrote {ns * nt} vertices, {2 * (ns - 1) * (nt - 1)} faces")
     return EXIT_OK
 
 
 def cmd_variational(args) -> int:
-    cfg = _resolve(args, {"alpha": 1.0, "grid": "65x33", "steps": 200, "rate": 0.1,
-                          "init": "catenary", "noise": 0.01,
-                          "seed": _default_seed(), "out_prefix": "variational"})
-    _log_config("variational", cfg)
-    if cfg["init"] not in ("flat", "catenary", "noisy"):
-        print(f"error: unknown init {cfg['init']!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = _parse_grid(cfg["grid"])
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if int(cfg["steps"]) < 0 or float(cfg["rate"]) < 0.0:
-        print("error: --steps and --rate must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _resolve("variational", args, {"alpha": 1.0, "grid": "65x33", "steps": 200,
+                                         "rate": 0.1, "init": "catenary", "noise": 0.01,
+                                         "seed": 0, "out_prefix": "variational"})
+    grid = _parse_grid(cfg["grid"])
+    if cfg["steps"] < 0 or cfg["rate"] < 0.0:
+        raise ConfigError("--steps and --rate must be nonnegative")
     field = catenary_heights(shape=grid)
     if cfg["init"] == "flat":
         z = field.z.copy()
         z[1:-1, 1:-1] = 1.0
         field = field.with_z(z)
     elif cfg["init"] == "noisy":
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(cfg["seed"])
         z = field.z.copy()
-        z[1:-1, 1:-1] *= 1.0 + float(cfg["noise"]) * rng.standard_normal(z[1:-1, 1:-1].shape)
+        z[1:-1, 1:-1] *= 1.0 + cfg["noise"] * rng.standard_normal(z[1:-1, 1:-1].shape)
         field = field.with_z(z)
     try:
-        final, trace = descend(field, float(cfg["alpha"]), int(cfg["steps"]), float(cfg["rate"]))
+        final, trace = descend(field, cfg["alpha"], cfg["steps"], cfg["rate"])
     except Diverged as exc:
         _write_text(f"{cfg['out_prefix']}_trace.csv", trace_to_csv(exc.trace))
         print(f"error: {exc}", file=sys.stderr)
@@ -363,8 +331,13 @@ def cmd_variational(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="JSON file with the same keys as the flags")
+def _command(sub, name: str, func, help_text: str) -> _Parser:
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--config", help="JSON file with the same keys as the flags, "
+                                    "checked like the flags")
+    # the parser goes along so main can check config keys against its flags
+    p.set_defaults(func=func, parser=p)
+    return p
 
 
 def build_parser() -> _Parser:
@@ -372,33 +345,26 @@ def build_parser() -> _Parser:
                      description="singular minimal/maximal surface toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catenary", parents=[], help="integrate a planar alpha-catenary")
-    _add_common(p)
+    p = _command(sub, "catenary", cmd_catenary, "integrate a planar alpha-catenary")
     p.add_argument("--alpha", type=float)
     p.add_argument("--y0", type=float)
     p.add_argument("--theta0", type=float)
     p.add_argument("--length", type=float)
     p.add_argument("--step", type=float)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_catenary)
 
-    p = sub.add_parser("residual", help="evaluate the curvature residual over a grid")
-    _add_common(p)
-    p.add_argument("--surface", choices=["catenary-cylinder", "helicoid", "sphere",
-                                         "hyperboloid", "lightlike-reference", "file"])
+    p = _command(sub, "residual", cmd_residual, "evaluate the curvature residual over a grid")
+    p.add_argument("--surface", choices=_SURFACES)
     p.add_argument("--metric", choices=sorted(_METRICS))
     p.add_argument("--alpha", type=float)
     p.add_argument("--v", help="direction as x,y,z")
     p.add_argument("--grid", help="NSxNT sample grid")
     p.add_argument("--file", help="height-field CSV for --surface file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_residual)
 
-    p = sub.add_parser("sweep", help="randomized coefficient-vanishing search")
-    _add_common(p)
+    p = _command(sub, "sweep", cmd_sweep, "randomized coefficient-vanishing search")
     p.add_argument("--metric", choices=sorted(_METRICS))
-    p.add_argument("--class", dest="klass",
-                   choices=["standard", "nondegenerate", "lightlike"])
+    p.add_argument("--class", dest="klass", choices=list(_CLASSES))
     p.add_argument("--delta", type=int, choices=[-1, 1])
     p.add_argument("--n", type=int)
     p.add_argument("--samples", type=int)
@@ -406,21 +372,15 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha-min", dest="alpha_min", type=float)
     p.add_argument("--alpha-max", dest="alpha_max", type=float)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("export-mesh", help="write a surface grid as an OBJ mesh")
-    _add_common(p)
-    p.add_argument("--surface", choices=["catenary-cylinder", "helicoid", "sphere",
-                                         "hyperboloid", "lightlike-reference", "file"])
-    p.add_argument("--metric", choices=sorted(_METRICS))
+    p = _command(sub, "export-mesh", cmd_export_mesh, "write a surface grid as an OBJ mesh")
+    p.add_argument("--surface", choices=_SURFACES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--grid")
     p.add_argument("--file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_export_mesh)
 
-    p = sub.add_parser("variational", help="height-field gradient descent demo")
-    _add_common(p)
+    p = _command(sub, "variational", cmd_variational, "height-field gradient descent demo")
     p.add_argument("--alpha", type=float)
     p.add_argument("--grid")
     p.add_argument("--steps", type=int)
@@ -429,21 +389,20 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", dest="out_prefix")
-    p.set_defaults(func=cmd_variational)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _fill_unset_flags(args)
         code = args.func(args)
+    except (ConfigError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        code = EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     raise SystemExit(code)
 

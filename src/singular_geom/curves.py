@@ -97,17 +97,6 @@ def rk4_step(f, s: float, y: tuple, h: float) -> tuple:
     )
 
 
-def rk4_integrate(f, s0: float, y0: tuple, s1: float, n_steps: int) -> tuple:
-    """Integrate y' = f(s, y) from s0 to s1 with n_steps fixed RK4 steps."""
-    h = (s1 - s0) / n_steps
-    y = y0
-    s = s0
-    for i in range(n_steps):
-        y = rk4_step(f, s, y, h)
-        s = s0 + (i + 1) * h
-    return y
-
-
 class DenseODE:
     """Fixed-grid RK4 solution of y' = f(s, y) with deterministic point queries.
 
@@ -217,7 +206,3 @@ class FourierSeries:
             ks = kw * s
             out += kw * (b * math.cos(ks) - a * math.sin(ks))
         return out
-
-    def bound_below(self) -> float:
-        """A lower bound for |series| assuming |c0| > sum of amplitudes."""
-        return abs(self.c0) - sum(abs(a) + abs(b) for a, b in zip(self.cos_amps, self.sin_amps))

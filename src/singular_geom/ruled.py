@@ -49,7 +49,13 @@ from .errors import (
     ZeroDirection,
     ZeroQ,
 )
-from .surface import Jet2, ParamSurface, fundamental_forms, require_unit_direction
+from .surface import (
+    Jet2,
+    ParamSurface,
+    curvature_bracket,
+    fundamental_forms,
+    require_unit_direction,
+)
 
 # |Q| floor for the lightlike class; valid data always has Q bounded away from 0.
 ZERO_Q_FLOOR = 1e-10
@@ -173,21 +179,7 @@ def verify_normalization(rs: RuledSurface, n_samples: int = 33) -> float:
         gp = rs.base.d1(s)
         w = rs.director.value(s)
         wp = rs.director.d1(s)
-        if rs.director_class is DirectorClass.EUCLID_STANDARD:
-            rels = (
-                inner(m, gp, w),
-                inner(m, gp, wp),
-                inner(m, w, w) - 1.0,
-                inner(m, wp, wp) - 1.0,
-            )
-        elif rs.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
-            rels = (
-                inner(m, gp, w),
-                inner(m, gp, wp),
-                inner(m, w, w) - 1.0,
-                inner(m, wp, wp) - rs.delta,
-            )
-        else:
+        if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
             if wp.max_abs() < 1e-8:
                 return math.inf
             rels = (
@@ -195,6 +187,14 @@ def verify_normalization(rs: RuledSurface, n_samples: int = 33) -> float:
                 inner(m, gp, w),
                 inner(m, w, w) - 1.0,
                 inner(m, wp, wp),
+            )
+        else:
+            wp2 = 1.0 if rs.director_class is DirectorClass.EUCLID_STANDARD else rs.delta
+            rels = (
+                inner(m, gp, w),
+                inner(m, gp, wp),
+                inner(m, w, w) - 1.0,
+                inner(m, wp, wp) - wp2,
             )
         worst = max(worst, max(abs(r) for r in rels))
     return worst
@@ -570,13 +570,9 @@ def residual_polynomial_consistency(rs: RuledSurface, s: float, v: Vec3, alpha: 
             continue
         if m is Metric.LORENTZIAN and forms.eps != -1:
             continue
-        lhs = (
-            forms.G * triple(j.Xs, j.Xt, j.Xss)
-            - 2.0 * forms.F * triple(j.Xs, j.Xt, j.Xst)
-            + forms.E * triple(j.Xs, j.Xt, j.Xtt)
-        )
         eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
-        oracle = q * lhs - eps_hat * alpha * forms.W2 * triple(j.Xs, j.Xt, v)
+        oracle = (q * curvature_bracket(forms, j)
+                  - eps_hat * alpha * forms.W2 * triple(j.Xs, j.Xt, v))
         worst = max(worst, abs(sign * cv.poly(t) - oracle))
         valid += 1
     if valid < 4:
@@ -588,12 +584,41 @@ def residual_polynomial_consistency(rs: RuledSurface, s: float, v: Vec3, alpha: 
 # randomized surface generation (normalized by construction)
 # ---------------------------------------------------------------------------
 
-def _cross_e(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+def _tcross(a, b, zsign: float = 1.0):
+    """Cross product of 3-tuples; zsign = -1.0 gives the Lorentzian x_L.
+
+    The frame ODEs call this on every right-hand-side evaluation, so it stays
+    on plain tuples instead of building (and finite-checking) Vec3s.
+    """
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            zsign * (a[0] * b[1] - a[1] * b[0]))
 
 
-def _cross_l(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], -(a[0] * b[1] - a[1] * b[0]))
+def _frame_curves(table, rhs, g_d1=None, g_d2=None) -> tuple[Curve, Curve]:
+    """Base and director curves of a frame-ODE table with state (w, w', g).
+
+    w, w' and g are state slots 0:3, 3:6 and 6:9; w'' and g' are the same
+    slots 3:6 and 6:9 of rhs(s, state).  g_d1(s, state) and g_d2(s, state)
+    supply closed forms for g' and g''; without g_d2, Curve falls back to the
+    central difference of g'.
+    """
+
+    def read(k: int, f=None):
+        # Vec3 from slots k:k+3 of the state at s, or of f(s, state)
+        def value(s: float) -> Vec3:
+            y = table.state_at(s)
+            if f is not None:
+                y = f(s, y)
+            return Vec3(y[k], y[k + 1], y[k + 2])
+
+        return value
+
+    def closed_form(f):
+        return None if f is None else (lambda s: f(s, table.state_at(s)))
+
+    base = Curve(read(6), closed_form(g_d1) or read(6, rhs), closed_form(g_d2))
+    director = Curve(read(0), read(3), read(3, rhs))
+    return base, director
 
 
 def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float,
@@ -607,17 +632,13 @@ def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float
     return FourierSeries(c0, list(raw[:modes] * scale), list(raw[modes:] * scale), omega)
 
 
-def _rand_unit3(rng: np.random.Generator) -> Vec3:
+def random_unit_vector(rng: np.random.Generator) -> Vec3:
+    """Uniform unit vector of R^3."""
     while True:
         g = rng.normal(size=3)
         n = float(np.linalg.norm(g))
         if n > 1e-6:
             return Vec3(g[0] / n, g[1] / n, g[2] / n)
-
-
-def random_unit_vector(rng: np.random.Generator) -> Vec3:
-    """Uniform unit vector of R^3."""
-    return _rand_unit3(rng)
 
 
 def random_unit_timelike(rng: np.random.Generator, rapidity: float = 1.2) -> Vec3:
@@ -632,7 +653,7 @@ def _lorentz_triad(rng: np.random.Generator) -> tuple[Vec3, Vec3, Vec3]:
     m = Metric.LORENTZIAN
     T = random_unit_timelike(rng, rapidity=0.8)
     while True:
-        raw = _rand_unit3(rng)
+        raw = random_unit_vector(rng)
         s1 = raw + inner(m, raw, T) * T  # projection off T since <T,T> = -1
         q = inner(m, s1, s1)
         if q > 1e-3:
@@ -655,8 +676,8 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
     omega = 2.0 * math.pi / s_len
     Q = _fourier(rng, (0.1, 1.0), 0.9, omega)
     P = _fourier(rng, (0.8, 1.5), 0.4, omega)
-    w0 = _rand_unit3(rng)
-    raw = _rand_unit3(rng)
+    w0 = random_unit_vector(rng)
+    raw = random_unit_vector(rng)
     proj = raw - inner(Metric.EUCLIDEAN, raw, w0) * w0
     wp0 = proj / norm(Metric.EUCLIDEAN, proj)
     g0 = rng.normal(scale=0.5, size=3)
@@ -664,7 +685,7 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
     def rhs(s: float, y: tuple) -> tuple:
         w = y[0:3]
         wp = y[3:6]
-        c = _cross_e(w, wp)
+        c = _tcross(w, wp)
         q = Q(s)
         p = P(s)
         return (
@@ -673,36 +694,9 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
             p * c[0], p * c[1], p * c[2],
         )
 
-    table = DenseODE(rhs, 0.0, s_len, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
-
-    def w_value(s):
-        y = table.state_at(s)
-        return Vec3(y[0], y[1], y[2])
-
-    def w_d1(s):
-        y = table.state_at(s)
-        return Vec3(y[3], y[4], y[5])
-
-    def w_d2(s):
-        y = table.state_at(s)
-        c = _cross_e(y[0:3], y[3:6])
-        q = Q(s)
-        return Vec3(-y[0] + q * c[0], -y[1] + q * c[1], -y[2] + q * c[2])
-
-    def g_value(s):
-        y = table.state_at(s)
-        return Vec3(y[6], y[7], y[8])
-
-    def g_d1(s):
-        y = table.state_at(s)
-        c = _cross_e(y[0:3], y[3:6])
-        p = P(s)
-        return Vec3(p * c[0], p * c[1], p * c[2])
-
-    def g_d2(s):
+    def g_d2(s: float, y: tuple) -> Vec3:
         # (w x w')' = w x w'' = -Q w', hence g'' = P'(w x w') - P Q w'
-        y = table.state_at(s)
-        c = _cross_e(y[0:3], y[3:6])
+        c = _tcross(y[0:3], y[3:6])
         p, pp, q = P(s), P.deriv(s), Q(s)
         return Vec3(
             pp * c[0] - p * q * y[3],
@@ -710,9 +704,11 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
             pp * c[2] - p * q * y[5],
         )
 
-    return RuledSurface.build(Curve(g_value, g_d1, g_d2), Curve(w_value, w_d1, w_d2),
-                              (0.0, s_len), Metric.EUCLIDEAN, DirectorClass.EUCLID_STANDARD,
-                              label="random_euclid", trust_normalized=True)
+    table = DenseODE(rhs, 0.0, s_len, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+    base, director = _frame_curves(table, rhs, g_d2=g_d2)
+    return RuledSurface.build(base, director, (0.0, s_len), Metric.EUCLIDEAN,
+                              DirectorClass.EUCLID_STANDARD, label="random_euclid",
+                              trust_normalized=True)
 
 
 def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.0,
@@ -737,7 +733,7 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
     def rhs(s: float, y: tuple) -> tuple:
         w = y[0:3]
         wp = y[3:6]
-        c = _cross_l(w, wp)
+        c = _tcross(w, wp, -1.0)
         q = Q(s)
         p = P(s)
         return (
@@ -746,36 +742,9 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
             -d * p * c[0], -d * p * c[1], -d * p * c[2],
         )
 
-    table = CenteredODE(rhs, 0.0, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
-
-    def w_value(s):
-        y = table.state_at(s)
-        return Vec3(y[0], y[1], y[2])
-
-    def w_d1(s):
-        y = table.state_at(s)
-        return Vec3(y[3], y[4], y[5])
-
-    def w_d2(s):
-        y = table.state_at(s)
-        c = _cross_l(y[0:3], y[3:6])
-        q = Q(s)
-        return Vec3(-d * (y[0] + q * c[0]), -d * (y[1] + q * c[1]), -d * (y[2] + q * c[2]))
-
-    def g_value(s):
-        y = table.state_at(s)
-        return Vec3(y[6], y[7], y[8])
-
-    def g_d1(s):
-        y = table.state_at(s)
-        c = _cross_l(y[0:3], y[3:6])
-        p = P(s)
-        return Vec3(-d * p * c[0], -d * p * c[1], -d * p * c[2])
-
-    def g_d2(s):
+    def g_d2(s: float, y: tuple) -> Vec3:
         # (w x_L w')' = w x_L w'' = -delta Q w', hence g'' = -delta P'(w x_L w') + P Q w'
-        y = table.state_at(s)
-        c = _cross_l(y[0:3], y[3:6])
+        c = _tcross(y[0:3], y[3:6], -1.0)
         p, pp, q = P(s), P.deriv(s), Q(s)
         return Vec3(
             -d * pp * c[0] + p * q * y[3],
@@ -783,8 +752,9 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
             -d * pp * c[2] + p * q * y[5],
         )
 
-    return RuledSurface.build(Curve(g_value, g_d1, g_d2), Curve(w_value, w_d1, w_d2),
-                              (-half, half), Metric.LORENTZIAN,
+    table = CenteredODE(rhs, 0.0, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+    base, director = _frame_curves(table, rhs, g_d2=g_d2)
+    return RuledSurface.build(base, director, (-half, half), Metric.LORENTZIAN,
                               DirectorClass.LORENTZ_NONDEGENERATE, delta=delta,
                               label=f"random_lorentz(delta={delta})", trust_normalized=True)
 
@@ -872,7 +842,7 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
         def rhs(s: float, y: tuple) -> tuple:
             w = y[0:3]
             wp = y[3:6]
-            c = _cross_l(w, wp)
+            c = _tcross(w, wp, -1.0)
             q = Q(s)
             a = av(s)
             b = bv(s)
@@ -895,33 +865,14 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
         if not ok:
             continue
 
-        def w_value(s, table=table):
-            y = table.state_at(s)
-            return Vec3(y[0], y[1], y[2])
-
-        def w_d1(s, table=table):
-            y = table.state_at(s)
-            return Vec3(y[3], y[4], y[5])
-
-        def w_d2(s, table=table, Q=Q):
-            y = table.state_at(s)
-            c = _cross_l(y[0:3], y[3:6])
-            q = Q(s)
-            return Vec3(-d * (y[0] + q * c[0]), -d * (y[1] + q * c[1]), -d * (y[2] + q * c[2]))
-
-        def g1_value(s, table=table):
-            y = table.state_at(s)
-            return Vec3(y[6], y[7], y[8])
-
-        def g1_d1(s, table=table, av=av, bv=bv):
-            y = table.state_at(s)
-            c = _cross_l(y[0:3], y[3:6])
+        def g_d1(s: float, y: tuple) -> Vec3:
+            # g' without the rest of rhs: normalize_lorentz queries it inside its own ODE
+            c = _tcross(y[0:3], y[3:6], -1.0)
             a = av(s)
             b = bv(s)
             return Vec3(a * y[3] + b * c[0], a * y[4] + b * c[1], a * y[5] + b * c[2])
 
-        base = Curve(g1_value, g1_d1, lambda s: fd1(g1_d1, s))
-        director = Curve(w_value, w_d1, w_d2)
+        base, director = _frame_curves(table, rhs, g_d1=g_d1)
         return base, director, (-half, half)
     raise ODEBreakdown("could not draw an admissible pre-normalization input")
 

@@ -54,7 +54,6 @@ Rect = tuple[float, float, float, float]  # (s0, s1, t0, t1)
 _C1 = (1.0, -8.0, 8.0, -1.0)
 _OFF1 = (-2.0, -1.0, 1.0, 2.0)
 _C2 = (-1.0, 16.0, -30.0, 16.0, -1.0)
-_OFF2 = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 class ParamSurface:
@@ -85,10 +84,6 @@ class ParamSurface:
     def finite_difference(cls, domain: Rect, point_fn: Callable[[float, float], Vec3],
                           h: float | None = None, allow_overhang: bool = False) -> "ParamSurface":
         return cls(domain, point_fn=point_fn, fd_step=h, allow_overhang=allow_overhang)
-
-    @property
-    def is_exact(self) -> bool:
-        return self._jet_fn is not None
 
     def _check_domain(self, s: float, t: float) -> None:
         s0, s1, t0, t1 = self.domain
@@ -140,8 +135,8 @@ def jet(surf: ParamSurface, s: float, t: float) -> Jet2:
     return surf.jet(s, t)
 
 
-def fundamental_forms(m: Metric, j: Jet2) -> FundamentalForms:
-    """First and second fundamental form coefficients at a jet."""
+def _first_form(m: Metric, j: Jet2) -> tuple[float, float, float, float]:
+    """E, F, G and W2 = EG - F^2 at a jet; DegenerateMetric below the regularity floor."""
     E = inner(m, j.Xs, j.Xs)
     F = inner(m, j.Xs, j.Xt)
     G = inner(m, j.Xt, j.Xt)
@@ -149,6 +144,12 @@ def fundamental_forms(m: Metric, j: Jet2) -> FundamentalForms:
     floor = REGULARITY_FLOOR * (E * E + G * G + 1.0)
     if abs(W2) < floor:
         raise DegenerateMetric(f"|EG - F^2| = {abs(W2)} below floor {floor}")
+    return E, F, G, W2
+
+
+def fundamental_forms(m: Metric, j: Jet2) -> FundamentalForms:
+    """First and second fundamental form coefficients at a jet."""
+    E, F, G, W2 = _first_form(m, j)
     root = math.sqrt(abs(W2))
     e = triple(j.Xs, j.Xt, j.Xss) / root
     f = triple(j.Xs, j.Xt, j.Xst) / root
@@ -159,6 +160,15 @@ def fundamental_forms(m: Metric, j: Jet2) -> FundamentalForms:
         # <N,N>_L = (F^2 - EG)/|EG - F^2| = -sign(W2)
         eps = -1 if W2 > 0.0 else 1
     return FundamentalForms(E, F, G, e, f, g, W2, eps)
+
+
+def curvature_bracket(forms: FundamentalForms, j: Jet2) -> float:
+    """G(Xs,Xt,Xss) - 2F(Xs,Xt,Xst) + E(Xs,Xt,Xtt), the numerator of the mean curvature."""
+    return (
+        forms.G * triple(j.Xs, j.Xt, j.Xss)
+        - 2.0 * forms.F * triple(j.Xs, j.Xt, j.Xst)
+        + forms.E * triple(j.Xs, j.Xt, j.Xtt)
+    )
 
 
 def unit_normal(m: Metric, j: Jet2) -> Vec3:
@@ -185,12 +195,7 @@ def mean_curvature(m: Metric, j: Jet2) -> float:
         return (forms.G * forms.e - 2.0 * forms.F * forms.f + forms.E * forms.g) / (2.0 * forms.W2)
     if forms.eps != -1:
         raise NotSpacelike("mean curvature of a non-spacelike Lorentzian point")
-    lhs = (
-        forms.G * triple(j.Xs, j.Xt, j.Xss)
-        - 2.0 * forms.F * triple(j.Xs, j.Xt, j.Xst)
-        + forms.E * triple(j.Xs, j.Xt, j.Xtt)
-    )
-    return -0.5 * lhs / abs(forms.W2) ** 1.5
+    return -0.5 * curvature_bracket(forms, j) / abs(forms.W2) ** 1.5
 
 
 def require_unit_direction(m: Metric, v: Vec3) -> None:
@@ -235,13 +240,8 @@ def singular_residual(m: Metric, surf: ParamSurface, s: float, t: float, v: Vec3
     forms = fundamental_forms(m, j)
     if m is Metric.LORENTZIAN and forms.eps != -1:
         raise NotSpacelike(f"surface not spacelike at (s,t)=({s},{t})")
-    lhs = (
-        forms.G * triple(j.Xs, j.Xt, j.Xss)
-        - 2.0 * forms.F * triple(j.Xs, j.Xt, j.Xst)
-        + forms.E * triple(j.Xs, j.Xt, j.Xtt)
-    )
     eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
-    return lhs - eps_hat * alpha * (forms.W2 / q) * triple(j.Xs, j.Xt, v)
+    return curvature_bracket(forms, j) - eps_hat * alpha * (forms.W2 / q) * triple(j.Xs, j.Xt, v)
 
 
 def _trapezoid_nodes(a: float, b: float, n: int) -> tuple[list[float], list[float]]:
@@ -273,12 +273,7 @@ def potential_energy(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
         for tj, twj in zip(t_nodes, t_w):
             j = surf.jet(si, tj)
             q = _position_inner(m, j.X, v)
-            E = inner(m, j.Xs, j.Xs)
-            F = inner(m, j.Xs, j.Xt)
-            G = inner(m, j.Xt, j.Xt)
-            W2 = E * G - F * F
-            if abs(W2) < REGULARITY_FLOOR * (E * E + G * G + 1.0):
-                raise DegenerateMetric(f"degenerate metric at ({si},{tj})")
+            W2 = _first_form(m, j)[3]
             if m is Metric.LORENTZIAN:
                 if W2 < 0.0:
                     raise NotSpacelike(f"surface not spacelike at ({si},{tj})")

@@ -22,13 +22,19 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .algebra import Metric, Vec3
 from .errors import Diverged, HalfspaceViolation
 from .surface import Jet2, ParamSurface, singular_residual
 
 Z_FLOOR = 1e-9
+
+# glibc returns a freed heap top to the system past a trim threshold that
+# starts at 128 KiB and rises only when a larger block is freed.  On mid-size
+# grids the energy and gradient kernels make many temporaries just under that
+# size, so at the default every call page-faults them in again (about 40% of a
+# 161x81 descent).  Freeing one untouched 4 MiB block raises the threshold.
+np.empty(1 << 19)
 
 
 @dataclass
@@ -94,7 +100,10 @@ class HeightField:
     @classmethod
     def from_csv(cls, text: str) -> "HeightField":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        meta = dict(re.findall(r"(\w+)=([^\s]+)", lines[0]))
+        meta = dict(re.findall(r"(\w+)=([^\s]+)", lines[0])) if lines else {}
+        missing = [k for k in ("x0", "x1", "y0", "y1") if k not in meta]
+        if missing:
+            raise ValueError(f"height-field CSV header lacks {', '.join(missing)}")
         z = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         return cls(float(meta["x0"]), float(meta["x1"]), float(meta["y0"]),
                    float(meta["y1"]), z)
@@ -218,6 +227,10 @@ def catenary_heights(window: tuple[float, float, float, float] = (-1.0, 1.0, 0.0
 
 def height_surface(h: HeightField) -> ParamSurface:
     """Exact-jet graph surface of the bicubic spline through the grid."""
+    from scipy.interpolate import RectBivariateSpline  # deferred: see catenary._spline_embedding
+
+    if min(h.shape) < 4:
+        raise ValueError(f"a bicubic spline needs at least 4x4 heights, got {h.shape}")
     sp = RectBivariateSpline(h.xs, h.ys, h.z, kx=3, ky=3)
 
     def jet_fn(s: float, t: float) -> Jet2:

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from conftest import run_cli as run
 
 
@@ -175,3 +176,37 @@ def test_seed_env_variable(tmp_path):
 def test_resolved_config_logged(tmp_path):
     r = run(["catenary", "--length", "0.5", "--step", "0.01", "--out", "c.csv"], tmp_path)
     assert "resolved config" in r.stderr
+
+
+_HEIGHT_ROWS = "1.0,1.0,1.0\n1.0,1.5,1.0\n1.0,1.0,1.0\n"
+
+
+@pytest.mark.parametrize("files, args, env", [
+    pytest.param({"cfg.json": '{"alpha": "x"}'}, ["catenary", "--config", "cfg.json"], None,
+                 id="config-wrong-type"),
+    pytest.param({"cfg.json": '{"alhpa": 2}'}, ["catenary", "--config", "cfg.json"], None,
+                 id="config-unknown-key"),
+    pytest.param({"cfg.json": "[1, 2]"}, ["residual", "--config", "cfg.json"], None,
+                 id="config-not-an-object"),
+    pytest.param({"cfg.json": '{"grid": 5}'}, ["residual", "--config", "cfg.json"], None,
+                 id="config-grid-not-a-string"),
+    pytest.param({}, ["sweep", "--n", "2", "--samples", "2"], {"SINGULAR_GEOM_SEED": "abc"},
+                 id="seed-env-not-an-int"),
+    pytest.param({"h.csv": "# x1=1.0 y0=0.0 y1=1.0 nx=3 ny=3\n" + _HEIGHT_ROWS},
+                 ["residual", "--surface", "file", "--file", "h.csv"], None,
+                 id="heightfield-without-x0"),
+    pytest.param({"h.csv": ""}, ["residual", "--surface", "file", "--file", "h.csv"], None,
+                 id="heightfield-empty"),
+    pytest.param({"h.csv": "# x0=0.0 x1=1.0 y0=0.0 y1=1.0 nx=3 ny=3\n" + _HEIGHT_ROWS},
+                 ["residual", "--surface", "file", "--file", "h.csv"], None,
+                 id="heightfield-too-small-for-spline"),
+])
+def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    r = run(args + ["--out", "out.txt"], tmp_path, env=env)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    problems = [ln for ln in r.stderr.splitlines() if "resolved config" not in ln]
+    assert len(problems) == 1 and problems[0].startswith("error: "), r.stderr
+    assert not (tmp_path / "out.txt").exists()

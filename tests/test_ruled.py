@@ -7,7 +7,7 @@ import pytest
 
 from singular_geom import catenary as cat
 from singular_geom.algebra import Metric, Vec3, cross, inner, triple
-from singular_geom.curves import Curve, line_curve
+from singular_geom.curves import Curve, fd1, line_curve
 from singular_geom.errors import (
     ConfigError,
     CylindricalInput,
@@ -243,6 +243,28 @@ def test_frame_identities_euclid():
             assert (gp - fr.P * fr.wxwp).max_abs() <= 1e-8
             assert (wpp + fr.w - fr.Q * fr.wxwp).max_abs() <= 1e-8
             assert (cross(E, gp, fr.w) - fr.P * fr.wp).max_abs() <= 1e-8
+
+
+def _curves_of(rs):
+    return rs.base, rs.director, rs.s_range
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda rng: _curves_of(random_euclidean_ruled(rng)), id="euclid"),
+    pytest.param(lambda rng: _curves_of(random_lorentz_ruled(rng, 1)), id="lorentz+1"),
+    pytest.param(lambda rng: _curves_of(random_lorentz_ruled(rng, -1)), id="lorentz-1"),
+    pytest.param(lambda rng: random_prenormalization_input(rng, 1), id="prenorm+1"),
+    pytest.param(lambda rng: random_prenormalization_input(rng, -1), id="prenorm-1"),
+])
+def test_frame_ode_curve_derivatives_match_differences(make):
+    """Each derivative read off a frame-ODE table is the derivative of the one below."""
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        base, director, (a, b) = make(rng)
+        for s in np.linspace(a, b, 11)[1:-1]:
+            for curve in (base, director):
+                assert (curve.d1(s) - fd1(curve.value, s)).max_abs() <= 1e-7
+                assert (curve.d2(s) - fd1(curve.d1, s)).max_abs() <= 1e-7
 
 
 @pytest.mark.parametrize("delta", [1, -1])
