@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Metric, Vec3, cross, inner, norm
-from .curves import Curve
+from .curves import Curve, rk4_step
 from .errors import HalfspaceViolation, NoSolution, NotOrthogonal
 from .surface import Jet2, ParamSurface
 
@@ -139,18 +139,13 @@ def _shoot_height(theta0: float, u0: float, y0: float, u1: float, alpha: float) 
     h = (u1 - u0) / n
     y, th = y0, theta0
 
-    def f(yv: float, tv: float) -> tuple[float, float]:
-        return (math.tan(tv), alpha / yv)
+    def f(u: float, state: tuple[float, float]) -> tuple[float, float]:
+        return (math.tan(state[1]), alpha / state[0])
 
-    for _ in range(n):
+    for i in range(n):
         if abs(th) >= _THETA_GUARD or y <= 1e-9:
             break
-        k1 = f(y, th)
-        k2 = f(y + 0.5 * h * k1[0], th + 0.5 * h * k1[1])
-        k3 = f(y + 0.5 * h * k2[0], th + 0.5 * h * k2[1])
-        k4 = f(y + h * k3[0], th + h * k3[1])
-        y += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        th += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        y, th = rk4_step(f, u0 + i * h, (y, th), h)
         if not (math.isfinite(y) and math.isfinite(th)):
             break
     else:

@@ -20,11 +20,12 @@ searches randomized normalized surfaces for a vanishing coefficient vector.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .curves import (
     DenseODE,
     FourierSeries,
     constant_curve,
-    fd1,
     fd1_scalar,
     line_curve,
 )
@@ -133,19 +133,15 @@ class RuledSurface:
 
     @classmethod
     def build(cls, base: Curve, director: Curve, s_range, metric: Metric,
-              director_class: DirectorClass, delta: int = 1, label: str = "",
-              trust_normalized: bool = False, n_check: int = 33) -> "RuledSurface":
+              director_class: DirectorClass, delta: int = 1, label: str = "") -> "RuledSurface":
         """Construct and mark the surface normalized iff its class relations hold.
 
-        ``trust_normalized`` skips the sampled verification; generators whose
-        construction enforces the relations exactly use it.
+        Generators whose construction enforces the relations exactly call the
+        constructor with ``normalized=True`` instead.
         """
         rs = cls(base, director, s_range, metric, director_class, delta, False, label)
-        if trust_normalized:
-            rs.normalized = True
-            return rs
         tol = _NORMALIZATION_TOL["euclid" if metric is Metric.EUCLIDEAN else "lorentz"]
-        rs.normalized = verify_normalization(rs, n_check) <= tol
+        rs.normalized = verify_normalization(rs) <= tol
         return rs
 
     def point(self, s: float, t: float) -> Vec3:
@@ -198,12 +194,6 @@ def verify_normalization(rs: RuledSurface, n_samples: int = 33) -> float:
             )
         worst = max(worst, max(abs(r) for r in rels))
     return worst
-
-
-def _min_director_speed(rs: RuledSurface, n_samples: int = 33) -> float:
-    return min(
-        norm(Metric.EUCLIDEAN, rs.director.d1(s)) for s in rs.s_samples(n_samples, inset=0.0)
-    )
 
 
 def make_cylinder(base: Curve, direction: Vec3, m: Metric,
@@ -331,7 +321,7 @@ def normalize_euclidean(base: Curve, director: Curve, s_range: tuple[float, floa
         mu, mup = _slide(u)
         return base.d1(u) * u1 + (mup * u1) * director.value(u) + mu * (wu * u1)
 
-    new_base = Curve(g_value, g_d1, lambda s: fd1(g_d1, s))
+    new_base = Curve(g_value, g_d1)
 
     rs = RuledSurface.build(new_base, new_director, (0.0, total), Metric.EUCLIDEAN,
                             DirectorClass.EUCLID_STANDARD, label="normalized_euclid")
@@ -406,7 +396,7 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         return (d1 * base.value(s) + y1 * base.d1(s)
                 + (-f1 * d1) * director.value(s) + y2 * director.d1(s))
 
-    new_base = Curve(g_value, g_d1, lambda s: fd1(g_d1, s))
+    new_base = Curve(g_value, g_d1)
     rs = RuledSurface.build(new_base, director, (a, b), m,
                             DirectorClass.LORENTZ_NONDEGENERATE, delta=delta,
                             label=f"normalized_lorentz(delta={delta})")
@@ -429,18 +419,12 @@ def _require_normalized(rs: RuledSurface) -> None:
         )
 
 
-def _P_func(rs: RuledSurface) -> Callable[[float], float]:
-    if rs.director_class is DirectorClass.EUCLID_STANDARD:
-        return lambda s: triple(rs.director.value(s), rs.director.d1(s), rs.base.d1(s))
-    return lambda s: triple(rs.base.d1(s), rs.director.value(s), rs.director.d1(s))
-
-
-def _Q_lightlike_func(rs: RuledSurface) -> Callable[[float], float]:
-    return lambda s: inner(Metric.LORENTZIAN, rs.base.d1(s), rs.director.d1(s))
-
-
 def frame(rs: RuledSurface, s: float) -> RuledFrame:
-    """Frame data (w, w', w x w', P, Q, delta) of a normalized surface at s."""
+    """Frame data (w, w', w x w', P, Q, delta) of a normalized surface at s.
+
+    This is the one definition of P and Q per director class, and of the
+    lightlike |Q| floor.
+    """
     _require_normalized(rs)
     w = rs.director.value(s)
     wp = rs.director.d1(s)
@@ -467,34 +451,26 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
     4th-order central difference with step 1e-4, since only values of the
     frame functions are available numerically.
     """
-    _require_normalized(rs)
+    fr = frame(rs, s)  # checks first that rs is normalized
     require_unit_direction(rs.metric, v)
     m = rs.metric
     cls = rs.director_class
+    gam = rs.base.value(s)
+    P, Q = fr.P, fr.Q
 
     if cls is DirectorClass.LORENTZ_LIGHTLIKE:
-        qf = _Q_lightlike_func(rs)
-        Q = qf(s)
-        if abs(Q) < ZERO_Q_FLOOR:
-            raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
-        Qp = fd1_scalar(qf, s, DERIV_STEP)
-        gam = rs.base.value(s)
+        Qp = fd1_scalar(lambda u: frame(rs, u).Q, s, DERIV_STEP)
         gp = rs.base.d1(s)
-        w = rs.director.value(s)
         gv = inner(m, gam, v)
-        wv = inner(m, w, v)
+        wv = inner(m, fr.w, v)
         gpv = inner(m, gp, v)
-        trip = triple(gp, w, v)
+        trip = triple(gp, fr.w, v)
         a0 = (Qp / Q) * gv + alpha * trip
         a1 = (Qp / Q) * wv + Qp * gv + alpha * Q * (gpv + 3.0 * trip)
         a2 = Qp * wv + 2.0 * alpha * Q * Q * (gpv + trip)
         return CoefficientVector((a0, a1, a2), s, cls)
 
-    fr = frame(rs, s)
-    pf = _P_func(rs)
-    Pp = fd1_scalar(pf, s, DERIV_STEP)
-    gam = rs.base.value(s)
-    P, Q = fr.P, fr.Q
+    Pp = fd1_scalar(lambda u: frame(rs, u).P, s, DERIV_STEP)
     wv = inner(m, fr.w, v)
     wpv = inner(m, fr.wp, v)
     gv = inner(m, gam, v)
@@ -514,6 +490,13 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
     return CoefficientVector((a0, a1, a2, a3), s, cls)
 
 
+def _nondegenerate_window(delta: int, p: float) -> tuple[float, float]:
+    """Ruling window inside the spacelike part |t| < p (delta = -1) or |t| > p (+1)."""
+    if delta == -1:
+        return (-0.8 * p, 0.8 * p)
+    return (p + 0.15, p + 1.15)
+
+
 def default_t_samples(rs: RuledSurface, s: float, n: int = 8) -> list[float]:
     """Ruling-parameter samples inside the class-appropriate admissible window.
 
@@ -526,11 +509,7 @@ def default_t_samples(rs: RuledSurface, s: float, n: int = 8) -> list[float]:
     if rs.director_class is DirectorClass.EUCLID_STANDARD:
         lo, hi = -1.0, 1.0
     elif rs.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
-        p = abs(frame(rs, s).P)
-        if rs.delta == -1:
-            lo, hi = -0.8 * p, 0.8 * p
-        else:
-            lo, hi = p + 0.15, p + 1.15
+        lo, hi = _nondegenerate_window(rs.delta, abs(frame(rs, s).P))
     else:
         q = frame(rs, s).Q
         bound = 0.45 / abs(q)
@@ -706,9 +685,8 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
 
     table = DenseODE(rhs, 0.0, s_len, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
     base, director = _frame_curves(table, rhs, g_d2=g_d2)
-    return RuledSurface.build(base, director, (0.0, s_len), Metric.EUCLIDEAN,
-                              DirectorClass.EUCLID_STANDARD, label="random_euclid",
-                              trust_normalized=True)
+    return RuledSurface(base, director, (0.0, s_len), Metric.EUCLIDEAN,
+                        DirectorClass.EUCLID_STANDARD, normalized=True, label="random_euclid")
 
 
 def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.0,
@@ -754,9 +732,9 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
 
     table = CenteredODE(rhs, 0.0, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
     base, director = _frame_curves(table, rhs, g_d2=g_d2)
-    return RuledSurface.build(base, director, (-half, half), Metric.LORENTZIAN,
-                              DirectorClass.LORENTZ_NONDEGENERATE, delta=delta,
-                              label=f"random_lorentz(delta={delta})", trust_normalized=True)
+    return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,
+                        DirectorClass.LORENTZ_NONDEGENERATE, delta=delta, normalized=True,
+                        label=f"random_lorentz(delta={delta})")
 
 
 def random_lightlike_ruled(rng: np.random.Generator, s_len: float = 2.0,
@@ -796,9 +774,9 @@ def random_lightlike_ruled(rng: np.random.Generator, s_len: float = 2.0,
         return Vec3(mv + s * mp, 0.5 * (ap - mp), 0.5 * (ap + mp))
 
     director = line_curve(Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
-    return RuledSurface.build(Curve(g_value, g_d1, g_d2), director, (-half, half),
-                              Metric.LORENTZIAN, DirectorClass.LORENTZ_LIGHTLIKE, delta=0,
-                              label="random_lightlike", trust_normalized=True)
+    return RuledSurface(Curve(g_value, g_d1, g_d2), director, (-half, half),
+                        Metric.LORENTZIAN, DirectorClass.LORENTZ_LIGHTLIKE, delta=0,
+                        normalized=True, label="random_lightlike")
 
 
 def random_prenormalization_input(rng: np.random.Generator, delta: int,
@@ -916,17 +894,8 @@ class SweepConfig:
             raise ConfigError("s_len must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "n_surfaces": self.n_surfaces,
-            "n_s_samples": self.n_s_samples,
-            "seed": int(self.seed),
-            "metric": self.metric.value,
-            "director_class": self.director_class.value,
-            "delta": self.delta,
-            "alpha_range": [self.alpha_range[0], self.alpha_range[1]],
-            "threshold": self.threshold,
-            "s_len": self.s_len,
-        }
+        return {**asdict(self), "seed": int(self.seed), "metric": self.metric.value,
+                "director_class": self.director_class.value}
 
 
 @dataclass
@@ -937,19 +906,15 @@ class SweepReport:
     min_max_abs_coeff: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "per_surface": self.per_surface,
-            "counterexamples": self.counterexamples,
-            "min_max_abs_coeff": self.min_max_abs_coeff,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def _is_cylindrical(rs: RuledSurface, n_samples: int = 17) -> bool:
-    return _min_director_speed(rs, n_samples) < 1e-8
+    return min(norm(Metric.EUCLIDEAN, rs.director.d1(s))
+               for s in rs.s_samples(n_samples, inset=0.0)) < 1e-8
 
 
 def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[float, float]:
@@ -958,11 +923,7 @@ def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[floa
         return (-1.0, 1.0)
     if rs.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
         ps = [abs(frame(rs, s).P) for s in s_values]
-        if rs.delta == -1:
-            p = min(ps)
-            return (-0.8 * p, 0.8 * p)
-        p = max(ps)
-        return (p + 0.15, p + 1.15)
+        return _nondegenerate_window(rs.delta, min(ps) if rs.delta == -1 else max(ps))
     qs = [abs(frame(rs, s).Q) for s in s_values]
     bound = min(1.0, 0.45 / max(qs))
     return (-bound, bound)
@@ -979,9 +940,8 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
         return rs
     shift = margin - lo
     offset = shift * v if m is Metric.EUCLIDEAN else (-shift) * v
-    out = RuledSurface(rs.base.translated(offset), rs.director, rs.s_range, rs.metric,
-                       rs.director_class, rs.delta, rs.normalized, rs.label)
-    return out
+    return RuledSurface(rs.base.translated(offset), rs.director, rs.s_range, rs.metric,
+                        rs.director_class, rs.delta, rs.normalized, rs.label)
 
 
 def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[float],
@@ -1032,34 +992,23 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     report = SweepReport(config=cfg.to_dict())
     rows = report.per_surface
 
-    idx = 0
-    for rs in planted:
-        row = {"id": idx, "class": rs.director_class.value, "alpha": 0.0,
-               "max_abs_coeff": None, "flagged": False, "excluded": True}
-        if not _is_cylindrical(rs):
-            v = (random_unit_vector(rng) if rs.metric is Metric.EUCLIDEAN
-                 else random_unit_timelike(rng))
-            alpha = _draw_alpha(rng, *cfg.alpha_range)
-            s_values = rs.s_samples(cfg.n_s_samples)
-            window = _halfspace_window(rs, s_values)
-            rs_t = translate_into_halfspace(rs, v, s_values, window)
-            row = sweep_surface(rs_t, v, alpha, s_values, cfg.threshold)
-            row["id"] = idx
-            if row["flagged"]:
-                report.counterexamples.append(idx)
-        rows.append(row)
-        idx += 1
+    def generated():
+        # drawn lazily: each surface takes its rng draws just before its v and alpha
+        for _ in range(cfg.n_surfaces):
+            if cfg.director_class is DirectorClass.EUCLID_STANDARD:
+                yield random_euclidean_ruled(rng, cfg.s_len)
+            elif cfg.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
+                yield random_lorentz_ruled(rng, cfg.delta, cfg.s_len)
+            else:
+                yield random_lightlike_ruled(rng, cfg.s_len)
 
-    for _ in range(cfg.n_surfaces):
-        if cfg.director_class is DirectorClass.EUCLID_STANDARD:
-            rs = random_euclidean_ruled(rng, cfg.s_len)
-            v = random_unit_vector(rng)
-        elif cfg.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
-            rs = random_lorentz_ruled(rng, cfg.delta, cfg.s_len)
-            v = random_unit_timelike(rng)
-        else:
-            rs = random_lightlike_ruled(rng, cfg.s_len)
-            v = random_unit_timelike(rng)
+    for idx, rs in enumerate(itertools.chain(planted, generated())):
+        if idx < len(planted) and _is_cylindrical(rs):
+            rows.append({"id": idx, "class": rs.director_class.value, "alpha": 0.0,
+                         "max_abs_coeff": None, "flagged": False, "excluded": True})
+            continue
+        v = (random_unit_vector(rng) if rs.metric is Metric.EUCLIDEAN
+             else random_unit_timelike(rng))
         alpha = _draw_alpha(rng, *cfg.alpha_range)
         s_values = rs.s_samples(cfg.n_s_samples)
         window = _halfspace_window(rs, s_values)
@@ -1069,7 +1018,6 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
         rows.append(row)
         if row["flagged"]:
             report.counterexamples.append(idx)
-        idx += 1
 
     maxima = [r["max_abs_coeff"] for r in rows if r["max_abs_coeff"] is not None]
     report.min_max_abs_coeff = min(maxima) if maxima else None

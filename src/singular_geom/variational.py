@@ -48,6 +48,9 @@ class HeightField:
     z: np.ndarray
 
     def __post_init__(self):
+        if not (-math.inf < self.x0 < self.x1 < math.inf
+                and -math.inf < self.y0 < self.y1 < math.inf):
+            raise ValueError("height-field window must be finite with x0 < x1 and y0 < y1")
         self.z = np.asarray(self.z, dtype=float)
         if self.z.ndim != 2 or self.z.shape[0] < 3 or self.z.shape[1] < 3:
             raise ValueError("height grid must be 2-D with at least 3 nodes per axis")
@@ -101,10 +104,13 @@ class HeightField:
     def from_csv(cls, text: str) -> "HeightField":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         meta = dict(re.findall(r"(\w+)=([^\s]+)", lines[0])) if lines else {}
-        missing = [k for k in ("x0", "x1", "y0", "y1") if k not in meta]
+        missing = [k for k in ("x0", "x1", "y0", "y1", "nx", "ny") if k not in meta]
         if missing:
             raise ValueError(f"height-field CSV header lacks {', '.join(missing)}")
         z = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        if z.shape != (int(meta["nx"]), int(meta["ny"])):
+            raise ValueError(f"height-field CSV header says nx={meta['nx']} ny={meta['ny']}, "
+                             f"but its body has shape {z.shape}")
         return cls(float(meta["x0"]), float(meta["x1"]), float(meta["y0"]),
                    float(meta["y1"]), z)
 

@@ -179,6 +179,7 @@ def test_resolved_config_logged(tmp_path):
 
 
 _HEIGHT_ROWS = "1.0,1.0,1.0\n1.0,1.5,1.0\n1.0,1.0,1.0\n"
+_HEIGHT_ROWS_5 = "1.0,1.0,1.0,1.0,1.0\n" + "1.0,1.5,1.5,1.5,1.0\n" * 3 + "1.0,1.0,1.0,1.0,1.0\n"
 
 
 @pytest.mark.parametrize("files, args, env", [
@@ -200,6 +201,12 @@ _HEIGHT_ROWS = "1.0,1.0,1.0\n1.0,1.5,1.0\n1.0,1.0,1.0\n"
     pytest.param({"h.csv": "# x0=0.0 x1=1.0 y0=0.0 y1=1.0 nx=3 ny=3\n" + _HEIGHT_ROWS},
                  ["residual", "--surface", "file", "--file", "h.csv"], None,
                  id="heightfield-too-small-for-spline"),
+    pytest.param({"h.csv": "# x0=0.0 x1=1.0 y0=0.0 y1=1.0 nx=33 ny=17\n" + _HEIGHT_ROWS_5},
+                 ["residual", "--surface", "file", "--file", "h.csv"], None,
+                 id="heightfield-header-shape-mismatch"),
+    pytest.param({"h.csv": "# x0=-inf x1=1.0 y0=0.0 y1=1.0 nx=5 ny=5\n" + _HEIGHT_ROWS_5},
+                 ["residual", "--surface", "file", "--file", "h.csv"], None,
+                 id="heightfield-window-not-finite"),
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env):
     for name, text in files.items():

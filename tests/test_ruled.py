@@ -356,9 +356,8 @@ def test_lightlike_zero_q_guard():
 
     base = Curve(gval, gp, lambda s: Vec3(m0, s * m0, s * m0))
     director = line_curve(Vec3(0, 1, 1), Vec3(1, 0, 0))
-    rs = RuledSurface.build(base, director, (-1.0, 1.0), L,
-                            DirectorClass.LORENTZ_LIGHTLIKE, delta=0,
-                            trust_normalized=True)
+    rs = RuledSurface(base, director, (-1.0, 1.0), L,
+                      DirectorClass.LORENTZ_LIGHTLIKE, delta=0, normalized=True)
     with pytest.raises(ZeroQ):
         coefficients(rs, 0.5, EZ, 1.0)
 
@@ -440,6 +439,17 @@ def test_sweep_excludes_planted_cylinder():
     row = rep.per_surface[0]
     assert row["excluded"] is True
     assert row["flagged"] is False
+    assert rep.counterexamples == []
+
+
+def test_sweep_scores_planted_non_cylindrical_surface():
+    cfg = SweepConfig(n_surfaces=3, n_s_samples=4, seed=5)
+    rep = falsification_sweep(cfg, planted=[helicoid(1.0)])
+    rows = rep.per_surface
+    assert [r["id"] for r in rows] == [0, 1, 2, 3]
+    assert rows[0]["excluded"] is False
+    assert rows[0]["max_abs_coeff"] > 1e-6
+    assert all(r["class"] == "euclid_standard" and not r["excluded"] for r in rows[1:])
     assert rep.counterexamples == []
 
 

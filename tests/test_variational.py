@@ -23,6 +23,8 @@ def test_field_validation():
         HeightField(0, 1, 0, 1, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         HeightField(0, 1, 0, 1, np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        HeightField(1, 0, 0, 1, np.ones((4, 4)))
 
 
 def test_energy_flat_unit_square():
