@@ -258,8 +258,8 @@ def catenary_cylinder(curve, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN
     zero = Vec3(0.0, 0.0, 0.0)
 
     def jet_fn(ss: float, tt: float) -> Jet2:
-        return Jet2(profile.value(ss) + ruling * tt, profile.d1(ss), ruling, profile.d2(ss),
-                    zero, zero)
+        c, c1, c2 = profile.jet(ss)
+        return Jet2(c + ruling * tt, c1, ruling, c2, zero, zero)
 
     domain = (s0, s1, float(t_window[0]), float(t_window[1]))
     return ParamSurface.exact(domain, jet_fn)

@@ -71,16 +71,26 @@ def _catenary_length(alpha: float) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the exit-1-on-usage-error contract."""
+    """argparse with the exit-1-on-usage-error contract and a one-line message."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message} (see --help)\n")
+
+
+def finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _flag_value(action: argparse.Action, raw, source: str):
     """A config or environment value converted and checked like the flag itself."""
-    numeric = action.type in (int, float)
+    numeric = action.type in (int, finite_float)
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float) if numeric else str):
         kind = "a number" if numeric else "a string"
         raise ConfigError(f"{source}: expected {kind}, got {json.dumps(raw)}")
@@ -88,6 +98,8 @@ def _flag_value(action: argparse.Action, raw, source: str):
         value = action.type(str(raw)) if action.type else raw
     except ValueError:
         raise ConfigError(f"{source}: invalid {action.type.__name__} value {raw!r}")
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{source}: {exc}")
     if action.choices is not None and value not in action.choices:
         raise ConfigError(f"{source}: {value!r} is not one of {list(action.choices)}")
     return value
@@ -124,15 +136,14 @@ def _resolve(command: str, args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
+    """An ``N`` or ``NxM`` grid spec; anything else is a ConfigError."""
     parts = text.lower().split("x")
     try:
-        if len(parts) == 1:
-            n = int(parts[0])
-            pair = (n, n)
-        else:
-            pair = (int(parts[0]), int(parts[1]))
+        if len(parts) > 2:
+            raise ValueError(text)
+        pair = (int(parts[0]), int(parts[-1]))
     except ValueError:
-        raise ConfigError(f"bad grid spec {text!r}")
+        raise ConfigError(f"bad grid spec {text!r}; expected N or NxM")
     if pair[0] < 2 or pair[1] < 2:
         raise ConfigError(f"grid must be at least 2x2, got {text!r}")
     return pair
@@ -346,17 +357,17 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "catenary", cmd_catenary, "integrate a planar alpha-catenary")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--length", type=float)
-    p.add_argument("--step", type=float)
+    p.add_argument("--alpha", type=finite_float)
+    p.add_argument("--y0", type=finite_float)
+    p.add_argument("--theta0", type=finite_float)
+    p.add_argument("--length", type=finite_float)
+    p.add_argument("--step", type=finite_float)
     p.add_argument("--out")
 
     p = _command(sub, "residual", cmd_residual, "evaluate the curvature residual over a grid")
     p.add_argument("--surface", choices=_SURFACES)
     p.add_argument("--metric", choices=sorted(_METRICS))
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=finite_float)
     p.add_argument("--v", help="direction as x,y,z")
     p.add_argument("--grid", help="NSxNT sample grid")
     p.add_argument("--file", help="height-field CSV for --surface file")
@@ -369,24 +380,24 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
+    p.add_argument("--alpha-min", dest="alpha_min", type=finite_float)
+    p.add_argument("--alpha-max", dest="alpha_max", type=finite_float)
     p.add_argument("--out")
 
     p = _command(sub, "export-mesh", cmd_export_mesh, "write a surface grid as an OBJ mesh")
     p.add_argument("--surface", choices=_SURFACES)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=finite_float)
     p.add_argument("--grid")
     p.add_argument("--file")
     p.add_argument("--out")
 
     p = _command(sub, "variational", cmd_variational, "height-field gradient descent demo")
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=finite_float)
     p.add_argument("--grid")
     p.add_argument("--steps", type=int)
-    p.add_argument("--rate", type=float)
+    p.add_argument("--rate", type=finite_float)
     p.add_argument("--init", choices=["flat", "catenary", "noisy"])
-    p.add_argument("--noise", type=float)
+    p.add_argument("--noise", type=finite_float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", dest="out_prefix")
 

@@ -2,9 +2,11 @@
 
 Curves are maps s -> Vec3 with two derivatives.  Where a derivative callable
 is not supplied it is obtained by 4th-order central differences of the next
-lower derivative.  Dense ODE tables integrate a state with classical RK4 on a
-fixed node grid and answer point queries by re-integrating from the nearest
-node, which keeps evaluation deterministic and interpolation-free.
+lower derivative.  ``Curve.jet`` returns all three at once and remembers them
+for the last s only, so a surface grid pays for each curve evaluation once
+per s, not once per point.  Dense ODE tables integrate a state with classical
+RK4 on a fixed node grid and answer point queries by re-integrating from the
+nearest node, which keeps evaluation deterministic and interpolation-free.
 """
 from __future__ import annotations
 
@@ -41,6 +43,12 @@ def fd1_scalar(f: Callable[[float], float], s: float, h: float = FD_H1) -> float
     return (f(s - 2 * h) - 8.0 * f(s - h) + 8.0 * f(s + h) - f(s + 2 * h)) / (12.0 * h)
 
 
+def _same_arg(a: float, b: float) -> bool:
+    """a and b are the same argument: equal, of one type, and of one sign at zero."""
+    return (a == b and type(a) is type(b)
+            and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b)))
+
+
 class Curve:
     """A path s -> Vec3 with value and two derivatives."""
 
@@ -48,6 +56,16 @@ class Curve:
         self._value = value
         self._d1 = d1
         self._d2 = d2
+        self._last: tuple[float, tuple[Vec3, Vec3, Vec3]] | None = None
+
+    def jet(self, s: float) -> tuple[Vec3, Vec3, Vec3]:
+        """(value, d1, d2) at s, kept for the next call with the same s."""
+        # surfaces over a curve ask for its jet at each t of one s in turn
+        if self._last is not None and _same_arg(self._last[0], s):
+            return self._last[1]
+        out = (self.value(s), self.d1(s), self.d2(s))
+        self._last = (s, out)
+        return out
 
     def value(self, s: float) -> Vec3:
         return self._value(s)

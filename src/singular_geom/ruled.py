@@ -148,12 +148,8 @@ class RuledSurface:
         return self.base.value(s) + t * self.director.value(s)
 
     def jet(self, s: float, t: float) -> Jet2:
-        g = self.base.value(s)
-        gp = self.base.d1(s)
-        gpp = self.base.d2(s)
-        w = self.director.value(s)
-        wp = self.director.d1(s)
-        wpp = self.director.d2(s)
+        g, gp, gpp = self.base.jet(s)
+        w, wp, wpp = self.director.jet(s)
         zero = Vec3(0.0, 0.0, 0.0)
         return Jet2(g + t * w, gp + t * wp, w, gpp + t * wpp, wp, zero)
 

@@ -112,9 +112,15 @@ class ParamSurface:
     def _fd_jet(self, s: float, t: float) -> Jet2:
         p = self._point_fn
         h = self.fd_step
+        # the 25 stencil points are taken one s offset at a time, so a point
+        # function that keeps its s-only work for the last s recomputes it 5 times
         X = p(s, t)
-        row = [p(s + o * h, t) for o in _OFF1]
         col = [p(s, t + o * h) for o in _OFF1]
+        row, cross_pts = [], []
+        for o in _OFF1:
+            so = s + o * h
+            row.append(p(so, t))
+            cross_pts.append([p(so, t + oj * h) for oj in _OFF1])
         Xs = (_C1[0] * row[0] + _C1[1] * row[1] + _C1[2] * row[2] + _C1[3] * row[3]) / (12.0 * h)
         Xt = (_C1[0] * col[0] + _C1[1] * col[1] + _C1[2] * col[2] + _C1[3] * col[3]) / (12.0 * h)
         row2 = [row[0], row[1], X, row[2], row[3]]
@@ -123,9 +129,9 @@ class ParamSurface:
         Xss = sum((_C2[k] * row2[k] for k in range(5)), Vec3(0, 0, 0)) / hh
         Xtt = sum((_C2[k] * col2[k] for k in range(5)), Vec3(0, 0, 0)) / hh
         acc = Vec3(0.0, 0.0, 0.0)
-        for i, oi in enumerate(_OFF1):
-            for j, oj in enumerate(_OFF1):
-                acc = acc + (_C1[i] * _C1[j]) * p(s + oi * h, t + oj * h)
+        for i in range(4):
+            for j in range(4):
+                acc = acc + (_C1[i] * _C1[j]) * cross_pts[i][j]
         Xst = acc / (144.0 * h * h)
         return Jet2(X, Xs, Xt, Xss, Xst, Xtt)
 

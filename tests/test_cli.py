@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from conftest import SRC
 from conftest import run_cli as run
 
 
@@ -207,6 +211,16 @@ _HEIGHT_ROWS_5 = "1.0,1.0,1.0,1.0,1.0\n" + "1.0,1.5,1.5,1.5,1.0\n" * 3 + "1.0,1.
     pytest.param({"h.csv": "# x0=-inf x1=1.0 y0=0.0 y1=1.0 nx=5 ny=5\n" + _HEIGHT_ROWS_5},
                  ["residual", "--surface", "file", "--file", "h.csv"], None,
                  id="heightfield-window-not-finite"),
+    pytest.param({}, ["residual", "--grid", "3x4x99"], None, id="grid-three-parts"),
+    pytest.param({}, ["export-mesh", "--grid", "3x3xjunk"], None, id="grid-trailing-junk"),
+    pytest.param({}, ["residual", "--surface", "sphere", "--alpha", "nan"], None,
+                 id="alpha-flag-nan"),
+    pytest.param({"cfg.json": '{"alpha": "inf"}'},
+                 ["residual", "--surface", "sphere", "--config", "cfg.json"], None,
+                 id="config-alpha-inf"),
+    pytest.param({"cfg.json": '{"alpha": 1e999}'},
+                 ["residual", "--surface", "sphere", "--config", "cfg.json"], None,
+                 id="config-alpha-overflows-to-inf"),
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env):
     for name, text in files.items():
@@ -217,3 +231,11 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env)
     problems = [ln for ln in r.stderr.splitlines() if "resolved config" not in ln]
     assert len(problems) == 1 and problems[0].startswith("error: "), r.stderr
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # scipy.interpolate costs most of the import time; only spline surfaces load it
+    code = "import sys, singular_geom.cli; sys.exit('scipy.interpolate' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert r.returncode == 0, r.stderr or "importing singular_geom.cli loaded scipy.interpolate"
