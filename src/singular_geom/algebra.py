@@ -18,6 +18,9 @@ from enum import Enum
 from .errors import DifferentCones, NotTimelike
 
 
+_isfinite = math.isfinite
+
+
 class Metric(Enum):
     EUCLIDEAN = "euclidean"
     LORENTZIAN = "lorentzian"
@@ -38,11 +41,15 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"Vec3 components must be finite, got ({self.x}, {self.y}, {self.z})")
+        x, y, z = self.x, self.y, self.z
+        # nearly every Vec3 is built from floats; skip the frozen-field writes then
+        if type(x) is not float or type(y) is not float or type(z) is not float:
+            x, y, z = float(x), float(y), float(z)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
+        if not (_isfinite(x) and _isfinite(y) and _isfinite(z)):
+            raise ValueError(f"Vec3 components must be finite, got ({x}, {y}, {z})")
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)

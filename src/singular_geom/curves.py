@@ -49,6 +49,25 @@ def _same_arg(a: float, b: float) -> bool:
             and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b)))
 
 
+def memo_last(f: Callable[[float], object]) -> Callable[[float], object]:
+    """f that keeps its result for the last argument and returns it on a repeat.
+
+    RK4 evaluates its right-hand side twice at the midpoint, and a two-substep
+    march evaluates it at the shared substep boundary twice more; a pure f
+    wrapped here is computed once per distinct argument in such runs.
+    """
+    last: list = []
+
+    def wrapped(s: float):
+        if last and _same_arg(last[0], s):
+            return last[1]
+        out = f(s)
+        last[:] = (s, out)
+        return out
+
+    return wrapped
+
+
 class Curve:
     """A path s -> Vec3 with value and two derivatives."""
 
@@ -100,19 +119,17 @@ def line_curve(a: Vec3, b: Vec3) -> Curve:
 
 def rk4_step(f, s: float, y: tuple, h: float) -> tuple:
     """One classical Runge-Kutta step for a tuple-valued state."""
+    # tuple([...]) rather than tuple(generator): this is the innermost loop
     k1 = f(s, y)
     half = 0.5 * h
-    y2 = tuple(yi + half * ki for yi, ki in zip(y, k1))
-    k2 = f(s + half, y2)
-    y3 = tuple(yi + half * ki for yi, ki in zip(y, k2))
-    k3 = f(s + half, y3)
-    y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
-    k4 = f(s + h, y4)
+    k2 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k1)]))
+    k3 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k2)]))
+    k4 = f(s + h, tuple([yi + h * ki for yi, ki in zip(y, k3)]))
     w = h / 6.0
-    return tuple(
+    return tuple([
         yi + w * (a + 2.0 * (b + c) + d)
         for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+    ])
 
 
 class DenseODE:
@@ -186,7 +203,7 @@ class CenteredODE:
         self.fwd = DenseODE(f, center, center + half, y0, max(2, n_steps // 2))
 
         def back(tau, z):
-            return tuple(-d for d in f(center - tau, z))
+            return tuple([-d for d in f(center - tau, z)])
 
         self.bwd = DenseODE(back, 0.0, half, y0, max(2, n_steps // 2))
 

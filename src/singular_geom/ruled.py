@@ -38,6 +38,7 @@ from .curves import (
     constant_curve,
     fd1_scalar,
     line_curve,
+    memo_last,
 )
 from .errors import (
     ConfigError,
@@ -356,6 +357,7 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         if inner(m, gp, gp) <= 0.0:
             raise NonSpacelikeInput("base curve is not spacelike")
 
+    @memo_last
     def fs(s: float) -> tuple[float, float, float]:
         g = base.value(s)
         gp = base.d1(s)
@@ -813,13 +815,15 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
             g0v = (-boost) * T + x * S1 + y * S2
         g0 = g0v.as_tuple()
 
+        @memo_last
+        def coeffs(s: float) -> tuple[float, float, float]:
+            return Q(s), av(s), bv(s)
+
         def rhs(s: float, y: tuple) -> tuple:
             w = y[0:3]
             wp = y[3:6]
             c = _tcross(w, wp, -1.0)
-            q = Q(s)
-            a = av(s)
-            b = bv(s)
+            q, a, b = coeffs(s)
             return (
                 wp[0], wp[1], wp[2],
                 -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
@@ -842,8 +846,7 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
         def g_d1(s: float, y: tuple) -> Vec3:
             # g' without the rest of rhs: normalize_lorentz queries it inside its own ODE
             c = _tcross(y[0:3], y[3:6], -1.0)
-            a = av(s)
-            b = bv(s)
+            _, a, b = coeffs(s)
             return Vec3(a * y[3] + b * c[0], a * y[4] + b * c[1], a * y[5] + b * c[2])
 
         base, director = _frame_curves(table, rhs, g_d1=g_d1)

@@ -43,6 +43,15 @@ def test_vec3_rejects_nonfinite():
         Vec3(float("inf"), 0.0, 0.0)
 
 
+def test_vec3_stores_plain_floats():
+    for v in (Vec3(1, True, np.float64(2.5)), Vec3(1.0, 2.0, -0.0)):
+        assert all(type(c) is float for c in v)
+    assert Vec3(1, True, np.float64(2.5)) == Vec3(1.0, 1.0, 2.5)
+    assert math.copysign(1.0, Vec3(0.0, 0.0, -0.0).z) == -1.0
+    with pytest.raises(ValueError):
+        Vec3(0.0, 0.0, np.float64("inf"))
+
+
 def test_inner_examples():
     assert inner(E, e1, e1) == 1.0
     assert inner(L, e3, e3) == -1.0

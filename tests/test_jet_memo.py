@@ -6,7 +6,8 @@ import numpy as np
 
 from singular_geom import catenary as cat
 from singular_geom.algebra import Metric, Vec3
-from singular_geom.curves import Curve
+from singular_geom import ruled
+from singular_geom.curves import Curve, memo_last
 from singular_geom.ruled import helicoid, random_lorentz_ruled
 from singular_geom.surface import _C1, _C2, _OFF1, Jet2, ParamSurface, unit_normal
 
@@ -119,3 +120,33 @@ def test_fd_jet_of_perturbed_catenary_cylinder_matches_reference_order():
         distinct_runs = sum(1 for k, x in enumerate(calls) if k == 0 or x != calls[k - 1])
         assert len(calls) == 25 and distinct_runs == 5
         assert got == _fd_jet_reference(point, s, t, fd.fd_step)
+
+
+def test_memo_last_recomputes_for_a_new_argument_only():
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return math.copysign(1.0, s) + s
+
+    g = memo_last(f)
+    args = (0.3, 0.3, -1.25, 0.0, -0.0, -0.0, np.float64(-0.0), 0.3)
+    assert [g(s) for s in args] == [f(s) for s in args]
+    assert calls[:6] == [0.3, -1.25, 0.0, -0.0, np.float64(-0.0), 0.3]
+
+
+def _normalized_lorentz_samples(delta):
+    rng = np.random.default_rng(777)
+    base, director, s_range = ruled.random_prenormalization_input(rng, delta)
+    rs = ruled.normalize_lorentz(base, director, delta, s_range)
+    return [(rs.base.value(s), rs.base.d1(s), rs.director.value(s), rs.director.d2(s))
+            for s in rs.s_samples(7)]
+
+
+def test_memoized_lorentz_normalization_matches_unmemoized(monkeypatch):
+    for delta in (1, -1):
+        memoized = _normalized_lorentz_samples(delta)
+        with monkeypatch.context() as m:
+            m.setattr(ruled, "memo_last", lambda f: f)
+            plain = _normalized_lorentz_samples(delta)
+        assert memoized == plain
