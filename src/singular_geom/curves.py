@@ -7,6 +7,7 @@ for the last s only, so a surface grid pays for each curve evaluation once
 per s, not once per point.  Dense ODE tables integrate a state with classical
 RK4 on a fixed node grid and answer point queries by re-integrating from the
 nearest node, which keeps evaluation deterministic and interpolation-free.
+A table runs from its seed point s0 toward an s1 on either side of it.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ FD_H1 = 1e-4
 FD_H2 = 1e-3
 
 
-def fd1(f: Callable[[float], Vec3], s: float, h: float = FD_H1) -> Vec3:
-    """4th-order central first derivative of a Vec3-valued function."""
+def fd1(f: Callable[[float], Vec3 | float], s: float, h: float = FD_H1) -> Vec3 | float:
+    """4th-order central first derivative of a Vec3- or float-valued function."""
     return (f(s - 2 * h) - 8.0 * f(s - h) + 8.0 * f(s + h) - f(s + 2 * h)) / (12.0 * h)
 
 
@@ -36,11 +37,6 @@ def fd2(f: Callable[[float], Vec3], s: float, h: float = FD_H2) -> Vec3:
         + 16.0 * f(s + h)
         - f(s + 2 * h)
     ) / (12.0 * h * h)
-
-
-def fd1_scalar(f: Callable[[float], float], s: float, h: float = FD_H1) -> float:
-    """4th-order central first derivative of a scalar function."""
-    return (f(s - 2 * h) - 8.0 * f(s - h) + 8.0 * f(s + h) - f(s + 2 * h)) / (12.0 * h)
 
 
 def _same_arg(a: float, b: float) -> bool:
@@ -132,32 +128,39 @@ def rk4_step(f, s: float, y: tuple, h: float) -> tuple:
     ])
 
 
-class DenseODE:
-    """Fixed-grid RK4 solution of y' = f(s, y) with deterministic point queries.
+# Queries may reach this fraction of the range length past either end, so that
+# difference stencils near the endpoints stay usable.
+OVERHANG = 0.02
 
-    Node states are precomputed once.  state_at(s) restarts from the nearest
-    node below s and takes two RK4 substeps, so every query costs O(1) and
-    carries full integrator accuracy instead of interpolation error.  Queries
-    slightly outside [s0, s1] (up to ``overhang`` times the range length) are
-    allowed so that difference stencils near the endpoints stay usable.
+
+class DenseODE:
+    """Fixed-grid RK4 solution of y' = f(s, y) from s0 toward s1, on either side.
+
+    Node states are precomputed once with the signed step (s1 - s0)/n_steps.
+    state_at(s) restarts from the nearest node on the s0 side of s and takes
+    two RK4 substeps, so every query costs O(1) and carries full integrator
+    accuracy instead of interpolation error.
     """
 
-    def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024,
-                 overhang: float = 0.02):
-        if not s1 > s0:
-            raise ValueError("DenseODE needs s1 > s0")
-        self.f = f
+    def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
         self.s0 = float(s0)
         self.s1 = float(s1)
+        if not (math.isfinite(self.s0) and math.isfinite(self.s1)) or self.s1 == self.s0:
+            raise ValueError("DenseODE needs finite s0 != s1")
+        self.f = f
         self.n_steps = int(n_steps)
         self.h = (self.s1 - self.s0) / self.n_steps
-        self.overhang = overhang * (self.s1 - self.s0)
         nodes = [tuple(float(v) for v in y0)]
         y = nodes[0]
         for i in range(self.n_steps):
             y = rk4_step(f, self.s0 + i * self.h, y, self.h)
             nodes.append(y)
         self.nodes = nodes
+        # (s, state) at the low and at the high end of the range
+        ends = [(self.s0, nodes[0]), (self.s1, nodes[-1])]
+        self._low, self._high = ends if self.h > 0.0 else ends[::-1]
+        pad = OVERHANG * (self._high[0] - self._low[0])
+        self._min_s, self._max_s = self._low[0] - pad, self._high[0] + pad
         self._last: tuple[float, tuple] | None = None
 
     def state_at(self, s: float) -> tuple:
@@ -169,12 +172,13 @@ class DenseODE:
         return out
 
     def _state_at(self, s: float) -> tuple:
-        if s < self.s0 - self.overhang or s > self.s1 + self.overhang:
+        if s < self._min_s or s > self._max_s:
             raise OutOfDomain(f"s={s} outside [{self.s0}, {self.s1}] (+overhang)")
-        if s <= self.s0:
-            return self._march(self.s0, self.nodes[0], s)
-        if s >= self.s1:
-            return self._march(self.s1, self.nodes[-1], s)
+        # the ends compare s itself: node coordinates (s - s0)/h round differently there
+        if s <= self._low[0]:
+            return self._march(*self._low, s)
+        if s >= self._high[0]:
+            return self._march(*self._high, s)
         idx = int((s - self.s0) / self.h)
         idx = min(idx, self.n_steps - 1)
         s_node = self.s0 + idx * self.h
@@ -190,27 +194,22 @@ class DenseODE:
 
 
 class CenteredODE:
-    """Dense solution over [center-half, center+half] seeded at the center.
+    """Dense solution over [-half, half] seeded at s = 0.
 
     Integrating outward from the middle halves the growth of unstable modes
     compared to seeding at an endpoint, which keeps hyperbolically growing
     states (de Sitter frames) small over the whole range.
     """
 
-    def __init__(self, f, center: float, half: float, y0: Sequence[float],
-                 n_steps: int = 1024):
-        self.center = float(center)
-        self.fwd = DenseODE(f, center, center + half, y0, max(2, n_steps // 2))
-
-        def back(tau, z):
-            return tuple([-d for d in f(center - tau, z)])
-
-        self.bwd = DenseODE(back, 0.0, half, y0, max(2, n_steps // 2))
+    def __init__(self, f, half: float, y0: Sequence[float], n_steps: int = 1024):
+        n = max(2, n_steps // 2)
+        self.fwd = DenseODE(f, 0.0, half, y0, n)
+        self.bwd = DenseODE(f, 0.0, -half, y0, n)
 
     def state_at(self, s: float) -> tuple:
-        if s >= self.center:
+        if s >= 0.0:
             return self.fwd.state_at(s)
-        return self.bwd.state_at(self.center - s)
+        return self.bwd.state_at(s)
 
 
 class FourierSeries:
@@ -218,14 +217,10 @@ class FourierSeries:
 
     def __init__(self, c0: float, cos_amps: Sequence[float], sin_amps: Sequence[float],
                  omega: float = 1.0):
-        assert len(cos_amps) == len(sin_amps)
         self.c0 = float(c0)
-        self.cos_amps = [float(a) for a in cos_amps]
-        self.sin_amps = [float(b) for b in sin_amps]
-        self.omega = float(omega)
         self._terms = tuple(
-            ((k + 1) * self.omega, a, b)
-            for k, (a, b) in enumerate(zip(self.cos_amps, self.sin_amps))
+            ((k + 1) * float(omega), float(a), float(b))
+            for k, (a, b) in enumerate(zip(cos_amps, sin_amps, strict=True))
         )
 
     def __call__(self, s: float) -> float:

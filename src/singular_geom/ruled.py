@@ -36,7 +36,7 @@ from .curves import (
     DenseODE,
     FourierSeries,
     constant_curve,
-    fd1_scalar,
+    fd1,
     line_curve,
     memo_last,
 )
@@ -457,7 +457,7 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
     P, Q = fr.P, fr.Q
 
     if cls is DirectorClass.LORENTZ_LIGHTLIKE:
-        Qp = fd1_scalar(lambda u: frame(rs, u).Q, s, DERIV_STEP)
+        Qp = fd1(lambda u: frame(rs, u).Q, s, DERIV_STEP)
         gp = rs.base.d1(s)
         gv = inner(m, gam, v)
         wv = inner(m, fr.w, v)
@@ -468,7 +468,7 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
         a2 = Qp * wv + 2.0 * alpha * Q * Q * (gpv + trip)
         return CoefficientVector((a0, a1, a2), s, cls)
 
-    Pp = fd1_scalar(lambda u: frame(rs, u).P, s, DERIV_STEP)
+    Pp = fd1(lambda u: frame(rs, u).P, s, DERIV_STEP)
     wv = inner(m, fr.w, v)
     wpv = inner(m, fr.wp, v)
     gv = inner(m, gam, v)
@@ -571,13 +571,12 @@ def _tcross(a, b, zsign: float = 1.0):
             zsign * (a[0] * b[1] - a[1] * b[0]))
 
 
-def _frame_curves(table, rhs, g_d1=None, g_d2=None) -> tuple[Curve, Curve]:
+def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     """Base and director curves of a frame-ODE table with state (w, w', g).
 
     w, w' and g are state slots 0:3, 3:6 and 6:9; w'' and g' are the same
-    slots 3:6 and 6:9 of rhs(s, state).  g_d1(s, state) and g_d2(s, state)
-    supply closed forms for g' and g''; without g_d2, Curve falls back to the
-    central difference of g'.
+    slots 3:6 and 6:9 of rhs(s, state).  g_d2(s, state) supplies a closed
+    form for g''; without it, Curve falls back to the central difference of g'.
     """
 
     def read(k: int, f=None):
@@ -590,12 +589,15 @@ def _frame_curves(table, rhs, g_d1=None, g_d2=None) -> tuple[Curve, Curve]:
 
         return value
 
-    def closed_form(f):
-        return None if f is None else (lambda s: f(s, table.state_at(s)))
-
-    base = Curve(read(6), closed_form(g_d1) or read(6, rhs), closed_form(g_d2))
+    g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
+    base = Curve(read(6), read(6, rhs), g_d2_of_s)
     director = Curve(read(0), read(3), read(3, rhs))
     return base, director
+
+
+def _series_at(*series: FourierSeries):
+    """s -> the series' values at s, kept for the last s: RK4 repeats its midpoint."""
+    return memo_last(lambda s: tuple([f(s) for f in series]))
 
 
 def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float,
@@ -653,6 +655,7 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
     omega = 2.0 * math.pi / s_len
     Q = _fourier(rng, (0.1, 1.0), 0.9, omega)
     P = _fourier(rng, (0.8, 1.5), 0.4, omega)
+    coeffs = _series_at(Q, P)
     w0 = random_unit_vector(rng)
     raw = random_unit_vector(rng)
     proj = raw - inner(Metric.EUCLIDEAN, raw, w0) * w0
@@ -663,8 +666,7 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
         w = y[0:3]
         wp = y[3:6]
         c = _tcross(w, wp)
-        q = Q(s)
-        p = P(s)
+        q, p = coeffs(s)
         return (
             wp[0], wp[1], wp[2],
             -w[0] + q * c[0], -w[1] + q * c[1], -w[2] + q * c[2],
@@ -674,7 +676,7 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
     def g_d2(s: float, y: tuple) -> Vec3:
         # (w x w')' = w x w'' = -Q w', hence g'' = P'(w x w') - P Q w'
         c = _tcross(y[0:3], y[3:6])
-        p, pp, q = P(s), P.deriv(s), Q(s)
+        (q, p), pp = coeffs(s), P.deriv(s)
         return Vec3(
             pp * c[0] - p * q * y[3],
             pp * c[1] - p * q * y[4],
@@ -700,6 +702,7 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
     omega = 2.0 * math.pi / s_len
     Q = _fourier(rng, (0.1, 0.45), 0.7, omega)
     P = _fourier(rng, (0.8, 1.5), 0.4, omega)
+    coeffs = _series_at(Q, P)
     T, S1, S2 = _lorentz_triad(rng)
     w0 = S1
     wp0 = S2 if delta == 1 else T
@@ -710,8 +713,7 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
         w = y[0:3]
         wp = y[3:6]
         c = _tcross(w, wp, -1.0)
-        q = Q(s)
-        p = P(s)
+        q, p = coeffs(s)
         return (
             wp[0], wp[1], wp[2],
             -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
@@ -721,14 +723,14 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
     def g_d2(s: float, y: tuple) -> Vec3:
         # (w x_L w')' = w x_L w'' = -delta Q w', hence g'' = -delta P'(w x_L w') + P Q w'
         c = _tcross(y[0:3], y[3:6], -1.0)
-        p, pp, q = P(s), P.deriv(s), Q(s)
+        (q, p), pp = coeffs(s), P.deriv(s)
         return Vec3(
             -d * pp * c[0] + p * q * y[3],
             -d * pp * c[1] + p * q * y[4],
             -d * pp * c[2] + p * q * y[5],
         )
 
-    table = CenteredODE(rhs, 0.0, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+    table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
     base, director = _frame_curves(table, rhs, g_d2=g_d2)
     return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,
                         DirectorClass.LORENTZ_NONDEGENERATE, delta=delta, normalized=True,
@@ -748,6 +750,7 @@ def random_lightlike_ruled(rng: np.random.Generator, s_len: float = 2.0,
     mf = _fourier(rng, (0.7, 1.2), 0.35, omega)
     g0 = rng.normal(scale=0.5, size=3)
 
+    @memo_last
     def gp_tuple(s: float) -> tuple[float, float, float]:
         mv = mf(s)
         a = (s * s * mv * mv - 1.0) / mv
@@ -815,9 +818,7 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
             g0v = (-boost) * T + x * S1 + y * S2
         g0 = g0v.as_tuple()
 
-        @memo_last
-        def coeffs(s: float) -> tuple[float, float, float]:
-            return Q(s), av(s), bv(s)
+        coeffs = _series_at(Q, av, bv)
 
         def rhs(s: float, y: tuple) -> tuple:
             w = y[0:3]
@@ -830,7 +831,7 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
                 a * wp[0] + b * c[0], a * wp[1] + b * c[1], a * wp[2] + b * c[2],
             )
 
-        table = CenteredODE(rhs, 0.0, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+        table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
 
         # solvability: f3 = <g1, w'>_L must stay away from zero
         ok = True
@@ -843,13 +844,7 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
         if not ok:
             continue
 
-        def g_d1(s: float, y: tuple) -> Vec3:
-            # g' without the rest of rhs: normalize_lorentz queries it inside its own ODE
-            c = _tcross(y[0:3], y[3:6], -1.0)
-            _, a, b = coeffs(s)
-            return Vec3(a * y[3] + b * c[0], a * y[4] + b * c[1], a * y[5] + b * c[2])
-
-        base, director = _frame_curves(table, rhs, g_d1=g_d1)
+        base, director = _frame_curves(table, rhs)
         return base, director, (-half, half)
     raise ODEBreakdown("could not draw an admissible pre-normalization input")
 

@@ -180,12 +180,19 @@ def interior_gradient(h: HeightField, alpha: float) -> np.ndarray:
     return grad
 
 
+def _diverged(reason: str, rate: float, trace: list[float]) -> Diverged:
+    err = Diverged(f"{reason}; rate {rate} exceeds the stability threshold")
+    err.trace = trace
+    return err
+
+
 def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[HeightField, list[float]]:
     """Projected gradient descent on the interior heights.
 
     The projection clamps z >= 1e-9 (the energy is singular at z = 0 for
     alpha < 1).  Raises Diverged, with the failing rate in the message and the
-    partial trace attached, when the energy increases 5 consecutive steps.
+    partial trace attached, when the energy increases 5 consecutive steps, or
+    at once, naming the step, when the heights or the energy turn non-finite.
     """
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
@@ -194,26 +201,28 @@ def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[Heig
     trace = [height_energy(field, alpha)]
     best = trace[0]
     bad = 0
-    for _ in range(steps):
-        g = interior_gradient(field, alpha)
-        z = np.maximum(z - rate * g, Z_FLOOR)
-        field = h.with_z(z)
-        energy = height_energy(field, alpha)
-        trace.append(energy)
-        # divergence = failing to get back under the best energy seen, which
-        # also catches a single blow-up followed by a clamp plateau
-        if energy > best * (1.0 + 1e-12):
-            bad += 1
-            if bad >= 5:
-                err = Diverged(
-                    f"energy stayed above its running minimum for 5 consecutive "
-                    f"steps; rate {rate} exceeds the stability threshold"
-                )
-                err.trace = trace
-                raise err
-        else:
-            best = min(best, energy)
-            bad = 0
+    # a blow-up is reported by the finiteness checks below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            g = interior_gradient(field, alpha)
+            z = np.maximum(z - rate * g, Z_FLOOR)
+            if not np.all(np.isfinite(z)):
+                raise _diverged(f"heights became non-finite at step {step}", rate, trace)
+            field = h.with_z(z)
+            energy = height_energy(field, alpha)
+            if not math.isfinite(energy):
+                raise _diverged(f"energy became non-finite at step {step}", rate, trace)
+            trace.append(energy)
+            # divergence = failing to get back under the best energy seen, which
+            # also catches a single blow-up followed by a clamp plateau
+            if energy > best * (1.0 + 1e-12):
+                bad += 1
+                if bad >= 5:
+                    raise _diverged("energy stayed above its running minimum for 5 "
+                                    "consecutive steps", rate, trace)
+            else:
+                best = min(best, energy)
+                bad = 0
     return field, trace
 
 

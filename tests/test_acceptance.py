@@ -193,7 +193,7 @@ def test_criterion_7_lorentz_reparametrization():
 
 
 def test_criterion_8_lightlike_reference_identities():
-    from singular_geom.curves import fd1_scalar
+    from singular_geom.curves import fd1
     from singular_geom.surface import fundamental_forms
     from singular_geom.algebra import triple
 
@@ -211,7 +211,7 @@ def test_criterion_8_lightlike_reference_identities():
         qf = lambda s: inner(L, rs.base.d1(s), rs.director.d1(s))
         for s in rs.s_samples(8):
             Q = qf(s)
-            Qp = fd1_scalar(qf, s, 1e-4)
+            Qp = fd1(qf, s, 1e-4)
             for t in np.linspace(-0.3, 0.3, 5):
                 j = rs.jet(s, t)
                 f = fundamental_forms(L, j)

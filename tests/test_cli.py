@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -154,6 +155,19 @@ def test_variational_divergence_exit(tmp_path):
             tmp_path)
     assert r.returncode == 5
     assert (tmp_path / "v_trace.csv").exists()
+
+
+@pytest.mark.parametrize("alpha, steps", [("-2", "20"), ("1", "3")])
+def test_variational_blow_up_exits_5_at_once(tmp_path, alpha, steps):
+    r = run(["variational", "--alpha", alpha, "--rate", "1e300", "--steps", steps,
+             "--grid", "9x9", "--out-prefix", "v"], tmp_path)
+    assert r.returncode == 5
+    errors = [ln for ln in r.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "at step 1" in errors[0]
+    assert "Warning" not in r.stderr
+    rows = (tmp_path / "v_trace.csv").read_text().strip().splitlines()[1:]
+    assert rows and all(math.isfinite(float(row.split(",")[1])) for row in rows)
+    assert not (tmp_path / "v_field.csv").exists()
 
 
 def test_config_file_and_flag_override(tmp_path):

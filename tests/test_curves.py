@@ -1,0 +1,140 @@
+"""Dense ODE tables: either integration direction, centered tables, domain and input checks."""
+
+import math
+
+import pytest
+
+from singular_geom.curves import OVERHANG, CenteredODE, DenseODE, FourierSeries, rk4_step
+from singular_geom.errors import OutOfDomain
+from singular_geom.ruled import _tcross
+
+
+def _de_sitter_rhs(calls):
+    """9-dimensional Lorentz frame right-hand side (w, w', g), logging each s it is given."""
+    Q = FourierSeries(0.3, [0.1, -0.05], [0.07, 0.02], math.pi)
+    P = FourierSeries(1.1, [0.2, 0.1], [-0.15, 0.05], math.pi)
+
+    def rhs(s, y):
+        calls.append(s)
+        w, wp = y[0:3], y[3:6]
+        c = _tcross(w, wp, -1.0)
+        q, p = Q(s), P(s)
+        return (
+            wp[0], wp[1], wp[2],
+            -(w[0] + q * c[0]), -(w[1] + q * c[1]), -(w[2] + q * c[2]),
+            -p * c[0], -p * c[1], -p * c[2],
+        )
+
+    return rhs
+
+
+# w = S1, w' = S2, g: a unit de Sitter frame (delta = +1) and an arbitrary base point
+Y0 = (0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.3, -0.2, 0.5)
+
+
+class _ForwardTable:
+    """Reference: the forward-only dense table, s1 > s0, with its exact end tests."""
+
+    def __init__(self, f, s0, s1, y0, n_steps):
+        self.f, self.s0, self.s1, self.n_steps = f, s0, s1, n_steps
+        self.h = (s1 - s0) / n_steps
+        self.overhang = OVERHANG * (s1 - s0)
+        self.nodes = [tuple(y0)]
+        for i in range(n_steps):
+            self.nodes.append(rk4_step(f, s0 + i * self.h, self.nodes[-1], self.h))
+
+    def state_at(self, s):
+        if s < self.s0 - self.overhang or s > self.s1 + self.overhang:
+            raise OutOfDomain(s)
+        if s <= self.s0:
+            return self._march(self.s0, self.nodes[0], s)
+        if s >= self.s1:
+            return self._march(self.s1, self.nodes[-1], s)
+        idx = min(int((s - self.s0) / self.h), self.n_steps - 1)
+        return self._march(self.s0 + idx * self.h, self.nodes[idx], s)
+
+    def _march(self, s_from, y, s_to):
+        ds = s_to - s_from
+        if ds == 0.0:
+            return y
+        half = 0.5 * ds
+        y = rk4_step(self.f, s_from, y, half)
+        return rk4_step(self.f, s_from + half, y, half)
+
+
+class _TimeReversedCentered:
+    """Reference: the backward half as a forward table in tau = -s over [0, half]."""
+
+    def __init__(self, f, half, y0, n_steps):
+        n = max(2, n_steps // 2)
+        self.fwd = _ForwardTable(f, 0.0, half, y0, n)
+
+        def back(tau, z):
+            return tuple([-d for d in f(0.0 - tau, z)])
+
+        self.bwd = _ForwardTable(back, 0.0, half, y0, n)
+
+    def state_at(self, s):
+        if s >= 0.0:
+            return self.fwd.state_at(s)
+        return self.bwd.state_at(0.0 - s)
+
+
+def _bits(values):
+    return [repr(v) for v in values]
+
+
+def test_centered_table_matches_time_reversed_reference_bitwise():
+    # h = 0.9/24 puts (s - s0)/h on the end node for s one ulp inside either end
+    half, n_steps = 0.9, 48
+    new_calls, ref_calls = [], []
+    new = CenteredODE(_de_sitter_rhs(new_calls), half, Y0, n_steps)
+    ref = _TimeReversedCentered(_de_sitter_rhs(ref_calls), half, Y0, n_steps)
+    assert new.fwd.nodes == ref.fwd.nodes
+    assert _bits(new.bwd.nodes) == _bits(ref.bwd.nodes)
+    assert _bits(new_calls) == _bits(ref_calls)
+
+    h = half / (n_steps // 2)
+    edge = half * (1.0 + OVERHANG)
+    queries = [0.0, -0.0, 0.3 * h, -0.3 * h, -h, -7 * h, -0.41, 0.41, -half, half,
+               -half + 1e-13, half - 1e-13, -edge, edge, -0.5 * (half + edge), -h * 21.5,
+               math.nextafter(-half, 0.0), math.nextafter(half, 0.0)]
+    for s in queries:
+        new_calls.clear()
+        ref_calls.clear()
+        assert _bits(new.state_at(s)) == _bits(ref.state_at(s)), s
+        assert _bits(new_calls) == _bits(ref_calls), s
+
+
+def test_backward_table_matches_exponential():
+    table = DenseODE(lambda s, y: (y[0],), 0.0, -2.0, (1.0,), 64)
+    h = table.h
+    assert h == -2.0 / 64
+
+    def rk4_bound(s):
+        # RK4's relative error for y' = y is h^5/120 per step, |s| h^4 / 120 in all
+        return abs(s) * h ** 4 / 100 + 1e-15
+
+    for k, node in enumerate(table.nodes):
+        s = k * h
+        assert abs(node[0] / math.exp(s) - 1.0) < rk4_bound(s), k
+    for s in (-0.001, -0.37, -1.0, -1.999, -2.0, -2.03, 0.03):
+        assert abs(table.state_at(s)[0] / math.exp(s) - 1.0) < rk4_bound(s), s
+
+
+@pytest.mark.parametrize("s0, s1", [(0.0, 1.5), (0.0, -1.5), (-0.5, 1.0), (1.0, -0.5)])
+def test_out_of_domain_just_past_either_overhang_end(s0, s1):
+    table = DenseODE(lambda s, y: (1.0,), s0, s1, (0.0,), 8)
+    lo, hi = min(s0, s1), max(s0, s1)
+    pad = OVERHANG * (hi - lo)
+    for end, outward in ((lo - pad, -math.inf), (hi + pad, math.inf)):
+        assert table.state_at(end)[0] == pytest.approx(end - s0)
+        with pytest.raises(OutOfDomain):
+            table.state_at(math.nextafter(end, outward))
+
+
+@pytest.mark.parametrize("s0, s1", [(1.0, 1.0), (0.0, -0.0), (math.nan, 1.0), (0.0, math.nan),
+                                    (0.0, math.inf), (-math.inf, 0.0)])
+def test_table_rejects_empty_or_non_finite_range(s0, s1):
+    with pytest.raises(ValueError):
+        DenseODE(lambda s, y: (1.0,), s0, s1, (0.0,), 8)

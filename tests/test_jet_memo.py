@@ -135,18 +135,27 @@ def test_memo_last_recomputes_for_a_new_argument_only():
     assert calls[:6] == [0.3, -1.25, 0.0, -0.0, np.float64(-0.0), 0.3]
 
 
-def _normalized_lorentz_samples(delta):
+def _generated_surfaces():
+    """One surface of every frame-ODE generator, drawn from fixed seeds."""
     rng = np.random.default_rng(777)
-    base, director, s_range = ruled.random_prenormalization_input(rng, delta)
-    rs = ruled.normalize_lorentz(base, director, delta, s_range)
-    return [(rs.base.value(s), rs.base.d1(s), rs.director.value(s), rs.director.d2(s))
-            for s in rs.s_samples(7)]
+    surfaces = [ruled.random_euclidean_ruled(rng), ruled.random_lorentz_ruled(rng, 1),
+                ruled.random_lorentz_ruled(rng, -1), ruled.random_lightlike_ruled(rng)]
+    for delta in (1, -1):
+        base, director, s_range = ruled.random_prenormalization_input(rng, delta)
+        surfaces.append(ruled.normalize_lorentz(base, director, delta, s_range))
+    return surfaces
+
+
+def _surface_samples(rs):
+    v = Vec3(0.6, 0.0, 0.8) if rs.metric is Metric.EUCLIDEAN else Vec3(0.3, 0.0, math.sqrt(1.09))
+    return [repr((ruled.frame(rs, s), ruled.coefficients(rs, s, v, 1.7), rs.jet(s, 0.37)))
+            for s in rs.s_samples(16)]
 
 
 def test_memoized_lorentz_normalization_matches_unmemoized(monkeypatch):
-    for delta in (1, -1):
-        memoized = _normalized_lorentz_samples(delta)
-        with monkeypatch.context() as m:
-            m.setattr(ruled, "memo_last", lambda f: f)
-            plain = _normalized_lorentz_samples(delta)
-        assert memoized == plain
+    memoized = [_surface_samples(rs) for rs in _generated_surfaces()]
+    with monkeypatch.context() as m:
+        m.setattr(ruled, "memo_last", lambda f: f)
+        plain = [_surface_samples(rs) for rs in _generated_surfaces()]
+    assert len(memoized) == 6
+    assert memoized == plain

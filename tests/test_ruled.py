@@ -325,7 +325,7 @@ def test_lightlike_reference_forms():
 
 def test_lightlike_random_identities():
     from singular_geom.surface import fundamental_forms
-    from singular_geom.curves import fd1_scalar
+    from singular_geom.curves import fd1
 
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -333,7 +333,7 @@ def test_lightlike_random_identities():
         qf = lambda s: inner(L, rs.base.d1(s), rs.director.d1(s))
         for s in rs.s_samples(10):
             Q = qf(s)
-            Qp = fd1_scalar(qf, s, 1e-4)
+            Qp = fd1(qf, s, 1e-4)
             assert abs(Q) > 1e-3
             for t in np.linspace(-0.3, 0.3, 5):
                 j = rs.jet(s, t)

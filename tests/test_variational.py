@@ -105,6 +105,27 @@ def test_descend_diverges_at_huge_rate():
     assert hasattr(info.value, "trace")
 
 
+def test_descend_stops_at_the_first_non_finite_heights(monkeypatch):
+    from singular_geom import variational
+
+    h = catenary_heights(shape=(9, 9))
+    calls = []
+    exact = variational.interior_gradient
+
+    def gradient(field, alpha):
+        calls.append(1)
+        g = exact(field, alpha)
+        if len(calls) == 2:
+            g[4, 4] = -math.inf
+        return g
+
+    monkeypatch.setattr(variational, "interior_gradient", gradient)
+    with pytest.raises(Diverged, match="heights became non-finite at step 2") as info:
+        descend(h, 1.0, 10, 1e-3)
+    assert len(info.value.trace) == 2
+    assert all(math.isfinite(e) for e in info.value.trace)
+
+
 def test_descend_reduces_residual_of_noisy_catenary():
     rng = np.random.default_rng(11)
     h = catenary_heights(shape=(41, 21))
