@@ -57,8 +57,15 @@ _CLASSES = {
     "lightlike": DirectorClass.LORENTZ_LIGHTLIKE,
 }
 
-_SURFACES = ["catenary-cylinder", "helicoid", "sphere", "hyperboloid", "lightlike-reference",
-             "file"]
+# built-in surfaces, each with the metric `residual` uses when --metric is unset
+_SURFACES = {
+    "catenary-cylinder": "euclid",
+    "helicoid": "euclid",
+    "sphere": "euclid",
+    "hyperboloid": "euclid",
+    "lightlike-reference": "lorentz",
+    "file": "euclid",
+}
 
 # arclength budget per alpha for built-in catenary cylinders: negative alpha
 # curves bend toward the halfplane floor, so they get shorter runs
@@ -233,7 +240,8 @@ def cmd_catenary(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    cfg = _resolve("residual", args, {"surface": "catenary-cylinder", "metric": "euclid",
+    surface = args.surface or "catenary-cylinder"
+    cfg = _resolve("residual", args, {"surface": surface, "metric": _SURFACES[surface],
                                       "alpha": 1.0, "v": "0,0,1", "grid": "50x50",
                                       "out": "residual.csv", "file": None})
     metric = _METRICS[cfg["metric"]]
@@ -365,7 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = _command(sub, "residual", cmd_residual, "evaluate the curvature residual over a grid")
-    p.add_argument("--surface", choices=_SURFACES)
+    p.add_argument("--surface", choices=list(_SURFACES))
     p.add_argument("--metric", choices=sorted(_METRICS))
     p.add_argument("--alpha", type=finite_float)
     p.add_argument("--v", help="direction as x,y,z")
@@ -385,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = _command(sub, "export-mesh", cmd_export_mesh, "write a surface grid as an OBJ mesh")
-    p.add_argument("--surface", choices=_SURFACES)
+    p.add_argument("--surface", choices=list(_SURFACES))
     p.add_argument("--alpha", type=finite_float)
     p.add_argument("--grid")
     p.add_argument("--file")

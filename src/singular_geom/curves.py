@@ -5,9 +5,9 @@ is not supplied it is obtained by 4th-order central differences of the next
 lower derivative.  ``Curve.jet`` returns all three at once and remembers them
 for the last s only, so a surface grid pays for each curve evaluation once
 per s, not once per point.  Dense ODE tables integrate a state with classical
-RK4 on a fixed node grid and answer point queries by re-integrating from the
-nearest node, which keeps evaluation deterministic and interpolation-free.
-A table runs from its seed point s0 toward an s1 on either side of it.
+RK4 on a fixed node grid and answer point queries between nodes with a C^2
+quintic Hermite dense output, so a query takes no integration step.  A table
+runs from its seed point s0 toward an s1 on either side of it.
 """
 from __future__ import annotations
 
@@ -132,14 +132,30 @@ def rk4_step(f, s: float, y: tuple, h: float) -> tuple:
 # difference stencils near the endpoints stay usable.
 OVERHANG = 0.02
 
+# 4th-order 5-point first-derivative stencils (times 1/(12 h)), by the position
+# of the target node in the window: one-sided at the two nodes nearest each
+# end, central elsewhere.
+_D1_STENCILS = (
+    (-25.0, 48.0, -36.0, 16.0, -3.0),
+    (-3.0, -10.0, 18.0, -6.0, 1.0),
+    (1.0, -8.0, 0.0, 8.0, -1.0),
+    (-1.0, 6.0, -18.0, 10.0, 3.0),
+    (3.0, -16.0, 36.0, -48.0, 25.0),
+)
+
 
 class DenseODE:
     """Fixed-grid RK4 solution of y' = f(s, y) from s0 toward s1, on either side.
 
     Node states are precomputed once with the signed step (s1 - s0)/n_steps.
-    state_at(s) restarts from the nearest node on the s0 side of s and takes
-    two RK4 substeps, so every query costs O(1) and carries full integrator
-    accuracy instead of interpolation error.
+    Between nodes, state_at(s) is the quintic Hermite interpolant of y, y' and
+    y'' at the two nodes around s (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6), which is C^2 across nodes.  y' at node i is f(s0 + i h, y_i), the
+    same call as the build's first RK4 stage of step i; y'' is the 4th-order
+    difference of those node slopes.  Both are computed on first use and kept
+    per node, so the build pays nothing for them and a query takes no RK4 step.
+    Queries in the overhang past either end restart from the end node and take
+    two RK4 substeps.
     """
 
     def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
@@ -149,6 +165,8 @@ class DenseODE:
             raise ValueError("DenseODE needs finite s0 != s1")
         self.f = f
         self.n_steps = int(n_steps)
+        if self.n_steps < 4:
+            raise ValueError("DenseODE needs at least 4 steps for its 5-point node stencils")
         self.h = (self.s1 - self.s0) / self.n_steps
         nodes = [tuple(float(v) for v in y0)]
         y = nodes[0]
@@ -156,6 +174,9 @@ class DenseODE:
             y = rk4_step(f, self.s0 + i * self.h, y, self.h)
             nodes.append(y)
         self.nodes = nodes
+        # y' and y'' per node, filled in by the queries that need them
+        self._d1: list = [None] * len(nodes)
+        self._d2: list = [None] * len(nodes)
         # (s, state) at the low and at the high end of the range
         ends = [(self.s0, nodes[0]), (self.s1, nodes[-1])]
         self._low, self._high = ends if self.h > 0.0 else ends[::-1]
@@ -182,7 +203,45 @@ class DenseODE:
         idx = int((s - self.s0) / self.h)
         idx = min(idx, self.n_steps - 1)
         s_node = self.s0 + idx * self.h
-        return self._march(s_node, self.nodes[idx], s)
+        if s == s_node:
+            return self.nodes[idx]
+        return self._hermite(idx, (s - s_node) / self.h)
+
+    def _node_d1(self, i: int) -> tuple:
+        d1 = self._d1[i]
+        if d1 is None:
+            d1 = self._d1[i] = self.f(self.s0 + i * self.h, self.nodes[i])
+        return d1
+
+    def _node_d2(self, i: int) -> tuple:
+        d2 = self._d2[i]
+        if d2 is None:
+            lo = min(max(i - 2, 0), self.n_steps - 4)
+            c0, c1, c2, c3, c4 = _D1_STENCILS[i - lo]
+            scale = 1.0 / (12.0 * self.h)
+            d2 = self._d2[i] = tuple([
+                scale * (c0 * a + c1 * b + c2 * c + c3 * d + c4 * e)
+                for a, b, c, d, e in zip(*[self._node_d1(j) for j in range(lo, lo + 5)])
+            ])
+        return d2
+
+    def _hermite(self, i: int, t: float) -> tuple:
+        """Quintic Hermite interpolant at s = s_i + t h between nodes i and i + 1."""
+        u = 1.0 - t
+        t2, u2 = t * t, u * u
+        t3 = t2 * t
+        h = self.h
+        w_y = t3 * (10.0 - 15.0 * t + 6.0 * t2)
+        w_f0 = h * t * u2 * u * (1.0 + 3.0 * t)
+        w_f1 = -h * t3 * u * (4.0 - 3.0 * t)
+        w_a0 = 0.5 * h * h * t2 * u2 * u
+        w_a1 = 0.5 * h * h * t3 * u2
+        return tuple([
+            y0 + w_y * (y1 - y0) + w_f0 * f0 + w_f1 * f1 + w_a0 * a0 + w_a1 * a1
+            for y0, y1, f0, f1, a0, a1 in zip(
+                self.nodes[i], self.nodes[i + 1], self._node_d1(i), self._node_d1(i + 1),
+                self._node_d2(i), self._node_d2(i + 1))
+        ])
 
     def _march(self, s_from: float, y: tuple, s_to: float) -> tuple:
         ds = s_to - s_from
@@ -202,7 +261,7 @@ class CenteredODE:
     """
 
     def __init__(self, f, half: float, y0: Sequence[float], n_steps: int = 1024):
-        n = max(2, n_steps // 2)
+        n = max(4, n_steps // 2)
         self.fwd = DenseODE(f, 0.0, half, y0, n)
         self.bwd = DenseODE(f, 0.0, -half, y0, n)
 

@@ -83,6 +83,21 @@ def test_residual_lorentz_sphere_exits_3(tmp_path):
     assert "NotSpacelike" in r.stderr or "DegenerateMetric" in r.stderr
 
 
+def test_residual_lightlike_reference_defaults_to_lorentz(tmp_path):
+    r = run(["residual", "--surface", "lightlike-reference", "--grid", "5x5", "--out", "r.csv"],
+            tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert '"metric": "lorentz"' in r.stderr
+    assert len((tmp_path / "r.csv").read_text().strip().splitlines()) == 26
+    # an explicit Euclidean metric, by flag or by config, is still honoured
+    (tmp_path / "cfg.json").write_text('{"metric": "euclid"}')
+    for extra in (["--metric", "euclid"], ["--config", "cfg.json"]):
+        r = run(["residual", "--surface", "lightlike-reference", "--grid", "5x5",
+                 "--out", "r.csv", *extra], tmp_path)
+        assert r.returncode == 3
+        assert "HalfspaceViolation" in r.stderr
+
+
 def test_residual_from_height_field_file(tmp_path):
     from singular_geom.variational import catenary_heights
 

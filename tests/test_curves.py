@@ -1,9 +1,11 @@
-"""Dense ODE tables: either integration direction, centered tables, domain and input checks."""
+"""Dense ODE tables: either integration direction, centered tables, the quintic Hermite
+dense output, domain and input checks."""
 
 import math
 
 import pytest
 
+from singular_geom import curves
 from singular_geom.curves import OVERHANG, CenteredODE, DenseODE, FourierSeries, rk4_step
 from singular_geom.errors import OutOfDomain
 from singular_geom.ruled import _tcross
@@ -85,7 +87,9 @@ def _bits(values):
 
 
 def test_centered_table_matches_time_reversed_reference_bitwise():
-    # h = 0.9/24 puts (s - s0)/h on the end node for s one ulp inside either end
+    # bitwise wherever both sides take the same arithmetic: nodes, build calls,
+    # on-node and overhang queries.  h = 0.9/24 puts (s - s0)/h on the end node
+    # for s one ulp inside either end
     half, n_steps = 0.9, 48
     new_calls, ref_calls = [], []
     new = CenteredODE(_de_sitter_rhs(new_calls), half, Y0, n_steps)
@@ -96,14 +100,77 @@ def test_centered_table_matches_time_reversed_reference_bitwise():
 
     h = half / (n_steps // 2)
     edge = half * (1.0 + OVERHANG)
-    queries = [0.0, -0.0, 0.3 * h, -0.3 * h, -h, -7 * h, -0.41, 0.41, -half, half,
-               -half + 1e-13, half - 1e-13, -edge, edge, -0.5 * (half + edge), -h * 21.5,
-               math.nextafter(-half, 0.0), math.nextafter(half, 0.0)]
-    for s in queries:
+    # on a node, or in the overhang where both re-march from the end node: same bits
+    for s in [0.0, -0.0, -h, -7 * h, -half, half, -edge, edge, -0.5 * (half + edge)]:
         new_calls.clear()
         ref_calls.clear()
         assert _bits(new.state_at(s)) == _bits(ref.state_at(s)), s
         assert _bits(new_calls) == _bits(ref_calls), s
+    # between nodes the table interpolates and the reference re-marches two RK4
+    # substeps: they agree to within RK4's local error, bounded here by 0.1 h^5
+    bound = 0.1 * h ** 5
+    for s in [0.3 * h, -0.3 * h, -0.41, 0.41, -half + 1e-13, half - 1e-13, -h * 21.5,
+              math.nextafter(-half, 0.0), math.nextafter(half, 0.0)]:
+        for a, b in zip(new.state_at(s), ref.state_at(s), strict=True):
+            assert abs(a - b) <= bound, s
+
+
+@pytest.mark.parametrize("s0, s1", [(-0.5, 1.0), (1.0, -0.5)])
+def test_dense_output_exact_for_quartic(s0, s1):
+    # y' = 4 s^3: RK4 is Simpson's rule here, exact for the cubic, the node
+    # differences are exact for the cubic slope, and the quintic interpolant is
+    # exact for s^4, so only rounding remains: 1e-14 absolute for |y| <= 1
+    table = DenseODE(lambda s, y: (4.0 * s ** 3,), s0, s1, (s0 ** 4,), 16)
+    lo, hi = min(s0, s1), max(s0, s1)
+    queries = [lo + (hi - lo) * k / 301 for k in range(1, 301)]
+    queries += [math.nextafter(lo, hi), math.nextafter(hi, lo), lo + 1e-9, hi - 1e-9]
+    for s in queries:
+        assert abs(table.state_at(s)[0] - s ** 4) <= 1e-14, s
+
+
+def test_build_calls_f_four_times_per_step_and_queries_take_no_rk4_step(monkeypatch):
+    steps, calls = [], []
+
+    def counted_rk4_step(*args):
+        steps.append(args[1])
+        return rk4_step(*args)
+
+    monkeypatch.setattr(curves, "rk4_step", counted_rk4_step)
+    n_steps = 24
+    table = DenseODE(_de_sitter_rhs(calls), 0.0, 0.9, Y0, n_steps)
+    assert len(steps) == n_steps
+    assert len(calls) == 4 * n_steps
+    steps.clear()
+    for k in range(1, 200):
+        table.state_at(0.9 * k / 200)
+    assert steps == []
+    # node slopes are the build's own first stages: one f call per node, none for a repeat
+    assert len(calls) - 4 * n_steps == n_steps + 1
+    table.state_at(0.9 * (1.0 + 0.5 * OVERHANG))
+    assert len(steps) == 2
+
+
+def test_dense_output_independent_of_query_order():
+    queries = [0.9 * k / 97 for k in range(98)] + [0.0133, 0.5, 0.8871, 0.9 * (1 + OVERHANG)]
+    first = DenseODE(_de_sitter_rhs([]), 0.0, 0.9, Y0, 24)
+    second = DenseODE(_de_sitter_rhs([]), 0.0, 0.9, Y0, 24)
+    forward = {s: _bits(first.state_at(s)) for s in queries}
+    backward = {s: _bits(second.state_at(s)) for s in reversed(queries)}
+    assert forward == backward
+
+
+@pytest.mark.parametrize("s0, s1", [(0.0, 0.9), (0.0, -0.9)])
+def test_dense_output_is_c1_across_nodes(s0, s1):
+    # the central difference over +-1e-5 has truncation ~1e-11 and roundoff
+    # ~1e-11, so 1e-8 leaves room while catching a slope jump at the node
+    table = DenseODE(_de_sitter_rhs([]), s0, s1, Y0, 24)
+    eps = 1e-5
+    for i in (1, 2, 12, 22, 23):
+        s = s0 + i * table.h
+        slope = table.f(s, table.nodes[i])
+        plus, minus = table.state_at(s + eps), table.state_at(s - eps)
+        for k, fk in enumerate(slope):
+            assert abs((plus[k] - minus[k]) / (2 * eps) - fk) <= 1e-8, (i, k)
 
 
 def test_backward_table_matches_exponential():
@@ -138,3 +205,9 @@ def test_out_of_domain_just_past_either_overhang_end(s0, s1):
 def test_table_rejects_empty_or_non_finite_range(s0, s1):
     with pytest.raises(ValueError):
         DenseODE(lambda s, y: (1.0,), s0, s1, (0.0,), 8)
+
+
+def test_table_needs_four_steps_for_its_node_stencils():
+    DenseODE(lambda s, y: (1.0,), 0.0, 1.0, (0.0,), 4)
+    with pytest.raises(ValueError):
+        DenseODE(lambda s, y: (1.0,), 0.0, 1.0, (0.0,), 3)
