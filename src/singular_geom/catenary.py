@@ -3,9 +3,11 @@
 The planar problem is posed in the upper half plane with the reference
 direction (0, 1): a unit-speed curve (u(s), y(s)) with tangent angle theta
 satisfies theta' = alpha * cos(theta) / y.  alpha = 1 recovers the classical
-catenary y = cosh(u).  Cylinders over such curves, with rulings orthogonal to
+catenary y = cosh(u).  The state (u, y, theta) is stepped with the shared
+``curves.rk4_step``.  Cylinders over such curves, with rulings orthogonal to
 the reference direction, solve the singular-minimal equation with the same
-alpha; they are exposed as exact-jet surfaces via cubic splines.
+alpha; they are exposed as exact-jet surfaces via cubic splines of an
+integrated path, clamped at both ends to its tangent (cos theta, sin theta).
 """
 from __future__ import annotations
 
@@ -68,30 +70,14 @@ class CatenaryPath:
         return buf.getvalue()
 
 
-def catenary_rhs(state: CatenaryState, alpha: float) -> tuple[float, float, float]:
-    """Arclength derivatives (u', y', theta') of the planar alpha-catenary."""
-    if state.y <= Y_FLOOR:
-        raise HalfspaceViolation(f"y = {state.y} at s = {state.s} reached the halfspace floor")
-    c = math.cos(state.theta)
-    return (c, math.sin(state.theta), alpha * c / state.y)
-
-
-def _rk4_cat(st: CatenaryState, alpha: float, h: float) -> CatenaryState:
-    def f(u, y, th):
-        probe = CatenaryState(u, y, th, st.s)
-        return catenary_rhs(probe, alpha)
-
-    k1 = f(st.u, st.y, st.theta)
-    k2 = f(st.u + 0.5 * h * k1[0], st.y + 0.5 * h * k1[1], st.theta + 0.5 * h * k1[2])
-    k3 = f(st.u + 0.5 * h * k2[0], st.y + 0.5 * h * k2[1], st.theta + 0.5 * h * k2[2])
-    k4 = f(st.u + h * k3[0], st.y + h * k3[1], st.theta + h * k3[2])
-    w = h / 6.0
-    return CatenaryState(
-        st.u + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        st.y + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        st.theta + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-        st.s + h,
-    )
+def catenary_rhs(s: float, state: tuple[float, float, float],
+                 alpha: float) -> tuple[float, float, float]:
+    """Arclength derivatives (u', y', theta') of the planar alpha-catenary at (u, y, theta)."""
+    _, y, theta = state
+    if y <= Y_FLOOR:
+        raise HalfspaceViolation(f"y = {y} at s = {s} reached the halfspace floor")
+    c = math.cos(theta)
+    return (c, math.sin(theta), alpha * c / y)
 
 
 def integrate(start: CatenaryState, alpha: float, length: float, step: float) -> CatenaryPath:
@@ -106,19 +92,24 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
         raise HalfspaceViolation(f"start height y = {start.y} is not in the open halfplane")
     n = max(1, int(round(length / step)))
     h = length / n
+
+    def f(s: float, state: tuple) -> tuple:
+        return catenary_rhs(s, state, alpha)
+
     states = [start]
-    st = start
+    s, state = start.s, (start.u, start.y, start.theta)
     exited = False
     for _ in range(n):
         try:
-            st = _rk4_cat(st, alpha, h)
+            state = rk4_step(f, s, state, h)
         except HalfspaceViolation:
             exited = True
             break
-        if st.y <= Y_FLOOR:
+        if state[1] <= Y_FLOOR:
             exited = True
             break
-        states.append(st)
+        s += h
+        states.append(CatenaryState(*state, s))
     return CatenaryPath(states, exited, alpha)
 
 
@@ -203,14 +194,6 @@ def solve_bvp(p0: tuple[float, float], p1: tuple[float, float], alpha: float,
     raise NoSolution("brackets collapsed without meeting the terminal tolerance")
 
 
-def _polyline_arrays(curve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(curve, CatenaryPath):
-        s, u, y, _ = curve.arrays()
-        return s, u, y
-    s, u, y = curve
-    return np.asarray(s, float), np.asarray(u, float), np.asarray(y, float)
-
-
 def _embedding_frame(v: Vec3, ruling: Vec3, m: Metric) -> Vec3:
     if abs(norm(m, ruling) - 1.0) > 1e-9:
         raise ValueError("ruling must be a unit vector")
@@ -221,16 +204,23 @@ def _embedding_frame(v: Vec3, ruling: Vec3, m: Metric) -> Vec3:
     return cross(m, ruling, v)
 
 
-def _spline_embedding(curve, v: Vec3, ruling: Vec3, m: Metric) -> tuple[Curve, float, float]:
-    """Cubic-spline embedding of a planar polyline and its arclength range."""
+def _spline_embedding(path: CatenaryPath, v: Vec3, ruling: Vec3,
+                      m: Metric) -> tuple[Curve, float, float]:
+    """Cubic-spline embedding of an integrated path and its arclength range.
+
+    Both splines are clamped to the integrated unit tangent (cos theta,
+    sin theta) at the first and last state; not-a-knot ends lose about an
+    order of magnitude of curvature accuracy at the end nodes.
+    """
     # scipy.interpolate costs most of the package import time, and the sweep
     # and catenary commands never build a spline
     from scipy.interpolate import CubicSpline
 
     d = _embedding_frame(v, ruling, m)
-    s, u, y = _polyline_arrays(curve)
-    su = CubicSpline(s, u)
-    sy = CubicSpline(s, y)
+    s, u, y, _ = path.arrays()
+    th0, th1 = path.states[0].theta, path.endpoint.theta
+    su = CubicSpline(s, u, bc_type=((1, math.cos(th0)), (1, math.cos(th1))))
+    sy = CubicSpline(s, y, bc_type=((1, math.sin(th0)), (1, math.sin(th1))))
     su1, sy1 = su.derivative(1), sy.derivative(1)
     su2, sy2 = su.derivative(2), sy.derivative(2)
     embedded = Curve(
@@ -241,20 +231,23 @@ def _spline_embedding(curve, v: Vec3, ruling: Vec3, m: Metric) -> tuple[Curve, f
     return embedded, float(s[0]), float(s[-1])
 
 
-def plane_curve(curve, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN) -> Curve:
-    """Embed a planar polyline into the plane spanned by v and ruling x v."""
-    return _spline_embedding(curve, v, ruling, m)[0]
+def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3,
+                m: Metric = Metric.EUCLIDEAN) -> Curve:
+    """Embed an integrated planar path into the plane spanned by v and ruling x v."""
+    return _spline_embedding(path, v, ruling, m)[0]
 
 
-def catenary_cylinder(curve, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN,
+def catenary_cylinder(path: CatenaryPath, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN,
                       t_window: tuple[float, float] = (-1.0, 1.0)) -> ParamSurface:
-    """Cylinder over a planar curve with rulings orthogonal to v.
+    """Cylinder over an integrated planar path with rulings orthogonal to v.
 
-    The curve is embedded in the plane spanned by (cross(ruling, v), v) and
-    extruded along the ruling; jets come from cubic splines of the polyline,
-    so second derivatives are piecewise linear in s and exactly zero in t.
+    The path is embedded in the plane spanned by (cross(ruling, v), v) and
+    extruded along the ruling; jets come from cubic splines of its (u, y)
+    polyline, clamped at both ends to the integrated tangent (cos theta,
+    sin theta), so second derivatives are piecewise linear in s and exactly
+    zero in t.
     """
-    profile, s0, s1 = _spline_embedding(curve, v, ruling, m)
+    profile, s0, s1 = _spline_embedding(path, v, ruling, m)
     zero = Vec3(0.0, 0.0, 0.0)
 
     def jet_fn(ss: float, tt: float) -> Jet2:

@@ -601,14 +601,48 @@ def _series_at(*series: FourierSeries):
 
 
 def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float,
-             omega: float, modes: int = 2, signed: bool = True) -> FourierSeries:
+             omega: float, modes: int = 2, signed: bool = True,
+             sign: float = 1.0) -> FourierSeries:
+    # sign = +-1 scales every coefficient exactly, so values and derivatives
+    # are those of the unsigned series times sign, bit for bit
     c0 = rng.uniform(*c0_range)
     if signed and rng.uniform() < 0.5:
         c0 = -c0
     raw = rng.uniform(-1.0, 1.0, size=2 * modes)
     total = np.sum(np.abs(raw))
     scale = amp * abs(c0) / total if total > 0 else 0.0
-    return FourierSeries(c0, list(raw[:modes] * scale), list(raw[modes:] * scale), omega)
+    return FourierSeries(sign * c0, list(raw[:modes] * scale * sign),
+                         list(raw[modes:] * scale * sign), omega)
+
+
+def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: float):
+    """Right-hand side and g'' of the sweep frame ODE with state (w, w', g).
+
+    w'' = sigma w + Q (w x_z w') and g' = P (w x_z w'), where x_z is the
+    cross product with its third component times zsign (+1 Euclidean, -1
+    Lorentzian).  On a normalized frame w x_z (w x_z w') = -zsign w', so
+    (w x_z w')' = w x_z w'' = -zsign Q w' and g'' = P'(w x_z w') - zsign P Q w'.
+    """
+    coeffs = _series_at(Q, P)
+
+    def rhs(s: float, y: tuple) -> tuple:
+        w = y[0:3]
+        wp = y[3:6]
+        c = _tcross(w, wp, zsign)
+        q, p = coeffs(s)
+        return (
+            wp[0], wp[1], wp[2],
+            sigma * w[0] + q * c[0], sigma * w[1] + q * c[1], sigma * w[2] + q * c[2],
+            p * c[0], p * c[1], p * c[2],
+        )
+
+    def g_d2(s: float, y: tuple) -> Vec3:
+        c = _tcross(y[0:3], y[3:6], zsign)
+        (q, p), pp = coeffs(s), P.deriv(s)
+        zpq = zsign * p * q
+        return Vec3(pp * c[0] - zpq * y[3], pp * c[1] - zpq * y[4], pp * c[2] - zpq * y[5])
+
+    return rhs, g_d2
 
 
 def random_unit_vector(rng: np.random.Generator) -> Vec3:
@@ -655,34 +689,13 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
     omega = 2.0 * math.pi / s_len
     Q = _fourier(rng, (0.1, 1.0), 0.9, omega)
     P = _fourier(rng, (0.8, 1.5), 0.4, omega)
-    coeffs = _series_at(Q, P)
     w0 = random_unit_vector(rng)
     raw = random_unit_vector(rng)
     proj = raw - inner(Metric.EUCLIDEAN, raw, w0) * w0
     wp0 = proj / norm(Metric.EUCLIDEAN, proj)
     g0 = rng.normal(scale=0.5, size=3)
 
-    def rhs(s: float, y: tuple) -> tuple:
-        w = y[0:3]
-        wp = y[3:6]
-        c = _tcross(w, wp)
-        q, p = coeffs(s)
-        return (
-            wp[0], wp[1], wp[2],
-            -w[0] + q * c[0], -w[1] + q * c[1], -w[2] + q * c[2],
-            p * c[0], p * c[1], p * c[2],
-        )
-
-    def g_d2(s: float, y: tuple) -> Vec3:
-        # (w x w')' = w x w'' = -Q w', hence g'' = P'(w x w') - P Q w'
-        c = _tcross(y[0:3], y[3:6])
-        (q, p), pp = coeffs(s), P.deriv(s)
-        return Vec3(
-            pp * c[0] - p * q * y[3],
-            pp * c[1] - p * q * y[4],
-            pp * c[2] - p * q * y[5],
-        )
-
+    rhs, g_d2 = _sweep_frame_ode(Q, P, 1.0, -1.0)
     table = DenseODE(rhs, 0.0, s_len, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
     base, director = _frame_curves(table, rhs, g_d2=g_d2)
     return RuledSurface(base, director, (0.0, s_len), Metric.EUCLIDEAN,
@@ -700,36 +713,16 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
         raise ConfigError("delta must be +1 or -1")
     half = 0.5 * s_len
     omega = 2.0 * math.pi / s_len
-    Q = _fourier(rng, (0.1, 0.45), 0.7, omega)
-    P = _fourier(rng, (0.8, 1.5), 0.4, omega)
-    coeffs = _series_at(Q, P)
+    # the class sign -delta of w'' and g' rides in the drawn series -delta Q, -delta P
+    sign = -float(delta)
+    Q = _fourier(rng, (0.1, 0.45), 0.7, omega, sign=sign)
+    P = _fourier(rng, (0.8, 1.5), 0.4, omega, sign=sign)
     T, S1, S2 = _lorentz_triad(rng)
     w0 = S1
     wp0 = S2 if delta == 1 else T
     g0 = rng.normal(scale=0.5, size=3)
-    d = float(delta)
 
-    def rhs(s: float, y: tuple) -> tuple:
-        w = y[0:3]
-        wp = y[3:6]
-        c = _tcross(w, wp, -1.0)
-        q, p = coeffs(s)
-        return (
-            wp[0], wp[1], wp[2],
-            -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
-            -d * p * c[0], -d * p * c[1], -d * p * c[2],
-        )
-
-    def g_d2(s: float, y: tuple) -> Vec3:
-        # (w x_L w')' = w x_L w'' = -delta Q w', hence g'' = -delta P'(w x_L w') + P Q w'
-        c = _tcross(y[0:3], y[3:6], -1.0)
-        (q, p), pp = coeffs(s), P.deriv(s)
-        return Vec3(
-            -d * pp * c[0] + p * q * y[3],
-            -d * pp * c[1] + p * q * y[4],
-            -d * pp * c[2] + p * q * y[5],
-        )
-
+    rhs, g_d2 = _sweep_frame_ode(Q, P, -1.0, sign)
     table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
     base, director = _frame_curves(table, rhs, g_d2=g_d2)
     return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,

@@ -19,28 +19,32 @@ def start(y0=1.0, theta0=0.0):
     return cat.CatenaryState(0.0, y0, theta0, 0.0)
 
 
+def state(y0=1.0, theta0=0.0):
+    return (0.0, y0, theta0)
+
+
 # ---------------------------------------------------------------------------
 # right-hand side
 # ---------------------------------------------------------------------------
 
 def test_rhs_straight_line_for_alpha_zero():
-    du, dy, dth = cat.catenary_rhs(start(theta0=0.3), 0.0)
+    du, dy, dth = cat.catenary_rhs(0.0, state(theta0=0.3), 0.0)
     assert dth == 0.0
     assert abs(du - math.cos(0.3)) < 1e-15
 
 
 def test_rhs_unit_curvature_at_unit_height():
-    assert cat.catenary_rhs(start(), 1.0)[2] == 1.0
+    assert cat.catenary_rhs(0.0, state(), 1.0)[2] == 1.0
 
 
 def test_rhs_vertical_tangent_kills_source():
-    _, _, dth = cat.catenary_rhs(cat.CatenaryState(0.0, 2.0, math.pi / 2, 0.0), 1.0)
+    _, _, dth = cat.catenary_rhs(0.0, (0.0, 2.0, math.pi / 2), 1.0)
     assert abs(dth) < 1e-16
 
 
 def test_rhs_halfspace_floor():
     with pytest.raises(HalfspaceViolation):
-        cat.catenary_rhs(cat.CatenaryState(0.0, 1e-13, 0.0, 0.0), 1.0)
+        cat.catenary_rhs(0.0, (0.0, 1e-13, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +95,51 @@ def test_integrate_flags_halfspace_exit():
     assert path.exited_halfspace
     assert path.endpoint.s < 2.0
     assert all(st.y > 0 for st in path.states)
+
+
+def _reference_integrate(alpha, length, step):
+    """The integrator before it used curves.rk4_step: its own stage-sum order."""
+    n = max(1, int(round(length / step)))
+    h = length / n
+    rows = [(0.0, 0.0, 1.0, 0.0)]
+    s, u, y, th = rows[0]
+
+    def f(u, y, th):
+        return cat.catenary_rhs(s, (u, y, th), alpha)
+
+    for _ in range(n):
+        try:
+            k1 = f(u, y, th)
+            k2 = f(u + 0.5 * h * k1[0], y + 0.5 * h * k1[1], th + 0.5 * h * k1[2])
+            k3 = f(u + 0.5 * h * k2[0], y + 0.5 * h * k2[1], th + 0.5 * h * k2[2])
+            k4 = f(u + h * k3[0], y + h * k3[1], th + h * k3[2])
+        except HalfspaceViolation:
+            return rows, True
+        w = h / 6.0
+        u, y, th = (
+            u + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            y + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+            th + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+        )
+        if y <= cat.Y_FLOOR:
+            return rows, True
+        s = s + h
+        rows.append((s, u, y, th))
+    return rows, False
+
+
+def test_halfspace_exit_row_and_s_column_match_reference():
+    # the shared rk4_step sums stages in another order than the old private
+    # stepper; only the last bits of (u, y, theta) may move, never the exit
+    # row or the accumulated s column
+    path = cat.integrate(start(), -2.0, 2.0, 1e-3)
+    rows, exited = _reference_integrate(-2.0, 2.0, 1e-3)
+    assert path.exited_halfspace and exited
+    assert len(path.states) == len(rows)
+    s, u, y, th = path.arrays()
+    ref = np.array(rows)
+    assert s.tolist() == ref[:, 0].tolist()
+    assert np.abs(np.column_stack([u, y, th]) - ref[:, 1:]).max() <= 1e-13
 
 
 def test_conserved_quantity_along_path():
@@ -179,10 +228,9 @@ def test_cylinder_residual_per_alpha(alpha, length):
 
 def test_cylinder_over_straight_line_is_plane():
     # vertical chart line -> plane spanned by (v, ruling), parallel to v
-    s = np.linspace(0.0, 1.0, 200)
-    u = np.full_like(s, 0.3)
-    y = 1.0 + s
-    surf = cat.catenary_cylinder((s, u, y), EZ, EY)
+    line = cat.CatenaryPath([cat.CatenaryState(0.3, 1.0 + s, math.pi / 2, s)
+                             for s in np.linspace(0.0, 1.0, 200)])
+    surf = cat.catenary_cylinder(line, EZ, EY)
     for alpha in (-1.0, 0.5, 2.0):
         assert abs(singular_residual(E, surf, 0.5, 0.2, EZ, alpha)) < 1e-9
 

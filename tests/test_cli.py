@@ -69,6 +69,15 @@ def test_residual_catenary_cylinder(tmp_path):
     assert len(lines) == 2501
 
 
+def test_residual_catenary_cylinder_alpha_3_within_tolerance(tmp_path):
+    # the worst cell sits at the spline's first node; not-a-knot spline ends
+    # gave 1.11e-5 there, clamped ends to the integrated tangent do not
+    r = run(["residual", "--surface", "catenary-cylinder", "--alpha", "3",
+             "--out", "r.csv"], tmp_path)
+    assert r.returncode == 0
+    assert float(r.stdout.split("=")[1]) <= 1e-5
+
+
 def test_residual_helicoid_not_singular_minimal(tmp_path):
     r = run(["residual", "--surface", "helicoid", "--alpha", "1", "--out", "r.csv"],
             tmp_path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singular_geom import catenary as cat
+from singular_geom import curves, ruled
 from singular_geom.algebra import Metric, Vec3, cross, inner, triple
 from singular_geom.curves import Curve, fd1, line_curve
 from singular_geom.errors import (
@@ -265,6 +266,108 @@ def test_frame_ode_curve_derivatives_match_differences(make):
             for curve in (base, director):
                 assert (curve.d1(s) - fd1(curve.value, s)).max_abs() <= 1e-7
                 assert (curve.d2(s) - fd1(curve.d1, s)).max_abs() <= 1e-7
+
+
+def _reference_euclidean_ruled(rng, s_len=2.0, n_steps=1024):
+    """random_euclidean_ruled with its own frame ODE, as before the generators shared one."""
+    omega = 2.0 * math.pi / s_len
+    Q = ruled._fourier(rng, (0.1, 1.0), 0.9, omega)
+    P = ruled._fourier(rng, (0.8, 1.5), 0.4, omega)
+    coeffs = ruled._series_at(Q, P)
+    w0 = random_unit_vector(rng)
+    raw = random_unit_vector(rng)
+    proj = raw - inner(E, raw, w0) * w0
+    wp0 = proj / math.sqrt(inner(E, proj, proj))
+    g0 = rng.normal(scale=0.5, size=3)
+
+    def rhs(s, y):
+        w, wp = y[0:3], y[3:6]
+        c = ruled._tcross(w, wp)
+        q, p = coeffs(s)
+        return (wp[0], wp[1], wp[2],
+                -w[0] + q * c[0], -w[1] + q * c[1], -w[2] + q * c[2],
+                p * c[0], p * c[1], p * c[2])
+
+    def g_d2(s, y):
+        c = ruled._tcross(y[0:3], y[3:6])
+        (q, p), pp = coeffs(s), P.deriv(s)
+        return Vec3(pp * c[0] - p * q * y[3], pp * c[1] - p * q * y[4],
+                    pp * c[2] - p * q * y[5])
+
+    table = curves.DenseODE(rhs, 0.0, s_len, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+    base, director = ruled._frame_curves(table, rhs, g_d2=g_d2)
+    return RuledSurface(base, director, (0.0, s_len), E, DirectorClass.EUCLID_STANDARD,
+                        normalized=True)
+
+
+def _reference_lorentz_ruled(rng, delta, s_len=2.0, n_steps=1024):
+    """random_lorentz_ruled with its own frame ODE, as before the generators shared one."""
+    half = 0.5 * s_len
+    omega = 2.0 * math.pi / s_len
+    Q = ruled._fourier(rng, (0.1, 0.45), 0.7, omega)
+    P = ruled._fourier(rng, (0.8, 1.5), 0.4, omega)
+    coeffs = ruled._series_at(Q, P)
+    T, S1, S2 = ruled._lorentz_triad(rng)
+    w0, wp0 = S1, (S2 if delta == 1 else T)
+    g0 = rng.normal(scale=0.5, size=3)
+    d = float(delta)
+
+    def rhs(s, y):
+        w, wp = y[0:3], y[3:6]
+        c = ruled._tcross(w, wp, -1.0)
+        q, p = coeffs(s)
+        return (wp[0], wp[1], wp[2],
+                -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
+                -d * p * c[0], -d * p * c[1], -d * p * c[2])
+
+    def g_d2(s, y):
+        c = ruled._tcross(y[0:3], y[3:6], -1.0)
+        (q, p), pp = coeffs(s), P.deriv(s)
+        return Vec3(-d * pp * c[0] + p * q * y[3], -d * pp * c[1] + p * q * y[4],
+                    -d * pp * c[2] + p * q * y[5])
+
+    table = curves.CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+    base, director = ruled._frame_curves(table, rhs, g_d2=g_d2)
+    return RuledSurface(base, director, (-half, half), L,
+                        DirectorClass.LORENTZ_NONDEGENERATE, delta=delta, normalized=True)
+
+
+@pytest.mark.parametrize("make,reference", [
+    pytest.param(random_euclidean_ruled, _reference_euclidean_ruled, id="euclid"),
+    pytest.param(lambda rng: random_lorentz_ruled(rng, 1),
+                 lambda rng: _reference_lorentz_ruled(rng, 1), id="lorentz+1"),
+    pytest.param(lambda rng: random_lorentz_ruled(rng, -1),
+                 lambda rng: _reference_lorentz_ruled(rng, -1), id="lorentz-1"),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_frame_ode_matches_separate_generators_bitwise(make, reference, seed,
+                                                               monkeypatch):
+    """Folding the class signs into Q and P changes no bit of a sweep surface."""
+    built = []
+
+    class RecordingODE(curves.DenseODE):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    # CenteredODE builds its halves through curves.DenseODE
+    monkeypatch.setattr(curves, "DenseODE", RecordingODE)
+    monkeypatch.setattr(ruled, "DenseODE", RecordingODE)
+
+    def fingerprint(rs):
+        rng = np.random.default_rng(100 + seed)
+        v = random_unit_vector(rng) if rs.metric is E else random_unit_timelike(rng)
+        alpha = rng.uniform(-3.0, 3.0)
+        return [repr((frame(rs, s), coefficients(rs, s, v, alpha),
+                      rs.base.jet(s), rs.director.jet(s))) for s in rs.s_samples(16)]
+
+    rs = make(np.random.default_rng(seed))
+    nodes, built[:] = [repr(t.nodes) for t in built], []
+    ref = reference(np.random.default_rng(seed))
+    ref_nodes = [repr(t.nodes) for t in built]
+    assert len(nodes) == len(ref_nodes) >= 1
+    assert nodes == ref_nodes
+    assert fingerprint(rs) == fingerprint(ref)
 
 
 @pytest.mark.parametrize("delta", [1, -1])
