@@ -132,16 +132,17 @@ def causal_character(v: Vec3) -> CausalCharacter:
     return CausalCharacter.LIGHTLIKE
 
 
-def causal_character_tol(v: Vec3, eps: float = 1e-10) -> CausalCharacter:
+def causal_character_tol(v: Vec3) -> CausalCharacter:
     """Causal character with a relative tolerance around the light cone.
 
-    Declares lightlike when |<v,v>_L| <= eps * max(|vx|,|vy|,|vz|)^2, so that
-    cross products of lightlike data classify as lightlike despite roundoff.
+    Declares lightlike when |<v,v>_L| <= 1e-10 * max(|vx|,|vy|,|vz|)^2, so
+    that cross products of lightlike data classify as lightlike despite
+    roundoff.
     """
     if v.x == 0.0 and v.y == 0.0 and v.z == 0.0:
         return CausalCharacter.SPACELIKE
     q = inner(Metric.LORENTZIAN, v, v)
-    if abs(q) <= eps * v.max_abs() ** 2:
+    if abs(q) <= 1e-10 * v.max_abs() ** 2:
         return CausalCharacter.LIGHTLIKE
     return CausalCharacter.SPACELIKE if q > 0.0 else CausalCharacter.TIMELIKE
 

@@ -43,7 +43,6 @@ class CatenaryPath:
 
     states: list[CatenaryState]
     exited_halfspace: bool = False
-    alpha: float = 0.0
 
     @property
     def endpoint(self) -> CatenaryState:
@@ -90,7 +89,10 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
         raise ValueError("step must be positive")
     if start.y <= Y_FLOOR:
         raise HalfspaceViolation(f"start height y = {start.y} is not in the open halfplane")
-    n = max(1, int(round(length / step)))
+    ratio = length / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"length / step = {ratio} is not a finite step count")
+    n = max(1, int(round(ratio)))
     h = length / n
 
     def f(s: float, state: tuple) -> tuple:
@@ -110,7 +112,7 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
             break
         s += h
         states.append(CatenaryState(*state, s))
-    return CatenaryPath(states, exited, alpha)
+    return CatenaryPath(states, exited)
 
 
 def classical_catenary(s: float) -> tuple[float, float]:
@@ -194,7 +196,8 @@ def solve_bvp(p0: tuple[float, float], p1: tuple[float, float], alpha: float,
     raise NoSolution("brackets collapsed without meeting the terminal tolerance")
 
 
-def _embedding_frame(v: Vec3, ruling: Vec3, m: Metric) -> Vec3:
+def _embedding_frame(v: Vec3, ruling: Vec3) -> Vec3:
+    m = Metric.EUCLIDEAN
     if abs(norm(m, ruling) - 1.0) > 1e-9:
         raise ValueError("ruling must be a unit vector")
     if abs(norm(m, v) - 1.0) > 1e-9:
@@ -204,8 +207,7 @@ def _embedding_frame(v: Vec3, ruling: Vec3, m: Metric) -> Vec3:
     return cross(m, ruling, v)
 
 
-def _spline_embedding(path: CatenaryPath, v: Vec3, ruling: Vec3,
-                      m: Metric) -> tuple[Curve, float, float]:
+def _spline_embedding(path: CatenaryPath, v: Vec3, ruling: Vec3) -> tuple[Curve, float, float]:
     """Cubic-spline embedding of an integrated path and its arclength range.
 
     Both splines are clamped to the integrated unit tangent (cos theta,
@@ -216,7 +218,7 @@ def _spline_embedding(path: CatenaryPath, v: Vec3, ruling: Vec3,
     # and catenary commands never build a spline
     from scipy.interpolate import CubicSpline
 
-    d = _embedding_frame(v, ruling, m)
+    d = _embedding_frame(v, ruling)
     s, u, y, _ = path.arrays()
     th0, th1 = path.states[0].theta, path.endpoint.theta
     su = CubicSpline(s, u, bc_type=((1, math.cos(th0)), (1, math.cos(th1))))
@@ -231,28 +233,26 @@ def _spline_embedding(path: CatenaryPath, v: Vec3, ruling: Vec3,
     return embedded, float(s[0]), float(s[-1])
 
 
-def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3,
-                m: Metric = Metric.EUCLIDEAN) -> Curve:
+def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
     """Embed an integrated planar path into the plane spanned by v and ruling x v."""
-    return _spline_embedding(path, v, ruling, m)[0]
+    return _spline_embedding(path, v, ruling)[0]
 
 
-def catenary_cylinder(path: CatenaryPath, v: Vec3, ruling: Vec3, m: Metric = Metric.EUCLIDEAN,
-                      t_window: tuple[float, float] = (-1.0, 1.0)) -> ParamSurface:
-    """Cylinder over an integrated planar path with rulings orthogonal to v.
+def catenary_cylinder(path: CatenaryPath, v: Vec3, ruling: Vec3) -> ParamSurface:
+    """Euclidean cylinder over an integrated planar path with rulings orthogonal to v.
 
     The path is embedded in the plane spanned by (cross(ruling, v), v) and
-    extruded along the ruling; jets come from cubic splines of its (u, y)
-    polyline, clamped at both ends to the integrated tangent (cos theta,
-    sin theta), so second derivatives are piecewise linear in s and exactly
-    zero in t.
+    extruded along the ruling over the ruling window t in [-1, 1]; jets come
+    from cubic splines of its (u, y) polyline, clamped at both ends to the
+    integrated tangent (cos theta, sin theta), so second derivatives are
+    piecewise linear in s and exactly zero in t.  The construction is
+    Euclidean only: v and the ruling must be orthogonal Euclidean unit vectors.
     """
-    profile, s0, s1 = _spline_embedding(path, v, ruling, m)
+    profile, s0, s1 = _spline_embedding(path, v, ruling)
     zero = Vec3(0.0, 0.0, 0.0)
 
     def jet_fn(ss: float, tt: float) -> Jet2:
         c, c1, c2 = profile.jet(ss)
         return Jet2(c + ruling * tt, c1, ruling, c2, zero, zero)
 
-    domain = (s0, s1, float(t_window[0]), float(t_window[1]))
-    return ParamSurface.exact(domain, jet_fn)
+    return ParamSurface.exact((s0, s1, -1.0, 1.0), jet_fn)

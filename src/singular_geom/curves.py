@@ -28,8 +28,9 @@ def fd1(f: Callable[[float], Vec3 | float], s: float, h: float = FD_H1) -> Vec3 
     return (f(s - 2 * h) - 8.0 * f(s - h) + 8.0 * f(s + h) - f(s + 2 * h)) / (12.0 * h)
 
 
-def fd2(f: Callable[[float], Vec3], s: float, h: float = FD_H2) -> Vec3:
-    """4th-order central second derivative of a Vec3-valued function."""
+def fd2(f: Callable[[float], Vec3], s: float) -> Vec3:
+    """4th-order central second derivative of a Vec3-valued function, step FD_H2."""
+    h = FD_H2
     return (
         -f(s - 2 * h)
         + 16.0 * f(s - h)
@@ -261,7 +262,7 @@ class CenteredODE:
     """
 
     def __init__(self, f, half: float, y0: Sequence[float], n_steps: int = 1024):
-        n = max(4, n_steps // 2)
+        n = n_steps // 2
         self.fwd = DenseODE(f, 0.0, half, y0, n)
         self.bwd = DenseODE(f, 0.0, -half, y0, n)
 

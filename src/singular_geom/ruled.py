@@ -64,6 +64,17 @@ ZERO_Q_FLOOR = 1e-10
 # step of the central-difference stencils for P'(s) and Q'(s)
 DERIV_STEP = 1e-4
 
+# The sweep's alarm: a surface whose scaled coefficient maximum stays at or
+# below this value at every sample is a counterexample candidate.
+ALARM_THRESHOLD = 1e-6
+
+# Smallest |alpha| the sweep draws; alpha = 0 annihilates every coefficient.
+MIN_ABS_ALPHA = 0.25
+
+# Parameter length and RK4 steps of the random sweep surfaces.
+SWEEP_S_LEN = 2.0
+SWEEP_STEPS = 1024
+
 _NORMALIZATION_TOL = {
     "euclid": 1e-9,
     "lorentz": 1e-8,
@@ -85,7 +96,6 @@ class RuledFrame:
     wxwp: Vec3
     P: float
     Q: float
-    delta: int  # +-1; 0 marks the lightlike-director class
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,8 +103,6 @@ class CoefficientVector:
     """Values of the residual polynomial coefficients at one s."""
 
     A: tuple[float, ...]
-    s: float
-    director_class: DirectorClass
 
     def poly(self, t: float) -> float:
         out = 0.0
@@ -164,11 +172,11 @@ class RuledSurface:
         return np.linspace(s0 + pad, s1 - pad, n)
 
 
-def verify_normalization(rs: RuledSurface, n_samples: int = 33) -> float:
+def verify_normalization(rs: RuledSurface) -> float:
     """Largest violation of the class normalization relations over a sample grid."""
     m = rs.metric
     worst = 0.0
-    for s in rs.s_samples(n_samples, inset=0.0):
+    for s in rs.s_samples(33, inset=0.0):
         gp = rs.base.d1(s)
         w = rs.director.value(s)
         wp = rs.director.d1(s)
@@ -206,7 +214,7 @@ def make_cylinder(base: Curve, direction: Vec3, m: Metric,
                         normalized=False, label="cylinder")
 
 
-def helicoid(pitch: float = 1.0, s_range: tuple[float, float] = (0.3, 2.3)) -> RuledSurface:
+def helicoid(pitch: float = 1.0) -> RuledSurface:
     """Normalized Euclidean helicoid: vertical axis base, rotating director."""
     c = float(pitch)
     base = Curve(
@@ -219,25 +227,23 @@ def helicoid(pitch: float = 1.0, s_range: tuple[float, float] = (0.3, 2.3)) -> R
         lambda s: Vec3(-math.sin(s), math.cos(s), 0.0),
         lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0),
     )
-    return RuledSurface.build(base, director, s_range, Metric.EUCLIDEAN,
+    return RuledSurface.build(base, director, (0.3, 2.3), Metric.EUCLIDEAN,
                               DirectorClass.EUCLID_STANDARD, label=f"helicoid(c={c})")
 
 
-def lightlike_reference(offset: Vec3 = Vec3(0.0, 0.0, -2.0),
-                        s_range: tuple[float, float] = (-1.0, 1.0)) -> RuledSurface:
+def lightlike_reference() -> RuledSurface:
     """Canonical lightlike-director surface with w(s) = (1, s, s) and Q = -1.
 
-    The base is the cubic with g'(s) = (s, s^2/2 - 1, s^2/2), which is unit
-    spacelike and orthogonal to w for every s.
+    The base is the cubic through (0, 0, -2) with g'(s) = (s, s^2/2 - 1, s^2/2),
+    which is unit spacelike and orthogonal to w for every s.
     """
-    ox, oy, oz = offset.as_tuple()
     base = Curve(
-        lambda s: Vec3(ox + 0.5 * s * s, oy + s ** 3 / 6.0 - s, oz + s ** 3 / 6.0),
+        lambda s: Vec3(0.5 * s * s, s ** 3 / 6.0 - s, s ** 3 / 6.0 - 2.0),
         lambda s: Vec3(s, 0.5 * s * s - 1.0, 0.5 * s * s),
         lambda s: Vec3(1.0, s, s),
     )
     director = line_curve(Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
-    return RuledSurface.build(base, director, s_range, Metric.LORENTZIAN,
+    return RuledSurface.build(base, director, (-1.0, 1.0), Metric.LORENTZIAN,
                               DirectorClass.LORENTZ_LIGHTLIKE, delta=0,
                               label="lightlike_reference")
 
@@ -246,8 +252,8 @@ def lightlike_reference(offset: Vec3 = Vec3(0.0, 0.0, -2.0),
 # normalization
 # ---------------------------------------------------------------------------
 
-def normalize_euclidean(base: Curve, director: Curve, s_range: tuple[float, float],
-                        n_steps: int = 2048) -> RuledSurface:
+def normalize_euclidean(base: Curve, director: Curve,
+                        s_range: tuple[float, float]) -> RuledSurface:
     """Reparametrize a raw non-cylindrical ruled surface to the standard form.
 
     The director (which must already be unit length) is reparametrized by its
@@ -267,9 +273,9 @@ def normalize_euclidean(base: Curve, director: Curve, s_range: tuple[float, floa
     def speed(u: float) -> float:
         return norm(Metric.EUCLIDEAN, director.d1(u))
 
-    length_table = DenseODE(lambda u, y: (speed(u),), a, b, (0.0,), n_steps)
+    length_table = DenseODE(lambda u, y: (speed(u),), a, b, (0.0,), 2048)
     total = length_table.nodes[-1][0]
-    u_of_s = DenseODE(lambda s, y: (1.0 / speed(y[0]),), 0.0, total, (a,), n_steps)
+    u_of_s = DenseODE(lambda s, y: (1.0 / speed(y[0]),), 0.0, total, (a,), 2048)
 
     def chain(s: float):
         u = u_of_s.state_at(s)[0]
@@ -332,7 +338,7 @@ def normalize_euclidean(base: Curve, director: Curve, s_range: tuple[float, floa
 
 
 def normalize_lorentz(base: Curve, director: Curve, delta: int,
-                      s_range: tuple[float, float], n_steps: int = 512) -> RuledSurface:
+                      s_range: tuple[float, float]) -> RuledSurface:
     """Reparametrize a spacelike ruled surface so the base is orthogonal to w and w'.
 
     The input must satisfy <g1', w>_L = 0, <w, w>_L = 1, <w', w'>_L = delta
@@ -378,7 +384,7 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         d1 = _y1p(f1, f2, f3, y[0], y[1], s)
         return (d1, -f1 * d1)
 
-    table = DenseODE(rhs, a, b, (1.0, 0.0), n_steps)
+    table = DenseODE(rhs, a, b, (1.0, 0.0), 512)
     for node in table.nodes:
         if not all(math.isfinite(v) for v in node) or abs(node[0]) > 1e6:
             raise ODEBreakdown("reparametrization state blew up")
@@ -418,7 +424,7 @@ def _require_normalized(rs: RuledSurface) -> None:
 
 
 def frame(rs: RuledSurface, s: float) -> RuledFrame:
-    """Frame data (w, w', w x w', P, Q, delta) of a normalized surface at s.
+    """Frame data (w, w', w x w', P, Q) of a normalized surface at s.
 
     This is the one definition of P and Q per director class, and of the
     lightlike |Q| floor.
@@ -431,15 +437,13 @@ def frame(rs: RuledSurface, s: float) -> RuledFrame:
         Q = inner(Metric.LORENTZIAN, rs.base.d1(s), wp)
         if abs(Q) < ZERO_Q_FLOOR:
             raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
-        return RuledFrame(w, wp, wxwp, 0.0, Q, 0)
+        return RuledFrame(w, wp, wxwp, 0.0, Q)
     wpp = rs.director.d2(s)
     gp = rs.base.d1(s)
     Q = triple(w, wp, wpp)
     if rs.director_class is DirectorClass.EUCLID_STANDARD:
-        P = triple(w, wp, gp)
-        return RuledFrame(w, wp, wxwp, P, Q, 1)
-    P = triple(gp, w, wp)
-    return RuledFrame(w, wp, wxwp, P, Q, rs.delta)
+        return RuledFrame(w, wp, wxwp, triple(w, wp, gp), Q)
+    return RuledFrame(w, wp, wxwp, triple(gp, w, wp), Q)
 
 
 def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> CoefficientVector:
@@ -466,7 +470,7 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
         a0 = (Qp / Q) * gv + alpha * trip
         a1 = (Qp / Q) * wv + Qp * gv + alpha * Q * (gpv + 3.0 * trip)
         a2 = Qp * wv + 2.0 * alpha * Q * Q * (gpv + trip)
-        return CoefficientVector((a0, a1, a2), s, cls)
+        return CoefficientVector((a0, a1, a2))
 
     Pp = fd1(lambda u: frame(rs, u).P, s, DERIV_STEP)
     wv = inner(m, fr.w, v)
@@ -485,7 +489,7 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
         a1 = alpha * d * P * P * dv + P * P * Q * wv - Pp * gv
         a2 = alpha * P * wpv - Q * gv - Pp * wv
         a3 = -alpha * d * dv - Q * wv
-    return CoefficientVector((a0, a1, a2, a3), s, cls)
+    return CoefficientVector((a0, a1, a2, a3))
 
 
 def _nondegenerate_window(delta: int, p: float) -> tuple[float, float]:
@@ -601,18 +605,17 @@ def _series_at(*series: FourierSeries):
 
 
 def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float,
-             omega: float, modes: int = 2, signed: bool = True,
-             sign: float = 1.0) -> FourierSeries:
+             omega: float, signed: bool = True, sign: float = 1.0) -> FourierSeries:
     # sign = +-1 scales every coefficient exactly, so values and derivatives
     # are those of the unsigned series times sign, bit for bit
     c0 = rng.uniform(*c0_range)
     if signed and rng.uniform() < 0.5:
         c0 = -c0
-    raw = rng.uniform(-1.0, 1.0, size=2 * modes)
+    raw = rng.uniform(-1.0, 1.0, size=4)
     total = np.sum(np.abs(raw))
     scale = amp * abs(c0) / total if total > 0 else 0.0
-    return FourierSeries(sign * c0, list(raw[:modes] * scale * sign),
-                         list(raw[modes:] * scale * sign), omega)
+    return FourierSeries(sign * c0, list(raw[:2] * scale * sign),
+                         list(raw[2:] * scale * sign), omega)
 
 
 def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: float):
@@ -676,8 +679,7 @@ def _lorentz_triad(rng: np.random.Generator) -> tuple[Vec3, Vec3, Vec3]:
     return T, S1, S2
 
 
-def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
-                           n_steps: int = 1024) -> RuledSurface:
+def random_euclidean_ruled(rng: np.random.Generator, n_steps: int = SWEEP_STEPS) -> RuledSurface:
     """Random normalized non-cylindrical Euclidean ruled surface.
 
     The director solves w'' = -w + Q(s) (w x w') on the unit sphere from a
@@ -686,7 +688,7 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
     integrator drift; the base integrates g' = P(s) (w x w') with a random
     nonvanishing Fourier profile P.
     """
-    omega = 2.0 * math.pi / s_len
+    omega = 2.0 * math.pi / SWEEP_S_LEN
     Q = _fourier(rng, (0.1, 1.0), 0.9, omega)
     P = _fourier(rng, (0.8, 1.5), 0.4, omega)
     w0 = random_unit_vector(rng)
@@ -696,14 +698,14 @@ def random_euclidean_ruled(rng: np.random.Generator, s_len: float = 2.0,
     g0 = rng.normal(scale=0.5, size=3)
 
     rhs, g_d2 = _sweep_frame_ode(Q, P, 1.0, -1.0)
-    table = DenseODE(rhs, 0.0, s_len, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+    table = DenseODE(rhs, 0.0, SWEEP_S_LEN, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
     base, director = _frame_curves(table, rhs, g_d2=g_d2)
-    return RuledSurface(base, director, (0.0, s_len), Metric.EUCLIDEAN,
+    return RuledSurface(base, director, (0.0, SWEEP_S_LEN), Metric.EUCLIDEAN,
                         DirectorClass.EUCLID_STANDARD, normalized=True, label="random_euclid")
 
 
-def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.0,
-                         n_steps: int = 1024) -> RuledSurface:
+def random_lorentz_ruled(rng: np.random.Generator, delta: int,
+                         n_steps: int = SWEEP_STEPS) -> RuledSurface:
     """Random normalized nondegenerate Lorentzian ruled surface for delta = +-1.
 
     Same construction as the Euclidean generator, on the unit de Sitter
@@ -711,8 +713,8 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
     """
     if delta not in (-1, 1):
         raise ConfigError("delta must be +1 or -1")
-    half = 0.5 * s_len
-    omega = 2.0 * math.pi / s_len
+    half = 0.5 * SWEEP_S_LEN
+    omega = 2.0 * math.pi / SWEEP_S_LEN
     # the class sign -delta of w'' and g' rides in the drawn series -delta Q, -delta P
     sign = -float(delta)
     Q = _fourier(rng, (0.1, 0.45), 0.7, omega, sign=sign)
@@ -730,16 +732,15 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int, s_len: float = 2.
                         label=f"random_lorentz(delta={delta})")
 
 
-def random_lightlike_ruled(rng: np.random.Generator, s_len: float = 2.0,
-                           n_steps: int = 1024) -> RuledSurface:
+def random_lightlike_ruled(rng: np.random.Generator) -> RuledSurface:
     """Random normalized lightlike-director surface with w(s) = (1, s, s).
 
     The base tangent is solved in closed form from a random nonvanishing
     profile m(s):  g' = (s m, (s^2 m^2 - 1)/(2m) - m/2, (s^2 m^2 - 1)/(2m) + m/2)
     is unit spacelike, orthogonal to w, and has Q = <g', w'>_L = -m(s).
     """
-    half = 0.5 * s_len
-    omega = 2.0 * math.pi / s_len
+    half = 0.5 * SWEEP_S_LEN
+    omega = 2.0 * math.pi / SWEEP_S_LEN
     mf = _fourier(rng, (0.7, 1.2), 0.35, omega)
     g0 = rng.normal(scale=0.5, size=3)
 
@@ -752,7 +753,7 @@ def random_lightlike_ruled(rng: np.random.Generator, s_len: float = 2.0,
     def rhs(s: float, y: tuple) -> tuple:
         return gp_tuple(s)
 
-    table = DenseODE(rhs, -half, half, tuple(g0), n_steps)
+    table = DenseODE(rhs, -half, half, tuple(g0), SWEEP_STEPS)
 
     def g_value(s):
         y = table.state_at(s)
@@ -773,9 +774,7 @@ def random_lightlike_ruled(rng: np.random.Generator, s_len: float = 2.0,
                         normalized=True, label="random_lightlike")
 
 
-def random_prenormalization_input(rng: np.random.Generator, delta: int,
-                                  s_len: float = 1.5, n_steps: int = 512,
-                                  max_tries: int = 60):
+def random_prenormalization_input(rng: np.random.Generator, delta: int):
     """Random admissible (base, director) input for :func:`normalize_lorentz`.
 
     The director is a de Sitter frame-ODE solution; the base tangent
@@ -786,10 +785,11 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
     if delta not in (-1, 1):
         raise ConfigError("delta must be +1 or -1")
     m = Metric.LORENTZIAN
-    half = 0.5 * s_len
-    omega = 2.0 * math.pi / s_len
+    # s runs over [-0.75, 0.75], and the series take its length 1.5 as period
+    half = 0.75
+    omega = 2.0 * math.pi / 1.5
     d = float(delta)
-    for _ in range(max_tries):
+    for _ in range(60):
         Q = _fourier(rng, (0.1, 0.45), 0.7, omega)
         fa = _fourier(rng, (1.0, 1.3), 0.25, omega, signed=False)
         fb = FourierSeries(0.0, [0.35 * rng.uniform(-1, 1)], [0.35 * rng.uniform(-1, 1)], omega)
@@ -824,7 +824,7 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int,
                 a * wp[0] + b * c[0], a * wp[1] + b * c[1], a * wp[2] + b * c[2],
             )
 
-        table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+        table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), 512)
 
         # solvability: f3 = <g1, w'>_L must stay away from zero
         ok = True
@@ -855,8 +855,6 @@ class SweepConfig:
     director_class: DirectorClass = DirectorClass.EUCLID_STANDARD
     delta: int = 1
     alpha_range: tuple[float, float] = (-3.0, 3.0)
-    threshold: float = 1e-6
-    s_len: float = 2.0
 
     def validate(self) -> None:
         if self.n_surfaces < 1:
@@ -866,8 +864,8 @@ class SweepConfig:
         lo, hi = self.alpha_range
         if not lo <= hi:
             raise ConfigError("alpha_range must be ordered")
-        if max(abs(lo), abs(hi)) < 0.25:
-            raise ConfigError("alpha_range excludes every |alpha| >= 0.25")
+        if max(abs(lo), abs(hi)) < MIN_ABS_ALPHA:
+            raise ConfigError(f"alpha_range excludes every |alpha| >= {MIN_ABS_ALPHA}")
         if self.metric is Metric.EUCLIDEAN:
             if self.director_class is not DirectorClass.EUCLID_STANDARD:
                 raise ConfigError("Euclidean sweeps use the standard director class")
@@ -875,14 +873,11 @@ class SweepConfig:
             raise ConfigError("Lorentzian sweeps need a Lorentzian director class")
         if self.director_class is DirectorClass.LORENTZ_NONDEGENERATE and self.delta not in (-1, 1):
             raise ConfigError("delta must be +1 or -1")
-        if self.threshold <= 0.0:
-            raise ConfigError("threshold must be positive")
-        if self.s_len <= 0.0:
-            raise ConfigError("s_len must be positive")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "seed": int(self.seed), "metric": self.metric.value,
-                "director_class": self.director_class.value}
+                "director_class": self.director_class.value,
+                "threshold": ALARM_THRESHOLD, "s_len": SWEEP_S_LEN}
 
 
 @dataclass
@@ -899,9 +894,9 @@ class SweepReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _is_cylindrical(rs: RuledSurface, n_samples: int = 17) -> bool:
+def _is_cylindrical(rs: RuledSurface) -> bool:
     return min(norm(Metric.EUCLIDEAN, rs.director.d1(s))
-               for s in rs.s_samples(n_samples, inset=0.0)) < 1e-8
+               for s in rs.s_samples(17, inset=0.0)) < 1e-8
 
 
 def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[float, float]:
@@ -917,22 +912,21 @@ def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[floa
 
 
 def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float],
-                             t_window: tuple[float, float], margin: float = 0.5) -> RuledSurface:
-    """Shift the base along +-v until <X, v> >= margin over the sampled box."""
+                             t_window: tuple[float, float]) -> RuledSurface:
+    """Shift the base along +-v until <X, v> >= 0.5 over the sampled box."""
     m = rs.metric
     lo = min(
         inner(m, rs.point(s, t), v) for s in s_values for t in t_window
     )
-    if lo >= margin:
+    if lo >= 0.5:
         return rs
-    shift = margin - lo
+    shift = 0.5 - lo
     offset = shift * v if m is Metric.EUCLIDEAN else (-shift) * v
     return RuledSurface(rs.base.translated(offset), rs.director, rs.s_range, rs.metric,
                         rs.director_class, rs.delta, rs.normalized, rs.label)
 
 
-def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[float],
-                  threshold: float = 1e-6) -> dict:
+def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[float]) -> dict:
     """Row of the sweep report for one surface.
 
     max_abs_coeff is max over s of max_i |A_i| scaled by max(1, |P|^3)
@@ -950,7 +944,7 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
         "class": rs.director_class.value,
         "alpha": alpha,
         "max_abs_coeff": worst,
-        "flagged": bool(worst <= threshold),
+        "flagged": bool(worst <= ALARM_THRESHOLD),
         "excluded": False,
     }
 
@@ -958,7 +952,7 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
 def _draw_alpha(rng: np.random.Generator, lo: float, hi: float) -> float:
     for _ in range(256):
         a = float(rng.uniform(lo, hi))
-        if abs(a) >= 0.25:
+        if abs(a) >= MIN_ABS_ALPHA:
             return a
     raise ConfigError("alpha_range too close to zero to exclude alpha = 0")
 
@@ -967,11 +961,11 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     """Randomized search for a normalized ruled surface with vanishing coefficients.
 
     Generates cfg.n_surfaces random normalized non-cylindrical surfaces of the
-    configured class, draws a random direction and alpha (|alpha| >= 0.25) per
-    surface, translates the surface into the admissible halfspace over its
-    sampled box, and records the scaled coefficient maxima.  Surfaces whose
-    maxima stay below the threshold at every sample are counterexample
-    candidates.  ``planted`` surfaces join the report but cylindrical ones are
+    configured class, draws a random direction and alpha (|alpha| >=
+    MIN_ABS_ALPHA) per surface, translates the surface into the admissible
+    halfspace over its sampled box, and records the scaled coefficient maxima.
+    Surfaces whose maxima stay at or below ALARM_THRESHOLD at every sample are
+    counterexample candidates.  ``planted`` surfaces join the report but cylindrical ones are
     excluded by the w' filter rather than flagged.
     """
     cfg.validate()
@@ -983,11 +977,11 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
         # drawn lazily: each surface takes its rng draws just before its v and alpha
         for _ in range(cfg.n_surfaces):
             if cfg.director_class is DirectorClass.EUCLID_STANDARD:
-                yield random_euclidean_ruled(rng, cfg.s_len)
+                yield random_euclidean_ruled(rng)
             elif cfg.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
-                yield random_lorentz_ruled(rng, cfg.delta, cfg.s_len)
+                yield random_lorentz_ruled(rng, cfg.delta)
             else:
-                yield random_lightlike_ruled(rng, cfg.s_len)
+                yield random_lightlike_ruled(rng)
 
     for idx, rs in enumerate(itertools.chain(planted, generated())):
         if idx < len(planted) and _is_cylindrical(rs):
@@ -1000,7 +994,7 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
         s_values = rs.s_samples(cfg.n_s_samples)
         window = _halfspace_window(rs, s_values)
         rs = translate_into_halfspace(rs, v, s_values, window)
-        row = sweep_surface(rs, v, alpha, s_values, cfg.threshold)
+        row = sweep_surface(rs, v, alpha, s_values)
         row["id"] = idx
         rows.append(row)
         if row["flagged"]:

@@ -234,10 +234,9 @@ def trace_to_csv(trace: list[float]) -> str:
     return buf.getvalue()
 
 
-def catenary_heights(window: tuple[float, float, float, float] = (-1.0, 1.0, 0.0, 1.0),
-                     shape: tuple[int, int] = (33, 17)) -> HeightField:
-    """Heights of the classical catenary cylinder z = cosh(x) over the window."""
-    return HeightField.from_function(lambda x, y: math.cosh(x), window, shape)
+def catenary_heights(shape: tuple[int, int] = (33, 17)) -> HeightField:
+    """Heights of the classical catenary cylinder z = cosh(x) over [-1, 1] x [0, 1]."""
+    return HeightField.from_function(lambda x, y: math.cosh(x), (-1.0, 1.0, 0.0, 1.0), shape)
 
 
 def height_surface(h: HeightField) -> ParamSurface:
@@ -267,20 +266,19 @@ def height_surface(h: HeightField) -> ParamSurface:
     return ParamSurface.exact((h.x0, h.x1, h.y0, h.y1), jet_fn)
 
 
-def height_residual_max(h: HeightField, alpha: float, samples: tuple[int, int] = (48, 24),
-                        inset: float = 0.08) -> float:
-    """Max |singular residual| of the spline surface on an interior sample grid.
+def height_residual_max(h: HeightField, alpha: float) -> float:
+    """Max |singular residual| of the spline surface on a 48x24 interior sample grid.
 
-    The inset keeps the samples away from the spline's boundary cells, whose
-    second derivatives reflect the not-a-knot end conditions rather than the
-    grid data.
+    An inset of 8% of the window on each side keeps the samples away from the
+    spline's boundary cells, whose second derivatives reflect the not-a-knot
+    end conditions rather than the grid data.
     """
     surf = height_surface(h)
     v = Vec3(0.0, 0.0, 1.0)
-    sx = (h.x1 - h.x0) * inset
-    sy = (h.y1 - h.y0) * inset
+    sx = (h.x1 - h.x0) * 0.08
+    sy = (h.y1 - h.y0) * 0.08
     worst = 0.0
-    for s in np.linspace(h.x0 + sx, h.x1 - sx, samples[0]):
-        for t in np.linspace(h.y0 + sy, h.y1 - sy, samples[1]):
+    for s in np.linspace(h.x0 + sx, h.x1 - sx, 48):
+        for t in np.linspace(h.y0 + sy, h.y1 - sy, 24):
             worst = max(worst, abs(singular_residual(Metric.EUCLIDEAN, surf, s, t, v, alpha)))
     return worst

@@ -259,6 +259,8 @@ _HEIGHT_ROWS_5 = "1.0,1.0,1.0,1.0,1.0\n" + "1.0,1.5,1.5,1.5,1.0\n" * 3 + "1.0,1.
     pytest.param({"cfg.json": '{"alpha": 1e999}'},
                  ["residual", "--surface", "sphere", "--config", "cfg.json"], None,
                  id="config-alpha-overflows-to-inf"),
+    pytest.param({}, ["catenary", "--length", "1e300", "--step", "1e-10"], None,
+                 id="catenary-step-count-overflows"),
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env):
     for name, text in files.items():

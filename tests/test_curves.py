@@ -211,3 +211,7 @@ def test_table_needs_four_steps_for_its_node_stencils():
     DenseODE(lambda s, y: (1.0,), 0.0, 1.0, (0.0,), 4)
     with pytest.raises(ValueError):
         DenseODE(lambda s, y: (1.0,), 0.0, 1.0, (0.0,), 3)
+    # each half of a centered table gets n_steps // 2 steps, with no silent floor
+    CenteredODE(lambda s, y: (1.0,), 1.0, (0.0,), 8)
+    with pytest.raises(ValueError):
+        CenteredODE(lambda s, y: (1.0,), 1.0, (0.0,), 7)

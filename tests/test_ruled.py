@@ -1,5 +1,6 @@
 """Ruled surfaces: frames, coefficient polynomials, normalization, sweep."""
 
+import json
 import math
 
 import numpy as np
@@ -562,6 +563,16 @@ def test_sweep_detector_flags_helicoid_at_alpha_zero():
     row = sweep_surface(h, EZ, 0.0, h.s_samples(6))
     assert row["flagged"] is True
     assert row["max_abs_coeff"] <= 1e-9
+
+
+def test_sweep_report_config_block():
+    rep = falsification_sweep(SweepConfig(n_surfaces=2, n_s_samples=3, seed=5))
+    config = json.loads(rep.to_json())["config"]
+    assert list(config.items()) == [
+        ("n_surfaces", 2), ("n_s_samples", 3), ("seed", 5), ("metric", "euclidean"),
+        ("director_class", "euclid_standard"), ("delta", 1), ("alpha_range", [-3.0, 3.0]),
+        ("threshold", 1e-06), ("s_len", 2.0),
+    ]
 
 
 def test_sweep_config_validation():
