@@ -4,10 +4,11 @@ The planar problem is posed in the upper half plane with the reference
 direction (0, 1): a unit-speed curve (u(s), y(s)) with tangent angle theta
 satisfies theta' = alpha * cos(theta) / y.  alpha = 1 recovers the classical
 catenary y = cosh(u).  The state (u, y, theta) is stepped with the shared
-``curves.rk4_step``.  Cylinders over such curves, with rulings orthogonal to
-the reference direction, solve the singular-minimal equation with the same
-alpha; they are exposed as exact-jet surfaces via cubic splines of an
-integrated path, clamped at both ends to its tangent (cos theta, sin theta).
+``curves.rk4_step``, at most MAX_STEPS steps per path.  Cylinders over such
+curves, with rulings orthogonal to the reference direction, solve the
+singular-minimal equation with the same alpha; they are exposed as exact-jet
+surfaces through a ``curves.DenseODE`` over the integrated path's own states,
+whose quintic Hermite dense output gives the curve and its two derivatives.
 """
 from __future__ import annotations
 
@@ -18,11 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Metric, Vec3, cross, inner, norm
-from .curves import Curve, rk4_step
+from .curves import Curve, DenseODE, memo_last, rk4_step
 from .errors import HalfspaceViolation, NoSolution, NotOrthogonal
 from .surface import Jet2, ParamSurface
 
 Y_FLOOR = 1e-12
+# integrate keeps every state, so a path is capped well above the 8000 steps
+# the acceptance runs take rather than left to grow until memory runs out
+MAX_STEPS = 10**6
 _BVP_SCAN = 64
 _THETA_GUARD = 0.5 * math.pi - 1e-9
 
@@ -39,9 +43,10 @@ class CatenaryState:
 
 @dataclass
 class CatenaryPath:
-    """Integrated polyline with a flag marking a halfspace exit."""
+    """Integrated polyline, the alpha it solves, and a flag marking a halfspace exit."""
 
     states: list[CatenaryState]
+    alpha: float
     exited_halfspace: bool = False
 
     @property
@@ -82,16 +87,17 @@ def catenary_rhs(s: float, state: tuple[float, float, float],
 def integrate(start: CatenaryState, alpha: float, length: float, step: float) -> CatenaryPath:
     """Fixed-step RK4 integration of the alpha-catenary over the given arclength.
 
-    A halfspace exit (y at the floor) stops the integration; the partial
-    polyline is returned with ``exited_halfspace`` set instead of raising.
+    Raises ValueError when length / step is above MAX_STEPS.  A halfspace exit
+    (y at the floor) stops the integration; the partial polyline is returned
+    with ``exited_halfspace`` set instead of raising.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if start.y <= Y_FLOOR:
         raise HalfspaceViolation(f"start height y = {start.y} is not in the open halfplane")
     ratio = length / step
-    if not math.isfinite(ratio):
-        raise ValueError(f"length / step = {ratio} is not a finite step count")
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"length / step = {ratio} exceeds MAX_STEPS = {MAX_STEPS}")
     n = max(1, int(round(ratio)))
     h = length / n
 
@@ -112,7 +118,7 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
             break
         s += h
         states.append(CatenaryState(*state, s))
-    return CatenaryPath(states, exited)
+    return CatenaryPath(states, alpha, exited)
 
 
 def classical_catenary(s: float) -> tuple[float, float]:
@@ -207,52 +213,43 @@ def _embedding_frame(v: Vec3, ruling: Vec3) -> Vec3:
     return cross(m, ruling, v)
 
 
-def _spline_embedding(path: CatenaryPath, v: Vec3, ruling: Vec3) -> tuple[Curve, float, float]:
-    """Cubic-spline embedding of an integrated path and its arclength range.
-
-    Both splines are clamped to the integrated unit tangent (cos theta,
-    sin theta) at the first and last state; not-a-knot ends lose about an
-    order of magnitude of curvature accuracy at the end nodes.
-    """
-    # scipy.interpolate costs most of the package import time, and the sweep
-    # and catenary commands never build a spline
-    from scipy.interpolate import CubicSpline
-
-    d = _embedding_frame(v, ruling)
-    s, u, y, _ = path.arrays()
-    th0, th1 = path.states[0].theta, path.endpoint.theta
-    su = CubicSpline(s, u, bc_type=((1, math.cos(th0)), (1, math.cos(th1))))
-    sy = CubicSpline(s, y, bc_type=((1, math.sin(th0)), (1, math.sin(th1))))
-    su1, sy1 = su.derivative(1), sy.derivative(1)
-    su2, sy2 = su.derivative(2), sy.derivative(2)
-    embedded = Curve(
-        lambda t: d * float(su(t)) + v * float(sy(t)),
-        lambda t: d * float(su1(t)) + v * float(sy1(t)),
-        lambda t: d * float(su2(t)) + v * float(sy2(t)),
-    )
-    return embedded, float(s[0]), float(s[-1])
-
-
 def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
-    """Embed an integrated planar path into the plane spanned by v and ruling x v."""
-    return _spline_embedding(path, v, ruling)[0]
+    """Embed an integrated planar path into the plane spanned by v and ruling x v.
+
+    The curve reads a dense table over the path's own RK4 states, so nothing
+    is integrated again.  Its value and two derivatives come only from the
+    quintic Hermite interpolant of (u, y) and the node slopes (cos theta,
+    sin theta), never from theta' = alpha cos(theta) / y, which would satisfy
+    the curvature equation by construction.
+    """
+    d = _embedding_frame(v, ruling)
+    table = DenseODE.from_nodes(
+        lambda s, state: catenary_rhs(s, state, path.alpha),
+        path.states[0].s, path.endpoint.s, [(st.u, st.y, st.theta) for st in path.states])
+
+    @memo_last
+    def jet(s: float) -> tuple[Vec3, Vec3, Vec3]:
+        (u, y, _), (u1, y1, _), (u2, y2, _) = table.jet_at(s)
+        return d * u + v * y, d * u1 + v * y1, d * u2 + v * y2
+
+    return Curve(lambda s: jet(s)[0], lambda s: jet(s)[1], lambda s: jet(s)[2])
 
 
 def catenary_cylinder(path: CatenaryPath, v: Vec3, ruling: Vec3) -> ParamSurface:
     """Euclidean cylinder over an integrated planar path with rulings orthogonal to v.
 
-    The path is embedded in the plane spanned by (cross(ruling, v), v) and
-    extruded along the ruling over the ruling window t in [-1, 1]; jets come
-    from cubic splines of its (u, y) polyline, clamped at both ends to the
-    integrated tangent (cos theta, sin theta), so second derivatives are
-    piecewise linear in s and exactly zero in t.  The construction is
-    Euclidean only: v and the ruling must be orthogonal Euclidean unit vectors.
+    The path is embedded in the plane spanned by (cross(ruling, v), v) by
+    :func:`plane_curve` and extruded along the ruling over the ruling window
+    t in [-1, 1]; second derivatives are continuous in s, from the table's C^2
+    quintic Hermite interpolant, and exactly zero in t.  The path needs at
+    least 5 states.  The construction is Euclidean only: v and the ruling must
+    be orthogonal Euclidean unit vectors.
     """
-    profile, s0, s1 = _spline_embedding(path, v, ruling)
+    profile = plane_curve(path, v, ruling)
     zero = Vec3(0.0, 0.0, 0.0)
 
     def jet_fn(ss: float, tt: float) -> Jet2:
         c, c1, c2 = profile.jet(ss)
         return Jet2(c + ruling * tt, c1, ruling, c2, zero, zero)
 
-    return ParamSurface.exact((s0, s1, -1.0, 1.0), jet_fn)
+    return ParamSurface.exact((path.states[0].s, path.endpoint.s, -1.0, 1.0), jet_fn)

@@ -7,7 +7,8 @@ for the last s only, so a surface grid pays for each curve evaluation once
 per s, not once per point.  Dense ODE tables integrate a state with classical
 RK4 on a fixed node grid and answer point queries between nodes with a C^2
 quintic Hermite dense output, so a query takes no integration step.  A table
-runs from its seed point s0 toward an s1 on either side of it.
+runs from its seed point s0 toward an s1 on either side of it, and can wrap
+RK4 nodes a caller has already taken.
 """
 from __future__ import annotations
 
@@ -156,10 +157,31 @@ class DenseODE:
     difference of those node slopes.  Both are computed on first use and kept
     per node, so the build pays nothing for them and a query takes no RK4 step.
     Queries in the overhang past either end restart from the end node and take
-    two RK4 substeps.
+    two RK4 substeps.  jet_at(s) adds the interpolant's first two derivatives;
+    from_nodes wraps nodes taken elsewhere at the same fixed step.
     """
 
     def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
+        self._set_grid(f, s0, s1, n_steps)
+        nodes = [tuple(float(v) for v in y0)]
+        y = nodes[0]
+        for i in range(self.n_steps):
+            y = rk4_step(f, self.s0 + i * self.h, y, self.h)
+            nodes.append(y)
+        self._set_nodes(nodes)
+
+    @classmethod
+    def from_nodes(cls, f, s0: float, s1: float, nodes: Sequence[Sequence[float]]) -> "DenseODE":
+        """The table over RK4 nodes of y' = f(s, y) already taken from s0 to s1.
+
+        The step is (s1 - s0)/(len(nodes) - 1); nothing is integrated again.
+        """
+        table = cls.__new__(cls)
+        table._set_grid(f, s0, s1, len(nodes) - 1)
+        table._set_nodes([tuple(y) for y in nodes])
+        return table
+
+    def _set_grid(self, f, s0: float, s1: float, n_steps: int) -> None:
         self.s0 = float(s0)
         self.s1 = float(s1)
         if not (math.isfinite(self.s0) and math.isfinite(self.s1)) or self.s1 == self.s0:
@@ -169,11 +191,8 @@ class DenseODE:
         if self.n_steps < 4:
             raise ValueError("DenseODE needs at least 4 steps for its 5-point node stencils")
         self.h = (self.s1 - self.s0) / self.n_steps
-        nodes = [tuple(float(v) for v in y0)]
-        y = nodes[0]
-        for i in range(self.n_steps):
-            y = rk4_step(f, self.s0 + i * self.h, y, self.h)
-            nodes.append(y)
+
+    def _set_nodes(self, nodes: list) -> None:
         self.nodes = nodes
         # y' and y'' per node, filled in by the queries that need them
         self._d1: list = [None] * len(nodes)
@@ -201,12 +220,31 @@ class DenseODE:
             return self._march(*self._low, s)
         if s >= self._high[0]:
             return self._march(*self._high, s)
-        idx = int((s - self.s0) / self.h)
-        idx = min(idx, self.n_steps - 1)
-        s_node = self.s0 + idx * self.h
+        idx, s_node = self._cell(s)
         if s == s_node:
             return self.nodes[idx]
         return self._hermite(idx, (s - s_node) / self.h)
+
+    def _cell(self, s: float) -> tuple[int, float]:
+        """Index and s of the node that starts the step holding an in-range s."""
+        idx = min(int((s - self.s0) / self.h), self.n_steps - 1)
+        return idx, self.s0 + idx * self.h
+
+    def jet_at(self, s: float) -> tuple[tuple, tuple, tuple]:
+        """(y, y', y'') at s, with y = state_at(s).
+
+        In range, y' and y'' are the s-derivatives of the Hermite interpolant.
+        At or past an end, y' is f at the (marched) state and y'' is the end
+        node's.
+        """
+        y = self.state_at(s)
+        at_low = s <= self._low[0]
+        if at_low or s >= self._high[0]:
+            # node 0 is the low end of a forward table and the high end of a backward one
+            end = 0 if at_low == (self.h > 0.0) else self.n_steps
+            return y, self.f(s, y), self._node_d2(end)
+        idx, s_node = self._cell(s)
+        return (y, *self._hermite_derivatives(idx, (s - s_node) / self.h))
 
     def _node_d1(self, i: int) -> tuple:
         d1 = self._d1[i]
@@ -243,6 +281,31 @@ class DenseODE:
                 self.nodes[i], self.nodes[i + 1], self._node_d1(i), self._node_d1(i + 1),
                 self._node_d2(i), self._node_d2(i + 1))
         ])
+
+    def _hermite_derivatives(self, i: int, t: float) -> tuple[tuple, tuple]:
+        """First and second s-derivatives of :meth:`_hermite` at the same point."""
+        u = 1.0 - t
+        tu = t * u
+        h = self.h
+        # d/ds and d2/ds2 of each weight of _hermite, in the same order
+        d_y = 30.0 * tu * tu / h
+        d_f0 = u * u * (1.0 + 2.0 * t - 15.0 * t * t)
+        d_f1 = t * t * (1.0 + 2.0 * u - 15.0 * u * u)
+        d_a0 = 0.5 * h * tu * u * (2.0 - 5.0 * t)
+        d_a1 = -0.5 * h * tu * t * (2.0 - 5.0 * u)
+        dd_y = 60.0 * tu * (u - t) / (h * h)
+        dd_f0 = 12.0 * tu * (5.0 * t - 3.0) / h
+        dd_f1 = -12.0 * tu * (5.0 * u - 3.0) / h
+        dd_a0 = u * (1.0 - 8.0 * t + 10.0 * t * t)
+        dd_a1 = t * (1.0 - 8.0 * u + 10.0 * u * u)
+        d1, d2 = [], []
+        for y0, y1, f0, f1, a0, a1 in zip(
+                self.nodes[i], self.nodes[i + 1], self._node_d1(i), self._node_d1(i + 1),
+                self._node_d2(i), self._node_d2(i + 1)):
+            dy = y1 - y0
+            d1.append(d_y * dy + d_f0 * f0 + d_f1 * f1 + d_a0 * a0 + d_a1 * a1)
+            d2.append(dd_y * dy + dd_f0 * f0 + dd_f1 * f1 + dd_a0 * a0 + dd_a1 * a1)
+        return tuple(d1), tuple(d2)
 
     def _march(self, s_from: float, y: tuple, s_to: float) -> tuple:
         ds = s_to - s_from

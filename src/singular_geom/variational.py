@@ -180,8 +180,8 @@ def interior_gradient(h: HeightField, alpha: float) -> np.ndarray:
     return grad
 
 
-def _diverged(reason: str, rate: float, trace: list[float]) -> Diverged:
-    err = Diverged(f"{reason}; rate {rate} exceeds the stability threshold")
+def _diverged(message: str, trace: list[float]) -> Diverged:
+    err = Diverged(message)
     err.trace = trace
     return err
 
@@ -190,28 +190,33 @@ def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[Heig
     """Projected gradient descent on the interior heights.
 
     The projection clamps z >= 1e-9 (the energy is singular at z = 0 for
-    alpha < 1).  Raises Diverged, with the failing rate in the message and the
-    partial trace attached, when the energy increases 5 consecutive steps, or
-    at once, naming the step, when the heights or the energy turn non-finite.
+    alpha < 1).  Raises Diverged, with the partial trace attached: with an
+    empty trace when the starting field's energy is not finite; with the
+    failing rate in the message when the energy increases 5 consecutive
+    steps, or at once, naming the step, when the heights or the energy turn
+    non-finite.
     """
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
+    unstable = f"rate {rate} exceeds the stability threshold"
     z = h.z.copy()
     field = h.with_z(z)
-    trace = [height_energy(field, alpha)]
-    best = trace[0]
-    bad = 0
     # a blow-up is reported by the finiteness checks below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        trace = [height_energy(field, alpha)]
+        if not math.isfinite(trace[0]):
+            raise _diverged(f"energy of the starting field is {trace[0]}, not finite", [])
+        best = trace[0]
+        bad = 0
         for step in range(1, steps + 1):
             g = interior_gradient(field, alpha)
             z = np.maximum(z - rate * g, Z_FLOOR)
             if not np.all(np.isfinite(z)):
-                raise _diverged(f"heights became non-finite at step {step}", rate, trace)
+                raise _diverged(f"heights became non-finite at step {step}; {unstable}", trace)
             field = h.with_z(z)
             energy = height_energy(field, alpha)
             if not math.isfinite(energy):
-                raise _diverged(f"energy became non-finite at step {step}", rate, trace)
+                raise _diverged(f"energy became non-finite at step {step}; {unstable}", trace)
             trace.append(energy)
             # divergence = failing to get back under the best energy seen, which
             # also catches a single blow-up followed by a clamp plateau
@@ -219,7 +224,7 @@ def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[Heig
                 bad += 1
                 if bad >= 5:
                     raise _diverged("energy stayed above its running minimum for 5 "
-                                    "consecutive steps", rate, trace)
+                                    f"consecutive steps; {unstable}", trace)
             else:
                 best = min(best, energy)
                 bad = 0
@@ -241,7 +246,9 @@ def catenary_heights(shape: tuple[int, int] = (33, 17)) -> HeightField:
 
 def height_surface(h: HeightField) -> ParamSurface:
     """Exact-jet graph surface of the bicubic spline through the grid."""
-    from scipy.interpolate import RectBivariateSpline  # deferred: see catenary._spline_embedding
+    # scipy.interpolate costs most of the package import time, and only this
+    # surface needs it
+    from scipy.interpolate import RectBivariateSpline
 
     if min(h.shape) < 4:
         raise ValueError(f"a bicubic spline needs at least 4x4 heights, got {h.shape}")

@@ -228,8 +228,9 @@ def test_cylinder_residual_per_alpha(alpha, length):
 
 def test_cylinder_over_straight_line_is_plane():
     # vertical chart line -> plane spanned by (v, ruling), parallel to v
+    # theta = pi/2 solves the planar equation for every alpha
     line = cat.CatenaryPath([cat.CatenaryState(0.3, 1.0 + s, math.pi / 2, s)
-                             for s in np.linspace(0.0, 1.0, 200)])
+                             for s in np.linspace(0.0, 1.0, 200)], 2.0)
     surf = cat.catenary_cylinder(line, EZ, EY)
     for alpha in (-1.0, 0.5, 2.0):
         assert abs(singular_residual(E, surf, 0.5, 0.2, EZ, alpha)) < 1e-9
@@ -248,6 +249,14 @@ def test_cylinder_requires_orthogonal_ruling():
     tilted = Vec3(0.0, math.cos(0.1), math.sin(0.1))
     with pytest.raises(NotOrthogonal):
         cat.catenary_cylinder(path, EZ, tilted)
+
+
+def test_cylinder_needs_five_states():
+    path = cat.integrate(start(), 1.0, 0.04, 1e-2)
+    assert len(path.states) == 5
+    cat.catenary_cylinder(path, EZ, EY)
+    with pytest.raises(ValueError):
+        cat.catenary_cylinder(cat.CatenaryPath(path.states[:4], 1.0), EZ, EY)
 
 
 def test_path_csv_round_trip():

@@ -1,5 +1,5 @@
 """Dense ODE tables: either integration direction, centered tables, the quintic Hermite
-dense output, domain and input checks."""
+dense output and its derivatives, tables over given nodes, domain and input checks."""
 
 import math
 
@@ -215,3 +215,78 @@ def test_table_needs_four_steps_for_its_node_stencils():
     CenteredODE(lambda s, y: (1.0,), 1.0, (0.0,), 8)
     with pytest.raises(ValueError):
         CenteredODE(lambda s, y: (1.0,), 1.0, (0.0,), 7)
+
+
+@pytest.mark.parametrize("s0, s1", [(-0.5, 1.0), (1.0, -0.5)])
+def test_jet_exact_for_quartic(s0, s1):
+    # y = s^4 as in test_dense_output_exact_for_quartic: the interpolant and its
+    # node data are exact, so y' = 4 s^3 and y'' = 12 s^2 hold to rounding; y''
+    # divides node differences by h^2, hence its looser bound
+    table = DenseODE(lambda s, y: (4.0 * s ** 3,), s0, s1, (s0 ** 4,), 16)
+    lo, hi = min(s0, s1), max(s0, s1)
+    on_nodes = [s0 + i * table.h for i in range(1, 16)]
+    between = [lo + (hi - lo) * k / 301 for k in range(1, 301)]
+    for s in on_nodes + between + [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)]:
+        y, d1, d2 = table.jet_at(s)
+        assert abs(y[0] - s ** 4) <= 1e-14, s
+        assert abs(d1[0] - 4.0 * s ** 3) <= 1e-13, s
+        assert abs(d2[0] - 12.0 * s ** 2) <= 1e-12, s
+    # past an end: the marched state, f there, and the end node's y''
+    pad = 0.5 * OVERHANG * (hi - lo)
+    for s, end in ((lo - pad, lo), (hi + pad, hi)):
+        y, d1, d2 = table.jet_at(s)
+        assert abs(y[0] - s ** 4) <= 1e-14, s
+        assert d1[0] == 4.0 * s ** 3, s
+        assert abs(d2[0] - 12.0 * end ** 2) <= 1e-12, s
+
+
+@pytest.mark.parametrize("s0, s1", [(0.0, 0.9), (0.0, -0.9)])
+def test_jet_value_is_state_at_bitwise(s0, s1):
+    jets = DenseODE(_de_sitter_rhs([]), s0, s1, Y0, 24)
+    states = DenseODE(_de_sitter_rhs([]), s0, s1, Y0, 24)
+    edge = s1 + OVERHANG * (s1 - s0)
+    for s in [s0, s1, -0.0, 0.3 * jets.h, 7 * jets.h, 0.5 * s1, math.nextafter(s1, s0),
+              0.5 * (s1 + edge), edge, s0 - 0.5 * (edge - s1)]:
+        assert _bits(jets.jet_at(s)[0]) == _bits(states.state_at(s)), s
+
+
+@pytest.mark.parametrize("s0, s1", [(0.0, 0.9), (0.0, -0.9)])
+def test_from_nodes_answers_like_the_built_table(s0, s1):
+    calls = []
+    built = DenseODE(_de_sitter_rhs(calls), s0, s1, Y0, 24)
+    calls.clear()
+    wrapped = DenseODE.from_nodes(built.f, s0, s1, built.nodes)
+    assert calls == []
+    assert wrapped.h == built.h and wrapped.nodes == built.nodes
+    edge = s1 + OVERHANG * (s1 - s0)
+    for s in [s0, s1, 0.3 * built.h, 7 * built.h, 0.5 * s1, 0.5 * (s1 + edge), edge]:
+        assert _bits(wrapped.state_at(s)) == _bits(built.state_at(s)), s
+    with pytest.raises(ValueError):
+        DenseODE.from_nodes(built.f, s0, s1, built.nodes[:4])
+
+
+def test_catenary_cylinder_residual_grid_takes_no_rk4_step(monkeypatch):
+    from singular_geom import catenary as cat
+    from singular_geom.algebra import Metric, Vec3
+    from singular_geom.surface import singular_residual
+
+    path = cat.integrate(cat.CatenaryState(0.0, 1.0, 0.0, 0.0), 3.0, 2.0, 5e-4)
+    steps = []
+
+    def counted_rk4_step(*args):
+        steps.append(args[1])
+        return rk4_step(*args)
+
+    monkeypatch.setattr(curves, "rk4_step", counted_rk4_step)
+    monkeypatch.setattr(cat, "rk4_step", counted_rk4_step)
+    ez = Vec3(0.0, 0.0, 1.0)
+    surf = cat.catenary_cylinder(path, ez, Vec3(0.0, 1.0, 0.0))
+    s0, s1, t0, t1 = surf.domain
+    for k in range(50):
+        for j in range(50):
+            singular_residual(Metric.EUCLIDEAN, surf, s0 + (s1 - s0) * k / 49,
+                              t0 + (t1 - t0) * j / 49, ez, 3.0)
+    assert steps == []
+    # the counter is live: a jet past the end re-marches from the end node
+    surf.jet_unchecked(s1 + 0.5 * OVERHANG * (s1 - s0), 0.0)
+    assert len(steps) == 2

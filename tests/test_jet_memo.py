@@ -77,7 +77,7 @@ def _catenary_pair():
 
 def test_catenary_cylinder_jet_matches_uncached():
     surf, profile = _catenary_pair()
-    # s = 0.0 is the first spline node, so -0.0 is inside the domain too
+    # s = 0.0 is the table's first node, so -0.0 is inside the domain too
     for s, t in ((0.4, 0.1), (0.75, -0.3), (0.4, 0.9), (0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)):
         expected = Jet2(profile.value(s) + EY * t, profile.d1(s), EY, profile.d2(s), ZERO, ZERO)
         assert surf.jet(s, t) == expected
