@@ -95,9 +95,21 @@ def finite_float(text: str) -> float:
     return value
 
 
+def seed_int(text: str) -> int:
+    """argparse type for --seed: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer for --seed, got {text!r}")
+    return value
+
+
 def _flag_value(action: argparse.Action, raw, source: str):
     """A config or environment value converted and checked like the flag itself."""
-    numeric = action.type in (int, finite_float)
+    numeric = action.type in (int, finite_float, seed_int)
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float) if numeric else str):
         kind = "a number" if numeric else "a string"
         raise ConfigError(f"{source}: expected {kind}, got {json.dumps(raw)}")
@@ -387,7 +399,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=int, choices=[-1, 1])
     p.add_argument("--n", type=int)
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed_int)
     p.add_argument("--alpha-min", dest="alpha_min", type=finite_float)
     p.add_argument("--alpha-max", dest="alpha_max", type=finite_float)
     p.add_argument("--out")
@@ -406,7 +418,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rate", type=finite_float)
     p.add_argument("--init", choices=["flat", "catenary", "noisy"])
     p.add_argument("--noise", type=finite_float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed_int)
     p.add_argument("--out-prefix", dest="out_prefix")
 
     return parser

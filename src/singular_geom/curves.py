@@ -8,12 +8,16 @@ per s, not once per point.  Dense ODE tables integrate a state with classical
 RK4 on a fixed node grid and answer point queries between nodes with a C^2
 quintic Hermite dense output, so a query takes no integration step.  A table
 runs from its seed point s0 toward an s1 on either side of it, and can wrap
-RK4 nodes a caller has already taken.
+RK4 nodes a caller has already taken.  ``rk4_batch`` and ``rk4_quadrature``
+take the nodes of many tables at once on float64 arrays, bit for bit as
+``rk4_step`` takes them one table at a time.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .algebra import Vec3
 from .errors import OutOfDomain
@@ -130,6 +134,67 @@ def rk4_step(f, s: float, y: tuple, h: float) -> tuple:
     ])
 
 
+def rk4_stages(s0: float, s1: float, n_steps: int) -> tuple[float, np.ndarray]:
+    """Step h and the s of each RK4 stage on the fixed grid from s0 toward s1.
+
+    Row i is (s_i, s_i + h/2, s_i + h) with s_i = s0 + i h, each rounded as
+    DenseODE and rk4_step round it.
+    """
+    h = (s1 - s0) / n_steps
+    s = s0 + np.arange(n_steps) * h
+    return h, np.stack([s, s + 0.5 * h, s + h], axis=1)
+
+
+def rk4_batch(f, nodes: np.ndarray, h) -> None:
+    """Fill nodes[1:] with RK4 steps from nodes[0], for every column of a (d, B) state.
+
+    nodes has shape (n_steps + 1, d, B).  f(i, stage, y) is the right-hand
+    side for the (d, B) state y at stage 0, 1 or 2 of step i (see
+    rk4_stages).  Column b steps with h[b], or with h for every column when h
+    is a float.  Each column takes rk4_step's operations in rk4_step's order,
+    so its nodes are those of DenseODE bit for bit.
+    """
+    y = nodes[0]
+    half = 0.5 * h
+    w = h / 6.0
+    for i in range(len(nodes) - 1):
+        k1 = f(i, 0, y)
+        k2 = f(i, 1, y + half * k1)
+        k3 = f(i, 1, y + half * k2)
+        k4 = f(i, 2, y + h * k3)
+        y = nodes[i + 1] = y + w * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def rk4_quadrature(k: np.ndarray, nodes: np.ndarray, h: float) -> None:
+    """Fill nodes[1:] with RK4 steps from nodes[0] for y' = f(s), which does not read y.
+
+    k[i, stage] is f at stage 0, 1 or 2 of step i (see rk4_stages), with the
+    shape of nodes[0].  Node i + 1 is node i plus step i's RK4 increment,
+    added in order, so the nodes are those of DenseODE bit for bit.
+    """
+    k2 = k[:, 1]  # RK4 evaluates f twice at the midpoint, at the same s
+    nodes[1:] = (h / 6.0) * (k[:, 0] + 2.0 * (k2 + k2) + k[:, 2])
+    np.add.accumulate(nodes, axis=0, out=nodes)
+
+
+class ArrayNodes:
+    """Node list over the rows of a float64 array: item i is row i as a tuple of floats.
+
+    A batch build keeps every table's nodes in one array, and a tuple is made
+    only for a node that a query reads, so a batch's tables take no more
+    memory than that array.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> tuple:
+        return tuple(self._rows[i].tolist())
+
+
 # Queries may reach this fraction of the range length past either end, so that
 # difference stencils near the endpoints stay usable.
 OVERHANG = 0.02
@@ -175,10 +240,12 @@ class DenseODE:
         """The table over RK4 nodes of y' = f(s, y) already taken from s0 to s1.
 
         The step is (s1 - s0)/(len(nodes) - 1); nothing is integrated again.
+        nodes[i] is the state tuple at s0 + i h: a list of tuples, or the
+        ArrayNodes of a batch build.
         """
         table = cls.__new__(cls)
         table._set_grid(f, s0, s1, len(nodes) - 1)
-        table._set_nodes([tuple(y) for y in nodes])
+        table._set_nodes(nodes)
         return table
 
     def _set_grid(self, f, s0: float, s1: float, n_steps: int) -> None:
@@ -329,6 +396,13 @@ class CenteredODE:
         self.fwd = DenseODE(f, 0.0, half, y0, n)
         self.bwd = DenseODE(f, 0.0, -half, y0, n)
 
+    @classmethod
+    def from_tables(cls, fwd: DenseODE, bwd: DenseODE) -> "CenteredODE":
+        """The solution over two tables built from s = 0 toward +half and -half."""
+        table = cls.__new__(cls)
+        table.fwd, table.bwd = fwd, bwd
+        return table
+
     def state_at(self, s: float) -> tuple:
         if s >= 0.0:
             return self.fwd.state_at(s)
@@ -359,3 +433,26 @@ class FourierSeries:
             ks = kw * s
             out += kw * (b * math.cos(ks) - a * math.sin(ks))
         return out
+
+
+def fourier_table(series: Sequence[FourierSeries], s: np.ndarray) -> np.ndarray:
+    """Values of each series at every s, shape (*s.shape, len(series)).
+
+    Entry [..., b] is series[b](s) bit for bit: the cos and sin of each k w s
+    come from math once per s for all the series, and the terms are added in
+    the order of FourierSeries.__call__.  The series must share frequencies.
+    """
+    freqs = [kw for kw, _, _ in series[0]._terms]
+    if any([kw for kw, _, _ in f._terms] != freqs for f in series):
+        raise ValueError("fourier_table needs series with the same frequencies")
+    out = np.empty((*s.shape, len(series)))
+    out[...] = [f.c0 for f in series]
+    flat = s.ravel().tolist()
+    for k, kw in enumerate(freqs):
+        ks = [kw * x for x in flat]
+        cos = np.array([math.cos(x) for x in ks]).reshape(*s.shape, 1)
+        sin = np.array([math.sin(x) for x in ks]).reshape(*s.shape, 1)
+        a = np.array([f._terms[k][1] for f in series])
+        b = np.array([f._terms[k][2] for f in series])
+        out += a * cos + b * sin
+    return out

@@ -20,7 +20,6 @@ searches randomized normalized surfaces for a vanishing coefficient vector.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -31,14 +30,19 @@ import numpy as np
 
 from .algebra import Metric, Vec3, cross, inner, norm, triple
 from .curves import (
+    ArrayNodes,
     CenteredODE,
     Curve,
     DenseODE,
     FourierSeries,
     constant_curve,
     fd1,
+    fourier_table,
     line_curve,
     memo_last,
+    rk4_batch,
+    rk4_quadrature,
+    rk4_stages,
 )
 from .errors import (
     ConfigError,
@@ -618,6 +622,31 @@ def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float
                          list(raw[2:] * scale * sign), omega)
 
 
+# Rows of the state (w, w', g) such that a = y[_CROSS_ROWS] gives the
+# components of w x w' as a[0:3] * a[3:6] - a[6:9] * a[9:12], each with the
+# operands of _tcross in _tcross's order.
+_CROSS_ROWS = np.array([1, 2, 0, 5, 3, 4, 2, 0, 1, 4, 5, 3])
+
+
+def _frame_rhs_batch(y: np.ndarray, qp: np.ndarray, zsign: float, sigma: float) -> np.ndarray:
+    """The right-hand side of _sweep_frame_ode for a (9, B) batch of states.
+
+    qp[0] and qp[1] hold each column's Q and P; every column is the scalar
+    rhs bit for bit, since each entry takes the same operations on the same
+    operands.
+    """
+    a = y[_CROSS_ROWS]
+    c = a[0:3] * a[3:6] - a[6:9] * a[9:12]
+    c[2] *= zsign
+    out = np.empty_like(y)
+    out[0:3] = y[3:6]
+    # rows 3:9 as (2, 3, B) take q c and p c in one product; q c + sigma w
+    # then adds the same two terms as sigma w + q c, and IEEE sums commute
+    np.multiply(qp[:, None], c, out=out[3:9].reshape(2, *c.shape))
+    out[3:6] += sigma * y[0:3]
+    return out
+
+
 def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: float):
     """Right-hand side and g'' of the sweep frame ODE with state (w, w', g).
 
@@ -625,6 +654,7 @@ def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: fl
     cross product with its third component times zsign (+1 Euclidean, -1
     Lorentzian).  On a normalized frame w x_z (w x_z w') = -zsign w', so
     (w x_z w')' = w x_z w'' = -zsign Q w' and g'' = P'(w x_z w') - zsign P Q w'.
+    _frame_rhs_batch is the same rhs on a batch of states.
     """
     coeffs = _series_at(Q, P)
 
@@ -646,6 +676,76 @@ def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: fl
         return Vec3(pp * c[0] - zpq * y[3], pp * c[1] - zpq * y[4], pp * c[2] - zpq * y[5])
 
     return rhs, g_d2
+
+
+def _frame_nodes_batch(draws: Sequence[_Draw], grids) -> np.ndarray:
+    """Nodes of every draw's frame-ODE table on every grid, in one float64 RK4 pass.
+
+    grids holds (s0, s1, n_steps) per table half, all with one n_steps.  The
+    result has shape (n_steps + 1, 9, len(grids) * len(draws)); column
+    g * len(draws) + b is draw b's table on grid g.
+    """
+    n_draws = len(draws)
+    n_steps = grids[0][2]
+    zsign, sigma = draws[0].frame_signs()
+    series = [d.series[0] for d in draws] + [d.series[1] for d in draws]
+    steps, stages = zip(*[rk4_stages(s0, s1, n_steps) for s0, s1, _ in grids])
+    h = steps[0] if len(grids) == 1 else np.repeat(steps, n_draws)
+    nodes = np.empty((n_steps + 1, 9, len(grids) * n_draws))
+    nodes[0] = np.tile(np.array([d.y0 for d in draws]).T, len(grids))
+    # Q and P are tabulated a block of steps at a time, which bounds the
+    # memory besides the nodes: qp[i, stage] is (Q, P) of every column
+    for i0 in range(0, n_steps, _STEP_BLOCK):
+        block = [g[i0:i0 + _STEP_BLOCK] for g in stages]
+        qp = np.concatenate([fourier_table(series, g).reshape(len(g), 3, 2, n_draws)
+                             for g in block], axis=-1)
+        rk4_batch(lambda i, stage, y: _frame_rhs_batch(y, qp[i, stage], zsign, sigma),
+                  nodes[i0:i0 + len(qp) + 1], h)
+    return nodes
+
+
+def _lightlike_gp(s, m):
+    """The lightlike base tangent g' at s from the profile value m = m(s), on floats or arrays."""
+    a = (s * s * m * m - 1.0) / m
+    return (s * m, 0.5 * (a - m), 0.5 * (a + m))
+
+
+def _lightlike_ode(mf: FourierSeries):
+    """Right-hand side (the state is not read) and g''(s) of a lightlike base."""
+
+    @memo_last
+    def gp(s: float) -> tuple[float, float, float]:
+        return _lightlike_gp(s, mf(s))
+
+    def rhs(s: float, y) -> tuple:
+        return gp(s)
+
+    def g_d2(s: float) -> Vec3:
+        mv = mf(s)
+        mp = mf.deriv(s)
+        ap = 2.0 * s * mv + s * s * mp + mp / (mv * mv)
+        return Vec3(mv + s * mp, 0.5 * (ap - mp), 0.5 * (ap + mp))
+
+    return rhs, g_d2
+
+
+def _lightlike_nodes(draws: Sequence[_Draw], s0: float, s1: float,
+                     n_steps: int) -> np.ndarray:
+    """RK4 nodes of every lightlike draw's base from s0 to s1, shape (n_steps + 1, 3, draws).
+
+    g' does not read the state, so the nodes are RK4 sums of g' at the
+    stages, taken a block of steps at a time like _frame_nodes_batch.
+    """
+    h, stages = rk4_stages(s0, s1, n_steps)
+    series = [d.series[0] for d in draws]
+    nodes = np.empty((n_steps + 1, 3, len(draws)))
+    nodes[0] = np.array([d.y0 for d in draws]).T
+    for i0 in range(0, n_steps, _STEP_BLOCK):
+        block = stages[i0:i0 + _STEP_BLOCK]
+        # g' at each stage of the block's steps, shape (steps, 3, 3, draws)
+        gp = np.stack(_lightlike_gp(block[..., None], fourier_table(series, block)), axis=2)
+        rk4_quadrature(gp, nodes[i0:i0 + len(block) + 1], h)
+    return nodes
 
 
 def random_unit_vector(rng: np.random.Generator) -> Vec3:
@@ -679,15 +779,48 @@ def _lorentz_triad(rng: np.random.Generator) -> tuple[Vec3, Vec3, Vec3]:
     return T, S1, S2
 
 
-def random_euclidean_ruled(rng: np.random.Generator, n_steps: int = SWEEP_STEPS) -> RuledSurface:
-    """Random normalized non-cylindrical Euclidean ruled surface.
+# Draws a sweep takes before it builds their tables: a chunk bounds the
+# sweep's memory whatever n_surfaces is.
+SWEEP_CHUNK = 32
 
-    The director solves w'' = -w + Q(s) (w x w') on the unit sphere from a
-    random orthonormal frame with a random low-order Fourier geodesic
-    curvature Q, which keeps the normalization relations exact up to
-    integrator drift; the base integrates g' = P(s) (w x w') with a random
-    nonvanishing Fourier profile P.
+# Steps of a batch build whose coefficient tables are held at one time.
+_STEP_BLOCK = 128
+
+# Fewest Euclidean or Lorentz draws whose tables are stepped as one batch.
+# Whatever its size, a batch build costs about as much as 3.4 scalar
+# Euclidean tables or 1.8 Lorentz ones, whose two halves share each batch
+# step (68-72 us a batch step against 20 us a scalar step, on a 2-core host),
+# so fewer draws are stepped one at a time.
+_MIN_BATCH = 3
+
+
+@dataclass(frozen=True)
+class _Draw:
+    """The random choices of one generated surface, taken before its table is built.
+
+    series is (Q, P) with the class sign folded in, or (m,) in the lightlike
+    class; y0 is the seed state (w, w', g), or g alone in the lightlike class.
     """
+
+    director_class: DirectorClass
+    delta: int
+    series: tuple[FourierSeries, ...]
+    y0: tuple[float, ...]
+
+    def frame_signs(self) -> tuple[float, float]:
+        """zsign and sigma of the draw's frame ODE (see _sweep_frame_ode)."""
+        if self.director_class is DirectorClass.EUCLID_STANDARD:
+            return 1.0, -1.0
+        return -1.0, -float(self.delta)
+
+    def ode(self):
+        """Right-hand side and g'' of the draw's table."""
+        if self.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
+            return _lightlike_ode(self.series[0])
+        return _sweep_frame_ode(*self.series, *self.frame_signs())
+
+
+def _draw_euclidean(rng: np.random.Generator) -> _Draw:
     omega = 2.0 * math.pi / SWEEP_S_LEN
     Q = _fourier(rng, (0.1, 1.0), 0.9, omega)
     P = _fourier(rng, (0.8, 1.5), 0.4, omega)
@@ -696,24 +829,13 @@ def random_euclidean_ruled(rng: np.random.Generator, n_steps: int = SWEEP_STEPS)
     proj = raw - inner(Metric.EUCLIDEAN, raw, w0) * w0
     wp0 = proj / norm(Metric.EUCLIDEAN, proj)
     g0 = rng.normal(scale=0.5, size=3)
-
-    rhs, g_d2 = _sweep_frame_ode(Q, P, 1.0, -1.0)
-    table = DenseODE(rhs, 0.0, SWEEP_S_LEN, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
-    base, director = _frame_curves(table, rhs, g_d2=g_d2)
-    return RuledSurface(base, director, (0.0, SWEEP_S_LEN), Metric.EUCLIDEAN,
-                        DirectorClass.EUCLID_STANDARD, normalized=True, label="random_euclid")
+    return _Draw(DirectorClass.EUCLID_STANDARD, 1, (Q, P),
+                 (*w0.as_tuple(), *wp0.as_tuple(), *g0.tolist()))
 
 
-def random_lorentz_ruled(rng: np.random.Generator, delta: int,
-                         n_steps: int = SWEEP_STEPS) -> RuledSurface:
-    """Random normalized nondegenerate Lorentzian ruled surface for delta = +-1.
-
-    Same construction as the Euclidean generator, on the unit de Sitter
-    surface: w'' = -delta (w + Q w x_L w') and g' = -delta P (w x_L w').
-    """
+def _draw_lorentz(rng: np.random.Generator, delta: int) -> _Draw:
     if delta not in (-1, 1):
         raise ConfigError("delta must be +1 or -1")
-    half = 0.5 * SWEEP_S_LEN
     omega = 2.0 * math.pi / SWEEP_S_LEN
     # the class sign -delta of w'' and g' rides in the drawn series -delta Q, -delta P
     sign = -float(delta)
@@ -723,13 +845,94 @@ def random_lorentz_ruled(rng: np.random.Generator, delta: int,
     w0 = S1
     wp0 = S2 if delta == 1 else T
     g0 = rng.normal(scale=0.5, size=3)
+    return _Draw(DirectorClass.LORENTZ_NONDEGENERATE, delta, (Q, P),
+                 (*w0.as_tuple(), *wp0.as_tuple(), *g0.tolist()))
 
-    rhs, g_d2 = _sweep_frame_ode(Q, P, -1.0, sign)
-    table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), n_steps)
+
+def _draw_lightlike(rng: np.random.Generator) -> _Draw:
+    omega = 2.0 * math.pi / SWEEP_S_LEN
+    mf = _fourier(rng, (0.7, 1.2), 0.35, omega)
+    g0 = rng.normal(scale=0.5, size=3)
+    return _Draw(DirectorClass.LORENTZ_LIGHTLIKE, 0, (mf,), tuple(g0.tolist()))
+
+
+def _build_tables(draws: Sequence[_Draw], rhss, n_steps: int) -> list:
+    """The table of y' = rhss[b](s, y) from draws[b].y0 for draws of one class and delta.
+
+    Lightlike tables are RK4 sums (_lightlike_nodes) at any batch size.
+    Euclidean and Lorentz tables are stepped together by _frame_nodes_batch
+    from _MIN_BATCH draws on, and one at a time by the scalar DenseODE below
+    that.  Every path gives the same node bits.
+    """
+    klass = draws[0].director_class
+    half = 0.5 * SWEEP_S_LEN
+    if klass is DirectorClass.LORENTZ_LIGHTLIKE:
+        nodes = _lightlike_nodes(draws, -half, half, n_steps)
+        return [DenseODE.from_nodes(rhs, -half, half, ArrayNodes(nodes[:, :, b]))
+                for b, rhs in enumerate(rhss)]
+    euclid = klass is DirectorClass.EUCLID_STANDARD
+    if len(draws) < _MIN_BATCH:
+        if euclid:
+            return [DenseODE(rhs, 0.0, SWEEP_S_LEN, d.y0, n_steps) for d, rhs in zip(draws, rhss)]
+        return [CenteredODE(rhs, half, d.y0, n_steps) for d, rhs in zip(draws, rhss)]
+    grids = ([(0.0, SWEEP_S_LEN, n_steps)] if euclid
+             else [(0.0, half, n_steps // 2), (0.0, -half, n_steps // 2)])
+    nodes = _frame_nodes_batch(draws, grids)
+    n = len(draws)
+    halves = [[DenseODE.from_nodes(rhs, s0, s1, ArrayNodes(nodes[:, :, g * n + b]))
+               for b, rhs in enumerate(rhss)]
+              for g, (s0, s1, _) in enumerate(grids)]
+    return halves[0] if euclid else [CenteredODE.from_tables(*pair) for pair in zip(*halves)]
+
+
+def _build_surfaces(draws: Sequence[_Draw], n_steps: int = SWEEP_STEPS) -> list[RuledSurface]:
+    """The normalized surfaces of draws of one class and delta, their tables built together."""
+    odes = [d.ode() for d in draws]
+    tables = _build_tables(draws, [rhs for rhs, _ in odes], n_steps)
+    return [_surface(d, table, rhs, g_d2) for d, table, (rhs, g_d2) in zip(draws, tables, odes)]
+
+
+def _surface(d: _Draw, table, rhs, g_d2) -> RuledSurface:
+    half = 0.5 * SWEEP_S_LEN
+    if d.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
+        def g_value(s):
+            y = table.state_at(s)
+            return Vec3(y[0], y[1], y[2])
+
+        base = Curve(g_value, lambda s: Vec3(*rhs(s, None)), g_d2)
+        director = line_curve(Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
+        return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,
+                            DirectorClass.LORENTZ_LIGHTLIKE, delta=0, normalized=True,
+                            label="random_lightlike")
     base, director = _frame_curves(table, rhs, g_d2=g_d2)
+    if d.director_class is DirectorClass.EUCLID_STANDARD:
+        return RuledSurface(base, director, (0.0, SWEEP_S_LEN), Metric.EUCLIDEAN,
+                            DirectorClass.EUCLID_STANDARD, normalized=True, label="random_euclid")
     return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,
-                        DirectorClass.LORENTZ_NONDEGENERATE, delta=delta, normalized=True,
-                        label=f"random_lorentz(delta={delta})")
+                        DirectorClass.LORENTZ_NONDEGENERATE, delta=d.delta, normalized=True,
+                        label=f"random_lorentz(delta={d.delta})")
+
+
+def random_euclidean_ruled(rng: np.random.Generator, n_steps: int = SWEEP_STEPS) -> RuledSurface:
+    """Random normalized non-cylindrical Euclidean ruled surface.
+
+    The director solves w'' = -w + Q(s) (w x w') on the unit sphere from a
+    random orthonormal frame with a random low-order Fourier geodesic
+    curvature Q, which keeps the normalization relations exact up to
+    integrator drift; the base integrates g' = P(s) (w x w') with a random
+    nonvanishing Fourier profile P.
+    """
+    return _build_surfaces([_draw_euclidean(rng)], n_steps)[0]
+
+
+def random_lorentz_ruled(rng: np.random.Generator, delta: int,
+                         n_steps: int = SWEEP_STEPS) -> RuledSurface:
+    """Random normalized nondegenerate Lorentzian ruled surface for delta = +-1.
+
+    Same construction as the Euclidean generator, on the unit de Sitter
+    surface: w'' = -delta (w + Q w x_L w') and g' = -delta P (w x_L w').
+    """
+    return _build_surfaces([_draw_lorentz(rng, delta)], n_steps)[0]
 
 
 def random_lightlike_ruled(rng: np.random.Generator) -> RuledSurface:
@@ -739,39 +942,7 @@ def random_lightlike_ruled(rng: np.random.Generator) -> RuledSurface:
     profile m(s):  g' = (s m, (s^2 m^2 - 1)/(2m) - m/2, (s^2 m^2 - 1)/(2m) + m/2)
     is unit spacelike, orthogonal to w, and has Q = <g', w'>_L = -m(s).
     """
-    half = 0.5 * SWEEP_S_LEN
-    omega = 2.0 * math.pi / SWEEP_S_LEN
-    mf = _fourier(rng, (0.7, 1.2), 0.35, omega)
-    g0 = rng.normal(scale=0.5, size=3)
-
-    @memo_last
-    def gp_tuple(s: float) -> tuple[float, float, float]:
-        mv = mf(s)
-        a = (s * s * mv * mv - 1.0) / mv
-        return (s * mv, 0.5 * (a - mv), 0.5 * (a + mv))
-
-    def rhs(s: float, y: tuple) -> tuple:
-        return gp_tuple(s)
-
-    table = DenseODE(rhs, -half, half, tuple(g0), SWEEP_STEPS)
-
-    def g_value(s):
-        y = table.state_at(s)
-        return Vec3(y[0], y[1], y[2])
-
-    def g_d1(s):
-        return Vec3(*gp_tuple(s))
-
-    def g_d2(s):
-        mv = mf(s)
-        mp = mf.deriv(s)
-        ap = 2.0 * s * mv + s * s * mp + mp / (mv * mv)
-        return Vec3(mv + s * mp, 0.5 * (ap - mp), 0.5 * (ap + mp))
-
-    director = line_curve(Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
-    return RuledSurface(Curve(g_value, g_d1, g_d2), director, (-half, half),
-                        Metric.LORENTZIAN, DirectorClass.LORENTZ_LIGHTLIKE, delta=0,
-                        normalized=True, label="random_lightlike")
+    return _build_surfaces([_draw_lightlike(rng)])[0]
 
 
 def random_prenormalization_input(rng: np.random.Generator, delta: int):
@@ -966,39 +1137,49 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     halfspace over its sampled box, and records the scaled coefficient maxima.
     Surfaces whose maxima stay at or below ALARM_THRESHOLD at every sample are
     counterexample candidates.  ``planted`` surfaces join the report but cylindrical ones are
-    excluded by the w' filter rather than flagged.
+    excluded by the w' filter rather than flagged.  Generated surfaces are
+    drawn SWEEP_CHUNK at a time and their tables built together; the report
+    is the one that building each surface alone would give, byte for byte.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     report = SweepReport(config=cfg.to_dict())
     rows = report.per_surface
+    draw = {
+        DirectorClass.EUCLID_STANDARD: _draw_euclidean,
+        DirectorClass.LORENTZ_NONDEGENERATE: lambda rng: _draw_lorentz(rng, cfg.delta),
+        DirectorClass.LORENTZ_LIGHTLIKE: _draw_lightlike,
+    }[cfg.director_class]
 
-    def generated():
-        # drawn lazily: each surface takes its rng draws just before its v and alpha
-        for _ in range(cfg.n_surfaces):
-            if cfg.director_class is DirectorClass.EUCLID_STANDARD:
-                yield random_euclidean_ruled(rng)
-            elif cfg.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
-                yield random_lorentz_ruled(rng, cfg.delta)
-            else:
-                yield random_lightlike_ruled(rng)
+    def draw_v_alpha(metric: Metric) -> tuple[Vec3, float]:
+        v = random_unit_vector(rng) if metric is Metric.EUCLIDEAN else random_unit_timelike(rng)
+        return v, _draw_alpha(rng, *cfg.alpha_range)
 
-    for idx, rs in enumerate(itertools.chain(planted, generated())):
-        if idx < len(planted) and _is_cylindrical(rs):
-            rows.append({"id": idx, "class": rs.director_class.value, "alpha": 0.0,
-                         "max_abs_coeff": None, "flagged": False, "excluded": True})
-            continue
-        v = (random_unit_vector(rng) if rs.metric is Metric.EUCLIDEAN
-             else random_unit_timelike(rng))
-        alpha = _draw_alpha(rng, *cfg.alpha_range)
+    def score(rs: RuledSurface, v: Vec3, alpha: float) -> None:
         s_values = rs.s_samples(cfg.n_s_samples)
         window = _halfspace_window(rs, s_values)
         rs = translate_into_halfspace(rs, v, s_values, window)
         row = sweep_surface(rs, v, alpha, s_values)
-        row["id"] = idx
+        row["id"] = len(rows)
         rows.append(row)
         if row["flagged"]:
-            report.counterexamples.append(idx)
+            report.counterexamples.append(row["id"])
+
+    for rs in planted:
+        if _is_cylindrical(rs):
+            rows.append({"id": len(rows), "class": rs.director_class.value, "alpha": 0.0,
+                         "max_abs_coeff": None, "flagged": False, "excluded": True})
+            continue
+        score(rs, *draw_v_alpha(rs.metric))
+
+    # Scoring draws no random numbers, so a chunk takes all of its draws (each
+    # surface, then its v and alpha) before its tables are built together.
+    for start in range(0, cfg.n_surfaces, SWEEP_CHUNK):
+        chunk = [(draw(rng), *draw_v_alpha(cfg.metric))
+                 for _ in range(min(SWEEP_CHUNK, cfg.n_surfaces - start))]
+        surfaces = _build_surfaces([d for d, _, _ in chunk])
+        for rs, (_, v, alpha) in zip(surfaces, chunk):
+            score(rs, v, alpha)
 
     maxima = [r["max_abs_coeff"] for r in rows if r["max_abs_coeff"] is not None]
     report.min_max_abs_coeff = min(maxima) if maxima else None

@@ -265,6 +265,13 @@ _HEIGHT_ROWS_5 = "1.0,1.0,1.0,1.0,1.0\n" + "1.0,1.5,1.5,1.5,1.0\n" * 3 + "1.0,1.
                  id="catenary-step-count-overflows"),
     pytest.param({}, ["catenary", "--length", "1e9", "--step", "1e-3"], None,
                  id="catenary-step-count-above-cap"),
+    pytest.param({}, ["sweep", "--seed", "-1"], None, id="seed-flag-negative"),
+    pytest.param({}, ["sweep", "--n", "2", "--samples", "2"], {"SINGULAR_GEOM_SEED": "-5"},
+                 id="seed-env-negative"),
+    pytest.param({"cfg.json": '{"seed": -1}'}, ["sweep", "--config", "cfg.json"], None,
+                 id="seed-config-negative"),
+    pytest.param({}, ["variational", "--seed", "-1", "--init", "catenary"], None,
+                 id="variational-seed-flag-negative"),
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env):
     for name, text in files.items():
@@ -275,6 +282,33 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env)
     problems = [ln for ln in r.stderr.splitlines() if "resolved config" not in ln]
     assert len(problems) == 1 and problems[0].startswith("error: "), r.stderr
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv, env, value", [
+    (["sweep", "--seed", "-1"], None, "-1"),
+    (["sweep", "--n", "1"], "-5", "-5"),
+    (["sweep", "--config", "cfg.json"], None, "-3"),
+    (["variational", "--seed", "-1", "--init", "catenary"], None, "-1"),
+    (["variational", "--config", "cfg.json"], None, "-3"),
+])
+def test_negative_seed_error_names_the_flag_and_value(tmp_path, monkeypatch, capsys, argv, env,
+                                                      value):
+    # numpy's own error for a negative seed named neither; variational took it silently
+    from singular_geom import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"seed": -3}')
+    if env is None:
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, env)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 1
+    problems = [ln for ln in capsys.readouterr().err.splitlines()
+                if "resolved config" not in ln]
+    assert len(problems) == 1 and problems[0].startswith("error: "), problems
+    assert "--seed" in problems[0] and repr(value) in problems[0], problems
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):

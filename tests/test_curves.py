@@ -290,3 +290,20 @@ def test_catenary_cylinder_residual_grid_takes_no_rk4_step(monkeypatch):
     # the counter is live: a jet past the end re-marches from the end node
     surf.jet_unchecked(s1 + 0.5 * OVERHANG * (s1 - s0), 0.0)
     assert len(steps) == 2
+
+
+def test_fourier_table_is_the_series_bitwise():
+    import numpy as np
+
+    omega = 2.0 * math.pi / 3.0
+    series = [FourierSeries(0.4, [0.3, -0.2], [0.1, 0.05], omega),
+              FourierSeries(-1.2, [0.0, 0.7], [-0.6, 0.2], omega),
+              FourierSeries(-0.0, [0.0, 0.0], [0.0, 0.0], omega)]
+    # both signs, -0.0 and a subnormal product
+    s = np.concatenate([np.linspace(-2.0, 3.0, 701), [0.0, -0.0, 1e-300]]).reshape(-1, 2)
+    table = curves.fourier_table(series, s)
+    assert table.shape == (*s.shape, 3)
+    expected = np.array([[[f(x) for f in series] for x in row] for row in s.tolist()])
+    assert table.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        curves.fourier_table([series[0], FourierSeries(0.4, [0.3], [0.1], 2.0 * omega)], s)

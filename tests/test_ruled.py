@@ -371,6 +371,119 @@ def test_shared_frame_ode_matches_separate_generators_bitwise(make, reference, s
     assert fingerprint(rs) == fingerprint(ref)
 
 
+_DRAWS = {
+    "euclid": ruled._draw_euclidean,
+    "lorentz+1": lambda rng: ruled._draw_lorentz(rng, 1),
+    "lorentz-1": lambda rng: ruled._draw_lorentz(rng, -1),
+    "lightlike": ruled._draw_lightlike,
+}
+
+
+def _scalar_table(d, rhs, n_steps=ruled.SWEEP_STEPS):
+    """A draw's table stepped one scalar RK4 step at a time, as before batch builds."""
+    half = 0.5 * ruled.SWEEP_S_LEN
+    if d.director_class is DirectorClass.EUCLID_STANDARD:
+        return curves.DenseODE(rhs, 0.0, ruled.SWEEP_S_LEN, d.y0, n_steps)
+    if d.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
+        return curves.CenteredODE(rhs, half, d.y0, n_steps)
+    return curves.DenseODE(rhs, -half, half, d.y0, n_steps)
+
+
+def _scalar_surface(d):
+    rhs, g_d2 = d.ode()
+    return ruled._surface(d, _scalar_table(d, rhs), rhs, g_d2)
+
+
+def _halves(table):
+    return (table.fwd, table.bwd) if isinstance(table, curves.CenteredODE) else (table,)
+
+
+def _bits(values):
+    return np.array(list(values), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, ruled._MIN_BATCH, ruled.SWEEP_CHUNK,
+                                  ruled.SWEEP_CHUNK + 1])
+@pytest.mark.parametrize("klass", list(_DRAWS))
+def test_batch_build_matches_scalar_tables_bitwise(klass, size):
+    rng = np.random.default_rng(1000 + size)
+    draws = [_DRAWS[klass](rng) for _ in range(size)]
+    odes = [d.ode() for d in draws]
+    tables = ruled._build_tables(draws, [rhs for rhs, _ in odes], ruled.SWEEP_STEPS)
+    assert len(tables) == size
+    for d, table, (rhs, g_d2) in zip(draws, tables, odes):
+        ref_rhs, ref_g_d2 = d.ode()
+        ref_table = _scalar_table(d, ref_rhs)
+        for row, ref in zip(_halves(table), _halves(ref_table)):
+            assert (row.s0, row.s1, row.h) == (ref.s0, ref.s1, ref.h)
+            assert _bits(row.nodes) == _bits(ref.nodes)
+            lo, hi = sorted((ref.s0, ref.s1))
+            pad = curves.OVERHANG * (hi - lo)
+            # nodes, between nodes, both ends and both overhangs
+            for s in [lo, hi, 0.5 * (lo + hi), lo + 7 * abs(ref.h), lo + 0.3 * (hi - lo) / 7,
+                      hi - 0.25 * abs(ref.h), lo - 0.5 * pad, hi + pad]:
+                assert _bits(row.state_at(s)) == _bits(ref.state_at(s)), s
+                assert _bits(row.jet_at(s)) == _bits(ref.jet_at(s)), s
+        batched = ruled._surface(d, table, rhs, g_d2)
+        scalar = ruled._surface(d, ref_table, ref_rhs, ref_g_d2)
+        v = random_unit_vector(rng) if batched.metric is E else random_unit_timelike(rng)
+        for s in batched.s_samples(3):
+            assert repr(frame(batched, s)) == repr(frame(scalar, s))
+            assert repr(coefficients(batched, s, v, 1.5)) == repr(coefficients(scalar, s, v, 1.5))
+
+
+def _reference_sweep(cfg, planted):
+    """falsification_sweep as before batch builds: each generated surface gets its
+    scalar table and is scored before the next surface is drawn."""
+    rng = np.random.default_rng(cfg.seed)
+    report = ruled.SweepReport(config=cfg.to_dict())
+    draw = {"euclid_standard": _DRAWS["euclid"],
+            "lorentz_nondegenerate": lambda rng: ruled._draw_lorentz(rng, cfg.delta),
+            "lorentz_lightlike": _DRAWS["lightlike"]}[cfg.director_class.value]
+
+    def surfaces():
+        yield from planted
+        for _ in range(cfg.n_surfaces):
+            yield _scalar_surface(draw(rng))
+
+    for idx, rs in enumerate(surfaces()):
+        if idx < len(planted) and ruled._is_cylindrical(rs):
+            report.per_surface.append({"id": idx, "class": rs.director_class.value,
+                                       "alpha": 0.0, "max_abs_coeff": None, "flagged": False,
+                                       "excluded": True})
+            continue
+        v = random_unit_vector(rng) if rs.metric is E else random_unit_timelike(rng)
+        alpha = ruled._draw_alpha(rng, *cfg.alpha_range)
+        s_values = rs.s_samples(cfg.n_s_samples)
+        rs = translate_into_halfspace(rs, v, s_values, _halfspace_window(rs, s_values))
+        row = sweep_surface(rs, v, alpha, s_values)
+        row["id"] = idx
+        report.per_surface.append(row)
+        if row["flagged"]:
+            report.counterexamples.append(idx)
+    report.min_max_abs_coeff = min(r["max_abs_coeff"] for r in report.per_surface
+                                   if r["max_abs_coeff"] is not None)
+    return report
+
+
+@pytest.mark.parametrize("metric, klass, delta", [
+    (E, DirectorClass.EUCLID_STANDARD, 1),
+    (L, DirectorClass.LORENTZ_NONDEGENERATE, 1),
+    (L, DirectorClass.LORENTZ_NONDEGENERATE, -1),
+    (L, DirectorClass.LORENTZ_LIGHTLIKE, 1),
+])
+def test_sweep_report_matches_scalar_reference_sweep(metric, klass, delta):
+    # a chunk and one more surface, behind a planted helicoid and a planted cylinder
+    path = cat.integrate(cat.CatenaryState(0, 1, 0, 0), 1.0, 1.0, 1e-3)
+    cylinder = make_cylinder(cat.plane_curve(path, EZ, Vec3(0, 1, 0)), Vec3(0, 1, 0), E)
+    planted = [helicoid(1.0), cylinder]
+    cfg = SweepConfig(n_surfaces=ruled.SWEEP_CHUNK + 1, n_s_samples=3, seed=8, metric=metric,
+                      director_class=klass, delta=delta)
+    got = falsification_sweep(cfg, planted=planted).to_json()
+    assert got == _reference_sweep(cfg, planted).to_json()
+    assert [r["excluded"] for r in json.loads(got)["per_surface"][:3]] == [False, True, False]
+
+
 @pytest.mark.parametrize("delta", [1, -1])
 def test_frame_identities_lorentz(delta):
     rng = np.random.default_rng(41 + delta)
@@ -563,6 +676,22 @@ def test_sweep_detector_flags_helicoid_at_alpha_zero():
     row = sweep_surface(h, EZ, 0.0, h.s_samples(6))
     assert row["flagged"] is True
     assert row["max_abs_coeff"] <= 1e-9
+
+
+def test_sweep_builds_at_most_one_chunk_of_tables_at_a_time(monkeypatch):
+    sizes = []
+    build = ruled._build_surfaces
+
+    def recording(draws, *args):
+        sizes.append(len(draws))
+        return build(draws, *args)
+
+    monkeypatch.setattr(ruled, "_build_surfaces", recording)
+    n = 2 * ruled.SWEEP_CHUNK + 1
+    rep = falsification_sweep(SweepConfig(n_surfaces=n, n_s_samples=2, seed=3, metric=L,
+                                          director_class=DirectorClass.LORENTZ_LIGHTLIKE))
+    assert sizes == [ruled.SWEEP_CHUNK, ruled.SWEEP_CHUNK, 1]
+    assert [r["id"] for r in rep.per_surface] == list(range(n))
 
 
 def test_sweep_report_config_block():
