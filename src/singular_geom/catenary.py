@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import Metric, Vec3, cross, inner, norm
 from .curves import Curve, DenseODE, memo_last, rk4_step
 from .errors import HalfspaceViolation, NoSolution, NotOrthogonal
-from .surface import Jet2, ParamSurface
+from .surface import Jet2, ParamSurface, stack_rows
 
 Y_FLOOR = 1e-12
 # integrate keeps every state, so a path is capped well above the 8000 steps
@@ -41,47 +41,77 @@ class CatenaryState:
     s: float = 0.0
 
 
-@dataclass
 class CatenaryPath:
-    """Integrated polyline, the alpha it solves, and a flag marking a halfspace exit."""
+    """Integrated polyline, the alpha it solves, and a flag marking a halfspace exit.
 
-    states: list[CatenaryState]
-    alpha: float
-    exited_halfspace: bool = False
+    The path holds its RK4 nodes as (u, y, theta) tuples in ``nodes`` and their
+    arclengths in ``s``; ``states`` builds the CatenaryState list on first read.
+    """
+
+    def __init__(self, states: list[CatenaryState], alpha: float,
+                 exited_halfspace: bool = False):
+        self.nodes = [(st.u, st.y, st.theta) for st in states]
+        self.s = [st.s for st in states]
+        self.alpha = alpha
+        self.exited_halfspace = exited_halfspace
+        self._states = list(states)
+
+    @classmethod
+    def from_nodes(cls, nodes: list[tuple], s: list[float], alpha: float,
+                   exited_halfspace: bool) -> "CatenaryPath":
+        path = cls.__new__(cls)
+        path.nodes, path.s = nodes, s
+        path.alpha, path.exited_halfspace = alpha, exited_halfspace
+        path._states = None
+        return path
+
+    @property
+    def states(self) -> list[CatenaryState]:
+        if self._states is None:
+            self._states = [CatenaryState(*node, s) for node, s in zip(self.nodes, self.s)]
+        return self._states
 
     @property
     def endpoint(self) -> CatenaryState:
-        return self.states[-1]
+        return CatenaryState(*self.nodes[-1], self.s[-1])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        s = np.array([st.s for st in self.states])
-        u = np.array([st.u for st in self.states])
-        y = np.array([st.y for st in self.states])
-        th = np.array([st.theta for st in self.states])
-        return s, u, y, th
+        u, y, th = (np.array(col) for col in zip(*self.nodes))
+        return np.array(self.s), u, y, th
 
     def to_csv(self) -> str:
         buf = io.StringIO()
+        rows = zip(self.s, self.nodes)
         if self.exited_halfspace:
             buf.write("s,u,y,theta,exited\n")
-            last = len(self.states) - 1
-            for k, st in enumerate(self.states):
-                buf.write(f"{st.s!r},{st.u!r},{st.y!r},{st.theta!r},{int(k == last)}\n")
+            last = len(self.nodes) - 1
+            for k, (s, (u, y, theta)) in enumerate(rows):
+                buf.write(f"{s!r},{u!r},{y!r},{theta!r},{int(k == last)}\n")
         else:
             buf.write("s,u,y,theta\n")
-            for st in self.states:
-                buf.write(f"{st.s!r},{st.u!r},{st.y!r},{st.theta!r}\n")
+            for s, (u, y, theta) in rows:
+                buf.write(f"{s!r},{u!r},{y!r},{theta!r}\n")
         return buf.getvalue()
+
+
+def _rhs(alpha: float):
+    """The right-hand side s, (u, y, theta) -> (u', y', theta') of the alpha-catenary."""
+    cos, sin = math.cos, math.sin
+
+    def f(s: float, state: tuple[float, float, float]) -> tuple[float, float, float]:
+        _, y, theta = state
+        if y <= Y_FLOOR:
+            raise HalfspaceViolation(f"y = {y} at s = {s} reached the halfspace floor")
+        c = cos(theta)
+        return (c, sin(theta), alpha * c / y)
+
+    return f
 
 
 def catenary_rhs(s: float, state: tuple[float, float, float],
                  alpha: float) -> tuple[float, float, float]:
     """Arclength derivatives (u', y', theta') of the planar alpha-catenary at (u, y, theta)."""
-    _, y, theta = state
-    if y <= Y_FLOOR:
-        raise HalfspaceViolation(f"y = {y} at s = {s} reached the halfspace floor")
-    c = math.cos(theta)
-    return (c, math.sin(theta), alpha * c / y)
+    return _rhs(alpha)(s, state)
 
 
 def integrate(start: CatenaryState, alpha: float, length: float, step: float) -> CatenaryPath:
@@ -101,11 +131,10 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
     n = max(1, int(round(ratio)))
     h = length / n
 
-    def f(s: float, state: tuple) -> tuple:
-        return catenary_rhs(s, state, alpha)
-
-    states = [start]
-    s, state = start.s, (start.u, start.y, start.theta)
+    f = _rhs(alpha)
+    state = (start.u, start.y, start.theta)
+    s = start.s
+    nodes, ss = [state], [s]
     exited = False
     for _ in range(n):
         try:
@@ -117,8 +146,9 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
             exited = True
             break
         s += h
-        states.append(CatenaryState(*state, s))
-    return CatenaryPath(states, alpha, exited)
+        nodes.append(state)
+        ss.append(s)
+    return CatenaryPath.from_nodes(nodes, ss, alpha, exited)
 
 
 def classical_catenary(s: float) -> tuple[float, float]:
@@ -223,9 +253,7 @@ def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
     the curvature equation by construction.
     """
     d = _embedding_frame(v, ruling)
-    table = DenseODE.from_nodes(
-        lambda s, state: catenary_rhs(s, state, path.alpha),
-        path.states[0].s, path.endpoint.s, [(st.u, st.y, st.theta) for st in path.states])
+    table = DenseODE.from_nodes(_rhs(path.alpha), path.s[0], path.s[-1], path.nodes)
 
     @memo_last
     def jet(s: float) -> tuple[Vec3, Vec3, Vec3]:
@@ -252,4 +280,11 @@ def catenary_cylinder(path: CatenaryPath, v: Vec3, ruling: Vec3) -> ParamSurface
         c, c1, c2 = profile.jet(ss)
         return Jet2(c + ruling * tt, c1, ruling, c2, zero, zero)
 
-    return ParamSurface.exact((path.states[0].s, path.endpoint.s, -1.0, 1.0), jet_fn)
+    r = np.array(ruling.as_tuple()).reshape(1, 1, 3)
+
+    def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
+        c, c1, c2 = (stack_rows(col) for col in zip(*(profile.jet(ss) for ss in S.tolist())))
+        flat = np.zeros((1, 1, 3))
+        return Jet2(c + r * T.reshape(1, -1, 1), c1, r, c2, flat, flat)
+
+    return ParamSurface.exact((path.s[0], path.s[-1], -1.0, 1.0), jet_fn, grid_fn)

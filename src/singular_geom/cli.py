@@ -32,7 +32,15 @@ from .errors import (
     NotSpacelike,
 )
 from .ruled import DirectorClass, SweepConfig, falsification_sweep, helicoid, lightlike_reference
-from .surface import Jet2, ParamSurface, singular_residual
+from .surface import (
+    Jet2,
+    ParamSurface,
+    abs_max,
+    grid_points,
+    grid_vectors,
+    power_each,
+    singular_residual_grid,
+)
 from .variational import HeightField, catenary_heights, descend, height_surface, trace_to_csv
 
 EXIT_OK = 0
@@ -43,6 +51,9 @@ EXIT_COUNTEREXAMPLE = 4
 EXIT_DIVERGED = 5
 
 SEED_ENV = "SINGULAR_GEOM_SEED"
+
+# Largest ns * nt a --grid may ask for: 2000x2000, about 250 MB of residual CSV.
+MAX_GRID_POINTS = 4_000_000
 
 _METRICS = {
     "euclid": Metric.EUCLIDEAN,
@@ -78,7 +89,15 @@ def _catenary_length(alpha: float) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the exit-1-on-usage-error contract and a one-line message."""
+    """argparse with the exit-1-on-usage-error contract and a one-line message.
+
+    Flags must be spelled in full: a prefix such as --out for --out-prefix is
+    an unrecognized argument, not the longer flag.  Subparsers are made with
+    this class too, so the rule holds for every command.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message} (see --help)\n")
@@ -165,6 +184,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigError(f"bad grid spec {text!r}; expected N or NxM")
     if pair[0] < 2 or pair[1] < 2:
         raise ConfigError(f"grid must be at least 2x2, got {text!r}")
+    if pair[0] * pair[1] > MAX_GRID_POINTS:
+        raise ConfigError(f"grid {text!r} has {pair[0] * pair[1]} points, "
+                          f"above the limit of {MAX_GRID_POINTS}")
     return pair
 
 
@@ -193,32 +215,36 @@ def build_named_surface(name: str, alpha: float, file_path: str | None = None) -
     if name == "helicoid":
         return helicoid(1.0).as_param_surface((-1.0, 1.0))
     if name == "sphere":
-        def jet_fn(s: float, t: float) -> Jet2:
-            cs, ss, ct, st = math.cos(s), math.sin(s), math.cos(t), math.sin(t)
+        def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
+            cs = np.array([math.cos(s) for s in S.tolist()])[:, None]
+            ss = np.array([math.sin(s) for s in S.tolist()])[:, None]
+            ct = np.array([math.cos(t) for t in T.tolist()])[None, :]
+            st = np.array([math.sin(t) for t in T.tolist()])[None, :]
             return Jet2(
-                Vec3(cs * ct, ss * ct, st),
-                Vec3(-ss * ct, cs * ct, 0.0),
-                Vec3(-cs * st, -ss * st, ct),
-                Vec3(-cs * ct, -ss * ct, 0.0),
-                Vec3(ss * st, -cs * st, 0.0),
-                Vec3(-cs * ct, -ss * ct, -st),
+                grid_vectors(cs * ct, ss * ct, st),
+                grid_vectors(-ss * ct, cs * ct, 0.0),
+                grid_vectors(-cs * st, -ss * st, ct),
+                grid_vectors(-cs * ct, -ss * ct, 0.0),
+                grid_vectors(ss * st, -cs * st, 0.0),
+                grid_vectors(-cs * ct, -ss * ct, -st),
             )
 
-        return ParamSurface.exact((0.0, 2.0 * math.pi, 0.2, 1.35), jet_fn)
+        return ParamSurface.exact((0.0, 2.0 * math.pi, 0.2, 1.35), grid_fn=grid_fn)
     if name == "hyperboloid":
-        def jet_fn(s: float, t: float) -> Jet2:
-            r = math.sqrt(1.0 + s * s + t * t)
-            r3 = r ** 3
+        def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
+            s, t = S[:, None], T[None, :]
+            r = np.sqrt(1.0 + s * s + t * t)
+            r3 = power_each(r, 3)
             return Jet2(
-                Vec3(s, t, r),
-                Vec3(1.0, 0.0, s / r),
-                Vec3(0.0, 1.0, t / r),
-                Vec3(0.0, 0.0, (1.0 + t * t) / r3),
-                Vec3(0.0, 0.0, -s * t / r3),
-                Vec3(0.0, 0.0, (1.0 + s * s) / r3),
+                grid_vectors(s, t, r),
+                grid_vectors(1.0, 0.0, s / r),
+                grid_vectors(0.0, 1.0, t / r),
+                grid_vectors(0.0, 0.0, (1.0 + t * t) / r3),
+                grid_vectors(0.0, 0.0, -s * t / r3),
+                grid_vectors(0.0, 0.0, (1.0 + s * s) / r3),
             )
 
-        return ParamSurface.exact((-1.0, 1.0, -1.0, 1.0), jet_fn)
+        return ParamSurface.exact((-1.0, 1.0, -1.0, 1.0), grid_fn=grid_fn)
     if name == "lightlike-reference":
         return lightlike_reference().as_param_surface((-0.3, 0.3))
     if name == "file":
@@ -262,20 +288,20 @@ def cmd_residual(args) -> int:
     surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
 
     s0, s1, t0, t1 = surf.domain
+    S, T = np.linspace(s0, s1, grid[0]), np.linspace(t0, t1, grid[1])
+    try:
+        R = singular_residual_grid(metric, surf, S, T, v, cfg["alpha"])
+    except (DegenerateMetric, NotSpacelike, HalfspaceViolation) as exc:
+        s, t = exc.cell
+        print(f"{type(exc).__name__} at cell s={s!r}, t={t!r}: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     rows = ["s,t,residual"]
-    worst = 0.0
-    for s in np.linspace(s0, s1, grid[0]):
-        for t in np.linspace(t0, t1, grid[1]):
-            try:
-                r = singular_residual(metric, surf, float(s), float(t), v, cfg["alpha"])
-            except (DegenerateMetric, NotSpacelike, HalfspaceViolation) as exc:
-                print(f"{type(exc).__name__} at cell s={float(s)!r}, t={float(t)!r}: {exc}",
-                      file=sys.stderr)
-                return EXIT_DEGENERATE
-            rows.append(f"{float(s)!r},{float(t)!r},{r!r}")
-            worst = max(worst, abs(r))
+    t_text = [repr(t) for t in T.tolist()]
+    for s, r_row in zip(S.tolist(), R.tolist()):
+        s_text = repr(s)
+        rows.extend([f"{s_text},{t},{r!r}" for t, r in zip(t_text, r_row)])
     _write_text(cfg["out"], "\n".join(rows) + "\n")
-    print(f"max |residual| = {worst!r}")
+    print(f"max |residual| = {abs_max(R)!r}")
     return EXIT_OK
 
 
@@ -310,11 +336,8 @@ def cmd_export_mesh(args) -> int:
     ns, nt = _parse_grid(cfg["grid"])
     surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
     s0, s1, t0, t1 = surf.domain
-    lines = []
-    for s in np.linspace(s0, s1, ns):
-        for t in np.linspace(t0, t1, nt):
-            p = surf.jet(float(s), float(t)).X
-            lines.append(f"v {p.x!r} {p.y!r} {p.z!r}")
+    X = grid_points(surf, np.linspace(s0, s1, ns), np.linspace(t0, t1, nt))
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in X.reshape(-1, 3).tolist()]
     # quads split into two triangles, counterclockwise as seen from Xs x Xt
     for i in range(ns - 1):
         for j in range(nt - 1):

@@ -60,6 +60,7 @@ from .surface import (
     curvature_bracket,
     fundamental_forms,
     require_unit_direction,
+    stack_rows,
 )
 
 # |Q| floor for the lightlike class; valid data always has Q bounded away from 0.
@@ -166,9 +167,17 @@ class RuledSurface:
         zero = Vec3(0.0, 0.0, 0.0)
         return Jet2(g + t * w, gp + t * wp, w, gpp + t * wpp, wp, zero)
 
+    def grid_jet(self, S: np.ndarray, T: np.ndarray) -> Jet2:
+        """:meth:`jet` on the product grid of S and T: one curve jet per s, affine in t."""
+        rows = [self.base.jet(s) + self.director.jet(s) for s in S.tolist()]
+        g, gp, gpp, w, wp, wpp = (stack_rows(col) for col in zip(*rows))
+        t = T.reshape(1, -1, 1)
+        return Jet2(g + t * w, gp + t * wp, w, gpp + t * wpp, wp, np.zeros((1, 1, 3)))
+
     def as_param_surface(self, t_window: tuple[float, float]) -> ParamSurface:
         s0, s1 = self.s_range
-        return ParamSurface.exact((s0, s1, float(t_window[0]), float(t_window[1])), self.jet)
+        return ParamSurface.exact((s0, s1, float(t_window[0]), float(t_window[1])), self.jet,
+                                  self.grid_jet)
 
     def s_samples(self, n: int, inset: float = 0.03) -> np.ndarray:
         s0, s1 = self.s_range

@@ -7,15 +7,34 @@ jets this module computes fundamental forms, the unit normal, the mean
 curvature, the pointwise defining residual of singular minimal (Euclidean)
 and singular maximal (Lorentzian, spacelike) surfaces, the potential energy
 of a surface relative to a direction, and a numeric first variation.
+
+Grids of points are evaluated on numpy arrays: ``ParamSurface.grid_jets``
+gives the jets of a product grid as (ns, nt, 3) arrays, and the first form,
+the curvature bracket, the unit normal, the residual and the energy integrand
+are each written once on vector components, so one body runs on the floats
+of the pointwise API and on the arrays of the grid API.  numpy's elementwise
++, -, *, / and sqrt round as Python floats do, and every sum keeps its order,
+so a grid value is bitwise the pointwise value.  A grid cell that the
+pointwise API would reject is evaluated again by the pointwise API, which
+raises its exact exception.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .algebra import CausalCharacter, Metric, Vec3, causal_character, cross, inner, triple
-from .errors import DegenerateMetric, HalfspaceViolation, NotSpacelike, OutOfDomain
+import numpy as np
+
+from .algebra import CausalCharacter, Metric, Vec3, causal_character, inner, triple
+from .errors import (
+    DegenerateMetric,
+    GeometryError,
+    HalfspaceViolation,
+    NotSpacelike,
+    OutOfDomain,
+)
 
 # |EG - F^2| below this multiple of the form magnitudes counts as degenerate.
 REGULARITY_FLOOR = 1e-14
@@ -23,10 +42,18 @@ REGULARITY_FLOOR = 1e-14
 # Relative tolerance for "v is a unit (timelike) direction" checks.
 UNIT_TOL = 1e-9
 
+# Grid points per evaluation block: the grid functions hold the arrays of one
+# block of s rows at a time, not of the whole grid.
+GRID_BLOCK = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class Jet2:
-    """Value and derivatives of an immersion at one parameter point."""
+    """Value and derivatives of an immersion at one parameter point.
+
+    The grid API fills the same fields with (ns, nt, 3) arrays, or arrays that
+    broadcast to that shape.
+    """
 
     X: Vec3
     Xs: Vec3
@@ -54,6 +81,46 @@ Rect = tuple[float, float, float, float]  # (s0, s1, t0, t1)
 _C1 = (1.0, -8.0, 8.0, -1.0)
 _OFF1 = (-2.0, -1.0, 1.0, 2.0)
 _C2 = (-1.0, 16.0, -30.0, 16.0, -1.0)
+# positions of the _OFF1 offsets among the five stencil points -2h..2h
+_AT1 = (0, 1, 3, 4)
+
+
+class _V(NamedTuple):
+    """Components of a grid of vectors; the shared formulas read .x, .y, .z as of a Vec3."""
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+
+def _components(J: Jet2) -> Jet2:
+    """A grid jet with each (..., 3) array split into its three components."""
+    return Jet2(*(_V(a[..., 0], a[..., 1], a[..., 2])
+                  for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt)))
+
+
+def grid_vectors(x, y, z) -> np.ndarray:
+    """(..., 3) array of three broadcastable component arrays or floats."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def stack_rows(vectors) -> np.ndarray:
+    """(n, 1, 3) array of n Vec3, one per s row, to broadcast over t."""
+    return np.array([v.as_tuple() for v in vectors]).reshape(-1, 1, 3)
+
+
+def power_each(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent taken per element as a Python float.
+
+    np.power does not always round as float.__pow__ does, and it does not
+    raise OverflowError; this keeps both.
+    """
+    return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+
+
+def abs_max(values: np.ndarray) -> float:
+    """max(|value|) as a running builtin max from 0.0 gives it: NaN entries are skipped."""
+    return max(0.0, float(np.fmax.reduce(np.abs(values), axis=None)))
 
 
 class ParamSurface:
@@ -61,40 +128,59 @@ class ParamSurface:
 
     Construct with :meth:`exact` when analytic jets are available, or with
     :meth:`finite_difference` to differentiate a point evaluator numerically.
+    An exact surface gives ``jet_fn(s, t)``, or ``grid_fn(S, T)``, its jets on
+    the product grid of 1-D arrays S and T as a Jet2 of broadcastable
+    (ns, nt, 3) arrays, or both, bitwise equal at every point.  Without a
+    grid_fn, :meth:`grid_jets` packs the pointwise jets into arrays; without a
+    jet_fn, :meth:`jet` reads a grid of one point.
     """
 
     def __init__(self, domain: Rect, jet_fn=None, point_fn=None, fd_step=None,
-                 allow_overhang: bool = False):
+                 allow_overhang: bool = False, grid_fn=None):
         s0, s1, t0, t1 = domain
         if not (s1 > s0 and t1 > t0):
             raise ValueError(f"bad domain rectangle {domain}")
         self.domain: Rect = (float(s0), float(s1), float(t0), float(t1))
-        self._jet_fn = jet_fn
+        self._jet_fn = jet_fn if jet_fn is not None or grid_fn is None else self._grid_jet
         self._point_fn = point_fn
+        self._grid_fn = grid_fn
         if point_fn is not None and fd_step is None:
             fd_step = 1e-4 * math.hypot(s1 - s0, t1 - t0)
         self.fd_step = fd_step
         self.allow_overhang = allow_overhang
 
     @classmethod
-    def exact(cls, domain: Rect, jet_fn: Callable[[float, float], Jet2]) -> "ParamSurface":
-        return cls(domain, jet_fn=jet_fn)
+    def exact(cls, domain: Rect, jet_fn: Callable[[float, float], Jet2] | None = None,
+              grid_fn: Callable[[np.ndarray, np.ndarray], Jet2] | None = None) -> "ParamSurface":
+        if jet_fn is None and grid_fn is None:
+            raise ValueError("an exact surface needs a jet_fn or a grid_fn")
+        return cls(domain, jet_fn=jet_fn, grid_fn=grid_fn)
 
     @classmethod
     def finite_difference(cls, domain: Rect, point_fn: Callable[[float, float], Vec3],
                           h: float | None = None, allow_overhang: bool = False) -> "ParamSurface":
         return cls(domain, point_fn=point_fn, fd_step=h, allow_overhang=allow_overhang)
 
-    def _check_domain(self, s: float, t: float) -> None:
+    def _bounds(self) -> tuple[tuple[float, float, float, float], tuple | None]:
+        """The rectangle grown by the check slack, and shrunk by the FD margin if one applies."""
         s0, s1, t0, t1 = self.domain
         slack = 1e-12 * (1.0 + abs(s1 - s0) + abs(t1 - t0))
-        if not (s0 - slack <= s <= s1 + slack and t0 - slack <= t <= t1 + slack):
+        outer = (s0 - slack, s1 + slack, t0 - slack, t1 + slack)
+        if self._jet_fn is not None or self.allow_overhang:
+            return outer, None
+        m = 2.0 * self.fd_step
+        return outer, (s0 + m - slack, s1 - m + slack, t0 + m - slack, t1 - m + slack)
+
+    def _check_domain(self, s: float, t: float) -> None:
+        (a0, a1, b0, b1), inner_box = self._bounds()
+        if not (a0 <= s <= a1 and b0 <= t <= b1):
             raise OutOfDomain(f"(s,t)=({s},{t}) outside {self.domain}")
-        if self._jet_fn is None and not self.allow_overhang:
-            m = 2.0 * self.fd_step
-            if not (s0 + m - slack <= s <= s1 - m + slack and t0 + m - slack <= t <= t1 - m + slack):
+        if inner_box is not None:
+            c0, c1, d0, d1 = inner_box
+            if not (c0 <= s <= c1 and d0 <= t <= d1):
                 raise OutOfDomain(
-                    f"finite-difference jets need an interior margin of 2h={m}; got (s,t)=({s},{t})"
+                    f"finite-difference jets need an interior margin of 2h={2.0 * self.fd_step}; "
+                    f"got (s,t)=({s},{t})"
                 )
 
     def jet(self, s: float, t: float) -> Jet2:
@@ -135,19 +221,173 @@ class ParamSurface:
         Xst = acc / (144.0 * h * h)
         return Jet2(X, Xs, Xt, Xss, Xst, Xtt)
 
+    def grid_jets(self, S: np.ndarray, T: np.ndarray) -> Jet2:
+        """Jets on the product grid of 1-D arrays S and T, as (ns, nt, 3) arrays.
+
+        Bitwise equal to :meth:`jet` at every point.  The domain check is
+        :meth:`jet`'s, and a point outside raises its OutOfDomain; so does a
+        non-finite jet component, which :meth:`jet` rejects through Vec3.
+        """
+        S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+        (a0, a1, b0, b1), inner_box = self._bounds()
+        bad_s = ~((a0 <= S) & (S <= a1))
+        bad_t = ~((b0 <= T) & (T <= b1))
+        if inner_box is not None:
+            c0, c1, d0, d1 = inner_box
+            bad_s |= ~((c0 <= S) & (S <= c1))
+            bad_t |= ~((d0 <= T) & (T <= d1))
+        if bad_s.any() or bad_t.any():
+            for s in S.tolist():
+                for t in T.tolist():
+                    self._check_domain(s, t)
+        J = self._grid_jets(S, T)
+        finite = np.ones((len(S), len(T)), dtype=bool)
+        for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt):
+            finite &= np.isfinite(a).all(axis=-1)
+        if not finite.all():
+            i, j = np.unravel_index(np.argmin(finite), finite.shape)
+            self.jet(float(S[i]), float(T[j]))
+            raise ValueError(f"non-finite jet at (s,t)=({S[i]},{T[j]})")
+        return J
+
+    def _grid_jet(self, s: float, t: float) -> Jet2:
+        """The jet at (s, t) read from a grid of that one point."""
+        J = self._grid_fn(np.array([s], dtype=float), np.array([t], dtype=float))
+        return Jet2(*(Vec3(*np.broadcast_to(a, (1, 1, 3))[0, 0].tolist())
+                      for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt)))
+
+    def _grid_jets(self, S: np.ndarray, T: np.ndarray) -> Jet2:
+        """:meth:`grid_jets` without its checks, like :meth:`jet_unchecked`."""
+        if self._grid_fn is not None:
+            return self._grid_fn(S, T)
+        if self._jet_fn is None:
+            h = self.fd_step
+            S5, T5 = _stencil_axis(S, h), _stencil_axis(T, h)
+            return _fd_stencils(_pack(self._point_fn, S5, T5), h)
+        fn = self._jet_fn
+        rows = []
+        for s in S.tolist():
+            for t in T.tolist():
+                j = fn(s, t)
+                rows.append((j.X.as_tuple(), j.Xs.as_tuple(), j.Xt.as_tuple(),
+                             j.Xss.as_tuple(), j.Xst.as_tuple(), j.Xtt.as_tuple()))
+        A = np.array(rows).reshape(len(S), len(T), 6, 3)
+        return Jet2(*(A[:, :, k] for k in range(6)))
+
+
+def _pack(point_fn, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(ns, nt, 3) array of a Vec3 point function on the product grid of S and T."""
+    pts = [point_fn(s, t).as_tuple() for s in S.tolist() for t in T.tolist()]
+    return np.array(pts).reshape(len(S), len(T), 3)
+
+
+def _stencil_axis(S: np.ndarray, h: float) -> np.ndarray:
+    """s - 2h, s - h, s, s + h, s + 2h for each s in turn, rounded as _fd_jet rounds them."""
+    out = np.empty((len(S), 5))
+    out[:, 2] = S
+    for k, o in zip(_AT1, _OFF1):
+        out[:, k] = S + o * h
+    return out.ravel()
+
+
+def _fd_stencils(P: np.ndarray, h: float) -> Jet2:
+    """_fd_jet's stencil sums, in its operation order, on a product grid of points.
+
+    P is (5 ns, 5 nt, 3) over the :func:`_stencil_axis` of the nodes' s and t:
+    P[5i + a, 5j + b] is the point at offset (a - 2, b - 2) h from node (i, j).
+    """
+    P = P.reshape(P.shape[0] // 5, 5, P.shape[1] // 5, 5, 3)
+    X = P[:, 2, :, 2]
+    row = [P[:, a, :, 2] for a in _AT1]
+    col = [P[:, 2, :, b] for b in _AT1]
+    Xs = (_C1[0] * row[0] + _C1[1] * row[1] + _C1[2] * row[2] + _C1[3] * row[3]) / (12.0 * h)
+    Xt = (_C1[0] * col[0] + _C1[1] * col[1] + _C1[2] * col[2] + _C1[3] * col[3]) / (12.0 * h)
+    hh = 12.0 * h * h
+    second = []
+    for line in ([row[0], row[1], X, row[2], row[3]], [col[0], col[1], X, col[2], col[3]]):
+        acc = 0.0  # the Vec3(0, 0, 0) start of _fd_jet's sum
+        for k in range(5):
+            acc = acc + _C2[k] * line[k]
+        second.append(acc / hh)
+    acc = 0.0
+    for i, a in enumerate(_AT1):
+        for j, b in enumerate(_AT1):
+            acc = acc + (_C1[i] * _C1[j]) * P[:, a, :, b]
+    return Jet2(X, Xs, Xt, second[0], acc / (144.0 * h * h), second[1])
+
 
 def jet(surf: ParamSurface, s: float, t: float) -> Jet2:
     """Jet of the surface at (s, t); OutOfDomain outside the rectangle."""
     return surf.jet(s, t)
 
 
-def _first_form(m: Metric, j: Jet2) -> tuple[float, float, float, float]:
-    """E, F, G and W2 = EG - F^2 at a jet; DegenerateMetric below the regularity floor."""
-    E = inner(m, j.Xs, j.Xs)
-    F = inner(m, j.Xs, j.Xt)
-    G = inner(m, j.Xt, j.Xt)
-    W2 = E * G - F * F
-    floor = REGULARITY_FLOOR * (E * E + G * G + 1.0)
+# ---------------------------------------------------------------------------
+# formulas on vector components: Vec3 floats or _V arrays alike
+# ---------------------------------------------------------------------------
+
+def _first_form(m: Metric, Xs, Xt):
+    """E, F, G and W2 = EG - F^2."""
+    E = inner(m, Xs, Xs)
+    F = inner(m, Xs, Xt)
+    G = inner(m, Xt, Xt)
+    return E, F, G, E * G - F * F
+
+
+def _form_floor(E, G):
+    """The regularity floor of |EG - F^2| and of |Xs x Xt|^2."""
+    return REGULARITY_FLOOR * (E * E + G * G + 1.0)
+
+
+def _bracket(E, F, G, j: Jet2):
+    """G(Xs,Xt,Xss) - 2F(Xs,Xt,Xst) + E(Xs,Xt,Xtt)."""
+    return (
+        G * triple(j.Xs, j.Xt, j.Xss)
+        - 2.0 * F * triple(j.Xs, j.Xt, j.Xst)
+        + E * triple(j.Xs, j.Xt, j.Xtt)
+    )
+
+
+def _normal_parts(m: Metric, Xs, Xt):
+    """Xs x Xt, its |<c, c>| and the floor that must not exceed it."""
+    cx = Xs.y * Xt.z - Xs.z * Xt.y
+    cy = Xs.z * Xt.x - Xs.x * Xt.z
+    cz = Xs.x * Xt.y - Xs.y * Xt.x
+    c = _V(cx, cy, cz if m is Metric.EUCLIDEAN else -cz)
+    return c, abs(inner(m, c, c)), _form_floor(inner(m, Xs, Xs), inner(m, Xt, Xt))
+
+
+def _max_abs(X):
+    if isinstance(X, Vec3):
+        return X.max_abs()
+    return np.maximum(np.maximum(abs(X.x), abs(X.y)), abs(X.z))
+
+
+def _off_halfspace(m: Metric, q, X):
+    """Where <X, v> = q leaves the admissible region: q <= 0, or numerically lightlike in L^3."""
+    if m is Metric.EUCLIDEAN:
+        return q <= 0.0
+    return abs(q) <= 1e-12 * (1.0 + _max_abs(X))
+
+
+def _residual(m: Metric, alpha: float, q, E, F, G, W2, j: Jet2, v: Vec3):
+    eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
+    return _bracket(E, F, G, j) - eps_hat * alpha * (W2 / q) * triple(j.Xs, j.Xt, v)
+
+
+def _energy_term(m: Metric, weight, q, W2, alpha: float, power, sqrt):
+    """weight * <X,v>^alpha * sqrt|EG - F^2|, with |<X,v>_L| in L^3."""
+    base = abs(q) if m is Metric.LORENTZIAN else q
+    return weight * power(base, alpha) * sqrt(abs(W2))
+
+
+# ---------------------------------------------------------------------------
+# pointwise API
+# ---------------------------------------------------------------------------
+
+def _regular_first_form(m: Metric, j: Jet2) -> tuple[float, float, float, float]:
+    """E, F, G and W2 at a jet; DegenerateMetric below the regularity floor."""
+    E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
+    floor = _form_floor(E, G)
     if abs(W2) < floor:
         raise DegenerateMetric(f"|EG - F^2| = {abs(W2)} below floor {floor}")
     return E, F, G, W2
@@ -155,7 +395,7 @@ def _first_form(m: Metric, j: Jet2) -> tuple[float, float, float, float]:
 
 def fundamental_forms(m: Metric, j: Jet2) -> FundamentalForms:
     """First and second fundamental form coefficients at a jet."""
-    E, F, G, W2 = _first_form(m, j)
+    E, F, G, W2 = _regular_first_form(m, j)
     root = math.sqrt(abs(W2))
     e = triple(j.Xs, j.Xt, j.Xss) / root
     f = triple(j.Xs, j.Xt, j.Xst) / root
@@ -170,22 +410,16 @@ def fundamental_forms(m: Metric, j: Jet2) -> FundamentalForms:
 
 def curvature_bracket(forms: FundamentalForms, j: Jet2) -> float:
     """G(Xs,Xt,Xss) - 2F(Xs,Xt,Xst) + E(Xs,Xt,Xtt), the numerator of the mean curvature."""
-    return (
-        forms.G * triple(j.Xs, j.Xt, j.Xss)
-        - 2.0 * forms.F * triple(j.Xs, j.Xt, j.Xst)
-        + forms.E * triple(j.Xs, j.Xt, j.Xtt)
-    )
+    return _bracket(forms.E, forms.F, forms.G, j)
 
 
 def unit_normal(m: Metric, j: Jet2) -> Vec3:
     """Unit normal Xs x Xt / |Xs x Xt| in the given signature."""
-    c = cross(m, j.Xs, j.Xt)
-    n2 = abs(inner(m, c, c))
-    E = inner(m, j.Xs, j.Xs)
-    G = inner(m, j.Xt, j.Xt)
-    if n2 < REGULARITY_FLOOR * (E * E + G * G + 1.0):
+    c, n2, floor = _normal_parts(m, j.Xs, j.Xt)
+    if n2 < floor:
         raise DegenerateMetric("normal direction degenerates")
-    return c / math.sqrt(n2)
+    r = math.sqrt(n2)
+    return Vec3(c.x / r, c.y / r, c.z / r)
 
 
 def mean_curvature(m: Metric, j: Jet2) -> float:
@@ -217,12 +451,10 @@ def require_unit_direction(m: Metric, v: Vec3) -> None:
 
 def _position_inner(m: Metric, X: Vec3, v: Vec3) -> float:
     q = inner(m, X, v)
-    if m is Metric.EUCLIDEAN:
-        if q <= 0.0:
+    if _off_halfspace(m, q, X):
+        if m is Metric.EUCLIDEAN:
             raise HalfspaceViolation(f"<X, v> = {q} <= 0")
-    else:
-        if abs(q) <= 1e-12 * (1.0 + X.max_abs()):
-            raise HalfspaceViolation(f"<X, v>_L = {q} is numerically zero")
+        raise HalfspaceViolation(f"<X, v>_L = {q} is numerically zero")
     return q
 
 
@@ -243,11 +475,129 @@ def singular_residual(m: Metric, surf: ParamSurface, s: float, t: float, v: Vec3
     require_unit_direction(m, v)
     j = surf.jet(s, t)
     q = _position_inner(m, j.X, v)
-    forms = fundamental_forms(m, j)
-    if m is Metric.LORENTZIAN and forms.eps != -1:
+    E, F, G, W2 = _regular_first_form(m, j)
+    # not (W2 > 0) is eps = <N,N>_L != -1, NaN included
+    if m is Metric.LORENTZIAN and not W2 > 0.0:
         raise NotSpacelike(f"surface not spacelike at (s,t)=({s},{t})")
-    eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
-    return curvature_bracket(forms, j) - eps_hat * alpha * (forms.W2 / q) * triple(j.Xs, j.Xt, v)
+    return _residual(m, alpha, q, E, F, G, W2, j, v)
+
+
+def _energy_cell(m: Metric, surf: ParamSurface, s: float, t: float, v: Vec3,
+                 alpha: float) -> float:
+    """One term of :func:`potential_energy` at unit weight, with its pointwise checks."""
+    j = surf.jet(s, t)
+    q = _position_inner(m, j.X, v)
+    W2 = _regular_first_form(m, j)[3]
+    if m is Metric.LORENTZIAN and W2 < 0.0:
+        raise NotSpacelike(f"surface not spacelike at ({s},{t})")
+    return _energy_term(m, 1.0, q, W2, alpha, operator.pow, math.sqrt)
+
+
+# ---------------------------------------------------------------------------
+# grid API
+# ---------------------------------------------------------------------------
+
+# what a grid block raises where the pointwise API raises: a domain failure,
+# a Vec3 of non-finite components, an overflowing power
+_CELL_ERRORS = (GeometryError, ValueError, ArithmeticError)
+
+
+class _Masked(Exception):
+    """A grid block holds a cell that the pointwise API rejects."""
+
+    def __init__(self, index: int):
+        super().__init__(f"cell {index} of a grid block is flagged, "
+                         "but the pointwise evaluation accepts it")
+        self.index = index
+
+
+def _first_true(mask: np.ndarray, shape: tuple[int, int]) -> int:
+    """Row-major index of the first True of mask broadcast to shape; the size if none."""
+    flat = np.broadcast_to(mask, shape).ravel()
+    k = int(np.argmax(flat))
+    return k if flat[k] else flat.size
+
+
+def _replay(cell, S: np.ndarray, T: np.ndarray, start: int, exc: Exception):
+    """Evaluate the block pointwise from row-major index start, to raise its first failure.
+
+    The exception is the pointwise API's own, with ``cell = (s, t)`` added.
+    """
+    s_list, t_list = S.tolist(), T.tolist()
+    nt = len(t_list)
+    for k in range(start, len(s_list) * nt):
+        s, t = s_list[k // nt], t_list[k % nt]
+        try:
+            cell(s, t)
+        except _CELL_ERRORS as err:
+            err.cell = (s, t)
+            raise
+    raise exc
+
+
+def _blocks(S: np.ndarray, T: np.ndarray, evaluate, cell):
+    """(rows, evaluate(rows)) for blocks of rows of the grid S x T, in order.
+
+    A block whose evaluation raises is evaluated again pointwise through
+    cell(s, t) in row-major order, from the flagged cell for a _Masked and
+    from the block's start otherwise, so the grid fails where and as the
+    pointwise loop fails.
+    """
+    step = max(1, GRID_BLOCK // len(T))
+    for i in range(0, len(S), step):
+        rows = slice(i, i + step)
+        try:
+            # cells that the masks reject may overflow or divide by zero
+            with np.errstate(all="ignore"):
+                out = evaluate(rows)
+        except _Masked as exc:
+            _replay(cell, S[rows], T, exc.index, exc)
+        except _CELL_ERRORS as exc:
+            _replay(cell, S[rows], T, 0, exc)
+        yield rows, out
+
+
+def _residual_block(m: Metric, J: Jet2, v: Vec3, alpha: float,
+                    shape: tuple[int, int]) -> np.ndarray:
+    j = _components(J)
+    q = inner(m, j.X, v)
+    E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
+    bad = _off_halfspace(m, q, j.X) | (abs(W2) < _form_floor(E, G))
+    if m is Metric.LORENTZIAN:
+        bad = bad | ~(W2 > 0.0)
+    k = _first_true(bad, shape)
+    if k < shape[0] * shape[1]:
+        raise _Masked(k)
+    return np.broadcast_to(_residual(m, alpha, q, E, F, G, W2, j, v), shape)
+
+
+def singular_residual_grid(m: Metric, surf: ParamSurface, S: np.ndarray, T: np.ndarray,
+                           v: Vec3, alpha: float) -> np.ndarray:
+    """:func:`singular_residual` on the product grid of S and T, as an (ns, nt) array.
+
+    Bitwise equal to the pointwise residual at every cell.  The first cell in
+    row-major order that the pointwise residual rejects raises its exception,
+    with ``cell = (s, t)`` set on it.
+    """
+    require_unit_direction(m, v)
+    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    out = np.empty((len(S), len(T)))
+    for rows, R in _blocks(
+            S, T, lambda rows: _residual_block(m, surf.grid_jets(S[rows], T), v, alpha,
+                                               out[rows].shape),
+            lambda s, t: singular_residual(m, surf, s, t, v, alpha)):
+        out[rows] = R
+    return out
+
+
+def grid_points(surf: ParamSurface, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Surface points on the product grid of S and T, as an (ns, nt, 3) array."""
+    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
+    out = np.empty((len(S), len(T), 3))
+    for rows, X in _blocks(S, T, lambda rows: surf.grid_jets(S[rows], T).X,
+                           lambda s, t: surf.jet(s, t)):
+        out[rows] = X
+    return out
 
 
 def _trapezoid_nodes(a: float, b: float, n: int) -> tuple[list[float], list[float]]:
@@ -261,32 +611,49 @@ def _trapezoid_nodes(a: float, b: float, n: int) -> tuple[list[float], list[floa
     return xs, ws
 
 
+def _quadrature(surf: ParamSurface, grid: tuple[int, int]):
+    """Trapezoid nodes S, T and the weight of each (s, t) node pair."""
+    s0, s1, t0, t1 = surf.domain
+    s_nodes, s_w = _trapezoid_nodes(s0, s1, grid[0])
+    t_nodes, t_w = _trapezoid_nodes(t0, t1, grid[1])
+    return np.array(s_nodes), np.array(t_nodes), np.array(s_w)[:, None] * np.array(t_w)
+
+
+def _energy_block(m: Metric, J: Jet2, v: Vec3, alpha: float, W: np.ndarray) -> np.ndarray:
+    """Energy terms of a block, in row-major order."""
+    j = _components(J)
+    q = inner(m, j.X, v)
+    E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
+    bad = _off_halfspace(m, q, j.X) | (abs(W2) < _form_floor(E, G))
+    if m is Metric.LORENTZIAN:
+        bad = bad | (W2 < 0.0)
+    k = _first_true(bad, W.shape)
+    if k < W.size:
+        raise _Masked(k)
+    q, W2 = np.broadcast_to(q, W.shape), np.broadcast_to(W2, W.shape)
+    return _energy_term(m, W, q, W2, alpha, power_each, np.sqrt).ravel()
+
+
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., left to right (np.sum would sum pairwise)."""
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+
+
 def potential_energy(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
                      grid: tuple[int, int] = (64, 64)) -> float:
     """Trapezoid quadrature of <X,v>^alpha * sqrt|EG - F^2| over the domain.
 
     In the Lorentzian signature the surface must be spacelike on the grid and
     |<X,v>_L|^alpha is integrated (the position inner product may be of either
-    sign away from zero).
+    sign away from zero).  Terms are added in row-major node order.
     """
     require_unit_direction(m, v)
-    s0, s1, t0, t1 = surf.domain
-    ns, nt = grid
-    s_nodes, s_w = _trapezoid_nodes(s0, s1, ns)
-    t_nodes, t_w = _trapezoid_nodes(t0, t1, nt)
+    S, T, W = _quadrature(surf, grid)
     total = 0.0
-    for si, swi in zip(s_nodes, s_w):
-        for tj, twj in zip(t_nodes, t_w):
-            j = surf.jet(si, tj)
-            q = _position_inner(m, j.X, v)
-            W2 = _first_form(m, j)[3]
-            if m is Metric.LORENTZIAN:
-                if W2 < 0.0:
-                    raise NotSpacelike(f"surface not spacelike at ({si},{tj})")
-                base = abs(q)
-            else:
-                base = q
-            total += swi * twj * base ** alpha * math.sqrt(abs(W2))
+    for _, terms in _blocks(
+            S, T, lambda rows: _energy_block(m, surf.grid_jets(S[rows], T), v, alpha, W[rows]),
+            lambda s, t: _energy_cell(m, surf, s, t, v, alpha)):
+        total = _add_in_order(total, terms)
     return total
 
 
@@ -300,7 +667,13 @@ def first_variation(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
     evaluable slightly outside its rectangle (analytic and spline evaluators
     are); for variations that keep the boundary fixed use a bump vanishing at
     the boundary.
+
+    Both energies are taken on one array pass over the stencil points, which
+    shares the base jets, normals and bump values.  If that pass meets any
+    cell the pointwise definition rejects, the two energies are taken again
+    one after the other, and the first rejected cell raises as it would there.
     """
+    require_unit_direction(m, v)
 
     def perturbed(sign: float):
         def point(s: float, t: float) -> Vec3:
@@ -310,6 +683,38 @@ def first_variation(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
 
         return ParamSurface.finite_difference(surf.domain, point, allow_overhang=True)
 
-    e_plus = potential_energy(m, perturbed(+1.0), v, alpha, grid=grid)
-    e_minus = potential_energy(m, perturbed(-1.0), v, alpha, grid=grid)
+    surfaces = (perturbed(+1.0), perturbed(-1.0))
+    try:
+        with np.errstate(all="ignore"):
+            e_plus, e_minus = _variation_energies(m, surf, v, alpha, bump, h, grid,
+                                                  surfaces[0].fd_step)
+    except (_Masked, *_CELL_ERRORS):
+        e_plus, e_minus = (potential_energy(m, p, v, alpha, grid=grid) for p in surfaces)
     return (e_plus - e_minus) / (2.0 * h)
+
+
+def _variation_energies(m: Metric, surf: ParamSurface, v: Vec3, alpha: float, bump,
+                        h: float, grid: tuple[int, int], fd_h: float) -> list[float]:
+    """E(X + h bump N) and E(X - h bump N) on arrays; raises on any rejected cell."""
+    S, T, W = _quadrature(surf, grid)
+    T5 = _stencil_axis(T, fd_h)
+    t5 = T5.tolist()
+    totals = [0.0, 0.0]
+    step = max(1, GRID_BLOCK // (25 * len(T)))
+    for i in range(0, len(S), step):
+        S5 = _stencil_axis(S[i:i + step], fd_h)
+        base = _components(surf._grid_jets(S5, T5))
+        c, n2, floor = _normal_parts(m, base.Xs, base.Xt)
+        if not np.all(n2 >= floor):
+            raise DegenerateMetric("normal direction degenerates")
+        r = np.sqrt(n2)
+        B = np.array([[bump(s, t) for t in t5] for s in S5.tolist()], dtype=float)
+        for k, sign in enumerate((1.0, -1.0)):
+            a = sign * h * B
+            P = grid_vectors(base.X.x + (c.x / r) * a, base.X.y + (c.y / r) * a,
+                             base.X.z + (c.z / r) * a)
+            if not np.isfinite(P).all():
+                raise ValueError("non-finite perturbed point")
+            terms = _energy_block(m, _fd_stencils(P, fd_h), v, alpha, W[i:i + step])
+            totals[k] = _add_in_order(totals[k], terms)
+    return totals

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import Metric, Vec3
 from .errors import Diverged, HalfspaceViolation
-from .surface import Jet2, ParamSurface, singular_residual
+from .surface import Jet2, ParamSurface, abs_max, grid_vectors, singular_residual_grid
 
 Z_FLOOR = 1e-9
 
@@ -244,6 +244,10 @@ def catenary_heights(shape: tuple[int, int] = (33, 17)) -> HeightField:
     return HeightField.from_function(lambda x, y: math.cosh(x), (-1.0, 1.0, 0.0, 1.0), shape)
 
 
+# (dx, dy) derivative orders of z, zx, zy, zxx, zxy, zyy
+_SPLINE_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
 def height_surface(h: HeightField) -> ParamSurface:
     """Exact-jet graph surface of the bicubic spline through the grid."""
     # scipy.interpolate costs most of the package import time, and only this
@@ -254,23 +258,22 @@ def height_surface(h: HeightField) -> ParamSurface:
         raise ValueError(f"a bicubic spline needs at least 4x4 heights, got {h.shape}")
     sp = RectBivariateSpline(h.xs, h.ys, h.z, kx=3, ky=3)
 
-    def jet_fn(s: float, t: float) -> Jet2:
-        z = float(sp(s, t, grid=False))
-        zx = float(sp(s, t, dx=1, grid=False))
-        zy = float(sp(s, t, dy=1, grid=False))
-        zxx = float(sp(s, t, dx=2, grid=False))
-        zxy = float(sp(s, t, dx=1, dy=1, grid=False))
-        zyy = float(sp(s, t, dy=2, grid=False))
+    def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
+        # grid=False on the flattened grid runs the one-point evaluation at each
+        # point; grid=True would call another fitpack routine
+        s, t = np.repeat(S, len(T)), np.tile(T, len(S))
+        z, zx, zy, zxx, zxy, zyy = (sp(s, t, dx=dx, dy=dy, grid=False).reshape(len(S), len(T))
+                                    for dx, dy in _SPLINE_ORDERS)
         return Jet2(
-            Vec3(s, t, z),
-            Vec3(1.0, 0.0, zx),
-            Vec3(0.0, 1.0, zy),
-            Vec3(0.0, 0.0, zxx),
-            Vec3(0.0, 0.0, zxy),
-            Vec3(0.0, 0.0, zyy),
+            grid_vectors(S[:, None], T[None, :], z),
+            grid_vectors(1.0, 0.0, zx),
+            grid_vectors(0.0, 1.0, zy),
+            grid_vectors(0.0, 0.0, zxx),
+            grid_vectors(0.0, 0.0, zxy),
+            grid_vectors(0.0, 0.0, zyy),
         )
 
-    return ParamSurface.exact((h.x0, h.x1, h.y0, h.y1), jet_fn)
+    return ParamSurface.exact((h.x0, h.x1, h.y0, h.y1), grid_fn=grid_fn)
 
 
 def height_residual_max(h: HeightField, alpha: float) -> float:
@@ -284,8 +287,6 @@ def height_residual_max(h: HeightField, alpha: float) -> float:
     v = Vec3(0.0, 0.0, 1.0)
     sx = (h.x1 - h.x0) * 0.08
     sy = (h.y1 - h.y0) * 0.08
-    worst = 0.0
-    for s in np.linspace(h.x0 + sx, h.x1 - sx, 48):
-        for t in np.linspace(h.y0 + sy, h.y1 - sy, 24):
-            worst = max(worst, abs(singular_residual(Metric.EUCLIDEAN, surf, s, t, v, alpha)))
-    return worst
+    S = np.linspace(h.x0 + sx, h.x1 - sx, 48)
+    T = np.linspace(h.y0 + sy, h.y1 - sy, 24)
+    return abs_max(singular_residual_grid(Metric.EUCLIDEAN, surf, S, T, v, alpha))

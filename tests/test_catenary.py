@@ -7,6 +7,7 @@ import pytest
 
 from singular_geom import catenary as cat
 from singular_geom.algebra import Metric, Vec3, inner
+from singular_geom.curves import rk4_step
 from singular_geom.errors import HalfspaceViolation, NoSolution, NotOrthogonal
 from singular_geom.surface import singular_residual
 
@@ -140,6 +141,45 @@ def test_halfspace_exit_row_and_s_column_match_reference():
     ref = np.array(rows)
     assert s.tolist() == ref[:, 0].tolist()
     assert np.abs(np.column_stack([u, y, th]) - ref[:, 1:]).max() <= 1e-13
+
+
+def _reference_states(alpha, length, step):
+    """integrate as one rk4_step of the catenary right-hand side per step, keeping
+    CatenaryState objects."""
+    n = max(1, int(round(length / step)))
+    h = length / n
+
+    def rhs(s, state):
+        _, y, theta = state
+        if y <= cat.Y_FLOOR:
+            raise HalfspaceViolation(f"y = {y} at s = {s} reached the halfspace floor")
+        c = math.cos(theta)
+        return (c, math.sin(theta), alpha * c / y)
+
+    states = [start()]
+    s, state = 0.0, (0.0, 1.0, 0.0)
+    for _ in range(n):
+        try:
+            state = rk4_step(rhs, s, state, h)
+        except HalfspaceViolation:
+            return states, True
+        if state[1] <= cat.Y_FLOOR:
+            return states, True
+        s += h
+        states.append(cat.CatenaryState(*state, s))
+    return states, False
+
+
+@pytest.mark.parametrize("alpha, length", [(1.5, 2.0), (-0.7, 1.2), (3.0, 2.0), (-2.0, 2.0)])
+def test_integrate_keeps_the_states_of_rk4_steps_bitwise(alpha, length):
+    path = cat.integrate(start(), alpha, length, 1e-3)
+    states, exited = _reference_states(alpha, length, 1e-3)
+    assert path.exited_halfspace == exited
+    assert repr(path.endpoint) == repr(states[-1])
+    # booleans, so that a failure does not diff thousands of rows
+    same_states = repr(path.states) == repr(states)
+    same_csv = path.to_csv() == cat.CatenaryPath(states, alpha, exited).to_csv()
+    assert same_states and same_csv
 
 
 def test_conserved_quantity_along_path():

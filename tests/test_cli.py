@@ -272,6 +272,14 @@ _HEIGHT_ROWS_5 = "1.0,1.0,1.0,1.0,1.0\n" + "1.0,1.5,1.5,1.5,1.0\n" * 3 + "1.0,1.
                  id="seed-config-negative"),
     pytest.param({}, ["variational", "--seed", "-1", "--init", "catenary"], None,
                  id="variational-seed-flag-negative"),
+    # a flag prefix is not the flag: --out here is not variational's --out-prefix
+    pytest.param({}, ["variational", "--grid", "5x5", "--steps", "1"], None,
+                 id="variational-out-is-not-out-prefix"),
+    pytest.param({}, ["sweep", "--n", "1", "--sam", "2", "--se", "4"], None,
+                 id="sweep-flag-prefixes"),
+    pytest.param({}, ["residual", "--surface", "helicoid", "--gr", "5x5"], None,
+                 id="residual-flag-prefix"),
+    pytest.param({}, ["residual", "--grid", "2001x2000"], None, id="grid-above-limit"),
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env):
     for name, text in files.items():
@@ -281,7 +289,35 @@ def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env)
     assert "Traceback" not in r.stderr
     problems = [ln for ln in r.stderr.splitlines() if "resolved config" not in ln]
     assert len(problems) == 1 and problems[0].startswith("error: "), r.stderr
-    assert not (tmp_path / "out.txt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("command", ["residual", "export-mesh", "variational"])
+def test_grid_limit_rejects_before_any_allocation(tmp_path, monkeypatch, capsys, command):
+    import tracemalloc
+
+    from singular_geom import cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a grid above the limit reached the evaluation")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_named_surface", must_not_run)
+    monkeypatch.setattr(cli, "catenary_heights", must_not_run)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--grid", "100000x100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == 1
+    assert peak < 1 << 20
+    problems = [ln for ln in capsys.readouterr().err.splitlines()
+                if "resolved config" not in ln]
+    assert problems == [f"error: grid '100000x100000' has 10000000000 points, "
+                        f"above the limit of {cli.MAX_GRID_POINTS}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, env, value", [
