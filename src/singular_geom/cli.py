@@ -14,6 +14,7 @@ found counterexample candidates; 5 descent diverged.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -367,7 +368,11 @@ def cmd_variational(args) -> int:
     elif cfg["init"] == "noisy":
         rng = np.random.default_rng(cfg["seed"])
         z = field.z.copy()
-        z[1:-1, 1:-1] *= 1.0 + cfg["noise"] * rng.standard_normal(z[1:-1, 1:-1].shape)
+        # an overflowing --noise is reported below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            z[1:-1, 1:-1] *= 1.0 + cfg["noise"] * rng.standard_normal(z[1:-1, 1:-1].shape)
+        if not np.all(np.isfinite(z)):
+            raise ConfigError(f"--noise {cfg['noise']!r} makes the starting heights non-finite")
         field = field.with_z(z)
     try:
         final, trace = descend(field, cfg["alpha"], cfg["steps"], cfg["rate"])
@@ -394,7 +399,9 @@ def _command(sub, name: str, func, help_text: str) -> _Parser:
     return p
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="singular-geom",
                      description="singular minimal/maximal surface toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

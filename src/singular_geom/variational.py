@@ -29,13 +29,6 @@ from .surface import Jet2, ParamSurface, abs_max, grid_vectors, singular_residua
 
 Z_FLOOR = 1e-9
 
-# glibc returns a freed heap top to the system past a trim threshold that
-# starts at 128 KiB and rises only when a larger block is freed.  On mid-size
-# grids the energy and gradient kernels make many temporaries just under that
-# size, so at the default every call page-faults them in again (about 40% of a
-# 161x81 descent).  Freeing one untouched 4 MiB block raises the threshold.
-np.empty(1 << 19)
-
 
 @dataclass
 class HeightField:
@@ -115,46 +108,123 @@ class HeightField:
                    float(meta["y1"]), z)
 
 
-def _triangle_quantities(h: HeightField):
-    """Per-triangle gradients, mean heights and slope factors of the interpolant.
+def _check_positive(z: np.ndarray) -> None:
+    if np.any(z <= 0.0):
+        raise HalfspaceViolation("height field must be positive")
+
+
+# the grid shape energy_and_gradient last ran on and its buffers for that shape
+_workspace: tuple[tuple[int, int], tuple[np.ndarray, ...]] = ((0, 0), ())
+
+
+def energy_and_gradient(z: np.ndarray, dx: float, dy: float, alpha: float,
+                        grad: np.ndarray | None = None) -> float:
+    """Energy of the piecewise-linear interpolant of the heights ``z`` on a
+    ``dx`` x ``dy`` grid and, when ``grad`` is given, its exact derivative
+    w.r.t. each interior height, written into ``grad`` (a C-contiguous array of
+    ``z``'s shape; boundary entries zero, because the boundary is pinned).
 
     Each cell [i,i+1]x[j,j+1] is split along its diagonal into a lower
     triangle on corners (i,j), (i+1,j), (i,j+1) and an upper triangle on
-    (i+1,j), (i+1,j+1), (i,j+1); the interpolant gradient is constant on each.
+    (i+1,j), (i+1,j+1), (i,j+1); the interpolant gradient (zx, zy) is constant
+    on each.  A triangle contributes area * zbar^alpha * S, with zbar its mean
+    corner height and S = sqrt(1 + zx^2 + zy^2).  Each quantity is computed
+    once per triangle family, in place in buffers kept from the last call on
+    the same grid shape, so a call on C-contiguous heights allocates nothing
+    grid-sized.  The heights must be positive; the caller checks.
     """
-    z = h.z
-    zL = z[:-1, :-1]
-    zR = z[1:, :-1]
-    zT = z[:-1, 1:]
-    zRT = z[1:, 1:]
-    lower = ((zR - zL) / h.dx, (zT - zL) / h.dy, (zL + zR + zT) / 3.0)
-    upper = ((zRT - zT) / h.dx, (zRT - zR) / h.dy, (zR + zRT + zT) / 3.0)
-    return lower, upper
+    global _workspace
+    nx, ny = z.shape
+    # Cell (i, j) is entry i*ny + j of each buffer, the flat index of its corner
+    # (i, j), so every operand below is a contiguous slice.  The entries with
+    # j = ny-1 pair a row's last node with the next row's first: they reach
+    # only boundary entries of grad, which are zeroed, and the energy sums the
+    # real cells alone.  On heights near 1e150 their slope across the grid can
+    # overflow where no real cell's does: numpy then warns, the results hold.
+    m = (nx - 1) * ny - 1
+    shape, buffers = _workspace
+    if shape != z.shape:
+        buffers = tuple(np.empty((nx - 1) * ny) for _ in range(6)) + (np.empty((nx - 1, ny - 1)),)
+        _workspace = (z.shape, buffers)
+    zx, zy, zb, S, p, t = (b[:m] for b in buffers[:6])
+    real_t = buffers[5].reshape(nx - 1, ny)[:, :-1]
+    cells = buffers[6]
+    zf = np.ravel(z)
+    zL, zR, zT, zRT = zf[:m], zf[ny:ny + m], zf[1:1 + m], zf[ny + 1:]
+    if grad is not None:
+        if grad.shape != z.shape or not grad.flags.c_contiguous:
+            raise ValueError("grad must be a C-contiguous array of the heights' shape")
+        grad.fill(0.0)
+        g = grad.reshape(-1)
+    area = 0.5 * dx * dy
+    total = 0.0
+    for lower in (True, False):
+        if lower:
+            np.subtract(zR, zL, out=zx)
+            np.subtract(zT, zL, out=zy)
+            np.add(zL, zR, out=zb)
+        else:
+            np.subtract(zRT, zT, out=zx)
+            np.subtract(zRT, zR, out=zy)
+            np.add(zR, zRT, out=zb)
+        zx /= dx
+        zy /= dy
+        zb += zT
+        zb /= 3.0
+        np.multiply(zx, zx, out=S)
+        S += 1.0
+        np.multiply(zy, zy, out=t)
+        S += t
+        np.sqrt(S, out=S)
+        np.power(zb, alpha, out=p)
+        np.multiply(p, S, out=t)
+        np.copyto(cells, real_t)
+        total += float(np.sum(cells))
+        if grad is None:
+            continue
+        # d/dz of a corner: dz = area * alpha * zbar^(alpha-1) * S / 3 (into zb)
+        # plus +-fx and +-fy, f = area * zbar^alpha / S * (zx / dx, zy / dy) (into
+        # zx and zy).  A stencil weight of 0 adds nothing, where a multiplied-out
+        # 0 * f would add NaN for an infinite f.  As |f| <= max(dx, dy) / 2 *
+        # zbar^alpha, f is finite wherever the energy is, on cells shorter than 2.
+        np.power(zb, alpha - 1.0, out=zb)
+        zb *= area * alpha
+        zb *= S
+        zb /= 3.0
+        p *= area
+        p /= S
+        zx *= p
+        zx /= dx
+        zy *= p
+        zy /= dy
+        dz, fx, fy = zb, zx, zy
+        if lower:
+            np.subtract(dz, fx, out=t)
+            t -= fy
+            g[:m] += t  # corner (i, j)
+            np.add(dz, fx, out=t)
+            g[ny:ny + m] += t  # (i+1, j)
+            np.add(dz, fy, out=t)
+            g[1:1 + m] += t  # (i, j+1)
+        else:
+            np.subtract(dz, fy, out=t)
+            g[ny:ny + m] += t  # (i+1, j)
+            np.add(dz, fx, out=t)
+            t += fy
+            g[ny + 1:] += t  # (i+1, j+1)
+            np.subtract(dz, fx, out=t)
+            g[1:1 + m] += t  # (i, j+1)
+    if grad is not None:
+        grad[0, :] = grad[-1, :] = 0.0
+        grad[:, 0] = grad[:, -1] = 0.0
+    return area * total
 
 
 def height_energy(h: HeightField, alpha: float) -> float:
     """Energy of the piecewise-linear interpolant: sum over triangles of
     area * zbar^alpha * sqrt(1 + |grad z|^2)."""
-    if np.any(h.z <= 0.0):
-        raise HalfspaceViolation("height field must be positive")
-    area = 0.5 * h.dx * h.dy
-    total = 0.0
-    for zx, zy, zb in _triangle_quantities(h):
-        total += float(np.sum(np.power(zb, alpha) * np.sqrt(1.0 + zx * zx + zy * zy)))
-    return area * total
-
-
-# corner index slices and the gradient stencil weights of each triangle family
-_LOWER_CORNERS = (
-    ((slice(None, -1), slice(None, -1)), -1.0, -1.0),  # (i, j)
-    ((slice(1, None), slice(None, -1)), 1.0, 0.0),     # (i+1, j)
-    ((slice(None, -1), slice(1, None)), 0.0, 1.0),     # (i, j+1)
-)
-_UPPER_CORNERS = (
-    ((slice(1, None), slice(None, -1)), 0.0, -1.0),    # (i+1, j)
-    ((slice(1, None), slice(1, None)), 1.0, 1.0),      # (i+1, j+1)
-    ((slice(None, -1), slice(1, None)), -1.0, 0.0),    # (i, j+1)
-)
+    _check_positive(h.z)
+    return energy_and_gradient(h.z, h.dx, h.dy, alpha)
 
 
 def interior_gradient(h: HeightField, alpha: float) -> np.ndarray:
@@ -163,20 +233,9 @@ def interior_gradient(h: HeightField, alpha: float) -> np.ndarray:
     Returned with the grid's shape; boundary entries are zero because the
     boundary is pinned.
     """
-    if np.any(h.z <= 0.0):
-        raise HalfspaceViolation("height field must be positive")
-    area = 0.5 * h.dx * h.dy
-    grad = np.zeros_like(h.z)
-    for (zx, zy, zb), corners in zip(_triangle_quantities(h), (_LOWER_CORNERS, _UPPER_CORNERS)):
-        S = np.sqrt(1.0 + zx * zx + zy * zy)
-        dz_term = area * alpha * np.power(zb, alpha - 1.0) * S / 3.0
-        zalpha = area * np.power(zb, alpha) / S
-        fx = zalpha * zx / h.dx
-        fy = zalpha * zy / h.dy
-        for sl, cx, cy in corners:
-            grad[sl] += dz_term + cx * fx + cy * fy
-    grad[0, :] = grad[-1, :] = 0.0
-    grad[:, 0] = grad[:, -1] = 0.0
+    _check_positive(h.z)
+    grad = np.empty(h.z.shape)
+    energy_and_gradient(h.z, h.dx, h.dy, alpha, grad)
     return grad
 
 
@@ -199,22 +258,27 @@ def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[Heig
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
     unstable = f"rate {rate} exceeds the stability threshold"
+    _check_positive(h.z)
     z = h.z.copy()
-    field = h.with_z(z)
+    dx, dy = h.dx, h.dy
+    grad = np.empty_like(z)
+    delta = np.empty_like(z)
     # a blow-up is reported by the finiteness checks below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = [height_energy(field, alpha)]
-        if not math.isfinite(trace[0]):
-            raise _diverged(f"energy of the starting field is {trace[0]}, not finite", [])
-        best = trace[0]
+        # one kernel call gives a field's energy and the gradient of the next step
+        energy = energy_and_gradient(z, dx, dy, alpha, grad if steps > 0 else None)
+        trace = [energy]
+        if not math.isfinite(energy):
+            raise _diverged(f"energy of the starting field is {energy}, not finite", [])
+        best = energy
         bad = 0
         for step in range(1, steps + 1):
-            g = interior_gradient(field, alpha)
-            z = np.maximum(z - rate * g, Z_FLOOR)
+            np.multiply(grad, rate, out=delta)
+            z -= delta
+            np.maximum(z, Z_FLOOR, out=z)
             if not np.all(np.isfinite(z)):
                 raise _diverged(f"heights became non-finite at step {step}; {unstable}", trace)
-            field = h.with_z(z)
-            energy = height_energy(field, alpha)
+            energy = energy_and_gradient(z, dx, dy, alpha, grad if step < steps else None)
             if not math.isfinite(energy):
                 raise _diverged(f"energy became non-finite at step {step}; {unstable}", trace)
             trace.append(energy)
@@ -228,7 +292,7 @@ def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[Heig
             else:
                 best = min(best, energy)
                 bad = 0
-    return field, trace
+    return h.with_z(z), trace
 
 
 def trace_to_csv(trace: list[float]) -> str:

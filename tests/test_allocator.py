@@ -1,0 +1,76 @@
+"""The height-field kernels allocate nothing grid-sized and do not depend on
+the C allocator's state: no page-fault churn whatever was imported first.
+
+CI also runs this file with MALLOC_TRIM_THRESHOLD_=0, glibc's most aggressive
+heap trimming.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
+import numpy as np
+import pytest
+from conftest import SRC
+
+from singular_geom.variational import catenary_heights, energy_and_gradient
+
+SHAPE = (161, 81)
+
+# warm-up, then five 100-step descents of noisy catenaries, as the CLI's
+# `variational --init noisy` runs them; prints the minor page faults of the five
+_DESCENTS = """
+import resource
+
+import numpy as np
+from singular_geom.variational import catenary_heights, descend
+
+
+def noisy(seed):
+    field = catenary_heights(shape={shape})
+    z = field.z.copy()
+    z[1:-1, 1:-1] *= 1.0 + 0.01 * np.random.default_rng(seed).standard_normal(z[1:-1, 1:-1].shape)
+    return field.with_z(z)
+
+
+descend(noisy(0), 1.0, 5, 0.12)
+fields = [noisy(seed) for seed in range(1, 6)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for field in fields:
+    descend(field, 1.0, 100, 0.12)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _noisy_heights():
+    field = catenary_heights(shape=SHAPE)
+    z = field.z.copy()
+    z[1:-1, 1:-1] *= 1.0 + 0.01 * np.random.default_rng(7).standard_normal(z[1:-1, 1:-1].shape)
+    return field.with_z(z)
+
+
+def test_second_kernel_call_allocates_less_than_one_grid():
+    h = _noisy_heights()
+    grad = np.empty(SHAPE)
+    energy_and_gradient(h.z, h.dx, h.dy, 1.0, grad)  # sizes the workspace
+    tracemalloc.start()
+    try:
+        energy_and_gradient(h.z, h.dx, h.dy, 1.0, grad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grad.nbytes
+
+
+@pytest.mark.parametrize("first_imports", [
+    "import singular_geom.variational",
+    "import scipy.interpolate\nimport numpy",
+], ids=["variational-first", "scipy-interpolate-first"])
+def test_descents_do_not_page_fault_in_any_import_order(tmp_path, first_imports):
+    code = first_imports + "\n" + _DESCENTS.format(shape=SHAPE)
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 2000

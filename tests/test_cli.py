@@ -387,3 +387,22 @@ def test_variational_non_finite_starting_energy_exits_5_without_warning(tmp_path
     assert problems == ["error: energy of the starting field is inf, not finite"]
     assert (tmp_path / "variational_trace.csv").read_text() == "step,energy\n"
     assert not (tmp_path / "variational_field.csv").exists()
+
+
+def test_variational_overflowing_noise_exits_1_without_warning(tmp_path, monkeypatch, capsys):
+    # --noise 1e308 overflows the noisy start: one error line naming the flag, no
+    # numpy warning and no artifact
+    from singular_geom import cli
+
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["variational", "--init", "noisy", "--noise", "1e308", "--seed", "3",
+                      "--grid", "3x3", "--steps", "1"])
+    assert info.value.code == 1
+    problems = [ln for ln in capsys.readouterr().err.splitlines()
+                if "resolved config" not in ln]
+    assert len(problems) == 1
+    assert problems[0].startswith("error: ") and "--noise" in problems[0]
+    assert list(tmp_path.iterdir()) == []

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singular_geom.errors import Diverged, HalfspaceViolation
 from singular_geom.variational import (
     HeightField,
     catenary_heights,
     descend,
+    energy_and_gradient,
     height_energy,
     height_residual_max,
     height_surface,
@@ -76,6 +79,87 @@ def test_gradient_matches_fd_probes():
     assert worst <= 1e-6
 
 
+# The two-pass kernels that energy_and_gradient replaced, kept as references:
+# one temporary per operation, the stencil weights multiplied out.
+
+def _reference_triangle_quantities(h):
+    z = h.z
+    zL = z[:-1, :-1]
+    zR = z[1:, :-1]
+    zT = z[:-1, 1:]
+    zRT = z[1:, 1:]
+    lower = ((zR - zL) / h.dx, (zT - zL) / h.dy, (zL + zR + zT) / 3.0)
+    upper = ((zRT - zT) / h.dx, (zRT - zR) / h.dy, (zR + zRT + zT) / 3.0)
+    return lower, upper
+
+
+def _reference_height_energy(h, alpha):
+    area = 0.5 * h.dx * h.dy
+    total = 0.0
+    for zx, zy, zb in _reference_triangle_quantities(h):
+        total += float(np.sum(np.power(zb, alpha) * np.sqrt(1.0 + zx * zx + zy * zy)))
+    return area * total
+
+
+_REFERENCE_LOWER_CORNERS = (
+    ((slice(None, -1), slice(None, -1)), -1.0, -1.0),
+    ((slice(1, None), slice(None, -1)), 1.0, 0.0),
+    ((slice(None, -1), slice(1, None)), 0.0, 1.0),
+)
+_REFERENCE_UPPER_CORNERS = (
+    ((slice(1, None), slice(None, -1)), 0.0, -1.0),
+    ((slice(1, None), slice(1, None)), 1.0, 1.0),
+    ((slice(None, -1), slice(1, None)), -1.0, 0.0),
+)
+
+
+def _reference_interior_gradient(h, alpha):
+    area = 0.5 * h.dx * h.dy
+    grad = np.zeros_like(h.z)
+    for (zx, zy, zb), corners in zip(_reference_triangle_quantities(h),
+                                     (_REFERENCE_LOWER_CORNERS, _REFERENCE_UPPER_CORNERS)):
+        S = np.sqrt(1.0 + zx * zx + zy * zy)
+        dz_term = area * alpha * np.power(zb, alpha - 1.0) * S / 3.0
+        zalpha = area * np.power(zb, alpha) / S
+        fx = zalpha * zx / h.dx
+        fy = zalpha * zy / h.dy
+        for sl, cx, cy in corners:
+            grad[sl] += dz_term + cx * fx + cy * fy
+    grad[0, :] = grad[-1, :] = 0.0
+    grad[:, 0] = grad[:, -1] = 0.0
+    return grad
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(3, 40), st.integers(3, 40)), min_size=2, max_size=3),
+       alpha=st.sampled_from([-2.0, -0.7, 0.0, 0.5, 1.0, 1.3, 2.0, 3.0]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_is_bitwise_the_reference(shapes, alpha, scale, seed):
+    # the first shape comes again last, after the workspace was resized for the others
+    rng = np.random.default_rng(seed)
+    for shape in [*shapes, shapes[0]]:
+        h = HeightField(-1.0, 1.0, 0.0, 1.0, scale * (0.2 + 3.0 * rng.random(shape)))
+        energy = _reference_height_energy(h, alpha)
+        ref = _reference_interior_gradient(h, alpha).view(np.int64)
+        grad = np.full(shape, math.nan)
+        assert energy_and_gradient(h.z, h.dx, h.dy, alpha, grad) == energy
+        assert np.array_equal(grad.view(np.int64), ref)
+        assert energy_and_gradient(h.z, h.dx, h.dy, alpha) == energy
+        assert height_energy(h, alpha) == energy
+        assert np.array_equal(interior_gradient(h, alpha).view(np.int64), ref)
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, lambda z: z[:, ::2]],
+                         ids=["fortran-order", "strided-view"])
+def test_kernel_takes_heights_in_any_memory_layout(layout):
+    base = 0.5 + np.random.default_rng(4).random((23, 34))
+    h = HeightField(-1.0, 1.0, 0.0, 1.0, layout(base))
+    assert height_energy(h, 1.3) == _reference_height_energy(h, 1.3)
+    ref = _reference_interior_gradient(h, 1.3)
+    assert np.array_equal(interior_gradient(h, 1.3).view(np.int64), ref.view(np.int64))
+
+
 def test_descend_identity_at_zero_rate():
     h = catenary_heights(shape=(17, 9))
     out, trace = descend(h, 1.0, 5, 0.0)
@@ -110,16 +194,16 @@ def test_descend_stops_at_the_first_non_finite_heights(monkeypatch):
 
     h = catenary_heights(shape=(9, 9))
     calls = []
-    exact = variational.interior_gradient
+    exact = variational.energy_and_gradient
 
-    def gradient(field, alpha):
+    def kernel(z, dx, dy, alpha, grad=None):
         calls.append(1)
-        g = exact(field, alpha)
+        energy = exact(z, dx, dy, alpha, grad)
         if len(calls) == 2:
-            g[4, 4] = -math.inf
-        return g
+            grad[4, 4] = -math.inf
+        return energy
 
-    monkeypatch.setattr(variational, "interior_gradient", gradient)
+    monkeypatch.setattr(variational, "energy_and_gradient", kernel)
     with pytest.raises(Diverged, match="heights became non-finite at step 2") as info:
         descend(h, 1.0, 10, 1e-3)
     assert len(info.value.trace) == 2
