@@ -196,6 +196,8 @@ def _parse_vec(text: str) -> Vec3:
         x, y, z = (float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"bad vector spec {text!r}; expected x,y,z")
+    if not all(math.isfinite(c) for c in (x, y, z)):
+        raise ConfigError(f"bad vector spec {text!r}; components must be finite")
     return Vec3(x, y, z)
 
 
@@ -339,15 +341,10 @@ def cmd_export_mesh(args) -> int:
     s0, s1, t0, t1 = surf.domain
     X = grid_points(surf, np.linspace(s0, s1, ns), np.linspace(t0, t1, nt))
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in X.reshape(-1, 3).tolist()]
-    # quads split into two triangles, counterclockwise as seen from Xs x Xt
-    for i in range(ns - 1):
-        for j in range(nt - 1):
-            a = i * nt + j + 1
-            b = (i + 1) * nt + j + 1
-            c = (i + 1) * nt + j + 2
-            d = i * nt + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+    # each quad, by its first corner a, split into two triangles,
+    # counterclockwise as seen from Xs x Xt
+    lines += [f"f {a} {a + nt} {a + nt + 1}\nf {a} {a + nt + 1} {a + 1}"
+              for a in range(1, (ns - 1) * nt) if a % nt]
     _write_text(cfg["out"], "\n".join(lines) + "\n")
     print(f"wrote {ns * nt} vertices, {2 * (ns - 1) * (nt - 1)} faces")
     return EXIT_OK

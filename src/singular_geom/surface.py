@@ -16,7 +16,9 @@ of the pointwise API and on the arrays of the grid API.  numpy's elementwise
 +, -, *, / and sqrt round as Python floats do, and every sum keeps its order,
 so a grid value is bitwise the pointwise value.  A grid cell that the
 pointwise API would reject is evaluated again by the pointwise API, which
-raises its exact exception.
+raises its exact exception.  The finite-difference stencil and the normal
+perturbation of the first variation are each written once, on arrays: the
+pointwise jet of a finite-difference surface is its stencil grid of one point.
 """
 from __future__ import annotations
 
@@ -132,7 +134,8 @@ class ParamSurface:
     the product grid of 1-D arrays S and T as a Jet2 of broadcastable
     (ns, nt, 3) arrays, or both, bitwise equal at every point.  Without a
     grid_fn, :meth:`grid_jets` packs the pointwise jets into arrays; without a
-    jet_fn, :meth:`jet` reads a grid of one point.
+    jet_fn, :meth:`jet` reads a grid of one point, as it does for a
+    finite-difference surface, whose grid jets are :func:`_fd_stencils` sums.
     """
 
     def __init__(self, domain: Rect, jet_fn=None, point_fn=None, fd_step=None,
@@ -141,11 +144,11 @@ class ParamSurface:
         if not (s1 > s0 and t1 > t0):
             raise ValueError(f"bad domain rectangle {domain}")
         self.domain: Rect = (float(s0), float(s1), float(t0), float(t1))
-        self._jet_fn = jet_fn if jet_fn is not None or grid_fn is None else self._grid_jet
+        self._jet_fn = jet_fn if jet_fn is not None else self._grid_jet
         self._point_fn = point_fn
         self._grid_fn = grid_fn
         if point_fn is not None and fd_step is None:
-            fd_step = 1e-4 * math.hypot(s1 - s0, t1 - t0)
+            fd_step = _fd_step(self.domain)
         self.fd_step = fd_step
         self.allow_overhang = allow_overhang
 
@@ -166,7 +169,7 @@ class ParamSurface:
         s0, s1, t0, t1 = self.domain
         slack = 1e-12 * (1.0 + abs(s1 - s0) + abs(t1 - t0))
         outer = (s0 - slack, s1 + slack, t0 - slack, t1 + slack)
-        if self._jet_fn is not None or self.allow_overhang:
+        if self._point_fn is None or self.allow_overhang:
             return outer, None
         m = 2.0 * self.fd_step
         return outer, (s0 + m - slack, s1 - m + slack, t0 + m - slack, t1 - m + slack)
@@ -185,41 +188,11 @@ class ParamSurface:
 
     def jet(self, s: float, t: float) -> Jet2:
         self._check_domain(s, t)
-        if self._jet_fn is not None:
-            return self._jet_fn(s, t)
-        return self._fd_jet(s, t)
+        return self._jet_fn(s, t)
 
     def jet_unchecked(self, s: float, t: float) -> Jet2:
         """Jet without the domain check, for stencils that overhang the rectangle."""
-        if self._jet_fn is not None:
-            return self._jet_fn(s, t)
-        return self._fd_jet(s, t)
-
-    def _fd_jet(self, s: float, t: float) -> Jet2:
-        p = self._point_fn
-        h = self.fd_step
-        # the 25 stencil points are taken one s offset at a time, so a point
-        # function that keeps its s-only work for the last s recomputes it 5 times
-        X = p(s, t)
-        col = [p(s, t + o * h) for o in _OFF1]
-        row, cross_pts = [], []
-        for o in _OFF1:
-            so = s + o * h
-            row.append(p(so, t))
-            cross_pts.append([p(so, t + oj * h) for oj in _OFF1])
-        Xs = (_C1[0] * row[0] + _C1[1] * row[1] + _C1[2] * row[2] + _C1[3] * row[3]) / (12.0 * h)
-        Xt = (_C1[0] * col[0] + _C1[1] * col[1] + _C1[2] * col[2] + _C1[3] * col[3]) / (12.0 * h)
-        row2 = [row[0], row[1], X, row[2], row[3]]
-        col2 = [col[0], col[1], X, col[2], col[3]]
-        hh = 12.0 * h * h
-        Xss = sum((_C2[k] * row2[k] for k in range(5)), Vec3(0, 0, 0)) / hh
-        Xtt = sum((_C2[k] * col2[k] for k in range(5)), Vec3(0, 0, 0)) / hh
-        acc = Vec3(0.0, 0.0, 0.0)
-        for i in range(4):
-            for j in range(4):
-                acc = acc + (_C1[i] * _C1[j]) * cross_pts[i][j]
-        Xst = acc / (144.0 * h * h)
-        return Jet2(X, Xs, Xt, Xss, Xst, Xtt)
+        return self._jet_fn(s, t)
 
     def grid_jets(self, S: np.ndarray, T: np.ndarray) -> Jet2:
         """Jets on the product grid of 1-D arrays S and T, as (ns, nt, 3) arrays.
@@ -251,8 +224,9 @@ class ParamSurface:
         return J
 
     def _grid_jet(self, s: float, t: float) -> Jet2:
-        """The jet at (s, t) read from a grid of that one point."""
-        J = self._grid_fn(np.array([s], dtype=float), np.array([t], dtype=float))
+        """The jet at (s, t) read from a grid of that one point; non-finite raises through Vec3."""
+        with np.errstate(all="ignore"):
+            J = self._grid_jets(np.array([s], dtype=float), np.array([t], dtype=float))
         return Jet2(*(Vec3(*np.broadcast_to(a, (1, 1, 3))[0, 0].tolist())
                       for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt)))
 
@@ -260,29 +234,27 @@ class ParamSurface:
         """:meth:`grid_jets` without its checks, like :meth:`jet_unchecked`."""
         if self._grid_fn is not None:
             return self._grid_fn(S, T)
-        if self._jet_fn is None:
-            h = self.fd_step
-            S5, T5 = _stencil_axis(S, h), _stencil_axis(T, h)
-            return _fd_stencils(_pack(self._point_fn, S5, T5), h)
-        fn = self._jet_fn
-        rows = []
-        for s in S.tolist():
-            for t in T.tolist():
-                j = fn(s, t)
-                rows.append((j.X.as_tuple(), j.Xs.as_tuple(), j.Xt.as_tuple(),
-                             j.Xss.as_tuple(), j.Xst.as_tuple(), j.Xtt.as_tuple()))
-        A = np.array(rows).reshape(len(S), len(T), 6, 3)
+        if self._point_fn is not None:
+            # s outer, so a point function's s-only work is done once per s
+            h, p = self.fd_step, self._point_fn
+            S5, T5 = _stencil_axis(S, h).tolist(), _stencil_axis(T, h).tolist()
+            P = np.array([p(s, t).as_tuple() for s in S5 for t in T5])
+            return _fd_stencils(P.reshape(len(S5), len(T5), 3), h)
+        jets = [self._jet_fn(s, t) for s in S.tolist() for t in T.tolist()]
+        A = np.array([(j.X.as_tuple(), j.Xs.as_tuple(), j.Xt.as_tuple(), j.Xss.as_tuple(),
+                       j.Xst.as_tuple(), j.Xtt.as_tuple()) for j in jets])
+        A = A.reshape(len(S), len(T), 6, 3)
         return Jet2(*(A[:, :, k] for k in range(6)))
 
 
-def _pack(point_fn, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """(ns, nt, 3) array of a Vec3 point function on the product grid of S and T."""
-    pts = [point_fn(s, t).as_tuple() for s in S.tolist() for t in T.tolist()]
-    return np.array(pts).reshape(len(S), len(T), 3)
+def _fd_step(domain: Rect) -> float:
+    """The default finite-difference step on a rectangle: 1e-4 of its diagonal."""
+    s0, s1, t0, t1 = domain
+    return 1e-4 * math.hypot(s1 - s0, t1 - t0)
 
 
 def _stencil_axis(S: np.ndarray, h: float) -> np.ndarray:
-    """s - 2h, s - h, s, s + h, s + 2h for each s in turn, rounded as _fd_jet rounds them."""
+    """s - 2h, s - h, s, s + h, s + 2h for each s in turn, each offset rounded as s + o*h."""
     out = np.empty((len(S), 5))
     out[:, 2] = S
     for k, o in zip(_AT1, _OFF1):
@@ -291,7 +263,7 @@ def _stencil_axis(S: np.ndarray, h: float) -> np.ndarray:
 
 
 def _fd_stencils(P: np.ndarray, h: float) -> Jet2:
-    """_fd_jet's stencil sums, in its operation order, on a product grid of points.
+    """4th-order central finite-difference jets on a product grid of stencil points.
 
     P is (5 ns, 5 nt, 3) over the :func:`_stencil_axis` of the nodes' s and t:
     P[5i + a, 5j + b] is the point at offset (a - 2, b - 2) h from node (i, j).
@@ -300,12 +272,12 @@ def _fd_stencils(P: np.ndarray, h: float) -> Jet2:
     X = P[:, 2, :, 2]
     row = [P[:, a, :, 2] for a in _AT1]
     col = [P[:, 2, :, b] for b in _AT1]
-    Xs = (_C1[0] * row[0] + _C1[1] * row[1] + _C1[2] * row[2] + _C1[3] * row[3]) / (12.0 * h)
-    Xt = (_C1[0] * col[0] + _C1[1] * col[1] + _C1[2] * col[2] + _C1[3] * col[3]) / (12.0 * h)
+    Xs, Xt = ((_C1[0] * d[0] + _C1[1] * d[1] + _C1[2] * d[2] + _C1[3] * d[3]) / (12.0 * h)
+              for d in (row, col))
     hh = 12.0 * h * h
     second = []
     for line in ([row[0], row[1], X, row[2], row[3]], [col[0], col[1], X, col[2], col[3]]):
-        acc = 0.0  # the Vec3(0, 0, 0) start of _fd_jet's sum
+        acc = 0.0  # a sum from +0.0, so a -0.0 first term gives +0.0
         for k in range(5):
             acc = acc + _C2[k] * line[k]
         second.append(acc / hh)
@@ -671,48 +643,56 @@ def first_variation(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
     Both energies are taken on one array pass over the stencil points, which
     shares the base jets, normals and bump values.  If that pass meets any
     cell the pointwise definition rejects, the two energies are taken again
-    one after the other, and the first rejected cell raises as it would there.
+    on two surfaces whose grid evaluator is the same perturbation, and the
+    first rejected cell raises as it would there.
     """
     require_unit_direction(m, v)
-
-    def perturbed(sign: float):
-        def point(s: float, t: float) -> Vec3:
-            j = surf.jet_unchecked(s, t)
-            n = unit_normal(m, j)
-            return j.X + (sign * h * bump(s, t)) * n
-
-        return ParamSurface.finite_difference(surf.domain, point, allow_overhang=True)
-
-    surfaces = (perturbed(+1.0), perturbed(-1.0))
+    fd_h = _fd_step(surf.domain)
     try:
         with np.errstate(all="ignore"):
-            e_plus, e_minus = _variation_energies(m, surf, v, alpha, bump, h, grid,
-                                                  surfaces[0].fd_step)
+            e_plus, e_minus = _variation_energies(m, surf, v, alpha, bump, h, grid, fd_h)
     except (_Masked, *_CELL_ERRORS):
-        e_plus, e_minus = (potential_energy(m, p, v, alpha, grid=grid) for p in surfaces)
+        def perturbed(scale: float) -> ParamSurface:
+            return ParamSurface.exact(surf.domain, grid_fn=lambda S, T: _fd_stencils(
+                _normal_perturbation(m, surf, bump, S, T, fd_h)(scale), fd_h))
+
+        e_plus, e_minus = (potential_energy(m, perturbed(sign * h), v, alpha, grid=grid)
+                           for sign in (1.0, -1.0))
     return (e_plus - e_minus) / (2.0 * h)
+
+
+def _normal_perturbation(m: Metric, surf: ParamSurface, bump, S: np.ndarray, T: np.ndarray,
+                         fd_h: float):
+    """scale -> the points X + scale*bump*N on the stencil grid of the nodes S x T.
+
+    Base jets, unit normals and bump values are evaluated once for every scale;
+    as in :func:`unit_normal`, only |Xs x Xt|^2 below its floor raises DegenerateMetric.
+    """
+    S5, T5 = _stencil_axis(S, fd_h), _stencil_axis(T, fd_h)
+    base = _components(surf._grid_jets(S5, T5))
+    c, n2, floor = _normal_parts(m, base.Xs, base.Xt)
+    if np.any(n2 < floor):
+        raise DegenerateMetric("normal direction degenerates")
+    r = np.sqrt(n2)
+    B = np.array([[bump(s, t) for t in T5.tolist()] for s in S5.tolist()], dtype=float)
+
+    def points(scale: float) -> np.ndarray:
+        a = scale * B
+        return grid_vectors(*(x + (n / r) * a for x, n in zip(base.X, c)))
+
+    return points
 
 
 def _variation_energies(m: Metric, surf: ParamSurface, v: Vec3, alpha: float, bump,
                         h: float, grid: tuple[int, int], fd_h: float) -> list[float]:
     """E(X + h bump N) and E(X - h bump N) on arrays; raises on any rejected cell."""
     S, T, W = _quadrature(surf, grid)
-    T5 = _stencil_axis(T, fd_h)
-    t5 = T5.tolist()
     totals = [0.0, 0.0]
     step = max(1, GRID_BLOCK // (25 * len(T)))
     for i in range(0, len(S), step):
-        S5 = _stencil_axis(S[i:i + step], fd_h)
-        base = _components(surf._grid_jets(S5, T5))
-        c, n2, floor = _normal_parts(m, base.Xs, base.Xt)
-        if not np.all(n2 >= floor):
-            raise DegenerateMetric("normal direction degenerates")
-        r = np.sqrt(n2)
-        B = np.array([[bump(s, t) for t in t5] for s in S5.tolist()], dtype=float)
+        points = _normal_perturbation(m, surf, bump, S[i:i + step], T, fd_h)
         for k, sign in enumerate((1.0, -1.0)):
-            a = sign * h * B
-            P = grid_vectors(base.X.x + (c.x / r) * a, base.X.y + (c.y / r) * a,
-                             base.X.z + (c.z / r) * a)
+            P = points(sign * h)
             if not np.isfinite(P).all():
                 raise ValueError("non-finite perturbed point")
             terms = _energy_block(m, _fd_stencils(P, fd_h), v, alpha, W[i:i + step])

@@ -280,6 +280,10 @@ _HEIGHT_ROWS_5 = "1.0,1.0,1.0,1.0,1.0\n" + "1.0,1.5,1.5,1.5,1.0\n" * 3 + "1.0,1.
     pytest.param({}, ["residual", "--surface", "helicoid", "--gr", "5x5"], None,
                  id="residual-flag-prefix"),
     pytest.param({}, ["residual", "--grid", "2001x2000"], None, id="grid-above-limit"),
+    pytest.param({}, ["residual", "--v", "nan,0,1"], None, id="v-flag-nan"),
+    pytest.param({}, ["residual", "--v", "1e400,0,1"], None, id="v-flag-overflows-to-inf"),
+    pytest.param({"cfg.json": '{"v": "inf,0,1"}'}, ["residual", "--config", "cfg.json"], None,
+                 id="config-v-inf"),
 ])
 def test_malformed_input_exits_1_with_one_error_line(tmp_path, files, args, env):
     for name, text in files.items():
@@ -345,6 +349,26 @@ def test_negative_seed_error_names_the_flag_and_value(tmp_path, monkeypatch, cap
                 if "resolved config" not in ln]
     assert len(problems) == 1 and problems[0].startswith("error: "), problems
     assert "--seed" in problems[0] and repr(value) in problems[0], problems
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["residual", "--v", "nan,0,1"], "nan,0,1"),
+    (["residual", "--v", "1e400,0,1"], "1e400,0,1"),
+    (["residual", "--config", "cfg.json"], "inf,0,1"),
+])
+def test_non_finite_vector_error_names_the_spec(tmp_path, monkeypatch, capsys, argv, spec):
+    # Vec3's own error named neither the flag nor the value given
+    from singular_geom import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"v": "inf,0,1"}')
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 1
+    problems = [ln for ln in capsys.readouterr().err.splitlines()
+                if "resolved config" not in ln]
+    assert problems == [f"error: bad vector spec {spec!r}; components must be finite"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):

@@ -360,6 +360,10 @@ def _variation_cases():
     cylinder = cat.catenary_cylinder(path, EZ, Vec3(0.0, 1.0, 0.0))
     sphere = cli.build_named_surface("sphere", 1.0)
     hyperboloid = cli.build_named_surface("hyperboloid", 1.0)
+    fold = ParamSurface.exact(
+        (-1.0, 1.0, 0.0, 1.0),
+        lambda s, t: Jet2(Vec3(s * s, t, 1.0 + 0.1 * t), Vec3(2.0 * s, 0.0, 0.0),
+                          Vec3(0.0, 1.0, 0.1), Vec3(2.0, 0.0, 0.0), ZERO, ZERO))
     return [
         ("cylinder-8x8", E, cylinder, 1.0, _bump(cylinder), 1e-3, (8, 8)),
         ("cylinder-kst", E, cylinder, 1.0, _bump(cylinder, 2, 1), 1e-3, (9, 7)),
@@ -371,6 +375,10 @@ def _variation_cases():
         ("halfspace", E, _plane(0.0, 0.5), 1.0, _bump(_plane(0.0, 0.5)), 1e-3, (5, 5)),
         ("sphere-lorentz", L, sphere, 1.0, _bump(sphere), 1e-3, (5, 5)),
         ("overflow", E, _plane(1.0, 0.0), 400.0, lambda s, t: 1e300 * s * t, 1e-3, (4, 4)),
+        # the normal of X = (s^2, t, 1 + 0.1t) degenerates at s = 0, a node
+        ("degenerate-normal", E, fold, 1.0, _bump(fold), 1e-3, (5, 5)),
+        # only E(X - h bump N) leaves the halfspace
+        ("halfspace-minus", E, _plane(5e-4, 0.0), 1.0, _bump(_plane(5e-4, 0.0)), 1e-3, (5, 5)),
     ]
 
 

@@ -1,6 +1,7 @@
 """Jets, fundamental forms, curvature, residuals, energy, first variation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,18 @@ def test_jet_out_of_domain():
     with pytest.raises(OutOfDomain):
         jet(fd, 0.005, 0.5)  # inside the rectangle but within the 2h stencil margin
     jet(fd, 0.5, 0.5)
+
+
+def test_fd_jet_overflow_raises_value_error_without_warning():
+    # the pointwise jet is read from a one-point stencil grid: the stencil sums
+    # overflow on numpy arrays, and the non-finite jet raises through Vec3
+    surf = ParamSurface.finite_difference(
+        (0, 1, 0, 1), lambda s, t: Vec3(s, t, 1e307 * (1 + 30 * s * s)), h=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for get in (surf.jet, surf.jet_unchecked):
+            with pytest.raises(ValueError, match="must be finite"):
+                get(0.5, 0.5)
 
 
 def test_fd_jets_fourth_order_convergence():

@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# Run one fixed list of CLI commands in two checkouts and compare every
+# artifact, stdout, stderr and exit code byte for byte.
+#
+#   tools/cli_bytes.sh BASE_TREE HEAD_TREE
+#
+# Each tree runs the list in a fresh directory of its own, with that tree's
+# src/ first on PYTHONPATH and relative output paths, so the resolved-config
+# lines on stderr match too.  Prints the differences and exits 1 if any byte
+# differs.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+  echo "usage: $0 BASE_TREE HEAD_TREE" >&2
+  exit 2
+fi
+
+COMMANDS=(
+  "catenary --alpha 2 --length 2 --step 1e-3 --out catenary.csv"
+  # leaves the halfplane: exit 2
+  "catenary --alpha -2 --length 2 --step 1e-3 --out catenary_halfspace.csv"
+  "residual --surface catenary-cylinder --grid 20x20 --out residual_catenary.csv"
+  "residual --surface catenary-cylinder --alpha -2 --grid 9x40 --out residual_catenary_m2.csv"
+  "residual --surface helicoid --grid 20x20 --out residual_helicoid.csv"
+  "residual --surface sphere --grid 12x9 --out residual_sphere.csv"
+  "residual --surface hyperboloid --metric lorentz --grid 20x20 --out residual_hyperboloid.csv"
+  "residual --surface lightlike-reference --grid 9x9 --out residual_lightlike.csv"
+  # a sphere is not spacelike: exit 3
+  "residual --surface sphere --metric lorentz --grid 12x9 --out residual_sphere_lorentz.csv"
+  "export-mesh --surface catenary-cylinder --grid 30x20 --out mesh.obj"
+  "sweep --metric euclid --class standard --n 5 --samples 4 --seed 9 --out sweep_euclid.json"
+  "sweep --metric lorentz --class nondegenerate --delta 1 --n 5 --samples 4 --seed 9 --out sweep_lorentz_p.json"
+  "sweep --metric lorentz --class nondegenerate --delta -1 --n 5 --samples 4 --seed 9 --out sweep_lorentz_m.json"
+  "sweep --metric lorentz --class lightlike --n 5 --samples 4 --seed 9 --out sweep_lightlike.json"
+  "variational --init noisy --noise 0.01 --seed 3 --grid 33x17 --steps 20 --out-prefix noisy"
+  "residual --surface file --file noisy_field.csv --grid 20x20 --out residual_file.csv"
+  # diverges: exit 5
+  "variational --rate 1e9 --steps 30 --grid 17x9 --out-prefix diverged"
+  # malformed grid: exit 1
+  "residual --grid 3x4x99 --out residual_bad_grid.csv"
+)
+
+run_all() {  # TREE OUT_DIR
+  local src k=0 code
+  src="$(cd "$1" && pwd)/src"
+  mkdir -p "$2"
+  for cmd in "${COMMANDS[@]}"; do
+    k=$((k + 1))
+    code=0
+    # $cmd is split on spaces on purpose: no argument in the list holds one
+    (cd "$2" && PYTHONPATH="$src" python3 -m singular_geom.cli $cmd \
+      >"cmd$k.stdout" 2>"cmd$k.stderr") || code=$?
+    echo "$code" >"$2/cmd$k.exit"
+  done
+}
+
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+run_all "$1" "$work/base"
+run_all "$2" "$work/head"
+if diff -r "$work/base" "$work/head"; then
+  echo "${#COMMANDS[@]} commands, $(ls "$work/head" | wc -l) files identical"
+else
+  echo "CLI bytes differ between $1 and $2" >&2
+  exit 1
+fi
