@@ -66,9 +66,6 @@ from .surface import (
 # |Q| floor for the lightlike class; valid data always has Q bounded away from 0.
 ZERO_Q_FLOOR = 1e-10
 
-# step of the central-difference stencils for P'(s) and Q'(s)
-DERIV_STEP = 1e-4
-
 # The sweep's alarm: a surface whose scaled coefficient maximum stays at or
 # below this value at every sample is a counterexample candidate.
 ALARM_THRESHOLD = 1e-6
@@ -463,8 +460,8 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
     """Coefficient vector of the residual polynomial in t at one s.
 
     The derivative P'(s) (and Q'(s) in the lightlike class) is taken by a
-    4th-order central difference with step 1e-4, since only values of the
-    frame functions are available numerically.
+    4th-order central difference with the step ``curves.FD_H1`` = 1e-4,
+    since only values of the frame functions are available numerically.
     """
     fr = frame(rs, s)  # checks first that rs is normalized
     require_unit_direction(rs.metric, v)
@@ -474,7 +471,7 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
     P, Q = fr.P, fr.Q
 
     if cls is DirectorClass.LORENTZ_LIGHTLIKE:
-        Qp = fd1(lambda u: frame(rs, u).Q, s, DERIV_STEP)
+        Qp = fd1(lambda u: frame(rs, u).Q, s)
         gp = rs.base.d1(s)
         gv = inner(m, gam, v)
         wv = inner(m, fr.w, v)
@@ -485,23 +482,18 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
         a2 = Qp * wv + 2.0 * alpha * Q * Q * (gpv + trip)
         return CoefficientVector((a0, a1, a2))
 
-    Pp = fd1(lambda u: frame(rs, u).P, s, DERIV_STEP)
+    Pp = fd1(lambda u: frame(rs, u).P, s)
     wv = inner(m, fr.w, v)
     wpv = inner(m, fr.wp, v)
     gv = inner(m, gam, v)
     dv = triple(fr.w, fr.wp, v)
 
-    if cls is DirectorClass.EUCLID_STANDARD:
-        a0 = alpha * P ** 3 * wpv + P * P * Q * gv
-        a1 = -alpha * P * P * dv + P * P * Q * wv + Pp * gv
-        a2 = alpha * P * wpv + Q * gv + Pp * wv
-        a3 = -alpha * dv + Q * wv
-    else:
-        d = float(rs.delta)
-        a0 = -alpha * P ** 3 * wpv + P * P * Q * gv
-        a1 = alpha * d * P * P * dv + P * P * Q * wv - Pp * gv
-        a2 = alpha * P * wpv - Q * gv - Pp * wv
-        a3 = -alpha * d * dv - Q * wv
+    # the class signs as exact factors: e = -1 and d = delta in the Lorentz class
+    e, d = (1.0, 1.0) if cls is DirectorClass.EUCLID_STANDARD else (-1.0, float(rs.delta))
+    a0 = e * alpha * P ** 3 * wpv + P * P * Q * gv
+    a1 = -e * alpha * d * P * P * dv + P * P * Q * wv + e * Pp * gv
+    a2 = alpha * P * wpv + e * Q * gv + e * Pp * wv
+    a3 = -alpha * d * dv + e * Q * wv
     return CoefficientVector((a0, a1, a2, a3))
 
 

@@ -14,9 +14,11 @@ the curvature bracket, the unit normal, the residual and the energy integrand
 are each written once on vector components, so one body runs on the floats
 of the pointwise API and on the arrays of the grid API.  numpy's elementwise
 +, -, *, / and sqrt round as Python floats do, and every sum keeps its order,
-so a grid value is bitwise the pointwise value.  A grid cell that the
-pointwise API would reject is evaluated again by the pointwise API, which
-raises its exact exception.  The finite-difference stencil and the normal
+so a grid value is bitwise the pointwise value.  A grid is evaluated in
+blocks of at most ``GRID_BLOCK`` points, and a block that holds a cell the
+pointwise API would reject, or whose arithmetic raises, is evaluated again by
+the pointwise API from its first cell, so the grid raises the exact exception
+of the row-major pointwise loop.  The finite-difference stencil and the normal
 perturbation of the first variation are each written once, on arrays: the
 pointwise jet of a finite-difference surface is its stencil grid of one point.
 """
@@ -44,8 +46,9 @@ REGULARITY_FLOOR = 1e-14
 # Relative tolerance for "v is a unit (timelike) direction" checks.
 UNIT_TOL = 1e-9
 
-# Grid points per evaluation block: the grid functions hold the arrays of one
-# block of s rows at a time, not of the whole grid.
+# Most grid points per evaluation block: the grid functions hold the arrays of
+# one block at a time, whole s rows or a chunk of one longer row, not of the
+# whole grid, and a failed block replays at most this many cells pointwise.
 GRID_BLOCK = 4096
 
 
@@ -213,7 +216,8 @@ class ParamSurface:
             for s in S.tolist():
                 for t in T.tolist():
                     self._check_domain(s, t)
-        J = self._grid_jets(S, T)
+        with np.errstate(all="ignore"):
+            J = self._grid_jets(S, T)
         finite = np.ones((len(S), len(T)), dtype=bool)
         for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt):
             finite &= np.isfinite(a).all(axis=-1)
@@ -477,56 +481,46 @@ _CELL_ERRORS = (GeometryError, ValueError, ArithmeticError)
 class _Masked(Exception):
     """A grid block holds a cell that the pointwise API rejects."""
 
-    def __init__(self, index: int):
-        super().__init__(f"cell {index} of a grid block is flagged, "
-                         "but the pointwise evaluation accepts it")
-        self.index = index
 
+def _replay(cell, S: np.ndarray, T: np.ndarray, exc: Exception):
+    """Evaluate the block S x T pointwise in row-major order, to raise its first failure.
 
-def _first_true(mask: np.ndarray, shape: tuple[int, int]) -> int:
-    """Row-major index of the first True of mask broadcast to shape; the size if none."""
-    flat = np.broadcast_to(mask, shape).ravel()
-    k = int(np.argmax(flat))
-    return k if flat[k] else flat.size
-
-
-def _replay(cell, S: np.ndarray, T: np.ndarray, start: int, exc: Exception):
-    """Evaluate the block pointwise from row-major index start, to raise its first failure.
-
-    The exception is the pointwise API's own, with ``cell = (s, t)`` added.
+    The exception is the pointwise API's own, with ``cell = (s, t)`` added;
+    if every cell passes, the block's own exception is raised again.
     """
-    s_list, t_list = S.tolist(), T.tolist()
-    nt = len(t_list)
-    for k in range(start, len(s_list) * nt):
-        s, t = s_list[k // nt], t_list[k % nt]
-        try:
-            cell(s, t)
-        except _CELL_ERRORS as err:
-            err.cell = (s, t)
-            raise
+    t_list = T.tolist()
+    for s in S.tolist():
+        for t in t_list:
+            try:
+                cell(s, t)
+            except _CELL_ERRORS as err:
+                err.cell = (s, t)
+                raise
     raise exc
 
 
 def _blocks(S: np.ndarray, T: np.ndarray, evaluate, cell):
-    """(rows, evaluate(rows)) for blocks of rows of the grid S x T, in order.
+    """((rows, cols), evaluate(rows, cols)) for the blocks of the grid S x T, in order.
 
-    A block whose evaluation raises is evaluated again pointwise through
-    cell(s, t) in row-major order, from the flagged cell for a _Masked and
-    from the block's start otherwise, so the grid fails where and as the
-    pointwise loop fails.
+    A block holds at most GRID_BLOCK points: whole rows, or column chunks of
+    one row when a row is longer, visited in row-major order.  A block whose
+    evaluation raises, whatever failed, is evaluated again pointwise through
+    cell(s, t) from its first cell, so the grid fails where and as the
+    row-major pointwise loop fails.
     """
-    step = max(1, GRID_BLOCK // len(T))
+    width = min(len(T), GRID_BLOCK)
+    step = GRID_BLOCK // width
     for i in range(0, len(S), step):
         rows = slice(i, i + step)
-        try:
-            # cells that the masks reject may overflow or divide by zero
-            with np.errstate(all="ignore"):
-                out = evaluate(rows)
-        except _Masked as exc:
-            _replay(cell, S[rows], T, exc.index, exc)
-        except _CELL_ERRORS as exc:
-            _replay(cell, S[rows], T, 0, exc)
-        yield rows, out
+        for j in range(0, len(T), width):
+            cols = slice(j, j + width)
+            try:
+                # cells that the masks reject may overflow or divide by zero
+                with np.errstate(all="ignore"):
+                    out = evaluate(rows, cols)
+            except (_Masked, *_CELL_ERRORS) as exc:
+                _replay(cell, S[rows], T[cols], exc)
+            yield (rows, cols), out
 
 
 def _residual_block(m: Metric, J: Jet2, v: Vec3, alpha: float,
@@ -537,9 +531,8 @@ def _residual_block(m: Metric, J: Jet2, v: Vec3, alpha: float,
     bad = _off_halfspace(m, q, j.X) | (abs(W2) < _form_floor(E, G))
     if m is Metric.LORENTZIAN:
         bad = bad | ~(W2 > 0.0)
-    k = _first_true(bad, shape)
-    if k < shape[0] * shape[1]:
-        raise _Masked(k)
+    if np.any(bad):
+        raise _Masked
     return np.broadcast_to(_residual(m, alpha, q, E, F, G, W2, j, v), shape)
 
 
@@ -554,11 +547,11 @@ def singular_residual_grid(m: Metric, surf: ParamSurface, S: np.ndarray, T: np.n
     require_unit_direction(m, v)
     S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     out = np.empty((len(S), len(T)))
-    for rows, R in _blocks(
-            S, T, lambda rows: _residual_block(m, surf.grid_jets(S[rows], T), v, alpha,
-                                               out[rows].shape),
+    for block, R in _blocks(
+            S, T, lambda rows, cols: _residual_block(m, surf.grid_jets(S[rows], T[cols]), v,
+                                                     alpha, out[rows, cols].shape),
             lambda s, t: singular_residual(m, surf, s, t, v, alpha)):
-        out[rows] = R
+        out[block] = R
     return out
 
 
@@ -566,9 +559,9 @@ def grid_points(surf: ParamSurface, S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Surface points on the product grid of S and T, as an (ns, nt, 3) array."""
     S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     out = np.empty((len(S), len(T), 3))
-    for rows, X in _blocks(S, T, lambda rows: surf.grid_jets(S[rows], T).X,
-                           lambda s, t: surf.jet(s, t)):
-        out[rows] = X
+    for block, X in _blocks(S, T, lambda rows, cols: surf.grid_jets(S[rows], T[cols]).X,
+                            lambda s, t: surf.jet(s, t)):
+        out[block] = X
     return out
 
 
@@ -599,9 +592,8 @@ def _energy_block(m: Metric, J: Jet2, v: Vec3, alpha: float, W: np.ndarray) -> n
     bad = _off_halfspace(m, q, j.X) | (abs(W2) < _form_floor(E, G))
     if m is Metric.LORENTZIAN:
         bad = bad | (W2 < 0.0)
-    k = _first_true(bad, W.shape)
-    if k < W.size:
-        raise _Masked(k)
+    if np.any(bad):
+        raise _Masked
     q, W2 = np.broadcast_to(q, W.shape), np.broadcast_to(W2, W.shape)
     return _energy_term(m, W, q, W2, alpha, power_each, np.sqrt).ravel()
 
@@ -623,7 +615,8 @@ def potential_energy(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
     S, T, W = _quadrature(surf, grid)
     total = 0.0
     for _, terms in _blocks(
-            S, T, lambda rows: _energy_block(m, surf.grid_jets(S[rows], T), v, alpha, W[rows]),
+            S, T, lambda rows, cols: _energy_block(m, surf.grid_jets(S[rows], T[cols]), v, alpha,
+                                                   W[rows, cols]),
             lambda s, t: _energy_cell(m, surf, s, t, v, alpha)):
         total = _add_in_order(total, terms)
     return total

@@ -2,9 +2,12 @@
 the pointwise evaluation bit for bit, and fail where and as it fails."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singular_geom import catenary as cat
 from singular_geom import cli, surface
@@ -134,13 +137,13 @@ def test_grid_only_surfaces_give_their_pointwise_formulas(tmp_path):
                 assert repr(surf.jet(s, t)) == repr(formula(s, t)), (name, s, t)
 
 
-def _pointwise_residuals(m, surf, S, T, v, alpha):
-    """The grid as a pointwise loop: the values, or the first failure and its cell."""
+def _row_major(cell, S, T):
+    """cell(s, t) in a row-major loop: the values, or the first failure and its cell."""
     values = []
     for s in S.tolist():
         for t in T.tolist():
             try:
-                values.append(singular_residual(m, surf, s, t, v, alpha))
+                values.append(cell(s, t))
             except Exception as exc:
                 return None, (type(exc), str(exc), (s, t))
     return values, None
@@ -151,7 +154,8 @@ def test_grid_residual_equals_pointwise_residual(tmp_path):
     for label, surf, alpha in _named_surfaces(tmp_path) + _extra_surfaces():
         S, T = _axes(surf)
         for m in (E, L):
-            values, failure = _pointwise_residuals(m, surf, S, T, EZ, alpha)
+            values, failure = _row_major(
+                lambda s, t: singular_residual(m, surf, s, t, EZ, alpha), S, T)
             if failure is None:
                 R = singular_residual_grid(m, surf, S, T, EZ, alpha)
                 assert repr(R.ravel().tolist()) == repr(values), (label, m)
@@ -298,26 +302,30 @@ def _reference_energy(m, surf, v, alpha, grid=(64, 64)):
     total = 0.0
     for si, swi in zip(s_nodes, s_w):
         for tj, twj in zip(t_nodes, t_w):
-            j = surf.jet(si, tj)
-            q = inner(m, j.X, v)
-            if m is E:
-                if q <= 0.0:
-                    raise HalfspaceViolation(f"<X, v> = {q} <= 0")
-            elif abs(q) <= 1e-12 * (1.0 + j.X.max_abs()):
-                raise HalfspaceViolation(f"<X, v>_L = {q} is numerically zero")
-            Ef, Ff, Gf = inner(m, j.Xs, j.Xs), inner(m, j.Xs, j.Xt), inner(m, j.Xt, j.Xt)
-            W2 = Ef * Gf - Ff * Ff
-            floor = surface.REGULARITY_FLOOR * (Ef * Ef + Gf * Gf + 1.0)
-            if abs(W2) < floor:
-                raise DegenerateMetric(f"|EG - F^2| = {abs(W2)} below floor {floor}")
-            if m is L:
-                if W2 < 0.0:
-                    raise NotSpacelike(f"surface not spacelike at ({si},{tj})")
-                base = abs(q)
-            else:
-                base = q
-            total += swi * twj * base ** alpha * math.sqrt(abs(W2))
+            total += _reference_energy_term(m, surf, si, tj, v, alpha, swi * twj)
     return total
+
+
+def _reference_energy_term(m, surf, si, tj, v, alpha, weight):
+    j = surf.jet(si, tj)
+    q = inner(m, j.X, v)
+    if m is E:
+        if q <= 0.0:
+            raise HalfspaceViolation(f"<X, v> = {q} <= 0")
+    elif abs(q) <= 1e-12 * (1.0 + j.X.max_abs()):
+        raise HalfspaceViolation(f"<X, v>_L = {q} is numerically zero")
+    Ef, Ff, Gf = inner(m, j.Xs, j.Xs), inner(m, j.Xs, j.Xt), inner(m, j.Xt, j.Xt)
+    W2 = Ef * Gf - Ff * Ff
+    floor = surface.REGULARITY_FLOOR * (Ef * Ef + Gf * Gf + 1.0)
+    if abs(W2) < floor:
+        raise DegenerateMetric(f"|EG - F^2| = {abs(W2)} below floor {floor}")
+    if m is L:
+        if W2 < 0.0:
+            raise NotSpacelike(f"surface not spacelike at ({si},{tj})")
+        base = abs(q)
+    else:
+        base = q
+    return weight * base ** alpha * math.sqrt(abs(W2))
 
 
 def _reference_normal(m, j):
@@ -428,6 +436,90 @@ def test_potential_energy_equals_pointwise_reference(tmp_path, monkeypatch, bloc
     for m, surf, alpha, grid in _energy_cases(tmp_path):
         assert (_outcome(potential_energy, m, surf, EZ, alpha, grid)
                 == _outcome(_reference_energy, m, surf, EZ, alpha, grid))
+
+
+# cells of the contract planes; each but "ok" is rejected by the pointwise API
+# in some metric, by some function or at some alpha
+FAILING_CELLS = ("halfspace", "degenerate", "timelike", "overflow", "non-finite")
+
+
+@st.composite
+def _plane_cells(draw):
+    """An ns x nt table of cell kinds, at most three of them failing kinds."""
+    ns, nt = draw(st.integers(2, 4)), draw(st.integers(2, 9))
+    cells = [["ok"] * nt for _ in range(ns)]
+    for k, kind in draw(st.lists(st.tuples(st.integers(0, ns * nt - 1),
+                                           st.sampled_from(FAILING_CELLS)), max_size=3)):
+        cells[k // nt][k % nt] = kind
+    return tuple(map(tuple, cells))
+
+
+def _contract_plane(cells):
+    """An exact plane over integer nodes whose jet at node (i, j) is of kind cells[i][j].
+
+    The plane X = (s, t, 1 + s/4 + t/8) is admissible in both metrics.  A
+    "halfspace" cell lies on z = 0; a "degenerate" cell has Xt = Xs; a
+    "timelike" cell has a timelike Xt in L^3; an "overflow" cell lies on
+    z = 1e300, where <X,v>^alpha overflows for alpha > 1; a "non-finite"
+    cell has Xss = (0, 0, inf).
+    """
+    kinds = np.array(cells)
+
+    def grid_fn(S, T):
+        K = kinds[np.ix_(np.rint(S).astype(int), np.rint(T).astype(int))]
+        s, t = np.meshgrid(S, T, indexing="ij")
+        z = np.where(K == "halfspace", 0.0,
+                     np.where(K == "overflow", 1e300, 1.0 + s / 4.0 + t / 8.0))
+        Xs = surface.grid_vectors(np.ones_like(s), 0.0, 0.25)
+        Xt = np.where((K == "degenerate")[..., None], Xs, surface.grid_vectors(
+            0.0, np.ones_like(s), np.where(K == "timelike", 2.0, 0.125)))
+        Xss = surface.grid_vectors(0.0, 0.0, np.where(K == "non-finite", math.inf, 0.0))
+        zero = np.zeros_like(Xs)
+        return Jet2(surface.grid_vectors(s, t, z), Xs, Xt, Xss, zero, zero)
+
+    return ParamSurface.exact((0.0, len(cells) - 1.0, 0.0, len(cells[0]) - 1.0),
+                              grid_fn=grid_fn)
+
+
+def _grid_outcome(call):
+    """call()'s values, or its exception's type, message and cell."""
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc), getattr(exc, "cell", None))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cells=_plane_cells(), m=st.sampled_from([E, L]), alpha=st.sampled_from([1.0, 3.0, -2.0]),
+       block=st.sampled_from([1, 3, 7, 4096]))
+# z = 1e300 on t = 0 overflows <X,v>^3 before z = 0 on t = 1 leaves the halfspace
+@example(cells=(("overflow", "halfspace"), ("overflow", "halfspace")), m=E, alpha=3.0,
+         block=4096)
+def test_grids_fail_where_and_as_the_row_major_loop(cells, m, alpha, block):
+    surf = _contract_plane(cells)
+    S, T = np.arange(len(cells), dtype=float), np.arange(len(cells[0]), dtype=float)
+    _, s_w = surface._trapezoid_nodes(0.0, len(S) - 1.0, len(S))
+    _, t_w = surface._trapezoid_nodes(0.0, len(T) - 1.0, len(T))
+    weight = {(s, t): sw * tw
+              for s, sw in zip(S.tolist(), s_w) for t, tw in zip(T.tolist(), t_w)}
+    terms, energy_failure = _row_major(
+        lambda s, t: _reference_energy_term(m, surf, s, t, EZ, alpha, weight[s, t]), S, T)
+    total = 0.0
+    for term in terms or ():
+        total += term
+    with mock.patch.object(surface, "GRID_BLOCK", block):
+        got = [
+            _grid_outcome(
+                lambda: singular_residual_grid(m, surf, S, T, EZ, alpha).ravel().tolist()),
+            _grid_outcome(lambda: grid_points(surf, S, T).reshape(-1, 3).tolist()),
+            _grid_outcome(lambda: [potential_energy(m, surf, EZ, alpha, (len(S), len(T)))]),
+        ]
+    expected = [
+        _row_major(lambda s, t: singular_residual(m, surf, s, t, EZ, alpha), S, T),
+        _row_major(lambda s, t: list(surf.jet(s, t).X.as_tuple()), S, T),
+        (None if terms is None else [total], energy_failure),
+    ]
+    assert repr(got) == repr(expected)
 
 
 def _reference_height_residual_max(h, alpha):

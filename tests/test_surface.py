@@ -103,12 +103,14 @@ def test_jet_out_of_domain():
 
 def test_fd_jet_overflow_raises_value_error_without_warning():
     # the pointwise jet is read from a one-point stencil grid: the stencil sums
-    # overflow on numpy arrays, and the non-finite jet raises through Vec3
+    # overflow on numpy arrays, and the non-finite jet raises through Vec3; a
+    # direct grid_jets call raises the same
     surf = ParamSurface.finite_difference(
         (0, 1, 0, 1), lambda s, t: Vec3(s, t, 1e307 * (1 + 30 * s * s)), h=0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for get in (surf.jet, surf.jet_unchecked):
+        for get in (surf.jet, surf.jet_unchecked,
+                    lambda s, t: surf.grid_jets(np.array([s]), np.array([t]))):
             with pytest.raises(ValueError, match="must be finite"):
                 get(0.5, 0.5)
 

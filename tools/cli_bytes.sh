@@ -27,11 +27,17 @@ COMMANDS=(
   "residual --surface lightlike-reference --grid 9x9 --out residual_lightlike.csv"
   # a sphere is not spacelike: exit 3
   "residual --surface sphere --metric lorentz --grid 12x9 --out residual_sphere_lorentz.csv"
+  # v = -e1 leaves the halfspace mid-row: exit 3, at the 11th cell of the first
+  # row, then in a row longer than surface.GRID_BLOCK
+  "residual --surface helicoid --v=-1,0,0 --grid 20x20 --out residual_helicoid_off.csv"
+  "residual --surface helicoid --v=-1,0,0 --grid 2x5000 --out residual_helicoid_wide.csv"
   "export-mesh --surface catenary-cylinder --grid 30x20 --out mesh.obj"
   "sweep --metric euclid --class standard --n 5 --samples 4 --seed 9 --out sweep_euclid.json"
   "sweep --metric lorentz --class nondegenerate --delta 1 --n 5 --samples 4 --seed 9 --out sweep_lorentz_p.json"
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 5 --samples 4 --seed 9 --out sweep_lorentz_m.json"
   "sweep --metric lorentz --class lightlike --n 5 --samples 4 --seed 9 --out sweep_lightlike.json"
+  # the last chunk holds one draw, so its frame table is built by the scalar path
+  "sweep --metric lorentz --class nondegenerate --delta -1 --n 33 --samples 2 --seed 9 --out sweep_lorentz_m33.json"
   "variational --init noisy --noise 0.01 --seed 3 --grid 33x17 --steps 20 --out-prefix noisy"
   "residual --surface file --file noisy_field.csv --grid 20x20 --out residual_file.csv"
   # diverges: exit 5
