@@ -8,9 +8,12 @@ per s, not once per point.  Dense ODE tables integrate a state with classical
 RK4 on a fixed node grid and answer point queries between nodes with a C^2
 quintic Hermite dense output, so a query takes no integration step.  A table
 runs from its seed point s0 toward an s1 on either side of it, and can wrap
-RK4 nodes a caller has already taken.  ``rk4_batch`` and ``rk4_quadrature``
-take the nodes of many tables at once on float64 arrays, bit for bit as
-``rk4_step`` takes them one table at a time.
+RK4 nodes a caller has already taken.  ``states_at`` answers a whole array of
+s at once, bit for bit as ``state_at`` answers each: the Hermite is written
+once on components, for floats and arrays, and the node slopes come from the
+right-hand side applied to the node array.  ``rk4_batch`` and
+``rk4_quadrature`` take the nodes of many tables at once on float64 arrays,
+bit for bit as ``rk4_step`` takes them one table at a time.
 """
 from __future__ import annotations
 
@@ -211,6 +214,42 @@ _D1_STENCILS = (
 )
 
 
+def _d1_stencil(scale, c, window) -> list:
+    """scale * (c0 y0 + ... + c4 y4) for the five node slopes y0..y4 in window.
+
+    One entry per entry of the slopes.  Elementwise: a node's slopes are
+    tuples of floats, and a whole table's are one entry holding an array, with
+    c an array per node; both take the same operations in the same order.
+    """
+    c0, c1, c2, c3, c4 = c
+    return [scale * (c0 * a + c1 * b + c2 * m + c3 * d + c4 * e)
+            for a, b, m, d, e in zip(*window)]
+
+
+def _hermite(t, h: float, y0, y1, f0, f1, a0, a1) -> list:
+    """Quintic Hermite interpolant at s = s_i + t h between nodes i and i + 1.
+
+    y, f and a are the node values, slopes and second derivatives at node i
+    (0) and node i + 1 (1); the result has one entry per entry of y0.
+    Elementwise: state_at passes a float t and tuples of floats, states_at an
+    array of t and one entry holding the (len(state), n) array of each, whose
+    weights broadcast over its last axis; both take the same operations in
+    the same order.
+    """
+    u = 1.0 - t
+    t2, u2 = t * t, u * u
+    t3 = t2 * t
+    w_y = t3 * (10.0 - 15.0 * t + 6.0 * t2)
+    w_f0 = h * t * u2 * u * (1.0 + 3.0 * t)
+    w_f1 = -h * t3 * u * (4.0 - 3.0 * t)
+    w_a0 = 0.5 * h * h * t2 * u2 * u
+    w_a1 = 0.5 * h * h * t3 * u2
+    return [
+        p0 + w_y * (p1 - p0) + w_f0 * q0 + w_f1 * q1 + w_a0 * r0 + w_a1 * r1
+        for p0, p1, q0, q1, r0, r1 in zip(y0, y1, f0, f1, a0, a1)
+    ]
+
+
 class DenseODE:
     """Fixed-grid RK4 solution of y' = f(s, y) from s0 toward s1, on either side.
 
@@ -223,7 +262,8 @@ class DenseODE:
     per node, so the build pays nothing for them and a query takes no RK4 step.
     Queries in the overhang past either end restart from the end node and take
     two RK4 substeps.  jet_at(s) adds the interpolant's first two derivatives;
-    from_nodes wraps nodes taken elsewhere at the same fixed step.
+    states_at(S) is state_at at every s of an array; from_nodes wraps nodes
+    taken elsewhere at the same fixed step.
     """
 
     def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
@@ -264,6 +304,7 @@ class DenseODE:
         # y' and y'' per node, filled in by the queries that need them
         self._d1: list = [None] * len(nodes)
         self._d2: list = [None] * len(nodes)
+        self._arrays: tuple | None = None  # the same on arrays, for states_at
         # (s, state) at the low and at the high end of the range
         ends = [(self.s0, nodes[0]), (self.s1, nodes[-1])]
         self._low, self._high = ends if self.h > 0.0 else ends[::-1]
@@ -290,7 +331,57 @@ class DenseODE:
         idx, s_node = self._cell(s)
         if s == s_node:
             return self.nodes[idx]
-        return self._hermite(idx, (s - s_node) / self.h)
+        return tuple(_hermite((s - s_node) / self.h, self.h, self.nodes[idx], self.nodes[idx + 1],
+                              self._node_d1(idx), self._node_d1(idx + 1),
+                              self._node_d2(idx), self._node_d2(idx + 1)))
+
+    def states_at(self, S: np.ndarray) -> np.ndarray:
+        """state_at(s) at every s of the float array S, bit for bit.
+
+        The result has shape (len(state), *S.shape): entry [k, ...] is
+        component k.  In range, _hermite runs on arrays, over node slopes that
+        f gives on the whole node array at once, so f(s, y) must also take an
+        array of s with a (len(state), n) array of states.  An s at or past an
+        end, or one that state_at rejects, is read by state_at's own path, in
+        the order of S.
+        """
+        S = np.asarray(S, dtype=float)
+        flat = S.ravel()
+        out = np.empty((len(self.nodes[0]), flat.size))
+        inside = (flat > self._low[0]) & (flat < self._high[0])
+        for k in np.flatnonzero(~inside).tolist():
+            out[:, k] = self._state_at(float(flat[k]))
+        if not inside.any():
+            return out.reshape(len(out), *S.shape)
+        Y, D1, D2 = self._node_arrays()
+        s = flat[inside]
+        with np.errstate(all="ignore"):  # floats give inf and nan without a warning too
+            idx = np.minimum(((s - self.s0) / self.h).astype(np.intp), self.n_steps - 1)
+            s_node = self.s0 + idx * self.h
+            y, = _hermite((s - s_node) / self.h, self.h, [Y[:, idx]], [Y[:, idx + 1]],
+                          [D1[:, idx]], [D1[:, idx + 1]], [D2[:, idx]], [D2[:, idx + 1]])
+        out[:, inside] = np.where(s == s_node, Y[:, idx], y)
+        return out.reshape(len(out), *S.shape)
+
+    def _node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node states, y' and y'' as (len(state), n_steps + 1) arrays, made on first use.
+
+        Column i is nodes[i], _node_d1(i) and _node_d2(i) bit for bit.
+        """
+        if self._arrays is None:
+            nodes = self.nodes
+            Y = (nodes._rows if isinstance(nodes, ArrayNodes) else np.array(nodes, dtype=float)).T
+            i = np.arange(self.n_steps + 1)
+            D1 = np.empty_like(Y)
+            with np.errstate(all="ignore"):
+                for k, d1 in enumerate(self.f(self.s0 + i * self.h, Y)):
+                    D1[k] = d1
+                lo = np.clip(i - 2, 0, self.n_steps - 4)
+                stencils = np.array(_D1_STENCILS)[i - lo].T
+                D2, = _d1_stencil(1.0 / (12.0 * self.h), stencils,
+                                  [[D1[:, lo + j]] for j in range(5)])
+            self._arrays = (Y, D1, D2)
+        return self._arrays
 
     def _cell(self, s: float) -> tuple[int, float]:
         """Index and s of the node that starts the step holding an in-range s."""
@@ -323,34 +414,12 @@ class DenseODE:
         d2 = self._d2[i]
         if d2 is None:
             lo = min(max(i - 2, 0), self.n_steps - 4)
-            c0, c1, c2, c3, c4 = _D1_STENCILS[i - lo]
-            scale = 1.0 / (12.0 * self.h)
-            d2 = self._d2[i] = tuple([
-                scale * (c0 * a + c1 * b + c2 * c + c3 * d + c4 * e)
-                for a, b, c, d, e in zip(*[self._node_d1(j) for j in range(lo, lo + 5)])
-            ])
+            d2 = self._d2[i] = tuple(_d1_stencil(1.0 / (12.0 * self.h), _D1_STENCILS[i - lo],
+                                                 [self._node_d1(j) for j in range(lo, lo + 5)]))
         return d2
 
-    def _hermite(self, i: int, t: float) -> tuple:
-        """Quintic Hermite interpolant at s = s_i + t h between nodes i and i + 1."""
-        u = 1.0 - t
-        t2, u2 = t * t, u * u
-        t3 = t2 * t
-        h = self.h
-        w_y = t3 * (10.0 - 15.0 * t + 6.0 * t2)
-        w_f0 = h * t * u2 * u * (1.0 + 3.0 * t)
-        w_f1 = -h * t3 * u * (4.0 - 3.0 * t)
-        w_a0 = 0.5 * h * h * t2 * u2 * u
-        w_a1 = 0.5 * h * h * t3 * u2
-        return tuple([
-            y0 + w_y * (y1 - y0) + w_f0 * f0 + w_f1 * f1 + w_a0 * a0 + w_a1 * a1
-            for y0, y1, f0, f1, a0, a1 in zip(
-                self.nodes[i], self.nodes[i + 1], self._node_d1(i), self._node_d1(i + 1),
-                self._node_d2(i), self._node_d2(i + 1))
-        ])
-
     def _hermite_derivatives(self, i: int, t: float) -> tuple[tuple, tuple]:
-        """First and second s-derivatives of :meth:`_hermite` at the same point."""
+        """First and second s-derivatives of _hermite at the same point."""
         u = 1.0 - t
         tu = t * u
         h = self.h
@@ -408,6 +477,15 @@ class CenteredODE:
             return self.fwd.state_at(s)
         return self.bwd.state_at(s)
 
+    def states_at(self, S: np.ndarray) -> np.ndarray:
+        """state_at(s) at every s of S, bit for bit, as DenseODE.states_at lays it out."""
+        S = np.asarray(S, dtype=float)
+        fwd = S >= 0.0
+        out = np.empty((len(self.fwd.nodes[0]), *S.shape))
+        out[:, fwd] = self.fwd.states_at(S[fwd])
+        out[:, ~fwd] = self.bwd.states_at(S[~fwd])
+        return out
+
 
 class FourierSeries:
     """Low-order real Fourier series c0 + sum_k (a_k cos(k w s) + b_k sin(k w s))."""
@@ -439,20 +517,24 @@ def fourier_table(series: Sequence[FourierSeries], s: np.ndarray) -> np.ndarray:
     """Values of each series at every s, shape (*s.shape, len(series)).
 
     Entry [..., b] is series[b](s) bit for bit: the cos and sin of each k w s
-    come from math once per s for all the series, and the terms are added in
-    the order of FourierSeries.__call__.  The series must share frequencies.
+    come from math once per s for all the series, and each series adds its
+    terms in the order of FourierSeries.__call__.  The frequencies of every
+    series must be the first ones of the series with the most terms.
     """
-    freqs = [kw for kw, _, _ in series[0]._terms]
-    if any([kw for kw, _, _ in f._terms] != freqs for f in series):
-        raise ValueError("fourier_table needs series with the same frequencies")
+    freqs = [kw for kw, _, _ in max(series, key=lambda f: len(f._terms))._terms]
+    if any([kw for kw, _, _ in f._terms] != freqs[:len(f._terms)] for f in series):
+        raise ValueError("fourier_table needs series whose frequencies begin the same way")
     out = np.empty((*s.shape, len(series)))
     out[...] = [f.c0 for f in series]
-    flat = s.ravel().tolist()
     for k, kw in enumerate(freqs):
-        ks = [kw * x for x in flat]
-        cos = np.array([math.cos(x) for x in ks]).reshape(*s.shape, 1)
-        sin = np.array([math.sin(x) for x in ks]).reshape(*s.shape, 1)
-        a = np.array([f._terms[k][1] for f in series])
-        b = np.array([f._terms[k][2] for f in series])
-        out += a * cos + b * sin
+        ks = (kw * s).ravel().tolist()
+        cos = np.fromiter(map(math.cos, ks), float, len(ks)).reshape(*s.shape, 1)
+        sin = np.fromiter(map(math.sin, ks), float, len(ks)).reshape(*s.shape, 1)
+        cols = [j for j, f in enumerate(series) if k < len(f._terms)]
+        a = np.array([series[j]._terms[k][1] for j in cols])
+        b = np.array([series[j]._terms[k][2] for j in cols])
+        if len(cols) == len(series):
+            out += a * cos + b * sin  # a batch build's case: no gather, about half the time
+        else:
+            out[..., cols] += a * cos + b * sin
     return out

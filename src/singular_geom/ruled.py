@@ -48,6 +48,7 @@ from .errors import (
     ConfigError,
     CylindricalInput,
     DegenerateMetric,
+    GeometryError,
     NonSpacelikeInput,
     NotNormalized,
     ODEBreakdown,
@@ -57,6 +58,7 @@ from .errors import (
 from .surface import (
     Jet2,
     ParamSurface,
+    _V,
     curvature_bracket,
     fundamental_forms,
     require_unit_direction,
@@ -207,6 +209,9 @@ def verify_normalization(rs: RuledSurface) -> float:
                 inner(m, w, w) - 1.0,
                 inner(m, wp, wp) - wp2,
             )
+        # max() passes over a NaN, so a relation that is not finite ends the check
+        if not all(map(math.isfinite, rels)):
+            return math.inf
         worst = max(worst, max(abs(r) for r in rels))
     return worst
 
@@ -357,6 +362,12 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
     f1 = <g1,w>_L, f2 = <g1',w'>_L, f3 = <g1,w'>_L) from (y1, y2) = (1, 0)
     with a 4th-order scheme; the sign on y2 is tied to delta and is validated
     after the solve.
+
+    When both curves come from a frame-ODE table (random_prenormalization_input
+    and the random generators make them), f1, f2 and f3 are tabulated at every
+    RK4 stage s of the 512-step grid in one array pass (_stage_coefficients),
+    and the steps read them from there.  Any other s, and any other curve,
+    reads them pointwise; both paths give the same bits.
     """
     if delta not in (-1, 1):
         raise ConfigError("delta must be +1 or -1")
@@ -378,8 +389,7 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         g = base.value(s)
         gp = base.d1(s)
         wp = director.d1(s)
-        w = director.value(s)
-        return (inner(m, g, w), inner(m, gp, wp), inner(m, g, wp))
+        return _reparametrization_coefficients(g, gp, director.value(s), wp)
 
     def _y1p(f1: float, f2: float, f3: float, y1: float, y2: float, s: float) -> float:
         num = f2 * y1 + delta * y2
@@ -389,8 +399,11 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
             raise ODEBreakdown(f"f3 vanishes at s = {s} with inconsistent state")
         return -num / f3
 
+    at_stage = _stage_coefficients(base, director, a, b, 512)
+
     def rhs(s: float, y: tuple) -> tuple:
-        f1, f2, f3 = fs(s)
+        f = at_stage.get(s)
+        f1, f2, f3 = fs(s) if f is None else f
         d1 = _y1p(f1, f2, f3, y[0], y[1], s)
         return (d1, -f1 * d1)
 
@@ -419,6 +432,42 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
             f"post-solve relations violated by {verify_normalization(rs):.3e}"
         )
     return rs
+
+
+def _reparametrization_coefficients(g, gp, w, wp):
+    """f1 = <g,w>_L, f2 = <g',w'>_L and f3 = <g,w'>_L of normalize_lorentz.
+
+    Written on components: Vec3s at one s, or _V component arrays at many.
+    """
+    m = Metric.LORENTZIAN
+    return inner(m, g, w), inner(m, gp, wp), inner(m, g, wp)
+
+
+def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
+                        n_steps: int) -> dict:
+    """normalize_lorentz's (f1, f2, f3) by s at the RK4 stages from a to b, in one array pass.
+
+    Only _FrameCurves, which read on arrays, are tabulated; the values are
+    those of the pointwise reads bit for bit.  The dict is empty when a curve
+    has no array read, or when the read raises or meets a value that is not
+    finite (where a Vec3 raises): the build then reads f1, f2, f3 pointwise
+    and raises what it reaches, where it reaches it, as it would have anyway.
+    """
+    if not (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)):
+        return {}
+    try:
+        with np.errstate(all="ignore"):
+            # each s once, and no zero: 0.0 and -0.0 share a dict key, and a
+            # curve may tell them apart
+            stages = rk4_stages(a, b, n_steps)[1].ravel().tolist()
+            S = np.array([s for s in dict.fromkeys(stages) if s != 0.0])
+            (g, gp), (w, wp) = base.values_at(S), director.values_at(S)
+            f = _reparametrization_coefficients(g, gp, w, wp)
+    except (GeometryError, ArithmeticError, ValueError):
+        return {}  # left for the pointwise build to raise at its own s, if it gets there
+    if not np.isfinite([g, gp, w, wp]).all():
+        return {}
+    return dict(zip(S.tolist(), zip(*[x.tolist() for x in f])))
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +629,25 @@ def _tcross(a, b, zsign: float = 1.0):
             zsign * (a[0] * b[1] - a[1] * b[0]))
 
 
+class _FrameCurve(Curve):
+    """A Curve over a frame-ODE table that also reads its value and d1 on an array of s.
+
+    values_at(S) gives (value, d1) at every s of S as _V component arrays,
+    bit for bit value(s) and d1(s), through the table's states_at.
+    """
+
+    def __init__(self, value, d1, d2, values_at):
+        super().__init__(value, d1, d2)
+        self.values_at = values_at
+
+
 def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     """Base and director curves of a frame-ODE table with state (w, w', g).
 
     w, w' and g are state slots 0:3, 3:6 and 6:9; w'' and g' are the same
     slots 3:6 and 6:9 of rhs(s, state).  g_d2(s, state) supplies a closed
     form for g''; without it, Curve falls back to the central difference of g'.
+    rhs must also take arrays (see DenseODE.states_at), for the curves' values_at.
     """
 
     def read(k: int, f=None):
@@ -598,15 +660,39 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
 
         return value
 
+    def slots(y, k: int) -> _V:
+        return _V(y[k], y[k + 1], y[k + 2])
+
+    def base_at(S: np.ndarray) -> tuple[_V, _V]:
+        y = table.states_at(S)
+        return slots(y, 6), slots(rhs(S, y), 6)
+
+    def director_at(S: np.ndarray) -> tuple[_V, _V]:
+        y = table.states_at(S)
+        return slots(y, 0), slots(y, 3)
+
     g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
-    base = Curve(read(6), read(6, rhs), g_d2_of_s)
-    director = Curve(read(0), read(3), read(3, rhs))
+    base = _FrameCurve(read(6), read(6, rhs), g_d2_of_s, base_at)
+    director = _FrameCurve(read(0), read(3), read(3, rhs), director_at)
     return base, director
 
 
 def _series_at(*series: FourierSeries):
-    """s -> the series' values at s, kept for the last s: RK4 repeats its midpoint."""
-    return memo_last(lambda s: tuple([f(s) for f in series]))
+    """s -> the series' values at s.
+
+    A float s gives floats, kept for the last s: RK4 repeats its midpoint.  An
+    array of s gives one array per series, bit for bit those floats at each s
+    (fourier_table), so a right-hand side that reads its coefficients here
+    runs on floats and on arrays alike.
+    """
+    at_float = memo_last(lambda s: tuple([f(s) for f in series]))
+
+    def at(s):
+        if isinstance(s, np.ndarray):
+            return tuple(np.moveaxis(fourier_table(series, s), -1, 0))
+        return at_float(s)
+
+    return at
 
 
 def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float,
@@ -655,7 +741,8 @@ def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: fl
     cross product with its third component times zsign (+1 Euclidean, -1
     Lorentzian).  On a normalized frame w x_z (w x_z w') = -zsign w', so
     (w x_z w')' = w x_z w'' = -zsign Q w' and g'' = P'(w x_z w') - zsign P Q w'.
-    _frame_rhs_batch is the same rhs on a batch of states.
+    rhs takes an array of s with arrays of state components too, and
+    _frame_rhs_batch is the same rhs on a batch of states stepped together.
     """
     coeffs = _series_at(Q, P)
 
@@ -985,6 +1072,7 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int):
 
         coeffs = _series_at(Q, av, bv)
 
+        # on components, so normalize_lorentz can read the table on arrays
         def rhs(s: float, y: tuple) -> tuple:
             w = y[0:3]
             wp = y[3:6]

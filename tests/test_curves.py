@@ -4,6 +4,8 @@ dense output and its derivatives, tables over given nodes, domain and input chec
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singular_geom import curves
 from singular_geom.curves import OVERHANG, CenteredODE, DenseODE, FourierSeries, rk4_step
@@ -298,12 +300,81 @@ def test_fourier_table_is_the_series_bitwise():
     omega = 2.0 * math.pi / 3.0
     series = [FourierSeries(0.4, [0.3, -0.2], [0.1, 0.05], omega),
               FourierSeries(-1.2, [0.0, 0.7], [-0.6, 0.2], omega),
-              FourierSeries(-0.0, [0.0, 0.0], [0.0, 0.0], omega)]
+              FourierSeries(-0.0, [0.0, 0.0], [0.0, 0.0], omega),
+              # fewer terms: the first frequencies of the others
+              FourierSeries(0.25, [0.5], [-0.3], omega)]
     # both signs, -0.0 and a subnormal product
     s = np.concatenate([np.linspace(-2.0, 3.0, 701), [0.0, -0.0, 1e-300]]).reshape(-1, 2)
     table = curves.fourier_table(series, s)
-    assert table.shape == (*s.shape, 3)
+    assert table.shape == (*s.shape, 4)
     expected = np.array([[[f(x) for f in series] for x in row] for row in s.tolist()])
     assert table.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
         curves.fourier_table([series[0], FourierSeries(0.4, [0.3], [0.1], 2.0 * omega)], s)
+
+
+def _states_at_tables():
+    """Forward, backward and centered tables of a sweep frame ODE, whose right-hand side
+    takes floats and arrays alike, and a centered table over batch-built nodes."""
+    import numpy as np
+
+    from singular_geom import ruled
+
+    rng = np.random.default_rng(12)
+    draws = [ruled._draw_lorentz(rng, 1) for _ in range(ruled._MIN_BATCH)]
+    rhs, _ = draws[0].ode()
+    batch = ruled._build_tables(draws, [d.ode()[0] for d in draws], 64)[0]
+    return {
+        "forward": DenseODE(rhs, -0.25, 0.75, draws[0].y0, 32),
+        "backward": DenseODE(rhs, 0.75, -0.25, draws[0].y0, 32),
+        "centered": CenteredODE(rhs, 0.8, draws[0].y0, 64),
+        "centered batch": batch,
+    }
+
+
+_STATES_AT_TABLES = _states_at_tables()
+
+
+def _halves(table):
+    return (table.fwd, table.bwd) if isinstance(table, CenteredODE) else (table,)
+
+
+def _position(table, point):
+    """The s of a drawn point on table: a signed zero, a node or cell of either half,
+    or a point in the overhang past either end."""
+    kind, *args = point
+    if kind == "zero":
+        return args[0]
+    if kind == "cell":
+        half, i, t = args
+        half = _halves(table)[half % len(_halves(table))]
+        return half.s0 + (i + (t if i < half.n_steps else 0.0)) * half.h
+    end, frac = args
+    lo = min(min(h.s0, h.s1) for h in _halves(table))
+    hi = max(max(h.s0, h.s1) for h in _halves(table))
+    pad = frac * OVERHANG * min(abs(h.s1 - h.s0) for h in _halves(table))
+    return hi + pad if end else lo - pad
+
+
+# nodes and cells next to each end, where the node y'' stencils are one-sided, and
+# any node or cell of either half
+_CELLS = st.tuples(st.just("cell"), st.integers(0, 1),
+                   st.one_of(st.sampled_from([0, 1, 2, 29, 30, 31, 32]), st.integers(0, 32)),
+                   st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+_POINTS = st.one_of(_CELLS, st.tuples(st.just("zero"), st.sampled_from([0.0, -0.0])),
+                    st.tuples(st.just("overhang"), st.booleans(), st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(_STATES_AT_TABLES)), points=st.lists(_POINTS, min_size=1,
+                                                                         max_size=12))
+def test_states_at_is_state_at_bitwise(name, points):
+    import numpy as np
+
+    table = _STATES_AT_TABLES[name]
+    S = np.array([_position(table, p) for p in points])
+    expected = np.array([table.state_at(s) for s in S.tolist()]).T
+    got = table.states_at(S)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert table.states_at(S.reshape(1, -1)).tobytes() == expected.tobytes()

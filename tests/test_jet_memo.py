@@ -1,15 +1,18 @@
-"""Per-s jet reuse: memoized curve and surface jets equal uncached evaluation bit for bit."""
+"""Per-s jet reuse: memoized curve and surface jets equal uncached evaluation bit for bit,
+and tabulated Lorentz normalization coefficients equal pointwise ones."""
 
 import math
 
 import numpy as np
+import pytest
 
 from singular_geom import catenary as cat
-from singular_geom.algebra import Metric, Vec3
+from singular_geom.algebra import Metric, Vec3, inner
 from singular_geom import ruled
-from singular_geom.curves import Curve, memo_last
+from singular_geom.curves import Curve, DenseODE, memo_last
+from singular_geom.errors import ODEBreakdown, OutOfDomain
 from singular_geom.ruled import helicoid, random_lorentz_ruled
-from singular_geom.surface import _C1, _C2, _OFF1, Jet2, ParamSurface, unit_normal
+from singular_geom.surface import _C1, _C2, _OFF1, _V, Jet2, ParamSurface, unit_normal
 
 EY = Vec3(0.0, 1.0, 0.0)
 EZ = Vec3(0.0, 0.0, 1.0)
@@ -159,3 +162,123 @@ def test_memoized_lorentz_normalization_matches_unmemoized(monkeypatch):
         plain = [_surface_samples(rs) for rs in _generated_surfaces()]
     assert len(memoized) == 6
     assert memoized == plain
+
+
+def _reference_normalization(base, director, delta, s_range):
+    """normalize_lorentz's table and surface as built before f1, f2, f3 were tabulated:
+    every RK4 stage reads them pointwise through memo_last, and DenseODE steps."""
+    a, b = (float(x) for x in s_range)
+
+    @memo_last
+    def fs(s):
+        g, gp, wp, w = base.value(s), base.d1(s), director.d1(s), director.value(s)
+        return inner(Metric.LORENTZIAN, g, w), inner(Metric.LORENTZIAN, gp, wp), \
+            inner(Metric.LORENTZIAN, g, wp)
+
+    def y1p(f1, f2, f3, y1, y2, s):
+        num = f2 * y1 + delta * y2
+        if abs(f3) < 1e-9 * (1.0 + abs(f1) + abs(f2)):
+            if abs(num) <= 1e-9 * (1.0 + abs(y1) + abs(y2)):
+                return 0.0
+            raise ODEBreakdown(f"f3 vanishes at s = {s} with inconsistent state")
+        return -num / f3
+
+    def rhs(s, y):
+        f1, f2, f3 = fs(s)
+        d1 = y1p(f1, f2, f3, y[0], y[1], s)
+        return (d1, -f1 * d1)
+
+    table = DenseODE(rhs, a, b, (1.0, 0.0), 512)
+
+    def g_value(s):
+        y1, y2 = table.state_at(s)
+        return y1 * base.value(s) + y2 * director.value(s)
+
+    def g_d1(s):
+        y1, y2 = table.state_at(s)
+        f1, f2, f3 = fs(s)
+        d1 = y1p(f1, f2, f3, y1, y2, s)
+        return (d1 * base.value(s) + y1 * base.d1(s)
+                + (-f1 * d1) * director.value(s) + y2 * director.d1(s))
+
+    rs = ruled.RuledSurface(Curve(g_value, g_d1), director, (a, b), Metric.LORENTZIAN,
+                            ruled.DirectorClass.LORENTZ_NONDEGENERATE, delta, normalized=True)
+    return table, rs
+
+
+def _de_sitter_input():
+    """A hand-built admissible input on the circle w = (cos s, sin s, 0), delta = +1:
+    g = w + (0, 2, s/2), so f1 = 1 + 2 sin s, f2 = 1 and f3 = 2 cos s."""
+    director = Curve(lambda s: Vec3(math.cos(s), math.sin(s), 0.0),
+                     lambda s: Vec3(-math.sin(s), math.cos(s), 0.0),
+                     lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0))
+    base = Curve(lambda s: Vec3(math.cos(s), math.sin(s) + 2.0, 0.5 * s),
+                 lambda s: Vec3(-math.sin(s), math.cos(s), 0.5),
+                 lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0))
+    return base, director, (0.0, 1.0), 1
+
+
+def _pinned_normalization_inputs():
+    """(base, director, s_range, delta, tabulated): criterion 7's first 3 draws per delta
+    at seed 777, the fixed-point input of a generated surface, and a hand-built input."""
+    rng = np.random.default_rng(777)
+    inputs = []
+    for delta in (1, -1):
+        for k in range(20):
+            base, director, s_range = ruled.random_prenormalization_input(rng, delta)
+            if k < 3:
+                inputs.append((base, director, s_range, delta, True))
+    rs = random_lorentz_ruled(np.random.default_rng(21), -1)
+    inputs.append((rs.base, rs.director, rs.s_range, -1, True))
+    inputs.append((*_de_sitter_input(), False))
+    return inputs
+
+
+def test_tabulated_lorentz_normalization_matches_pointwise_reference(monkeypatch):
+    built = []
+
+    class Recording(DenseODE):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    for base, director, s_range, delta, tabulated in _pinned_normalization_inputs():
+        a, b = s_range
+        assert bool(ruled._stage_coefficients(base, director, a, b, 512)) is tabulated
+        ref_table, ref = _reference_normalization(base, director, delta, s_range)
+        with monkeypatch.context() as m:
+            m.setattr(ruled, "DenseODE", Recording)
+            rs = ruled.normalize_lorentz(base, director, delta, s_range)
+        assert repr(built[-1].nodes) == repr(ref_table.nodes)
+        assert _surface_samples(rs) == _surface_samples(ref)
+
+
+def test_tabulation_leaves_curve_errors_to_the_stepwise_build():
+    # f3 = <g, w'>_L = -sin s vanishes at s = 0 while f2 = 1, so the first step breaks
+    # down; g cannot be read past the midpoint, which only a read ahead of the steps reaches
+    director = Curve(lambda s: Vec3(math.cos(s), math.sin(s), 0.0),
+                     lambda s: Vec3(-math.sin(s), math.cos(s), 0.0),
+                     lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0))
+
+    def g_value(s):
+        if s > 0.5:
+            raise OutOfDomain(f"s={s} past the midpoint")
+        return Vec3(math.cos(s) + 1.0, math.sin(s), 0.5 * s)
+
+    base = Curve(g_value, lambda s: Vec3(-math.sin(s), math.cos(s), 0.5),
+                 lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0))
+    reads = []
+
+    def on_array(curve):
+        # a curve that answers on arrays, one s at a time in the order of S
+        def values_at(S):
+            reads.append(len(S))
+            rows = [(curve.value(s).as_tuple(), curve.d1(s).as_tuple()) for s in S.tolist()]
+            return tuple(_V(*np.array(col).T) for col in zip(*rows))
+
+        return ruled._FrameCurve(curve.value, curve.d1, curve.d2, values_at)
+
+    for pair in ((base, director), (on_array(base), on_array(director))):
+        with pytest.raises(ODEBreakdown):
+            ruled.normalize_lorentz(*pair, 1, (0.0, 1.0))
+    assert reads  # the second pair was read on an array first

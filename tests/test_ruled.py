@@ -230,6 +230,18 @@ def test_normalize_lorentz_singular_system_breaks_down():
         normalize_lorentz(base, director, 1, (0.0, 1.0))
 
 
+def test_verify_normalization_reports_a_nan_relation():
+    # <w,w>_L = 1e400 - 1e400 overflows to inf - inf = NaN, which max() alone passes over
+    zero = Vec3(0.0, 0.0, 0.0)
+    director = Curve(lambda s: Vec3(1e200, 0.0, 1e200), lambda s: Vec3(0.0, 1.0, 0.0),
+                     lambda s: zero)
+    base = Curve(lambda s: zero, lambda s: zero, lambda s: zero)
+    rs = RuledSurface.build(base, director, (0.0, 1.0), L, DirectorClass.LORENTZ_NONDEGENERATE,
+                            delta=1)
+    assert verify_normalization(rs) == math.inf
+    assert not rs.normalized
+
+
 # ---------------------------------------------------------------------------
 # frame identities on random surfaces
 # ---------------------------------------------------------------------------
