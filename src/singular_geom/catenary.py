@@ -253,7 +253,9 @@ def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
     the curvature equation by construction.
     """
     d = _embedding_frame(v, ruling)
-    table = DenseODE.from_nodes(_rhs(path.alpha), path.s[0], path.s[-1], path.nodes)
+    f = _rhs(path.alpha)
+    slopes = [f(s, node) for s, node in zip(path.s, path.nodes)]
+    table = DenseODE.from_nodes(f, path.s[0], path.s[-1], path.nodes, slopes)
 
     @memo_last
     def jet(s: float) -> tuple[Vec3, Vec3, Vec3]:

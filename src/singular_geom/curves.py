@@ -8,16 +8,19 @@ per s, not once per point.  Dense ODE tables integrate a state with classical
 RK4 on a fixed node grid and answer point queries between nodes with a C^2
 quintic Hermite dense output, so a query takes no integration step.  A table
 runs from its seed point s0 toward an s1 on either side of it, and can wrap
-RK4 nodes a caller has already taken.  ``states_at`` answers a whole array of
-s at once, bit for bit as ``state_at`` answers each: the Hermite is written
-once on components, for floats and arrays, and the node slopes come from the
-right-hand side applied to the node array.  ``rk4_batch`` and
-``rk4_quadrature`` take the nodes of many tables at once on float64 arrays,
-bit for bit as ``rk4_step`` takes them one table at a time.
+RK4 nodes a caller has already taken.  Every table holds one layout: float64
+arrays of its node states, of its node slopes, kept where the nodes are made
+(the first RK4 stage of each step), and of its node y''.  ``state_at`` reads
+them as floats and ``states_at`` answers a whole array of s at once, bit for
+bit as ``state_at`` answers each: the Hermite is written once on components,
+for floats and arrays.  ``rk4_batch`` and ``rk4_quadrature`` take the nodes
+and slopes of many tables at once on float64 arrays, bit for bit as
+``rk4_step`` takes them one table at a time.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,10 +125,15 @@ def line_curve(a: Vec3, b: Vec3) -> Curve:
     return Curve(lambda s: a * s + b, lambda s: a, lambda s: zero)
 
 
-def rk4_step(f, s: float, y: tuple, h: float) -> tuple:
-    """One classical Runge-Kutta step for a tuple-valued state."""
+def rk4_step(f, s: float, y: tuple, h: float, k1: tuple | None = None) -> tuple:
+    """One classical Runge-Kutta step for a tuple-valued state.
+
+    k1 is f(s, y) when the caller has it already: a table build keeps it as
+    the slope of its node.
+    """
     # tuple([...]) rather than tuple(generator): this is the innermost loop
-    k1 = f(s, y)
+    if k1 is None:
+        k1 = f(s, y)
     half = 0.5 * h
     k2 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k1)]))
     k3 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k2)]))
@@ -148,54 +156,40 @@ def rk4_stages(s0: float, s1: float, n_steps: int) -> tuple[float, np.ndarray]:
     return h, np.stack([s, s + 0.5 * h, s + h], axis=1)
 
 
-def rk4_batch(f, nodes: np.ndarray, h) -> None:
+def rk4_batch(f, nodes: np.ndarray, slopes: np.ndarray, h) -> None:
     """Fill nodes[1:] with RK4 steps from nodes[0], for every column of a (d, B) state.
 
     nodes has shape (n_steps + 1, d, B).  f(i, stage, y) is the right-hand
     side for the (d, B) state y at stage 0, 1 or 2 of step i (see
-    rk4_stages).  Column b steps with h[b], or with h for every column when h
-    is a float.  Each column takes rk4_step's operations in rk4_step's order,
-    so its nodes are those of DenseODE bit for bit.
+    rk4_stages).  slopes[i] gets step i's first stage, f at node i, for i
+    below n_steps; the slope of the last node is the caller's.  Column b
+    steps with h[b], or with h for every column when h is a float.  Each
+    column takes rk4_step's operations in rk4_step's order, so its nodes are
+    those of DenseODE bit for bit.
     """
     y = nodes[0]
     half = 0.5 * h
     w = h / 6.0
     for i in range(len(nodes) - 1):
-        k1 = f(i, 0, y)
+        k1 = slopes[i] = f(i, 0, y)
         k2 = f(i, 1, y + half * k1)
         k3 = f(i, 1, y + half * k2)
         k4 = f(i, 2, y + h * k3)
         y = nodes[i + 1] = y + w * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def rk4_quadrature(k: np.ndarray, nodes: np.ndarray, h: float) -> None:
+def rk4_quadrature(k: np.ndarray, nodes: np.ndarray, slopes: np.ndarray, h: float) -> None:
     """Fill nodes[1:] with RK4 steps from nodes[0] for y' = f(s), which does not read y.
 
     k[i, stage] is f at stage 0, 1 or 2 of step i (see rk4_stages), with the
     shape of nodes[0].  Node i + 1 is node i plus step i's RK4 increment,
-    added in order, so the nodes are those of DenseODE bit for bit.
+    added in order, so the nodes are those of DenseODE bit for bit.  As in
+    rk4_batch, slopes[i] gets f at node i, its stage 0, for every step i.
     """
+    slopes[:len(k)] = k[:, 0]
     k2 = k[:, 1]  # RK4 evaluates f twice at the midpoint, at the same s
     nodes[1:] = (h / 6.0) * (k[:, 0] + 2.0 * (k2 + k2) + k[:, 2])
     np.add.accumulate(nodes, axis=0, out=nodes)
-
-
-class ArrayNodes:
-    """Node list over the rows of a float64 array: item i is row i as a tuple of floats.
-
-    A batch build keeps every table's nodes in one array, and a tuple is made
-    only for a node that a query reads, so a batch's tables take no more
-    memory than that array.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> tuple:
-        return tuple(self._rows[i].tolist())
 
 
 # Queries may reach this fraction of the range length past either end, so that
@@ -214,16 +208,32 @@ _D1_STENCILS = (
 )
 
 
-def _d1_stencil(scale, c, window) -> list:
-    """scale * (c0 y0 + ... + c4 y4) for the five node slopes y0..y4 in window.
+def _d1_stencil(slopes: np.ndarray, h: float) -> np.ndarray:
+    """y'' at every node: the 4th-order difference of the (n + 1, d) node slopes.
 
-    One entry per entry of the slopes.  Elementwise: a node's slopes are
-    tuples of floats, and a whole table's are one entry holding an array, with
-    c an array per node; both take the same operations in the same order.
+    Node i takes the stencil of its position in its window of five nodes,
+    (1/(12 h)) (c0 y'_0 + ... + c4 y'_4), one-sided next to either end.
     """
-    c0, c1, c2, c3, c4 = c
-    return [scale * (c0 * a + c1 * b + c2 * m + c3 * d + c4 * e)
-            for a, b, m, d, e in zip(*window)]
+    n = len(slopes) - 1
+    out = np.empty(slopes.shape)
+    # stencil r serves the nodes i0 <= i < i1, each in the window that starts at i - r
+    with np.errstate(all="ignore"):  # non-finite slopes give inf and nan, as floats do
+        for r, (i0, i1) in enumerate(((0, 1), (1, 2), (2, n - 1), (n - 1, n), (n, n + 1))):
+            c0, c1, c2, c3, c4 = _D1_STENCILS[r]
+            a, b, m, d, e = (slopes[i0 - r + j:i1 - r + j] for j in range(5))
+            out[i0:i1] = (1.0 / (12.0 * h)) * (c0 * a + c1 * b + c2 * m + c3 * d + c4 * e)
+    return out
+
+
+def _float_rows(rows) -> np.ndarray:
+    """A float64 array of rows as it is, or one made from a sequence of equal-length states.
+
+    np.fromiter reads a list of tuples about twice as fast as np.array does.
+    """
+    if isinstance(rows, np.ndarray):
+        return rows.astype(float, copy=False)
+    width = len(rows[0])
+    return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
 
 
 def _hermite(t, h: float, y0, y1, f0, f1, a0, a1) -> list:
@@ -231,7 +241,7 @@ def _hermite(t, h: float, y0, y1, f0, f1, a0, a1) -> list:
 
     y, f and a are the node values, slopes and second derivatives at node i
     (0) and node i + 1 (1); the result has one entry per entry of y0.
-    Elementwise: state_at passes a float t and tuples of floats, states_at an
+    Elementwise: state_at passes a float t and lists of floats, states_at an
     array of t and one entry holding the (len(state), n) array of each, whose
     weights broadcast over its last axis; both take the same operations in
     the same order.
@@ -250,42 +260,70 @@ def _hermite(t, h: float, y0, y1, f0, f1, a0, a1) -> list:
     ]
 
 
+def _hermite_derivatives(t, h: float, y0, y1, f0, f1, a0, a1) -> tuple[list, list]:
+    """First and second s-derivatives of _hermite at the same point, elementwise like it."""
+    u = 1.0 - t
+    tu = t * u
+    # d/ds and d2/ds2 of each weight of _hermite, in the same order
+    d_y = 30.0 * tu * tu / h
+    d_f0 = u * u * (1.0 + 2.0 * t - 15.0 * t * t)
+    d_f1 = t * t * (1.0 + 2.0 * u - 15.0 * u * u)
+    d_a0 = 0.5 * h * tu * u * (2.0 - 5.0 * t)
+    d_a1 = -0.5 * h * tu * t * (2.0 - 5.0 * u)
+    dd_y = 60.0 * tu * (u - t) / (h * h)
+    dd_f0 = 12.0 * tu * (5.0 * t - 3.0) / h
+    dd_f1 = -12.0 * tu * (5.0 * u - 3.0) / h
+    dd_a0 = u * (1.0 - 8.0 * t + 10.0 * t * t)
+    dd_a1 = t * (1.0 - 8.0 * u + 10.0 * u * u)
+    cells = [(p1 - p0, *rest) for p0, p1, *rest in zip(y0, y1, f0, f1, a0, a1)]
+    return ([d_y * dy + d_f0 * q0 + d_f1 * q1 + d_a0 * r0 + d_a1 * r1
+             for dy, q0, q1, r0, r1 in cells],
+            [dd_y * dy + dd_f0 * q0 + dd_f1 * q1 + dd_a0 * r0 + dd_a1 * r1
+             for dy, q0, q1, r0, r1 in cells])
+
+
 class DenseODE:
     """Fixed-grid RK4 solution of y' = f(s, y) from s0 toward s1, on either side.
 
-    Node states are precomputed once with the signed step (s1 - s0)/n_steps.
+    Node states are computed once with the signed step (s1 - s0)/n_steps.
     Between nodes, state_at(s) is the quintic Hermite interpolant of y, y' and
     y'' at the two nodes around s (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6), which is C^2 across nodes.  y' at node i is f(s0 + i h, y_i), the
-    same call as the build's first RK4 stage of step i; y'' is the 4th-order
-    difference of those node slopes.  Both are computed on first use and kept
-    per node, so the build pays nothing for them and a query takes no RK4 step.
-    Queries in the overhang past either end restart from the end node and take
-    two RK4 substeps.  jet_at(s) adds the interpolant's first two derivatives;
-    states_at(S) is state_at at every s of an array; from_nodes wraps nodes
-    taken elsewhere at the same fixed step.
+    II.6), which is C^2 across nodes.  The table holds three float64 arrays
+    of shape (n_steps + 1, len(state)): the node states ``nodes``, the node
+    slopes ``slopes``, where row i is f(s0 + i h, y_i), and their 4th-order
+    difference, y'' per node.  The build keeps each step's first RK4 stage as
+    its node's slope and calls f once more for the last node, so it calls f
+    4 n_steps + 1 times, and a query in range calls no f and takes no RK4
+    step.  Queries in the overhang past either end restart from the end node
+    and take two RK4 substeps.  jet_at(s) adds the interpolant's first two
+    derivatives; states_at(S) is state_at at every s of an array; from_nodes
+    wraps nodes and slopes taken elsewhere at the same fixed step.
     """
 
     def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
         self._set_grid(f, s0, s1, n_steps)
-        nodes = [tuple(float(v) for v in y0)]
-        y = nodes[0]
+        y = tuple(float(v) for v in y0)
+        nodes, slopes = [y], []
         for i in range(self.n_steps):
-            y = rk4_step(f, self.s0 + i * self.h, y, self.h)
+            s = self.s0 + i * self.h
+            slopes.append(f(s, y))
+            y = rk4_step(f, s, y, self.h, slopes[-1])
             nodes.append(y)
-        self._set_nodes(nodes)
+        slopes.append(f(self.s0 + self.n_steps * self.h, y))
+        self._set_nodes(nodes, slopes)
 
     @classmethod
-    def from_nodes(cls, f, s0: float, s1: float, nodes: Sequence[Sequence[float]]) -> "DenseODE":
+    def from_nodes(cls, f, s0: float, s1: float, nodes, slopes) -> "DenseODE":
         """The table over RK4 nodes of y' = f(s, y) already taken from s0 to s1.
 
-        The step is (s1 - s0)/(len(nodes) - 1); nothing is integrated again.
-        nodes[i] is the state tuple at s0 + i h: a list of tuples, or the
-        ArrayNodes of a batch build.
+        nodes[i] is the state at s0 + i h and slopes[i] is f(s0 + i h,
+        nodes[i]), with h = (s1 - s0)/(len(nodes) - 1): two (n_steps + 1,
+        len(state)) float64 arrays, or what converts to them.  Nothing is
+        integrated again and f is not called.
         """
         table = cls.__new__(cls)
         table._set_grid(f, s0, s1, len(nodes) - 1)
-        table._set_nodes(nodes)
+        table._set_nodes(nodes, slopes)
         return table
 
     def _set_grid(self, f, s0: float, s1: float, n_steps: int) -> None:
@@ -299,14 +337,14 @@ class DenseODE:
             raise ValueError("DenseODE needs at least 4 steps for its 5-point node stencils")
         self.h = (self.s1 - self.s0) / self.n_steps
 
-    def _set_nodes(self, nodes: list) -> None:
-        self.nodes = nodes
-        # y' and y'' per node, filled in by the queries that need them
-        self._d1: list = [None] * len(nodes)
-        self._d2: list = [None] * len(nodes)
-        self._arrays: tuple | None = None  # the same on arrays, for states_at
+    def _set_nodes(self, nodes, slopes) -> None:
+        self.nodes, self.slopes = _float_rows(nodes), _float_rows(slopes)
+        if self.slopes.shape != self.nodes.shape:
+            raise ValueError("DenseODE needs one slope per node state")
+        self._y2 = _d1_stencil(self.slopes, self.h)
         # (s, state) at the low and at the high end of the range
-        ends = [(self.s0, nodes[0]), (self.s1, nodes[-1])]
+        first, last = (tuple(self.nodes[k].tolist()) for k in (0, -1))
+        ends = [(self.s0, first), (self.s1, last)]
         self._low, self._high = ends if self.h > 0.0 else ends[::-1]
         pad = OVERHANG * (self._high[0] - self._low[0])
         self._min_s, self._max_s = self._low[0] - pad, self._high[0] + pad
@@ -330,63 +368,44 @@ class DenseODE:
             return self._march(*self._high, s)
         idx, s_node = self._cell(s)
         if s == s_node:
-            return self.nodes[idx]
-        return tuple(_hermite((s - s_node) / self.h, self.h, self.nodes[idx], self.nodes[idx + 1],
-                              self._node_d1(idx), self._node_d1(idx + 1),
-                              self._node_d2(idx), self._node_d2(idx + 1)))
+            return tuple(self.nodes[idx].tolist())
+        return tuple(_hermite((s - s_node) / self.h, self.h, *self._cell_data(idx)))
 
     def states_at(self, S: np.ndarray) -> np.ndarray:
         """state_at(s) at every s of the float array S, bit for bit.
 
         The result has shape (len(state), *S.shape): entry [k, ...] is
-        component k.  In range, _hermite runs on arrays, over node slopes that
-        f gives on the whole node array at once, so f(s, y) must also take an
-        array of s with a (len(state), n) array of states.  An s at or past an
-        end, or one that state_at rejects, is read by state_at's own path, in
-        the order of S.
+        component k.  In range, _hermite runs on arrays over the node arrays.
+        An s at or past an end, or one that state_at rejects, is read by
+        state_at's own path, in the order of S.
         """
         S = np.asarray(S, dtype=float)
         flat = S.ravel()
-        out = np.empty((len(self.nodes[0]), flat.size))
+        out = np.empty((self.nodes.shape[1], flat.size))
         inside = (flat > self._low[0]) & (flat < self._high[0])
         for k in np.flatnonzero(~inside).tolist():
             out[:, k] = self._state_at(float(flat[k]))
         if not inside.any():
             return out.reshape(len(out), *S.shape)
-        Y, D1, D2 = self._node_arrays()
         s = flat[inside]
         with np.errstate(all="ignore"):  # floats give inf and nan without a warning too
             idx = np.minimum(((s - self.s0) / self.h).astype(np.intp), self.n_steps - 1)
             s_node = self.s0 + idx * self.h
-            y, = _hermite((s - s_node) / self.h, self.h, [Y[:, idx]], [Y[:, idx + 1]],
-                          [D1[:, idx]], [D1[:, idx + 1]], [D2[:, idx]], [D2[:, idx + 1]])
-        out[:, inside] = np.where(s == s_node, Y[:, idx], y)
+            # node i and i + 1 of the states, slopes and y'' as (len(state), n) arrays
+            y, = _hermite((s - s_node) / self.h, self.h,
+                          *([x[j].T] for x in (self.nodes, self.slopes, self._y2)
+                            for j in (idx, idx + 1)))
+        out[:, inside] = np.where(s == s_node, self.nodes[idx].T, y)
         return out.reshape(len(out), *S.shape)
-
-    def _node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node states, y' and y'' as (len(state), n_steps + 1) arrays, made on first use.
-
-        Column i is nodes[i], _node_d1(i) and _node_d2(i) bit for bit.
-        """
-        if self._arrays is None:
-            nodes = self.nodes
-            Y = (nodes._rows if isinstance(nodes, ArrayNodes) else np.array(nodes, dtype=float)).T
-            i = np.arange(self.n_steps + 1)
-            D1 = np.empty_like(Y)
-            with np.errstate(all="ignore"):
-                for k, d1 in enumerate(self.f(self.s0 + i * self.h, Y)):
-                    D1[k] = d1
-                lo = np.clip(i - 2, 0, self.n_steps - 4)
-                stencils = np.array(_D1_STENCILS)[i - lo].T
-                D2, = _d1_stencil(1.0 / (12.0 * self.h), stencils,
-                                  [[D1[:, lo + j]] for j in range(5)])
-            self._arrays = (Y, D1, D2)
-        return self._arrays
 
     def _cell(self, s: float) -> tuple[int, float]:
         """Index and s of the node that starts the step holding an in-range s."""
         idx = min(int((s - self.s0) / self.h), self.n_steps - 1)
         return idx, self.s0 + idx * self.h
+
+    def _cell_data(self, i: int) -> list:
+        """States, slopes and y'' at nodes i and i + 1 as lists of floats, in _hermite's order."""
+        return [row for x in (self.nodes, self.slopes, self._y2) for row in x[i:i + 2].tolist()]
 
     def jet_at(self, s: float) -> tuple[tuple, tuple, tuple]:
         """(y, y', y'') at s, with y = state_at(s).
@@ -400,48 +419,10 @@ class DenseODE:
         if at_low or s >= self._high[0]:
             # node 0 is the low end of a forward table and the high end of a backward one
             end = 0 if at_low == (self.h > 0.0) else self.n_steps
-            return y, self.f(s, y), self._node_d2(end)
+            return y, self.f(s, y), tuple(self._y2[end].tolist())
         idx, s_node = self._cell(s)
-        return (y, *self._hermite_derivatives(idx, (s - s_node) / self.h))
-
-    def _node_d1(self, i: int) -> tuple:
-        d1 = self._d1[i]
-        if d1 is None:
-            d1 = self._d1[i] = self.f(self.s0 + i * self.h, self.nodes[i])
-        return d1
-
-    def _node_d2(self, i: int) -> tuple:
-        d2 = self._d2[i]
-        if d2 is None:
-            lo = min(max(i - 2, 0), self.n_steps - 4)
-            d2 = self._d2[i] = tuple(_d1_stencil(1.0 / (12.0 * self.h), _D1_STENCILS[i - lo],
-                                                 [self._node_d1(j) for j in range(lo, lo + 5)]))
-        return d2
-
-    def _hermite_derivatives(self, i: int, t: float) -> tuple[tuple, tuple]:
-        """First and second s-derivatives of _hermite at the same point."""
-        u = 1.0 - t
-        tu = t * u
-        h = self.h
-        # d/ds and d2/ds2 of each weight of _hermite, in the same order
-        d_y = 30.0 * tu * tu / h
-        d_f0 = u * u * (1.0 + 2.0 * t - 15.0 * t * t)
-        d_f1 = t * t * (1.0 + 2.0 * u - 15.0 * u * u)
-        d_a0 = 0.5 * h * tu * u * (2.0 - 5.0 * t)
-        d_a1 = -0.5 * h * tu * t * (2.0 - 5.0 * u)
-        dd_y = 60.0 * tu * (u - t) / (h * h)
-        dd_f0 = 12.0 * tu * (5.0 * t - 3.0) / h
-        dd_f1 = -12.0 * tu * (5.0 * u - 3.0) / h
-        dd_a0 = u * (1.0 - 8.0 * t + 10.0 * t * t)
-        dd_a1 = t * (1.0 - 8.0 * u + 10.0 * u * u)
-        d1, d2 = [], []
-        for y0, y1, f0, f1, a0, a1 in zip(
-                self.nodes[i], self.nodes[i + 1], self._node_d1(i), self._node_d1(i + 1),
-                self._node_d2(i), self._node_d2(i + 1)):
-            dy = y1 - y0
-            d1.append(d_y * dy + d_f0 * f0 + d_f1 * f1 + d_a0 * a0 + d_a1 * a1)
-            d2.append(dd_y * dy + dd_f0 * f0 + dd_f1 * f1 + dd_a0 * a0 + dd_a1 * a1)
-        return tuple(d1), tuple(d2)
+        d1, d2 = _hermite_derivatives((s - s_node) / self.h, self.h, *self._cell_data(idx))
+        return y, tuple(d1), tuple(d2)
 
     def _march(self, s_from: float, y: tuple, s_to: float) -> tuple:
         ds = s_to - s_from
@@ -481,7 +462,7 @@ class CenteredODE:
         """state_at(s) at every s of S, bit for bit, as DenseODE.states_at lays it out."""
         S = np.asarray(S, dtype=float)
         fwd = S >= 0.0
-        out = np.empty((len(self.fwd.nodes[0]), *S.shape))
+        out = np.empty((self.fwd.nodes.shape[1], *S.shape))
         out[:, fwd] = self.fwd.states_at(S[fwd])
         out[:, ~fwd] = self.bwd.states_at(S[~fwd])
         return out

@@ -30,7 +30,6 @@ import numpy as np
 
 from .algebra import Metric, Vec3, cross, inner, norm, triple
 from .curves import (
-    ArrayNodes,
     CenteredODE,
     Curve,
     DenseODE,
@@ -289,7 +288,7 @@ def normalize_euclidean(base: Curve, director: Curve,
         return norm(Metric.EUCLIDEAN, director.d1(u))
 
     length_table = DenseODE(lambda u, y: (speed(u),), a, b, (0.0,), 2048)
-    total = length_table.nodes[-1][0]
+    total = float(length_table.nodes[-1, 0])  # a float, so no np.float64 repr reaches a label
     u_of_s = DenseODE(lambda s, y: (1.0 / speed(y[0]),), 0.0, total, (a,), 2048)
 
     def chain(s: float):
@@ -408,9 +407,8 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         return (d1, -f1 * d1)
 
     table = DenseODE(rhs, a, b, (1.0, 0.0), 512)
-    for node in table.nodes:
-        if not all(math.isfinite(v) for v in node) or abs(node[0]) > 1e6:
-            raise ODEBreakdown("reparametrization state blew up")
+    if not (np.isfinite(table.nodes).all() and (np.abs(table.nodes[:, 0]) <= 1e6).all()):
+        raise ODEBreakdown("reparametrization state blew up")
 
     def g_value(s: float) -> Vec3:
         y1, y2 = table.state_at(s)
@@ -447,13 +445,15 @@ def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
                         n_steps: int) -> dict:
     """normalize_lorentz's (f1, f2, f3) by s at the RK4 stages from a to b, in one array pass.
 
-    Only _FrameCurves, which read on arrays, are tabulated; the values are
-    those of the pointwise reads bit for bit.  The dict is empty when a curve
-    has no array read, or when the read raises or meets a value that is not
-    finite (where a Vec3 raises): the build then reads f1, f2, f3 pointwise
-    and raises what it reaches, where it reaches it, as it would have anyway.
+    Only a base and director of one frame-ODE table (_frame_curves) are
+    tabulated, from one read of that table; the values are those of the
+    pointwise reads bit for bit.  The dict is empty for any other pair, or
+    when the read raises or meets a value that is not finite (where a Vec3
+    raises): the build then reads f1, f2, f3 pointwise and raises what it
+    reaches, where it reaches it, as it would have anyway.
     """
-    if not (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)):
+    if not (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
+            and base.frame_at is director.frame_at):
         return {}
     try:
         with np.errstate(all="ignore"):
@@ -461,7 +461,7 @@ def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
             # curve may tell them apart
             stages = rk4_stages(a, b, n_steps)[1].ravel().tolist()
             S = np.array([s for s in dict.fromkeys(stages) if s != 0.0])
-            (g, gp), (w, wp) = base.values_at(S), director.values_at(S)
+            g, gp, w, wp = base.frame_at(S)
             f = _reparametrization_coefficients(g, gp, w, wp)
     except (GeometryError, ArithmeticError, ValueError):
         return {}  # left for the pointwise build to raise at its own s, if it gets there
@@ -630,15 +630,16 @@ def _tcross(a, b, zsign: float = 1.0):
 
 
 class _FrameCurve(Curve):
-    """A Curve over a frame-ODE table that also reads its value and d1 on an array of s.
+    """The base or director of a frame-ODE table, whose whole frame also reads on arrays.
 
-    values_at(S) gives (value, d1) at every s of S as _V component arrays,
-    bit for bit value(s) and d1(s), through the table's states_at.
+    frame_at(S), shared by the base and director of one table, gives (g, g',
+    w, w') at every s of S as _V component arrays from one states_at read of
+    the table, bit for bit the pointwise value(s) and d1(s) of both curves.
     """
 
-    def __init__(self, value, d1, d2, values_at):
+    def __init__(self, value, d1, d2, frame_at):
         super().__init__(value, d1, d2)
-        self.values_at = values_at
+        self.frame_at = frame_at
 
 
 def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
@@ -647,7 +648,7 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     w, w' and g are state slots 0:3, 3:6 and 6:9; w'' and g' are the same
     slots 3:6 and 6:9 of rhs(s, state).  g_d2(s, state) supplies a closed
     form for g''; without it, Curve falls back to the central difference of g'.
-    rhs must also take arrays (see DenseODE.states_at), for the curves' values_at.
+    rhs must also take arrays of s and states, for the curves' frame_at.
     """
 
     def read(k: int, f=None):
@@ -663,17 +664,13 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     def slots(y, k: int) -> _V:
         return _V(y[k], y[k + 1], y[k + 2])
 
-    def base_at(S: np.ndarray) -> tuple[_V, _V]:
+    def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V]:
         y = table.states_at(S)
-        return slots(y, 6), slots(rhs(S, y), 6)
-
-    def director_at(S: np.ndarray) -> tuple[_V, _V]:
-        y = table.states_at(S)
-        return slots(y, 0), slots(y, 3)
+        return slots(y, 6), slots(rhs(S, y), 6), slots(y, 0), slots(y, 3)
 
     g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
-    base = _FrameCurve(read(6), read(6, rhs), g_d2_of_s, base_at)
-    director = _FrameCurve(read(0), read(3), read(3, rhs), director_at)
+    base = _FrameCurve(read(6), read(6, rhs), g_d2_of_s, frame_at)
+    director = _FrameCurve(read(0), read(3), read(3, rhs), frame_at)
     return base, director
 
 
@@ -766,12 +763,14 @@ def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: fl
     return rhs, g_d2
 
 
-def _frame_nodes_batch(draws: Sequence[_Draw], grids) -> np.ndarray:
-    """Nodes of every draw's frame-ODE table on every grid, in one float64 RK4 pass.
+def _frame_nodes_batch(draws: Sequence[_Draw], grids) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and node slopes of every draw's frame-ODE table on every grid, in one RK4 pass.
 
-    grids holds (s0, s1, n_steps) per table half, all with one n_steps.  The
-    result has shape (n_steps + 1, 9, len(grids) * len(draws)); column
-    g * len(draws) + b is draw b's table on grid g.
+    grids holds (s0, s1, n_steps) per table half, all with one n_steps.  Both
+    results have shape (n_steps + 1, 9, len(grids) * len(draws)); column
+    g * len(draws) + b is draw b's table on grid g.  The slopes are the
+    first stages of the steps, and the right-hand side at the last node,
+    s0 + n_steps h as DenseODE rounds it.
     """
     n_draws = len(draws)
     n_steps = grids[0][2]
@@ -780,6 +779,7 @@ def _frame_nodes_batch(draws: Sequence[_Draw], grids) -> np.ndarray:
     steps, stages = zip(*[rk4_stages(s0, s1, n_steps) for s0, s1, _ in grids])
     h = steps[0] if len(grids) == 1 else np.repeat(steps, n_draws)
     nodes = np.empty((n_steps + 1, 9, len(grids) * n_draws))
+    slopes = np.empty_like(nodes)
     nodes[0] = np.tile(np.array([d.y0 for d in draws]).T, len(grids))
     # Q and P are tabulated a block of steps at a time, which bounds the
     # memory besides the nodes: qp[i, stage] is (Q, P) of every column
@@ -788,8 +788,11 @@ def _frame_nodes_batch(draws: Sequence[_Draw], grids) -> np.ndarray:
         qp = np.concatenate([fourier_table(series, g).reshape(len(g), 3, 2, n_draws)
                              for g in block], axis=-1)
         rk4_batch(lambda i, stage, y: _frame_rhs_batch(y, qp[i, stage], zsign, sigma),
-                  nodes[i0:i0 + len(qp) + 1], h)
-    return nodes
+                  nodes[i0:i0 + len(qp) + 1], slopes[i0:i0 + len(qp)], h)
+    qp = np.concatenate([fourier_table(series, np.array(s0 + n_steps * step)).reshape(2, n_draws)
+                         for (s0, _, _), step in zip(grids, steps)], axis=-1)
+    slopes[n_steps] = _frame_rhs_batch(nodes[n_steps], qp, zsign, sigma)
+    return nodes, slopes
 
 
 def _lightlike_gp(s, m):
@@ -818,22 +821,26 @@ def _lightlike_ode(mf: FourierSeries):
 
 
 def _lightlike_nodes(draws: Sequence[_Draw], s0: float, s1: float,
-                     n_steps: int) -> np.ndarray:
-    """RK4 nodes of every lightlike draw's base from s0 to s1, shape (n_steps + 1, 3, draws).
+                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 nodes and slopes of every lightlike draw's base from s0 to s1.
 
-    g' does not read the state, so the nodes are RK4 sums of g' at the
-    stages, taken a block of steps at a time like _frame_nodes_batch.
+    Both have shape (n_steps + 1, 3, draws).  g' does not read the state, so
+    the nodes are RK4 sums of g' at the stages, taken a block of steps at a
+    time like _frame_nodes_batch, and the slopes are g' at the node s.
     """
     h, stages = rk4_stages(s0, s1, n_steps)
     series = [d.series[0] for d in draws]
     nodes = np.empty((n_steps + 1, 3, len(draws)))
+    slopes = np.empty_like(nodes)
     nodes[0] = np.array([d.y0 for d in draws]).T
     for i0 in range(0, n_steps, _STEP_BLOCK):
         block = stages[i0:i0 + _STEP_BLOCK]
         # g' at each stage of the block's steps, shape (steps, 3, 3, draws)
         gp = np.stack(_lightlike_gp(block[..., None], fourier_table(series, block)), axis=2)
-        rk4_quadrature(gp, nodes[i0:i0 + len(block) + 1], h)
-    return nodes
+        rk4_quadrature(gp, nodes[i0:i0 + len(block) + 1], slopes[i0:i0 + len(block)], h)
+    end = s0 + n_steps * h  # the last node's s, as DenseODE rounds it
+    slopes[n_steps] = _lightlike_gp(end, fourier_table(series, np.array(end)))
+    return nodes, slopes
 
 
 def random_unit_vector(rng: np.random.Generator) -> Vec3:
@@ -955,8 +962,8 @@ def _build_tables(draws: Sequence[_Draw], rhss, n_steps: int) -> list:
     klass = draws[0].director_class
     half = 0.5 * SWEEP_S_LEN
     if klass is DirectorClass.LORENTZ_LIGHTLIKE:
-        nodes = _lightlike_nodes(draws, -half, half, n_steps)
-        return [DenseODE.from_nodes(rhs, -half, half, ArrayNodes(nodes[:, :, b]))
+        nodes, slopes = _lightlike_nodes(draws, -half, half, n_steps)
+        return [DenseODE.from_nodes(rhs, -half, half, nodes[:, :, b], slopes[:, :, b])
                 for b, rhs in enumerate(rhss)]
     euclid = klass is DirectorClass.EUCLID_STANDARD
     if len(draws) < _MIN_BATCH:
@@ -965,9 +972,9 @@ def _build_tables(draws: Sequence[_Draw], rhss, n_steps: int) -> list:
         return [CenteredODE(rhs, half, d.y0, n_steps) for d, rhs in zip(draws, rhss)]
     grids = ([(0.0, SWEEP_S_LEN, n_steps)] if euclid
              else [(0.0, half, n_steps // 2), (0.0, -half, n_steps // 2)])
-    nodes = _frame_nodes_batch(draws, grids)
+    nodes, slopes = _frame_nodes_batch(draws, grids)
     n = len(draws)
-    halves = [[DenseODE.from_nodes(rhs, s0, s1, ArrayNodes(nodes[:, :, g * n + b]))
+    halves = [[DenseODE.from_nodes(rhs, s0, s1, nodes[:, :, g * n + b], slopes[:, :, g * n + b])
                for b, rhs in enumerate(rhss)]
               for g, (s0, s1, _) in enumerate(grids)]
     return halves[0] if euclid else [CenteredODE.from_tables(*pair) for pair in zip(*halves)]
@@ -983,11 +990,7 @@ def _build_surfaces(draws: Sequence[_Draw], n_steps: int = SWEEP_STEPS) -> list[
 def _surface(d: _Draw, table, rhs, g_d2) -> RuledSurface:
     half = 0.5 * SWEEP_S_LEN
     if d.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
-        def g_value(s):
-            y = table.state_at(s)
-            return Vec3(y[0], y[1], y[2])
-
-        base = Curve(g_value, lambda s: Vec3(*rhs(s, None)), g_d2)
+        base = Curve(lambda s: Vec3(*table.state_at(s)), lambda s: Vec3(*rhs(s, None)), g_d2)
         director = line_curve(Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
         return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,
                             DirectorClass.LORENTZ_LIGHTLIKE, delta=0, normalized=True,
@@ -1086,15 +1089,16 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int):
 
         table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), 512)
 
-        # solvability: f3 = <g1, w'>_L must stay away from zero
-        ok = True
-        for node in list(table.fwd.nodes) + list(table.bwd.nodes):
-            g1 = Vec3(node[6], node[7], node[8])
-            wp = Vec3(node[3], node[4], node[5])
-            if abs(inner(m, g1, wp)) < 0.45:
-                ok = False
-                break
-        if not ok:
+        # solvability: f3 = <g1, w'>_L must stay away from zero at every node,
+        # taken fwd then bwd; the first node that fails raises if it is not finite
+        nodes = np.concatenate([table.fwd.nodes, table.bwd.nodes])
+        with np.errstate(all="ignore"):
+            f3 = inner(m, _V(*nodes[:, 6:9].T), _V(*nodes[:, 3:6].T))
+        bad = ~np.isfinite(nodes[:, 3:9]).all(axis=1) | (np.abs(f3) < 0.45)
+        if bad.any():
+            node = nodes[np.argmax(bad)].tolist()
+            Vec3(*node[6:9])  # raises as the Vec3s of g1 and w' did, if not finite
+            Vec3(*node[3:6])
             continue
 
         base, director = _frame_curves(table, rhs)

@@ -3,6 +3,7 @@ dense output and its derivatives, tables over given nodes, domain and input chec
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,8 @@ class _ForwardTable:
         self.nodes = [tuple(y0)]
         for i in range(n_steps):
             self.nodes.append(rk4_step(f, s0 + i * self.h, self.nodes[-1], self.h))
+        # a table also calls f at its last node, for the slope no RK4 step gives
+        f(s0 + n_steps * self.h, self.nodes[-1])
 
     def state_at(self, s):
         if s < self.s0 - self.overhang or s > self.s1 + self.overhang:
@@ -88,6 +91,10 @@ def _bits(values):
     return [repr(v) for v in values]
 
 
+def _node_bytes(nodes):
+    return np.asarray(nodes, dtype=float).tobytes()
+
+
 def test_centered_table_matches_time_reversed_reference_bitwise():
     # bitwise wherever both sides take the same arithmetic: nodes, build calls,
     # on-node and overhang queries.  h = 0.9/24 puts (s - s0)/h on the end node
@@ -96,8 +103,8 @@ def test_centered_table_matches_time_reversed_reference_bitwise():
     new_calls, ref_calls = [], []
     new = CenteredODE(_de_sitter_rhs(new_calls), half, Y0, n_steps)
     ref = _TimeReversedCentered(_de_sitter_rhs(ref_calls), half, Y0, n_steps)
-    assert new.fwd.nodes == ref.fwd.nodes
-    assert _bits(new.bwd.nodes) == _bits(ref.bwd.nodes)
+    assert _node_bytes(new.fwd.nodes) == _node_bytes(ref.fwd.nodes)
+    assert _node_bytes(new.bwd.nodes) == _node_bytes(ref.bwd.nodes)
     assert _bits(new_calls) == _bits(ref_calls)
 
     h = half / (n_steps // 2)
@@ -141,13 +148,16 @@ def test_build_calls_f_four_times_per_step_and_queries_take_no_rk4_step(monkeypa
     n_steps = 24
     table = DenseODE(_de_sitter_rhs(calls), 0.0, 0.9, Y0, n_steps)
     assert len(steps) == n_steps
-    assert len(calls) == 4 * n_steps
+    # the node slopes are the build's own first stages, plus f at the last node
+    assert len(calls) == 4 * n_steps + 1
     steps.clear()
-    for k in range(1, 200):
-        table.state_at(0.9 * k / 200)
-    assert steps == []
-    # node slopes are the build's own first stages: one f call per node, none for a repeat
-    assert len(calls) - 4 * n_steps == n_steps + 1
+    calls.clear()
+    S = [0.9 * k / 200 for k in range(1, 200)]
+    for s in S:
+        table.state_at(s)
+        table.jet_at(s)
+    table.states_at(np.array(S))
+    assert steps == [] and calls == []
     table.state_at(0.9 * (1.0 + 0.5 * OVERHANG))
     assert len(steps) == 2
 
@@ -257,14 +267,17 @@ def test_from_nodes_answers_like_the_built_table(s0, s1):
     calls = []
     built = DenseODE(_de_sitter_rhs(calls), s0, s1, Y0, 24)
     calls.clear()
-    wrapped = DenseODE.from_nodes(built.f, s0, s1, built.nodes)
+    wrapped = DenseODE.from_nodes(built.f, s0, s1, built.nodes, built.slopes)
     assert calls == []
-    assert wrapped.h == built.h and wrapped.nodes == built.nodes
+    assert wrapped.h == built.h
+    assert _node_bytes(wrapped.nodes) == _node_bytes(built.nodes)
     edge = s1 + OVERHANG * (s1 - s0)
     for s in [s0, s1, 0.3 * built.h, 7 * built.h, 0.5 * s1, 0.5 * (s1 + edge), edge]:
         assert _bits(wrapped.state_at(s)) == _bits(built.state_at(s)), s
     with pytest.raises(ValueError):
-        DenseODE.from_nodes(built.f, s0, s1, built.nodes[:4])
+        DenseODE.from_nodes(built.f, s0, s1, built.nodes[:4], built.slopes[:4])
+    with pytest.raises(ValueError):
+        DenseODE.from_nodes(built.f, s0, s1, built.nodes, built.slopes[:-1])
 
 
 def test_catenary_cylinder_residual_grid_takes_no_rk4_step(monkeypatch):
@@ -295,8 +308,6 @@ def test_catenary_cylinder_residual_grid_takes_no_rk4_step(monkeypatch):
 
 
 def test_fourier_table_is_the_series_bitwise():
-    import numpy as np
-
     omega = 2.0 * math.pi / 3.0
     series = [FourierSeries(0.4, [0.3, -0.2], [0.1, 0.05], omega),
               FourierSeries(-1.2, [0.0, 0.7], [-0.6, 0.2], omega),
@@ -316,8 +327,6 @@ def test_fourier_table_is_the_series_bitwise():
 def _states_at_tables():
     """Forward, backward and centered tables of a sweep frame ODE, whose right-hand side
     takes floats and arrays alike, and a centered table over batch-built nodes."""
-    import numpy as np
-
     from singular_geom import ruled
 
     rng = np.random.default_rng(12)
@@ -369,8 +378,6 @@ _POINTS = st.one_of(_CELLS, st.tuples(st.just("zero"), st.sampled_from([0.0, -0.
 @given(name=st.sampled_from(sorted(_STATES_AT_TABLES)), points=st.lists(_POINTS, min_size=1,
                                                                          max_size=12))
 def test_states_at_is_state_at_bitwise(name, points):
-    import numpy as np
-
     table = _STATES_AT_TABLES[name]
     S = np.array([_position(table, p) for p in points])
     expected = np.array([table.state_at(s) for s in S.tolist()]).T

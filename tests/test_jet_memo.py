@@ -249,7 +249,7 @@ def test_tabulated_lorentz_normalization_matches_pointwise_reference(monkeypatch
         with monkeypatch.context() as m:
             m.setattr(ruled, "DenseODE", Recording)
             rs = ruled.normalize_lorentz(base, director, delta, s_range)
-        assert repr(built[-1].nodes) == repr(ref_table.nodes)
+        assert built[-1].nodes.tobytes() == ref_table.nodes.tobytes()
         assert _surface_samples(rs) == _surface_samples(ref)
 
 
@@ -269,14 +269,15 @@ def test_tabulation_leaves_curve_errors_to_the_stepwise_build():
                  lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0))
     reads = []
 
-    def on_array(curve):
-        # a curve that answers on arrays, one s at a time in the order of S
-        def values_at(S):
-            reads.append(len(S))
-            rows = [(curve.value(s).as_tuple(), curve.d1(s).as_tuple()) for s in S.tolist()]
-            return tuple(_V(*np.array(col).T) for col in zip(*rows))
+    def frame_at(S):
+        # the pair answers on arrays, one s at a time in the order of S
+        reads.append(len(S))
+        rows = [tuple(x.as_tuple() for x in (base.value(s), base.d1(s), director.value(s),
+                                              director.d1(s))) for s in S.tolist()]
+        return tuple(_V(*np.array(col).T) for col in zip(*rows))
 
-        return ruled._FrameCurve(curve.value, curve.d1, curve.d2, values_at)
+    def on_array(curve):
+        return ruled._FrameCurve(curve.value, curve.d1, curve.d2, frame_at)
 
     for pair in ((base, director), (on_array(base), on_array(director))):
         with pytest.raises(ODEBreakdown):

@@ -375,9 +375,9 @@ def test_shared_frame_ode_matches_separate_generators_bitwise(make, reference, s
                       rs.base.jet(s), rs.director.jet(s))) for s in rs.s_samples(16)]
 
     rs = make(np.random.default_rng(seed))
-    nodes, built[:] = [repr(t.nodes) for t in built], []
+    nodes, built[:] = [t.nodes.tobytes() for t in built], []
     ref = reference(np.random.default_rng(seed))
-    ref_nodes = [repr(t.nodes) for t in built]
+    ref_nodes = [t.nodes.tobytes() for t in built]
     assert len(nodes) == len(ref_nodes) >= 1
     assert nodes == ref_nodes
     assert fingerprint(rs) == fingerprint(ref)
@@ -442,6 +442,52 @@ def test_batch_build_matches_scalar_tables_bitwise(klass, size):
         for s in batched.s_samples(3):
             assert repr(frame(batched, s)) == repr(frame(scalar, s))
             assert repr(coefficients(batched, s, v, 1.5)) == repr(coefficients(scalar, s, v, 1.5))
+
+
+def _assert_slopes_are_f_at_nodes(table):
+    """Every stored node slope is f(s0 + i h, node i) bit for bit, the last node's too."""
+    for half in _halves(table):
+        expected = [half.f(half.s0 + i * half.h, tuple(node))
+                    for i, node in enumerate(half.nodes.tolist())]
+        assert half.slopes.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, ruled._MIN_BATCH, ruled.SWEEP_CHUNK + 1])
+@pytest.mark.parametrize("klass", list(_DRAWS))
+def test_tables_keep_the_slope_of_f_at_every_node(klass, size):
+    rng = np.random.default_rng(2000 + size)
+    draws = [_DRAWS[klass](rng) for _ in range(size)]
+    tables = ruled._build_tables(draws, [d.ode()[0] for d in draws], ruled.SWEEP_STEPS)
+    for table in tables:
+        _assert_slopes_are_f_at_nodes(table)
+
+
+def test_scalar_and_catenary_tables_keep_the_slope_of_f_at_every_node(monkeypatch):
+    rhs, _ = _DRAWS["lorentz+1"](np.random.default_rng(5)).ode()
+    y0 = (0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.3, -0.2, 0.5)
+    # the backward table's h = -1.2/32 is not a power of two, and its s0 + 32 h rounds
+    # apart from its last stage's s, s0 + 31 h + h
+    tables = [curves.DenseODE(rhs, 0.0, 0.9, y0, 24), curves.DenseODE(rhs, 0.9, -0.3, y0, 32),
+              curves.CenteredODE(rhs, 0.9, y0, 48)]
+    back = tables[1]
+    assert back.s0 + 32 * back.h != back.s0 + 31 * back.h + back.h
+    built = []
+
+    class Recording(curves.DenseODE):
+        def _set_nodes(self, nodes, slopes):
+            super()._set_nodes(nodes, slopes)
+            built.append(self)
+
+    monkeypatch.setattr(cat, "DenseODE", Recording)
+    cat.plane_curve(cat.integrate(cat.CatenaryState(0.0, 1.0, 0.2, 0.0), 3.0, 1.3, 1e-3),
+                    EZ, Vec3(0, 1, 0))
+    # a path built from states, with no RK4 step taken: plane_curve applies f per node
+    line = cat.CatenaryPath([cat.CatenaryState(0.3, 1.0 + s, 1.2, s)
+                             for s in np.linspace(0.0, 1.0, 37).tolist()], -1.5)
+    cat.plane_curve(line, EZ, Vec3(0, 1, 0))
+    assert len(built) == 2
+    for table in tables + built:
+        _assert_slopes_are_f_at_nodes(table)
 
 
 def _reference_sweep(cfg, planted):

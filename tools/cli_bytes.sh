@@ -37,6 +37,7 @@ COMMANDS=(
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 5 --samples 4 --seed 9 --out sweep_lorentz_m.json"
   "sweep --metric lorentz --class lightlike --n 5 --samples 4 --seed 9 --out sweep_lightlike.json"
   # the last chunk holds one draw, so its frame table is built by the scalar path
+  "sweep --metric euclid --class standard --n 33 --samples 2 --seed 9 --out sweep_euclid33.json"
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 33 --samples 2 --seed 9 --out sweep_lorentz_m33.json"
   "variational --init noisy --noise 0.01 --seed 3 --grid 33x17 --steps 20 --out-prefix noisy"
   "residual --surface file --file noisy_field.csv --grid 20x20 --out residual_file.csv"
