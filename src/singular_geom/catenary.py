@@ -46,6 +46,9 @@ class CatenaryPath:
 
     The path holds its RK4 nodes as (u, y, theta) tuples in ``nodes`` and their
     arclengths in ``s``; ``states`` builds the CatenaryState list on first read.
+    A path from :func:`integrate` also keeps the slope (u', y', theta') at
+    every node, which the integration computes anyway; a path built from
+    states has none.
     """
 
     def __init__(self, states: list[CatenaryState], alpha: float,
@@ -55,6 +58,7 @@ class CatenaryPath:
         self.alpha = alpha
         self.exited_halfspace = exited_halfspace
         self._states = list(states)
+        self._slopes = None
 
     @classmethod
     def from_nodes(cls, nodes: list[tuple], s: list[float], alpha: float,
@@ -62,7 +66,7 @@ class CatenaryPath:
         path = cls.__new__(cls)
         path.nodes, path.s = nodes, s
         path.alpha, path.exited_halfspace = alpha, exited_halfspace
-        path._states = None
+        path._states = path._slopes = None
         return path
 
     @property
@@ -134,11 +138,14 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
     f = _rhs(alpha)
     state = (start.u, start.y, start.theta)
     s = start.s
-    nodes, ss = [state], [s]
+    nodes, ss, slopes = [state], [s], []
     exited = False
     for _ in range(n):
+        # every node has y above the floor, so f at a node does not raise
+        k1 = f(s, state)
+        slopes.append(k1)
         try:
-            state = rk4_step(f, s, state, h)
+            state = rk4_step(f, s, state, h, k1)
         except HalfspaceViolation:
             exited = True
             break
@@ -148,7 +155,11 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
         s += h
         nodes.append(state)
         ss.append(s)
-    return CatenaryPath.from_nodes(nodes, ss, alpha, exited)
+    else:
+        slopes.append(f(s, state))
+    path = CatenaryPath.from_nodes(nodes, ss, alpha, exited)
+    path._slopes = slopes
+    return path
 
 
 def classical_catenary(s: float) -> tuple[float, float]:
@@ -254,7 +265,9 @@ def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
     """
     d = _embedding_frame(v, ruling)
     f = _rhs(path.alpha)
-    slopes = [f(s, node) for s, node in zip(path.s, path.nodes)]
+    slopes = path._slopes
+    if slopes is None:  # a path built from states
+        slopes = [f(s, node) for s, node in zip(path.s, path.nodes)]
     table = DenseODE.from_nodes(f, path.s[0], path.s[-1], path.nodes, slopes)
 
     @memo_last

@@ -36,7 +36,12 @@ FD_H2 = 1e-3
 
 def fd1(f: Callable[[float], Vec3 | float], s: float, h: float = FD_H1) -> Vec3 | float:
     """4th-order central first derivative of a Vec3- or float-valued function."""
-    return (f(s - 2 * h) - 8.0 * f(s - h) + 8.0 * f(s + h) - f(s + 2 * h)) / (12.0 * h)
+    return fd1_stencil(f(s - 2 * h), f(s - h), f(s + h), f(s + 2 * h), h)
+
+
+def fd1_stencil(f_m2, f_m1, f_p1, f_p2, h: float = FD_H1):
+    """fd1 from the values at s - 2h, s - h, s + h and s + 2h; elementwise on arrays too."""
+    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
 
 
 def fd2(f: Callable[[float], Vec3], s: float) -> Vec3:
@@ -72,6 +77,23 @@ def memo_last(f: Callable[[float], object]) -> Callable[[float], object]:
         out = f(s)
         last[:] = (s, out)
         return out
+
+    return wrapped
+
+
+def memo_last_array(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """f that keeps its result for the last array argument, and returns it again
+    for an array of the same shape and bits.
+
+    Callers share the result, and none writes to it.
+    """
+    last: list = []
+
+    def wrapped(S: np.ndarray):
+        key = (S.shape, S.tobytes())
+        if not (last and last[0] == key):
+            last[:] = (key, f(S))
+        return last[1]
 
     return wrapped
 

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,12 +33,15 @@ from .curves import (
     CenteredODE,
     Curve,
     DenseODE,
+    FD_H1,
     FourierSeries,
     constant_curve,
     fd1,
+    fd1_stencil,
     fourier_table,
     line_curve,
     memo_last,
+    memo_last_array,
     rk4_batch,
     rk4_quadrature,
     rk4_stages,
@@ -70,6 +73,9 @@ ZERO_Q_FLOOR = 1e-10
 # The sweep's alarm: a surface whose scaled coefficient maximum stays at or
 # below this value at every sample is a counterexample candidate.
 ALARM_THRESHOLD = 1e-6
+
+# (a, b) of the lightlike director w(s) = a s + b = (1, s, s), with w' = a lightlike
+_LIGHTLIKE_LINE = (Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
 
 # Smallest |alpha| the sweep draws; alpha = 0 annihilates every coefficient.
 MIN_ABS_ALPHA = 0.25
@@ -256,8 +262,7 @@ def lightlike_reference() -> RuledSurface:
         lambda s: Vec3(s, 0.5 * s * s - 1.0, 0.5 * s * s),
         lambda s: Vec3(1.0, s, s),
     )
-    director = line_curve(Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
-    return RuledSurface.build(base, director, (-1.0, 1.0), Metric.LORENTZIAN,
+    return RuledSurface.build(base, line_curve(*_LIGHTLIKE_LINE), (-1.0, 1.0), Metric.LORENTZIAN,
                               DirectorClass.LORENTZ_LIGHTLIKE, delta=0,
                               label="lightlike_reference")
 
@@ -372,7 +377,10 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         raise ConfigError("delta must be +1 or -1")
     a, b = float(s_range[0]), float(s_range[1])
     m = Metric.LORENTZIAN
-    for u in np.linspace(a, b, 33):
+    checked = np.linspace(a, b, 33)
+    # the pointwise check runs, and raises at the first u that fails, unless
+    # every u passes on arrays
+    for u in [] if _spacelike_input(base, director, delta, checked) else checked:
         gp = base.d1(u)
         w = director.value(u)
         wp = director.d1(u)
@@ -441,6 +449,29 @@ def _reparametrization_coefficients(g, gp, w, wp):
     return inner(m, g, w), inner(m, gp, wp), inner(m, g, wp)
 
 
+def _spacelike_input(base: Curve, director: Curve, delta: int, U: np.ndarray) -> bool:
+    """Whether normalize_lorentz's input check passes at every u of U, read on arrays.
+
+    False unless base and director share one frame_at (_frame_curves) and
+    the read passes every relation at every u; the pointwise check then runs
+    and raises where it fails.  A g', w or w' that is not finite fails a
+    relation, since NaN compares false.
+    """
+    frame_at = _shared_frame_at(base, director)
+    if frame_at is None:
+        return False
+    m = Metric.LORENTZIAN
+    try:
+        with np.errstate(all="ignore"):
+            _, gp, w, wp, _ = frame_at(U)
+            rels = (abs(inner(m, w, w) - 1.0), abs(inner(m, wp, wp) - delta),
+                    abs(inner(m, gp, w)), inner(m, gp, gp))
+    except (GeometryError, ArithmeticError, ValueError):
+        return False
+    return bool((rels[0] <= 1e-8).all() and (rels[1] <= 1e-8).all()
+                and (rels[2] <= 1e-8).all() and (rels[3] > 0.0).all())
+
+
 def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
                         n_steps: int) -> dict:
     """normalize_lorentz's (f1, f2, f3) by s at the RK4 stages from a to b, in one array pass.
@@ -452,8 +483,8 @@ def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
     raises): the build then reads f1, f2, f3 pointwise and raises what it
     reaches, where it reaches it, as it would have anyway.
     """
-    if not (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
-            and base.frame_at is director.frame_at):
+    frame_at = _shared_frame_at(base, director)
+    if frame_at is None:
         return {}
     try:
         with np.errstate(all="ignore"):
@@ -461,7 +492,7 @@ def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
             # curve may tell them apart
             stages = rk4_stages(a, b, n_steps)[1].ravel().tolist()
             S = np.array([s for s in dict.fromkeys(stages) if s != 0.0])
-            g, gp, w, wp = base.frame_at(S)
+            g, gp, w, wp, _ = frame_at(S)
             f = _reparametrization_coefficients(g, gp, w, wp)
     except (GeometryError, ArithmeticError, ValueError):
         return {}  # left for the pointwise build to raise at its own s, if it gets there
@@ -485,24 +516,32 @@ def _require_normalized(rs: RuledSurface) -> None:
 def frame(rs: RuledSurface, s: float) -> RuledFrame:
     """Frame data (w, w', w x w', P, Q) of a normalized surface at s.
 
-    This is the one definition of P and Q per director class, and of the
-    lightlike |Q| floor.
+    P and Q come from _frame_functions, the one definition of them per
+    director class; this is the one definition of the lightlike |Q| floor.
     """
     _require_normalized(rs)
     w = rs.director.value(s)
     wp = rs.director.d1(s)
     wxwp = cross(rs.metric, w, wp)
-    if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
-        Q = inner(Metric.LORENTZIAN, rs.base.d1(s), wp)
-        if abs(Q) < ZERO_Q_FLOOR:
-            raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
-        return RuledFrame(w, wp, wxwp, 0.0, Q)
-    wpp = rs.director.d2(s)
-    gp = rs.base.d1(s)
+    lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
+    wpp = None if lightlike else rs.director.d2(s)
+    P, Q = _frame_functions(rs.director_class, w, wp, wpp, rs.base.d1(s))
+    if lightlike and abs(Q) < ZERO_Q_FLOOR:
+        raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
+    return RuledFrame(w, wp, wxwp, P, Q)
+
+
+def _frame_functions(director_class: DirectorClass, w, wp, wpp, gp):
+    """P and Q of a director class from w, w', w'' and g'; the lightlike class has P = 0.
+
+    Written on components: Vec3s at one s, or _V component arrays at many.
+    """
+    if director_class is DirectorClass.LORENTZ_LIGHTLIKE:
+        return 0.0, inner(Metric.LORENTZIAN, gp, wp)
     Q = triple(w, wp, wpp)
-    if rs.director_class is DirectorClass.EUCLID_STANDARD:
-        return RuledFrame(w, wp, wxwp, triple(w, wp, gp), Q)
-    return RuledFrame(w, wp, wxwp, triple(gp, w, wp), Q)
+    if director_class is DirectorClass.EUCLID_STANDARD:
+        return triple(w, wp, gp), Q
+    return triple(gp, w, wp), Q
 
 
 def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> CoefficientVector:
@@ -514,36 +553,63 @@ def coefficients(rs: RuledSurface, s: float, v: Vec3, alpha: float) -> Coefficie
     """
     fr = frame(rs, s)  # checks first that rs is normalized
     require_unit_direction(rs.metric, v)
+    gam = rs.base.value(s)
+    if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
+        dref = fd1(lambda u: frame(rs, u).Q, s)
+        gp = rs.base.d1(s)
+    else:
+        dref = fd1(lambda u: frame(rs, u).P, s)
+        gp = None
+    return CoefficientVector(_coefficient_values(rs, v, alpha, fr.w, fr.wp, fr.P, fr.Q, dref,
+                                                 gam, gp))
+
+
+def _coefficient_values(rs: RuledSurface, v: Vec3, alpha: float, w, wp, P, Q, dref, gam, gp):
+    """The coefficients A_n of :func:`coefficients` from the frame at s.
+
+    dref is P'(s), or Q'(s) in the lightlike class, gam is g(s) and gp is
+    g'(s), which only the lightlike class reads.  Written on components:
+    Vec3s and floats at one s, or _V component arrays and arrays at many.
+    """
     m = rs.metric
     cls = rs.director_class
-    gam = rs.base.value(s)
-    P, Q = fr.P, fr.Q
-
     if cls is DirectorClass.LORENTZ_LIGHTLIKE:
-        Qp = fd1(lambda u: frame(rs, u).Q, s)
-        gp = rs.base.d1(s)
+        Qp = dref
         gv = inner(m, gam, v)
-        wv = inner(m, fr.w, v)
+        wv = inner(m, w, v)
         gpv = inner(m, gp, v)
-        trip = triple(gp, fr.w, v)
+        trip = triple(gp, w, v)
         a0 = (Qp / Q) * gv + alpha * trip
         a1 = (Qp / Q) * wv + Qp * gv + alpha * Q * (gpv + 3.0 * trip)
         a2 = Qp * wv + 2.0 * alpha * Q * Q * (gpv + trip)
-        return CoefficientVector((a0, a1, a2))
+        return (a0, a1, a2)
 
-    Pp = fd1(lambda u: frame(rs, u).P, s)
-    wv = inner(m, fr.w, v)
-    wpv = inner(m, fr.wp, v)
+    Pp = dref
+    wv = inner(m, w, v)
+    wpv = inner(m, wp, v)
     gv = inner(m, gam, v)
-    dv = triple(fr.w, fr.wp, v)
+    dv = triple(w, wp, v)
 
     # the class signs as exact factors: e = -1 and d = delta in the Lorentz class
     e, d = (1.0, 1.0) if cls is DirectorClass.EUCLID_STANDARD else (-1.0, float(rs.delta))
-    a0 = e * alpha * P ** 3 * wpv + P * P * Q * gv
+    a0 = e * alpha * _cube(P) * wpv + P * P * Q * gv
     a1 = -e * alpha * d * P * P * dv + P * P * Q * wv + e * Pp * gv
     a2 = alpha * P * wpv + e * Q * gv + e * Pp * wv
     a3 = -alpha * d * dv + e * Q * wv
-    return CoefficientVector((a0, a1, a2, a3))
+    return (a0, a1, a2, a3)
+
+
+def _cube(x):
+    """x ** 3 of a float, or of every entry of an array, by the float power.
+
+    numpy's ** rounds some cubes of an array apart from Python's float
+    power (the C library's pow), which the pointwise path takes, so an
+    array is cubed entry by entry as floats.  A cube too large for a float
+    raises OverflowError, as the float power does.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter((c ** 3 for c in x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return x ** 3
 
 
 def _nondegenerate_window(delta: int, p: float) -> tuple[float, float]:
@@ -630,16 +696,36 @@ def _tcross(a, b, zsign: float = 1.0):
 
 
 class _FrameCurve(Curve):
-    """The base or director of a frame-ODE table, whose whole frame also reads on arrays.
+    """The base or director of a frame table, whose whole frame also reads on arrays.
 
     frame_at(S), shared by the base and director of one table, gives (g, g',
-    w, w') at every s of S as _V component arrays from one states_at read of
-    the table, bit for bit the pointwise value(s) and d1(s) of both curves.
+    w, w', w'') at every s of S as _V component arrays, bit for bit the
+    pointwise value(s) and d1(s) of the base and value(s), d1(s) and d2(s)
+    of the director.  It keeps its last result, for an S of the same bits.
+    A translated _FrameCurve reads the same frame with the offset added to g.
     """
 
     def __init__(self, value, d1, d2, frame_at):
         super().__init__(value, d1, d2)
         self.frame_at = frame_at
+
+    def translated(self, offset: Vec3) -> "_FrameCurve":
+        frame_at = self.frame_at
+
+        def shifted(S: np.ndarray) -> tuple:
+            g, *rest = frame_at(S)
+            # as Vec3.__add__ adds the offset to a value
+            return (_V(g.x + offset.x, g.y + offset.y, g.z + offset.z), *rest)
+
+        return _FrameCurve(lambda s: self._value(s) + offset, self.d1, self.d2, shifted)
+
+
+def _shared_frame_at(base: Curve, director: Curve):
+    """The frame_at that base and director share, if they are the curves of one frame table."""
+    if (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
+            and base.frame_at is director.frame_at):
+        return base.frame_at
+    return None
 
 
 def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
@@ -664,14 +750,40 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     def slots(y, k: int) -> _V:
         return _V(y[k], y[k + 1], y[k + 2])
 
-    def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V]:
+    @memo_last_array
+    def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
         y = table.states_at(S)
-        return slots(y, 6), slots(rhs(S, y), 6), slots(y, 0), slots(y, 3)
+        f = rhs(S, y)
+        return slots(y, 6), slots(f, 6), slots(y, 0), slots(y, 3), slots(f, 3)
 
     g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
     base = _FrameCurve(read(6), read(6, rhs), g_d2_of_s, frame_at)
     director = _FrameCurve(read(0), read(3), read(3, rhs), frame_at)
     return base, director
+
+
+def _lightlike_curves(table, mf: FourierSeries, rhs, g_d2) -> tuple[Curve, Curve]:
+    """Base and director curves of a lightlike table, whose base g solves g' = rhs(s).
+
+    The director is line_curve's a s + b with (a, b) = _LIGHTLIKE_LINE.
+    frame_at reads g from the table, g' from _lightlike_gp over
+    fourier_table, and w, w', w'' = a s + b, a, 0 in the line's closed form.
+    """
+    a, b = _LIGHTLIKE_LINE
+    line = line_curve(a, b)
+
+    @memo_last_array
+    def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
+        zero = np.zeros(S.shape)
+        return (_V(*table.states_at(S)),
+                _V(*_lightlike_gp(S, fourier_table([mf], S)[..., 0])),
+                _V(a.x * S + b.x, a.y * S + b.y, a.z * S + b.z),
+                _V(zero + a.x, zero + a.y, zero + a.z),
+                _V(zero, zero, zero))
+
+    base = _FrameCurve(lambda s: Vec3(*table.state_at(s)), lambda s: Vec3(*rhs(s, None)),
+                       g_d2, frame_at)
+    return base, _FrameCurve(line.value, line.d1, line.d2, frame_at)
 
 
 def _series_at(*series: FourierSeries):
@@ -990,8 +1102,7 @@ def _build_surfaces(draws: Sequence[_Draw], n_steps: int = SWEEP_STEPS) -> list[
 def _surface(d: _Draw, table, rhs, g_d2) -> RuledSurface:
     half = 0.5 * SWEEP_S_LEN
     if d.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
-        base = Curve(lambda s: Vec3(*table.state_at(s)), lambda s: Vec3(*rhs(s, None)), g_d2)
-        director = line_curve(Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
+        base, director = _lightlike_curves(table, d.series[0], rhs, g_d2)
         return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,
                             DirectorClass.LORENTZ_LIGHTLIKE, delta=0, normalized=True,
                             label="random_lightlike")
@@ -1163,14 +1274,82 @@ def _is_cylindrical(rs: RuledSurface) -> bool:
                for s in rs.s_samples(17, inset=0.0)) < 1e-8
 
 
+class _SweepFrames(NamedTuple):
+    """A surface's frame at n s-samples, with P and Q at fd1's stencil points too.
+
+    g, g', w and w' are _V arrays of shape (n,) at the samples.  P and Q
+    have shape (5, n): row k is at s + (k - 2) h for every sample s, with
+    h = FD_H1, so row 2 is at the samples themselves.
+    """
+
+    g: _V
+    gp: _V
+    w: _V
+    wp: _V
+    P: np.ndarray
+    Q: np.ndarray
+
+
+def _read_frames(rs: RuledSurface, S: np.ndarray):
+    """(g, g', w, w', w'') of rs at every s of S as _V arrays.
+
+    A curve of a frame-ODE table reads its own slots of frame_at(S), which
+    the base and director of one table share; any other curve is read
+    pointwise and its Vec3s are stacked.
+    """
+    base, director = rs.base, rs.director
+    if isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve):
+        return (*base.frame_at(S)[:2], *director.frame_at(S)[2:])
+    reads = [(base.value(s), base.d1(s), director.value(s), director.d1(s), director.d2(s))
+             for s in S.ravel().tolist()]
+    return tuple(_V(*np.array([v.as_tuple() for v in col]).T.reshape(3, *S.shape))
+                 for col in zip(*reads))
+
+
+def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames | None:
+    """The frames of a normalized rs at s_values and at fd1's stencil points, from one read.
+
+    None when there is nothing to read, when the read raises, or when a
+    value that frame() computes at one of these s is not finite or a
+    lightlike |Q| is below ZERO_Q_FLOOR.  _halfspace_window,
+    translate_into_halfspace and sweep_surface each take these arrays
+    when they are there and read pointwise when they are not, so a surface
+    whose read fails is replayed pointwise from its first read, and raises
+    what the pointwise path raises where it raises it.  A frame table keeps
+    its last read, so the three steps read a generated surface's table once.
+    """
+    s = np.asarray(s_values, dtype=float)
+    if not (rs.normalized and s.ndim == 1 and s.size):
+        return None
+    lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
+    h = FD_H1
+    try:
+        with np.errstate(all="ignore"):
+            g, gp, w, wp, wpp = _read_frames(rs, np.stack([s - 2 * h, s - h, s, s + h, s + 2 * h]))
+            P, Q = _frame_functions(rs.director_class, w, wp, None if lightlike else wpp, gp)
+            # the Vec3s of the pointwise frame, w x w' among them, must be finite
+            parts = np.array([*g, *gp, *w, *wp, *_tcross(w, wp), Q,
+                              *(() if lightlike else (*wpp, P))])
+    except (GeometryError, ArithmeticError, ValueError):
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
+        return None
+    at_samples = (_V(x.x[2], x.y[2], x.z[2]) for x in (g, gp, w, wp))
+    return _SweepFrames(*at_samples, np.zeros_like(Q) if lightlike else P, Q)
+
+
 def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[float, float]:
     """Class-appropriate ruling window used for the halfspace translation."""
     if rs.director_class is DirectorClass.EUCLID_STANDARD:
         return (-1.0, 1.0)
+    frames = _sweep_frames(rs, s_values)
     if rs.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
-        ps = [abs(frame(rs, s).P) for s in s_values]
+        ps = ([abs(frame(rs, s).P) for s in s_values] if frames is None
+              else np.abs(frames.P[2]).tolist())
         return _nondegenerate_window(rs.delta, min(ps) if rs.delta == -1 else max(ps))
-    qs = [abs(frame(rs, s).Q) for s in s_values]
+    qs = [abs(frame(rs, s).Q) for s in s_values] if frames is None else np.abs(frames.Q[2]).tolist()
     bound = min(1.0, 0.45 / max(qs))
     return (-bound, bound)
 
@@ -1179,9 +1358,11 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
                              t_window: tuple[float, float]) -> RuledSurface:
     """Shift the base along +-v until <X, v> >= 0.5 over the sampled box."""
     m = rs.metric
-    lo = min(
-        inner(m, rs.point(s, t), v) for s in s_values for t in t_window
-    )
+    lo = _lowest_height(rs, v, s_values, t_window)
+    if lo is None:
+        lo = min(
+            inner(m, rs.point(s, t), v) for s in s_values for t in t_window
+        )
     if lo >= 0.5:
         return rs
     shift = 0.5 - lo
@@ -1190,19 +1371,45 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
                         rs.director_class, rs.delta, rs.normalized, rs.label)
 
 
+def _lowest_height(rs: RuledSurface, v: Vec3, s_values: Sequence[float],
+                   t_window: tuple[float, float]) -> float | None:
+    """translate_into_halfspace's min of <X(s, t), v> over the box, on arrays.
+
+    None when the frames do not read on arrays or a height is not finite,
+    as it is where a point X is not: the pointwise min then runs, and
+    raises where a Vec3 does.
+    """
+    frames = _sweep_frames(rs, s_values)
+    if frames is None or not len(t_window):
+        return None
+    g, w = frames.g, frames.w
+    with np.errstate(all="ignore"):
+        # X = g + t w as RuledSurface.point adds it, one row per t
+        heights = np.array([inner(rs.metric, _V(g.x + t * w.x, g.y + t * w.y, g.z + t * w.z), v)
+                            for t in t_window])
+    if not np.isfinite(heights).all():
+        return None
+    return float(heights.min())
+
+
 def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[float]) -> dict:
     """Row of the sweep report for one surface.
 
     max_abs_coeff is max over s of max_i |A_i| scaled by max(1, |P|^3)
     (max(1, |Q|^3) in the lightlike class) so the flag is scale invariant.
+    The s are scored together on arrays when the frames read on arrays
+    (_sweep_frames), and one at a time through coefficients() otherwise;
+    both give the same bits.
     """
-    worst = 0.0
-    for s in s_values:
-        cv = coefficients(rs, s, v, alpha)
-        fr = frame(rs, s)
-        ref = fr.Q if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE else fr.P
-        scale = max(1.0, abs(ref) ** 3)
-        worst = max(worst, cv.max_abs() / scale)
+    lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
+    scaled = _scaled_maxima(rs, v, alpha, s_values)
+    if scaled is None:
+        scaled = []
+        for s in s_values:
+            cv = coefficients(rs, s, v, alpha)
+            fr = frame(rs, s)
+            scaled.append(_scaled_max_abs(cv.A, fr.Q if lightlike else fr.P))
+    worst = max([0.0, *scaled])
     return {
         "id": -1,
         "class": rs.director_class.value,
@@ -1211,6 +1418,42 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
         "flagged": bool(worst <= ALARM_THRESHOLD),
         "excluded": False,
     }
+
+
+def _scaled_max_abs(A, ref):
+    """max_i |A_i| / max(1, |ref|^3): at one s from floats, or at every s from arrays."""
+    if isinstance(ref, np.ndarray):
+        return np.maximum.reduce(np.abs(A)) / np.maximum(1.0, _cube(np.abs(ref)))
+    return max(abs(a) for a in A) / max(1.0, _cube(abs(ref)))
+
+
+def _scaled_maxima(rs: RuledSurface, v: Vec3, alpha: float,
+                   s_values: Sequence[float]) -> list[float] | None:
+    """sweep_surface's scaled coefficient maximum at every s, on arrays.
+
+    None when the frames do not read on arrays, v is not a unit direction,
+    or a coefficient overflows or is not finite: sweep_surface then scores
+    the s pointwise, and raises what coefficients() raises.
+    """
+    frames = _sweep_frames(rs, s_values)
+    if frames is None:
+        return None
+    try:
+        require_unit_direction(rs.metric, v)
+    except ValueError:
+        return None
+    g, gp, w, wp, P, Q = frames
+    ref = Q if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE else P
+    try:
+        with np.errstate(all="ignore"):
+            A = _coefficient_values(rs, v, alpha, w, wp, P[2], Q[2],
+                                    fd1_stencil(ref[0], ref[1], ref[3], ref[4]), g, gp)
+            scaled = _scaled_max_abs(A, ref[2])
+    except OverflowError:
+        return None
+    if not (np.isfinite(A).all() and np.isfinite(scaled).all()):
+        return None
+    return scaled.tolist()
 
 
 def _draw_alpha(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -1231,8 +1474,10 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     Surfaces whose maxima stay at or below ALARM_THRESHOLD at every sample are
     counterexample candidates.  ``planted`` surfaces join the report but cylindrical ones are
     excluded by the w' filter rather than flagged.  Generated surfaces are
-    drawn SWEEP_CHUNK at a time and their tables built together; the report
-    is the one that building each surface alone would give, byte for byte.
+    drawn SWEEP_CHUNK at a time and their tables built together, and each
+    surface is scored from one read of its frames on arrays (_sweep_frames);
+    the report is the one that building and scoring each surface alone,
+    pointwise, would give, byte for byte.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)

@@ -273,7 +273,8 @@ def test_tabulation_leaves_curve_errors_to_the_stepwise_build():
         # the pair answers on arrays, one s at a time in the order of S
         reads.append(len(S))
         rows = [tuple(x.as_tuple() for x in (base.value(s), base.d1(s), director.value(s),
-                                              director.d1(s))) for s in S.tolist()]
+                                              director.d1(s), director.d2(s)))
+                for s in S.tolist()]
         return tuple(_V(*np.array(col).T) for col in zip(*rows))
 
     def on_array(curve):

@@ -43,7 +43,7 @@ from singular_geom.ruled import (
     verify_normalization,
 )
 from singular_geom.ruled import _halfspace_window
-from singular_geom.surface import singular_residual
+from singular_geom.surface import require_unit_direction, singular_residual
 
 E = Metric.EUCLIDEAN
 L = Metric.LORENTZIAN
@@ -479,25 +479,131 @@ def test_scalar_and_catenary_tables_keep_the_slope_of_f_at_every_node(monkeypatc
             built.append(self)
 
     monkeypatch.setattr(cat, "DenseODE", Recording)
-    cat.plane_curve(cat.integrate(cat.CatenaryState(0.0, 1.0, 0.2, 0.0), 3.0, 1.3, 1e-3),
-                    EZ, Vec3(0, 1, 0))
+    # an integrated path, and one that leaves the halfplane, keep the slopes of their
+    # steps: plane_curve applies no f to them
+    paths = [cat.integrate(cat.CatenaryState(0.0, 1.0, 0.2, 0.0), 3.0, 1.3, 1e-3),
+             cat.integrate(cat.CatenaryState(0.0, 1.0, 0.0, 0.0), -2.0, 2.0, 1e-3)]
+    assert paths[1].exited_halfspace
+    rhs = cat._rhs
+    monkeypatch.setattr(cat, "_rhs", lambda alpha: lambda s, y: _fail())
+    for path in paths:
+        cat.plane_curve(path, EZ, Vec3(0, 1, 0))
+    monkeypatch.setattr(cat, "_rhs", rhs)
     # a path built from states, with no RK4 step taken: plane_curve applies f per node
     line = cat.CatenaryPath([cat.CatenaryState(0.3, 1.0 + s, 1.2, s)
                              for s in np.linspace(0.0, 1.0, 37).tolist()], -1.5)
     cat.plane_curve(line, EZ, Vec3(0, 1, 0))
-    assert len(built) == 2
+    assert len(built) == 3
+    # the recorded tables' f is the patched one; check their slopes with the real f
+    for table, path in zip(built, [*paths, line]):
+        table.f = rhs(path.alpha)
     for table in tables + built:
         _assert_slopes_are_f_at_nodes(table)
 
 
-def _reference_sweep(cfg, planted):
-    """falsification_sweep as before batch builds: each generated surface gets its
-    scalar table and is scored before the next surface is drawn."""
+# The pointwise frame, coefficients, halfspace window, translation and
+# sweep_surface as they were before sweeps scored on arrays, kept here so the
+# reference sweep does not run the library's own scoring code.
+
+def _ref_fd1(f, s, h=curves.FD_H1):
+    return (f(s - 2 * h) - 8.0 * f(s - h) + 8.0 * f(s + h) - f(s + 2 * h)) / (12.0 * h)
+
+
+def _ref_frame(rs, s):
+    if not rs.normalized:
+        raise NotNormalized(f"surface '{rs.label or rs.director_class.value}' is not a normalized "
+                            "non-cylindrical ruled surface")
+    w = rs.director.value(s)
+    wp = rs.director.d1(s)
+    wxwp = cross(rs.metric, w, wp)
+    if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
+        Q = inner(L, rs.base.d1(s), wp)
+        if abs(Q) < ruled.ZERO_Q_FLOOR:
+            raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
+        return ruled.RuledFrame(w, wp, wxwp, 0.0, Q)
+    wpp = rs.director.d2(s)
+    gp = rs.base.d1(s)
+    Q = triple(w, wp, wpp)
+    if rs.director_class is DirectorClass.EUCLID_STANDARD:
+        return ruled.RuledFrame(w, wp, wxwp, triple(w, wp, gp), Q)
+    return ruled.RuledFrame(w, wp, wxwp, triple(gp, w, wp), Q)
+
+
+def _ref_coefficients(rs, s, v, alpha):
+    fr = _ref_frame(rs, s)
+    require_unit_direction(rs.metric, v)
+    m = rs.metric
+    cls = rs.director_class
+    gam = rs.base.value(s)
+    P, Q = fr.P, fr.Q
+    if cls is DirectorClass.LORENTZ_LIGHTLIKE:
+        Qp = _ref_fd1(lambda u: _ref_frame(rs, u).Q, s)
+        gp = rs.base.d1(s)
+        gv = inner(m, gam, v)
+        wv = inner(m, fr.w, v)
+        gpv = inner(m, gp, v)
+        trip = triple(gp, fr.w, v)
+        a0 = (Qp / Q) * gv + alpha * trip
+        a1 = (Qp / Q) * wv + Qp * gv + alpha * Q * (gpv + 3.0 * trip)
+        a2 = Qp * wv + 2.0 * alpha * Q * Q * (gpv + trip)
+        return (a0, a1, a2)
+    Pp = _ref_fd1(lambda u: _ref_frame(rs, u).P, s)
+    wv = inner(m, fr.w, v)
+    wpv = inner(m, fr.wp, v)
+    gv = inner(m, gam, v)
+    dv = triple(fr.w, fr.wp, v)
+    e, d = (1.0, 1.0) if cls is DirectorClass.EUCLID_STANDARD else (-1.0, float(rs.delta))
+    a0 = e * alpha * P ** 3 * wpv + P * P * Q * gv
+    a1 = -e * alpha * d * P * P * dv + P * P * Q * wv + e * Pp * gv
+    a2 = alpha * P * wpv + e * Q * gv + e * Pp * wv
+    a3 = -alpha * d * dv + e * Q * wv
+    return (a0, a1, a2, a3)
+
+
+def _ref_window(rs, s_values):
+    if rs.director_class is DirectorClass.EUCLID_STANDARD:
+        return (-1.0, 1.0)
+    if rs.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
+        ps = [abs(_ref_frame(rs, s).P) for s in s_values]
+        p = min(ps) if rs.delta == -1 else max(ps)
+        return (-0.8 * p, 0.8 * p) if rs.delta == -1 else (p + 0.15, p + 1.15)
+    qs = [abs(_ref_frame(rs, s).Q) for s in s_values]
+    bound = min(1.0, 0.45 / max(qs))
+    return (-bound, bound)
+
+
+def _ref_translate(rs, v, s_values, t_window):
+    m = rs.metric
+    lo = min(inner(m, rs.point(s, t), v) for s in s_values for t in t_window)
+    if lo >= 0.5:
+        return rs
+    shift = 0.5 - lo
+    offset = shift * v if m is E else (-shift) * v
+    # a plain Curve: the translated base reads pointwise only
+    return RuledSurface(Curve.translated(rs.base, offset), rs.director, rs.s_range, rs.metric,
+                        rs.director_class, rs.delta, rs.normalized, rs.label)
+
+
+def _ref_sweep_surface(rs, v, alpha, s_values):
+    worst = 0.0
+    for s in s_values:
+        A = _ref_coefficients(rs, s, v, alpha)
+        fr = _ref_frame(rs, s)
+        ref = fr.Q if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE else fr.P
+        scale = max(1.0, abs(ref) ** 3)
+        worst = max(worst, max(abs(a) for a in A) / scale)
+    return {"id": -1, "class": rs.director_class.value, "alpha": alpha, "max_abs_coeff": worst,
+            "flagged": bool(worst <= ruled.ALARM_THRESHOLD), "excluded": False}
+
+
+def _reference_sweep(cfg, planted, draw=None):
+    """falsification_sweep as before batch builds and array scoring: each generated
+    surface gets its scalar table and is scored pointwise before the next is drawn."""
     rng = np.random.default_rng(cfg.seed)
     report = ruled.SweepReport(config=cfg.to_dict())
-    draw = {"euclid_standard": _DRAWS["euclid"],
-            "lorentz_nondegenerate": lambda rng: ruled._draw_lorentz(rng, cfg.delta),
-            "lorentz_lightlike": _DRAWS["lightlike"]}[cfg.director_class.value]
+    draw = draw or {"euclid_standard": _DRAWS["euclid"],
+                    "lorentz_nondegenerate": lambda rng: ruled._draw_lorentz(rng, cfg.delta),
+                    "lorentz_lightlike": _DRAWS["lightlike"]}[cfg.director_class.value]
 
     def surfaces():
         yield from planted
@@ -513,8 +619,8 @@ def _reference_sweep(cfg, planted):
         v = random_unit_vector(rng) if rs.metric is E else random_unit_timelike(rng)
         alpha = ruled._draw_alpha(rng, *cfg.alpha_range)
         s_values = rs.s_samples(cfg.n_s_samples)
-        rs = translate_into_halfspace(rs, v, s_values, _halfspace_window(rs, s_values))
-        row = sweep_surface(rs, v, alpha, s_values)
+        rs = _ref_translate(rs, v, s_values, _ref_window(rs, s_values))
+        row = _ref_sweep_surface(rs, v, alpha, s_values)
         row["id"] = idx
         report.per_surface.append(row)
         if row["flagged"]:
@@ -524,12 +630,15 @@ def _reference_sweep(cfg, planted):
     return report
 
 
-@pytest.mark.parametrize("metric, klass, delta", [
+_SWEEP_CLASSES = [
     (E, DirectorClass.EUCLID_STANDARD, 1),
     (L, DirectorClass.LORENTZ_NONDEGENERATE, 1),
     (L, DirectorClass.LORENTZ_NONDEGENERATE, -1),
     (L, DirectorClass.LORENTZ_LIGHTLIKE, 1),
-])
+]
+
+
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
 def test_sweep_report_matches_scalar_reference_sweep(metric, klass, delta):
     # a chunk and one more surface, behind a planted helicoid and a planted cylinder
     path = cat.integrate(cat.CatenaryState(0, 1, 0, 0), 1.0, 1.0, 1e-3)
@@ -540,6 +649,146 @@ def test_sweep_report_matches_scalar_reference_sweep(metric, klass, delta):
     got = falsification_sweep(cfg, planted=planted).to_json()
     assert got == _reference_sweep(cfg, planted).to_json()
     assert [r["excluded"] for r in json.loads(got)["per_surface"][:3]] == [False, True, False]
+
+
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_sweep_report_at_17_samples_matches_scalar_reference_sweep(metric, klass, delta):
+    # 17 samples put the middle of the range among them, s = 0 where a Lorentz
+    # table joins its halves; a chunk and two more surfaces leave a remainder
+    # below _MIN_BATCH, whose tables are scalar builds
+    n = ruled.SWEEP_CHUNK + 2
+    assert n % ruled.SWEEP_CHUNK < ruled._MIN_BATCH
+    planted = [helicoid(0.7), lightlike_reference()]
+    cfg = SweepConfig(n_surfaces=n, n_s_samples=17, seed=21, metric=metric,
+                      director_class=klass, delta=delta)
+    assert falsification_sweep(cfg, planted=planted).to_json() == \
+        _reference_sweep(cfg, planted).to_json()
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("read pointwise")
+
+
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_generated_surfaces_are_scored_from_one_table_read(metric, klass, delta, monkeypatch):
+    reads = []
+    memo = ruled.memo_last_array
+
+    def counting(read):
+        def counted(S):
+            reads.append(S.shape)
+            return read(S)
+
+        return memo(counted)
+
+    monkeypatch.setattr(ruled, "memo_last_array", counting)
+    for owner, name in ((ruled, "frame"), (ruled, "coefficients"),
+                        (curves.DenseODE, "state_at"), (curves.CenteredODE, "state_at")):
+        monkeypatch.setattr(owner, name, _fail)
+    n = ruled.SWEEP_CHUNK + 1
+    falsification_sweep(SweepConfig(n_surfaces=n, n_s_samples=5, seed=2, metric=metric,
+                                    director_class=klass, delta=delta))
+    # the samples and fd1's four stencil points around each
+    assert reads == [(5, 5)] * n
+
+
+def test_array_cube_is_the_float_power_bitwise():
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, 10**5)
+    for a in (x, np.abs(x), x.reshape(1000, 100)):
+        expected = np.array([c ** 3 for c in a.ravel().tolist()]).reshape(a.shape)
+        assert ruled._cube(a).tobytes() == expected.tobytes()
+    assert ruled._cube(-1.5) == (-1.5) ** 3
+    with pytest.raises(OverflowError):
+        ruled._cube(np.array([1.0, 1e200]))
+
+
+def _sweep_outcomes(cfg, planted):
+    """The exception falsification_sweep raises, and the one the pointwise reference raises."""
+    with pytest.raises(Exception) as ref:
+        _reference_sweep(cfg, planted)
+    with pytest.raises(type(ref.value)) as got:
+        falsification_sweep(cfg, planted=planted)
+    return got.value, ref.value
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_sweep_raises_like_the_pointwise_reference_when_lightlike_q_dips_under_the_floor(row):
+    # g' = (1, 0, -q) against w' = (0, 1, 1) gives Q = q: 1 but for one s, a sample
+    # (row 2) or the point 2h below one (row 0) of the P' stencil
+    cfg = SweepConfig(n_surfaces=1, n_s_samples=5, seed=4, metric=L,
+                      director_class=DirectorClass.LORENTZ_LIGHTLIKE)
+
+    def q(s):
+        return 5e-11 if s == s_dip else 1.0
+
+    base = Curve(lambda s: Vec3(s, 0.0, -s), lambda s: Vec3(1.0, 0.0, -q(s)))
+    rs = RuledSurface(base, line_curve(Vec3(0, 1, 1), Vec3(1, 0, 0)), (-1.0, 1.0), L,
+                      DirectorClass.LORENTZ_LIGHTLIKE, delta=0, normalized=True)
+    s_dip = rs.s_samples(cfg.n_s_samples)[3] + (row - 2) * curves.FD_H1
+    got, ref = _sweep_outcomes(cfg, [rs])
+    assert isinstance(ref, ZeroQ)
+    assert str(got) == str(ref)
+
+
+def test_sweep_raises_like_the_pointwise_reference_on_a_non_finite_frame_value():
+    # a frame table whose w'' is NaN at s + h for the second sample s, on floats and
+    # arrays alike; the array scoring reads no w'' there, the pointwise frame does
+    d = ruled._draw_euclidean(np.random.default_rng(6))
+    rhs, _ = d.ode()
+    table = _scalar_table(d, rhs)
+    cfg = SweepConfig(n_surfaces=1, n_s_samples=5, seed=4)
+
+    def poisoned(s, y):
+        out = rhs(s, y)
+        if isinstance(s, np.ndarray):
+            wpp = [np.where(s == s_nan, math.nan, x) for x in out[3:6]]
+        else:
+            wpp = [math.nan] * 3 if s == s_nan else out[3:6]
+        return (*out[:3], *wpp, *out[6:])
+
+    base, director = ruled._frame_curves(table, poisoned)
+    rs = RuledSurface(base, director, (0.0, ruled.SWEEP_S_LEN), E,
+                      DirectorClass.EUCLID_STANDARD, normalized=True)
+    s_nan = rs.s_samples(cfg.n_s_samples)[1] + curves.FD_H1
+    got, ref = _sweep_outcomes(cfg, [rs])
+    assert isinstance(ref, ValueError) and "finite" in str(ref)
+    assert str(got) == str(ref)
+
+
+@pytest.mark.parametrize("fault", [None, "oblique", "timelike", "nan"])
+def test_normalize_lorentz_input_check_fails_like_the_pointwise_check(fault):
+    # a de Sitter frame (delta = -1) whose g' turns oblique to w, timelike, or NaN
+    # past s = 0.3; the plain curves of the same pair are checked pointwise only
+    d = ruled._draw_lorentz(np.random.default_rng(12), -1)
+    rhs, _ = d.ode()
+    table = _scalar_table(d, rhs)
+
+    def g_prime(y, gp):
+        w, wp = y[0:3], y[3:6]
+        return {None: gp, "oblique": [a + 0.5 * b for a, b in zip(gp, w)], "timelike": wp,
+                "nan": [math.nan] * 3}[fault]
+
+    def faulty(s, y):
+        out = rhs(s, y)
+        gp = g_prime(y, out[6:9])
+        if isinstance(s, np.ndarray):
+            gp = [np.where(s > 0.3, a, b) for a, b in zip(gp, out[6:9])]
+        elif not s > 0.3:
+            gp = out[6:9]
+        return (*out[:6], *gp)
+
+    pair = ruled._frame_curves(table, faulty)
+    plain = [Curve(c.value, c.d1, c.d2) for c in pair]
+    assert ruled._spacelike_input(*pair, -1, np.linspace(-1.0, 1.0, 33)) is (fault is None)
+    if fault is None:
+        normalize_lorentz(*pair, -1, (-1.0, 1.0))
+        return
+    with pytest.raises(Exception) as ref:
+        normalize_lorentz(*plain, -1, (-1.0, 1.0))
+    with pytest.raises(type(ref.value)) as got:
+        normalize_lorentz(*pair, -1, (-1.0, 1.0))
+    assert isinstance(ref.value, ValueError if fault == "nan" else NonSpacelikeInput)
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("delta", [1, -1])

@@ -39,6 +39,9 @@ COMMANDS=(
   # the last chunk holds one draw, so its frame table is built by the scalar path
   "sweep --metric euclid --class standard --n 33 --samples 2 --seed 9 --out sweep_euclid33.json"
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 33 --samples 2 --seed 9 --out sweep_lorentz_m33.json"
+  # a full chunk and a remainder chunk of 8, scored at an odd sample count
+  "sweep --metric lorentz --class lightlike --n 40 --samples 17 --seed 9 --out sweep_lightlike40.json"
+  "sweep --metric lorentz --class nondegenerate --delta 1 --n 40 --samples 17 --seed 9 --out sweep_lorentz_p40.json"
   "variational --init noisy --noise 0.01 --seed 3 --grid 33x17 --steps 20 --out-prefix noisy"
   "residual --surface file --file noisy_field.csv --grid 20x20 --out residual_file.csv"
   # diverges: exit 5
