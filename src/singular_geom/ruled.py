@@ -50,7 +50,6 @@ from .errors import (
     ConfigError,
     CylindricalInput,
     DegenerateMetric,
-    GeometryError,
     NonSpacelikeInput,
     NotNormalized,
     ODEBreakdown,
@@ -60,6 +59,7 @@ from .errors import (
 from .surface import (
     Jet2,
     ParamSurface,
+    _CELL_ERRORS,
     _V,
     curvature_bracket,
     fundamental_forms,
@@ -361,11 +361,11 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
     """Reparametrize a spacelike ruled surface so the base is orthogonal to w and w'.
 
     The input must satisfy <g1', w>_L = 0, <w, w>_L = 1, <w', w'>_L = delta
-    with spacelike g1'.  The new base y1(s) g1(s) + y2(s) w(s) is obtained by
-    integrating  f1 y1' + y2' = 0,  f2 y1 + f3 y1' + delta y2 = 0  (with
-    f1 = <g1,w>_L, f2 = <g1',w'>_L, f3 = <g1,w'>_L) from (y1, y2) = (1, 0)
-    with a 4th-order scheme; the sign on y2 is tied to delta and is validated
-    after the solve.
+    with spacelike g1', checked pointwise at 33 points of the range.  The new
+    base y1(s) g1(s) + y2(s) w(s) is obtained by integrating  f1 y1' + y2' = 0,
+    f2 y1 + f3 y1' + delta y2 = 0  (with f1 = <g1,w>_L, f2 = <g1',w'>_L,
+    f3 = <g1,w'>_L) from (y1, y2) = (1, 0) with a 4th-order scheme; the sign
+    on y2 is tied to delta and is validated after the solve.
 
     When both curves come from a frame-ODE table (random_prenormalization_input
     and the random generators make them), f1, f2 and f3 are tabulated at every
@@ -377,10 +377,7 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         raise ConfigError("delta must be +1 or -1")
     a, b = float(s_range[0]), float(s_range[1])
     m = Metric.LORENTZIAN
-    checked = np.linspace(a, b, 33)
-    # the pointwise check runs, and raises at the first u that fails, unless
-    # every u passes on arrays
-    for u in [] if _spacelike_input(base, director, delta, checked) else checked:
+    for u in np.linspace(a, b, 33):
         gp = base.d1(u)
         w = director.value(u)
         wp = director.d1(u)
@@ -449,27 +446,21 @@ def _reparametrization_coefficients(g, gp, w, wp):
     return inner(m, g, w), inner(m, gp, wp), inner(m, g, wp)
 
 
-def _spacelike_input(base: Curve, director: Curve, delta: int, U: np.ndarray) -> bool:
-    """Whether normalize_lorentz's input check passes at every u of U, read on arrays.
+def _on_arrays(read):
+    """The result of read() = (checked, result) on arrays, or None to read pointwise.
 
-    False unless base and director share one frame_at (_frame_curves) and
-    the read passes every relation at every u; the pointwise check then runs
-    and raises where it fails.  A g', w or w' that is not finite fails a
-    relation, since NaN compares false.
+    read runs under np.errstate(all="ignore").  None when it raises what a
+    failed array read raises (surface._CELL_ERRORS), or when a value of
+    checked is not finite, as a Vec3 of the pointwise read would not be: the
+    caller then reads pointwise, and raises what it reaches, where it
+    reaches it, as it would have anyway.
     """
-    frame_at = _shared_frame_at(base, director)
-    if frame_at is None:
-        return False
-    m = Metric.LORENTZIAN
     try:
         with np.errstate(all="ignore"):
-            _, gp, w, wp, _ = frame_at(U)
-            rels = (abs(inner(m, w, w) - 1.0), abs(inner(m, wp, wp) - delta),
-                    abs(inner(m, gp, w)), inner(m, gp, gp))
-    except (GeometryError, ArithmeticError, ValueError):
-        return False
-    return bool((rels[0] <= 1e-8).all() and (rels[1] <= 1e-8).all()
-                and (rels[2] <= 1e-8).all() and (rels[3] > 0.0).all())
+            checked, result = read()
+    except _CELL_ERRORS:
+        return None
+    return result if np.isfinite(checked).all() else None
 
 
 def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
@@ -479,25 +470,25 @@ def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
     Only a base and director of one frame-ODE table (_frame_curves) are
     tabulated, from one read of that table; the values are those of the
     pointwise reads bit for bit.  The dict is empty for any other pair, or
-    when the read raises or meets a value that is not finite (where a Vec3
-    raises): the build then reads f1, f2, f3 pointwise and raises what it
-    reaches, where it reaches it, as it would have anyway.
+    when the read fails (_on_arrays): the build then reads f1, f2, f3
+    pointwise.
     """
-    frame_at = _shared_frame_at(base, director)
-    if frame_at is None:
+    if not (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
+            and base.frame_at is director.frame_at):
         return {}
-    try:
-        with np.errstate(all="ignore"):
-            # each s once, and no zero: 0.0 and -0.0 share a dict key, and a
-            # curve may tell them apart
-            stages = rk4_stages(a, b, n_steps)[1].ravel().tolist()
-            S = np.array([s for s in dict.fromkeys(stages) if s != 0.0])
-            g, gp, w, wp, _ = frame_at(S)
-            f = _reparametrization_coefficients(g, gp, w, wp)
-    except (GeometryError, ArithmeticError, ValueError):
-        return {}  # left for the pointwise build to raise at its own s, if it gets there
-    if not np.isfinite([g, gp, w, wp]).all():
+
+    def read():
+        # each s once, and no zero: 0.0 and -0.0 share a dict key, and a
+        # curve may tell them apart
+        stages = rk4_stages(a, b, n_steps)[1].ravel().tolist()
+        S = np.array([s for s in dict.fromkeys(stages) if s != 0.0])
+        g, gp, w, wp, _ = base.frame_at(S)
+        return [g, gp, w, wp], (S, _reparametrization_coefficients(g, gp, w, wp))
+
+    out = _on_arrays(read)
+    if out is None:
         return {}
+    S, f = out
     return dict(zip(S.tolist(), zip(*[x.tolist() for x in f])))
 
 
@@ -720,14 +711,6 @@ class _FrameCurve(Curve):
         return _FrameCurve(lambda s: self._value(s) + offset, self.d1, self.d2, shifted)
 
 
-def _shared_frame_at(base: Curve, director: Curve):
-    """The frame_at that base and director share, if they are the curves of one frame table."""
-    if (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
-            and base.frame_at is director.frame_at):
-        return base.frame_at
-    return None
-
-
 def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     """Base and director curves of a frame-ODE table with state (w, w', g).
 
@@ -890,8 +873,9 @@ def _frame_nodes_batch(draws: Sequence[_Draw], grids) -> tuple[np.ndarray, np.nd
     series = [d.series[0] for d in draws] + [d.series[1] for d in draws]
     steps, stages = zip(*[rk4_stages(s0, s1, n_steps) for s0, s1, _ in grids])
     h = steps[0] if len(grids) == 1 else np.repeat(steps, n_draws)
-    nodes = np.empty((n_steps + 1, 9, len(grids) * n_draws))
-    slopes = np.empty_like(nodes)
+    # one block for nodes and slopes: once glibc frees it, its heap trim threshold is
+    # twice the block, above all a chunk's tables free, so later chunks reuse the pages
+    nodes, slopes = np.empty((2, n_steps + 1, 9, len(grids) * n_draws))
     nodes[0] = np.tile(np.array([d.y0 for d in draws]).T, len(grids))
     # Q and P are tabulated a block of steps at a time, which bounds the
     # memory besides the nodes: qp[i, stage] is (Q, P) of every column
@@ -942,8 +926,7 @@ def _lightlike_nodes(draws: Sequence[_Draw], s0: float, s1: float,
     """
     h, stages = rk4_stages(s0, s1, n_steps)
     series = [d.series[0] for d in draws]
-    nodes = np.empty((n_steps + 1, 3, len(draws)))
-    slopes = np.empty_like(nodes)
+    nodes, slopes = np.empty((2, n_steps + 1, 3, len(draws)))  # as in _frame_nodes_batch
     nodes[0] = np.array([d.y0 for d in draws]).T
     for i0 in range(0, n_steps, _STEP_BLOCK):
         block = stages[i0:i0 + _STEP_BLOCK]
@@ -1221,6 +1204,11 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int):
 # falsification sweep
 # ---------------------------------------------------------------------------
 
+# Most s-samples a sweep scores per surface: scoring holds about 3.9 KB a
+# sample at its peak, so this cap keeps one surface near 390 MB.
+MAX_SWEEP_SAMPLES = 100_000
+
+
 @dataclass
 class SweepConfig:
     n_surfaces: int
@@ -1236,6 +1224,8 @@ class SweepConfig:
             raise ConfigError("n_surfaces must be >= 1")
         if self.n_s_samples < 1:
             raise ConfigError("n_s_samples must be >= 1")
+        if self.n_s_samples > MAX_SWEEP_SAMPLES:
+            raise ConfigError(f"n_s_samples must be <= {MAX_SWEEP_SAMPLES}")
         lo, hi = self.alpha_range
         if not lo <= hi:
             raise ConfigError("alpha_range must be ordered")
@@ -1290,54 +1280,40 @@ class _SweepFrames(NamedTuple):
     Q: np.ndarray
 
 
-def _read_frames(rs: RuledSurface, S: np.ndarray):
-    """(g, g', w, w', w'') of rs at every s of S as _V arrays.
-
-    A curve of a frame-ODE table reads its own slots of frame_at(S), which
-    the base and director of one table share; any other curve is read
-    pointwise and its Vec3s are stacked.
-    """
-    base, director = rs.base, rs.director
-    if isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve):
-        return (*base.frame_at(S)[:2], *director.frame_at(S)[2:])
-    reads = [(base.value(s), base.d1(s), director.value(s), director.d1(s), director.d2(s))
-             for s in S.ravel().tolist()]
-    return tuple(_V(*np.array([v.as_tuple() for v in col]).T.reshape(3, *S.shape))
-                 for col in zip(*reads))
-
-
 def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames | None:
     """The frames of a normalized rs at s_values and at fd1's stencil points, from one read.
 
-    None when there is nothing to read, when the read raises, or when a
-    value that frame() computes at one of these s is not finite or a
-    lightlike |Q| is below ZERO_Q_FLOOR.  _halfspace_window,
-    translate_into_halfspace and sweep_surface each take these arrays
-    when they are there and read pointwise when they are not, so a surface
-    whose read fails is replayed pointwise from its first read, and raises
-    what the pointwise path raises where it raises it.  A frame table keeps
-    its last read, so the three steps read a generated surface's table once.
+    Only curves of a frame table (_FrameCurve) read on arrays, through their
+    frame_at.  None for any other surface, when there is nothing to read,
+    or when the read fails (_on_arrays): it raises, a value that frame()
+    computes at one of these s is not finite, or a lightlike |Q| is below
+    ZERO_Q_FLOOR.  _halfspace_window, translate_into_halfspace and
+    sweep_surface each take these arrays when they are there and read
+    pointwise when they are not, so a surface whose read fails is replayed
+    pointwise from its first read, and raises what the pointwise path
+    raises where it raises it.  A frame table keeps its last read, so the
+    three steps read a generated surface's table once.
     """
+    base, director = rs.base, rs.director
     s = np.asarray(s_values, dtype=float)
-    if not (rs.normalized and s.ndim == 1 and s.size):
+    if not (rs.normalized and isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
+            and s.ndim == 1 and s.size):
         return None
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
-    h = FD_H1
-    try:
-        with np.errstate(all="ignore"):
-            g, gp, w, wp, wpp = _read_frames(rs, np.stack([s - 2 * h, s - h, s, s + h, s + 2 * h]))
-            P, Q = _frame_functions(rs.director_class, w, wp, None if lightlike else wpp, gp)
-            # the Vec3s of the pointwise frame, w x w' among them, must be finite
-            parts = np.array([*g, *gp, *w, *wp, *_tcross(w, wp), Q,
-                              *(() if lightlike else (*wpp, P))])
-    except (GeometryError, ArithmeticError, ValueError):
-        return None
-    if not np.isfinite(parts).all():
-        return None
-    if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
-        return None
-    at_samples = (_V(x.x[2], x.y[2], x.z[2]) for x in (g, gp, w, wp))
-    return _SweepFrames(*at_samples, np.zeros_like(Q) if lightlike else P, Q)
+
+    def read():
+        S = np.stack([s - 2 * FD_H1, s - FD_H1, s, s + FD_H1, s + 2 * FD_H1])
+        g, gp = base.frame_at(S)[:2]
+        w, wp, wpp = director.frame_at(S)[2:]
+        P, Q = _frame_functions(rs.director_class, w, wp, None if lightlike else wpp, gp)
+        if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
+            raise ZeroQ(f"|Q| < {ZERO_Q_FLOOR}")
+        at_samples = [_V(x.x[2], x.y[2], x.z[2]) for x in (g, gp, w, wp)]
+        # the Vec3s of the pointwise frame, w x w' among them, must be finite
+        checked = [*g, *gp, *w, *wp, *_tcross(w, wp), Q, *(() if lightlike else (*wpp, P))]
+        return checked, _SweepFrames(*at_samples, np.zeros_like(Q) if lightlike else P, Q)
+
+    return _on_arrays(read)
 
 
 def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[float, float]:
@@ -1356,13 +1332,25 @@ def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[floa
 
 def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float],
                              t_window: tuple[float, float]) -> RuledSurface:
-    """Shift the base along +-v until <X, v> >= 0.5 over the sampled box."""
+    """Shift the base along +-v until <X, v> >= 0.5 over the sampled box.
+
+    The min of <X, v> is taken on arrays when the frames read on arrays
+    (_sweep_frames), and pointwise, raising where a Vec3 does, when they do
+    not or a height is not finite.
+    """
     m = rs.metric
-    lo = _lowest_height(rs, v, s_values, t_window)
+    frames = _sweep_frames(rs, s_values)
+
+    def heights():
+        g, w = frames.g, frames.w
+        # X = g + t w as RuledSurface.point adds it, one row per t
+        out = np.array([inner(m, _V(g.x + t * w.x, g.y + t * w.y, g.z + t * w.z), v)
+                        for t in t_window])
+        return out, float(out.min())
+
+    lo = None if frames is None else _on_arrays(heights)
     if lo is None:
-        lo = min(
-            inner(m, rs.point(s, t), v) for s in s_values for t in t_window
-        )
+        lo = min(inner(m, rs.point(s, t), v) for s in s_values for t in t_window)
     if lo >= 0.5:
         return rs
     shift = 0.5 - lo
@@ -1371,38 +1359,28 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
                         rs.director_class, rs.delta, rs.normalized, rs.label)
 
 
-def _lowest_height(rs: RuledSurface, v: Vec3, s_values: Sequence[float],
-                   t_window: tuple[float, float]) -> float | None:
-    """translate_into_halfspace's min of <X(s, t), v> over the box, on arrays.
-
-    None when the frames do not read on arrays or a height is not finite,
-    as it is where a point X is not: the pointwise min then runs, and
-    raises where a Vec3 does.
-    """
-    frames = _sweep_frames(rs, s_values)
-    if frames is None or not len(t_window):
-        return None
-    g, w = frames.g, frames.w
-    with np.errstate(all="ignore"):
-        # X = g + t w as RuledSurface.point adds it, one row per t
-        heights = np.array([inner(rs.metric, _V(g.x + t * w.x, g.y + t * w.y, g.z + t * w.z), v)
-                            for t in t_window])
-    if not np.isfinite(heights).all():
-        return None
-    return float(heights.min())
-
-
 def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[float]) -> dict:
     """Row of the sweep report for one surface.
 
     max_abs_coeff is max over s of max_i |A_i| scaled by max(1, |P|^3)
     (max(1, |Q|^3) in the lightlike class) so the flag is scale invariant.
     The s are scored together on arrays when the frames read on arrays
-    (_sweep_frames), and one at a time through coefficients() otherwise;
-    both give the same bits.
+    (_sweep_frames), and one at a time through coefficients() otherwise or
+    when the array scoring fails (_on_arrays); both give the same bits.
     """
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
-    scaled = _scaled_maxima(rs, v, alpha, s_values)
+    frames = _sweep_frames(rs, s_values)
+
+    def scaled_maxima():
+        require_unit_direction(rs.metric, v)
+        g, gp, w, wp, P, Q = frames
+        ref = Q if lightlike else P
+        A = _coefficient_values(rs, v, alpha, w, wp, P[2], Q[2],
+                                fd1_stencil(ref[0], ref[1], ref[3], ref[4]), g, gp)
+        scaled = _scaled_max_abs(A, ref[2])
+        return [*A, scaled], scaled.tolist()
+
+    scaled = None if frames is None else _on_arrays(scaled_maxima)
     if scaled is None:
         scaled = []
         for s in s_values:
@@ -1427,35 +1405,6 @@ def _scaled_max_abs(A, ref):
     return max(abs(a) for a in A) / max(1.0, _cube(abs(ref)))
 
 
-def _scaled_maxima(rs: RuledSurface, v: Vec3, alpha: float,
-                   s_values: Sequence[float]) -> list[float] | None:
-    """sweep_surface's scaled coefficient maximum at every s, on arrays.
-
-    None when the frames do not read on arrays, v is not a unit direction,
-    or a coefficient overflows or is not finite: sweep_surface then scores
-    the s pointwise, and raises what coefficients() raises.
-    """
-    frames = _sweep_frames(rs, s_values)
-    if frames is None:
-        return None
-    try:
-        require_unit_direction(rs.metric, v)
-    except ValueError:
-        return None
-    g, gp, w, wp, P, Q = frames
-    ref = Q if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE else P
-    try:
-        with np.errstate(all="ignore"):
-            A = _coefficient_values(rs, v, alpha, w, wp, P[2], Q[2],
-                                    fd1_stencil(ref[0], ref[1], ref[3], ref[4]), g, gp)
-            scaled = _scaled_max_abs(A, ref[2])
-    except OverflowError:
-        return None
-    if not (np.isfinite(A).all() and np.isfinite(scaled).all()):
-        return None
-    return scaled.tolist()
-
-
 def _draw_alpha(rng: np.random.Generator, lo: float, hi: float) -> float:
     for _ in range(256):
         a = float(rng.uniform(lo, hi))
@@ -1475,9 +1424,10 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     counterexample candidates.  ``planted`` surfaces join the report but cylindrical ones are
     excluded by the w' filter rather than flagged.  Generated surfaces are
     drawn SWEEP_CHUNK at a time and their tables built together, and each
-    surface is scored from one read of its frames on arrays (_sweep_frames);
-    the report is the one that building and scoring each surface alone,
-    pointwise, would give, byte for byte.
+    is scored from one read of its frames on arrays (_sweep_frames); planted
+    surfaces without a frame table are scored pointwise.  The report is the
+    one that building and scoring each surface alone, pointwise, would give,
+    byte for byte.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)

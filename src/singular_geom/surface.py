@@ -473,8 +473,9 @@ def _energy_cell(m: Metric, surf: ParamSurface, s: float, t: float, v: Vec3,
 # grid API
 # ---------------------------------------------------------------------------
 
-# what a grid block raises where the pointwise API raises: a domain failure,
-# a Vec3 of non-finite components, an overflowing power
+# what a failed array read raises where the pointwise API raises (a grid
+# block here, a frame read in ruled): a domain failure, a Vec3 of non-finite
+# components, an overflowing power
 _CELL_ERRORS = (GeometryError, ValueError, ArithmeticError)
 
 

@@ -324,6 +324,32 @@ def test_grid_limit_rejects_before_any_allocation(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_samples_limit_rejects_before_any_surface_is_built(tmp_path, monkeypatch, capsys):
+    # 10^7 samples would ask for about 39 GB of scoring arrays
+    import tracemalloc
+
+    from singular_geom import cli, ruled
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sample count above the limit reached the sweep")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ruled, "_build_surfaces", must_not_run)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sweep", "--n", "1", "--samples", str(10**7)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == 1
+    assert peak < 1 << 20
+    problems = [ln for ln in capsys.readouterr().err.splitlines()
+                if "resolved config" not in ln]
+    assert problems == [f"error: n_s_samples must be <= {ruled.MAX_SWEEP_SAMPLES}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, env, value", [
     (["sweep", "--seed", "-1"], None, "-1"),
     (["sweep", "--n", "1"], "-5", "-5"),
