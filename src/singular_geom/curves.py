@@ -19,6 +19,7 @@ and slopes of many tables at once on float64 arrays, bit for bit as
 """
 from __future__ import annotations
 
+import linecache
 import math
 from itertools import chain
 from typing import Callable, Sequence
@@ -151,20 +152,62 @@ def rk4_step(f, s: float, y: tuple, h: float, k1: tuple | None = None) -> tuple:
     """One classical Runge-Kutta step for a tuple-valued state.
 
     k1 is f(s, y) when the caller has it already: a table build keeps it as
-    the slope of its node.
+    the slope of its node.  The step runs a body unrolled for len(y)
+    (``y0 + half * a0``, ...), generated from _RK4_TEMPLATE the first time
+    that length is seen and cached: generic stage sums over zip cost more
+    per step than a catenary right-hand side.  The body unpacks k1 and each
+    stage's f result, so a k1 or an f result whose length is not len(y)
+    raises ValueError.
+    Callers call this function by its module-level name on every step and
+    keep no body of their own, so that a counting or tracing wrapper bound
+    to that name sees every step.
     """
-    # tuple([...]) rather than tuple(generator): this is the innermost loop
+    body = _rk4_bodies.get(len(y))
+    if body is None:
+        body = _rk4_bodies[len(y)] = _rk4_body(len(y))
+    return body(f, s, y, h, k1)
+
+
+# Each component takes the stage sums
+#   y_i + half k_i  and  y_i + (h/6) (k1_i + 2 (k2_i + k3_i) + k4_i)
+# in this order of operations, which rk4_batch takes too, so scalar and
+# batch tables get the same node bits.
+_RK4_TEMPLATE = """\
+def rk4_step_{n}(f, s, y, h, k1):
+    ({y}) = y
     if k1 is None:
         k1 = f(s, y)
+    ({a}) = k1
     half = 0.5 * h
-    k2 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k1)]))
-    k3 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k2)]))
-    k4 = f(s + h, tuple([yi + h * ki for yi, ki in zip(y, k3)]))
+    ({b}) = f(s + half, ({y_a}))
+    ({c}) = f(s + half, ({y_b}))
+    ({d}) = f(s + h, ({y_c}))
     w = h / 6.0
-    return tuple([
-        yi + w * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    ])
+    return ({out})
+"""
+
+_rk4_bodies: dict[int, Callable] = {}
+
+
+def _rk4_body(n: int) -> Callable:
+    """rk4_step's body for states of length n, compiled from _RK4_TEMPLATE.
+
+    Its source is registered with linecache under a readable filename, so a
+    traceback through it shows the line of the stage that raised.
+    """
+    def tup(fmt: str) -> str:
+        items = [fmt.format(i=i) for i in range(n)]
+        return ", ".join(items) + ("," if n == 1 else "")
+
+    source = _RK4_TEMPLATE.format(
+        n=n, y=tup("y{i}"), a=tup("a{i}"), b=tup("b{i}"), c=tup("c{i}"), d=tup("d{i}"),
+        y_a=tup("y{i} + half * a{i}"), y_b=tup("y{i} + half * b{i}"),
+        y_c=tup("y{i} + h * c{i}"), out=tup("y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})"))
+    filename = f"<{__name__}.rk4_step, state length {n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[f"rk4_step_{n}"]
 
 
 def rk4_stages(s0: float, s1: float, n_steps: int) -> tuple[float, np.ndarray]:

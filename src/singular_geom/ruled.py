@@ -977,10 +977,14 @@ SWEEP_CHUNK = 32
 _STEP_BLOCK = 128
 
 # Fewest Euclidean or Lorentz draws whose tables are stepped as one batch.
-# Whatever its size, a batch build costs about as much as 3.4 scalar
-# Euclidean tables or 1.8 Lorentz ones, whose two halves share each batch
-# step (68-72 us a batch step against 20 us a scalar step, on a 2-core host),
-# so fewer draws are stepped one at a time.
+# Whatever its size, a batch build costs about as much as 5.0 scalar
+# Euclidean tables or 2.7 Lorentz ones, whose two halves share each batch
+# step (11-15 ms a scalar table; alternating timings at widths 2-6 on a
+# 2-core host: the batch was faster in 0 of 21 Euclidean pairs at widths 3
+# and 4, 10 at 5 and 18 at 6, and in 17 of 21 Lorentz pairs at width 3 and
+# 21 from 4).  One value serves both classes, set at the Lorentz crossover:
+# a Euclidean sweep whose last chunk holds 3 or 4 draws builds it 14-22 ms
+# slower than scalar tables would.
 _MIN_BATCH = 3
 
 

@@ -1,8 +1,11 @@
 """The benchmark harness still runs against this source tree."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -13,3 +16,28 @@ def test_bench_selftest_passes():
     r = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
+
+
+def _bench_spans():
+    """bench/spans.py, loaded by path: bench/ is a script directory, not a package."""
+    spec = importlib.util.spec_from_file_location("_bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_catenary_command_counts_every_rk4_step(tmp_path):
+    # the tracer counts RK4 steps by rebinding the name rk4_step in every package
+    # module, so a caller that stepped without that name would read 0 steps
+    from singular_geom import cli
+
+    tracer = _bench_spans().Tracer().install()
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.main(["catenary", "--alpha", "2", "--length", "2", "--step", "1e-3",
+                      "--out", str(tmp_path / "catenary.csv")])
+    finally:
+        tracer.uninstall()
+    assert info.value.code == 0
+    assert tracer.counts["curves.rk4_steps"] == 2000
+    assert tracer.summary()["calls"]["catenary.integrate"] == 1

@@ -1,6 +1,7 @@
 """Planar alpha-catenaries: integration, shooting, cylinders."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -96,6 +97,26 @@ def test_integrate_flags_halfspace_exit():
     assert path.exited_halfspace
     assert path.endpoint.s < 2.0
     assert all(st.y > 0 for st in path.states)
+
+
+def test_halfspace_violation_inside_a_step_keeps_its_type_message_and_traceback():
+    # a vertical dive from y = 0.01: k1 is taken at the node, and the second
+    # stage, half a step of 0.02 down, lands on the floor
+    alpha, h = 1.5, 0.02
+    s, node = 0.0, (0.0, 0.01, -0.5 * math.pi)
+    f = cat._rhs(alpha)
+    with pytest.raises(HalfspaceViolation) as caught:
+        rk4_step(f, s, node, h, f(s, node))
+    y_stage = node[1] + 0.5 * h * f(s, node)[1]
+    assert str(caught.value) == f"y = {y_stage} at s = {s + 0.5 * h} reached the halfspace floor"
+    text = "".join(traceback.format_exception(caught.value))
+    assert "rk4_step, state length 3>" in text
+    assert "(b0, b1, b2) = f(s + half, (y0 + half * a0, y1 + half * a1, y2 + half * a2))" in text
+    assert "<string>" not in text
+    # integrate ends such a path at its last node instead of raising
+    path = cat.integrate(start(node[1], node[2]), alpha, 1.0, h)
+    assert path.exited_halfspace
+    assert len(path.states) == 1
 
 
 def _reference_integrate(alpha, length, step):

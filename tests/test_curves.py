@@ -2,6 +2,7 @@
 dense output and its derivatives, tables over given nodes, domain and input checks."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -160,6 +161,78 @@ def test_build_calls_f_four_times_per_step_and_queries_take_no_rk4_step(monkeypa
     assert steps == [] and calls == []
     table.state_at(0.9 * (1.0 + 0.5 * OVERHANG))
     assert len(steps) == 2
+
+
+def _listcomp_rk4_step(f, s, y, h, k1=None):
+    """Reference: rk4_step as generic stage sums over zip, in its order of operations."""
+    if k1 is None:
+        k1 = f(s, y)
+    half = 0.5 * h
+    k2 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k1)]))
+    k3 = f(s + half, tuple([yi + half * ki for yi, ki in zip(y, k2)]))
+    k4 = f(s + h, tuple([yi + h * ki for yi, ki in zip(y, k3)]))
+    w = h / 6.0
+    return tuple([yi + w * (a + 2.0 * (b + c) + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+
+
+def _coupled_rhs(n, calls):
+    """A right-hand side of n components that only adds and multiplies, so it carries
+    inf and nan through without raising, logging each s and state it is given."""
+    def rhs(s, y):
+        calls.append(struct.pack(f"{n + 1}d", s, *y))
+        return tuple([y[(i + 1) % n] * y[i] - (i + 0.5) * s + 0.25 * y[i - 1] for i in range(n)])
+
+    return rhs
+
+
+_QUIET_NAN = struct.unpack("d", struct.pack("Q", 0x7FF8_0000_0000_0BAD))[0]
+_SPECIAL = [math.inf, -math.inf, math.nan, -math.nan, _QUIET_NAN, 1e308, -1e308, 5e-324,
+            0.0, -0.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+@pytest.mark.parametrize("given_k1", [False, True])
+def test_rk4_step_is_the_list_comprehension_stage_sums_bitwise(n, given_k1):
+    # struct bytes rather than ==, so that -0.0 and nan payloads count.  Which
+    # nan operand a float add or multiply passes on changes once CPython
+    # specializes the instruction, so both sides run finite steps first
+    rng = np.random.default_rng(n)
+    steps = [1e-3, 0.5, -0.25, 1e300, math.inf, math.nan]
+    warm = 100
+    for trial in range(warm + 300):
+        y = tuple(rng.normal(scale=2.0, size=n).tolist())
+        h = float(rng.uniform(-0.1, 0.1))
+        if trial >= warm and trial % 3 == 0:
+            y = tuple(_SPECIAL[j] if rng.random() < 0.4 else v
+                      for j, v in zip(rng.integers(len(_SPECIAL), size=n), y))
+        if trial >= warm and trial % 2:
+            h = steps[trial % len(steps)]
+        s = float(rng.normal())
+        got_calls, ref_calls = [], []
+        got_f, ref_f = _coupled_rhs(n, got_calls), _coupled_rhs(n, ref_calls)
+        k1 = _coupled_rhs(n, [])(s, y) if given_k1 else None
+        got = rk4_step(got_f, s, y, h, k1)
+        ref = _listcomp_rk4_step(ref_f, s, y, h, k1)
+        assert type(got) is tuple and len(got) == n
+        assert struct.pack(f"{n}d", *got) == struct.pack(f"{n}d", *ref), (y, h)
+        assert got_calls == ref_calls, (y, h)
+
+
+@pytest.mark.parametrize("k1", [None, (1.0, 2.0, 3.0)])
+def test_rk4_step_raises_on_a_stage_of_another_length(k1):
+    # stage sums over zip would cut the step short to the shorter of y and k
+    def short(s, y):
+        return (y[1], -y[0])
+
+    def long(s, y):
+        return (*y, 1.0)
+
+    y = (1.0, 0.5, 0.25)
+    for f in (short, long):
+        with pytest.raises(ValueError, match="values to unpack"):
+            rk4_step(f, 0.0, y, 0.1, k1)
+    with pytest.raises(ValueError, match="values to unpack"):
+        rk4_step(lambda s, y: y, 0.0, y, 0.1, (1.0, 2.0))
 
 
 def test_dense_output_independent_of_query_order():
