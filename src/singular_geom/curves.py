@@ -15,7 +15,8 @@ them as floats and ``states_at`` answers a whole array of s at once, bit for
 bit as ``state_at`` answers each: the Hermite is written once on components,
 for floats and arrays.  ``rk4_batch`` and ``rk4_quadrature`` take the nodes
 and slopes of many tables at once on float64 arrays, bit for bit as
-``rk4_step`` takes them one table at a time.
+``rk4_step`` takes them one table at a time, and ``stage_values`` reads
+values at the RK4 stages of a table from one array pass, keyed by s.
 """
 from __future__ import annotations
 
@@ -584,3 +585,48 @@ def fourier_table(series: Sequence[FourierSeries], s: np.ndarray) -> np.ndarray:
         else:
             out[..., cols] += a * cos + b * sin
     return out
+
+
+def stage_values(grids, read) -> dict:
+    """Values by s at the RK4 stages of fixed-step tables, from one array read.
+
+    grids holds (s0, s1, n_steps) per table (see rk4_stages).  read(S)
+    gives one array over S per value, or None for an empty dict; a stage s
+    maps to the tuple of the values' floats at s.  S holds each stage s
+    once, and no zero: 0.0 and -0.0 share a dict key, and a function of s
+    may tell them apart.
+    """
+    stages = [s for grid in grids for s in rk4_stages(*grid)[1].ravel().tolist()]
+    S = np.array([s for s in dict.fromkeys(stages) if s != 0.0])
+    values = read(S)
+    return {} if values is None else dict(zip(S.tolist(), zip(*[x.tolist() for x in values])))
+
+
+def series_at(*series: FourierSeries):
+    """s -> the series' values at s.
+
+    A float s gives floats, kept for the last s: RK4 repeats its midpoint.  An
+    array of s gives one array per series, bit for bit those floats at each s
+    (fourier_table), so a right-hand side that reads its coefficients here
+    runs on floats and on arrays alike.  at.tabulated(grids, build) returns
+    build(), a table build on those grids, during which a float s at an RK4
+    stage reads the values from one fourier_table over every stage
+    (stage_values); the stage values are dropped when build returns.
+    """
+    at_float = memo_last(lambda s: tuple([f(s) for f in series]))
+    stages = {}
+
+    def at(s):
+        if isinstance(s, np.ndarray):
+            return tuple(np.moveaxis(fourier_table(series, s), -1, 0))
+        return stages.get(s) or at_float(s)
+
+    def tabulated(grids, build):
+        stages.update(stage_values(grids, lambda S: fourier_table(series, S).T))
+        try:
+            return build()
+        finally:
+            stages.clear()
+
+    at.tabulated = tabulated
+    return at

@@ -5,8 +5,10 @@ either exact (analytic derivatives supplied by the caller) or produced by
 4th-order central finite differences of a point evaluator.  On top of the
 jets this module computes fundamental forms, the unit normal, the mean
 curvature, the pointwise defining residual of singular minimal (Euclidean)
-and singular maximal (Lorentzian, spacelike) surfaces, the potential energy
-of a surface relative to a direction, and a numeric first variation.
+and singular maximal (Lorentzian, spacelike) surfaces, the cleared-denominator
+residual that the ruled module's coefficient oracle compares with, the
+potential energy of a surface relative to a direction, and a numeric first
+variation.
 
 Grids of points are evaluated on numpy arrays: ``ParamSurface.grid_jets``
 gives the jets of a product grid as (ns, nt, 3) arrays, and the first form,
@@ -554,6 +556,47 @@ def singular_residual_grid(m: Metric, surf: ParamSurface, S: np.ndarray, T: np.n
             lambda s, t: singular_residual(m, surf, s, t, v, alpha)):
         out[block] = R
     return out
+
+
+# The coefficient oracle's cleared-denominator residual
+#   D = <X,v> [G(Xs,Xt,Xss) - 2F(Xs,Xt,Xst) + E(Xs,Xt,Xtt)] - eps alpha (EG - F^2) (Xs,Xt,v)
+# is taken where <X,v> > 0 (Euclidean), or |<X,v>_L| > 1e-9 (1 + max|X|) at a
+# spacelike point (Lorentzian), and |EG - F^2| is not below the regularity floor.
+
+def cleared_residual(m: Metric, j: Jet2, v: Vec3, alpha: float) -> float | None:
+    """D at one jet, or None where it is not taken."""
+    q = inner(m, j.X, v)
+    if m is Metric.EUCLIDEAN:
+        if q <= 0.0:
+            return None
+    elif abs(q) <= 1e-9 * (1.0 + j.X.max_abs()):
+        return None
+    try:
+        E, F, G, W2 = _regular_first_form(m, j)
+    except DegenerateMetric:
+        return None
+    # not (W2 > 0) is <N,N>_L != -1, NaN included
+    if m is Metric.LORENTZIAN and not W2 > 0.0:
+        return None
+    eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
+    return q * _bracket(E, F, G, j) - eps_hat * alpha * W2 * triple(j.Xs, j.Xt, v)
+
+
+def cleared_residual_cells(m: Metric, j: Jet2, v: Vec3, alpha: float):
+    """(taken, D) at every cell of a jet of _V arrays, bitwise cleared_residual's D at each.
+
+    Fields that do not vary over the cells may be Vec3s.  taken is False
+    where cleared_residual gives None; D is not used there.
+    """
+    q = inner(m, j.X, v)
+    E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
+    if m is Metric.EUCLIDEAN:
+        skip = q <= 0.0
+    else:
+        skip = (abs(q) <= 1e-9 * (1.0 + _max_abs(j.X))) | ~(W2 > 0.0)
+    eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
+    return (~(skip | (abs(W2) < _form_floor(E, G))),
+            q * _bracket(E, F, G, j) - eps_hat * alpha * W2 * triple(j.Xs, j.Xt, v))
 
 
 def grid_points(surf: ParamSurface, S: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -403,7 +403,8 @@ def _states_at_tables():
     from singular_geom import ruled
 
     rng = np.random.default_rng(12)
-    draws = [ruled._draw_lorentz(rng, 1) for _ in range(ruled._MIN_BATCH)]
+    draws = [ruled._draw_lorentz(rng, 1)
+             for _ in range(ruled._MIN_BATCH[ruled.DirectorClass.LORENTZ_NONDEGENERATE])]
     rhs, _ = draws[0].ode()
     batch = ruled._build_tables(draws, [d.ode()[0] for d in draws], 64)[0]
     return {

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from singular_geom import catenary as cat
-from singular_geom import curves, ruled
+from singular_geom import curves, frames, ruled
 from singular_geom.algebra import Metric, Vec3, cross, inner, triple
 from singular_geom.curves import Curve, fd1, line_curve
 from singular_geom.errors import (
@@ -286,7 +286,7 @@ def _reference_euclidean_ruled(rng, s_len=2.0, n_steps=1024):
     omega = 2.0 * math.pi / s_len
     Q = ruled._fourier(rng, (0.1, 1.0), 0.9, omega)
     P = ruled._fourier(rng, (0.8, 1.5), 0.4, omega)
-    coeffs = ruled._series_at(Q, P)
+    coeffs = curves.series_at(Q, P)
     w0 = random_unit_vector(rng)
     raw = random_unit_vector(rng)
     proj = raw - inner(E, raw, w0) * w0
@@ -319,7 +319,7 @@ def _reference_lorentz_ruled(rng, delta, s_len=2.0, n_steps=1024):
     omega = 2.0 * math.pi / s_len
     Q = ruled._fourier(rng, (0.1, 0.45), 0.7, omega)
     P = ruled._fourier(rng, (0.8, 1.5), 0.4, omega)
-    coeffs = ruled._series_at(Q, P)
+    coeffs = curves.series_at(Q, P)
     T, S1, S2 = ruled._lorentz_triad(rng)
     w0, wp0 = S1, (S2 if delta == 1 else T)
     g0 = rng.normal(scale=0.5, size=3)
@@ -414,8 +414,8 @@ def _bits(values):
     return np.array(list(values), dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("size", [1, 2, ruled._MIN_BATCH, ruled.SWEEP_CHUNK,
-                                  ruled.SWEEP_CHUNK + 1])
+@pytest.mark.parametrize("size", sorted({1, 2, 3, *ruled._MIN_BATCH.values(), ruled.SWEEP_CHUNK,
+                                         ruled.SWEEP_CHUNK + 1}))
 @pytest.mark.parametrize("klass", list(_DRAWS))
 def test_batch_build_matches_scalar_tables_bitwise(klass, size):
     rng = np.random.default_rng(1000 + size)
@@ -452,7 +452,8 @@ def _assert_slopes_are_f_at_nodes(table):
         assert half.slopes.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("size", [1, ruled._MIN_BATCH, ruled.SWEEP_CHUNK + 1])
+@pytest.mark.parametrize("size", sorted({1, 3, *ruled._MIN_BATCH.values(),
+                                         ruled.SWEEP_CHUNK + 1}))
 @pytest.mark.parametrize("klass", list(_DRAWS))
 def test_tables_keep_the_slope_of_f_at_every_node(klass, size):
     rng = np.random.default_rng(2000 + size)
@@ -499,6 +500,91 @@ def test_scalar_and_catenary_tables_keep_the_slope_of_f_at_every_node(monkeypatc
         table.f = rhs(path.alpha)
     for table in tables + built:
         _assert_slopes_are_f_at_nodes(table)
+
+
+def _direct_frame_rhs(d):
+    """The right-hand side of a draw's frame ODE, calling its Fourier series at every stage."""
+    Q, P = d.series
+    zsign, sigma = d.frame_signs()
+
+    def rhs(s, y):
+        w, wp = y[0:3], y[3:6]
+        c = ruled._tcross(w, wp, zsign)
+        q, p = Q(s), P(s)
+        return (wp[0], wp[1], wp[2],
+                sigma * w[0] + q * c[0], sigma * w[1] + q * c[1], sigma * w[2] + q * c[2],
+                p * c[0], p * c[1], p * c[2])
+
+    return rhs
+
+
+def _assert_same_tables(tables, refs):
+    assert len(tables) == len(refs) >= 1
+    for table, ref in zip(tables, refs):
+        for half, ref_half in zip(_halves(table), _halves(ref), strict=True):
+            assert half.nodes.tobytes() == ref_half.nodes.tobytes()
+            assert half.slopes.tobytes() == ref_half.slopes.tobytes()
+
+
+@pytest.mark.parametrize("klass", ["euclid", "lorentz+1", "lorentz-1"])
+def test_scalar_builds_read_their_stage_values_bitwise(klass, monkeypatch):
+    d = _DRAWS[klass](np.random.default_rng(3000))
+    ref = _scalar_table(d, _direct_frame_rhs(d))
+    calls = []
+    call = curves.FourierSeries.__call__
+    monkeypatch.setattr(curves.FourierSeries, "__call__",
+                        lambda f, s: calls.append(s) or call(f, s))
+    tables = ruled._build_tables([d], [d.ode()[0]], ruled.SWEEP_STEPS)
+    _assert_same_tables(tables, [ref])
+    # per half and series: s = 0, which has no stage value, and at most the last
+    # node, whose s may round apart from the last stage's
+    assert len(calls) <= 2 * 2 * len(_halves(ref))
+
+
+def _recording(monkeypatch, owner, name, record):
+    """owner.name replaced by a wrapper that appends each result to record."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: record.append(original(*args)) or record[-1])
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_prenormalization_tables_read_their_stage_values_bitwise(delta, monkeypatch):
+    built = []
+
+    class Recording(curves.CenteredODE):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def direct(*series):
+        def at(s):
+            return tuple([f(s) for f in series])
+
+        at.tabulated = lambda grids, build: build()
+        return at
+
+    monkeypatch.setattr(ruled, "CenteredODE", Recording)
+    random_prenormalization_input(np.random.default_rng(40 + delta), delta)
+    tables, built[:] = list(built), []
+    monkeypatch.setattr(ruled, "series_at", direct)
+    random_prenormalization_input(np.random.default_rng(40 + delta), delta)
+    _assert_same_tables(tables, built)
+
+
+def test_no_stage_values_outlive_their_build(monkeypatch):
+    readers, tabulated = [], []
+    for owner in (frames, ruled):  # the sweep frame ODE's, and the pre-normalization input's
+        _recording(monkeypatch, owner, "series_at", readers)
+    _recording(monkeypatch, curves, "stage_values", tabulated)
+    rng = np.random.default_rng(3001)
+    for d in (_DRAWS["euclid"](rng), _DRAWS["lorentz-1"](rng)):
+        ruled._build_tables([d], [d.ode()[0]], ruled.SWEEP_STEPS)
+    random_prenormalization_input(rng, 1)
+    assert len(tabulated) == len(readers) >= 3 and all(tabulated)
+    for at in readers:
+        # the reader's closure holds its stage values: none are left
+        assert [c.cell_contents for c in at.__closure__
+                if isinstance(c.cell_contents, dict)] == [{}]
 
 
 # The pointwise frame, coefficients, halfspace window, translation and
@@ -658,7 +744,7 @@ def test_sweep_report_at_17_samples_matches_scalar_reference_sweep(metric, klass
     # and two more surfaces leave a remainder below _MIN_BATCH, whose tables
     # are scalar builds
     n = ruled.SWEEP_CHUNK + 2
-    assert n % ruled.SWEEP_CHUNK < ruled._MIN_BATCH
+    assert n % ruled.SWEEP_CHUNK < min(ruled._MIN_BATCH.values())
     planted = [helicoid(0.7), lightlike_reference()]
     for samples in (17, 1):
         cfg = SweepConfig(n_surfaces=n, n_s_samples=samples, seed=21, metric=metric,
@@ -674,7 +760,7 @@ def _fail(*args, **kwargs):
 @pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
 def test_generated_surfaces_are_scored_from_one_table_read(metric, klass, delta, monkeypatch):
     reads = []
-    memo = ruled.memo_last_array
+    memo = frames.memo_last_array
 
     def counting(read):
         def counted(S):
@@ -683,7 +769,7 @@ def test_generated_surfaces_are_scored_from_one_table_read(metric, klass, delta,
 
         return memo(counted)
 
-    monkeypatch.setattr(ruled, "memo_last_array", counting)
+    monkeypatch.setattr(frames, "memo_last_array", counting)
     for owner, name in ((ruled, "frame"), (ruled, "coefficients"),
                         (curves.DenseODE, "state_at"), (curves.CenteredODE, "state_at")):
         monkeypatch.setattr(owner, name, _fail)

@@ -39,9 +39,13 @@ COMMANDS=(
   # the last chunk holds one draw, so its frame table is built by the scalar path
   "sweep --metric euclid --class standard --n 33 --samples 2 --seed 9 --out sweep_euclid33.json"
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 33 --samples 2 --seed 9 --out sweep_lorentz_m33.json"
+  "sweep --metric lorentz --class nondegenerate --delta 1 --n 33 --samples 2 --seed 9 --out sweep_lorentz_p33.json"
+  # a remainder of two draws
+  "sweep --metric euclid --class standard --n 34 --samples 2 --seed 9 --out sweep_euclid34.json"
   # a full chunk and a remainder chunk of 8, scored at an odd sample count
   "sweep --metric lorentz --class lightlike --n 40 --samples 17 --seed 9 --out sweep_lightlike40.json"
   "sweep --metric lorentz --class nondegenerate --delta 1 --n 40 --samples 17 --seed 9 --out sweep_lorentz_p40.json"
+  "sweep --metric euclid --class standard --n 40 --samples 17 --seed 9 --out sweep_euclid40.json"
   # one sample: a (5, 1) stencil read
   "sweep --metric euclid --class standard --n 5 --samples 1 --seed 9 --out sweep_euclid1.json"
   "sweep --metric lorentz --class lightlike --n 5 --samples 1 --seed 9 --out sweep_lightlike1.json"
