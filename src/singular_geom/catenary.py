@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import Metric, Vec3, cross, inner, norm
 from .curves import Curve, DenseODE, memo_last, rk4_step
 from .errors import HalfspaceViolation, NoSolution, NotOrthogonal
-from .surface import Jet2, ParamSurface, stack_rows
+from .surface import Jet2, ParamSurface, along, stack_rows
 
 Y_FLOOR = 1e-12
 # integrate keeps every state, so a path is capped well above the 8000 steps
@@ -295,11 +295,8 @@ def catenary_cylinder(path: CatenaryPath, v: Vec3, ruling: Vec3) -> ParamSurface
         c, c1, c2 = profile.jet(ss)
         return Jet2(c + ruling * tt, c1, ruling, c2, zero, zero)
 
-    r = np.array(ruling.as_tuple()).reshape(1, 1, 3)
-
     def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
         c, c1, c2 = (stack_rows(col) for col in zip(*(profile.jet(ss) for ss in S.tolist())))
-        flat = np.zeros((1, 1, 3))
-        return Jet2(c + r * T.reshape(1, -1, 1), c1, r, c2, flat, flat)
+        return Jet2(along(c, T, ruling), c1, ruling, c2, zero, zero)
 
     return ParamSurface.exact((path.s[0], path.s[-1], -1.0, 1.0), jet_fn, grid_fn)

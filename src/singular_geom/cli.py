@@ -36,9 +36,9 @@ from .ruled import DirectorClass, SweepConfig, falsification_sweep, helicoid, li
 from .surface import (
     Jet2,
     ParamSurface,
+    _V,
     abs_max,
     grid_points,
-    grid_vectors,
     power_each,
     singular_residual_grid,
 )
@@ -224,12 +224,12 @@ def build_named_surface(name: str, alpha: float, file_path: str | None = None) -
             ct = np.array([math.cos(t) for t in T.tolist()])[None, :]
             st = np.array([math.sin(t) for t in T.tolist()])[None, :]
             return Jet2(
-                grid_vectors(cs * ct, ss * ct, st),
-                grid_vectors(-ss * ct, cs * ct, 0.0),
-                grid_vectors(-cs * st, -ss * st, ct),
-                grid_vectors(-cs * ct, -ss * ct, 0.0),
-                grid_vectors(ss * st, -cs * st, 0.0),
-                grid_vectors(-cs * ct, -ss * ct, -st),
+                _V(cs * ct, ss * ct, st),
+                _V(-ss * ct, cs * ct, 0.0),
+                _V(-cs * st, -ss * st, ct),
+                _V(-cs * ct, -ss * ct, 0.0),
+                _V(ss * st, -cs * st, 0.0),
+                _V(-cs * ct, -ss * ct, -st),
             )
 
         return ParamSurface.exact((0.0, 2.0 * math.pi, 0.2, 1.35), grid_fn=grid_fn)
@@ -239,12 +239,12 @@ def build_named_surface(name: str, alpha: float, file_path: str | None = None) -
             r = np.sqrt(1.0 + s * s + t * t)
             r3 = power_each(r, 3)
             return Jet2(
-                grid_vectors(s, t, r),
-                grid_vectors(1.0, 0.0, s / r),
-                grid_vectors(0.0, 1.0, t / r),
-                grid_vectors(0.0, 0.0, (1.0 + t * t) / r3),
-                grid_vectors(0.0, 0.0, -s * t / r3),
-                grid_vectors(0.0, 0.0, (1.0 + s * s) / r3),
+                _V(s, t, r),
+                _V(1.0, 0.0, s / r),
+                _V(0.0, 1.0, t / r),
+                _V(0.0, 0.0, (1.0 + t * t) / r3),
+                _V(0.0, 0.0, -s * t / r3),
+                _V(0.0, 0.0, (1.0 + s * s) / r3),
             )
 
         return ParamSurface.exact((-1.0, 1.0, -1.0, 1.0), grid_fn=grid_fn)

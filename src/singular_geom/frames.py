@@ -29,7 +29,7 @@ from .curves import (
     rk4_stages,
     series_at,
 )
-from .surface import _V
+from .surface import _V, along
 
 # (a, b) of the lightlike director w(s) = a s + b = (1, s, s), with w' = a lightlike
 _LIGHTLIKE_LINE = (Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
@@ -122,7 +122,7 @@ def _lightlike_curves(table, mf: FourierSeries, rhs, g_d2) -> tuple[Curve, Curve
         zero = np.zeros(S.shape)
         return (_V(*table.states_at(S)),
                 _V(*_lightlike_gp(S, fourier_table([mf], S)[..., 0])),
-                _V(a.x * S + b.x, a.y * S + b.y, a.z * S + b.z),
+                along(b, S, a),
                 _V(zero + a.x, zero + a.y, zero + a.z),
                 _V(zero, zero, zero))
 

@@ -35,6 +35,7 @@ from .curves import (
     DenseODE,
     FD_H1,
     FourierSeries,
+    _same_arg,
     constant_curve,
     fd1,
     fd1_stencil,
@@ -69,8 +70,10 @@ from .surface import (
     ParamSurface,
     _CELL_ERRORS,
     _V,
+    along,
     cleared_residual,
     cleared_residual_cells,
+    power_each,
     require_unit_direction,
     stack_rows,
 )
@@ -119,6 +122,7 @@ class CoefficientVector:
     A: tuple[float, ...]
 
     def poly(self, t: float) -> float:
+        """sum A_n t^n by Horner's rule, at a float t or at every entry of an array."""
         out = 0.0
         for a in reversed(self.A):
             out = out * t + a
@@ -153,6 +157,8 @@ class RuledSurface:
         self.delta = int(delta)
         self.normalized = normalized
         self.label = label
+        # (s, frame(self, s)) of the last frame read, kept for a read at the same s
+        self._last_frame: tuple[float, RuledFrame] | None = None
 
     @classmethod
     def build(cls, base: Curve, director: Curve, s_range, metric: Metric,
@@ -180,8 +186,8 @@ class RuledSurface:
         """:meth:`jet` on the product grid of S and T: one curve jet per s, affine in t."""
         rows = [self.base.jet(s) + self.director.jet(s) for s in S.tolist()]
         g, gp, gpp, w, wp, wpp = (stack_rows(col) for col in zip(*rows))
-        t = T.reshape(1, -1, 1)
-        return Jet2(g + t * w, gp + t * wp, w, gpp + t * wpp, wp, np.zeros((1, 1, 3)))
+        return Jet2(along(g, T, w), along(gp, T, wp), w, along(gpp, T, wpp), wp,
+                    Vec3(0.0, 0.0, 0.0))
 
     def as_param_surface(self, t_window: tuple[float, float]) -> ParamSurface:
         s0, s1 = self.s_range
@@ -506,8 +512,13 @@ def frame(rs: RuledSurface, s: float) -> RuledFrame:
 
     P and Q come from _frame_functions, the one definition of them per
     director class; this is the one definition of the lightlike |Q| floor.
+    The surface keeps the last frame read, and a read at the same s (by
+    curves._same_arg) returns it again.
     """
     _require_normalized(rs)
+    last = rs._last_frame
+    if last is not None and _same_arg(last[0], s):
+        return last[1]
     w = rs.director.value(s)
     wp = rs.director.d1(s)
     wxwp = cross(rs.metric, w, wp)
@@ -516,7 +527,9 @@ def frame(rs: RuledSurface, s: float) -> RuledFrame:
     P, Q = _frame_functions(rs.director_class, w, wp, wpp, rs.base.d1(s))
     if lightlike and abs(Q) < ZERO_Q_FLOOR:
         raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
-    return RuledFrame(w, wp, wxwp, P, Q)
+    fr = RuledFrame(w, wp, wxwp, P, Q)
+    rs._last_frame = (s, fr)
+    return fr
 
 
 def _frame_functions(director_class: DirectorClass, w, wp, wpp, gp):
@@ -596,7 +609,7 @@ def _cube(x):
     raises OverflowError, as the float power does.
     """
     if isinstance(x, np.ndarray):
-        return np.fromiter((c ** 3 for c in x.ravel().tolist()), float, x.size).reshape(x.shape)
+        return power_each(x, 3)
     return x ** 3
 
 
@@ -676,14 +689,10 @@ def _oracle_cells(rs: RuledSurface, s: float, v: Vec3, alpha: float, t_samples: 
     """
     T = np.array(t_samples)
     (g, gp, gpp), (w, wp, wpp) = rs.base.jet(s), rs.director.jet(s)
-    X, Xs, Xss = (_V(a.x + T * b.x, a.y + T * b.y, a.z + T * b.z)
-                  for a, b in ((g, w), (gp, wp), (gpp, wpp)))
+    X, Xs, Xss = (along(a, T, b) for a, b in ((g, w), (gp, wp), (gpp, wpp)))
     taken, D = cleared_residual_cells(rs.metric, Jet2(X, Xs, w, Xss, wp, Vec3(0.0, 0.0, 0.0)),
                                       v, alpha)
-    poly = 0.0
-    for a in reversed(cv.A):  # CoefficientVector.poly at every t
-        poly = poly * T + a
-    diff = np.where(taken, abs(sign * poly - D), 0.0)
+    diff = np.where(taken, abs(sign * cv.poly(T) - D), 0.0)
     k = int(np.argmax(diff))  # the first largest, which max() keeps
     # taken again at its t as the loop takes it, for its type: np.float64 when t or alpha is
     worst = abs(sign * cv.poly(t_samples[k]) - float(D[k])) if diff[k] > 0.0 else 0.0
@@ -1101,10 +1110,8 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
     frames = _sweep_frames(rs, s_values)
 
     def heights():
-        g, w = frames.g, frames.w
         # X = g + t w as RuledSurface.point adds it, one row per t
-        out = np.array([inner(m, _V(g.x + t * w.x, g.y + t * w.y, g.z + t * w.z), v)
-                        for t in t_window])
+        out = inner(m, along(frames.g, np.array(t_window)[:, None], frames.w), v)
         return out, float(out.min())
 
     lo = None if frames is None else _on_arrays(heights)
@@ -1143,8 +1150,8 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
     if scaled is None:
         scaled = []
         for s in s_values:
+            fr = frame(rs, s)  # kept on rs, so coefficients reads it again for free
             cv = coefficients(rs, s, v, alpha)
-            fr = frame(rs, s)
             scaled.append(_scaled_max_abs(cv.A, fr.Q if lightlike else fr.P))
     worst = max([0.0, *scaled])
     return {

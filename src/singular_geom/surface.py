@@ -10,17 +10,22 @@ residual that the ruled module's coefficient oracle compares with, the
 potential energy of a surface relative to a direction, and a numeric first
 variation.
 
-Grids of points are evaluated on numpy arrays: ``ParamSurface.grid_jets``
-gives the jets of a product grid as (ns, nt, 3) arrays, and the first form,
-the curvature bracket, the unit normal, the residual and the energy integrand
-are each written once on vector components, so one body runs on the floats
-of the pointwise API and on the arrays of the grid API.  numpy's elementwise
-+, -, *, / and sqrt round as Python floats do, and every sum keeps its order,
-so a grid value is bitwise the pointwise value.  A grid is evaluated in
-blocks of at most ``GRID_BLOCK`` points, and a block that holds a cell the
-pointwise API would reject, or whose arithmetic raises, is evaluated again by
-the pointwise API from its first cell, so the grid raises the exact exception
-of the row-major pointwise loop.  The finite-difference stencil and the normal
+Grids of points are evaluated on numpy arrays.  The one array layout of a
+vector is ``_V``, its three component arrays: ``ParamSurface.grid_jets``
+gives the jets of a product grid as a Jet2 of ``_V``s whose components
+broadcast to (ns, nt), and a field that does not vary may be a Vec3 or a
+``_V`` of floats.  Only :func:`grid_points` stacks components, for the mesh
+writer.  The first form, the curvature bracket, the unit normal, the
+residual, the cleared residual, the energy integrand and the ruling point
+a + t b (:func:`along`) are each written once on vector components, so one
+body runs on the Vec3 floats of the pointwise API and on the ``_V`` arrays
+of the grid API.  numpy's elementwise +, -, *, / and sqrt round as Python
+floats do, and every sum keeps its order, so a grid value is bitwise the
+pointwise value.  A grid is evaluated in blocks of at most ``GRID_BLOCK``
+points, and a block that holds a cell the pointwise API would reject, or
+whose arithmetic raises, is evaluated again by the pointwise API from its
+first cell, so the grid raises the exact exception of the row-major
+pointwise loop.  The finite-difference stencil and the normal
 perturbation of the first variation are each written once, on arrays: the
 pointwise jet of a finite-difference surface is its stencil grid of one point.
 """
@@ -58,8 +63,8 @@ GRID_BLOCK = 4096
 class Jet2:
     """Value and derivatives of an immersion at one parameter point.
 
-    The grid API fills the same fields with (ns, nt, 3) arrays, or arrays that
-    broadcast to that shape.
+    The grid API fills the same fields with _V component arrays that
+    broadcast to (ns, nt), or with a Vec3 where a field does not vary.
     """
 
     X: Vec3
@@ -100,29 +105,28 @@ class _V(NamedTuple):
     z: np.ndarray
 
 
-def _components(J: Jet2) -> Jet2:
-    """A grid jet with each (..., 3) array split into its three components."""
-    return Jet2(*(_V(a[..., 0], a[..., 1], a[..., 2])
-                  for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt)))
+def _fields(J: Jet2) -> tuple:
+    return (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt)
 
 
-def grid_vectors(x, y, z) -> np.ndarray:
-    """(..., 3) array of three broadcastable component arrays or floats."""
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+def along(a, t, b) -> _V:
+    """a + t b on components, rounded as Vec3's a + t * b: a point on the ruling through a."""
+    return _V(a.x + t * b.x, a.y + t * b.y, a.z + t * b.z)
 
 
-def stack_rows(vectors) -> np.ndarray:
-    """(n, 1, 3) array of n Vec3, one per s row, to broadcast over t."""
-    return np.array([v.as_tuple() for v in vectors]).reshape(-1, 1, 3)
+def stack_rows(vectors) -> _V:
+    """_V of n Vec3, one per s row, with components of shape (n, 1) to broadcast over t."""
+    return _V(*np.array([v.as_tuple() for v in vectors]).T.reshape(3, -1, 1))
 
 
 def power_each(base: np.ndarray, exponent: float) -> np.ndarray:
     """base ** exponent taken per element as a Python float.
 
-    np.power does not always round as float.__pow__ does, and it does not
-    raise OverflowError; this keeps both.
+    np.power does not always round as float.__pow__ does (the C library's
+    pow), and it does not raise OverflowError; this keeps both.
     """
-    return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+    return np.fromiter((b ** exponent for b in base.ravel().tolist()), float,
+                       base.size).reshape(base.shape)
 
 
 def abs_max(values: np.ndarray) -> float:
@@ -136,10 +140,11 @@ class ParamSurface:
     Construct with :meth:`exact` when analytic jets are available, or with
     :meth:`finite_difference` to differentiate a point evaluator numerically.
     An exact surface gives ``jet_fn(s, t)``, or ``grid_fn(S, T)``, its jets on
-    the product grid of 1-D arrays S and T as a Jet2 of broadcastable
-    (ns, nt, 3) arrays, or both, bitwise equal at every point.  Without a
-    grid_fn, :meth:`grid_jets` packs the pointwise jets into arrays; without a
-    jet_fn, :meth:`jet` reads a grid of one point, as it does for a
+    the product grid of 1-D arrays S and T, or both, bitwise equal at every
+    point.  A grid_fn returns a Jet2 of _V whose component arrays broadcast
+    to (ns, nt), with a Vec3 or floats for what does not vary.  Without a
+    grid_fn, :meth:`grid_jets` packs the pointwise jets into _V arrays;
+    without a jet_fn, :meth:`jet` reads a grid of one point, as it does for a
     finite-difference surface, whose grid jets are :func:`_fd_stencils` sums.
     """
 
@@ -200,7 +205,7 @@ class ParamSurface:
         return self._jet_fn(s, t)
 
     def grid_jets(self, S: np.ndarray, T: np.ndarray) -> Jet2:
-        """Jets on the product grid of 1-D arrays S and T, as (ns, nt, 3) arrays.
+        """Jets on the product grid of 1-D arrays S and T, as _V that broadcast to (ns, nt).
 
         Bitwise equal to :meth:`jet` at every point.  The domain check is
         :meth:`jet`'s, and a point outside raises its OutOfDomain; so does a
@@ -221,8 +226,9 @@ class ParamSurface:
         with np.errstate(all="ignore"):
             J = self._grid_jets(S, T)
         finite = np.ones((len(S), len(T)), dtype=bool)
-        for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt):
-            finite &= np.isfinite(a).all(axis=-1)
+        for a in _fields(J):
+            for c in a:
+                finite &= np.isfinite(c)
         if not finite.all():
             i, j = np.unravel_index(np.argmin(finite), finite.shape)
             self.jet(float(S[i]), float(T[j]))
@@ -233,8 +239,7 @@ class ParamSurface:
         """The jet at (s, t) read from a grid of that one point; non-finite raises through Vec3."""
         with np.errstate(all="ignore"):
             J = self._grid_jets(np.array([s], dtype=float), np.array([t], dtype=float))
-        return Jet2(*(Vec3(*np.broadcast_to(a, (1, 1, 3))[0, 0].tolist())
-                      for a in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt)))
+        return Jet2(*(Vec3(*(np.ravel(c)[0] for c in a)) for a in _fields(J)))
 
     def _grid_jets(self, S: np.ndarray, T: np.ndarray) -> Jet2:
         """:meth:`grid_jets` without its checks, like :meth:`jet_unchecked`."""
@@ -245,12 +250,10 @@ class ParamSurface:
             h, p = self.fd_step, self._point_fn
             S5, T5 = _stencil_axis(S, h).tolist(), _stencil_axis(T, h).tolist()
             P = np.array([p(s, t).as_tuple() for s in S5 for t in T5])
-            return _fd_stencils(P.reshape(len(S5), len(T5), 3), h)
-        jets = [self._jet_fn(s, t) for s in S.tolist() for t in T.tolist()]
-        A = np.array([(j.X.as_tuple(), j.Xs.as_tuple(), j.Xt.as_tuple(), j.Xss.as_tuple(),
-                       j.Xst.as_tuple(), j.Xtt.as_tuple()) for j in jets])
-        A = A.reshape(len(S), len(T), 6, 3)
-        return Jet2(*(A[:, :, k] for k in range(6)))
+            return _fd_stencils(P.T.reshape(3, len(S5), len(T5)), h)
+        jets = [_fields(self._jet_fn(s, t)) for s in S.tolist() for t in T.tolist()]
+        A = np.array([[f.as_tuple() for f in j] for j in jets]).T.reshape(3, 6, len(S), len(T))
+        return Jet2(*(_V(*A[:, k]) for k in range(6)))
 
 
 def _fd_step(domain: Rect) -> float:
@@ -271,13 +274,14 @@ def _stencil_axis(S: np.ndarray, h: float) -> np.ndarray:
 def _fd_stencils(P: np.ndarray, h: float) -> Jet2:
     """4th-order central finite-difference jets on a product grid of stencil points.
 
-    P is (5 ns, 5 nt, 3) over the :func:`_stencil_axis` of the nodes' s and t:
-    P[5i + a, 5j + b] is the point at offset (a - 2, b - 2) h from node (i, j).
+    P is (3, 5 ns, 5 nt), the components over the :func:`_stencil_axis` of the
+    nodes' s and t: P[:, 5i + a, 5j + b] is the point at offset (a - 2, b - 2) h
+    from node (i, j).
     """
-    P = P.reshape(P.shape[0] // 5, 5, P.shape[1] // 5, 5, 3)
-    X = P[:, 2, :, 2]
-    row = [P[:, a, :, 2] for a in _AT1]
-    col = [P[:, 2, :, b] for b in _AT1]
+    P = P.reshape(3, P.shape[1] // 5, 5, P.shape[2] // 5, 5)
+    X = P[:, :, 2, :, 2]
+    row = [P[:, :, a, :, 2] for a in _AT1]
+    col = [P[:, :, 2, :, b] for b in _AT1]
     Xs, Xt = ((_C1[0] * d[0] + _C1[1] * d[1] + _C1[2] * d[2] + _C1[3] * d[3]) / (12.0 * h)
               for d in (row, col))
     hh = 12.0 * h * h
@@ -290,8 +294,8 @@ def _fd_stencils(P: np.ndarray, h: float) -> Jet2:
     acc = 0.0
     for i, a in enumerate(_AT1):
         for j, b in enumerate(_AT1):
-            acc = acc + (_C1[i] * _C1[j]) * P[:, a, :, b]
-    return Jet2(X, Xs, Xt, second[0], acc / (144.0 * h * h), second[1])
+            acc = acc + (_C1[i] * _C1[j]) * P[:, :, a, :, b]
+    return Jet2(*(_V(*a) for a in (X, Xs, Xt, second[0], acc / (144.0 * h * h), second[1])))
 
 
 def jet(surf: ParamSurface, s: float, t: float) -> Jet2:
@@ -403,17 +407,16 @@ def unit_normal(m: Metric, j: Jet2) -> Vec3:
 def mean_curvature(m: Metric, j: Jet2) -> float:
     """Mean curvature relative to the normal of :func:`unit_normal`.
 
-    Sign convention: under this orientation the unit sphere parametrized as
+    H = 0.5 eps B / |EG - F^2|^1.5 in both signatures, with B the
+    :func:`curvature_bracket` and eps = <N, N>.  Sign convention: under this orientation the unit sphere parametrized as
     (cos s cos t, sin s cos t, sin t) has H = -1 in Euclidean space, and the
     upper unit hyperboloid graph z = sqrt(1 + s^2 + t^2) has H = -1 in
     Lorentzian space.  The Lorentzian branch requires a spacelike point.
     """
     forms = fundamental_forms(m, j)
-    if m is Metric.EUCLIDEAN:
-        return (forms.G * forms.e - 2.0 * forms.F * forms.f + forms.E * forms.g) / (2.0 * forms.W2)
-    if forms.eps != -1:
+    if m is Metric.LORENTZIAN and forms.eps != -1:
         raise NotSpacelike("mean curvature of a non-spacelike Lorentzian point")
-    return -0.5 * curvature_bracket(forms, j) / abs(forms.W2) ** 1.5
+    return 0.5 * forms.eps * curvature_bracket(forms, j) / abs(forms.W2) ** 1.5
 
 
 def require_unit_direction(m: Metric, v: Vec3) -> None:
@@ -526,14 +529,13 @@ def _blocks(S: np.ndarray, T: np.ndarray, evaluate, cell):
             yield (rows, cols), out
 
 
-def _residual_block(m: Metric, J: Jet2, v: Vec3, alpha: float,
+def _residual_block(m: Metric, j: Jet2, v: Vec3, alpha: float,
                     shape: tuple[int, int]) -> np.ndarray:
-    j = _components(J)
     q = inner(m, j.X, v)
     E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
-    bad = _off_halfspace(m, q, j.X) | (abs(W2) < _form_floor(E, G))
+    bad = np.logical_or(_off_halfspace(m, q, j.X), abs(W2) < _form_floor(E, G))
     if m is Metric.LORENTZIAN:
-        bad = bad | ~(W2 > 0.0)
+        bad = np.logical_or(bad, np.logical_not(W2 > 0.0))
     if np.any(bad):
         raise _Masked
     return np.broadcast_to(_residual(m, alpha, q, E, F, G, W2, j, v), shape)
@@ -564,48 +566,38 @@ def singular_residual_grid(m: Metric, surf: ParamSurface, S: np.ndarray, T: np.n
 # spacelike point (Lorentzian), and |EG - F^2| is not below the regularity floor.
 
 def cleared_residual(m: Metric, j: Jet2, v: Vec3, alpha: float) -> float | None:
-    """D at one jet, or None where it is not taken."""
-    q = inner(m, j.X, v)
-    if m is Metric.EUCLIDEAN:
-        if q <= 0.0:
-            return None
-    elif abs(q) <= 1e-9 * (1.0 + j.X.max_abs()):
-        return None
-    try:
-        E, F, G, W2 = _regular_first_form(m, j)
-    except DegenerateMetric:
-        return None
-    # not (W2 > 0) is <N,N>_L != -1, NaN included
-    if m is Metric.LORENTZIAN and not W2 > 0.0:
-        return None
-    eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
-    return q * _bracket(E, F, G, j) - eps_hat * alpha * W2 * triple(j.Xs, j.Xt, v)
+    """D at one jet of Vec3s, or None where it is not taken."""
+    taken, D = cleared_residual_cells(m, j, v, alpha)
+    return D if taken else None
 
 
 def cleared_residual_cells(m: Metric, j: Jet2, v: Vec3, alpha: float):
-    """(taken, D) at every cell of a jet of _V arrays, bitwise cleared_residual's D at each.
+    """(taken, D) at every cell of a jet: of Vec3s at one cell, or of _V arrays at many.
 
     Fields that do not vary over the cells may be Vec3s.  taken is False
-    where cleared_residual gives None; D is not used there.
+    where D is not taken; D is not used there.  The masks are np.logical_*,
+    since ~ of a Python bool is an int.
     """
     q = inner(m, j.X, v)
     E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
     if m is Metric.EUCLIDEAN:
         skip = q <= 0.0
     else:
-        skip = (abs(q) <= 1e-9 * (1.0 + _max_abs(j.X))) | ~(W2 > 0.0)
+        # not (W2 > 0) is <N,N>_L != -1, NaN included
+        skip = np.logical_or(abs(q) <= 1e-9 * (1.0 + _max_abs(j.X)), np.logical_not(W2 > 0.0))
     eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
-    return (~(skip | (abs(W2) < _form_floor(E, G))),
+    return (np.logical_not(np.logical_or(skip, abs(W2) < _form_floor(E, G))),
             q * _bracket(E, F, G, j) - eps_hat * alpha * W2 * triple(j.Xs, j.Xt, v))
 
 
 def grid_points(surf: ParamSurface, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Surface points on the product grid of S and T, as an (ns, nt, 3) array."""
+    """Surface points on the product grid of S and T, stacked as an (ns, nt, 3) array."""
     S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
     out = np.empty((len(S), len(T), 3))
-    for block, X in _blocks(S, T, lambda rows, cols: surf.grid_jets(S[rows], T[cols]).X,
-                            lambda s, t: surf.jet(s, t)):
-        out[block] = X
+    for (rows, cols), X in _blocks(S, T, lambda rows, cols: surf.grid_jets(S[rows], T[cols]).X,
+                                   lambda s, t: surf.jet(s, t)):
+        for k, c in enumerate(X):
+            out[rows, cols, k] = c
     return out
 
 
@@ -628,14 +620,13 @@ def _quadrature(surf: ParamSurface, grid: tuple[int, int]):
     return np.array(s_nodes), np.array(t_nodes), np.array(s_w)[:, None] * np.array(t_w)
 
 
-def _energy_block(m: Metric, J: Jet2, v: Vec3, alpha: float, W: np.ndarray) -> np.ndarray:
+def _energy_block(m: Metric, j: Jet2, v: Vec3, alpha: float, W: np.ndarray) -> np.ndarray:
     """Energy terms of a block, in row-major order."""
-    j = _components(J)
     q = inner(m, j.X, v)
     E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
-    bad = _off_halfspace(m, q, j.X) | (abs(W2) < _form_floor(E, G))
+    bad = np.logical_or(_off_halfspace(m, q, j.X), abs(W2) < _form_floor(E, G))
     if m is Metric.LORENTZIAN:
-        bad = bad | (W2 < 0.0)
+        bad = np.logical_or(bad, W2 < 0.0)
     if np.any(bad):
         raise _Masked
     q, W2 = np.broadcast_to(q, W.shape), np.broadcast_to(W2, W.shape)
@@ -700,13 +691,13 @@ def first_variation(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
 
 def _normal_perturbation(m: Metric, surf: ParamSurface, bump, S: np.ndarray, T: np.ndarray,
                          fd_h: float):
-    """scale -> the points X + scale*bump*N on the stencil grid of the nodes S x T.
+    """scale -> the points X + scale*bump*N on the stencil grid of the nodes S x T, as (3, 5ns, 5nt).
 
     Base jets, unit normals and bump values are evaluated once for every scale;
     as in :func:`unit_normal`, only |Xs x Xt|^2 below its floor raises DegenerateMetric.
     """
     S5, T5 = _stencil_axis(S, fd_h), _stencil_axis(T, fd_h)
-    base = _components(surf._grid_jets(S5, T5))
+    base = surf._grid_jets(S5, T5)
     c, n2, floor = _normal_parts(m, base.Xs, base.Xt)
     if np.any(n2 < floor):
         raise DegenerateMetric("normal direction degenerates")
@@ -715,7 +706,7 @@ def _normal_perturbation(m: Metric, surf: ParamSurface, bump, S: np.ndarray, T: 
 
     def points(scale: float) -> np.ndarray:
         a = scale * B
-        return grid_vectors(*(x + (n / r) * a for x, n in zip(base.X, c)))
+        return np.stack([x + (n / r) * a for x, n in zip(base.X, c)])
 
     return points
 

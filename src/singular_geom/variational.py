@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import Metric, Vec3
 from .errors import Diverged, HalfspaceViolation
-from .surface import Jet2, ParamSurface, abs_max, grid_vectors, singular_residual_grid
+from .surface import Jet2, ParamSurface, _V, abs_max, singular_residual_grid
 
 Z_FLOOR = 1e-9
 
@@ -329,12 +329,12 @@ def height_surface(h: HeightField) -> ParamSurface:
         z, zx, zy, zxx, zxy, zyy = (sp(s, t, dx=dx, dy=dy, grid=False).reshape(len(S), len(T))
                                     for dx, dy in _SPLINE_ORDERS)
         return Jet2(
-            grid_vectors(S[:, None], T[None, :], z),
-            grid_vectors(1.0, 0.0, zx),
-            grid_vectors(0.0, 1.0, zy),
-            grid_vectors(0.0, 0.0, zxx),
-            grid_vectors(0.0, 0.0, zxy),
-            grid_vectors(0.0, 0.0, zyy),
+            _V(S[:, None], T[None, :], z),
+            _V(1.0, 0.0, zx),
+            _V(0.0, 1.0, zy),
+            _V(0.0, 0.0, zxx),
+            _V(0.0, 0.0, zxy),
+            _V(0.0, 0.0, zyy),
         )
 
     return ParamSurface.exact((h.x0, h.x1, h.y0, h.y1), grid_fn=grid_fn)

@@ -84,7 +84,8 @@ def test_grid_jets_equal_pointwise_jets_bitwise(tmp_path):
         S, T = _axes(surf)
         J = surf.grid_jets(S, T)
         for f in FIELDS:
-            grid = np.broadcast_to(getattr(J, f), (len(S), len(T), 3))
+            # the components broadcast to (ns, nt), stacked as (ns, nt, 3)
+            grid = np.stack([np.broadcast_to(c, (len(S), len(T))) for c in getattr(J, f)], axis=-1)
             for i, s in enumerate(S.tolist()):
                 for j, t in enumerate(T.tolist()):
                     expected = getattr(surf.jet(s, t), f).as_tuple()
@@ -470,12 +471,12 @@ def _contract_plane(cells):
         s, t = np.meshgrid(S, T, indexing="ij")
         z = np.where(K == "halfspace", 0.0,
                      np.where(K == "overflow", 1e300, 1.0 + s / 4.0 + t / 8.0))
-        Xs = surface.grid_vectors(np.ones_like(s), 0.0, 0.25)
-        Xt = np.where((K == "degenerate")[..., None], Xs, surface.grid_vectors(
-            0.0, np.ones_like(s), np.where(K == "timelike", 2.0, 0.125)))
-        Xss = surface.grid_vectors(0.0, 0.0, np.where(K == "non-finite", math.inf, 0.0))
-        zero = np.zeros_like(Xs)
-        return Jet2(surface.grid_vectors(s, t, z), Xs, Xt, Xss, zero, zero)
+        Xs = surface._V(np.ones_like(s), 0.0, 0.25)
+        Xt = surface._V(*(np.where(K == "degenerate", a, b) for a, b in zip(
+            Xs, (0.0, 1.0, np.where(K == "timelike", 2.0, 0.125)))))
+        Xss = surface._V(0.0, 0.0, np.where(K == "non-finite", math.inf, 0.0))
+        zero = surface._V(0.0, 0.0, 0.0)
+        return Jet2(surface._V(s, t, z), Xs, Xt, Xss, zero, zero)
 
     return ParamSurface.exact((0.0, len(cells) - 1.0, 0.0, len(cells[0]) - 1.0),
                               grid_fn=grid_fn)

@@ -198,3 +198,26 @@ def test_non_float_samples_take_the_pointwise_loop(monkeypatch):
     assert cells == []
     residual_polynomial_consistency(h, 1.2, EZ, 1.0, [-1.0, 0.0, 0.5, math.pi / 4])
     assert cells == [1]
+
+
+@pytest.mark.parametrize("klass", list(_MAKERS))
+def test_the_t_samples_frame_is_read_again_by_the_oracle_for_free(klass):
+    # default_t_samples reads frame(rs, s) in the Lorentz classes, and the
+    # surface keeps it, so coefficients' frame at the same s is no new read
+    rs, v, alpha, s_values = _oracle_surface(klass, 9104)
+    s = float(s_values[17])
+
+    def counted():
+        reads = []
+        d = rs.director
+        director = Curve(*(lambda u, f=f: reads.append(u) or f(u) for f in (d.value, d.d1, d.d2)))
+        return reads, RuledSurface(rs.base, director, rs.s_range, rs.metric, rs.director_class,
+                                   rs.delta, normalized=True)
+
+    alone, fresh = counted()
+    ts = default_t_samples(rs, s)
+    expected = residual_polynomial_consistency(fresh, s, v, alpha, ts)
+    both, fresh = counted()
+    got = residual_polynomial_consistency(fresh, s, v, alpha, default_t_samples(fresh, s))
+    assert repr(got) == repr(expected)
+    assert both == alone

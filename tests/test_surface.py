@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from singular_geom.errors import DegenerateMetric, HalfspaceViolation, NotSpacel
 from singular_geom.surface import (
     Jet2,
     ParamSurface,
+    _V,
+    cleared_residual,
+    cleared_residual_cells,
     first_variation,
     fundamental_forms,
     jet,
@@ -405,3 +409,66 @@ def test_first_variation_formula_link_random_graphs():
         dE = first_variation(E, surf, EZ, alpha, bump, h=1e-4, grid=grid)
         oracle = _variation_formula(surf, EZ, alpha, bump, grid)
         assert abs(dE - oracle) <= 1e-4 * max(abs(oracle), 1e-6)
+
+
+def _hand_jet(X=(0.5, 0.25, 2.0), Xs=(1.0, 0.0, 0.25), Xt=(0.0, 1.0, 0.125)):
+    """A jet of dyadic components, whose cleared residual floats compute exactly."""
+    return Jet2(Vec3(*X), Vec3(*Xs), Vec3(*Xt), Vec3(0.0, 0.0, 0.5), Vec3(0.0, 0.0, 0.125),
+                Vec3(0.0, 0.0, -0.25))
+
+
+def _exact_cleared_residual(m, j, v, alpha):
+    """D = <X,v> [G(Xs,Xt,Xss) - 2F(Xs,Xt,Xst) + E(Xs,Xt,Xtt)] - eps alpha W2 (Xs,Xt,v), in Fractions."""
+    def fr(u):
+        return [Fraction(c) for c in u.as_tuple()]
+
+    def dot(u, w):
+        return u[0] * w[0] + u[1] * w[1] + (u[2] * w[2] if m is E else -u[2] * w[2])
+
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    X, Xs, Xt, Xss, Xst, Xtt, w = map(fr, (j.X, j.Xs, j.Xt, j.Xss, j.Xst, j.Xtt, v))
+    e, f, g = dot(Xs, Xs), dot(Xs, Xt), dot(Xt, Xt)
+    bracket = g * det(Xs, Xt, Xss) - 2 * f * det(Xs, Xt, Xst) + e * det(Xs, Xt, Xtt)
+    eps = 1 if m is E else -1
+    return dot(X, w) * bracket - eps * Fraction(alpha) * (e * g - f * f) * det(Xs, Xt, w)
+
+
+# (metric, jet, taken): each reason D is not taken, and cells just inside
+_CLEARED_CASES = [
+    (E, _hand_jet(), True),
+    (L, _hand_jet(), True),
+    (E, _hand_jet(X=(0.5, 0.25, 0.0)), False),  # <X,v> = 0
+    (E, _hand_jet(X=(0.5, 0.25, -1.0)), False),  # <X,v> < 0
+    (L, _hand_jet(X=(0.5, 0.25, 1e-9)), False),  # |<X,v>_L| below 1e-9 (1 + max|X|)
+    (L, _hand_jet(X=(0.5, 0.25, 2e-9)), True),  # and above it
+    (E, _hand_jet(Xt=(1.0, 0.0, 0.25)), False),  # Xt = Xs: |EG - F^2| = 0
+    (L, _hand_jet(Xt=(1.0, 0.0, 0.25)), False),
+    (L, _hand_jet(Xt=(0.0, 1.0, 2.0)), False),  # timelike Xt: W2 < 0
+    (E, _hand_jet(Xt=(0.0, 1.0, 2.0)), True),
+    (L, _hand_jet(Xs=(1e200, 0.0, 0.0), Xt=(1e200, 1.0, 0.0)), False),  # W2 = inf - inf
+]
+
+
+def test_cleared_residual_takes_d_where_and_only_where_it_applies():
+    alpha = 1.5
+    for m, j, taken in _CLEARED_CASES:
+        D = cleared_residual(m, j, EZ, alpha)
+        assert (D is not None) is taken, (m, j)
+        if taken and j.X.z >= 1.0:
+            assert D == _exact_cleared_residual(m, j, EZ, alpha), (m, j)
+    # the same cells on _V arrays: the same mask, and the same bits where taken
+    for metric in (E, L):
+        jets = [j for m, j, _ in _CLEARED_CASES if m is metric]
+        fields = [[getattr(j, f).as_tuple() for j in jets]
+                  for f in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")]
+        with np.errstate(all="ignore"):
+            taken, D = cleared_residual_cells(metric, Jet2(*(_V(*np.array(f).T) for f in fields)),
+                                              EZ, alpha)
+        for k, j in enumerate(jets):
+            one = cleared_residual(metric, j, EZ, alpha)
+            assert bool(taken[k]) is (one is not None)
+            if one is not None:
+                assert repr(float(D[k])) == repr(one)

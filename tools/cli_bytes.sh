@@ -32,6 +32,12 @@ COMMANDS=(
   "residual --surface helicoid --v=-1,0,0 --grid 20x20 --out residual_helicoid_off.csv"
   "residual --surface helicoid --v=-1,0,0 --grid 2x5000 --out residual_helicoid_wide.csv"
   "export-mesh --surface catenary-cylinder --grid 30x20 --out mesh.obj"
+  # one mesh for each kind of grid evaluator: a grid_fn of its own (sphere,
+  # hyperboloid) or a ruled surface's grid_jet (helicoid, lightlike-reference)
+  "export-mesh --surface sphere --grid 12x9 --out mesh_sphere.obj"
+  "export-mesh --surface hyperboloid --grid 20x20 --out mesh_hyperboloid.obj"
+  "export-mesh --surface helicoid --grid 20x20 --out mesh_helicoid.obj"
+  "export-mesh --surface lightlike-reference --grid 9x9 --out mesh_lightlike.obj"
   "sweep --metric euclid --class standard --n 5 --samples 4 --seed 9 --out sweep_euclid.json"
   "sweep --metric lorentz --class nondegenerate --delta 1 --n 5 --samples 4 --seed 9 --out sweep_lorentz_p.json"
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 5 --samples 4 --seed 9 --out sweep_lorentz_m.json"
@@ -51,6 +57,9 @@ COMMANDS=(
   "sweep --metric lorentz --class lightlike --n 5 --samples 1 --seed 9 --out sweep_lightlike1.json"
   "variational --init noisy --noise 0.01 --seed 3 --grid 33x17 --steps 20 --out-prefix noisy"
   "residual --surface file --file noisy_field.csv --grid 20x20 --out residual_file.csv"
+  "export-mesh --surface file --file noisy_field.csv --grid 20x20 --out mesh_file.obj"
+  # the spline graph is not spacelike in L^3: exit 3
+  "residual --surface file --file noisy_field.csv --metric lorentz --grid 20x20 --out residual_file_lorentz.csv"
   # diverges: exit 5
   "variational --rate 1e9 --steps 30 --grid 17x9 --out-prefix diverged"
   # malformed grid: exit 1
