@@ -13,10 +13,11 @@ arrays of its node states, of its node slopes, kept where the nodes are made
 (the first RK4 stage of each step), and of its node y''.  ``state_at`` reads
 them as floats and ``states_at`` answers a whole array of s at once, bit for
 bit as ``state_at`` answers each: the Hermite is written once on components,
-for floats and arrays.  ``rk4_batch`` and ``rk4_quadrature`` take the nodes
-and slopes of many tables at once on float64 arrays, bit for bit as
-``rk4_step`` takes them one table at a time, and ``stage_values`` reads
-values at the RK4 stages of a table from one array pass, keyed by s.
+for floats and arrays.  ``rk4_quadrature`` takes the nodes and slopes of
+many tables of y' = f(s) at once on float64 arrays from f at the four stages
+of every step, and ``rk4_increment`` is its stage sum, each bit for bit as
+``rk4_step`` takes them one table at a time; ``stage_values`` reads values
+at the RK4 stages of a table from one array pass, keyed by s.
 """
 from __future__ import annotations
 
@@ -171,8 +172,8 @@ def rk4_step(f, s: float, y: tuple, h: float, k1: tuple | None = None) -> tuple:
 
 # Each component takes the stage sums
 #   y_i + half k_i  and  y_i + (h/6) (k1_i + 2 (k2_i + k3_i) + k4_i)
-# in this order of operations, which rk4_batch takes too, so scalar and
-# batch tables get the same node bits.
+# in this order of operations, which the batch builds of ruled's sweep
+# tables take too, so scalar and batch tables get the same node bits.
 _RK4_TEMPLATE = """\
 def rk4_step_{n}(f, s, y, h, k1):
     ({y}) = y
@@ -222,39 +223,26 @@ def rk4_stages(s0: float, s1: float, n_steps: int) -> tuple[float, np.ndarray]:
     return h, np.stack([s, s + 0.5 * h, s + h], axis=1)
 
 
-def rk4_batch(f, nodes: np.ndarray, slopes: np.ndarray, h) -> None:
-    """Fill nodes[1:] with RK4 steps from nodes[0], for every column of a (d, B) state.
-
-    nodes has shape (n_steps + 1, d, B).  f(i, stage, y) is the right-hand
-    side for the (d, B) state y at stage 0, 1 or 2 of step i (see
-    rk4_stages).  slopes[i] gets step i's first stage, f at node i, for i
-    below n_steps; the slope of the last node is the caller's.  Column b
-    steps with h[b], or with h for every column when h is a float.  Each
-    column takes rk4_step's operations in rk4_step's order, so its nodes are
-    those of DenseODE bit for bit.
-    """
-    y = nodes[0]
-    half = 0.5 * h
-    w = h / 6.0
-    for i in range(len(nodes) - 1):
-        k1 = slopes[i] = f(i, 0, y)
-        k2 = f(i, 1, y + half * k1)
-        k3 = f(i, 1, y + half * k2)
-        k4 = f(i, 2, y + h * k3)
-        y = nodes[i + 1] = y + w * (k1 + 2.0 * (k2 + k3) + k4)
+def rk4_increment(k1, k2, k3, k4, w, out: np.ndarray) -> np.ndarray:
+    """w (k1 + 2 (k2 + k3) + k4), w = h/6, into out in rk4_step's order, on float64 arrays."""
+    np.add(k2, k3, out)
+    np.add(out, out, out)  # 2 x, exactly
+    np.add(k1, out, out)
+    np.add(out, k4, out)
+    return np.multiply(w, out, out)
 
 
-def rk4_quadrature(k: np.ndarray, nodes: np.ndarray, slopes: np.ndarray, h: float) -> None:
+def rk4_quadrature(k, nodes: np.ndarray, slopes: np.ndarray, h) -> None:
     """Fill nodes[1:] with RK4 steps from nodes[0] for y' = f(s), which does not read y.
 
-    k[i, stage] is f at stage 0, 1 or 2 of step i (see rk4_stages), with the
-    shape of nodes[0].  Node i + 1 is node i plus step i's RK4 increment,
-    added in order, so the nodes are those of DenseODE bit for bit.  As in
-    rk4_batch, slopes[i] gets f at node i, its stage 0, for every step i.
+    k[j][i] is f at stage j of step i, shaped as nodes[0]; stages 1 and 2
+    share their s (rk4_stages).  Node i + 1 is node i plus step i's
+    rk4_increment, bit for bit DenseODE's node; slopes[i] gets stage 0 of
+    step i.  h is a float, or one step per column of nodes[0].
     """
-    slopes[:len(k)] = k[:, 0]
-    k2 = k[:, 1]  # RK4 evaluates f twice at the midpoint, at the same s
-    nodes[1:] = (h / 6.0) * (k[:, 0] + 2.0 * (k2 + k2) + k[:, 2])
+    k1, k2, k3, k4 = k
+    slopes[:len(k1)] = k1
+    rk4_increment(k1, k2, k3, k4, h / 6.0, nodes[1:])
     np.add.accumulate(nodes, axis=0, out=nodes)
 
 

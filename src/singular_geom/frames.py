@@ -7,8 +7,9 @@ surface tabulates its base alone.  _frame_curves and _lightlike_curves wrap
 a table as the base and director curves of the surface, which also read
 their whole frame on arrays (_FrameCurve.frame_at).  _frame_nodes_batch and
 _lightlike_nodes step the tables of many draws at once, bit for bit the
-scalar builds.  The draws (ruled._Draw: the series, the seed state y0 and
-frame_signs()) and the choice of build live in ruled.
+scalar builds; both take g as an RK4 quadrature (rk4_quadrature).  The
+draws (ruled._Draw: the series, the seed state y0 and frame_signs()) and
+the choice of build live in ruled.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .curves import (
     line_curve,
     memo_last,
     memo_last_array,
-    rk4_batch,
+    rk4_increment,
     rk4_quadrature,
     rk4_stages,
     series_at,
@@ -34,8 +35,8 @@ from .surface import _V, along
 # (a, b) of the lightlike director w(s) = a s + b = (1, s, s), with w' = a lightlike
 _LIGHTLIKE_LINE = (Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
 
-# Steps of a batch build whose coefficient tables are held at one time.
-_STEP_BLOCK = 128
+# Steps of a batch build whose coefficients and stage values are held at one time.
+_STEP_BLOCK = 64
 
 
 def _tcross(a, b, zsign: float = 1.0):
@@ -145,31 +146,6 @@ def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float
                          list(raw[2:] * scale * sign), omega)
 
 
-# Rows of the state (w, w', g) such that a = y[_CROSS_ROWS] gives the
-# components of w x w' as a[0:3] * a[3:6] - a[6:9] * a[9:12], each with the
-# operands of _tcross in _tcross's order.
-_CROSS_ROWS = np.array([1, 2, 0, 5, 3, 4, 2, 0, 1, 4, 5, 3])
-
-
-def _frame_rhs_batch(y: np.ndarray, qp: np.ndarray, zsign: float, sigma: float) -> np.ndarray:
-    """The right-hand side of _sweep_frame_ode for a (9, B) batch of states.
-
-    qp[0] and qp[1] hold each column's Q and P; every column is the scalar
-    rhs bit for bit, since each entry takes the same operations on the same
-    operands.
-    """
-    a = y[_CROSS_ROWS]
-    c = a[0:3] * a[3:6] - a[6:9] * a[9:12]
-    c[2] *= zsign
-    out = np.empty_like(y)
-    out[0:3] = y[3:6]
-    # rows 3:9 as (2, 3, B) take q c and p c in one product; q c + sigma w
-    # then adds the same two terms as sigma w + q c, and IEEE sums commute
-    np.multiply(qp[:, None], c, out=out[3:9].reshape(2, *c.shape))
-    out[3:6] += sigma * y[0:3]
-    return out
-
-
 def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: float):
     """Right-hand side and g'' of the sweep frame ODE with state (w, w', g).
 
@@ -177,8 +153,7 @@ def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: fl
     cross product with its third component times zsign (+1 Euclidean, -1
     Lorentzian).  On a normalized frame w x_z (w x_z w') = -zsign w', so
     (w x_z w')' = w x_z w'' = -zsign Q w' and g'' = P'(w x_z w') - zsign P Q w'.
-    rhs takes an array of s with arrays of state components too, and
-    _frame_rhs_batch is the same rhs on a batch of states stepped together.
+    rhs takes an array of s with arrays of state components too.
     """
     coeffs = series_at(Q, P)
 
@@ -212,28 +187,79 @@ def _frame_nodes_batch(draws: Sequence, grids) -> tuple[np.ndarray, np.ndarray]:
     g * len(draws) + b is draw b's table on grid g.  The slopes are the
     first stages of the steps, and the right-hand side at the last node,
     s0 + n_steps h as DenseODE rounds it.
+
+    Each column takes the operations of rk4_step on the rhs of
+    _sweep_frame_ode in their order, so its nodes are the scalar ones bit for
+    bit.  Only (w, w') is stepped, in buffers allocated once per build; g is
+    the RK4 quadrature of P (w x_z w') at the cross products kept at the
+    stages of a block of steps.  zsign rides in Q's third row and in that
+    product's third row, an exact sign flip; sigma w is an add or a subtract.
     """
     n_draws = len(draws)
     n_steps = grids[0][2]
     zsign, sigma = draws[0].frame_signs()
     series = [d.series[0] for d in draws] + [d.series[1] for d in draws]
     steps, stages = zip(*[rk4_stages(s0, s1, n_steps) for s0, s1, _ in grids])
-    h = steps[0] if len(grids) == 1 else np.repeat(steps, n_draws)
+    width = len(grids) * n_draws
+    h = np.repeat(steps, n_draws)
+    # h/2, h and h/6 in the (6, width) shape of (w, w'): a broadcast operand
+    # costs more per call than the arithmetic
+    half, full, sixth = [np.tile(x, (6, 1)) for x in (0.5 * h, h, h / 6.0)]
     # one block for nodes and slopes: once glibc frees it, its heap trim threshold is
     # twice the block, above all a chunk's tables free, so later chunks reuse the pages
-    nodes, slopes = np.empty((2, n_steps + 1, 9, len(grids) * n_draws))
+    nodes, slopes = np.empty((2, n_steps + 1, 9, width))
     nodes[0] = np.tile(np.array([d.y0 for d in draws]).T, len(grids))
-    # Q and P are tabulated a block of steps at a time, which bounds the
-    # memory besides the nodes: qp[i, stage] is (Q, P) of every column
-    for i0 in range(0, n_steps, _STEP_BLOCK):
-        block = [g[i0:i0 + _STEP_BLOCK] for g in stages]
-        qp = np.concatenate([fourier_table(series, g).reshape(len(g), 3, 2, n_draws)
-                             for g in block], axis=-1)
-        rk4_batch(lambda i, stage, y: _frame_rhs_batch(y, qp[i, stage], zsign, sigma),
-                  nodes[i0:i0 + len(qp) + 1], slopes[i0:i0 + len(qp)], h)
-    qp = np.concatenate([fourier_table(series, np.array(s0 + n_steps * step)).reshape(2, n_draws)
+    block = min(_STEP_BLOCK, n_steps)
+    # per step of a block: (Q, Q, zsign Q) at its three stage s, and P and
+    # w x w' (third component without zsign) at its four stages
+    q_rows, p_row = np.empty((block, 3, 3, width)), np.empty((block, 4, 1, width))
+    cross = np.empty((block, 4, 3, width))
+    row_signs = np.array([[1.0], [1.0], [zsign]])
+    # stages 1-3: the state in rows 0:6, its k = (w', w'') in rows 3:9
+    (z1, z2, z3), (k2, k3, k4) = (z := np.empty((3, 9, width)))[:, :6], z[:, 3:]
+    acc, t = np.empty((2, 6, width))
+    t0, t1 = t[:3], t[3:]
+    add_w = np.add if sigma > 0 else np.subtract
+    # rows of (w, w') such that a = y[cross_rows] gives w x w' as
+    # a[0:3] a[6:9] - a[3:6] a[9:12], each product with the operands of _tcross
+    cross_rows = np.array([1, 2, 0, 2, 0, 1, 5, 3, 4, 4, 5, 3])
+
+    def rhs(y, q, c, wpp):
+        # w'' = q c + sigma w into wpp, with c = w x w' into c
+        a = y[cross_rows]
+        np.multiply(a[:6], a[6:], t)
+        np.subtract(t0, t1, c)
+        np.multiply(q, c, wpp)
+        add_w(wpp, y[:3], wpp)
+
+    for i0 in range(0, n_steps, block):
+        n = min(block, n_steps - i0)
+        for g, grid_stages in enumerate(stages):
+            qp = fourier_table(series, grid_stages[i0:i0 + n]).reshape(n, 3, 2, 1, n_draws)
+            cols = slice(g * n_draws, (g + 1) * n_draws)
+            np.multiply(qp[:, :, 0], row_signs, q_rows[:n, :, :, cols])
+            p_row[:n, :, :, cols] = qp[:, [0, 1, 1, 2], 1]
+        for i, q, c in zip(range(i0, i0 + n), q_rows, cross):
+            y, k1 = nodes[i, :6], slopes[i, :6]
+            k1[:3] = y[3:]
+            rhs(y, q[0], c[0], k1[3:])
+            np.add(y, np.multiply(half, k1, acc), z1)
+            rhs(z1, q[1], c[1], k2[3:])
+            np.add(y, np.multiply(half, k2, acc), z2)
+            rhs(z2, q[1], c[2], k3[3:])
+            np.add(y, np.multiply(full, k3, acc), z3)
+            rhs(z3, q[2], c[3], k4[3:])
+            np.add(y, rk4_increment(k1, k2, k3, k4, sixth, acc), nodes[i + 1, :6])
+        # g' = P c at the stages, formed in place, with zsign on the third row
+        c = cross[:n]
+        c *= p_row[:n]
+        c[:, :, 2] *= zsign
+        rk4_quadrature(c.swapaxes(0, 1), nodes[i0:i0 + n + 1, 6:], slopes[i0:i0 + n, 6:], h)
+    qp = np.concatenate([fourier_table(series, np.array(s0 + n_steps * step)).reshape(2, 1, n_draws)
                          for (s0, _, _), step in zip(grids, steps)], axis=-1)
-    slopes[n_steps] = _frame_rhs_batch(nodes[n_steps], qp, zsign, sigma)
+    slopes[n_steps, :3] = nodes[n_steps, 3:6]
+    rhs(nodes[n_steps, :6], qp[0] * row_signs, slopes[n_steps, 6:], slopes[n_steps, 3:6])
+    slopes[n_steps, 6:] *= qp[1] * row_signs
     return nodes, slopes
 
 
@@ -278,7 +304,8 @@ def _lightlike_nodes(draws: Sequence, s0: float, s1: float,
         block = stages[i0:i0 + _STEP_BLOCK]
         # g' at each stage of the block's steps, shape (steps, 3, 3, draws)
         gp = np.stack(_lightlike_gp(block[..., None], fourier_table(series, block)), axis=2)
-        rk4_quadrature(gp, nodes[i0:i0 + len(block) + 1], slopes[i0:i0 + len(block)], h)
+        rk4_quadrature((gp[:, 0], gp[:, 1], gp[:, 1], gp[:, 2]),
+                       nodes[i0:i0 + len(block) + 1], slopes[i0:i0 + len(block)], h)
     end = s0 + n_steps * h  # the last node's s, as DenseODE rounds it
     slopes[n_steps] = _lightlike_gp(end, fourier_table(series, np.array(end)))
     return nodes, slopes

@@ -651,7 +651,8 @@ def residual_polynomial_consistency(rs: RuledSurface, s: float, v: Vec3, alpha: 
     parametrization: D = <X,v> * [G(Xs,Xt,Xss) - 2F(Xs,Xt,Xst) + E(Xs,Xt,Xtt)]
     - eps * alpha * (EG-F^2) * (Xs,Xt,v), up to the documented per-class sign.
     Samples outside the admissible window (halfspace or spacelike violations)
-    are skipped; at least 4 must survive.
+    are skipped, and so is a cell whose D or difference is not finite (a
+    first form that overflows); at least 4 must survive.
 
     The coefficients are read pointwise.  When alpha and every t is a float
     or np.float64, all t-samples are then evaluated at once on arrays from
@@ -670,8 +671,9 @@ def residual_polynomial_consistency(rs: RuledSurface, s: float, v: Vec3, alpha: 
         worst, valid = 0.0, 0
         for t in t_samples:
             D = cleared_residual(rs.metric, rs.jet(s, t), v, alpha)
-            if D is not None:
-                worst, valid = max(worst, abs(sign * cv.poly(t) - D)), valid + 1
+            diff = math.inf if D is None else abs(sign * cv.poly(t) - D)
+            if math.isfinite(diff):  # a NaN D, from a first form that overflows, checks nothing
+                worst, valid = max(worst, diff), valid + 1
     else:
         worst, valid = cells
     if valid < 4:
@@ -738,13 +740,11 @@ def _lorentz_triad(rng: np.random.Generator) -> tuple[Vec3, Vec3, Vec3]:
 # sweep's memory whatever n_surfaces is.
 SWEEP_CHUNK = 32
 
-# Fewest draws of a class whose tables are stepped as one batch.  A batch
-# build costs about as much as 6-7 scalar Euclidean tables or 3.5 Lorentz
-# ones, whose two halves share each batch step (7-14 ms a scalar table; 21
-# alternating timings per width on a 2-core host: the batch was faster in
-# 0 of 21 Euclidean pairs up to width 5, 4 at 6, 10 at 7 and 20 at 8, and
-# in at most 1 of 21 Lorentz pairs up to width 3 and 19-21 from 4).
-_MIN_BATCH = {DirectorClass.EUCLID_STANDARD: 8, DirectorClass.LORENTZ_NONDEGENERATE: 4}
+# Fewest draws of a class whose tables are stepped as one batch: the first
+# width where the batch beat scalar builds of the same draws by 10% at the
+# median and in 19 of 21 alternating pairs (2-core host; batch/scalar 0.96 at
+# Euclidean width 4 and 0.75 at 5, 0.96 at Lorentz width 2 and 0.67 at 3).
+_MIN_BATCH = {DirectorClass.EUCLID_STANDARD: 5, DirectorClass.LORENTZ_NONDEGENERATE: 3}
 
 
 @dataclass(frozen=True)

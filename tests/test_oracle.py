@@ -186,6 +186,22 @@ def test_a_jet_that_overflows_at_one_t_raises_the_loops_value_error():
     assert ref.startswith("ValueError: Vec3 components must be finite") and "inf" in ref
 
 
+@pytest.mark.parametrize("t_samples", [[-1.0, -0.5, 0.0, 0.5, 1.0], [-1, 0, 1, 2, 3]])
+def test_cells_whose_first_form_overflows_are_not_checked(t_samples):
+    # |w'| = 1e160 overflows E = |g' + t w'|^2 at every t != 0, and D comes out NaN
+    base = Curve(lambda s: Vec3(s, 0.0, 1.0), lambda s: Vec3(1.0, 0.0, 0.0),
+                 lambda s: Vec3(0.0, 0.0, 0.0))
+    director = Curve(lambda s: Vec3(1.0, 0.0, 0.0), lambda s: Vec3(0.0, 1e160, 0.0),
+                     lambda s: Vec3(0.0, 0.0, 0.0))
+    rs = RuledSurface(base, director, (0.0, 1.0), E, DirectorClass.EUCLID_STANDARD,
+                      normalized=True)
+    # g' is along w, so P = 0 and the coefficients stay finite
+    assert frame(rs, 0.5).P == 0.0
+    assert all(math.isnan(cleared_residual(E, rs.jet(0.5, t), EZ, 1.0)) for t in t_samples if t)
+    with pytest.raises(ConfigError, match="only 0 admissible t samples at s = 0.5"):
+        residual_polynomial_consistency(rs, 0.5, EZ, 1.0, t_samples)
+
+
 def test_non_float_samples_take_the_pointwise_loop(monkeypatch):
     cells = []
     oracle_cells = ruled._oracle_cells

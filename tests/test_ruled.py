@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,8 +415,8 @@ def _bits(values):
     return np.array(list(values), dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("size", sorted({1, 2, 3, *ruled._MIN_BATCH.values(), ruled.SWEEP_CHUNK,
-                                         ruled.SWEEP_CHUNK + 1}))
+@pytest.mark.parametrize("size", sorted({1, 2, 3, 4, 8, *ruled._MIN_BATCH.values(),
+                                         ruled.SWEEP_CHUNK, ruled.SWEEP_CHUNK + 1}))
 @pytest.mark.parametrize("klass", list(_DRAWS))
 def test_batch_build_matches_scalar_tables_bitwise(klass, size):
     rng = np.random.default_rng(1000 + size)
@@ -452,7 +453,7 @@ def _assert_slopes_are_f_at_nodes(table):
         assert half.slopes.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("size", sorted({1, 3, *ruled._MIN_BATCH.values(),
+@pytest.mark.parametrize("size", sorted({1, 3, 4, 8, *ruled._MIN_BATCH.values(),
                                          ruled.SWEEP_CHUNK + 1}))
 @pytest.mark.parametrize("klass", list(_DRAWS))
 def test_tables_keep_the_slope_of_f_at_every_node(klass, size):
@@ -461,6 +462,37 @@ def test_tables_keep_the_slope_of_f_at_every_node(klass, size):
     tables = ruled._build_tables(draws, [d.ode()[0] for d in draws], ruled.SWEEP_STEPS)
     for table in tables:
         _assert_slopes_are_f_at_nodes(table)
+
+
+# Bytes a batch build of 32 draws may hold besides its nodes/slopes block.  The
+# build holds its Fourier coefficients, and the cross products that g's
+# quadrature reads, for one _STEP_BLOCK of steps at a time: about 0.95 MiB
+# (Euclidean) and 1.35 MiB (Lorentz, whose two table halves double the columns)
+# at 64 steps.  Blocks of 128 steps would take 1.8 and 2.6 MiB.
+_BUILD_WORKING_BYTES = 1.5 * 2**20
+
+
+@pytest.mark.parametrize("klass", ["euclid", "lorentz+1", "lorentz-1"])
+def test_batch_build_working_memory_stays_bounded(klass, monkeypatch):
+    build, extra = frames._frame_nodes_batch, []
+
+    def measured(draws, grids):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        nodes, slopes = build(draws, grids)
+        extra.append(tracemalloc.get_traced_memory()[1] - start - nodes.nbytes - slopes.nbytes)
+        return nodes, slopes
+
+    monkeypatch.setattr(ruled, "_frame_nodes_batch", measured)
+    rng = np.random.default_rng(4000)
+    draws = [_DRAWS[klass](rng) for _ in range(32)]
+    tracemalloc.start()
+    try:
+        ruled._build_tables(draws, [d.ode()[0] for d in draws], ruled.SWEEP_STEPS)
+    finally:
+        tracemalloc.stop()
+    assert len(extra) == 1
+    assert 0 < extra[0] < _BUILD_WORKING_BYTES
 
 
 def test_scalar_and_catenary_tables_keep_the_slope_of_f_at_every_node(monkeypatch):
