@@ -5,14 +5,16 @@ state (w, w', g) of an RK4 table (curves.DenseODE or CenteredODE) of its
 frame ODE, whose right-hand side reads random Fourier profiles; a lightlike
 surface tabulates its base alone.  _frame_curves and _lightlike_curves wrap
 a table as the base and director curves of the surface, which also read
-their whole frame on arrays (_FrameCurve.frame_at).  _frame_nodes_batch and
-_lightlike_nodes step the tables of many draws at once, bit for bit the
-scalar builds; both take g as an RK4 quadrature (rk4_quadrature).  The
-draws (ruled._Draw: the series, the seed state y0 and frame_signs()) and
-the choice of build live in ruled.
+their whole frame on arrays (_FrameCurve.frame_at); a point query at an s
+of the last such read is answered from it, not from the table (_KeptRead).
+_frame_nodes_batch and _lightlike_nodes step the tables of many draws at
+once, bit for bit the scalar builds; both take g as an RK4 quadrature
+(rk4_quadrature).  The draws (ruled._Draw: the series, the seed state y0
+and frame_signs()) and the choice of build live in ruled.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +40,14 @@ _LIGHTLIKE_LINE = (Vec3(0.0, 1.0, 1.0), Vec3(1.0, 0.0, 0.0))
 # Steps of a batch build whose coefficients and stage values are held at one time.
 _STEP_BLOCK = 64
 
+# The same for a lightlike build, whose 3 rows cost less per step.  Measured
+# against 64 and 256 steps and the whole table (2-core host, best of 5 builds,
+# 7 alternating rounds): 128 took 1.57 -> 1.24 ms at 1 draw, 2.47 -> 2.11 at
+# 10 and 4.42 -> 3.79 at 32, with 0.9 MiB of working memory at 32 draws; 256
+# was 0.1-0.2 ms faster but held 1.7 MiB, and the whole table was slower from
+# 10 draws on and held 4.5 MiB.
+_LIGHTLIKE_STEP_BLOCK = 128
+
 
 def _tcross(a, b, zsign: float = 1.0):
     """Cross product of 3-tuples; zsign = -1.0 gives the Lorentzian x_L.
@@ -55,8 +65,10 @@ class _FrameCurve(Curve):
     frame_at(S), shared by the base and director of one table, gives (g, g',
     w, w', w'') at every s of S as _V component arrays, bit for bit the
     pointwise value(s) and d1(s) of the base and value(s), d1(s) and d2(s)
-    of the director.  It keeps its last result, for an S of the same bits.
-    A translated _FrameCurve reads the same frame with the offset added to g.
+    of the director.  It keeps its last result, for an S of the same bits,
+    and the curves of _frame_curves and _lightlike_curves answer a point
+    query at an s of that S from it (_KeptRead).  A translated _FrameCurve
+    reads the same frame with the offset added to g.
     """
 
     def __init__(self, value, d1, d2, frame_at):
@@ -74,6 +86,66 @@ class _FrameCurve(Curve):
         return _FrameCurve(lambda s: self._value(s) + offset, self.d1, self.d2, shifted)
 
 
+class _KeptRead:
+    """The last frame_at read of one table, which also answers point queries at its s.
+
+    keep(S, frame) holds a copy of S and the frame (g, g', w, w', w'') read
+    there.  serve(i, pointwise) is the point function of frame entry i: at
+    an s of S whose column (all 15 values at that s) is finite, the Vec3 of
+    the read's entry i, which is pointwise(s) bit for bit; at any other s,
+    pointwise(s), which raises what it raises.  0.0 is never served, as
+    curves.stage_values leaves it out: 0.0 and -0.0 are one key, and a
+    function of s may tell them apart.  The s -> column lookup, the served
+    s sorted and searched by bisection, is built at the first point query
+    after a read, so a read that no point query follows builds none.
+    """
+
+    __slots__ = ("_S", "_frame", "_keys", "_cols", "_last")
+
+    def __init__(self):
+        self._S = None
+
+    def keep(self, S: np.ndarray, frame: tuple) -> tuple:
+        self._S = np.array(S, dtype=float)  # a copy: the caller may reuse its S
+        self._frame = frame
+        self._keys = None
+        self._last = (None, None)  # (s, column) of the last hit
+        return frame
+
+    def serve(self, i: int, pointwise):
+        def at(s: float) -> Vec3:
+            j = self._column(s)
+            if j is None:
+                return pointwise(s)
+            x, y, z = self._frame[i]
+            return Vec3(x.item(j), y.item(j), z.item(j))
+
+        return at
+
+    def _column(self, s: float) -> int | None:
+        """Flat index of s in the last read's S, or None if it is not served there."""
+        if self._S is None:
+            return None
+        last_s, j = self._last
+        if s == last_s:  # value, d1 and d2 at one s ask in turn
+            return j
+        if self._keys is None:
+            S = self._S.ravel()
+            served = self._S != 0.0
+            for v in self._frame:
+                for c in v:
+                    served &= np.isfinite(c)
+            cols = np.flatnonzero(served)
+            cols = cols[np.argsort(S[cols], kind="stable")]
+            self._keys, self._cols = S[cols].tolist(), cols
+        k = bisect_left(self._keys, s)
+        if k == len(self._keys) or self._keys[k] != s:
+            return None
+        j = int(self._cols[k])
+        self._last = (s, j)
+        return j
+
+
 def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     """Base and director curves of a frame-ODE table with state (w, w', g).
 
@@ -81,7 +153,10 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     slots 3:6 and 6:9 of rhs(s, state).  g_d2(s, state) supplies a closed
     form for g''; without it, Curve falls back to the central difference of g'.
     rhs must also take arrays of s and states, for the curves' frame_at.
+    The value and first derivatives answer an s of frame_at's last read
+    from that read (_KeptRead); g'' is always read pointwise.
     """
+    kept = _KeptRead()
 
     def read(k: int, f=None):
         # Vec3 from slots k:k+3 of the state at s, or of f(s, state)
@@ -100,11 +175,12 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
         y = table.states_at(S)
         f = rhs(S, y)
-        return slots(y, 6), slots(f, 6), slots(y, 0), slots(y, 3), slots(f, 3)
+        return kept.keep(S, (slots(y, 6), slots(f, 6), slots(y, 0), slots(y, 3), slots(f, 3)))
 
     g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
-    base = _FrameCurve(read(6), read(6, rhs), g_d2_of_s, frame_at)
-    director = _FrameCurve(read(0), read(3), read(3, rhs), frame_at)
+    base = _FrameCurve(kept.serve(0, read(6)), kept.serve(1, read(6, rhs)), g_d2_of_s, frame_at)
+    director = _FrameCurve(kept.serve(2, read(0)), kept.serve(3, read(3)),
+                           kept.serve(4, read(3, rhs)), frame_at)
     return base, director
 
 
@@ -114,21 +190,24 @@ def _lightlike_curves(table, mf: FourierSeries, rhs, g_d2) -> tuple[Curve, Curve
     The director is line_curve's a s + b with (a, b) = _LIGHTLIKE_LINE.
     frame_at reads g from the table, g' from _lightlike_gp over
     fourier_table, and w, w', w'' = a s + b, a, 0 in the line's closed form.
+    The base's g and g' answer an s of frame_at's last read from that read
+    (_KeptRead); the director always takes the line's closed form.
     """
     a, b = _LIGHTLIKE_LINE
     line = line_curve(a, b)
+    kept = _KeptRead()
 
     @memo_last_array
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
         zero = np.zeros(S.shape)
-        return (_V(*table.states_at(S)),
-                _V(*_lightlike_gp(S, fourier_table([mf], S)[..., 0])),
-                along(b, S, a),
-                _V(zero + a.x, zero + a.y, zero + a.z),
-                _V(zero, zero, zero))
+        return kept.keep(S, (_V(*table.states_at(S)),
+                             _V(*_lightlike_gp(S, fourier_table([mf], S)[..., 0])),
+                             along(b, S, a),
+                             _V(zero + a.x, zero + a.y, zero + a.z),
+                             _V(zero, zero, zero)))
 
-    base = _FrameCurve(lambda s: Vec3(*table.state_at(s)), lambda s: Vec3(*rhs(s, None)),
-                       g_d2, frame_at)
+    base = _FrameCurve(kept.serve(0, lambda s: Vec3(*table.state_at(s))),
+                       kept.serve(1, lambda s: Vec3(*rhs(s, None))), g_d2, frame_at)
     return base, _FrameCurve(line.value, line.d1, line.d2, frame_at)
 
 
@@ -293,15 +372,15 @@ def _lightlike_nodes(draws: Sequence, s0: float, s1: float,
     """RK4 nodes and slopes of every lightlike draw's base from s0 to s1.
 
     Both have shape (n_steps + 1, 3, draws).  g' does not read the state, so
-    the nodes are RK4 sums of g' at the stages, taken a block of steps at a
-    time like _frame_nodes_batch, and the slopes are g' at the node s.
+    the nodes are RK4 sums of g' at the stages, taken _LIGHTLIKE_STEP_BLOCK
+    steps at a time, and the slopes are g' at the node s.
     """
     h, stages = rk4_stages(s0, s1, n_steps)
     series = [d.series[0] for d in draws]
     nodes, slopes = np.empty((2, n_steps + 1, 3, len(draws)))  # as in _frame_nodes_batch
     nodes[0] = np.array([d.y0 for d in draws]).T
-    for i0 in range(0, n_steps, _STEP_BLOCK):
-        block = stages[i0:i0 + _STEP_BLOCK]
+    for i0 in range(0, n_steps, _LIGHTLIKE_STEP_BLOCK):
+        block = stages[i0:i0 + _LIGHTLIKE_STEP_BLOCK]
         # g' at each stage of the block's steps, shape (steps, 3, 3, draws)
         gp = np.stack(_lightlike_gp(block[..., None], fourier_table(series, block)), axis=2)
         rk4_quadrature((gp[:, 0], gp[:, 1], gp[:, 1], gp[:, 2]),

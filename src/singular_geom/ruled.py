@@ -159,6 +159,8 @@ class RuledSurface:
         self.label = label
         # (s, frame(self, s)) of the last frame read, kept for a read at the same s
         self._last_frame: tuple[float, RuledFrame] | None = None
+        # (key of s_values, _sweep_frames(self, s_values)) of the last sweep read
+        self._last_sweep_frames: tuple[tuple, _SweepFrames | None] | None = None
 
     @classmethod
     def build(cls, base: Curve, director: Curve, s_range, metric: Metric,
@@ -1059,14 +1061,22 @@ def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames |
     sweep_surface each take these arrays when they are there and read
     pointwise when they are not, so a surface whose read fails is replayed
     pointwise from its first read, and raises what the pointwise path
-    raises where it raises it.  A frame table keeps its last read, so the
-    three steps read a generated surface's table once.
+    raises where it raises it.  The surface keeps the result for s_values
+    of the same bits, and translate_into_halfspace hands it on with g
+    shifted, so the three steps form P and Q once per generated surface.
+    The table keeps its last read too, and its curves answer a point query
+    at one of these s from it: a pointwise replay, and the coefficient
+    oracle at these s, read the table point by point only for g''.
     """
     base, director = rs.base, rs.director
     s = np.asarray(s_values, dtype=float)
     if not (rs.normalized and isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
             and s.ndim == 1 and s.size):
         return None
+    key = (s.shape, s.tobytes())
+    last = rs._last_sweep_frames
+    if last is not None and last[0] == key:
+        return last[1]
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
 
     def read():
@@ -1081,7 +1091,9 @@ def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames |
         checked = [*g, *gp, *w, *wp, *_tcross(w, wp), Q, *(() if lightlike else (*wpp, P))]
         return checked, _SweepFrames(*at_samples, np.zeros_like(Q) if lightlike else P, Q)
 
-    return _on_arrays(read)
+    frames = _on_arrays(read)
+    rs._last_sweep_frames = (key, frames)
+    return frames
 
 
 def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[float, float]:
@@ -1121,8 +1133,19 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
         return rs
     shift = 0.5 - lo
     offset = shift * v if m is Metric.EUCLIDEAN else (-shift) * v
-    return RuledSurface(rs.base.translated(offset), rs.director, rs.s_range, rs.metric,
-                        rs.director_class, rs.delta, rs.normalized, rs.label)
+    out = RuledSurface(rs.base.translated(offset), rs.director, rs.s_range, rs.metric,
+                       rs.director_class, rs.delta, rs.normalized, rs.label)
+    if frames is not None:
+
+        def shifted():
+            g = frames.g  # as _FrameCurve.translated shifts it
+            g = _V(g.x + offset.x, g.y + offset.y, g.z + offset.z)
+            return g, frames._replace(g=g)
+
+        kept = _on_arrays(shifted)
+        if kept is not None:  # else out reads its frames itself, and fails as before
+            out._last_sweep_frames = (rs._last_sweep_frames[0], kept)
+    return out
 
 
 def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[float]) -> dict:
@@ -1190,7 +1213,8 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     counterexample candidates.  ``planted`` surfaces join the report but cylindrical ones are
     excluded by the w' filter rather than flagged.  Generated surfaces are
     drawn SWEEP_CHUNK at a time and their tables built together, and each
-    is scored from one read of its frames on arrays (_sweep_frames); planted
+    is scored from one read of its frames on arrays (_sweep_frames) and
+    dropped, with the reads it keeps, once it is scored; planted
     surfaces without a frame table are scored pointwise.  The report is the
     one that building and scoring each surface alone, pointwise, would give,
     byte for byte.
@@ -1231,9 +1255,10 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     for start in range(0, cfg.n_surfaces, SWEEP_CHUNK):
         chunk = [(draw(rng), *draw_v_alpha(cfg.metric))
                  for _ in range(min(SWEEP_CHUNK, cfg.n_surfaces - start))]
-        surfaces = _build_surfaces([d for d, _, _ in chunk])
-        for rs, (_, v, alpha) in zip(surfaces, chunk):
-            score(rs, v, alpha)
+        surfaces = _build_surfaces([d for d, _, _ in chunk])[::-1]
+        for _, v, alpha in chunk:
+            # each surface goes once it is scored, with the frame reads that it keeps
+            score(surfaces.pop(), v, alpha)
 
     maxima = [r["max_abs_coeff"] for r in rows if r["max_abs_coeff"] is not None]
     report.min_max_abs_coeff = min(maxima) if maxima else None

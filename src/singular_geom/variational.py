@@ -89,8 +89,8 @@ class HeightField:
         nx, ny = self.z.shape
         buf.write(f"# x0={float(self.x0)!r} x1={float(self.x1)!r} "
                   f"y0={float(self.y0)!r} y1={float(self.y1)!r} nx={nx} ny={ny}\n")
-        for i in range(nx):
-            buf.write(",".join(repr(float(v)) for v in self.z[i]) + "\n")
+        for row in self.z.tolist():
+            buf.write(",".join(map(repr, row)) + "\n")
         return buf.getvalue()
 
     @classmethod
@@ -304,8 +304,13 @@ def trace_to_csv(trace: list[float]) -> str:
 
 
 def catenary_heights(shape: tuple[int, int] = (33, 17)) -> HeightField:
-    """Heights of the classical catenary cylinder z = cosh(x) over [-1, 1] x [0, 1]."""
-    return HeightField.from_function(lambda x, y: math.cosh(x), (-1.0, 1.0, 0.0, 1.0), shape)
+    """Heights of the classical catenary cylinder z = cosh(x) over [-1, 1] x [0, 1].
+
+    The heights of HeightField.from_function, bit for bit, with cosh taken
+    once per x and repeated along y.
+    """
+    z = np.array([[math.cosh(x)] * shape[1] for x in np.linspace(-1.0, 1.0, shape[0])])
+    return HeightField(-1.0, 1.0, 0.0, 1.0, z)
 
 
 # (dx, dy) derivative orders of z, zx, zy, zxx, zxy, zyy

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -468,22 +469,24 @@ def test_tables_keep_the_slope_of_f_at_every_node(klass, size):
 # build holds its Fourier coefficients, and the cross products that g's
 # quadrature reads, for one _STEP_BLOCK of steps at a time: about 0.95 MiB
 # (Euclidean) and 1.35 MiB (Lorentz, whose two table halves double the columns)
-# at 64 steps.  Blocks of 128 steps would take 1.8 and 2.6 MiB.
+# at 64 steps.  Blocks of 128 steps would take 1.8 and 2.6 MiB.  The lightlike
+# build holds g' at the stages of _LIGHTLIKE_STEP_BLOCK = 128 steps: about 0.9 MiB.
 _BUILD_WORKING_BYTES = 1.5 * 2**20
 
 
-@pytest.mark.parametrize("klass", ["euclid", "lorentz+1", "lorentz-1"])
+@pytest.mark.parametrize("klass", list(_DRAWS))
 def test_batch_build_working_memory_stays_bounded(klass, monkeypatch):
-    build, extra = frames._frame_nodes_batch, []
+    name = "_lightlike_nodes" if klass == "lightlike" else "_frame_nodes_batch"
+    build, extra = getattr(frames, name), []
 
-    def measured(draws, grids):
+    def measured(*args):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        nodes, slopes = build(draws, grids)
+        nodes, slopes = build(*args)
         extra.append(tracemalloc.get_traced_memory()[1] - start - nodes.nbytes - slopes.nbytes)
         return nodes, slopes
 
-    monkeypatch.setattr(ruled, "_frame_nodes_batch", measured)
+    monkeypatch.setattr(ruled, name, measured)
     rng = np.random.default_rng(4000)
     draws = [_DRAWS[klass](rng) for _ in range(32)]
     tracemalloc.start()
@@ -812,6 +815,21 @@ def test_generated_surfaces_are_scored_from_one_table_read(metric, klass, delta,
     assert reads == [(5, 5)] * n
 
 
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_sweep_forms_p_and_q_once_per_generated_surface(metric, klass, delta, monkeypatch):
+    # the halfspace window, the translation and sweep_surface share one _sweep_frames
+    calls, original = [], ruled._frame_functions
+    monkeypatch.setattr(ruled, "_frame_functions",
+                        lambda *args: calls.append(args[0]) or original(*args))
+    n = ruled.SWEEP_CHUNK + 1
+    cfg = SweepConfig(n_surfaces=n, n_s_samples=7, seed=5, metric=metric, director_class=klass,
+                      delta=delta)
+    report = falsification_sweep(cfg).to_json()
+    assert calls == [klass] * n
+    monkeypatch.setattr(ruled, "_frame_functions", original)
+    assert report == _reference_sweep(cfg, ()).to_json()
+
+
 def test_array_cube_is_the_float_power_bitwise():
     x = np.random.default_rng(0).uniform(-3.0, 3.0, 10**5)
     for a in (x, np.abs(x), x.reshape(1000, 100)):
@@ -1129,6 +1147,30 @@ def test_sweep_builds_at_most_one_chunk_of_tables_at_a_time(monkeypatch):
                                           director_class=DirectorClass.LORENTZ_LIGHTLIKE))
     assert sizes == [ruled.SWEEP_CHUNK, ruled.SWEEP_CHUNK, 1]
     assert [r["id"] for r in rep.per_surface] == list(range(n))
+
+
+def test_sweep_drops_each_surface_once_it_is_scored(monkeypatch):
+    # a surface keeps its frame reads, which hold about 60 MB at 10^5 samples
+    built, alive = [], []
+    build, score = ruled._build_surfaces, ruled.sweep_surface
+
+    def recording(draws, *args):
+        out = build(draws, *args)
+        built.extend(weakref.ref(rs) for rs in out)
+        return out
+
+    def counting(rs, *args):
+        alive.append(sum(ref() is not None for ref in built))
+        return score(rs, *args)
+
+    monkeypatch.setattr(ruled, "_build_surfaces", recording)
+    monkeypatch.setattr(ruled, "sweep_surface", counting)
+    n = 6
+    falsification_sweep(SweepConfig(n_surfaces=n, n_s_samples=3, seed=1, metric=L,
+                                    director_class=DirectorClass.LORENTZ_NONDEGENERATE))
+    # the surface being scored, when translation kept it, and those not yet scored
+    assert len(alive) == n
+    assert all(count <= n - k for k, count in enumerate(alive))
 
 
 def test_sweep_report_config_block():

@@ -255,6 +255,35 @@ def test_csv_round_trip():
     assert (back.x0, back.x1, back.y0, back.y1) == (-1, 1, 0, 2)
 
 
+def test_catenary_heights_match_the_function_sampler_bitwise():
+    for shape in ((3, 3), (17, 9), (33, 17), (161, 81), (4, 200)):
+        h = catenary_heights(shape=shape)
+        ref = HeightField.from_function(lambda x, y: math.cosh(x), (-1.0, 1.0, 0.0, 1.0), shape)
+        assert h.z.shape == shape
+        assert h.z.tobytes() == ref.z.tobytes()
+        assert (h.x0, h.x1, h.y0, h.y1) == (ref.x0, ref.x1, ref.y0, ref.y1)
+
+
+def _reference_csv(h):
+    """to_csv as it formatted each height: one repr(float(v)) per entry of a row."""
+    nx, ny = h.z.shape
+    lines = [f"# x0={float(h.x0)!r} x1={float(h.x1)!r} y0={float(h.y0)!r} y1={float(h.y1)!r} "
+             f"nx={nx} ny={ny}"]
+    lines += [",".join(repr(float(v)) for v in h.z[i]) for i in range(nx)]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_the_per_height_formatter():
+    rng = np.random.default_rng(11)
+    z = 1.0 + rng.random((9, 7))
+    z[0, :4] = [5e-324, 2.2250738585072014e-308 / 3, 1e-300, 1e300]
+    z[4] = rng.uniform(1e-12, 1e12, 7)
+    z[-1, -1] = 1.7976931348623157e308
+    for h in (HeightField(-1, 1, 0, 2, z), HeightField(-0.5, 3.25, 1e-9, 1.0, z.T.copy()),
+              catenary_heights(shape=(161, 81))):
+        assert h.to_csv() == _reference_csv(h)
+
+
 def test_trace_csv_format():
     text = trace_to_csv([2.0, 1.5, 1.25])
     lines = text.strip().splitlines()
