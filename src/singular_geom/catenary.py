@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Metric, Vec3, cross, inner, norm
-from .curves import Curve, DenseODE, memo_last, rk4_step
+from .curves import Curve, DenseODE, rk4_step
 from .errors import HalfspaceViolation, NoSolution, NotOrthogonal
 from .surface import Jet2, ParamSurface, along, stack_rows
 
@@ -261,7 +261,8 @@ def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
     is integrated again.  Its value and two derivatives come only from the
     quintic Hermite interpolant of (u, y) and the node slopes (cos theta,
     sin theta), never from theta' = alpha cos(theta) / y, which would satisfy
-    the curvature equation by construction.
+    the curvature equation by construction.  Its jet(s) is one jet_at read of
+    the table; value, d1 and d2 each take that read and keep one entry.
     """
     d = _embedding_frame(v, ruling)
     f = _rhs(path.alpha)
@@ -270,12 +271,13 @@ def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
         slopes = [f(s, node) for s, node in zip(path.s, path.nodes)]
     table = DenseODE.from_nodes(f, path.s[0], path.s[-1], path.nodes, slopes)
 
-    @memo_last
     def jet(s: float) -> tuple[Vec3, Vec3, Vec3]:
         (u, y, _), (u1, y1, _), (u2, y2, _) = table.jet_at(s)
         return d * u + v * y, d * u1 + v * y1, d * u2 + v * y2
 
-    return Curve(lambda s: jet(s)[0], lambda s: jet(s)[1], lambda s: jet(s)[2])
+    curve = Curve(lambda s: jet(s)[0], lambda s: jet(s)[1], lambda s: jet(s)[2])
+    curve.jet = jet
+    return curve
 
 
 def catenary_cylinder(path: CatenaryPath, v: Vec3, ruling: Vec3) -> ParamSurface:

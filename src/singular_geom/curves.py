@@ -2,9 +2,9 @@
 
 Curves are maps s -> Vec3 with two derivatives.  Where a derivative callable
 is not supplied it is obtained by 4th-order central differences of the next
-lower derivative.  ``Curve.jet`` returns all three at once and remembers them
-for the last s only, so a surface grid pays for each curve evaluation once
-per s, not once per point.  Dense ODE tables integrate a state with classical
+lower derivative.  ``Curve.jet`` returns all three at once, and a curve that
+reads them together overrides it (catenary.plane_curve takes one table jet
+per s).  Dense ODE tables integrate a state with classical
 RK4 on a fixed node grid and answer point queries between nodes with a C^2
 quintic Hermite dense output, so a query takes no integration step.  A table
 runs from its seed point s0 toward an s1 on either side of it, and can wrap
@@ -65,42 +65,6 @@ def _same_arg(a: float, b: float) -> bool:
             and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b)))
 
 
-def memo_last(f: Callable[[float], object]) -> Callable[[float], object]:
-    """f that keeps its result for the last argument and returns it on a repeat.
-
-    RK4 evaluates its right-hand side twice at the midpoint, and a two-substep
-    march evaluates it at the shared substep boundary twice more; a pure f
-    wrapped here is computed once per distinct argument in such runs.
-    """
-    last: list = []
-
-    def wrapped(s: float):
-        if last and _same_arg(last[0], s):
-            return last[1]
-        out = f(s)
-        last[:] = (s, out)
-        return out
-
-    return wrapped
-
-
-def memo_last_array(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """f that keeps its result for the last array argument, and returns it again
-    for an array of the same shape and bits.
-
-    Callers share the result, and none writes to it.
-    """
-    last: list = []
-
-    def wrapped(S: np.ndarray):
-        key = (S.shape, S.tobytes())
-        if not (last and last[0] == key):
-            last[:] = (key, f(S))
-        return last[1]
-
-    return wrapped
-
-
 class Curve:
     """A path s -> Vec3 with value and two derivatives."""
 
@@ -108,16 +72,10 @@ class Curve:
         self._value = value
         self._d1 = d1
         self._d2 = d2
-        self._last: tuple[float, tuple[Vec3, Vec3, Vec3]] | None = None
 
     def jet(self, s: float) -> tuple[Vec3, Vec3, Vec3]:
-        """(value, d1, d2) at s, kept for the next call with the same s."""
-        # surfaces over a curve ask for its jet at each t of one s in turn
-        if self._last is not None and _same_arg(self._last[0], s):
-            return self._last[1]
-        out = (self.value(s), self.d1(s), self.d2(s))
-        self._last = (s, out)
-        return out
+        """(value, d1, d2) at s."""
+        return self.value(s), self.d1(s), self.d2(s)
 
     def value(self, s: float) -> Vec3:
         return self._value(s)
@@ -405,8 +363,9 @@ class DenseODE:
         self._last: tuple[float, tuple] | None = None
 
     def state_at(self, s: float) -> tuple:
-        # callers typically ask for value and several derivatives at the same s
-        if self._last is not None and self._last[0] == s:
+        # callers typically ask for value and several derivatives at the same s;
+        # _same_arg, so that the result is what this s itself reads, float or np.float64
+        if self._last is not None and _same_arg(self._last[0], s):
             return self._last[1]
         out = self._state_at(s)
         self._last = (s, out)
@@ -593,21 +552,20 @@ def stage_values(grids, read) -> dict:
 def series_at(*series: FourierSeries):
     """s -> the series' values at s.
 
-    A float s gives floats, kept for the last s: RK4 repeats its midpoint.  An
-    array of s gives one array per series, bit for bit those floats at each s
-    (fourier_table), so a right-hand side that reads its coefficients here
-    runs on floats and on arrays alike.  at.tabulated(grids, build) returns
-    build(), a table build on those grids, during which a float s at an RK4
-    stage reads the values from one fourier_table over every stage
-    (stage_values); the stage values are dropped when build returns.
+    A float s gives floats.  An array of s gives one array per series, bit
+    for bit those floats at each s (fourier_table), so a right-hand side
+    that reads its coefficients here runs on floats and on arrays alike.
+    at.tabulated(grids, build) returns build(), a table build on those
+    grids, during which a float s at an RK4 stage reads the values from one
+    fourier_table over every stage (stage_values); the stage values are
+    dropped when build returns.
     """
-    at_float = memo_last(lambda s: tuple([f(s) for f in series]))
     stages = {}
 
     def at(s):
         if isinstance(s, np.ndarray):
             return tuple(np.moveaxis(fourier_table(series, s), -1, 0))
-        return stages.get(s) or at_float(s)
+        return stages.get(s) or tuple([f(s) for f in series])
 
     def tabulated(grids, build):
         stages.update(stage_values(grids, lambda S: fourier_table(series, S).T))

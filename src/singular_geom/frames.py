@@ -5,8 +5,9 @@ state (w, w', g) of an RK4 table (curves.DenseODE or CenteredODE) of its
 frame ODE, whose right-hand side reads random Fourier profiles; a lightlike
 surface tabulates its base alone.  _frame_curves and _lightlike_curves wrap
 a table as the base and director curves of the surface, which also read
-their whole frame on arrays (_FrameCurve.frame_at); a point query at an s
-of the last such read is answered from it, not from the table (_KeptRead).
+their whole frame on arrays (_FrameCurve.frame_at); the table keeps its last
+such read, and a point query at an s of it is answered from it, not from the
+table (_KeptRead).
 _frame_nodes_batch and _lightlike_nodes step the tables of many draws at
 once, bit for bit the scalar builds; both take g as an RK4 quadrature
 (rk4_quadrature).  The draws (ruled._Draw: the series, the seed state y0
@@ -25,8 +26,6 @@ from .curves import (
     FourierSeries,
     fourier_table,
     line_curve,
-    memo_last,
-    memo_last_array,
     rk4_increment,
     rk4_quadrature,
     rk4_stages,
@@ -65,25 +64,16 @@ class _FrameCurve(Curve):
     frame_at(S), shared by the base and director of one table, gives (g, g',
     w, w', w'') at every s of S as _V component arrays, bit for bit the
     pointwise value(s) and d1(s) of the base and value(s), d1(s) and d2(s)
-    of the director.  It keeps its last result, for an S of the same bits,
-    and the curves of _frame_curves and _lightlike_curves answer a point
-    query at an s of that S from it (_KeptRead).  A translated _FrameCurve
-    reads the same frame with the offset added to g.
+    of the director.  Each call reads the table again; the curves of
+    _frame_curves and _lightlike_curves answer a point query at an s of the
+    last read from it (_KeptRead).  A translated _FrameCurve is a plain
+    Curve (Curve.translated) with no frame_at, whose point reads are these
+    curves' plus the offset.
     """
 
     def __init__(self, value, d1, d2, frame_at):
         super().__init__(value, d1, d2)
         self.frame_at = frame_at
-
-    def translated(self, offset: Vec3) -> "_FrameCurve":
-        frame_at = self.frame_at
-
-        def shifted(S: np.ndarray) -> tuple:
-            g, *rest = frame_at(S)
-            # as Vec3.__add__ adds the offset to a value
-            return (_V(g.x + offset.x, g.y + offset.y, g.z + offset.z), *rest)
-
-        return _FrameCurve(lambda s: self._value(s) + offset, self.d1, self.d2, shifted)
 
 
 class _KeptRead:
@@ -171,7 +161,6 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     def slots(y, k: int) -> _V:
         return _V(y[k], y[k + 1], y[k + 2])
 
-    @memo_last_array
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
         y = table.states_at(S)
         f = rhs(S, y)
@@ -197,7 +186,6 @@ def _lightlike_curves(table, mf: FourierSeries, rhs, g_d2) -> tuple[Curve, Curve
     line = line_curve(a, b)
     kept = _KeptRead()
 
-    @memo_last_array
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
         zero = np.zeros(S.shape)
         return kept.keep(S, (_V(*table.states_at(S)),
@@ -351,12 +339,8 @@ def _lightlike_gp(s, m):
 def _lightlike_ode(mf: FourierSeries):
     """Right-hand side (the state is not read) and g''(s) of a lightlike base."""
 
-    @memo_last
-    def gp(s: float) -> tuple[float, float, float]:
-        return _lightlike_gp(s, mf(s))
-
     def rhs(s: float, y) -> tuple:
-        return gp(s)
+        return _lightlike_gp(s, mf(s))
 
     def g_d2(s: float) -> Vec3:
         mv = mf(s)

@@ -40,7 +40,6 @@ from .curves import (
     fd1,
     fd1_stencil,
     line_curve,
-    memo_last,
     series_at,
     stage_values,
 )
@@ -401,7 +400,6 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         if inner(m, gp, gp) <= 0.0:
             raise NonSpacelikeInput("base curve is not spacelike")
 
-    @memo_last
     def fs(s: float) -> tuple[float, float, float]:
         g = base.value(s)
         gp = base.d1(s)
@@ -1053,36 +1051,36 @@ class _SweepFrames(NamedTuple):
 def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames | None:
     """The frames of a normalized rs at s_values and at fd1's stencil points, from one read.
 
-    Only curves of a frame table (_FrameCurve) read on arrays, through their
-    frame_at.  None for any other surface, when there is nothing to read,
-    or when the read fails (_on_arrays): it raises, a value that frame()
-    computes at one of these s is not finite, or a lightlike |Q| is below
-    ZERO_Q_FLOOR.  _halfspace_window, translate_into_halfspace and
+    Only a base and director of one frame table (_FrameCurve) read on arrays,
+    through their one frame_at.  None for any other surface, when there is
+    nothing to read, or when the read fails (_on_arrays): it raises, a value
+    that frame() computes at one of these s is not finite, or a lightlike |Q|
+    is below ZERO_Q_FLOOR.  _halfspace_window, translate_into_halfspace and
     sweep_surface each take these arrays when they are there and read
     pointwise when they are not, so a surface whose read fails is replayed
-    pointwise from its first read, and raises what the pointwise path
-    raises where it raises it.  The surface keeps the result for s_values
-    of the same bits, and translate_into_halfspace hands it on with g
-    shifted, so the three steps form P and Q once per generated surface.
-    The table keeps its last read too, and its curves answer a point query
-    at one of these s from it: a pointwise replay, and the coefficient
-    oracle at these s, read the table point by point only for g''.
+    pointwise from its first read, and raises what the pointwise path raises
+    where it raises it.  The surface keeps the result for s_values of the same
+    bits, and translate_into_halfspace hands it on with g shifted; the kept
+    result is looked up first, since a translated base has no frame_at.  So
+    the three steps form P and Q once per generated surface.  The table keeps
+    its last read too, and its curves answer a point query at one of these s
+    from it: a pointwise replay, and the coefficient oracle at these s, read
+    the table point by point only for g''.
     """
-    base, director = rs.base, rs.director
     s = np.asarray(s_values, dtype=float)
-    if not (rs.normalized and isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
-            and s.ndim == 1 and s.size):
-        return None
     key = (s.shape, s.tobytes())
     last = rs._last_sweep_frames
     if last is not None and last[0] == key:
         return last[1]
+    base, director = rs.base, rs.director
+    if not (rs.normalized and isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
+            and base.frame_at is director.frame_at and s.ndim == 1 and s.size):
+        return None
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
 
     def read():
         S = np.stack([s - 2 * FD_H1, s - FD_H1, s, s + FD_H1, s + 2 * FD_H1])
-        g, gp = base.frame_at(S)[:2]
-        w, wp, wpp = director.frame_at(S)[2:]
+        g, gp, w, wp, wpp = base.frame_at(S)
         P, Q = _frame_functions(rs.director_class, w, wp, None if lightlike else wpp, gp)
         if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
             raise ZeroQ(f"|Q| < {ZERO_Q_FLOOR}")
@@ -1138,12 +1136,12 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
     if frames is not None:
 
         def shifted():
-            g = frames.g  # as _FrameCurve.translated shifts it
+            g = frames.g  # as Curve.translated shifts a value
             g = _V(g.x + offset.x, g.y + offset.y, g.z + offset.z)
             return g, frames._replace(g=g)
 
         kept = _on_arrays(shifted)
-        if kept is not None:  # else out reads its frames itself, and fails as before
+        if kept is not None:  # else out, whose base has no frame_at, reads pointwise
             out._last_sweep_frames = (rs._last_sweep_frames[0], kept)
     return out
 

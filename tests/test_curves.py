@@ -244,6 +244,19 @@ def test_dense_output_independent_of_query_order():
     assert forward == backward
 
 
+def test_state_at_of_a_float_gives_floats_whatever_was_asked_before():
+    # np.float64(s) and s are two arguments (curves._same_arg), so the last-s memo
+    # does not hand a float query the np.float64 tuple of the query before it
+    s = 0.31  # between nodes: the Hermite of an np.float64 s gives np.float64s
+    fresh = DenseODE(_de_sitter_rhs([]), 0.0, 0.9, Y0, 24).state_at(s)
+    table = DenseODE(_de_sitter_rhs([]), 0.0, 0.9, Y0, 24)
+    wide = table.state_at(np.float64(s))
+    assert {type(x) for x in wide} == {np.float64}
+    got = table.state_at(s)
+    assert [type(x) for x in got] == [type(x) for x in fresh] == [float] * len(Y0)
+    assert _bits(got) == _bits(fresh) == _bits(map(float, wide))
+
+
 @pytest.mark.parametrize("s0, s1", [(0.0, 0.9), (0.0, -0.9)])
 def test_dense_output_is_c1_across_nodes(s0, s1):
     # the central difference over +-1e-5 has truncation ~1e-11 and roundoff

@@ -1,5 +1,5 @@
-"""Per-s jet reuse: memoized curve and surface jets equal uncached evaluation bit for bit,
-and tabulated Lorentz normalization coefficients equal pointwise ones."""
+"""Curve and surface jets equal their curves' values and derivatives read one by one,
+bit for bit, and tabulated Lorentz normalization coefficients equal pointwise ones."""
 
 import math
 
@@ -9,7 +9,7 @@ import pytest
 from singular_geom import catenary as cat
 from singular_geom.algebra import Metric, Vec3, inner
 from singular_geom import ruled
-from singular_geom.curves import Curve, DenseODE, memo_last
+from singular_geom.curves import Curve, DenseODE
 from singular_geom.errors import ODEBreakdown, OutOfDomain
 from singular_geom.ruled import helicoid, random_lorentz_ruled
 from singular_geom.surface import _C1, _C2, _OFF1, _V, Jet2, ParamSurface, unit_normal
@@ -19,11 +19,10 @@ EZ = Vec3(0.0, 0.0, 1.0)
 ZERO = Vec3(0.0, 0.0, 0.0)
 
 
-def _signed_curve(calls):
-    """A curve whose value tells 0.0 from -0.0, counting value evaluations."""
+def _signed_curve():
+    """A curve whose value tells 0.0 from -0.0."""
 
     def value(s):
-        calls.append(s)
         return Vec3(math.copysign(1.0, s), s, s * s)
 
     return Curve(value, lambda s: Vec3(0.0, 1.0, 2.0 * s), lambda s: Vec3(0.0, 0.0, 2.0))
@@ -34,18 +33,9 @@ def _uncached(curve, s):
 
 
 def test_curve_jet_matches_uncached_in_any_order():
-    calls = []
-    curve = _signed_curve(calls)
+    curve = _signed_curve()
     for s in (0.3, -1.25, 0.3, 0.0, -0.0, 0.0, np.float64(0.3), 0.3):
         assert curve.jet(s) == _uncached(curve, s)
-
-
-def test_curve_jet_evaluates_once_per_repeated_s():
-    calls = []
-    curve = _signed_curve(calls)
-    for s in (0.5, 0.5, 0.5, 0.7, 0.7, 0.5):
-        curve.jet(s)
-    assert calls == [0.5, 0.7, 0.5]
 
 
 def test_curve_jet_with_difference_fallbacks():
@@ -84,6 +74,23 @@ def test_catenary_cylinder_jet_matches_uncached():
     for s, t in ((0.4, 0.1), (0.75, -0.3), (0.4, 0.9), (0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)):
         expected = Jet2(profile.value(s) + EY * t, profile.d1(s), EY, profile.d2(s), ZERO, ZERO)
         assert surf.jet(s, t) == expected
+
+
+def test_plane_curve_reads_its_table_once_per_jet(monkeypatch):
+    # value, d1 and d2 each take one entry of one jet_at read, so a jet that read
+    # them one by one would read the table three times per s
+    surf, profile = _catenary_pair()
+    calls, jet_at = [], DenseODE.jet_at
+    monkeypatch.setattr(DenseODE, "jet_at", lambda self, s: calls.append(s) or jet_at(self, s))
+    S = [0.1, 0.45, 0.8]
+    jets = [profile.jet(s) for s in S]
+    assert calls == S
+    calls.clear()
+    surf.grid_jets(np.array(S), np.array([-0.5, 0.0, 0.5]))
+    assert calls == S
+    calls.clear()
+    assert [surf.jet(s, 0.5).Xs for s in S] == [c1 for _, c1, _ in jets]
+    assert calls == S
 
 
 def _fd_jet_reference(p, s, t, h):
@@ -125,51 +132,17 @@ def test_fd_jet_of_perturbed_catenary_cylinder_matches_reference_order():
         assert got == _fd_jet_reference(point, s, t, fd.fd_step)
 
 
-def test_memo_last_recomputes_for_a_new_argument_only():
-    calls = []
-
-    def f(s):
-        calls.append(s)
-        return math.copysign(1.0, s) + s
-
-    g = memo_last(f)
-    args = (0.3, 0.3, -1.25, 0.0, -0.0, -0.0, np.float64(-0.0), 0.3)
-    assert [g(s) for s in args] == [f(s) for s in args]
-    assert calls[:6] == [0.3, -1.25, 0.0, -0.0, np.float64(-0.0), 0.3]
-
-
-def _generated_surfaces():
-    """One surface of every frame-ODE generator, drawn from fixed seeds."""
-    rng = np.random.default_rng(777)
-    surfaces = [ruled.random_euclidean_ruled(rng), ruled.random_lorentz_ruled(rng, 1),
-                ruled.random_lorentz_ruled(rng, -1), ruled.random_lightlike_ruled(rng)]
-    for delta in (1, -1):
-        base, director, s_range = ruled.random_prenormalization_input(rng, delta)
-        surfaces.append(ruled.normalize_lorentz(base, director, delta, s_range))
-    return surfaces
-
-
 def _surface_samples(rs):
     v = Vec3(0.6, 0.0, 0.8) if rs.metric is Metric.EUCLIDEAN else Vec3(0.3, 0.0, math.sqrt(1.09))
     return [repr((ruled.frame(rs, s), ruled.coefficients(rs, s, v, 1.7), rs.jet(s, 0.37)))
             for s in rs.s_samples(16)]
 
 
-def test_memoized_lorentz_normalization_matches_unmemoized(monkeypatch):
-    memoized = [_surface_samples(rs) for rs in _generated_surfaces()]
-    with monkeypatch.context() as m:
-        m.setattr(ruled, "memo_last", lambda f: f)
-        plain = [_surface_samples(rs) for rs in _generated_surfaces()]
-    assert len(memoized) == 6
-    assert memoized == plain
-
-
 def _reference_normalization(base, director, delta, s_range):
     """normalize_lorentz's table and surface as built before f1, f2, f3 were tabulated:
-    every RK4 stage reads them pointwise through memo_last, and DenseODE steps."""
+    every RK4 stage reads them pointwise, and DenseODE steps."""
     a, b = (float(x) for x in s_range)
 
-    @memo_last
     def fs(s):
         g, gp, wp, w = base.value(s), base.d1(s), director.d1(s), director.value(s)
         return inner(Metric.LORENTZIAN, g, w), inner(Metric.LORENTZIAN, gp, wp), \

@@ -794,17 +794,10 @@ def _fail(*args, **kwargs):
 
 @pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
 def test_generated_surfaces_are_scored_from_one_table_read(metric, klass, delta, monkeypatch):
-    reads = []
-    memo = frames.memo_last_array
-
-    def counting(read):
-        def counted(S):
-            reads.append(S.shape)
-            return read(S)
-
-        return memo(counted)
-
-    monkeypatch.setattr(frames, "memo_last_array", counting)
+    # every frame_at read is kept once (frames._KeptRead.keep)
+    reads, keep = [], frames._KeptRead.keep
+    monkeypatch.setattr(frames._KeptRead, "keep",
+                        lambda self, S, frame: reads.append(S.shape) or keep(self, S, frame))
     for owner, name in ((ruled, "frame"), (ruled, "coefficients"),
                         (curves.DenseODE, "state_at"), (curves.CenteredODE, "state_at")):
         monkeypatch.setattr(owner, name, _fail)
@@ -813,6 +806,24 @@ def test_generated_surfaces_are_scored_from_one_table_read(metric, klass, delta,
                                     director_class=klass, delta=delta))
     # the samples and fd1's four stencil points around each
     assert reads == [(5, 5)] * n
+
+
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_a_base_and_director_of_two_tables_are_scored_pointwise(metric, klass, delta):
+    # only a base and director that share one frame_at read on arrays; each curve
+    # here reads its own draw's table, so the surface is scored pointwise
+    draw = {DirectorClass.EUCLID_STANDARD: _DRAWS["euclid"],
+            DirectorClass.LORENTZ_NONDEGENERATE: _DRAWS[f"lorentz{delta:+d}"],
+            DirectorClass.LORENTZ_LIGHTLIKE: _DRAWS["lightlike"]}[klass]
+    a, b = (ruled._build_surfaces([draw(np.random.default_rng(seed))])[0] for seed in (12, 13))
+    rs = RuledSurface(a.base, b.director, a.s_range, metric, klass, a.delta, normalized=True)
+    assert isinstance(rs.base, ruled._FrameCurve) and isinstance(rs.director, ruled._FrameCurve)
+    s_values = rs.s_samples(5)
+    assert ruled._sweep_frames(rs, s_values) is None
+    rng = np.random.default_rng(14)
+    v = random_unit_vector(rng) if metric is E else random_unit_timelike(rng)
+    assert repr(sweep_surface(rs, v, 1.3, s_values)) == \
+        repr(_ref_sweep_surface(rs, v, 1.3, s_values))
 
 
 @pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)

@@ -21,6 +21,9 @@ COMMANDS=(
   "catenary --alpha -2 --length 2 --step 1e-3 --out catenary_halfspace.csv"
   "residual --surface catenary-cylinder --grid 20x20 --out residual_catenary.csv"
   "residual --surface catenary-cylinder --alpha -2 --grid 9x40 --out residual_catenary_m2.csv"
+  # v = -e2 leaves the halfspace at s = 0, t ~ 0.0256: exit 3, after a pointwise
+  # replay of the failed block through the cylinder's jet_fn
+  "residual --surface catenary-cylinder --v=0,-1,0 --grid 9x40 --out residual_catenary_off.csv"
   "residual --surface helicoid --grid 20x20 --out residual_helicoid.csv"
   "residual --surface sphere --grid 12x9 --out residual_sphere.csv"
   "residual --surface hyperboloid --metric lorentz --grid 20x20 --out residual_hyperboloid.csv"
