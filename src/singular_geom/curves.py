@@ -37,9 +37,19 @@ FD_H1 = 1e-4
 FD_H2 = 1e-3
 
 
+def fd1_points(s, h: float = FD_H1) -> tuple:
+    """s - 2h, s - h, s, s + h and s + 2h, on floats or arrays: fd1 reads all but s.
+
+    ruled._sweep_frames and surface._stencil_axis read on arrays at these
+    points, so an array read holds, bit for bit, the points fd1 asks for.
+    """
+    return s - 2 * h, s - h, s, s + h, s + 2 * h
+
+
 def fd1(f: Callable[[float], Vec3 | float], s: float, h: float = FD_H1) -> Vec3 | float:
     """4th-order central first derivative of a Vec3- or float-valued function."""
-    return fd1_stencil(f(s - 2 * h), f(s - h), f(s + h), f(s + 2 * h), h)
+    m2, m1, _, p1, p2 = fd1_points(s, h)
+    return fd1_stencil(f(m2), f(m1), f(p1), f(p2), h)
 
 
 def fd1_stencil(f_m2, f_m1, f_p1, f_p2, h: float = FD_H1):

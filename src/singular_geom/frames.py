@@ -7,7 +7,7 @@ surface tabulates its base alone.  _frame_curves and _lightlike_curves wrap
 a table as the base and director curves of the surface, which also read
 their whole frame on arrays (_FrameCurve.frame_at); the table keeps its last
 such read, and a point query at an s of it is answered from it, not from the
-table (_KeptRead).
+table (_KeptRead), the one point memo of a generated surface.
 _frame_nodes_batch and _lightlike_nodes step the tables of many draws at
 once, bit for bit the scalar builds; both take g as an RK4 quadrature
 (rk4_quadrature).  The draws (ruled._Draw: the series, the seed state y0
@@ -15,7 +15,6 @@ and frame_signs()) and the choice of build live in ruled.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +75,14 @@ class _FrameCurve(Curve):
         self.frame_at = frame_at
 
 
+def _one_table_read(base: Curve, director: Curve):
+    """The frame_at that base and director share when both read one frame table, else None."""
+    if (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
+            and base.frame_at is director.frame_at):
+        return base.frame_at
+    return None
+
+
 class _KeptRead:
     """The last frame_at read of one table, which also answers point queries at its s.
 
@@ -85,21 +92,20 @@ class _KeptRead:
     the read's entry i, which is pointwise(s) bit for bit; at any other s,
     pointwise(s), which raises what it raises.  0.0 is never served, as
     curves.stage_values leaves it out: 0.0 and -0.0 are one key, and a
-    function of s may tell them apart.  The s -> column lookup, the served
-    s sorted and searched by bisection, is built at the first point query
-    after a read, so a read that no point query follows builds none.
+    function of s may tell them apart.  The s -> column dict, in which a
+    repeated s maps to its first flat column, is built at the first point
+    query after a read, so a read that no point query follows builds none.
     """
 
-    __slots__ = ("_S", "_frame", "_keys", "_cols", "_last")
+    __slots__ = ("_S", "_frame", "_keys")
 
     def __init__(self):
-        self._S = None
+        self._S, self._keys = None, {}  # no read yet: nothing is served
 
     def keep(self, S: np.ndarray, frame: tuple) -> tuple:
         self._S = np.array(S, dtype=float)  # a copy: the caller may reuse its S
         self._frame = frame
         self._keys = None
-        self._last = (None, None)  # (s, column) of the last hit
         return frame
 
     def serve(self, i: int, pointwise):
@@ -114,26 +120,14 @@ class _KeptRead:
 
     def _column(self, s: float) -> int | None:
         """Flat index of s in the last read's S, or None if it is not served there."""
-        if self._S is None:
-            return None
-        last_s, j = self._last
-        if s == last_s:  # value, d1 and d2 at one s ask in turn
-            return j
         if self._keys is None:
-            S = self._S.ravel()
             served = self._S != 0.0
             for v in self._frame:
                 for c in v:
                     served &= np.isfinite(c)
-            cols = np.flatnonzero(served)
-            cols = cols[np.argsort(S[cols], kind="stable")]
-            self._keys, self._cols = S[cols].tolist(), cols
-        k = bisect_left(self._keys, s)
-        if k == len(self._keys) or self._keys[k] != s:
-            return None
-        j = int(self._cols[k])
-        self._last = (s, j)
-        return j
+            cols = np.flatnonzero(served)[::-1]  # from the last back: a repeated s keeps its first
+            self._keys = dict(zip(self._S.ravel()[cols].tolist(), cols.tolist()))
+        return self._keys.get(s)
 
 
 def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
@@ -173,14 +167,14 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     return base, director
 
 
-def _lightlike_curves(table, mf: FourierSeries, rhs, g_d2) -> tuple[Curve, Curve]:
+def _lightlike_curves(table, rhs, g_d2) -> tuple[Curve, Curve]:
     """Base and director curves of a lightlike table, whose base g solves g' = rhs(s).
 
     The director is line_curve's a s + b with (a, b) = _LIGHTLIKE_LINE.
-    frame_at reads g from the table, g' from _lightlike_gp over
-    fourier_table, and w, w', w'' = a s + b, a, 0 in the line's closed form.
-    The base's g and g' answer an s of frame_at's last read from that read
-    (_KeptRead); the director always takes the line's closed form.
+    frame_at reads g from the table, g' from rhs(S, None) on arrays, as
+    _frame_curves does, and w, w', w'' = a s + b, a, 0 in the line's closed
+    form.  The base's g and g' answer an s of frame_at's last read from that
+    read (_KeptRead); the director always takes the line's closed form.
     """
     a, b = _LIGHTLIKE_LINE
     line = line_curve(a, b)
@@ -189,7 +183,7 @@ def _lightlike_curves(table, mf: FourierSeries, rhs, g_d2) -> tuple[Curve, Curve
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
         zero = np.zeros(S.shape)
         return kept.keep(S, (_V(*table.states_at(S)),
-                             _V(*_lightlike_gp(S, fourier_table([mf], S)[..., 0])),
+                             _V(*rhs(S, None)),
                              along(b, S, a),
                              _V(zero + a.x, zero + a.y, zero + a.z),
                              _V(zero, zero, zero)))
@@ -337,10 +331,11 @@ def _lightlike_gp(s, m):
 
 
 def _lightlike_ode(mf: FourierSeries):
-    """Right-hand side (the state is not read) and g''(s) of a lightlike base."""
+    """Right-hand side (of s alone, a float or an array) and g''(s) of a lightlike base."""
+    profile = series_at(mf)
 
     def rhs(s: float, y) -> tuple:
-        return _lightlike_gp(s, mf(s))
+        return _lightlike_gp(s, profile(s)[0])
 
     def g_d2(s: float) -> Vec3:
         mv = mf(s)

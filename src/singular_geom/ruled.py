@@ -33,11 +33,10 @@ from .curves import (
     CenteredODE,
     Curve,
     DenseODE,
-    FD_H1,
     FourierSeries,
-    _same_arg,
     constant_curve,
     fd1,
+    fd1_points,
     fd1_stencil,
     line_curve,
     series_at,
@@ -54,13 +53,13 @@ from .errors import (
 )
 from .frames import (
     _LIGHTLIKE_LINE,
-    _FrameCurve,
     _fourier,
     _frame_curves,
     _frame_nodes_batch,
     _lightlike_curves,
     _lightlike_nodes,
     _lightlike_ode,
+    _one_table_read,
     _sweep_frame_ode,
     _tcross,
 )
@@ -156,8 +155,6 @@ class RuledSurface:
         self.delta = int(delta)
         self.normalized = normalized
         self.label = label
-        # (s, frame(self, s)) of the last frame read, kept for a read at the same s
-        self._last_frame: tuple[float, RuledFrame] | None = None
         # (key of s_values, _sweep_frames(self, s_values)) of the last sweep read
         self._last_sweep_frames: tuple[tuple, _SweepFrames | None] | None = None
 
@@ -484,12 +481,12 @@ def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
     when the read fails (_on_arrays): the build then reads f1, f2, f3
     pointwise.
     """
-    if not (isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
-            and base.frame_at is director.frame_at):
+    frame_at = _one_table_read(base, director)
+    if frame_at is None:
         return {}
 
     def read(S):
-        g, gp, w, wp, _ = base.frame_at(S)
+        g, gp, w, wp, _ = frame_at(S)
         return [g, gp, w, wp], _reparametrization_coefficients(g, gp, w, wp)
 
     return stage_values([(a, b, n_steps)], lambda S: _on_arrays(lambda: read(S)))
@@ -512,24 +509,21 @@ def frame(rs: RuledSurface, s: float) -> RuledFrame:
 
     P and Q come from _frame_functions, the one definition of them per
     director class; this is the one definition of the lightlike |Q| floor.
-    The surface keeps the last frame read, and a read at the same s (by
-    curves._same_arg) returns it again.
+    A P or Q that is not finite raises ValueError.  A generated surface's
+    curves answer an s of their table's last array read from it (_KeptRead).
     """
     _require_normalized(rs)
-    last = rs._last_frame
-    if last is not None and _same_arg(last[0], s):
-        return last[1]
     w = rs.director.value(s)
     wp = rs.director.d1(s)
     wxwp = cross(rs.metric, w, wp)
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
     wpp = None if lightlike else rs.director.d2(s)
     P, Q = _frame_functions(rs.director_class, w, wp, wpp, rs.base.d1(s))
+    if not (math.isfinite(P) and math.isfinite(Q)):
+        raise ValueError(f"frame functions must be finite, got P = {P}, Q = {Q} at s = {s}")
     if lightlike and abs(Q) < ZERO_Q_FLOOR:
         raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
-    fr = RuledFrame(w, wp, wxwp, P, Q)
-    rs._last_frame = (s, fr)
-    return fr
+    return RuledFrame(w, wp, wxwp, P, Q)
 
 
 def _frame_functions(director_class: DirectorClass, w, wp, wpp, gp):
@@ -852,7 +846,7 @@ def _build_surfaces(draws: Sequence[_Draw], n_steps: int = SWEEP_STEPS) -> list[
 def _surface(d: _Draw, table, rhs, g_d2) -> RuledSurface:
     half = 0.5 * SWEEP_S_LEN
     if d.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
-        base, director = _lightlike_curves(table, d.series[0], rhs, g_d2)
+        base, director = _lightlike_curves(table, rhs, g_d2)
         return RuledSurface(base, director, (-half, half), Metric.LORENTZIAN,
                             DirectorClass.LORENTZ_LIGHTLIKE, delta=0, normalized=True,
                             label="random_lightlike")
@@ -1036,8 +1030,8 @@ class _SweepFrames(NamedTuple):
     """A surface's frame at n s-samples, with P and Q at fd1's stencil points too.
 
     g, g', w and w' are _V arrays of shape (n,) at the samples.  P and Q
-    have shape (5, n): row k is at s + (k - 2) h for every sample s, with
-    h = FD_H1, so row 2 is at the samples themselves.
+    have shape (5, n): row k is at point k of curves.fd1_points(s) for
+    every sample s, so row 2 is at the samples themselves.
     """
 
     g: _V
@@ -1051,8 +1045,8 @@ class _SweepFrames(NamedTuple):
 def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames | None:
     """The frames of a normalized rs at s_values and at fd1's stencil points, from one read.
 
-    Only a base and director of one frame table (_FrameCurve) read on arrays,
-    through their one frame_at.  None for any other surface, when there is
+    Only a base and director of one frame table (_one_table_read) read on
+    arrays, at curves.fd1_points.  None for any other surface, when there is
     nothing to read, or when the read fails (_on_arrays): it raises, a value
     that frame() computes at one of these s is not finite, or a lightlike |Q|
     is below ZERO_Q_FLOOR.  _halfspace_window, translate_into_halfspace and
@@ -1063,24 +1057,22 @@ def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames |
     bits, and translate_into_halfspace hands it on with g shifted; the kept
     result is looked up first, since a translated base has no frame_at.  So
     the three steps form P and Q once per generated surface.  The table keeps
-    its last read too, and its curves answer a point query at one of these s
-    from it: a pointwise replay, and the coefficient oracle at these s, read
-    the table point by point only for g''.
+    its last read too (_KeptRead), and its curves answer a point query at one
+    of these s from it: a pointwise replay, and the coefficient oracle at
+    these s, read the table point by point only for g''.
     """
     s = np.asarray(s_values, dtype=float)
     key = (s.shape, s.tobytes())
     last = rs._last_sweep_frames
     if last is not None and last[0] == key:
         return last[1]
-    base, director = rs.base, rs.director
-    if not (rs.normalized and isinstance(base, _FrameCurve) and isinstance(director, _FrameCurve)
-            and base.frame_at is director.frame_at and s.ndim == 1 and s.size):
+    frame_at = _one_table_read(rs.base, rs.director)
+    if not (rs.normalized and frame_at is not None and s.ndim == 1 and s.size):
         return None
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
 
     def read():
-        S = np.stack([s - 2 * FD_H1, s - FD_H1, s, s + FD_H1, s + 2 * FD_H1])
-        g, gp, w, wp, wpp = base.frame_at(S)
+        g, gp, w, wp, wpp = frame_at(np.stack(fd1_points(s)))
         P, Q = _frame_functions(rs.director_class, w, wp, None if lightlike else wpp, gp)
         if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
             raise ZeroQ(f"|Q| < {ZERO_Q_FLOOR}")
@@ -1153,8 +1145,11 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
     (max(1, |Q|^3) in the lightlike class) so the flag is scale invariant.
     The s are scored together on arrays when the frames read on arrays
     (_sweep_frames), and one at a time through coefficients() otherwise or
-    when the array scoring fails (_on_arrays); both give the same bits.
+    when the array scoring fails (_on_arrays); both give the same bits.  No
+    s, or a scaled maximum that is not finite, raises rather than flag.
     """
+    if not len(s_values):
+        raise ConfigError("sweep_surface needs at least one s-sample")
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
     frames = _sweep_frames(rs, s_values)
 
@@ -1171,10 +1166,12 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
     if scaled is None:
         scaled = []
         for s in s_values:
-            fr = frame(rs, s)  # kept on rs, so coefficients reads it again for free
-            cv = coefficients(rs, s, v, alpha)
-            scaled.append(_scaled_max_abs(cv.A, fr.Q if lightlike else fr.P))
-    worst = max([0.0, *scaled])
+            fr = frame(rs, s)
+            x = _scaled_max_abs(coefficients(rs, s, v, alpha).A, fr.Q if lightlike else fr.P)
+            if not math.isfinite(x):
+                raise ValueError(f"scaled coefficient maximum {x} at s = {s}")
+            scaled.append(x)
+    worst = max(scaled)
     return {
         "id": -1,
         "class": rs.director_class.value,

@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import CausalCharacter, Metric, Vec3, causal_character, inner, triple
+from .curves import fd1_points, fd1_stencil
 from .errors import (
     DegenerateMetric,
     GeometryError,
@@ -93,7 +94,7 @@ Rect = tuple[float, float, float, float]  # (s0, s1, t0, t1)
 _C1 = (1.0, -8.0, 8.0, -1.0)
 _OFF1 = (-2.0, -1.0, 1.0, 2.0)
 _C2 = (-1.0, 16.0, -30.0, 16.0, -1.0)
-# positions of the _OFF1 offsets among the five stencil points -2h..2h
+# positions of the _OFF1 offsets among the five stencil points -2h..2h (curves.fd1_points)
 _AT1 = (0, 1, 3, 4)
 
 
@@ -263,12 +264,8 @@ def _fd_step(domain: Rect) -> float:
 
 
 def _stencil_axis(S: np.ndarray, h: float) -> np.ndarray:
-    """s - 2h, s - h, s, s + h, s + 2h for each s in turn, each offset rounded as s + o*h."""
-    out = np.empty((len(S), 5))
-    out[:, 2] = S
-    for k, o in zip(_AT1, _OFF1):
-        out[:, k] = S + o * h
-    return out.ravel()
+    """fd1's five points around each s in turn (curves.fd1_points), as one flat axis."""
+    return np.stack(fd1_points(S, h), axis=-1).ravel()
 
 
 def _fd_stencils(P: np.ndarray, h: float) -> Jet2:
@@ -282,8 +279,7 @@ def _fd_stencils(P: np.ndarray, h: float) -> Jet2:
     X = P[:, :, 2, :, 2]
     row = [P[:, :, a, :, 2] for a in _AT1]
     col = [P[:, :, 2, :, b] for b in _AT1]
-    Xs, Xt = ((_C1[0] * d[0] + _C1[1] * d[1] + _C1[2] * d[2] + _C1[3] * d[3]) / (12.0 * h)
-              for d in (row, col))
+    Xs, Xt = (fd1_stencil(*d, h) for d in (row, col))
     hh = 12.0 * h * h
     second = []
     for line in ([row[0], row[1], X, row[2], row[3]], [col[0], col[1], X, col[2], col[3]]):

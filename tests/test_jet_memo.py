@@ -8,7 +8,7 @@ import pytest
 
 from singular_geom import catenary as cat
 from singular_geom.algebra import Metric, Vec3, inner
-from singular_geom import ruled
+from singular_geom import frames, ruled
 from singular_geom.curves import Curve, DenseODE
 from singular_geom.errors import ODEBreakdown, OutOfDomain
 from singular_geom.ruled import helicoid, random_lorentz_ruled
@@ -251,7 +251,7 @@ def test_tabulation_leaves_curve_errors_to_the_stepwise_build():
         return tuple(_V(*np.array(col).T) for col in zip(*rows))
 
     def on_array(curve):
-        return ruled._FrameCurve(curve.value, curve.d1, curve.d2, frame_at)
+        return frames._FrameCurve(curve.value, curve.d1, curve.d2, frame_at)
 
     for pair in ((base, director), (on_array(base), on_array(director))):
         with pytest.raises(ODEBreakdown):

@@ -5,6 +5,8 @@ never read on arrays, so every value of the twin comes from the pointwise
 Hermite and right-hand side.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,31 @@ def test_zero_is_read_pointwise(klass, monkeypatch):
     n = len(calls)
     rs.base.value(0.5)
     assert len(calls) == n
+    # no read holds NaN: it is read pointwise, and raises what the twin raises
+    for s in (math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError) as ref:
+            twin.base.value(s)
+        n = len(calls)
+        with pytest.raises(ValueError) as got:
+            rs.base.value(s)
+        assert len(calls) > n
+        assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("klass", list(_DRAWS))
+def test_the_lookup_serves_a_repeated_s_from_its_first_column_under_any_key_type(klass,
+                                                                                monkeypatch):
+    made = _recorded_reads(monkeypatch)
+    rs, twin = _pair(klass, 38)
+    kept = made[0]
+    calls = _table_reads(monkeypatch)
+    rs.base.frame_at(np.array([[1.0, 0.5, 1.0], [0.25, 1.0, 0.5]]))
+    for s in (1.0, np.float64(1.0), 1, 0.5, np.float64(0.5), 0.25, np.float64(0.25)):
+        n = len(calls)
+        got = _point_reads(rs, s)
+        assert len(calls) - n == (0 if klass == "lightlike" else 1)  # g'' alone
+        assert got == _point_reads(twin, s)
+    assert kept._keys == {1.0: 0, 0.5: 1, 0.25: 3}
 
 
 def test_a_non_finite_column_raises_the_twins_error():
@@ -193,3 +220,27 @@ def test_oracle_matches_the_pointwise_twin_at_48_by_8(klass):
         ref = residual_polynomial_consistency(twin, s, v, alpha, default_t_samples(twin, s, n=8))
         assert repr(got) == repr(ref)
         assert type(got) is type(ref)
+
+
+@pytest.mark.parametrize("klass", list(_DRAWS))
+def test_the_oracle_at_a_sample_reads_the_table_pointwise_for_g2_alone(klass, monkeypatch):
+    # the halfspace window and translation read the frame at every sample and
+    # at fd1's points around it; default_t_samples and the coefficients read
+    # it there again, from the table's kept read, and the curve jets read g''
+    rs, twin = _pair(klass, 36)
+    rng = np.random.default_rng(37)
+    v = random_unit_vector(rng) if rs.metric is Metric.EUCLIDEAN else random_unit_timelike(rng)
+    alpha = float(rng.uniform(-3.0, 3.0))
+    s_values = rs.s_samples(48)
+    rs = translate_into_halfspace(rs, v, s_values, _halfspace_window(rs, s_values))
+    twin = translate_into_halfspace(twin, v, s_values, _halfspace_window(twin, s_values))
+    calls = _table_reads(monkeypatch)
+    for x in s_values[::6]:
+        for s in (x, float(x)):
+            n = len(calls)
+            ts = default_t_samples(rs, s)
+            got = residual_polynomial_consistency(rs, s, v, alpha, ts)
+            assert len(calls) - n == (0 if klass == "lightlike" else 1)
+            ref_ts = default_t_samples(twin, s)
+            assert repr(ts) == repr(ref_ts)
+            assert repr(got) == repr(residual_polynomial_consistency(twin, s, v, alpha, ref_ts))

@@ -817,7 +817,7 @@ def test_a_base_and_director_of_two_tables_are_scored_pointwise(metric, klass, d
             DirectorClass.LORENTZ_LIGHTLIKE: _DRAWS["lightlike"]}[klass]
     a, b = (ruled._build_surfaces([draw(np.random.default_rng(seed))])[0] for seed in (12, 13))
     rs = RuledSurface(a.base, b.director, a.s_range, metric, klass, a.delta, normalized=True)
-    assert isinstance(rs.base, ruled._FrameCurve) and isinstance(rs.director, ruled._FrameCurve)
+    assert isinstance(rs.base, frames._FrameCurve) and isinstance(rs.director, frames._FrameCurve)
     s_values = rs.s_samples(5)
     assert ruled._sweep_frames(rs, s_values) is None
     rng = np.random.default_rng(14)
@@ -879,9 +879,9 @@ def test_sweep_raises_like_the_pointwise_reference_when_lightlike_q_dips_under_t
                 _V(zero, zero, zero))
 
     line = line_curve(Vec3(0, 1, 1), Vec3(1, 0, 0))
-    base = ruled._FrameCurve(lambda s: Vec3(s, 0.0, -s), lambda s: Vec3(1.0, 0.0, -q(s)), None,
-                             frame_at)
-    director = ruled._FrameCurve(line.value, line.d1, line.d2, frame_at)
+    base = frames._FrameCurve(lambda s: Vec3(s, 0.0, -s), lambda s: Vec3(1.0, 0.0, -q(s)), None,
+                              frame_at)
+    director = frames._FrameCurve(line.value, line.d1, line.d2, frame_at)
     rs = RuledSurface(base, director, (-1.0, 1.0), L, DirectorClass.LORENTZ_LIGHTLIKE, delta=0,
                       normalized=True)
     s_dip = rs.s_samples(cfg.n_s_samples)[3] + (row - 2) * curves.FD_H1
@@ -1142,6 +1142,41 @@ def test_sweep_detector_flags_helicoid_at_alpha_zero():
     row = sweep_surface(h, EZ, 0.0, h.s_samples(6))
     assert row["flagged"] is True
     assert row["max_abs_coeff"] <= 1e-9
+
+
+def _constant_frame_surface(g, gp, w, wp, wpp):
+    """A normalized Euclidean surface whose base and director jets are the same at every s."""
+    zero = Vec3(0.0, 0.0, 0.0)
+    return RuledSurface(Curve(lambda s: g, lambda s: gp, lambda s: zero),
+                        Curve(lambda s: w, lambda s: wp, lambda s: wpp), (0.0, 1.0), E,
+                        DirectorClass.EUCLID_STANDARD, normalized=True)
+
+
+def test_sweep_raises_on_a_surface_whose_p_overflows():
+    # P = <w x w', g'> overflows to inf, so P' and the coefficients are NaN; a max
+    # that skipped NaN maxima would read 0.0 and flag the surface as a counterexample
+    r = math.sqrt(0.5)
+    rs = _constant_frame_surface(Vec3(0.0, 0.0, 1.0), Vec3(0.0, -1.5e308, 1.5e308),
+                                 Vec3(1.0, 0.0, 0.0), Vec3(0.0, r, r), Vec3(-1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"P = inf, Q = 0.0 at s = 0.25"):
+        frame(rs, 0.25)
+    with pytest.raises(ValueError, match="frame functions must be finite"):
+        falsification_sweep(SweepConfig(n_surfaces=1, n_s_samples=4, seed=1), planted=[rs])
+
+
+def test_sweep_surface_raises_on_a_scaled_maximum_that_is_not_finite():
+    # P = 2 and Q = 1 are finite, but <g, v> = 1e308 makes P^2 Q <g, v> overflow
+    rs = _constant_frame_surface(Vec3(0.0, 0.0, 1e308), Vec3(0.0, 0.0, 2.0), Vec3(1.0, 0.0, 0.0),
+                                 Vec3(0.0, 1.0, 0.0), Vec3(-1.0, 0.0, 1.0))
+    assert (frame(rs, 0.5).P, frame(rs, 0.5).Q) == (2.0, 1.0)
+    with pytest.raises(ValueError, match="scaled coefficient maximum inf at s = 0.5"):
+        sweep_surface(rs, EZ, 1.0, [0.5])
+
+
+def test_sweep_surface_needs_a_sample():
+    # no s scores nothing, which is no evidence for the alarm
+    with pytest.raises(ConfigError, match="at least one s-sample"):
+        sweep_surface(helicoid(1.0), EZ, 1.0, [])
 
 
 def test_sweep_builds_at_most_one_chunk_of_tables_at_a_time(monkeypatch):

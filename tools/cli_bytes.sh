@@ -67,6 +67,8 @@ COMMANDS=(
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 40 --samples 17 --seed 9 --out sweep_lorentz_m40.json"
   # one sample: a (5, 1) stencil read
   "sweep --metric euclid --class standard --n 5 --samples 1 --seed 9 --out sweep_euclid1.json"
+  "sweep --metric lorentz --class nondegenerate --delta 1 --n 5 --samples 1 --seed 9 --out sweep_lorentz_p1.json"
+  "sweep --metric lorentz --class nondegenerate --delta -1 --n 5 --samples 1 --seed 9 --out sweep_lorentz_m1.json"
   "sweep --metric lorentz --class lightlike --n 5 --samples 1 --seed 9 --out sweep_lightlike1.json"
   "variational --init noisy --noise 0.01 --seed 3 --grid 33x17 --steps 20 --out-prefix noisy"
   "residual --surface file --file noisy_field.csv --grid 20x20 --out residual_file.csv"
