@@ -382,7 +382,8 @@ class DenseODE:
         return out
 
     def _state_at(self, s: float) -> tuple:
-        if s < self._min_s or s > self._max_s:
+        # written so that NaN, for which every comparison is false, is out too
+        if not (self._min_s <= s <= self._max_s):
             raise OutOfDomain(f"s={s} outside [{self.s0}, {self.s1}] (+overhang)")
         # the ends compare s itself: node coordinates (s - s0)/h round differently there
         if s <= self._low[0]:

@@ -16,8 +16,12 @@ perturbed cylinders back toward the critical surface.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import io
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -317,21 +321,78 @@ def catenary_heights(shape: tuple[int, int] = (33, 17)) -> HeightField:
 _SPLINE_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def height_surface(h: HeightField) -> ParamSurface:
-    """Exact-jet graph surface of the bicubic spline through the grid."""
-    # scipy.interpolate costs most of the package import time, and only this
-    # surface needs it
+@functools.cache
+def _dfitpack():
+    """scipy's FITPACK extension, loaded by file path without scipy.interpolate.
+
+    Importing scipy.interpolate costs about 42 MB of resident memory, for
+    three Fortran routines.  ``find_spec`` finds scipy without importing it,
+    and the name stays ``_dfitpack`` to match the extension's
+    ``PyInit__dfitpack``.  The toolkit calls FITPACK from one thread, so
+    scipy's ``FITPACK_LOCK`` is not taken.  None if the file is missing (as
+    before scipy 1.13) or does not load.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(os.path.dirname(spec.origin), "interpolate", "_dfitpack" + suffix)
+        if os.path.isfile(path):
+            try:
+                ext = importlib.util.spec_from_file_location("_dfitpack", path)
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module
+            except ImportError:
+                return None
+    return None
+
+
+def _bicubic(xs: np.ndarray, ys: np.ndarray, z: np.ndarray):
+    """``read(dx, dy, x, y)``, the (dx, dy) derivative of the interpolating
+    bicubic spline at the points (x[i], y[i]).
+
+    The FITPACK calls of ``RectBivariateSpline(xs, ys, z, kx=3, ky=3)`` read
+    with ``grid=False``, so the bits are its own.  That class is built instead
+    when the extension is missing or rejects the input, so its errors stay.
+    """
+    fit = _dfitpack()
+    if fit is not None and np.all(np.diff(xs) > 0.0) and np.all(np.diff(ys) > 0.0):
+        nx, tx, ny, ty, c, _, ier = fit.regrid_smth(xs, ys, np.ravel(z), None, None, None,
+                                                    None, 3, 3, 0)
+        if ier in (0, -1, -2):
+            tx, ty, c = tx[:nx], ty[:ny], c[:(nx - 4) * (ny - 4)]
+
+            def read(dx: int, dy: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+                if not x.size:
+                    return np.zeros(0)
+                if dx or dy:
+                    values, ier = fit.pardeu(tx, ty, c, 3, 3, dx, dy, x, y)
+                else:
+                    values, ier = fit.bispeu(tx, ty, c, 3, 3, x, y)
+                if ier:
+                    name = "pardeu" if dx or dy else "bispeu"
+                    raise ValueError(f"Error code returned by {name}: {ier}")
+                return values
+
+            return read
     from scipy.interpolate import RectBivariateSpline
 
+    sp = RectBivariateSpline(xs, ys, z, kx=3, ky=3)
+    return lambda dx, dy, x, y: sp(x, y, dx=dx, dy=dy, grid=False)
+
+
+def height_surface(h: HeightField) -> ParamSurface:
+    """Exact-jet graph surface of the bicubic spline through the grid."""
     if min(h.shape) < 4:
         raise ValueError(f"a bicubic spline needs at least 4x4 heights, got {h.shape}")
-    sp = RectBivariateSpline(h.xs, h.ys, h.z, kx=3, ky=3)
+    read = _bicubic(h.xs, h.ys, h.z)
 
     def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
-        # grid=False on the flattened grid runs the one-point evaluation at each
-        # point; grid=True would call another fitpack routine
+        # the one-point evaluation at each point of the flattened grid; a grid
+        # evaluation would call other fitpack routines
         s, t = np.repeat(S, len(T)), np.tile(T, len(S))
-        z, zx, zy, zxx, zxy, zyy = (sp(s, t, dx=dx, dy=dy, grid=False).reshape(len(S), len(T))
+        z, zx, zy, zxx, zxy, zyy = (read(dx, dy, s, t).reshape(len(S), len(T))
                                     for dx, dy in _SPLINE_ORDERS)
         return Jet2(
             _V(S[:, None], T[None, :], z),

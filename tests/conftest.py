@@ -1,5 +1,7 @@
 """Shared test helpers: launch the CLI as a real subprocess against this checkout."""
 
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +34,11 @@ def run_cli(args, cwd, env=None):
         pytest.fail(f"CLI child could not import singular_geom from {SRC}:\n{proc.stderr}",
                     pytrace=False)
     return proc
+
+
+def dfitpack_files() -> list[Path]:
+    """The extension files ``interpolate/_dfitpack<suffix>`` of the installed
+    scipy, found without importing it; none before scipy 1.13."""
+    folder = Path(importlib.util.find_spec("scipy").origin).parent / "interpolate"
+    return [folder / f"_dfitpack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES
+            if (folder / f"_dfitpack{suffix}").is_file()]

@@ -9,7 +9,7 @@ import textwrap
 import warnings
 
 import pytest
-from conftest import SRC
+from conftest import SRC, dfitpack_files
 from conftest import run_cli as run
 
 
@@ -398,26 +398,43 @@ def test_non_finite_vector_error_names_the_spec(tmp_path, monkeypatch, capsys, a
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
-    # scipy.interpolate costs most of the import time; only height-field file
-    # surfaces load it, not the import or the catenary-cylinder commands
+    # scipy.interpolate costs about 42 MB and most of the import time; neither
+    # the import nor a command loads it, and height-field file surfaces load only
+    # scipy's FITPACK extension when scipy ships it as a file of its own
     code = textwrap.dedent("""
         import sys
         import singular_geom.cli as cli
+        from singular_geom.variational import HeightField, height_residual_max
+
+        def run(*argv):
+            try:
+                cli.main(list(argv))
+            except SystemExit as exc:
+                if exc.code != 0:
+                    sys.exit(f'{argv} exited {exc.code}')
+            if 'scipy.interpolate' in sys.modules:
+                sys.exit(f'{argv} loaded scipy.interpolate')
+
         if 'scipy.interpolate' in sys.modules:
             sys.exit('importing singular_geom.cli loaded scipy.interpolate')
         for command in ('residual', 'export-mesh'):
-            try:
-                cli.main([command, '--surface', 'catenary-cylinder', '--grid', '5x5',
-                          '--out', 'out.txt'])
-            except SystemExit as exc:
-                if exc.code != 0:
-                    sys.exit(f'{command} exited {exc.code}')
+            run(command, '--surface', 'catenary-cylinder', '--grid', '5x5', '--out', 'out.txt')
+        run('variational', '--grid', '9x7', '--steps', '2', '--out-prefix', 'small')
+        if sys.argv[1] == 'file':
+            for command in ('residual', 'export-mesh'):
+                run(command, '--surface', 'file', '--file', 'small_field.csv', '--grid', '7x5',
+                    '--out', 'out.txt')
+            with open('small_field.csv') as f:
+                height_residual_max(HeightField.from_csv(f.read()), 1.0)
             if 'scipy.interpolate' in sys.modules:
-                sys.exit(f'{command} on catenary-cylinder loaded scipy.interpolate')
+                sys.exit('height_residual_max loaded scipy.interpolate')
     """)
-    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+    surfaces = "file" if dfitpack_files() else "no-file"
+    r = subprocess.run([sys.executable, "-c", code, surfaces], cwd=tmp_path, capture_output=True,
                        text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert r.returncode == 0, r.stderr
+    if surfaces == "no-file":
+        pytest.skip("scipy has no _dfitpack extension file: file surfaces load scipy.interpolate")
 
 
 def test_variational_non_finite_starting_energy_exits_5_without_warning(tmp_path, monkeypatch,

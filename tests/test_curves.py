@@ -298,6 +298,21 @@ def test_out_of_domain_just_past_either_overhang_end(s0, s1):
             table.state_at(math.nextafter(end, outward))
 
 
+@pytest.mark.parametrize("kind", ["forward", "backward", "centered"])
+def test_nan_s_is_out_of_domain_and_named(kind):
+    # every comparison with NaN is false, so a range check written as two
+    # rejections let it through to int() in _cell
+    table = {"forward": DenseODE(lambda s, y: (1.0,), 0.0, 1.5, (0.0,), 8),
+             "backward": DenseODE(lambda s, y: (1.0,), 1.5, 0.0, (0.0,), 8),
+             "centered": CenteredODE(lambda s, y: (1.0,), 1.5, (0.0,), 8)}[kind]
+    reads = [lambda: table.state_at(math.nan), lambda: table.states_at(np.array([0.1, math.nan]))]
+    if kind != "centered":
+        reads.append(lambda: table._state_at(math.nan))
+    for read in reads:
+        with pytest.raises(OutOfDomain, match=r"^s=nan outside"):
+            read()
+
+
 @pytest.mark.parametrize("s0, s1", [(1.0, 1.0), (0.0, -0.0), (math.nan, 1.0), (0.0, math.nan),
                                     (0.0, math.inf), (-math.inf, 0.0)])
 def test_table_rejects_empty_or_non_finite_range(s0, s1):

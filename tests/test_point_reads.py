@@ -13,6 +13,7 @@ import pytest
 from singular_geom import curves, frames, ruled
 from singular_geom.algebra import Metric, Vec3
 from singular_geom.curves import FD_H1, Curve
+from singular_geom.errors import OutOfDomain
 from singular_geom.ruled import (
     DirectorClass,
     RuledSurface,
@@ -110,12 +111,13 @@ def test_zero_is_read_pointwise(klass, monkeypatch):
     n = len(calls)
     rs.base.value(0.5)
     assert len(calls) == n
-    # no read holds NaN: it is read pointwise, and raises what the twin raises
+    # no read holds NaN: it is read pointwise, and raises what the twin raises,
+    # an OutOfDomain naming s
     for s in (math.nan, np.float64(math.nan)):
-        with pytest.raises(ValueError) as ref:
+        with pytest.raises(OutOfDomain, match=r"^s=nan outside") as ref:
             twin.base.value(s)
         n = len(calls)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(OutOfDomain) as got:
             rs.base.value(s)
         assert len(calls) > n
         assert str(got.value) == str(ref.value)

@@ -1,9 +1,14 @@
 """Height-field energy, discrete gradient, descent experiments."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from conftest import SRC, dfitpack_files
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +249,145 @@ def test_height_surface_jets_match_grid():
     j = surf.jet(0.25, 0.5)
     assert abs(j.X.z - math.cosh(0.25)) <= 1e-6
     assert abs(j.Xs.z - math.sinh(0.25)) <= 1e-4
+
+
+# (dx, dy) of z, zx, zy, zxx, zxy, zyy
+ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _random_field(shape, scale, seed, order="C"):
+    rng = np.random.default_rng(seed)
+    z = np.asarray(scale * (1.0 + rng.random(shape)), order=order)
+    return HeightField(-0.7, 1.3, 0.2, 2.9, z)
+
+
+def _spline_points(h, n, seed):
+    # inside the window, on its nodes and a little past its edges
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([rng.uniform(h.x0 - 0.1, h.x1 + 0.1, n), h.xs, [h.x0, h.x1]])
+    t = np.concatenate([rng.uniform(h.y0 - 0.1, h.y1 + 0.1, n), h.ys[:1].repeat(len(h.xs)),
+                        [h.y1, h.y0]])
+    return s, t
+
+
+def _reference_reads(h, s, t):
+    from scipy.interpolate import RectBivariateSpline
+
+    sp = RectBivariateSpline(h.xs, h.ys, h.z, kx=3, ky=3)
+    return [sp(s, t, dx=dx, dy=dy, grid=False).tobytes() for dx, dy in ORDERS]
+
+
+FIELDS = [((4, 4), 1.0, "C"), ((5, 9), 1e-5, "C"), ((23, 4), 1e4, "C"), ((60, 17), 3.7, "C"),
+          ((13, 31), 0.02, "F"), ((4, 60), 250.0, "F")]
+
+
+@pytest.mark.parametrize("shape, scale, order", FIELDS)
+def test_spline_reads_are_rect_bivariate_splines_bitwise(shape, scale, order):
+    from singular_geom.variational import _bicubic
+
+    h = _random_field(shape, scale, seed=sum(shape), order=order)
+    s, t = _spline_points(h, 200, seed=shape[0])
+    read = _bicubic(h.xs, h.ys, h.z)
+    assert [read(dx, dy, s, t).tobytes() for dx, dy in ORDERS] == _reference_reads(h, s, t)
+
+
+def _grid_jet_bytes(h):
+    S, T = np.linspace(h.x0, h.x1, 11), np.linspace(h.y0, h.y1, 7)
+    J = height_surface(h).grid_jets(S, T)
+    return [f.z.tobytes() for f in (J.X, J.Xs, J.Xt, J.Xss, J.Xst, J.Xtt)]
+
+
+@pytest.mark.parametrize("shape, scale, order", FIELDS[:3])
+def test_forced_fallback_gives_the_same_jets(monkeypatch, shape, scale, order):
+    from singular_geom import variational
+
+    h = _random_field(shape, scale, seed=7, order=order)
+    direct = _grid_jet_bytes(h)
+    monkeypatch.setattr(variational, "_dfitpack", lambda: None)
+    assert _grid_jet_bytes(h) == direct
+
+
+def test_direct_spline_is_taken_whenever_scipy_ships_the_extension():
+    # a silent fallback would keep every other test green and lose the memory
+    from singular_geom.variational import _dfitpack
+
+    files = dfitpack_files()
+    if files:
+        assert _dfitpack() is not None
+        assert os.path.samefile(_dfitpack().__file__, files[0])
+    else:
+        assert _dfitpack() is None
+
+
+class _FakeFitpack:
+    """The real extension, but with one routine's ier replaced."""
+
+    def __init__(self, real, routine, ier):
+        self._real, self._routine, self._ier = real, routine, ier
+
+    def __getattr__(self, name):
+        fn = getattr(self._real, name)
+        if name != self._routine:
+            return fn
+        return lambda *args: (*fn(*args)[:-1], self._ier)
+
+
+@pytest.mark.skipif(not dfitpack_files(), reason="scipy has no _dfitpack extension file")
+def test_a_rejected_fit_is_rebuilt_by_rect_bivariate_spline(monkeypatch):
+    from singular_geom import variational
+
+    h = _random_field((6, 5), 1.0, seed=2)
+    s, t = _spline_points(h, 30, seed=2)
+    real = variational._dfitpack()
+    monkeypatch.setattr(variational, "_dfitpack", lambda: _FakeFitpack(real, "regrid_smth", 10))
+    read = variational._bicubic(h.xs, h.ys, h.z)
+    assert [read(dx, dy, s, t).tobytes() for dx, dy in ORDERS] == _reference_reads(h, s, t)
+
+
+@pytest.mark.skipif(not dfitpack_files(), reason="scipy has no _dfitpack extension file")
+@pytest.mark.parametrize("routine, order", [("bispeu", (0, 0)), ("pardeu", (1, 1))])
+def test_an_evaluation_error_code_is_raised_as_scipy_raises_it(monkeypatch, routine, order):
+    from singular_geom import variational
+
+    h = _random_field((6, 5), 1.0, seed=2)
+    real = variational._dfitpack()
+    monkeypatch.setattr(variational, "_dfitpack", lambda: _FakeFitpack(real, routine, 10))
+    read = variational._bicubic(h.xs, h.ys, h.z)
+    with pytest.raises(ValueError, match=f"^Error code returned by {routine}: 10$"):
+        read(*order, np.array([0.1]), np.array([0.5]))
+
+
+def test_knots_that_are_not_strictly_increasing_exit_1_with_scipys_message(tmp_path,
+                                                                             monkeypatch, capsys):
+    # 40 subnormal nodes over [0, 1e-322] repeat: RectBivariateSpline names that
+    from singular_geom import cli
+
+    z = np.ones((40, 5))
+    (tmp_path / "h.csv").write_text(HeightField(0.0, 1e-322, 0.0, 1.0, z).to_csv())
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["residual", "--surface", "file", "--file", "h.csv", "--grid", "5x5"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: x must be strictly increasing"
+
+
+@pytest.mark.parametrize("first", ["direct", "scipy.interpolate"])
+def test_the_direct_load_coexists_with_scipy_interpolate(tmp_path, first):
+    code = textwrap.dedent(f"""
+        import numpy as np
+        from singular_geom import variational
+        h = variational.catenary_heights((9, 7))
+        s, t = np.linspace(-1.2, 1.2, 50), np.linspace(-0.1, 1.1, 50)
+        if {first!r} == 'scipy.interpolate':
+            from scipy.interpolate import RectBivariateSpline
+        direct = variational._bicubic(h.xs, h.ys, h.z)(2, 1, s, t)
+        from scipy.interpolate import RectBivariateSpline
+        sp = RectBivariateSpline(h.xs, h.ys, h.z, kx=3, ky=3)
+        assert direct.tobytes() == sp(s, t, dx=2, dy=1, grid=False).tobytes()
+    """)
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert r.returncode == 0, r.stderr
 
 
 def test_csv_round_trip():

@@ -75,6 +75,10 @@ COMMANDS=(
   "export-mesh --surface file --file noisy_field.csv --grid 20x20 --out mesh_file.obj"
   # the spline graph is not spacelike in L^3: exit 3
   "residual --surface file --file noisy_field.csv --metric lorentz --grid 20x20 --out residual_file_lorentz.csv"
+  # the smallest spline a height field gives: 4x4 heights
+  "variational --init noisy --noise 0.01 --seed 3 --grid 4x4 --steps 2 --out-prefix small"
+  "residual --surface file --file small_field.csv --grid 7x5 --out residual_small.csv"
+  "export-mesh --surface file --file small_field.csv --grid 7x5 --out mesh_small.obj"
   # diverges: exit 5
   "variational --rate 1e9 --steps 30 --grid 17x9 --out-prefix diverged"
   # malformed grid: exit 1
