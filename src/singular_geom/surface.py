@@ -508,8 +508,10 @@ def _blocks(S: np.ndarray, T: np.ndarray, evaluate, cell):
     one row when a row is longer, visited in row-major order.  A block whose
     evaluation raises, whatever failed, is evaluated again pointwise through
     cell(s, t) from its first cell, so the grid fails where and as the
-    row-major pointwise loop fails.
+    row-major pointwise loop fails.  A grid with no cells has no blocks.
     """
+    if not len(T):
+        return
     width = min(len(T), GRID_BLOCK)
     step = GRID_BLOCK // width
     for i in range(0, len(S), step):

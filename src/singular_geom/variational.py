@@ -51,10 +51,12 @@ class HeightField:
         self.z = np.asarray(self.z, dtype=float)
         if self.z.ndim != 2 or self.z.shape[0] < 3 or self.z.shape[1] < 3:
             raise ValueError("height grid must be 2-D with at least 3 nodes per axis")
-        if not np.all(np.isfinite(self.z)):
-            raise ValueError("height grid contains non-finite entries")
-        if np.any(self.z <= 0.0):
-            raise HalfspaceViolation("height field must be positive everywhere")
+        # two reductions settle the common case; NaN fails both comparisons
+        if not (0.0 < self.z.min() and self.z.max() < math.inf):
+            if not np.all(np.isfinite(self.z)):
+                raise ValueError("height grid contains non-finite entries")
+            if np.any(self.z <= 0.0):
+                raise HalfspaceViolation("height field must be positive everywhere")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,11 +115,12 @@ class HeightField:
 
 
 def _check_positive(z: np.ndarray) -> None:
-    if np.any(z <= 0.0):
+    # a NaN minimum falls through to the elementwise test, which NaN passes
+    if not z.min() > 0.0 and np.any(z <= 0.0):
         raise HalfspaceViolation("height field must be positive")
 
 
-# the grid shape energy_and_gradient last ran on and its buffers for that shape
+# the grid shape energy_and_gradient last ran on and its buffers' views for that shape
 _workspace: tuple[tuple[int, int], tuple[np.ndarray, ...]] = ((0, 0), ())
 
 
@@ -132,10 +135,18 @@ def energy_and_gradient(z: np.ndarray, dx: float, dy: float, alpha: float,
     triangle on corners (i,j), (i+1,j), (i,j+1) and an upper triangle on
     (i+1,j), (i+1,j+1), (i,j+1); the interpolant gradient (zx, zy) is constant
     on each.  A triangle contributes area * zbar^alpha * S, with zbar its mean
-    corner height and S = sqrt(1 + zx^2 + zy^2).  Each quantity is computed
-    once per triangle family, in place in buffers kept from the last call on
-    the same grid shape, so a call on C-contiguous heights allocates nothing
-    grid-sized.  The heights must be positive; the caller checks.
+    corner height and S = sqrt(1 + zx^2 + zy^2).
+
+    The slopes are taken once per call, for both families: ``sx`` holds the x
+    differences of the flat heights over dx, ``sy`` their y differences over
+    dy.  The lower family's zx and zy are ``sx[:m]`` and ``sy[:m]``, the upper
+    family's ``sx[1:1+m]`` and ``sy[ny:ny+m]``.  Then, one family after the
+    other, ``zb`` holds zbar (then the corner weight dz), ``S`` holds S (then
+    fx), ``p`` zbar^alpha (then fy) and ``t`` the triangle terms, whose real
+    cells are copied to ``cells`` for the sum.  The buffers and their views
+    are kept from the last call on the same grid shape, so a call on
+    C-contiguous heights allocates nothing grid-sized.  The heights must be
+    positive; the caller checks.
     """
     global _workspace
     nx, ny = z.shape
@@ -146,15 +157,18 @@ def energy_and_gradient(z: np.ndarray, dx: float, dy: float, alpha: float,
     # real cells alone.  On heights near 1e150 their slope across the grid can
     # overflow where no real cell's does: numpy then warns, the results hold.
     m = (nx - 1) * ny - 1
-    shape, buffers = _workspace
-    if shape != z.shape:
-        buffers = tuple(np.empty((nx - 1) * ny) for _ in range(6)) + (np.empty((nx - 1, ny - 1)),)
-        _workspace = (z.shape, buffers)
-    zx, zy, zb, S, p, t = (b[:m] for b in buffers[:6])
-    real_t = buffers[5].reshape(nx - 1, ny)[:, :-1]
-    cells = buffers[6]
+    if _workspace[0] != z.shape:
+        terms = np.empty((nx - 1) * ny)
+        _workspace = (z.shape, (np.empty((nx - 1) * ny), np.empty(nx * ny - 1),
+                                *(np.empty(m) for _ in range(3)), terms[:m],
+                                terms.reshape(nx - 1, ny)[:, :-1], np.empty((nx - 1, ny - 1))))
+    sx, sy, zb, S, p, t, real_t, cells = _workspace[1]
     zf = np.ravel(z)
     zL, zR, zT, zRT = zf[:m], zf[ny:ny + m], zf[1:1 + m], zf[ny + 1:]
+    np.subtract(zf[ny:], zf[:-ny], out=sx)
+    sx /= dx
+    np.subtract(zf[1:], zf[:-1], out=sy)
+    sy /= dy
     if grad is not None:
         if grad.shape != z.shape or not grad.flags.c_contiguous:
             raise ValueError("grad must be a C-contiguous array of the heights' shape")
@@ -164,15 +178,11 @@ def energy_and_gradient(z: np.ndarray, dx: float, dy: float, alpha: float,
     total = 0.0
     for lower in (True, False):
         if lower:
-            np.subtract(zR, zL, out=zx)
-            np.subtract(zT, zL, out=zy)
+            zx, zy = sx[:m], sy[:m]
             np.add(zL, zR, out=zb)
         else:
-            np.subtract(zRT, zT, out=zx)
-            np.subtract(zRT, zR, out=zy)
+            zx, zy = sx[1:1 + m], sy[ny:ny + m]
             np.add(zR, zRT, out=zb)
-        zx /= dx
-        zy /= dy
         zb += zT
         zb /= 3.0
         np.multiply(zx, zx, out=S)
@@ -183,25 +193,26 @@ def energy_and_gradient(z: np.ndarray, dx: float, dy: float, alpha: float,
         np.power(zb, alpha, out=p)
         np.multiply(p, S, out=t)
         np.copyto(cells, real_t)
-        total += float(np.sum(cells))
+        total += float(cells.sum())
         if grad is None:
             continue
         # d/dz of a corner: dz = area * alpha * zbar^(alpha-1) * S / 3 (into zb)
         # plus +-fx and +-fy, f = area * zbar^alpha / S * (zx / dx, zy / dy) (into
-        # zx and zy).  A stencil weight of 0 adds nothing, where a multiplied-out
-        # 0 * f would add NaN for an infinite f.  As |f| <= max(dx, dy) / 2 *
-        # zbar^alpha, f is finite wherever the energy is, on cells shorter than 2.
+        # S and p, once S is read).  A stencil weight of 0 adds nothing, where a
+        # multiplied-out 0 * f would add NaN for an infinite f.  As |f| <=
+        # max(dx, dy) / 2 * zbar^alpha, f is finite wherever the energy is, on
+        # cells shorter than 2.
         np.power(zb, alpha - 1.0, out=zb)
         zb *= area * alpha
         zb *= S
         zb /= 3.0
         p *= area
         p /= S
-        zx *= p
-        zx /= dx
-        zy *= p
-        zy /= dy
-        dz, fx, fy = zb, zx, zy
+        np.multiply(zx, p, out=S)
+        S /= dx
+        p *= zy
+        p /= dy
+        dz, fx, fy = zb, S, p
         if lower:
             np.subtract(dz, fx, out=t)
             t -= fy
@@ -280,7 +291,8 @@ def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[Heig
             np.multiply(grad, rate, out=delta)
             z -= delta
             np.maximum(z, Z_FLOOR, out=z)
-            if not np.all(np.isfinite(z)):
+            # the clamp keeps NaN, so a non-finite height leaves max(z) not below inf
+            if not z.max() < math.inf:
                 raise _diverged(f"heights became non-finite at step {step}; {unstable}", trace)
             energy = energy_and_gradient(z, dx, dy, alpha, grad if step < steps else None)
             if not math.isfinite(energy):

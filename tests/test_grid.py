@@ -291,6 +291,16 @@ def test_grid_evaluation_spans_several_blocks(monkeypatch):
     assert grid_points(surf, S, T).tobytes() == points.tobytes()
 
 
+@pytest.mark.parametrize("name", ["helicoid", "file"])
+def test_a_grid_without_cells_is_an_empty_array(tmp_path, name):
+    # an empty T, like an empty S, leaves no cell to evaluate
+    surf = cli.build_named_surface(name, 1.0, _heights_csv(tmp_path))
+    S, T = _axes(surf, 3, 4)
+    for s, t in ((S, T[:0]), (S[:0], T), (S[:0], T[:0])):
+        assert singular_residual_grid(E, surf, s, t, EZ, 1.0).shape == (len(s), len(t))
+        assert grid_points(surf, s, t).shape == (len(s), len(t), 3)
+
+
 # ---------------------------------------------------------------------------
 # energy, first variation, height-field residual: the pointwise loops they were
 # ---------------------------------------------------------------------------

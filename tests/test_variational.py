@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,172 @@ def test_kernel_takes_heights_in_any_memory_layout(layout):
     assert np.array_equal(interior_gradient(h, 1.3).view(np.int64), ref.view(np.int64))
 
 
+# The in-place kernel that took each triangle family's slopes itself, frozen as
+# a reference for the kernel that shares them: the same buffers per family, the
+# same wrapped row ends, so the same bits and the same numpy warnings.
+_frozen_workspace = [(0, 0), ()]
+
+
+def _frozen_kernel(z, dx, dy, alpha, grad=None):
+    nx, ny = z.shape
+    m = (nx - 1) * ny - 1
+    if _frozen_workspace[0] != z.shape:
+        _frozen_workspace[:] = [z.shape, tuple(np.empty((nx - 1) * ny) for _ in range(6))
+                                + (np.empty((nx - 1, ny - 1)),)]
+    buffers = _frozen_workspace[1]
+    zx, zy, zb, S, p, t = (b[:m] for b in buffers[:6])
+    real_t = buffers[5].reshape(nx - 1, ny)[:, :-1]
+    cells = buffers[6]
+    zf = np.ravel(z)
+    zL, zR, zT, zRT = zf[:m], zf[ny:ny + m], zf[1:1 + m], zf[ny + 1:]
+    if grad is not None:
+        grad.fill(0.0)
+        g = grad.reshape(-1)
+    area = 0.5 * dx * dy
+    total = 0.0
+    for lower in (True, False):
+        if lower:
+            np.subtract(zR, zL, out=zx)
+            np.subtract(zT, zL, out=zy)
+            np.add(zL, zR, out=zb)
+        else:
+            np.subtract(zRT, zT, out=zx)
+            np.subtract(zRT, zR, out=zy)
+            np.add(zR, zRT, out=zb)
+        zx /= dx
+        zy /= dy
+        zb += zT
+        zb /= 3.0
+        np.multiply(zx, zx, out=S)
+        S += 1.0
+        np.multiply(zy, zy, out=t)
+        S += t
+        np.sqrt(S, out=S)
+        np.power(zb, alpha, out=p)
+        np.multiply(p, S, out=t)
+        np.copyto(cells, real_t)
+        total += float(np.sum(cells))
+        if grad is None:
+            continue
+        np.power(zb, alpha - 1.0, out=zb)
+        zb *= area * alpha
+        zb *= S
+        zb /= 3.0
+        p *= area
+        p /= S
+        zx *= p
+        zx /= dx
+        zy *= p
+        zy /= dy
+        dz, fx, fy = zb, zx, zy
+        if lower:
+            np.subtract(dz, fx, out=t)
+            t -= fy
+            g[:m] += t
+            np.add(dz, fx, out=t)
+            g[ny:ny + m] += t
+            np.add(dz, fy, out=t)
+            g[1:1 + m] += t
+        else:
+            np.subtract(dz, fy, out=t)
+            g[ny:ny + m] += t
+            np.add(dz, fx, out=t)
+            t += fy
+            g[ny + 1:] += t
+            np.subtract(dz, fx, out=t)
+            g[1:1 + m] += t
+    if grad is not None:
+        grad[0, :] = grad[-1, :] = 0.0
+        grad[:, 0] = grad[:, -1] = 0.0
+    return area * total
+
+
+def _both_kernels(z, dx, dy, alpha, with_grad):
+    """(energy, gradient bits, warnings) of the frozen kernel, then of the kernel."""
+    out = []
+    for kernel in (_frozen_kernel, energy_and_gradient):
+        grad = np.full(z.shape, math.nan) if with_grad else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            energy = kernel(z, dx, dy, alpha, grad)
+        out.append((repr(energy), None if grad is None else grad.view(np.int64).copy(),
+                    [(w.category, str(w.message)) for w in caught]))
+    return out
+
+
+@pytest.mark.parametrize("with_grad", [True, False], ids=["gradient", "energy-only"])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray],
+                         ids=["c-order", "fortran-order"])
+def test_kernel_is_bitwise_the_frozen_in_place_kernel(with_grad, layout):
+    # shapes switch on every call, so both workspaces are rebuilt each time
+    rng = np.random.default_rng(29)
+    for alpha in (0.0, 1.0, -0.7, 1.3, 2.5):
+        for scale in (1e-5, 1.0, 1e5):
+            for shape in ((3, 3), (4, 60), (60, 4), (15, 11), (161, 81)):
+                z = layout(scale * (0.2 + 3.0 * rng.random(shape)))
+                dx, dy = 2.0 / (shape[0] - 1), 1.0 / (shape[1] - 1)
+                (e_ref, g_ref, w_ref), (e, g, w) = _both_kernels(z, dx, dy, alpha, with_grad)
+                assert e == e_ref and w == w_ref == []
+                assert g is None or np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("alpha", [1.0, -0.7])
+def test_an_overflowing_row_end_warns_as_the_frozen_kernel_warns(alpha):
+    # heights from 1e150 to 4e152: every real slope squares below the largest
+    # float, the slope from a row's last node to the next row's first does not
+    z = 1e150 + 1e151 * np.arange(40.0)[None, :] + np.zeros((5, 1))
+    for with_grad in (True, False):
+        (e_ref, g_ref, w_ref), (e, g, w) = _both_kernels(z, 0.5, 1.0 / 39.0, alpha, with_grad)
+        assert e == e_ref and math.isfinite(float(e))
+        assert w == w_ref == [(RuntimeWarning, "overflow encountered in multiply")] * 2
+        assert g is None or (np.array_equal(g, g_ref) and np.isfinite(g.view(float)).all())
+
+
+@pytest.mark.parametrize("value, exc, message", [
+    (math.nan, ValueError, "height grid contains non-finite entries"),
+    (math.inf, ValueError, "height grid contains non-finite entries"),
+    (-math.inf, ValueError, "height grid contains non-finite entries"),
+    (0.0, HalfspaceViolation, "height field must be positive everywhere"),
+    (-0.0, HalfspaceViolation, "height field must be positive everywhere"),
+    (-1.0, HalfspaceViolation, "height field must be positive everywhere"),
+], ids=["nan", "inf", "-inf", "zero", "negative-zero", "negative"])
+def test_a_bad_height_is_rejected_with_its_message_and_no_warning(value, exc, message):
+    z = np.full((5, 4), 1.5)
+    z[3, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc) as info:
+            HeightField(-1.0, 1.0, 0.0, 1.0, z)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [5e-324, 1.7e308], ids=["subnormal", "near-largest"])
+def test_extreme_positive_heights_are_accepted(value):
+    z = np.full((5, 4), 1.5)
+    z[3, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert HeightField(-1.0, 1.0, 0.0, 1.0, z).z[3, 2] == value
+
+
+def test_heights_mutated_after_construction_are_checked_as_before():
+    h = catenary_heights(shape=(9, 7))
+    h.z[4, 3] = 0.0
+    with pytest.raises(HalfspaceViolation, match="^height field must be positive$"):
+        height_energy(h, 1.3)
+    with pytest.raises(HalfspaceViolation, match="^height field must be positive$"):
+        interior_gradient(h, 1.3)
+    # NaN passes the positivity check, as it always did, and reaches the kernel
+    h.z[4, 3] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy = height_energy(h, 1.3)
+        grad = interior_gradient(h, 1.3)
+    ref = np.empty(h.z.shape)
+    assert repr(energy) == repr(_frozen_kernel(h.z, h.dx, h.dy, 1.3, ref)) == "nan"
+    assert np.array_equal(grad.view(np.int64), ref.view(np.int64))
+
+
 def test_descend_identity_at_zero_rate():
     h = catenary_heights(shape=(17, 9))
     out, trace = descend(h, 1.0, 5, 0.0)
@@ -213,6 +380,24 @@ def test_descend_stops_at_the_first_non_finite_heights(monkeypatch):
         descend(h, 1.0, 10, 1e-3)
     assert len(info.value.trace) == 2
     assert all(math.isfinite(e) for e in info.value.trace)
+
+
+def test_descend_stops_at_the_first_nan_heights(monkeypatch):
+    # the clamp to Z_FLOOR keeps a NaN height, and the step that made it is named
+    from singular_geom import variational
+
+    h = catenary_heights(shape=(9, 9))
+    exact = variational.energy_and_gradient
+
+    def kernel(z, dx, dy, alpha, grad=None):
+        energy = exact(z, dx, dy, alpha, grad)
+        if grad is not None:
+            grad[4, 4] = math.nan
+        return energy
+
+    monkeypatch.setattr(variational, "energy_and_gradient", kernel)
+    with pytest.raises(Diverged, match="^heights became non-finite at step 1; rate 0.001 "):
+        descend(h, 1.0, 10, 1e-3)
 
 
 def test_descend_reduces_residual_of_noisy_catenary():

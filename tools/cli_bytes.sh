@@ -79,6 +79,10 @@ COMMANDS=(
   "variational --init noisy --noise 0.01 --seed 3 --grid 4x4 --steps 2 --out-prefix small"
   "residual --surface file --file small_field.csv --grid 7x5 --out residual_small.csv"
   "export-mesh --surface file --file small_field.csv --grid 7x5 --out mesh_small.obj"
+  # alpha away from 1, where neither power in the energy kernel is an identity,
+  # on a grid that is not square
+  "variational --init noisy --noise 0.01 --seed 3 --alpha -0.7 --grid 23x9 --steps 15 --out-prefix alpha_m07"
+  "variational --init noisy --noise 0.01 --seed 3 --alpha 2.5 --grid 23x9 --steps 15 --out-prefix alpha_25"
   # diverges: exit 5
   "variational --rate 1e9 --steps 30 --grid 17x9 --out-prefix diverged"
   # malformed grid: exit 1
