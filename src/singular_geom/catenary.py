@@ -44,44 +44,34 @@ class CatenaryState:
 class CatenaryPath:
     """Integrated polyline, the alpha it solves, and a flag marking a halfspace exit.
 
-    The path holds its RK4 nodes as (u, y, theta) tuples in ``nodes`` and their
-    arclengths in ``s``; ``states`` builds the CatenaryState list on first read.
-    A path from :func:`integrate` also keeps the slope (u', y', theta') at
-    every node, which the integration computes anyway; a path built from
-    states has none.
+    The path holds its node arclengths in ``s``, its RK4 nodes as (u, y, theta)
+    tuples in ``nodes`` and the slope (u', y', theta') at every node in
+    ``slopes``, as :func:`integrate` collects them; ``states`` builds the
+    CatenaryState list on each read.
     """
 
-    def __init__(self, states: list[CatenaryState], alpha: float,
-                 exited_halfspace: bool = False):
-        self.nodes = [(st.u, st.y, st.theta) for st in states]
-        self.s = [st.s for st in states]
-        self.alpha = alpha
-        self.exited_halfspace = exited_halfspace
-        self._states = list(states)
-        self._slopes = None
+    def __init__(self, s: list[float], nodes: list[tuple], slopes: list[tuple],
+                 alpha: float, exited_halfspace: bool = False):
+        self.s, self.nodes, self.slopes = s, nodes, slopes
+        self.alpha, self.exited_halfspace = alpha, exited_halfspace
 
     @classmethod
-    def from_nodes(cls, nodes: list[tuple], s: list[float], alpha: float,
-                   exited_halfspace: bool) -> "CatenaryPath":
-        path = cls.__new__(cls)
-        path.nodes, path.s = nodes, s
-        path.alpha, path.exited_halfspace = alpha, exited_halfspace
-        path._states = path._slopes = None
-        return path
+    def from_states(cls, states: list[CatenaryState], alpha: float,
+                    exited_halfspace: bool = False) -> "CatenaryPath":
+        """The path through the given states; f is taken at each state when the path
+        is made, so a state at or below Y_FLOOR raises HalfspaceViolation."""
+        f = _rhs(alpha)
+        s = [st.s for st in states]
+        nodes = [(st.u, st.y, st.theta) for st in states]
+        return cls(s, nodes, [f(*row) for row in zip(s, nodes)], alpha, exited_halfspace)
 
     @property
     def states(self) -> list[CatenaryState]:
-        if self._states is None:
-            self._states = [CatenaryState(*node, s) for node, s in zip(self.nodes, self.s)]
-        return self._states
+        return [CatenaryState(*node, s) for node, s in zip(self.nodes, self.s)]
 
     @property
     def endpoint(self) -> CatenaryState:
         return CatenaryState(*self.nodes[-1], self.s[-1])
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        u, y, th = (np.array(col) for col in zip(*self.nodes))
-        return np.array(self.s), u, y, th
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -157,9 +147,7 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
         ss.append(s)
     else:
         slopes.append(f(s, state))
-    path = CatenaryPath.from_nodes(nodes, ss, alpha, exited)
-    path._slopes = slopes
-    return path
+    return CatenaryPath(ss, nodes, slopes, alpha, exited)
 
 
 def classical_catenary(s: float) -> tuple[float, float]:
@@ -257,19 +245,16 @@ def _embedding_frame(v: Vec3, ruling: Vec3) -> Vec3:
 def plane_curve(path: CatenaryPath, v: Vec3, ruling: Vec3) -> Curve:
     """Embed an integrated planar path into the plane spanned by v and ruling x v.
 
-    The curve reads a dense table over the path's own RK4 states, so nothing
-    is integrated again.  Its value and two derivatives come only from the
-    quintic Hermite interpolant of (u, y) and the node slopes (cos theta,
-    sin theta), never from theta' = alpha cos(theta) / y, which would satisfy
-    the curvature equation by construction.  Its jet(s) is one jet_at read of
-    the table; value, d1 and d2 each take that read and keep one entry.
+    The curve reads a dense table over the path's own nodes and slopes, handed
+    over as they are, so nothing is integrated again.  Its value and two
+    derivatives come only from the quintic Hermite interpolant of (u, y) and
+    the node slopes (cos theta, sin theta), never from theta' = alpha
+    cos(theta) / y, which would satisfy the curvature equation by
+    construction.  Its jet(s) is one jet_at read of the table; value, d1 and
+    d2 each take that read and keep one entry.
     """
     d = _embedding_frame(v, ruling)
-    f = _rhs(path.alpha)
-    slopes = path._slopes
-    if slopes is None:  # a path built from states
-        slopes = [f(s, node) for s, node in zip(path.s, path.nodes)]
-    table = DenseODE.from_nodes(f, path.s[0], path.s[-1], path.nodes, slopes)
+    table = DenseODE.from_nodes(_rhs(path.alpha), path.s[0], path.s[-1], path.nodes, path.slopes)
 
     def jet(s: float) -> tuple[Vec3, Vec3, Vec3]:
         (u, y, _), (u1, y1, _), (u2, y2, _) = table.jet_at(s)

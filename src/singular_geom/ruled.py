@@ -108,7 +108,6 @@ class RuledFrame:
 
     w: Vec3
     wp: Vec3
-    wxwp: Vec3
     P: float
     Q: float
 
@@ -505,7 +504,7 @@ def _require_normalized(rs: RuledSurface) -> None:
 
 
 def frame(rs: RuledSurface, s: float) -> RuledFrame:
-    """Frame data (w, w', w x w', P, Q) of a normalized surface at s.
+    """Frame data (w, w', P, Q) of a normalized surface at s.
 
     P and Q come from _frame_functions, the one definition of them per
     director class; this is the one definition of the lightlike |Q| floor.
@@ -515,7 +514,6 @@ def frame(rs: RuledSurface, s: float) -> RuledFrame:
     _require_normalized(rs)
     w = rs.director.value(s)
     wp = rs.director.d1(s)
-    wxwp = cross(rs.metric, w, wp)
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
     wpp = None if lightlike else rs.director.d2(s)
     P, Q = _frame_functions(rs.director_class, w, wp, wpp, rs.base.d1(s))
@@ -523,7 +521,7 @@ def frame(rs: RuledSurface, s: float) -> RuledFrame:
         raise ValueError(f"frame functions must be finite, got P = {P}, Q = {Q} at s = {s}")
     if lightlike and abs(Q) < ZERO_Q_FLOOR:
         raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
-    return RuledFrame(w, wp, wxwp, P, Q)
+    return RuledFrame(w, wp, P, Q)
 
 
 def _frame_functions(director_class: DirectorClass, w, wp, wpp, gp):
@@ -1077,8 +1075,8 @@ def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames |
         if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
             raise ZeroQ(f"|Q| < {ZERO_Q_FLOOR}")
         at_samples = [_V(x.x[2], x.y[2], x.z[2]) for x in (g, gp, w, wp)]
-        # the Vec3s of the pointwise frame, w x w' among them, must be finite
-        checked = [*g, *gp, *w, *wp, *_tcross(w, wp), Q, *(() if lightlike else (*wpp, P))]
+        # the Vec3s of the pointwise frame must be finite
+        checked = [*g, *gp, *w, *wp, Q, *(() if lightlike else (*wpp, P))]
         return checked, _SweepFrames(*at_samples, np.zeros_like(Q) if lightlike else P, Q)
 
     frames = _on_arrays(read)

@@ -92,9 +92,8 @@ Rect = tuple[float, float, float, float]  # (s0, s1, t0, t1)
 
 # weights of the 4th-order central stencils at offsets (-2, -1, +1, +2) / (-2..+2)
 _C1 = (1.0, -8.0, 8.0, -1.0)
-_OFF1 = (-2.0, -1.0, 1.0, 2.0)
 _C2 = (-1.0, 16.0, -30.0, 16.0, -1.0)
-# positions of the _OFF1 offsets among the five stencil points -2h..2h (curves.fd1_points)
+# positions of the offsets -2, -1, +1, +2 among the five stencil points -2h..2h (curves.fd1_points)
 _AT1 = (0, 1, 3, 4)
 
 
@@ -316,6 +315,11 @@ def _form_floor(E, G):
     return REGULARITY_FLOOR * (E * E + G * G + 1.0)
 
 
+def _clears_floor(x, floor):
+    """Where x is finite and not below floor, so that NaN and inf, unlike for x < floor, fail."""
+    return (floor <= x) & (x < math.inf)
+
+
 def _bracket(E, F, G, j: Jet2):
     """G(Xs,Xt,Xss) - 2F(Xs,Xt,Xst) + E(Xs,Xt,Xtt)."""
     return (
@@ -363,10 +367,10 @@ def _energy_term(m: Metric, weight, q, W2, alpha: float, power, sqrt):
 # ---------------------------------------------------------------------------
 
 def _regular_first_form(m: Metric, j: Jet2) -> tuple[float, float, float, float]:
-    """E, F, G and W2 at a jet; DegenerateMetric below the regularity floor."""
+    """E, F, G and W2 at a jet; DegenerateMetric unless |W2| clears the regularity floor."""
     E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
     floor = _form_floor(E, G)
-    if abs(W2) < floor:
+    if not _clears_floor(abs(W2), floor):
         raise DegenerateMetric(f"|EG - F^2| = {abs(W2)} below floor {floor}")
     return E, F, G, W2
 
@@ -394,7 +398,7 @@ def curvature_bracket(forms: FundamentalForms, j: Jet2) -> float:
 def unit_normal(m: Metric, j: Jet2) -> Vec3:
     """Unit normal Xs x Xt / |Xs x Xt| in the given signature."""
     c, n2, floor = _normal_parts(m, j.Xs, j.Xt)
-    if n2 < floor:
+    if not _clears_floor(n2, floor):
         raise DegenerateMetric("normal direction degenerates")
     r = math.sqrt(n2)
     return Vec3(c.x / r, c.y / r, c.z / r)
@@ -531,7 +535,8 @@ def _residual_block(m: Metric, j: Jet2, v: Vec3, alpha: float,
                     shape: tuple[int, int]) -> np.ndarray:
     q = inner(m, j.X, v)
     E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
-    bad = np.logical_or(_off_halfspace(m, q, j.X), abs(W2) < _form_floor(E, G))
+    bad = np.logical_or(_off_halfspace(m, q, j.X),
+                        np.logical_not(_clears_floor(abs(W2), _form_floor(E, G))))
     if m is Metric.LORENTZIAN:
         bad = np.logical_or(bad, np.logical_not(W2 > 0.0))
     if np.any(bad):
@@ -584,7 +589,7 @@ def cleared_residual_cells(m: Metric, j: Jet2, v: Vec3, alpha: float):
         # not (W2 > 0) is <N,N>_L != -1, NaN included
         skip = np.logical_or(abs(q) <= 1e-9 * (1.0 + _max_abs(j.X)), np.logical_not(W2 > 0.0))
     eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
-    return (np.logical_not(np.logical_or(skip, abs(W2) < _form_floor(E, G))),
+    return (np.logical_and(np.logical_not(skip), _clears_floor(abs(W2), _form_floor(E, G))),
             q * _bracket(E, F, G, j) - eps_hat * alpha * W2 * triple(j.Xs, j.Xt, v))
 
 
@@ -622,7 +627,8 @@ def _energy_block(m: Metric, j: Jet2, v: Vec3, alpha: float, W: np.ndarray) -> n
     """Energy terms of a block, in row-major order."""
     q = inner(m, j.X, v)
     E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
-    bad = np.logical_or(_off_halfspace(m, q, j.X), abs(W2) < _form_floor(E, G))
+    bad = np.logical_or(_off_halfspace(m, q, j.X),
+                        np.logical_not(_clears_floor(abs(W2), _form_floor(E, G))))
     if m is Metric.LORENTZIAN:
         bad = np.logical_or(bad, W2 < 0.0)
     if np.any(bad):
@@ -697,7 +703,7 @@ def _normal_perturbation(m: Metric, surf: ParamSurface, bump, S: np.ndarray, T: 
     S5, T5 = _stencil_axis(S, fd_h), _stencil_axis(T, fd_h)
     base = surf._grid_jets(S5, T5)
     c, n2, floor = _normal_parts(m, base.Xs, base.Xt)
-    if np.any(n2 < floor):
+    if not np.all(_clears_floor(n2, floor)):
         raise DegenerateMetric("normal direction degenerates")
     r = np.sqrt(n2)
     B = np.array([[bump(s, t) for t in T5.tolist()] for s in S5.tolist()], dtype=float)

@@ -45,18 +45,17 @@ class HeightField:
     z: np.ndarray
 
     def __post_init__(self):
-        if not (-math.inf < self.x0 < self.x1 < math.inf
-                and -math.inf < self.y0 < self.y1 < math.inf):
-            raise ValueError("height-field window must be finite with x0 < x1 and y0 < y1")
+        # floats subtract without a warning; an overflowing width gives axes of inf and NaN
+        if not (0.0 < float(self.x1) - float(self.x0) < math.inf
+                and 0.0 < float(self.y1) - float(self.y0) < math.inf):
+            raise ValueError("height-field window must have 0 < x1 - x0 < inf and "
+                             "0 < y1 - y0 < inf")
         self.z = np.asarray(self.z, dtype=float)
         if self.z.ndim != 2 or self.z.shape[0] < 3 or self.z.shape[1] < 3:
             raise ValueError("height grid must be 2-D with at least 3 nodes per axis")
         # two reductions settle the common case; NaN fails both comparisons
         if not (0.0 < self.z.min() and self.z.max() < math.inf):
-            if not np.all(np.isfinite(self.z)):
-                raise ValueError("height grid contains non-finite entries")
-            if np.any(self.z <= 0.0):
-                raise HalfspaceViolation("height field must be positive everywhere")
+            _check_heights(self.z)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,10 +113,18 @@ class HeightField:
                    float(meta["y1"]), z)
 
 
+def _check_heights(z: np.ndarray) -> None:
+    """Reject a non-finite or a non-positive height, entry by entry."""
+    if not np.all(np.isfinite(z)):
+        raise ValueError("height grid contains non-finite entries")
+    if np.any(z <= 0.0):
+        raise HalfspaceViolation("height field must be positive everywhere")
+
+
 def _check_positive(z: np.ndarray) -> None:
-    # a NaN minimum falls through to the elementwise test, which NaN passes
-    if not z.min() > 0.0 and np.any(z <= 0.0):
-        raise HalfspaceViolation("height field must be positive")
+    # one reduction settles the common case; NaN fails it, +inf passes with an inf energy
+    if not z.min() > 0.0:
+        _check_heights(z)
 
 
 # the grid shape energy_and_gradient last ran on and its buffers' views for that shape

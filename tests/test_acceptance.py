@@ -88,20 +88,22 @@ def test_criterion_3_frame_identities():
         rs = random_euclidean_ruled(rng, n_steps=512)
         for s in rs.s_samples(100):
             fr = frame(rs, s)
+            wxwp = cross(E, fr.w, fr.wp)
             worst = max(
                 worst,
-                (rs.base.d1(s) - fr.P * fr.wxwp).max_abs(),
-                (rs.director.d2(s) + fr.w - fr.Q * fr.wxwp).max_abs(),
+                (rs.base.d1(s) - fr.P * wxwp).max_abs(),
+                (rs.director.d2(s) + fr.w - fr.Q * wxwp).max_abs(),
             )
     for delta in (1, -1):
         for _ in range(100):
             rs = random_lorentz_ruled(rng, delta, n_steps=512)
             for s in rs.s_samples(100):
                 fr = frame(rs, s)
+                wxwp = cross(L, fr.w, fr.wp)
                 worst = max(
                     worst,
-                    (rs.base.d1(s) + delta * fr.P * fr.wxwp).max_abs(),
-                    (rs.director.d2(s) + delta * (fr.w + fr.Q * fr.wxwp)).max_abs(),
+                    (rs.base.d1(s) + delta * fr.P * wxwp).max_abs(),
+                    (rs.director.d2(s) + delta * (fr.w + fr.Q * wxwp)).max_abs(),
                 )
     _report(3, "frame identities", worst <= 1e-8, time.perf_counter() - t0, 10.0,
             f"300 surfaces x 100 samples, worst {worst:.2e} <= 1e-8")

@@ -158,7 +158,8 @@ def test_halfspace_exit_row_and_s_column_match_reference():
     rows, exited = _reference_integrate(-2.0, 2.0, 1e-3)
     assert path.exited_halfspace and exited
     assert len(path.states) == len(rows)
-    s, u, y, th = path.arrays()
+    s = np.array(path.s)
+    u, y, th = np.array(path.nodes).T
     ref = np.array(rows)
     assert s.tolist() == ref[:, 0].tolist()
     assert np.abs(np.column_stack([u, y, th]) - ref[:, 1:]).max() <= 1e-13
@@ -199,7 +200,7 @@ def test_integrate_keeps_the_states_of_rk4_steps_bitwise(alpha, length):
     assert repr(path.endpoint) == repr(states[-1])
     # booleans, so that a failure does not diff thousands of rows
     same_states = repr(path.states) == repr(states)
-    same_csv = path.to_csv() == cat.CatenaryPath(states, alpha, exited).to_csv()
+    same_csv = path.to_csv() == cat.CatenaryPath.from_states(states, alpha, exited).to_csv()
     assert same_states and same_csv
 
 
@@ -214,7 +215,8 @@ def test_conserved_quantity_along_path():
 def test_curvature_identity_along_polyline():
     # theta' y = alpha cos(theta) with theta' from a 5-point stencil
     path = cat.integrate(start(), 1.5, 2.0, 1e-3)
-    s, u, y, th = path.arrays()
+    s = np.array(path.s)
+    u, y, th = np.array(path.nodes).T
     h = s[1] - s[0]
     dth = (th[:-4] - 8 * th[1:-3] + 8 * th[3:-1] - th[4:]) / (12 * h)
     resid = dth * y[2:-2] - 1.5 * np.cos(th[2:-2])
@@ -290,8 +292,8 @@ def test_cylinder_residual_per_alpha(alpha, length):
 def test_cylinder_over_straight_line_is_plane():
     # vertical chart line -> plane spanned by (v, ruling), parallel to v
     # theta = pi/2 solves the planar equation for every alpha
-    line = cat.CatenaryPath([cat.CatenaryState(0.3, 1.0 + s, math.pi / 2, s)
-                             for s in np.linspace(0.0, 1.0, 200)], 2.0)
+    line = cat.CatenaryPath.from_states([cat.CatenaryState(0.3, 1.0 + s, math.pi / 2, s)
+                                         for s in np.linspace(0.0, 1.0, 200)], 2.0)
     surf = cat.catenary_cylinder(line, EZ, EY)
     for alpha in (-1.0, 0.5, 2.0):
         assert abs(singular_residual(E, surf, 0.5, 0.2, EZ, alpha)) < 1e-9
@@ -317,7 +319,17 @@ def test_cylinder_needs_five_states():
     assert len(path.states) == 5
     cat.catenary_cylinder(path, EZ, EY)
     with pytest.raises(ValueError):
-        cat.catenary_cylinder(cat.CatenaryPath(path.states[:4], 1.0), EZ, EY)
+        cat.catenary_cylinder(cat.CatenaryPath.from_states(path.states[:4], 1.0), EZ, EY)
+
+
+def test_a_path_from_states_takes_f_at_its_states():
+    states = [cat.CatenaryState(0.1 * k, 1.0 + 0.1 * k, 0.3, 0.1 * k) for k in range(5)]
+    path = cat.CatenaryPath.from_states(states, 2.0)
+    assert path.slopes == [cat.catenary_rhs(st.s, (st.u, st.y, st.theta), 2.0) for st in states]
+    assert repr(path.states) == repr(states)
+    # f raises at a state on the halfspace floor, so such a path is never made
+    with pytest.raises(HalfspaceViolation):
+        cat.CatenaryPath.from_states([*states, cat.CatenaryState(0.5, cat.Y_FLOOR, 0.3, 0.5)], 2.0)
 
 
 def test_path_csv_round_trip():

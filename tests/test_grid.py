@@ -17,12 +17,20 @@ from singular_geom.surface import (
     Jet2,
     ParamSurface,
     first_variation,
+    fundamental_forms,
     grid_points,
+    mean_curvature,
     potential_energy,
     singular_residual,
     singular_residual_grid,
+    unit_normal,
 )
-from singular_geom.variational import catenary_heights, height_residual_max, height_surface
+from singular_geom.variational import (
+    HeightField,
+    catenary_heights,
+    height_residual_max,
+    height_surface,
+)
 
 E = Metric.EUCLIDEAN
 L = Metric.LORENTZIAN
@@ -328,7 +336,8 @@ def _reference_energy_term(m, surf, si, tj, v, alpha, weight):
     Ef, Ff, Gf = inner(m, j.Xs, j.Xs), inner(m, j.Xs, j.Xt), inner(m, j.Xt, j.Xt)
     W2 = Ef * Gf - Ff * Ff
     floor = surface.REGULARITY_FLOOR * (Ef * Ef + Gf * Gf + 1.0)
-    if abs(W2) < floor:
+    # NaN and inf are not regular either
+    if not floor <= abs(W2) < math.inf:
         raise DegenerateMetric(f"|EG - F^2| = {abs(W2)} below floor {floor}")
     if m is L:
         if W2 < 0.0:
@@ -343,7 +352,7 @@ def _reference_normal(m, j):
     c = cross(m, j.Xs, j.Xt)
     n2 = abs(inner(m, c, c))
     Ef, Gf = inner(m, j.Xs, j.Xs), inner(m, j.Xt, j.Xt)
-    if n2 < surface.REGULARITY_FLOOR * (Ef * Ef + Gf * Gf + 1.0):
+    if not surface.REGULARITY_FLOOR * (Ef * Ef + Gf * Gf + 1.0) <= n2 < math.inf:
         raise DegenerateMetric("normal direction degenerates")
     return c / math.sqrt(n2)
 
@@ -451,7 +460,8 @@ def test_potential_energy_equals_pointwise_reference(tmp_path, monkeypatch, bloc
 
 # cells of the contract planes; each but "ok" is rejected by the pointwise API
 # in some metric, by some function or at some alpha
-FAILING_CELLS = ("halfspace", "degenerate", "timelike", "overflow", "non-finite")
+FAILING_CELLS = ("halfspace", "degenerate", "timelike", "overflow", "non-finite",
+                 "form-overflow")
 
 
 @st.composite
@@ -472,7 +482,8 @@ def _contract_plane(cells):
     "halfspace" cell lies on z = 0; a "degenerate" cell has Xt = Xs; a
     "timelike" cell has a timelike Xt in L^3; an "overflow" cell lies on
     z = 1e300, where <X,v>^alpha overflows for alpha > 1; a "non-finite"
-    cell has Xss = (0, 0, inf).
+    cell has Xss = (0, 0, inf); a "form-overflow" cell has Xt = (0, 1, 1e160), whose
+    G overflows and leaves EG - F^2 NaN or infinite.
     """
     kinds = np.array(cells)
 
@@ -483,7 +494,8 @@ def _contract_plane(cells):
                      np.where(K == "overflow", 1e300, 1.0 + s / 4.0 + t / 8.0))
         Xs = surface._V(np.ones_like(s), 0.0, 0.25)
         Xt = surface._V(*(np.where(K == "degenerate", a, b) for a, b in zip(
-            Xs, (0.0, 1.0, np.where(K == "timelike", 2.0, 0.125)))))
+            Xs, (0.0, 1.0, np.select([K == "timelike", K == "form-overflow"], [2.0, 1e160],
+                                     0.125)))))
         Xss = surface._V(0.0, 0.0, np.where(K == "non-finite", math.inf, 0.0))
         zero = surface._V(0.0, 0.0, 0.0)
         return Jet2(surface._V(s, t, z), Xs, Xt, Xss, zero, zero)
@@ -552,3 +564,56 @@ def test_height_residual_max_equals_pointwise_reference(monkeypatch, block):
     z[1:-1, 1:-1] *= 1.0 + 0.01 * np.random.default_rng(3).standard_normal(z[1:-1, 1:-1].shape)
     for h, alpha in ((field, 1.0), (field.with_z(z), 1.0), (field.with_z(z), -2.0)):
         assert repr(height_residual_max(h, alpha)) == repr(_reference_height_residual_max(h, alpha))
+
+
+# ---------------------------------------------------------------------------
+# an overflowing first fundamental form: heights from about 1e78 overflow
+# E = 1 + z_x^2, and EG - F^2 turns NaN
+# ---------------------------------------------------------------------------
+
+def _huge_field(scale=1e160):
+    x, y = np.linspace(0.0, 1.0, 6)[:, None], np.linspace(0.0, 1.0, 5)[None, :]
+    return HeightField(0.0, 1.0, 0.0, 1.0, scale * (1.0 + x * x + 0.5 * y * y))
+
+
+@pytest.mark.parametrize("block", [surface.GRID_BLOCK, 7])
+def test_an_overflowing_first_form_is_degenerate_on_the_grid_as_pointwise(monkeypatch, block):
+    monkeypatch.setattr(surface, "GRID_BLOCK", block)
+    h = _huge_field()
+    surf = height_surface(h)
+    S, T = _axes(surf, 4, 4)
+    _, failure = _row_major(lambda s, t: singular_residual(E, surf, s, t, EZ, 1.0), S, T)
+    assert failure is not None and failure[0] is DegenerateMetric
+    assert _grid_outcome(lambda: singular_residual_grid(E, surf, S, T, EZ, 1.0)) == (None, failure)
+    j = surf.jet(*failure[2])
+    for call in (fundamental_forms, mean_curvature):
+        with pytest.raises(DegenerateMetric, match=r"^\|EG - F\^2\| = nan below floor inf$"):
+            call(E, j)
+    with pytest.raises(DegenerateMetric):
+        potential_energy(E, surf, EZ, 1.0, (8, 8))
+    with pytest.raises(DegenerateMetric):
+        height_residual_max(h, 1.0)
+    # D is not taken where the form overflows; the oracle takes it under errstate too
+    with np.errstate(all="ignore"):
+        taken, _ = surface.cleared_residual_cells(E, surf.grid_jets(S, T), EZ, 1.0)
+    assert not np.any(taken)
+
+
+def test_an_overflowing_normal_is_degenerate():
+    # |Xs x Xt|^2 and its floor are both inf; the normal would be the zero vector
+    big = Jet2(Vec3(0.0, 0.0, 1.0), Vec3(1.0, 0.0, 1e160), Vec3(0.0, 1.0, 1e160),
+               ZERO, ZERO, ZERO)
+    with pytest.raises(DegenerateMetric, match="^normal direction degenerates$"):
+        unit_normal(E, big)
+    with pytest.raises(DegenerateMetric, match="^normal direction degenerates$"):
+        _reference_normal(E, big)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_residual_command_on_an_overflowing_field_exits_3(tmp_path, monkeypatch, capsys, scale):
+    (tmp_path / "big.csv").write_text(_huge_field(scale).to_csv())
+    code, out, problems = _run(["residual", "--surface", "file", "--file", "big.csv",
+                                "--grid", "4x4", "--out", "r.csv"], monkeypatch, tmp_path, capsys)
+    assert (code, out) == (3, "")
+    assert problems == ["DegenerateMetric at cell s=0.0, t=0.0: |EG - F^2| = nan below floor inf"]
+    assert not (tmp_path / "r.csv").exists()

@@ -12,11 +12,13 @@ from singular_geom import frames, ruled
 from singular_geom.curves import Curve, DenseODE
 from singular_geom.errors import ODEBreakdown, OutOfDomain
 from singular_geom.ruled import helicoid, random_lorentz_ruled
-from singular_geom.surface import _C1, _C2, _OFF1, _V, Jet2, ParamSurface, unit_normal
+from singular_geom.surface import _C1, _C2, _V, Jet2, ParamSurface, unit_normal
 
 EY = Vec3(0.0, 1.0, 0.0)
 EZ = Vec3(0.0, 0.0, 1.0)
 ZERO = Vec3(0.0, 0.0, 0.0)
+# the offsets of the first-derivative stencil weights surface._C1
+_OFF1 = (-2.0, -1.0, 1.0, 2.0)
 
 
 def _signed_curve():

@@ -256,8 +256,9 @@ def test_frame_identities_euclid():
             fr = frame(rs, s)
             gp = rs.base.d1(s)
             wpp = rs.director.d2(s)
-            assert (gp - fr.P * fr.wxwp).max_abs() <= 1e-8
-            assert (wpp + fr.w - fr.Q * fr.wxwp).max_abs() <= 1e-8
+            wxwp = cross(E, fr.w, fr.wp)
+            assert (gp - fr.P * wxwp).max_abs() <= 1e-8
+            assert (wpp + fr.w - fr.Q * wxwp).max_abs() <= 1e-8
             assert (cross(E, gp, fr.w) - fr.P * fr.wp).max_abs() <= 1e-8
 
 
@@ -525,9 +526,9 @@ def test_scalar_and_catenary_tables_keep_the_slope_of_f_at_every_node(monkeypatc
     for path in paths:
         cat.plane_curve(path, EZ, Vec3(0, 1, 0))
     monkeypatch.setattr(cat, "_rhs", rhs)
-    # a path built from states, with no RK4 step taken: plane_curve applies f per node
-    line = cat.CatenaryPath([cat.CatenaryState(0.3, 1.0 + s, 1.2, s)
-                             for s in np.linspace(0.0, 1.0, 37).tolist()], -1.5)
+    # a path made from states, with no RK4 step taken, takes f at its states when it is made
+    line = cat.CatenaryPath.from_states([cat.CatenaryState(0.3, 1.0 + s, 1.2, s)
+                                         for s in np.linspace(0.0, 1.0, 37).tolist()], -1.5)
     cat.plane_curve(line, EZ, Vec3(0, 1, 0))
     assert len(built) == 3
     # the recorded tables' f is the patched one; check their slopes with the real f
@@ -636,18 +637,17 @@ def _ref_frame(rs, s):
                             "non-cylindrical ruled surface")
     w = rs.director.value(s)
     wp = rs.director.d1(s)
-    wxwp = cross(rs.metric, w, wp)
     if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE:
         Q = inner(L, rs.base.d1(s), wp)
         if abs(Q) < ruled.ZERO_Q_FLOOR:
             raise ZeroQ(f"|Q| = {abs(Q)} at s = {s}")
-        return ruled.RuledFrame(w, wp, wxwp, 0.0, Q)
+        return ruled.RuledFrame(w, wp, 0.0, Q)
     wpp = rs.director.d2(s)
     gp = rs.base.d1(s)
     Q = triple(w, wp, wpp)
     if rs.director_class is DirectorClass.EUCLID_STANDARD:
-        return ruled.RuledFrame(w, wp, wxwp, triple(w, wp, gp), Q)
-    return ruled.RuledFrame(w, wp, wxwp, triple(gp, w, wp), Q)
+        return ruled.RuledFrame(w, wp, triple(w, wp, gp), Q)
+    return ruled.RuledFrame(w, wp, triple(gp, w, wp), Q)
 
 
 def _ref_coefficients(rs, s, v, alpha):
@@ -959,10 +959,11 @@ def test_frame_identities_lorentz(delta):
             fr = frame(rs, s)
             gp = rs.base.d1(s)
             wpp = rs.director.d2(s)
-            assert (gp + delta * fr.P * fr.wxwp).max_abs() <= 1e-8
-            assert (wpp + delta * (fr.w + fr.Q * fr.wxwp)).max_abs() <= 1e-8
+            wxwp = cross(L, fr.w, fr.wp)
+            assert (gp + delta * fr.P * wxwp).max_abs() <= 1e-8
+            assert (wpp + delta * (fr.w + fr.Q * wxwp)).max_abs() <= 1e-8
             assert (cross(L, gp, fr.w) - delta * fr.P * fr.wp).max_abs() <= 1e-8
-            assert abs(inner(L, fr.wxwp, fr.wxwp) + delta) <= 1e-9
+            assert abs(inner(L, wxwp, wxwp) + delta) <= 1e-9
 
 
 def test_unit_direction_decomposition_euclid():

@@ -317,19 +317,20 @@ def test_extreme_positive_heights_are_accepted(value):
 def test_heights_mutated_after_construction_are_checked_as_before():
     h = catenary_heights(shape=(9, 7))
     h.z[4, 3] = 0.0
-    with pytest.raises(HalfspaceViolation, match="^height field must be positive$"):
+    with pytest.raises(HalfspaceViolation, match="^height field must be positive everywhere$"):
         height_energy(h, 1.3)
-    with pytest.raises(HalfspaceViolation, match="^height field must be positive$"):
+    with pytest.raises(HalfspaceViolation, match="^height field must be positive everywhere$"):
         interior_gradient(h, 1.3)
-    # NaN passes the positivity check, as it always did, and reaches the kernel
+    # NaN is rejected as the construction rejects it, before the kernel runs
     h.z[4, 3] = math.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        energy = height_energy(h, 1.3)
-        grad = interior_gradient(h, 1.3)
+    for call in (height_energy, interior_gradient, lambda h, a: descend(h, a, 3, 1e-3)):
+        with pytest.raises(ValueError, match="^height grid contains non-finite entries$"):
+            call(h, 1.3)
+    # +inf passes, and its energy is inf, as the kernel gives it
+    h.z[4, 3] = math.inf
     ref = np.empty(h.z.shape)
-    assert repr(energy) == repr(_frozen_kernel(h.z, h.dx, h.dy, 1.3, ref)) == "nan"
-    assert np.array_equal(grad.view(np.int64), ref.view(np.int64))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert height_energy(h, 1.3) == _frozen_kernel(h.z, h.dx, h.dy, 1.3, ref) == math.inf
 
 
 def test_descend_identity_at_zero_rate():

@@ -19,6 +19,8 @@ COMMANDS=(
   "catenary --alpha 2 --length 2 --step 1e-3 --out catenary.csv"
   # leaves the halfplane: exit 2
   "catenary --alpha -2 --length 2 --step 1e-3 --out catenary_halfspace.csv"
+  # leaves the halfplane after 2 nodes, a path too short for a table: exit 2
+  "catenary --alpha -2 --y0 0.001 --theta0 -1.5 --length 1 --step 1e-3 --out catenary_short.csv"
   "residual --surface catenary-cylinder --grid 20x20 --out residual_catenary.csv"
   "residual --surface catenary-cylinder --alpha -2 --grid 9x40 --out residual_catenary_m2.csv"
   # v = -e2 leaves the halfspace at s = 0, t ~ 0.0256: exit 3, after a pointwise
