@@ -8,8 +8,9 @@ reports, OBJ meshes) whose bytes depend only on the flags and the seed.
 
 Exit codes: 0 success; 1 bad flags or config; 2 halfspace exit during
 catenary integration (partial polyline written); 3 degenerate metric or
-non-spacelike point in a residual field (cell reported on stderr); 4 sweep
-found counterexample candidates; 5 descent diverged.
+non-spacelike point in a residual field, or degenerate metric in a mesh
+(cell reported on stderr); 4 sweep found counterexample candidates; 5
+descent diverged.
 """
 from __future__ import annotations
 
@@ -280,6 +281,16 @@ def cmd_catenary(args) -> int:
     return EXIT_OK
 
 
+# what a grid read of a surface raises at a degenerate cell, with exc.cell = (s, t)
+_CELL_FAILURES = (DegenerateMetric, NotSpacelike, HalfspaceViolation)
+
+
+def _failed_cell(exc: GeometryError) -> int:
+    s, t = exc.cell
+    print(f"{type(exc).__name__} at cell s={s!r}, t={t!r}: {exc}", file=sys.stderr)
+    return EXIT_DEGENERATE
+
+
 def cmd_residual(args) -> int:
     surface = args.surface or "catenary-cylinder"
     cfg = _resolve("residual", args, {"surface": surface, "metric": _SURFACES[surface],
@@ -294,10 +305,8 @@ def cmd_residual(args) -> int:
     S, T = np.linspace(s0, s1, grid[0]), np.linspace(t0, t1, grid[1])
     try:
         R = singular_residual_grid(metric, surf, S, T, v, cfg["alpha"])
-    except (DegenerateMetric, NotSpacelike, HalfspaceViolation) as exc:
-        s, t = exc.cell
-        print(f"{type(exc).__name__} at cell s={s!r}, t={t!r}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    except _CELL_FAILURES as exc:
+        return _failed_cell(exc)
     rows = ["s,t,residual"]
     t_text = [repr(t) for t in T.tolist()]
     for s, r_row in zip(S.tolist(), R.tolist()):
@@ -339,7 +348,10 @@ def cmd_export_mesh(args) -> int:
     ns, nt = _parse_grid(cfg["grid"])
     surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
     s0, s1, t0, t1 = surf.domain
-    X = grid_points(surf, np.linspace(s0, s1, ns), np.linspace(t0, t1, nt))
+    try:
+        X = grid_points(surf, np.linspace(s0, s1, ns), np.linspace(t0, t1, nt))
+    except _CELL_FAILURES as exc:
+        return _failed_cell(exc)
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in X.reshape(-1, 3).tolist()]
     # each quad, by its first corner a, split into two triangles,
     # counterclockwise as seen from Xs x Xt

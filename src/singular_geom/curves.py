@@ -17,7 +17,12 @@ for floats and arrays.  ``rk4_quadrature`` takes the nodes and slopes of
 many tables of y' = f(s) at once on float64 arrays from f at the four stages
 of every step, and ``rk4_increment`` is its stage sum, each bit for bit as
 ``rk4_step`` takes them one table at a time; ``stage_values`` reads values
-at the RK4 stages of a table from one array pass, keyed by s.
+at the RK4 stages of a table from one array pass, keyed by s.  An
+``InlineRHS`` is a kind of right-hand side written once as source on the
+state's components; it compiles to a pointwise f and to a march, one loop
+that takes a table's whole RK4 build on local floats with f inlined into
+each stage, bit for bit rk4_step's nodes.  DenseODE builds with the march
+of an f that carries one, and steps with rk4_step otherwise.
 """
 from __future__ import annotations
 
@@ -128,9 +133,10 @@ def rk4_step(f, s: float, y: tuple, h: float, k1: tuple | None = None) -> tuple:
     per step than a catenary right-hand side.  The body unpacks k1 and each
     stage's f result, so a k1 or an f result whose length is not len(y)
     raises ValueError.
-    Callers call this function by its module-level name on every step and
-    keep no body of their own, so that a counting or tracing wrapper bound
-    to that name sees every step.
+    Every step of an integrator or of a table's overhang query is a call of
+    this function by its module-level name, so a counting or tracing wrapper
+    bound to that name sees it.  The build of a table whose right-hand side
+    is an InlineRHS's runs that kind's march instead, and calls no rk4_step.
     """
     body = _rk4_bodies.get(len(y))
     if body is None:
@@ -138,46 +144,159 @@ def rk4_step(f, s: float, y: tuple, h: float, k1: tuple | None = None) -> tuple:
     return body(f, s, y, h, k1)
 
 
-# Each component takes the stage sums
-#   y_i + half k_i  and  y_i + (h/6) (k1_i + 2 (k2_i + k3_i) + k4_i)
-# in this order of operations, which the batch builds of ruled's sweep
-# tables take too, so scalar and batch tables get the same node bits.
+# The stage sums of one RK4 step on component i, from the state y and the
+# slopes a, b, c and d of its four stages: the states at which stages 2, 3
+# and 4 take f, at s + half, s + half and s + h, and the next node.  rk4_step's
+# body and InlineRHS's march are generated from these, and the batch builds
+# of ruled's sweep tables take the same order of operations (rk4_increment),
+# so every path gets the same node bits.
+_STEP_SIZES = "half, w = 0.5 * h, h / 6.0"
+_STAGE_STATES = ("y{i} + half * a{i}", "y{i} + half * b{i}", "y{i} + h * c{i}")
+_NEXT_NODE = "y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})"
+
 _RK4_TEMPLATE = """\
 def rk4_step_{n}(f, s, y, h, k1):
     ({y}) = y
     if k1 is None:
         k1 = f(s, y)
     ({a}) = k1
-    half = 0.5 * h
+    {sizes}
     ({b}) = f(s + half, ({y_a}))
     ({c}) = f(s + half, ({y_b}))
     ({d}) = f(s + h, ({y_c}))
-    w = h / 6.0
     return ({out})
 """
 
 _rk4_bodies: dict[int, Callable] = {}
 
 
-def _rk4_body(n: int) -> Callable:
-    """rk4_step's body for states of length n, compiled from _RK4_TEMPLATE.
+def _tup(fmt: str, n: int) -> str:
+    """fmt.format(i=i) for i < n as the items of a tuple display."""
+    return ", ".join(fmt.format(i=i) for i in range(n)) + ("," if n == 1 else "")
 
-    Its source is registered with linecache under a readable filename, so a
-    traceback through it shows the line of the stage that raised.
-    """
-    def tup(fmt: str) -> str:
-        items = [fmt.format(i=i) for i in range(n)]
-        return ", ".join(items) + ("," if n == 1 else "")
 
-    source = _RK4_TEMPLATE.format(
-        n=n, y=tup("y{i}"), a=tup("a{i}"), b=tup("b{i}"), c=tup("c{i}"), d=tup("d{i}"),
-        y_a=tup("y{i} + half * a{i}"), y_b=tup("y{i} + half * b{i}"),
-        y_c=tup("y{i} + h * c{i}"), out=tup("y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})"))
-    filename = f"<{__name__}.rk4_step, state length {n}>"
+def _compiled(source: str, filename: str, name: str) -> Callable:
+    """Function name of source, whose lines tracebacks show under filename (linecache)."""
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"rk4_step_{n}"]
+    return namespace[name]
+
+
+def _rk4_body(n: int) -> Callable:
+    """rk4_step's body for states of length n, compiled from _RK4_TEMPLATE."""
+    y_a, y_b, y_c = (_tup(e, n) for e in _STAGE_STATES)
+    source = _RK4_TEMPLATE.format(
+        n=n, y=_tup("y{i}", n), a=_tup("a{i}", n), b=_tup("b{i}", n), c=_tup("c{i}", n),
+        d=_tup("d{i}", n), sizes=_STEP_SIZES, y_a=y_a, y_b=y_b, y_c=y_c,
+        out=_tup(_NEXT_NODE, n))
+    return _compiled(source, f"<{__name__}.rk4_step, state length {n}>", f"rk4_step_{n}")
+
+
+_RHS_TEMPLATE = """\
+def {name}(at, {params}):
+    def rhs(s, y):
+        ({y}) = y
+        ({coeffs}) = at(s)
+{body}
+        return ({out})
+
+    return rhs
+"""
+
+_MARCH_TEMPLATE = """\
+def {name}_march(y, h, table, {params}):
+    ({y}) = y
+    {sizes}
+    nodes, slopes = [y], []
+    for {stage_coeffs} in table:
+{step}
+        nodes.append(({y}))
+    return nodes, slopes
+"""
+
+
+class InlineRHS:
+    """A kind of right-hand side f(s, y), written once as source on the components of y.
+
+    body holds statements and out the expressions of f's n components, in which
+    {0} ... {n-1} stand for the components of y, {c} for each name c of
+    coeffs for the value at s of a series the kind reads, and the names of
+    params for constants of one right-hand side.  The names body binds must
+    not be those of the generated functions: s, h, half, w, nodes, slopes,
+    nor a, b, c, d, y or z followed by digits.
+
+    bind(series, *params) is one right-hand side f(s, y), which reads its
+    coefficients from series_at(*series), so it runs on floats and on
+    arrays.  f.march(s0, s1, y0, n_steps) gives the node states (n_steps + 1)
+    and slopes (n_steps) of DenseODE's loop of rk4_step over f, bit for bit,
+    in one generated loop on local floats with body inlined into each stage:
+    it reads the coefficients at every stage from one fourier_table over
+    rk4_stages.  Both functions are compiled once per kind, at its first
+    bind, so binding a draw's series and signs compiles nothing.
+    """
+
+    def __init__(self, name: str, coeffs: Sequence[str], params: Sequence[str],
+                 body: Sequence[str], out: Sequence[str]):
+        self.name, self.n = name, len(out)
+        self._coeffs, self._params, self._body, self._out = coeffs, params, body, out
+        self._functions: tuple[Callable, Callable] | None = None
+
+    def bind(self, series: Sequence[FourierSeries], *params: float):
+        make, march = self._functions or self._compile()
+        f = make(series_at(*series), *params)
+
+        def f_march(s0: float, s1: float, y0: tuple, n_steps: int) -> tuple[list, list]:
+            h, stages = rk4_stages(s0, s1, n_steps)
+            # row i: the coefficients at the three stage s of step i, one after another
+            table = fourier_table(series, stages).reshape(n_steps, -1).tolist()
+            return march(y0, h, table, *params)
+
+        f.march = f_march
+        return f
+
+    def _lines(self, state: str, stage: int | None) -> tuple[list[str], list[str]]:
+        """body and out on the components state0, ..., and the coefficients of a stage.
+
+        A coefficient is its bare name, or name_stage when a stage is given.
+        """
+        args = [f"{state}{i}" for i in range(self.n)]
+        names = {c: c if stage is None else f"{c}_{stage}" for c in self._coeffs}
+        return ([line.format(*args, **names) for line in self._body],
+                [e.format(*args, **names) for e in self._out])
+
+    def _compile(self) -> tuple[Callable, Callable]:
+        n, params, y = self.n, ", ".join(self._params), _tup("y{i}", self.n)
+        body, out = self._lines("y", None)
+        make = _compiled(
+            _RHS_TEMPLATE.format(name=self.name, params=params, y=y,
+                                 coeffs=", ".join(self._coeffs) + ",",
+                                 body=_indented(body), out=", ".join(out)),
+            f"<{__name__}.InlineRHS {self.name}>", self.name)
+        # stage a at the node y, stages b, c and d at the stage states z; b and
+        # c share their s, so a step reads the coefficients at three s
+        step = []
+        for k, stage, z in (("a", 0, None), ("b", 1, _STAGE_STATES[0]),
+                            ("c", 1, _STAGE_STATES[1]), ("d", 2, _STAGE_STATES[2])):
+            if z is not None:
+                step += [f"z{i} = " + z.format(i=i) for i in range(n)]
+            body, out = self._lines("y" if z is None else "z", stage)
+            step += body + [f"{k}{i} = {e}" for i, e in enumerate(out)]
+            if z is None:
+                step.append(f"slopes.append(({_tup('a{i}', n)}))")
+        step += [f"y{i} = " + _NEXT_NODE.format(i=i) for i in range(n)]
+        stage_coeffs = ", ".join(f"{c}_{j}" for j in range(3) for c in self._coeffs)
+        march = _compiled(
+            _MARCH_TEMPLATE.format(name=self.name, params=params, y=y, sizes=_STEP_SIZES,
+                                   stage_coeffs=stage_coeffs, step=_indented(step)),
+            f"<{__name__}.InlineRHS {self.name} march>", f"{self.name}_march")
+        self._functions = make, march
+        return self._functions
+
+
+def _indented(lines: list[str]) -> str:
+    """lines as the statements of a loop body or of a nested function's body."""
+    return "\n".join(" " * 8 + line for line in lines)
 
 
 def rk4_stages(s0: float, s1: float, n_steps: int) -> tuple[float, np.ndarray]:
@@ -325,13 +444,17 @@ class DenseODE:
     def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
         self._set_grid(f, s0, s1, n_steps)
         y = tuple(float(v) for v in y0)
-        nodes, slopes = [y], []
-        for i in range(self.n_steps):
-            s = self.s0 + i * self.h
-            slopes.append(f(s, y))
-            y = rk4_step(f, s, y, self.h, slopes[-1])
-            nodes.append(y)
-        slopes.append(f(self.s0 + self.n_steps * self.h, y))
+        march = getattr(f, "march", None)  # an InlineRHS's
+        if march is not None:
+            nodes, slopes = march(self.s0, self.s1, y, self.n_steps)
+        else:
+            nodes, slopes = [y], []
+            for i in range(self.n_steps):
+                s = self.s0 + i * self.h
+                slopes.append(f(s, y))
+                y = rk4_step(f, s, y, self.h, slopes[-1])
+                nodes.append(y)
+        slopes.append(f(self.s0 + self.n_steps * self.h, nodes[-1]))
         self._set_nodes(nodes, slopes)
 
     @classmethod
@@ -566,24 +689,10 @@ def series_at(*series: FourierSeries):
     A float s gives floats.  An array of s gives one array per series, bit
     for bit those floats at each s (fourier_table), so a right-hand side
     that reads its coefficients here runs on floats and on arrays alike.
-    at.tabulated(grids, build) returns build(), a table build on those
-    grids, during which a float s at an RK4 stage reads the values from one
-    fourier_table over every stage (stage_values); the stage values are
-    dropped when build returns.
     """
-    stages = {}
-
     def at(s):
         if isinstance(s, np.ndarray):
             return tuple(np.moveaxis(fourier_table(series, s), -1, 0))
-        return stages.get(s) or tuple([f(s) for f in series])
+        return tuple([f(s) for f in series])
 
-    def tabulated(grids, build):
-        stages.update(stage_values(grids, lambda S: fourier_table(series, S).T))
-        try:
-            return build()
-        finally:
-            stages.clear()
-
-    at.tabulated = tabulated
     return at

@@ -3,7 +3,9 @@
 A generated normalized surface carries its director w, w' and base g as the
 state (w, w', g) of an RK4 table (curves.DenseODE or CenteredODE) of its
 frame ODE, whose right-hand side reads random Fourier profiles; a lightlike
-surface tabulates its base alone.  _frame_curves and _lightlike_curves wrap
+surface tabulates its base alone.  The right-hand sides of the sweep frame
+ODE and of the pre-normalization input are curves.InlineRHS kinds, whose
+march builds their scalar tables.  _frame_curves and _lightlike_curves wrap
 a table as the base and director curves of the surface, which also read
 their whole frame on arrays (_FrameCurve.frame_at); the table keeps its last
 such read, and a point query at an s of it is answered from it, not from the
@@ -23,6 +25,7 @@ from .algebra import Vec3
 from .curves import (
     Curve,
     FourierSeries,
+    InlineRHS,
     fourier_table,
     line_curve,
     rk4_increment,
@@ -207,6 +210,27 @@ def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float
                          list(raw[2:] * scale * sign), omega)
 
 
+# x0, x1, x2 = w x_z w' of a state (w, w', ...), with _tcross's operations
+_CROSS = ("x0 = {1} * {5} - {2} * {4}", "x1 = {2} * {3} - {0} * {5}",
+          "x2 = zsign * ({0} * {4} - {1} * {3})")
+
+# w'' = sigma w + Q (w x_z w') and g' = P (w x_z w'): _sweep_frame_ode's right-hand side
+_SWEEP_FRAME_RHS = InlineRHS(
+    "sweep_frame_rhs", ("q", "p"), ("zsign", "sigma"), _CROSS,
+    ("{3}", "{4}", "{5}",
+     "sigma * {0} + {q} * x0", "sigma * {1} + {q} * x1", "sigma * {2} + {q} * x2",
+     "{p} * x0", "{p} * x1", "{p} * x2"))
+
+# w'' = -d (w + Q (w x_L w')) and g1' = a w' + b (w x_L w'), with the series
+# a, b read as ga, gb and zsign = -1: the right-hand side of
+# ruled.random_prenormalization_input
+_PRENORMALIZATION_RHS = InlineRHS(
+    "prenormalization_rhs", ("q", "ga", "gb"), ("zsign", "d"), _CROSS,
+    ("{3}", "{4}", "{5}",
+     "-d * ({0} + {q} * x0)", "-d * ({1} + {q} * x1)", "-d * ({2} + {q} * x2)",
+     "{ga} * {3} + {gb} * x0", "{ga} * {4} + {gb} * x1", "{ga} * {5} + {gb} * x2"))
+
+
 def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: float):
     """Right-hand side and g'' of the sweep frame ODE with state (w, w', g).
 
@@ -214,26 +238,14 @@ def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: fl
     cross product with its third component times zsign (+1 Euclidean, -1
     Lorentzian).  On a normalized frame w x_z (w x_z w') = -zsign w', so
     (w x_z w')' = w x_z w'' = -zsign Q w' and g'' = P'(w x_z w') - zsign P Q w'.
-    rhs takes an array of s with arrays of state components too.
+    rhs takes an array of s with arrays of state components too, and
+    carries the march that DenseODE builds its scalar tables with.
     """
-    coeffs = series_at(Q, P)
-
-    def rhs(s: float, y: tuple) -> tuple:
-        w = y[0:3]
-        wp = y[3:6]
-        c = _tcross(w, wp, zsign)
-        q, p = coeffs(s)
-        return (
-            wp[0], wp[1], wp[2],
-            sigma * w[0] + q * c[0], sigma * w[1] + q * c[1], sigma * w[2] + q * c[2],
-            p * c[0], p * c[1], p * c[2],
-        )
-
-    rhs.tabulated = coeffs.tabulated  # for the scalar builds of _build_tables
+    rhs = _SWEEP_FRAME_RHS.bind((Q, P), zsign, sigma)
 
     def g_d2(s: float, y: tuple) -> Vec3:
         c = _tcross(y[0:3], y[3:6], zsign)
-        (q, p), pp = coeffs(s), P.deriv(s)
+        q, p, pp = Q(s), P(s), P.deriv(s)
         zpq = zsign * p * q
         return Vec3(pp * c[0] - zpq * y[3], pp * c[1] - zpq * y[4], pp * c[2] - zpq * y[5])
 

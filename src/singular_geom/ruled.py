@@ -39,7 +39,6 @@ from .curves import (
     fd1_points,
     fd1_stencil,
     line_curve,
-    series_at,
     stage_values,
 )
 from .errors import (
@@ -53,6 +52,7 @@ from .errors import (
 )
 from .frames import (
     _LIGHTLIKE_LINE,
+    _PRENORMALIZATION_RHS,
     _fourier,
     _frame_curves,
     _frame_nodes_batch,
@@ -61,7 +61,6 @@ from .frames import (
     _lightlike_ode,
     _one_table_read,
     _sweep_frame_ode,
-    _tcross,
 )
 from .surface import (
     Jet2,
@@ -734,9 +733,11 @@ SWEEP_CHUNK = 32
 
 # Fewest draws of a class whose tables are stepped as one batch: the first
 # width where the batch beat scalar builds of the same draws by 10% at the
-# median and in 19 of 21 alternating pairs (2-core host; batch/scalar 0.96 at
-# Euclidean width 4 and 0.75 at 5, 0.96 at Lorentz width 2 and 0.67 at 3).
-_MIN_BATCH = {DirectorClass.EUCLID_STANDARD: 5, DirectorClass.LORENTZ_NONDEGENERATE: 3}
+# median and in 19 of 21 alternating pairs.  The scalar builds run the march
+# of the frame ODE (frames._SWEEP_FRAME_RHS).  2-core host, 2 to 5 runs per
+# width: batch/scalar 0.90-0.92 at Euclidean width 7 and 0.80-0.82 at 8 (ahead
+# in 20 of 21); 0.86-1.05 at Lorentz (delta = +1) width 4 and 0.65-0.72 at 5.
+_MIN_BATCH = {DirectorClass.EUCLID_STANDARD: 8, DirectorClass.LORENTZ_NONDEGENERATE: 5}
 
 
 @dataclass(frozen=True)
@@ -806,9 +807,9 @@ def _build_tables(draws: Sequence[_Draw], rhss, n_steps: int) -> list:
 
     Lightlike tables are RK4 sums (_lightlike_nodes) at any batch size.
     Euclidean and Lorentz tables are stepped together by _frame_nodes_batch
-    from _MIN_BATCH[class] draws on, and one at a time by the scalar
-    DenseODE below that, which reads its Fourier coefficients at the RK4
-    stages from one table (series_at).  Every path gives the same node bits.
+    from _MIN_BATCH[class] draws on, and one at a time below that, by the
+    scalar DenseODE, which runs the march of their right-hand side
+    (frames._SWEEP_FRAME_RHS).  Every path gives the same node bits.
     """
     klass = draws[0].director_class
     half = 0.5 * SWEEP_S_LEN
@@ -817,15 +818,12 @@ def _build_tables(draws: Sequence[_Draw], rhss, n_steps: int) -> list:
         return [DenseODE.from_nodes(rhs, -half, half, nodes[:, :, b], slopes[:, :, b])
                 for b, rhs in enumerate(rhss)]
     euclid = klass is DirectorClass.EUCLID_STANDARD
+    if len(draws) < _MIN_BATCH[klass]:
+        if euclid:
+            return [DenseODE(rhs, 0.0, SWEEP_S_LEN, d.y0, n_steps) for d, rhs in zip(draws, rhss)]
+        return [CenteredODE(rhs, half, d.y0, n_steps) for d, rhs in zip(draws, rhss)]
     grids = ([(0.0, SWEEP_S_LEN, n_steps)] if euclid
              else [(0.0, half, n_steps // 2), (0.0, -half, n_steps // 2)])
-    if len(draws) < _MIN_BATCH[klass]:
-        def scalar(d: _Draw, rhs) -> DenseODE | CenteredODE:
-            if euclid:
-                return DenseODE(rhs, 0.0, SWEEP_S_LEN, d.y0, n_steps)
-            return CenteredODE(rhs, half, d.y0, n_steps)
-
-        return [rhs.tabulated(grids, lambda: scalar(d, rhs)) for d, rhs in zip(draws, rhss)]
     nodes, slopes = _frame_nodes_batch(draws, grids)
     n = len(draws)
     halves = [[DenseODE.from_nodes(rhs, s0, s1, nodes[:, :, g * n + b], slopes[:, :, g * n + b])
@@ -926,22 +924,8 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int):
             g0v = (-boost) * T + x * S1 + y * S2
         g0 = g0v.as_tuple()
 
-        coeffs = series_at(Q, av, bv)
-
-        # on components, so normalize_lorentz can read the table on arrays
-        def rhs(s: float, y: tuple) -> tuple:
-            w = y[0:3]
-            wp = y[3:6]
-            c = _tcross(w, wp, -1.0)
-            q, a, b = coeffs(s)
-            return (
-                wp[0], wp[1], wp[2],
-                -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
-                a * wp[0] + b * c[0], a * wp[1] + b * c[1], a * wp[2] + b * c[2],
-            )
-
-        table = coeffs.tabulated([(0.0, half, 256), (0.0, -half, 256)], lambda: CenteredODE(
-            rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), 512))
+        rhs = _PRENORMALIZATION_RHS.bind((Q, av, bv), -1.0, d)
+        table = CenteredODE(rhs, half, (*w0.as_tuple(), *wp0.as_tuple(), *g0), 512)
 
         # solvability: f3 = <g1, w'>_L must stay away from zero at every node,
         # taken fwd then bwd; the first node that fails raises if it is not finite

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Metric, Vec3
-from .errors import Diverged, HalfspaceViolation
+from .errors import DegenerateMetric, Diverged, HalfspaceViolation
 from .surface import Jet2, ParamSurface, _V, abs_max, singular_residual_grid
 
 Z_FLOOR = 1e-9
@@ -402,7 +402,13 @@ def _bicubic(xs: np.ndarray, ys: np.ndarray, z: np.ndarray):
 
 
 def height_surface(h: HeightField) -> ParamSurface:
-    """Exact-jet graph surface of the bicubic spline through the grid."""
+    """Exact-jet graph surface of the bicubic spline through the grid.
+
+    Where a derivative of the spline is not finite (a window so narrow that
+    it overflows), the graph's first fundamental form is not finite either,
+    and its jet raises DegenerateMetric; a grid read replays the pointwise
+    jets, which name the first such cell (surface._blocks).
+    """
     if min(h.shape) < 4:
         raise ValueError(f"a bicubic spline needs at least 4x4 heights, got {h.shape}")
     read = _bicubic(h.xs, h.ys, h.z)
@@ -413,6 +419,13 @@ def height_surface(h: HeightField) -> ParamSurface:
         s, t = np.repeat(S, len(T)), np.tile(T, len(S))
         z, zx, zy, zxx, zxy, zyy = (read(dx, dy, s, t).reshape(len(S), len(T))
                                     for dx, dy in _SPLINE_ORDERS)
+        finite = np.isfinite(zx) & np.isfinite(zy) & np.isfinite(zxx)
+        finite &= np.isfinite(zxy) & np.isfinite(zyy)
+        if not finite.all():
+            k = np.unravel_index(np.argmin(finite), finite.shape)
+            values = zip(("z_x", "z_y", "z_xx", "z_xy", "z_yy"), (zx, zy, zxx, zxy, zyy))
+            raise DegenerateMetric("height-field graph derivatives are not finite: "
+                                   + ", ".join(f"{name}={d.item(k)!r}" for name, d in values))
         return Jet2(
             _V(S[:, None], T[None, :], z),
             _V(1.0, 0.0, zx),

@@ -473,3 +473,30 @@ def test_variational_overflowing_noise_exits_1_without_warning(tmp_path, monkeyp
     assert len(problems) == 1
     assert problems[0].startswith("error: ") and "--noise" in problems[0]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("window", ["x0=0.0 x1=1e-300 y0=0.0 y1=1.0",
+                                    "x0=0.0 x1=1.0 y0=0.0 y1=1e-320"])
+@pytest.mark.parametrize("command", ["residual", "export-mesh"])
+def test_a_window_whose_derivatives_overflow_exits_3_naming_the_cell(tmp_path, monkeypatch,
+                                                                      capsys, command, window):
+    # the spline's second derivatives overflow on so narrow a window: a degenerate
+    # surface, not a usage error (it once exited 1 on a Vec3 of a NaN jet)
+    from singular_geom import cli
+    from singular_geom.variational import catenary_heights
+
+    header, *rows = catenary_heights(shape=(9, 7)).to_csv().splitlines()
+    (tmp_path / "field.csv").write_text("\n".join([f"# {window} nx=9 ny=7", *rows]) + "\n")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--surface", "file", "--file", "field.csv", "--grid", "3x3",
+                      "--out", "out.txt"])
+    assert info.value.code == 3
+    problems = [ln for ln in capsys.readouterr().err.splitlines()
+                if "resolved config" not in ln]
+    assert len(problems) == 1
+    assert problems[0].startswith("DegenerateMetric at cell s=0.0, t=0.0: height-field graph "
+                                  "derivatives are not finite: z_x=")
+    assert not (tmp_path / "out.txt").exists()

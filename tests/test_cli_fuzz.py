@@ -28,7 +28,7 @@ EXIT_CODES = {
     "catenary": {0, 1, 2},
     "residual": {0, 1, 3},
     "sweep": {0, 1, 4},
-    "export-mesh": {0, 1},
+    "export-mesh": {0, 1, 3},
     "variational": {0, 1, 5},
 }
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from singular_geom import curves
 from singular_geom.curves import OVERHANG, CenteredODE, DenseODE, FourierSeries, rk4_step
 from singular_geom.errors import OutOfDomain
-from singular_geom.ruled import _tcross
+from singular_geom.frames import _tcross
 
 
 def _de_sitter_rhs(calls):

@@ -298,14 +298,14 @@ def _reference_euclidean_ruled(rng, s_len=2.0, n_steps=1024):
 
     def rhs(s, y):
         w, wp = y[0:3], y[3:6]
-        c = ruled._tcross(w, wp)
+        c = frames._tcross(w, wp)
         q, p = coeffs(s)
         return (wp[0], wp[1], wp[2],
                 -w[0] + q * c[0], -w[1] + q * c[1], -w[2] + q * c[2],
                 p * c[0], p * c[1], p * c[2])
 
     def g_d2(s, y):
-        c = ruled._tcross(y[0:3], y[3:6])
+        c = frames._tcross(y[0:3], y[3:6])
         (q, p), pp = coeffs(s), P.deriv(s)
         return Vec3(pp * c[0] - p * q * y[3], pp * c[1] - p * q * y[4],
                     pp * c[2] - p * q * y[5])
@@ -330,14 +330,14 @@ def _reference_lorentz_ruled(rng, delta, s_len=2.0, n_steps=1024):
 
     def rhs(s, y):
         w, wp = y[0:3], y[3:6]
-        c = ruled._tcross(w, wp, -1.0)
+        c = frames._tcross(w, wp, -1.0)
         q, p = coeffs(s)
         return (wp[0], wp[1], wp[2],
                 -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
                 -d * p * c[0], -d * p * c[1], -d * p * c[2])
 
     def g_d2(s, y):
-        c = ruled._tcross(y[0:3], y[3:6], -1.0)
+        c = frames._tcross(y[0:3], y[3:6], -1.0)
         (q, p), pp = coeffs(s), P.deriv(s)
         return Vec3(-d * pp * c[0] + p * q * y[3], -d * pp * c[1] + p * q * y[4],
                     -d * pp * c[2] + p * q * y[5])
@@ -545,7 +545,7 @@ def _direct_frame_rhs(d):
 
     def rhs(s, y):
         w, wp = y[0:3], y[3:6]
-        c = ruled._tcross(w, wp, zsign)
+        c = frames._tcross(w, wp, zsign)
         q, p = Q(s), P(s)
         return (wp[0], wp[1], wp[2],
                 sigma * w[0] + q * c[0], sigma * w[1] + q * c[1], sigma * w[2] + q * c[2],
@@ -562,29 +562,56 @@ def _assert_same_tables(tables, refs):
             assert half.slopes.tobytes() == ref_half.slopes.tobytes()
 
 
+def _count_rk4_steps(monkeypatch) -> list:
+    """curves.rk4_step replaced by a wrapper that appends 1 per step taken."""
+    calls, step = [], curves.rk4_step
+    monkeypatch.setattr(curves, "rk4_step", lambda *args: calls.append(1) or step(*args))
+    return calls
+
+
 @pytest.mark.parametrize("klass", ["euclid", "lorentz+1", "lorentz-1"])
-def test_scalar_builds_read_their_stage_values_bitwise(klass, monkeypatch):
-    d = _DRAWS[klass](np.random.default_rng(3000))
-    ref = _scalar_table(d, _direct_frame_rhs(d))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scalar_builds_read_their_stage_values_bitwise(klass, seed, monkeypatch):
+    d = _DRAWS[klass](np.random.default_rng(3000 + seed))
+    rhs = d.ode()[0]
+    # the generic loop of rk4_step: over a right-hand side that calls its series at
+    # every stage, and over the same right-hand side without its march
+    refs = [_scalar_table(d, _direct_frame_rhs(d)), _scalar_table(d, lambda s, y: rhs(s, y))]
     calls = []
     call = curves.FourierSeries.__call__
     monkeypatch.setattr(curves.FourierSeries, "__call__",
                         lambda f, s: calls.append(s) or call(f, s))
-    tables = ruled._build_tables([d], [d.ode()[0]], ruled.SWEEP_STEPS)
-    _assert_same_tables(tables, [ref])
-    # per half and series: s = 0, which has no stage value, and at most the last
-    # node, whose s may round apart from the last stage's
-    assert len(calls) <= 2 * 2 * len(_halves(ref))
+    steps = _count_rk4_steps(monkeypatch)
+    tables = ruled._build_tables([d], [rhs], ruled.SWEEP_STEPS)
+    for ref in refs:
+        _assert_same_tables(tables, [ref])
+    if klass != "euclid":
+        assert tables[0].bwd.h < 0.0 < tables[0].fwd.h
+    # the march reads every stage from one fourier_table and takes no rk4_step;
+    # per half, each series is called at the last node alone, whose s may
+    # round apart from the last stage's
+    assert steps == []
+    assert len(calls) == 2 * len(_halves(refs[0]))
 
 
-def _recording(monkeypatch, owner, name, record):
-    """owner.name replaced by a wrapper that appends each result to record."""
-    original = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: record.append(original(*args)) or record[-1])
+class _DirectPrenormalizationRHS:
+    """The pre-normalization right-hand side as written before it had a march."""
+
+    @staticmethod
+    def bind(series, zsign, d):
+        def rhs(s, y):
+            w, wp = y[0:3], y[3:6]
+            c = frames._tcross(w, wp, zsign)
+            q, a, b = (f(s) for f in series)
+            return (wp[0], wp[1], wp[2],
+                    -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
+                    a * wp[0] + b * c[0], a * wp[1] + b * c[1], a * wp[2] + b * c[2])
+
+        return rhs
 
 
-@pytest.mark.parametrize("delta", [1, -1])
-def test_prenormalization_tables_read_their_stage_values_bitwise(delta, monkeypatch):
+def _recorded_centered_tables(monkeypatch) -> list:
+    """ruled.CenteredODE replaced by a subclass that appends every table built."""
     built = []
 
     class Recording(curves.CenteredODE):
@@ -592,35 +619,108 @@ def test_prenormalization_tables_read_their_stage_values_bitwise(delta, monkeypa
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    def direct(*series):
-        def at(s):
-            return tuple([f(s) for f in series])
-
-        at.tabulated = lambda grids, build: build()
-        return at
-
     monkeypatch.setattr(ruled, "CenteredODE", Recording)
-    random_prenormalization_input(np.random.default_rng(40 + delta), delta)
+    return built
+
+
+def _without_march(monkeypatch) -> None:
+    """Every InlineRHS bound from now on has no march: DenseODE steps with rk4_step."""
+    bind = curves.InlineRHS.bind
+
+    def bind_without_march(kind, *args):
+        f = bind(kind, *args)
+        del f.march
+        return f
+
+    monkeypatch.setattr(curves.InlineRHS, "bind", bind_without_march)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prenormalization_tables_read_their_stage_values_bitwise(delta, seed, monkeypatch):
+    def draw():
+        """rk4_steps the input's builds take, and its curves' jets at 7 points."""
+        steps.clear()
+        base, director, s_range = random_prenormalization_input(
+            np.random.default_rng(40 + 10 * seed + delta), delta)
+        return len(steps), [repr((base.jet(s), director.jet(s)))
+                            for s in np.linspace(*s_range, 7)]
+
+    built = _recorded_centered_tables(monkeypatch)
+    steps = _count_rk4_steps(monkeypatch)
+    taken, marched = draw()
     tables, built[:] = list(built), []
-    monkeypatch.setattr(ruled, "series_at", direct)
-    random_prenormalization_input(np.random.default_rng(40 + delta), delta)
-    _assert_same_tables(tables, built)
+    assert taken == 0
+    # the generic loop over a right-hand side written by hand, and over the
+    # kind's own right-hand side without its march
+    for reference in (lambda m: m.setattr(ruled, "_PRENORMALIZATION_RHS",
+                                          _DirectPrenormalizationRHS), _without_march):
+        with monkeypatch.context() as m:
+            reference(m)
+            assert draw()[1] == marched
+        _assert_same_tables(tables, built)
+        built[:] = []
 
 
-def test_no_stage_values_outlive_their_build(monkeypatch):
-    readers, tabulated = [], []
-    for owner in (frames, ruled):  # the sweep frame ODE's, and the pre-normalization input's
-        _recording(monkeypatch, owner, "series_at", readers)
-    _recording(monkeypatch, curves, "stage_values", tabulated)
-    rng = np.random.default_rng(3001)
-    for d in (_DRAWS["euclid"](rng), _DRAWS["lorentz-1"](rng)):
-        ruled._build_tables([d], [d.ode()[0]], ruled.SWEEP_STEPS)
-    random_prenormalization_input(rng, 1)
-    assert len(tabulated) == len(readers) >= 3 and all(tabulated)
-    for at in readers:
-        # the reader's closure holds its stage values: none are left
-        assert [c.cell_contents for c in at.__closure__
-                if isinstance(c.cell_contents, dict)] == [{}]
+def _scaled_fourier(scale: float):
+    """ruled._fourier with every coefficient of the series it draws times scale."""
+    draw = ruled._fourier
+
+    def scaled(*args, **kwargs):
+        f = draw(*args, **kwargs)
+        return curves.FourierSeries(scale * f.c0, [scale * a for _, a, _ in f._terms],
+                                    [scale * b for _, _, b in f._terms], f._terms[0][0])
+
+    return scaled
+
+
+def test_an_overflowing_march_gives_the_generic_loop_non_finite_nodes(monkeypatch):
+    for seed in range(3):
+        d = _DRAWS["euclid"](np.random.default_rng(3300 + seed))
+        rhs = d.ode()[0]
+        y0 = tuple(1e100 * v for v in d.y0)
+        marched = curves.DenseODE(rhs, 0.0, ruled.SWEEP_S_LEN, y0, 64)
+        generic = curves.DenseODE(lambda s, y: rhs(s, y), 0.0, ruled.SWEEP_S_LEN, y0, 64)
+        assert np.isinf(marched.nodes).any() and np.isnan(marched.nodes).any()
+        _assert_same_tables([marched], [generic])
+    # a pre-normalization draw whose nodes overflow raises as the generic loop's does
+    monkeypatch.setattr(ruled, "_fourier", _scaled_fourier(1e200))
+    built = _recorded_centered_tables(monkeypatch)
+    for delta in (1, -1):
+        with pytest.raises(ValueError, match="Vec3 components must be finite") as marched:
+            random_prenormalization_input(np.random.default_rng(3400 + delta), delta)
+        tables, built[:] = list(built), []
+        with monkeypatch.context() as m:
+            _without_march(m)
+            with pytest.raises(ValueError) as generic:
+                random_prenormalization_input(np.random.default_rng(3400 + delta), delta)
+        assert str(generic.value) == str(marched.value)
+        assert not np.isfinite(tables[-1].fwd.nodes).all()
+        _assert_same_tables(tables, built)
+        built[:] = []
+
+
+def test_a_kind_of_right_hand_side_compiles_once(monkeypatch):
+    compiled, compile_source = [], curves._compiled
+    monkeypatch.setattr(curves, "_compiled",
+                        lambda source, filename, name: compiled.append(name)
+                        or compile_source(source, filename, name))
+    for kind in (frames._SWEEP_FRAME_RHS, frames._PRENORMALIZATION_RHS):
+        monkeypatch.setattr(kind, "_functions", None)
+    rng = np.random.default_rng(3500)
+    # every class and sign of a sweep frame ODE is one kind, bound to its own signs
+    for klass in ("euclid", "lorentz+1", "lorentz-1", "euclid", "lorentz-1"):
+        d = _DRAWS[klass](rng)
+        rhs = d.ode()[0]
+        ruled._build_tables([d], [rhs], ruled.SWEEP_STEPS)
+        # a bound right-hand side keeps no table of its build
+        for f in (rhs, rhs.march):
+            assert not [c for c in f.__closure__
+                        if isinstance(c.cell_contents, (list, dict, np.ndarray))]
+    for delta in (1, -1, 1):
+        random_prenormalization_input(rng, delta)
+    assert sorted(compiled) == ["prenormalization_rhs", "prenormalization_rhs_march",
+                                "sweep_frame_rhs", "sweep_frame_rhs_march"]
 
 
 # The pointwise frame, coefficients, halfspace window, translation and

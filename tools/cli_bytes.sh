@@ -57,14 +57,13 @@ COMMANDS=(
   "sweep --metric lorentz --class lightlike --n 40 --samples 17 --seed 9 --out sweep_lightlike40.json"
   "sweep --metric lorentz --class nondegenerate --delta 1 --n 40 --samples 17 --seed 9 --out sweep_lorentz_p40.json"
   "sweep --metric euclid --class standard --n 40 --samples 17 --seed 9 --out sweep_euclid40.json"
-  # either side of each class's batch crossover (ruled._MIN_BATCH): 4 draws are
-  # scalar builds and 5 a batch in the Euclidean class (the n = 5 sweep above),
-  # 2 and 3 in the Lorentz class
-  "sweep --metric euclid --class standard --n 4 --samples 4 --seed 9 --out sweep_euclid4.json"
-  "sweep --metric lorentz --class nondegenerate --delta 1 --n 2 --samples 4 --seed 9 --out sweep_lorentz_p2.json"
-  "sweep --metric lorentz --class nondegenerate --delta 1 --n 3 --samples 4 --seed 9 --out sweep_lorentz_p3.json"
-  "sweep --metric lorentz --class nondegenerate --delta -1 --n 2 --samples 4 --seed 9 --out sweep_lorentz_m2.json"
-  "sweep --metric lorentz --class nondegenerate --delta -1 --n 3 --samples 4 --seed 9 --out sweep_lorentz_m3.json"
+  # either side of each class's batch crossover (ruled._MIN_BATCH): 7 draws are
+  # scalar builds and 8 a batch in the Euclidean class, 4 and 5 in the Lorentz
+  # class (the n = 5 sweeps above)
+  "sweep --metric euclid --class standard --n 7 --samples 4 --seed 9 --out sweep_euclid7.json"
+  "sweep --metric euclid --class standard --n 8 --samples 4 --seed 9 --out sweep_euclid8.json"
+  "sweep --metric lorentz --class nondegenerate --delta 1 --n 4 --samples 4 --seed 9 --out sweep_lorentz_p4.json"
+  "sweep --metric lorentz --class nondegenerate --delta -1 --n 4 --samples 4 --seed 9 --out sweep_lorentz_m4.json"
   # a chunk of 32 and a batch remainder of 8 at delta -1
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 40 --samples 17 --seed 9 --out sweep_lorentz_m40.json"
   # one sample: a (5, 1) stencil read
