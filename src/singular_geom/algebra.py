@@ -101,14 +101,14 @@ def cross(m: Metric, u: Vec3, v: Vec3) -> Vec3:
     """Cross product: the unique vector with <cross(u,v), w> = det(u,v,w) for all w.
 
     In the Lorentzian signature this flips the sign of the z-component of the
-    Euclidean cross product, e.g. cross(L, e1, e2) = (0, 0, -1).
+    Euclidean cross product, e.g. cross(L, e1, e2) = (0, 0, -1).  Written on
+    components, as inner and triple are: two Vec3s give a Vec3, whose
+    components are checked finite, and two surface._V of floats or component
+    arrays give a _V.
     """
-    cx = u.y * v.z - u.z * v.y
-    cy = u.z * v.x - u.x * v.z
     cz = u.x * v.y - u.y * v.x
-    if m is Metric.EUCLIDEAN:
-        return Vec3(cx, cy, cz)
-    return Vec3(cx, cy, -cz)
+    return type(u)(u.y * v.z - u.z * v.y, u.z * v.x - u.x * v.z,
+                   cz if m is Metric.EUCLIDEAN else -cz)
 
 
 def norm(m: Metric, v: Vec3) -> float:

@@ -167,11 +167,19 @@ def _fill_unset_flags(args: argparse.Namespace) -> None:
         args.seed = _flag_value(actions["seed"], os.environ[SEED_ENV], SEED_ENV)
 
 
-def _resolve(command: str, args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags (config and environment already merged in) over defaults, logged to stderr."""
+def _resolve(args: argparse.Namespace, **derived) -> dict:
+    """Flags (config and environment already merged in) over their defaults, logged to stderr.
+
+    The defaults are the flags' own (_COMMANDS).  derived maps a flag whose
+    default a command works out from other flags to a function of the
+    config resolved so far, which gives that default when the flag is unset.
+    """
     cfg = {key: default if getattr(args, key) is None else getattr(args, key)
-           for key, default in defaults.items()}
-    print(f"[{command}] resolved config: {json.dumps(cfg, sort_keys=True)}", file=sys.stderr)
+           for key, default in args.flag_defaults.items()}
+    for key, default_of in derived.items():
+        if getattr(args, key) is None:
+            cfg[key] = default_of(cfg)
+    print(f"[{args.command}] resolved config: {json.dumps(cfg, sort_keys=True)}", file=sys.stderr)
     return cfg
 
 
@@ -265,8 +273,7 @@ def build_named_surface(name: str, alpha: float, file_path: str | None = None) -
 # ---------------------------------------------------------------------------
 
 def cmd_catenary(args) -> int:
-    cfg = _resolve("catenary", args, {"alpha": 1.0, "y0": 1.0, "theta0": 0.0, "length": 2.0,
-                                      "step": 1e-3, "out": "catenary.csv"})
+    cfg = _resolve(args)
     if cfg["y0"] <= 0.0:
         raise ConfigError("--y0 must be positive (open upper halfplane)")
     if cfg["step"] <= 0.0 or cfg["length"] <= 0.0:
@@ -292,10 +299,7 @@ def _failed_cell(exc: GeometryError) -> int:
 
 
 def cmd_residual(args) -> int:
-    surface = args.surface or "catenary-cylinder"
-    cfg = _resolve("residual", args, {"surface": surface, "metric": _SURFACES[surface],
-                                      "alpha": 1.0, "v": "0,0,1", "grid": "50x50",
-                                      "out": "residual.csv", "file": None})
+    cfg = _resolve(args, metric=lambda cfg: _SURFACES[cfg["surface"]])
     metric = _METRICS[cfg["metric"]]
     grid = _parse_grid(cfg["grid"])
     v = _parse_vec(cfg["v"])
@@ -318,9 +322,7 @@ def cmd_residual(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve("sweep", args, {"metric": "euclid", "klass": None, "delta": 1, "n": 100,
-                                   "samples": 10, "seed": 0, "alpha_min": -3.0,
-                                   "alpha_max": 3.0, "out": "sweep.json"})
+    cfg = _resolve(args)
     metric = _METRICS[cfg["metric"]]
     klass_name = cfg["klass"]
     if klass_name is None:
@@ -343,8 +345,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    cfg = _resolve("export-mesh", args, {"surface": "catenary-cylinder", "alpha": 1.0,
-                                         "grid": "50x50", "out": "mesh.obj", "file": None})
+    cfg = _resolve(args)
     ns, nt = _parse_grid(cfg["grid"])
     surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
     s0, s1, t0, t1 = surf.domain
@@ -363,9 +364,7 @@ def cmd_export_mesh(args) -> int:
 
 
 def cmd_variational(args) -> int:
-    cfg = _resolve("variational", args, {"alpha": 1.0, "grid": "65x33", "steps": 200,
-                                         "rate": 0.1, "init": "catenary", "noise": 0.01,
-                                         "seed": 0, "out_prefix": "variational"})
+    cfg = _resolve(args)
     grid = _parse_grid(cfg["grid"])
     if cfg["steps"] < 0 or cfg["rate"] < 0.0:
         raise ConfigError("--steps and --rate must be nonnegative")
@@ -399,13 +398,39 @@ def cmd_variational(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _command(sub, name: str, func, help_text: str) -> _Parser:
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--config", help="JSON file with the same keys as the flags, "
-                                    "checked like the flags")
-    # the parser goes along so main can check config keys against its flags
-    p.set_defaults(func=func, parser=p)
-    return p
+_FLOAT = {"type": finite_float}
+_ALPHA, _SEED = ("--alpha", 1.0, _FLOAT), ("--seed", 0, {"type": seed_int})
+_SURFACE = ("--surface", "catenary-cylinder", {"choices": list(_SURFACES)})
+
+# Each command's function, help line and flags.  A flag is its spelling, its
+# default and its add_argument keywords, each written here only: build_parser
+# adds the flags, and _resolve fills a flag left unset with its default.
+_COMMANDS = {
+    "catenary": (cmd_catenary, "integrate a planar alpha-catenary", [
+        _ALPHA, ("--y0", 1.0, _FLOAT), ("--theta0", 0.0, _FLOAT), ("--length", 2.0, _FLOAT),
+        ("--step", 1e-3, _FLOAT), ("--out", "catenary.csv", {})]),
+    "residual": (cmd_residual, "evaluate the curvature residual over a grid", [
+        # unset, --metric is the surface's (_SURFACES), which cmd_residual passes
+        _SURFACE, ("--metric", None, {"choices": sorted(_METRICS)}), _ALPHA,
+        ("--v", "0,0,1", {"help": "direction as x,y,z"}),
+        ("--grid", "50x50", {"help": "NSxNT sample grid"}),
+        ("--file", None, {"help": "height-field CSV for --surface file"}),
+        ("--out", "residual.csv", {})]),
+    "sweep": (cmd_sweep, "randomized coefficient-vanishing search", [
+        # unset, --class is the metric's first class, which cmd_sweep takes
+        ("--metric", "euclid", {"choices": sorted(_METRICS)}),
+        ("--class", None, {"dest": "klass", "choices": list(_CLASSES)}),
+        ("--delta", 1, {"type": int, "choices": [-1, 1]}), ("--n", 100, {"type": int}),
+        ("--samples", 10, {"type": int}), _SEED, ("--alpha-min", -3.0, _FLOAT),
+        ("--alpha-max", 3.0, _FLOAT), ("--out", "sweep.json", {})]),
+    "export-mesh": (cmd_export_mesh, "write a surface grid as an OBJ mesh", [
+        _SURFACE, _ALPHA, ("--grid", "50x50", {}), ("--file", None, {}),
+        ("--out", "mesh.obj", {})]),
+    "variational": (cmd_variational, "height-field gradient descent demo", [
+        _ALPHA, ("--grid", "65x33", {}), ("--steps", 200, {"type": int}), ("--rate", 0.1, _FLOAT),
+        ("--init", "catenary", {"choices": ["flat", "catenary", "noisy"]}),
+        ("--noise", 0.01, _FLOAT), _SEED, ("--out-prefix", "variational", {})]),
+}
 
 
 @functools.cache
@@ -414,52 +439,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="singular-geom",
                      description="singular minimal/maximal surface toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "catenary", cmd_catenary, "integrate a planar alpha-catenary")
-    p.add_argument("--alpha", type=finite_float)
-    p.add_argument("--y0", type=finite_float)
-    p.add_argument("--theta0", type=finite_float)
-    p.add_argument("--length", type=finite_float)
-    p.add_argument("--step", type=finite_float)
-    p.add_argument("--out")
-
-    p = _command(sub, "residual", cmd_residual, "evaluate the curvature residual over a grid")
-    p.add_argument("--surface", choices=list(_SURFACES))
-    p.add_argument("--metric", choices=sorted(_METRICS))
-    p.add_argument("--alpha", type=finite_float)
-    p.add_argument("--v", help="direction as x,y,z")
-    p.add_argument("--grid", help="NSxNT sample grid")
-    p.add_argument("--file", help="height-field CSV for --surface file")
-    p.add_argument("--out")
-
-    p = _command(sub, "sweep", cmd_sweep, "randomized coefficient-vanishing search")
-    p.add_argument("--metric", choices=sorted(_METRICS))
-    p.add_argument("--class", dest="klass", choices=list(_CLASSES))
-    p.add_argument("--delta", type=int, choices=[-1, 1])
-    p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=seed_int)
-    p.add_argument("--alpha-min", dest="alpha_min", type=finite_float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=finite_float)
-    p.add_argument("--out")
-
-    p = _command(sub, "export-mesh", cmd_export_mesh, "write a surface grid as an OBJ mesh")
-    p.add_argument("--surface", choices=list(_SURFACES))
-    p.add_argument("--alpha", type=finite_float)
-    p.add_argument("--grid")
-    p.add_argument("--file")
-    p.add_argument("--out")
-
-    p = _command(sub, "variational", cmd_variational, "height-field gradient descent demo")
-    p.add_argument("--alpha", type=finite_float)
-    p.add_argument("--grid")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--rate", type=finite_float)
-    p.add_argument("--init", choices=["flat", "catenary", "noisy"])
-    p.add_argument("--noise", type=finite_float)
-    p.add_argument("--seed", type=seed_int)
-    p.add_argument("--out-prefix", dest="out_prefix")
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file with the same keys as the flags, "
+                                        "checked like the flags")
+        defaults = {p.add_argument(flag, **kwargs).dest: default
+                    for flag, default, kwargs in flags}
+        # the parser goes along so main can check config keys against its flags
+        p.set_defaults(func=func, parser=p, flag_defaults=defaults)
     return parser
 
 

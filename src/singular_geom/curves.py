@@ -16,13 +16,12 @@ bit as ``state_at`` answers each: the Hermite is written once on components,
 for floats and arrays.  ``rk4_quadrature`` takes the nodes and slopes of
 many tables of y' = f(s) at once on float64 arrays from f at the four stages
 of every step, and ``rk4_increment`` is its stage sum, each bit for bit as
-``rk4_step`` takes them one table at a time; ``stage_values`` reads values
-at the RK4 stages of a table from one array pass, keyed by s.  An
-``InlineRHS`` is a kind of right-hand side written once as source on the
-state's components; it compiles to a pointwise f and to a march, one loop
-that takes a table's whole RK4 build on local floats with f inlined into
-each stage, bit for bit rk4_step's nodes.  DenseODE builds with the march
-of an f that carries one, and steps with rk4_step otherwise.
+``rk4_step`` takes them one table at a time.  An ``InlineRHS`` is a kind
+of right-hand side written once as source on the state's components; it
+compiles to a pointwise f and to a march, one loop that takes a table's
+whole RK4 build on local floats with f inlined into each stage, bit for bit
+rk4_step's nodes.  DenseODE builds with the march of an f that carries one,
+and steps with rk4_step otherwise.
 """
 from __future__ import annotations
 
@@ -666,21 +665,6 @@ def fourier_table(series: Sequence[FourierSeries], s: np.ndarray) -> np.ndarray:
         else:
             out[..., cols] += a * cos + b * sin
     return out
-
-
-def stage_values(grids, read) -> dict:
-    """Values by s at the RK4 stages of fixed-step tables, from one array read.
-
-    grids holds (s0, s1, n_steps) per table (see rk4_stages).  read(S)
-    gives one array over S per value, or None for an empty dict; a stage s
-    maps to the tuple of the values' floats at s.  S holds each stage s
-    once, and no zero: 0.0 and -0.0 share a dict key, and a function of s
-    may tell them apart.
-    """
-    stages = [s for grid in grids for s in rk4_stages(*grid)[1].ravel().tolist()]
-    S = np.array([s for s in dict.fromkeys(stages) if s != 0.0])
-    values = read(S)
-    return {} if values is None else dict(zip(S.tolist(), zip(*[x.tolist() for x in values])))
 
 
 def series_at(*series: FourierSeries):

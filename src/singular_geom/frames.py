@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Vec3
+from .algebra import Metric, Vec3, cross
 from .curves import (
     Curve,
     FourierSeries,
@@ -48,16 +48,6 @@ _STEP_BLOCK = 64
 # was 0.1-0.2 ms faster but held 1.7 MiB, and the whole table was slower from
 # 10 draws on and held 4.5 MiB.
 _LIGHTLIKE_STEP_BLOCK = 128
-
-
-def _tcross(a, b, zsign: float = 1.0):
-    """Cross product of 3-tuples; zsign = -1.0 gives the Lorentzian x_L.
-
-    The frame ODEs call this on every right-hand-side evaluation, so it stays
-    on plain tuples instead of building (and finite-checking) Vec3s.
-    """
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            zsign * (a[0] * b[1] - a[1] * b[0]))
 
 
 class _FrameCurve(Curve):
@@ -94,7 +84,7 @@ class _KeptRead:
     an s of S whose column (all 15 values at that s) is finite, the Vec3 of
     the read's entry i, which is pointwise(s) bit for bit; at any other s,
     pointwise(s), which raises what it raises.  0.0 is never served, as
-    curves.stage_values leaves it out: 0.0 and -0.0 are one key, and a
+    ruled._stage_coefficients leaves it out: 0.0 and -0.0 are one key, and a
     function of s may tell them apart.  The s -> column dict, in which a
     repeated s maps to its first flat column, is built at the first point
     query after a read, so a read that no point query follows builds none.
@@ -210,7 +200,7 @@ def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float
                          list(raw[2:] * scale * sign), omega)
 
 
-# x0, x1, x2 = w x_z w' of a state (w, w', ...), with _tcross's operations
+# x0, x1, x2 = w x_z w' of a state (w, w', ...), with the operands of algebra.cross
 _CROSS = ("x0 = {1} * {5} - {2} * {4}", "x1 = {2} * {3} - {0} * {5}",
           "x2 = zsign * ({0} * {4} - {1} * {3})")
 
@@ -234,20 +224,22 @@ _PRENORMALIZATION_RHS = InlineRHS(
 def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: float):
     """Right-hand side and g'' of the sweep frame ODE with state (w, w', g).
 
-    w'' = sigma w + Q (w x_z w') and g' = P (w x_z w'), where x_z is the
-    cross product with its third component times zsign (+1 Euclidean, -1
-    Lorentzian).  On a normalized frame w x_z (w x_z w') = -zsign w', so
-    (w x_z w')' = w x_z w'' = -zsign Q w' and g'' = P'(w x_z w') - zsign P Q w'.
+    w'' = sigma w + Q (w x_z w') and g' = P (w x_z w'), where x_z is
+    algebra.cross in the signature of zsign (+1 Euclidean, -1 Lorentzian),
+    whose third component it multiplies.  On a normalized frame
+    w x_z (w x_z w') = -zsign w', so (w x_z w')' = w x_z w'' = -zsign Q w'
+    and g'' = P'(w x_z w') - zsign P Q w'.
     rhs takes an array of s with arrays of state components too, and
     carries the march that DenseODE builds its scalar tables with.
     """
     rhs = _SWEEP_FRAME_RHS.bind((Q, P), zsign, sigma)
+    metric = Metric.EUCLIDEAN if zsign > 0.0 else Metric.LORENTZIAN
 
     def g_d2(s: float, y: tuple) -> Vec3:
-        c = _tcross(y[0:3], y[3:6], zsign)
+        c = cross(metric, _V(*y[0:3]), _V(*y[3:6]))
         q, p, pp = Q(s), P(s), P.deriv(s)
         zpq = zsign * p * q
-        return Vec3(pp * c[0] - zpq * y[3], pp * c[1] - zpq * y[4], pp * c[2] - zpq * y[5])
+        return Vec3(pp * c.x - zpq * y[3], pp * c.y - zpq * y[4], pp * c.z - zpq * y[5])
 
     return rhs, g_d2
 
@@ -294,7 +286,7 @@ def _frame_nodes_batch(draws: Sequence, grids) -> tuple[np.ndarray, np.ndarray]:
     t0, t1 = t[:3], t[3:]
     add_w = np.add if sigma > 0 else np.subtract
     # rows of (w, w') such that a = y[cross_rows] gives w x w' as
-    # a[0:3] a[6:9] - a[3:6] a[9:12], each product with the operands of _tcross
+    # a[0:3] a[6:9] - a[3:6] a[9:12], each product with the operands of algebra.cross
     cross_rows = np.array([1, 2, 0, 2, 0, 1, 5, 3, 4, 4, 5, 3])
 
     def rhs(y, q, c, wpp):

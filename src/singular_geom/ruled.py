@@ -39,7 +39,7 @@ from .curves import (
     fd1_points,
     fd1_stencil,
     line_curve,
-    stage_values,
+    rk4_stages,
 )
 from .errors import (
     ConfigError,
@@ -129,9 +129,10 @@ class CoefficientVector:
 
 
 # Overall sign relating sum A_n t^n to the cleared-denominator residual
-# D = <X,v> * LHS - eps * alpha * (EG - F^2) * (Xs, Xt, v).  Fixed per class by
-# expanding D in powers of t on the reference surfaces; only the common
-# vanishing locus carries geometric meaning.
+# D = <X,v> * LHS - eps * alpha * (EG - F^2) * (Xs, Xt, v).  Per class,
+# tests/test_symbolic.py expands ORACLE_SIGN * sum A_n t^n - D to 0 on a
+# symbolic frame, and not with the opposite sign; only the common vanishing
+# locus carries geometric meaning.
 ORACLE_SIGN = {
     DirectorClass.EUCLID_STANDARD: -1.0,
     DirectorClass.LORENTZ_NONDEGENERATE: 1.0,
@@ -395,11 +396,12 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         if inner(m, gp, gp) <= 0.0:
             raise NonSpacelikeInput("base curve is not spacelike")
 
-    def fs(s: float) -> tuple[float, float, float]:
+    def inputs(s: float) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+        # g, g', w, w', read in the order g, g', w', w
         g = base.value(s)
         gp = base.d1(s)
         wp = director.d1(s)
-        return _reparametrization_coefficients(g, gp, director.value(s), wp)
+        return g, gp, director.value(s), wp
 
     def _y1p(f1: float, f2: float, f3: float, y1: float, y2: float, s: float) -> float:
         num = f2 * y1 + delta * y2
@@ -413,7 +415,7 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
 
     def rhs(s: float, y: tuple) -> tuple:
         f = at_stage.get(s)
-        f1, f2, f3 = fs(s) if f is None else f
+        f1, f2, f3 = _reparametrization_coefficients(*inputs(s)) if f is None else f
         d1 = _y1p(f1, f2, f3, y[0], y[1], s)
         return (d1, -f1 * d1)
 
@@ -427,10 +429,10 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
 
     def g_d1(s: float) -> Vec3:
         y1, y2 = table.state_at(s)
-        f1, f2, f3 = fs(s)
+        g, gp, w, wp = inputs(s)
+        f1, f2, f3 = _reparametrization_coefficients(g, gp, w, wp)
         d1 = _y1p(f1, f2, f3, y1, y2, s)
-        return (d1 * base.value(s) + y1 * base.d1(s)
-                + (-f1 * d1) * director.value(s) + y2 * director.d1(s))
+        return d1 * g + y1 * gp + (-f1 * d1) * w + y2 * wp
 
     new_base = Curve(g_value, g_d1)
     rs = RuledSurface.build(new_base, director, (a, b), m,
@@ -477,17 +479,21 @@ def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
     tabulated, from one read of that table; the values are those of the
     pointwise reads bit for bit.  The dict is empty for any other pair, or
     when the read fails (_on_arrays): the build then reads f1, f2, f3
-    pointwise.
+    pointwise.  The read takes each stage s once, and no zero: 0.0 and -0.0
+    share a dict key, and a function of s may tell them apart.
     """
     frame_at = _one_table_read(base, director)
     if frame_at is None:
         return {}
+    S = np.array([s for s in dict.fromkeys(rk4_stages(a, b, n_steps)[1].ravel().tolist())
+                  if s != 0.0])
 
-    def read(S):
+    def read():
         g, gp, w, wp, _ = frame_at(S)
         return [g, gp, w, wp], _reparametrization_coefficients(g, gp, w, wp)
 
-    return stage_values([(a, b, n_steps)], lambda S: _on_arrays(lambda: read(S)))
+    values = _on_arrays(read)
+    return {} if values is None else dict(zip(S.tolist(), zip(*[x.tolist() for x in values])))
 
 
 # ---------------------------------------------------------------------------

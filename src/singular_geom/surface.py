@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import CausalCharacter, Metric, Vec3, causal_character, inner, triple
+from .algebra import CausalCharacter, Metric, Vec3, causal_character, cross, inner, triple
 from .curves import fd1_points, fd1_stencil
 from .errors import (
     DegenerateMetric,
@@ -330,11 +330,12 @@ def _bracket(E, F, G, j: Jet2):
 
 
 def _normal_parts(m: Metric, Xs, Xt):
-    """Xs x Xt, its |<c, c>| and the floor that must not exceed it."""
-    cx = Xs.y * Xt.z - Xs.z * Xt.y
-    cy = Xs.z * Xt.x - Xs.x * Xt.z
-    cz = Xs.x * Xt.y - Xs.y * Xt.x
-    c = _V(cx, cy, cz if m is Metric.EUCLIDEAN else -cz)
+    """Xs x Xt as a _V, its |<c, c>| and the floor that must not exceed it.
+
+    The product is taken on _Vs, whose components are not checked finite, so
+    one that overflows fails the floor (DegenerateMetric), not Vec3 (ValueError).
+    """
+    c = cross(m, _V(*Xs), _V(*Xt))
     return c, abs(inner(m, c, c)), _form_floor(inner(m, Xs, Xs), inner(m, Xt, Xt))
 
 
@@ -354,6 +355,12 @@ def _off_halfspace(m: Metric, q, X):
 def _residual(m: Metric, alpha: float, q, E, F, G, W2, j: Jet2, v: Vec3):
     eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
     return _bracket(E, F, G, j) - eps_hat * alpha * (W2 / q) * triple(j.Xs, j.Xt, v)
+
+
+def _cleared(m: Metric, alpha: float, q, E, F, G, W2, j: Jet2, v: Vec3):
+    """The cleared-denominator residual D: the residual times <X,v>, unchecked."""
+    eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
+    return q * _bracket(E, F, G, j) - eps_hat * alpha * W2 * triple(j.Xs, j.Xt, v)
 
 
 def _energy_term(m: Metric, weight, q, W2, alpha: float, power, sqrt):
@@ -531,8 +538,13 @@ def _blocks(S: np.ndarray, T: np.ndarray, evaluate, cell):
             yield (rows, cols), out
 
 
-def _residual_block(m: Metric, j: Jet2, v: Vec3, alpha: float,
-                    shape: tuple[int, int]) -> np.ndarray:
+def _admitted_block(m: Metric, j: Jet2, v: Vec3):
+    """<X, v> and E, F, G, W2 of a block; _Masked if the pointwise API rejects a cell.
+
+    The cells of both singular_residual and _energy_cell: on the halfspace,
+    |W2| clearing the regularity floor and, in L^3, spacelike.  Where the
+    floor passes W2 is finite and nonzero, so not W2 > 0 is W2 < 0 there.
+    """
     q = inner(m, j.X, v)
     E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
     bad = np.logical_or(_off_halfspace(m, q, j.X),
@@ -541,6 +553,12 @@ def _residual_block(m: Metric, j: Jet2, v: Vec3, alpha: float,
         bad = np.logical_or(bad, np.logical_not(W2 > 0.0))
     if np.any(bad):
         raise _Masked
+    return q, E, F, G, W2
+
+
+def _residual_block(m: Metric, j: Jet2, v: Vec3, alpha: float,
+                    shape: tuple[int, int]) -> np.ndarray:
+    q, E, F, G, W2 = _admitted_block(m, j, v)
     return np.broadcast_to(_residual(m, alpha, q, E, F, G, W2, j, v), shape)
 
 
@@ -588,9 +606,8 @@ def cleared_residual_cells(m: Metric, j: Jet2, v: Vec3, alpha: float):
     else:
         # not (W2 > 0) is <N,N>_L != -1, NaN included
         skip = np.logical_or(abs(q) <= 1e-9 * (1.0 + _max_abs(j.X)), np.logical_not(W2 > 0.0))
-    eps_hat = 1.0 if m is Metric.EUCLIDEAN else -1.0
     return (np.logical_and(np.logical_not(skip), _clears_floor(abs(W2), _form_floor(E, G))),
-            q * _bracket(E, F, G, j) - eps_hat * alpha * W2 * triple(j.Xs, j.Xt, v))
+            _cleared(m, alpha, q, E, F, G, W2, j, v))
 
 
 def grid_points(surf: ParamSurface, S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -625,14 +642,7 @@ def _quadrature(surf: ParamSurface, grid: tuple[int, int]):
 
 def _energy_block(m: Metric, j: Jet2, v: Vec3, alpha: float, W: np.ndarray) -> np.ndarray:
     """Energy terms of a block, in row-major order."""
-    q = inner(m, j.X, v)
-    E, F, G, W2 = _first_form(m, j.Xs, j.Xt)
-    bad = np.logical_or(_off_halfspace(m, q, j.X),
-                        np.logical_not(_clears_floor(abs(W2), _form_floor(E, G))))
-    if m is Metric.LORENTZIAN:
-        bad = np.logical_or(bad, W2 < 0.0)
-    if np.any(bad):
-        raise _Masked
+    q, _, _, _, W2 = _admitted_block(m, j, v)
     q, W2 = np.broadcast_to(q, W.shape), np.broadcast_to(W2, W.shape)
     return _energy_term(m, W, q, W2, alpha, power_each, np.sqrt).ravel()
 

@@ -21,6 +21,7 @@ from singular_geom.algebra import (
     triple,
 )
 from singular_geom.errors import DifferentCones, NotTimelike
+from singular_geom.surface import _V
 
 E = Metric.EUCLIDEAN
 L = Metric.LORENTZIAN
@@ -108,6 +109,18 @@ def test_cross_bilinear_antisymmetric():
             anti = cross(m, u, v) + cross(m, v, u)
             assert lin.max_abs() <= 1e-9 * (1 + u.max_abs() + v.max_abs()) * (1 + w.max_abs())
             assert anti.max_abs() == 0.0
+
+
+def test_cross_on_component_arrays_is_the_vec3_cross_bitwise():
+    rng = np.random.default_rng(11)
+    U, V = (rng.standard_normal((3, 500)) * 10.0 ** rng.integers(-150, 150, (3, 500))
+            for _ in range(2))
+    U[:, ::7], V[:, ::5] = 0.0, -0.0  # signed zeros among the products
+    for m in (E, L):
+        c = cross(m, _V(*U), _V(*V))
+        assert type(c) is _V
+        ref = [cross(m, Vec3(*u), Vec3(*v)).as_tuple() for u, v in zip(U.T, V.T)]
+        assert np.stack(c).tobytes() == np.array(ref).T.tobytes()
 
 
 @given(st.tuples(finite, finite, finite), st.tuples(finite, finite, finite))

@@ -222,6 +222,30 @@ def test_resolved_config_logged(tmp_path):
     assert "resolved config" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["catenary", "residual", "sweep", "export-mesh",
+                                     "variational"])
+def test_resolved_config_names_every_flag(tmp_path, monkeypatch, capsys, command):
+    from singular_geom import cli
+    from singular_geom.errors import ConfigError
+
+    resolve = cli._resolve
+
+    def resolve_then_stop(*args, **kwargs):
+        resolve(*args, **kwargs)
+        raise ConfigError("stopped after resolving")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_resolve", resolve_then_stop)
+    with pytest.raises(SystemExit):
+        cli.main([command])
+    line = capsys.readouterr().err.splitlines()[0]
+    prefix = f"[{command}] resolved config: "
+    assert line.startswith(prefix)
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices[command]
+    dests = {a.dest for a in sub._actions} - {"help", "config"}
+    assert set(json.loads(line[len(prefix):])) == dests
+
+
 _HEIGHT_ROWS = "1.0,1.0,1.0\n1.0,1.5,1.0\n1.0,1.0,1.0\n"
 _HEIGHT_ROWS_5 = "1.0,1.0,1.0,1.0,1.0\n" + "1.0,1.5,1.5,1.5,1.0\n" * 3 + "1.0,1.0,1.0,1.0,1.0\n"
 

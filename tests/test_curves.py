@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singular_geom import curves
+from singular_geom.algebra import Metric, cross
 from singular_geom.curves import OVERHANG, CenteredODE, DenseODE, FourierSeries, rk4_step
 from singular_geom.errors import OutOfDomain
-from singular_geom.frames import _tcross
+from singular_geom.surface import _V
 
 
 def _de_sitter_rhs(calls):
@@ -23,7 +24,7 @@ def _de_sitter_rhs(calls):
     def rhs(s, y):
         calls.append(s)
         w, wp = y[0:3], y[3:6]
-        c = _tcross(w, wp, -1.0)
+        c = cross(Metric.LORENTZIAN, _V(*w), _V(*wp))
         q, p = Q(s), P(s)
         return (
             wp[0], wp[1], wp[2],

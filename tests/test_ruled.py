@@ -298,14 +298,14 @@ def _reference_euclidean_ruled(rng, s_len=2.0, n_steps=1024):
 
     def rhs(s, y):
         w, wp = y[0:3], y[3:6]
-        c = frames._tcross(w, wp)
+        c = cross(E, _V(*w), _V(*wp))
         q, p = coeffs(s)
         return (wp[0], wp[1], wp[2],
                 -w[0] + q * c[0], -w[1] + q * c[1], -w[2] + q * c[2],
                 p * c[0], p * c[1], p * c[2])
 
     def g_d2(s, y):
-        c = frames._tcross(y[0:3], y[3:6])
+        c = cross(E, _V(*y[0:3]), _V(*y[3:6]))
         (q, p), pp = coeffs(s), P.deriv(s)
         return Vec3(pp * c[0] - p * q * y[3], pp * c[1] - p * q * y[4],
                     pp * c[2] - p * q * y[5])
@@ -330,14 +330,14 @@ def _reference_lorentz_ruled(rng, delta, s_len=2.0, n_steps=1024):
 
     def rhs(s, y):
         w, wp = y[0:3], y[3:6]
-        c = frames._tcross(w, wp, -1.0)
+        c = cross(L, _V(*w), _V(*wp))
         q, p = coeffs(s)
         return (wp[0], wp[1], wp[2],
                 -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),
                 -d * p * c[0], -d * p * c[1], -d * p * c[2])
 
     def g_d2(s, y):
-        c = frames._tcross(y[0:3], y[3:6], -1.0)
+        c = cross(L, _V(*y[0:3]), _V(*y[3:6]))
         (q, p), pp = coeffs(s), P.deriv(s)
         return Vec3(-d * pp * c[0] + p * q * y[3], -d * pp * c[1] + p * q * y[4],
                     -d * pp * c[2] + p * q * y[5])
@@ -545,7 +545,7 @@ def _direct_frame_rhs(d):
 
     def rhs(s, y):
         w, wp = y[0:3], y[3:6]
-        c = frames._tcross(w, wp, zsign)
+        c = cross(E if zsign > 0.0 else L, _V(*w), _V(*wp))
         q, p = Q(s), P(s)
         return (wp[0], wp[1], wp[2],
                 sigma * w[0] + q * c[0], sigma * w[1] + q * c[1], sigma * w[2] + q * c[2],
@@ -601,7 +601,7 @@ class _DirectPrenormalizationRHS:
     def bind(series, zsign, d):
         def rhs(s, y):
             w, wp = y[0:3], y[3:6]
-            c = frames._tcross(w, wp, zsign)
+            c = cross(E if zsign > 0.0 else L, _V(*w), _V(*wp))
             q, a, b = (f(s) for f in series)
             return (wp[0], wp[1], wp[2],
                     -d * (w[0] + q * c[0]), -d * (w[1] + q * c[1]), -d * (w[2] + q * c[2]),

@@ -184,6 +184,15 @@ def test_unit_normal_examples():
     assert abs(inner(E, n, j.Xs)) < 1e-12 and abs(inner(E, n, j.Xt)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [E, L])
+def test_unit_normal_of_an_overflowing_cross_product_is_degenerate(m):
+    # Xs x Xt = (0, 0, 1e400) overflows to inf: the regularity floor rejects it,
+    # where a Vec3 of the product would raise ValueError
+    j = Jet2(ZERO, Vec3(1e200, 0, 0), Vec3(0, 1e200, 0), ZERO, ZERO, ZERO)
+    with pytest.raises(DegenerateMetric):
+        unit_normal(m, j)
+
+
 def test_unit_normal_normalization_invariant():
     rng = np.random.default_rng(2)
     for _ in range(50):
