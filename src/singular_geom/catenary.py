@@ -3,9 +3,12 @@
 The planar problem is posed in the upper half plane with the reference
 direction (0, 1): a unit-speed curve (u(s), y(s)) with tangent angle theta
 satisfies theta' = alpha * cos(theta) / y.  alpha = 1 recovers the classical
-catenary y = cosh(u).  The state (u, y, theta) is stepped with the shared
-``curves.rk4_step``, at most MAX_STEPS steps per path.  Cylinders over such
-curves, with rulings orthogonal to the reference direction, solve the
+catenary y = cosh(u).  The right-hand side is a ``curves.InlineRHS`` with
+alpha as its parameter and the halfspace floor y <= Y_FLOOR as its guard:
+integrate checks that its arguments are finite, and length and step
+positive, and then takes all of a path's steps, at most MAX_STEPS, in the
+kind's march, one generated RK4 loop that ends at the floor.  Cylinders
+over such curves, with rulings orthogonal to the reference direction, solve the
 singular-minimal equation with the same alpha; they are exposed as exact-jet
 surfaces through a ``curves.DenseODE`` over the integrated path's own states,
 whose quintic Hermite dense output gives the curve and its two derivatives.
@@ -15,11 +18,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .algebra import Metric, Vec3, cross, inner, norm
-from .curves import Curve, DenseODE, rk4_step
+from .curves import Curve, DenseODE, InlineRHS, rk4_step
 from .errors import HalfspaceViolation, NoSolution, NotOrthogonal
 from .surface import Jet2, ParamSurface, along, stack_rows
 
@@ -88,18 +92,23 @@ class CatenaryPath:
         return buf.getvalue()
 
 
+def _floor_error(s: float, state: tuple[float, float, float]) -> HalfspaceViolation:
+    return HalfspaceViolation(f"y = {state[1]} at s = {s} reached the halfspace floor")
+
+
+# theta' = alpha cos(theta) / y, defined above the halfspace floor
+_CATENARY_RHS = InlineRHS(
+    "catenary_rhs", (), ("alpha",), ("c = cos({2})",), ("c", "sin({2})", "alpha * c / {1}"),
+    guard=("{1} <= Y_FLOOR", _floor_error),
+    names={"cos": math.cos, "sin": math.sin, "Y_FLOOR": Y_FLOOR})
+
+
 def _rhs(alpha: float):
-    """The right-hand side s, (u, y, theta) -> (u', y', theta') of the alpha-catenary."""
-    cos, sin = math.cos, math.sin
+    """The right-hand side s, (u, y, theta) -> (u', y', theta') of the alpha-catenary.
 
-    def f(s: float, state: tuple[float, float, float]) -> tuple[float, float, float]:
-        _, y, theta = state
-        if y <= Y_FLOOR:
-            raise HalfspaceViolation(f"y = {y} at s = {s} reached the halfspace floor")
-        c = cos(theta)
-        return (c, sin(theta), alpha * c / y)
-
-    return f
+    It raises HalfspaceViolation at a state with y at or below Y_FLOOR.
+    """
+    return _CATENARY_RHS.bind((), alpha)
 
 
 def catenary_rhs(s: float, state: tuple[float, float, float],
@@ -111,12 +120,24 @@ def catenary_rhs(s: float, state: tuple[float, float, float],
 def integrate(start: CatenaryState, alpha: float, length: float, step: float) -> CatenaryPath:
     """Fixed-step RK4 integration of the alpha-catenary over the given arclength.
 
-    Raises ValueError when length / step is above MAX_STEPS.  A halfspace exit
-    (y at the floor) stops the integration; the partial polyline is returned
-    with ``exited_halfspace`` set instead of raising.
+    The path takes n = max(1, round(length / step)) steps of h = length / n,
+    with s accumulated by s += h.  Before any step, raises ValueError when
+    length or step is not finite and positive, when alpha or a field of start
+    is not finite, or when length / step is above MAX_STEPS, and
+    HalfspaceViolation when start.y is at or below Y_FLOOR.  The steps run as
+    the march of the right-hand side's InlineRHS, bit for bit a loop of
+    rk4_step over it.  A halfspace exit (y at the floor at a stage or at a
+    new node) stops the integration; the partial polyline up to the last node
+    above the floor is returned with ``exited_halfspace`` set instead of
+    raising, and keeps the slope of the failed step's first stage.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    for name, value in (("length", length), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    for name, value in (("alpha", alpha), ("start.u", start.u), ("start.y", start.y),
+                        ("start.theta", start.theta), ("start.s", start.s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if start.y <= Y_FLOOR:
         raise HalfspaceViolation(f"start height y = {start.y} is not in the open halfplane")
     ratio = length / step
@@ -125,29 +146,13 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
     n = max(1, int(round(ratio)))
     h = length / n
 
-    f = _rhs(alpha)
-    state = (start.u, start.y, start.theta)
-    s = start.s
-    nodes, ss, slopes = [state], [s], []
-    exited = False
-    for _ in range(n):
-        # every node has y above the floor, so f at a node does not raise
-        k1 = f(s, state)
-        slopes.append(k1)
-        try:
-            state = rk4_step(f, s, state, h, k1)
-        except HalfspaceViolation:
-            exited = True
-            break
-        if state[1] <= Y_FLOOR:
-            exited = True
-            break
-        s += h
-        nodes.append(state)
-        ss.append(s)
-    else:
-        slopes.append(f(s, state))
-    return CatenaryPath(ss, nodes, slopes, alpha, exited)
+    nodes, slopes = _CATENARY_RHS.march((start.u, start.y, start.theta), h, n, alpha)
+    s = list(accumulate(repeat(h, len(nodes) - 1), initial=start.s))
+    # a march that stops at the floor keeps the slope of its last node
+    exited = len(slopes) == len(nodes)
+    if not exited:
+        slopes.append(_rhs(alpha)(s[-1], nodes[-1]))
+    return CatenaryPath(s, nodes, slopes, alpha, exited)
 
 
 def classical_catenary(s: float) -> tuple[float, float]:

