@@ -13,14 +13,16 @@ arrays of its node states, of its node slopes, kept where the nodes are made
 (the first RK4 stage of each step), and of its node y''.  ``state_at`` reads
 them as floats and ``states_at`` answers a whole array of s at once, bit for
 bit as ``state_at`` answers each: the Hermite is written once on components,
-for floats and arrays.  ``rk4_quadrature`` takes the nodes and slopes of
-many tables of y' = f(s) at once on float64 arrays from f at the four stages
-of every step, and ``rk4_increment`` is its stage sum, each bit for bit as
-``rk4_step`` takes them one table at a time.  An ``InlineRHS`` is a kind
+for floats and arrays.  ``stacked_states_at`` answers it for many tables on
+one grid at once, with a trailing table axis.  ``rk4_quadrature`` takes the
+nodes and slopes of many tables of y' = f(s) at once on float64 arrays from
+f at the four stages of every step, and ``rk4_increment`` is its stage sum,
+each bit for bit as ``rk4_step`` takes them one table at a time.  An ``InlineRHS`` is a kind
 of right-hand side written once as source on the state's components; it
 compiles to a pointwise f and to a march, one loop that takes a table's
 whole RK4 build on local floats with f inlined into each stage, bit for bit
-rk4_step's nodes.  DenseODE builds with the march of an f that carries one,
+rk4_step's nodes; ``bind_stack`` runs the kind's f for many bindings at once
+on arrays.  DenseODE builds with the march of an f that carries one,
 and steps with rk4_step otherwise.  A kind may read no series and may carry
 a guard, a condition on the state where f is not defined: f raises there
 and the march stops there (catenary.integrate's halfspace exit).
@@ -273,6 +275,23 @@ class InlineRHS:
 
         f.march = f_march
         return f
+
+    def bind_stack(self, series: Sequence[Sequence[FourierSeries]], *params: float):
+        """The right-hand sides bind(series[b], *params) of every b at once, on arrays.
+
+        f(S, y) takes the components of y with a trailing axis of len(series)
+        and gives f's with that axis too: column b is bind(series[b],
+        *params)(S, y[..., b]) bit for bit, with every coefficient of every b
+        read from one fourier_table.
+        """
+        width = len(series)
+        flat = [f for coeff in zip(*series) for f in coeff]  # coefficient by coefficient
+
+        def at(s):
+            table = fourier_table(flat, s)
+            return tuple(table[..., k:k + width] for k in range(0, len(flat), width))
+
+        return (self._functions or self._compile())[0](at, *params)
 
     def march(self, y0: tuple, h: float, n_steps: int, *params: float) -> tuple[list, list]:
         """Nodes and slopes of up to n_steps RK4 steps of size h from y0, for a kind
@@ -563,24 +582,36 @@ class DenseODE:
         An s at or past an end, or one that state_at rejects, is read by
         state_at's own path, in the order of S.
         """
+        return self._read(S, self.nodes.shape[1:],
+                          lambda j: (self.nodes[j], self.slopes[j], self._y2[j]), self._state_at)
+
+    def _read(self, S: np.ndarray, shape: tuple, rows, edge) -> np.ndarray:
+        """states_at(S) on this table's grid, from the node rows of this table or of many.
+
+        shape is (len(state), *batch); rows(j) gives the states, slopes and
+        y'' at the node indices j, each of shape (len(j), *shape), and
+        edge(s) the state at an s at or past an end, of shape shape.  The
+        result has shape (len(state), *S.shape, *batch).
+        """
         S = np.asarray(S, dtype=float)
         flat = S.ravel()
-        out = np.empty((self.nodes.shape[1], flat.size))
+        out = np.empty((shape[0], flat.size, *shape[1:]))
         inside = (flat > self._low[0]) & (flat < self._high[0])
         for k in np.flatnonzero(~inside).tolist():
-            out[:, k] = self._state_at(float(flat[k]))
-        if not inside.any():
-            return out.reshape(len(out), *S.shape)
-        s = flat[inside]
-        with np.errstate(all="ignore"):  # floats give inf and nan without a warning too
-            idx = np.minimum(((s - self.s0) / self.h).astype(np.intp), self.n_steps - 1)
-            s_node = self.s0 + idx * self.h
-            # node i and i + 1 of the states, slopes and y'' as (len(state), n) arrays
-            y, = _hermite((s - s_node) / self.h, self.h,
-                          *([x[j].T] for x in (self.nodes, self.slopes, self._y2)
-                            for j in (idx, idx + 1)))
-        out[:, inside] = np.where(s == s_node, self.nodes[idx].T, y)
-        return out.reshape(len(out), *S.shape)
+            out[:, k] = edge(float(flat[k]))
+        if inside.any():
+            s = flat[inside]
+            with np.errstate(all="ignore"):  # floats give inf and nan without a warning too
+                idx = np.minimum(((s - self.s0) / self.h).astype(np.intp), self.n_steps - 1)
+                s_node = self.s0 + idx * self.h
+                # node i and i + 1 of the states, slopes and y'' as (len(state), n, *batch)
+                # arrays, over whose batch axes the weights of each s broadcast
+                n = len(s)
+                cells = [x.swapaxes(0, 1) for x in rows(np.concatenate((idx, idx + 1)))]
+                t = ((s - s_node) / self.h).reshape(-1, *[1] * (len(shape) - 1))
+                y, = _hermite(t, self.h, *([x[:, k:k + n]] for x in cells for k in (0, n)))
+            out[:, inside] = np.where((s == s_node).reshape(t.shape), cells[0][:, :n], y)
+        return out.reshape(len(out), *S.shape, *shape[1:])
 
     def _cell(self, s: float) -> tuple[int, float]:
         """Index and s of the node that starts the step holding an in-range s."""
@@ -644,12 +675,46 @@ class CenteredODE:
 
     def states_at(self, S: np.ndarray) -> np.ndarray:
         """state_at(s) at every s of S, bit for bit, as DenseODE.states_at lays it out."""
+        return self._halves_at(S, self.fwd.states_at, self.bwd.states_at)
+
+    @staticmethod
+    def _halves_at(S: np.ndarray, fwd, bwd) -> np.ndarray:
+        """fwd's read at each s >= 0 of S and bwd's at each s < 0, as states_at lays them out.
+
+        fwd and bwd read a 1-D array of s: states_at of a half, or of a stack
+        of halves (stacked_states_at).
+        """
         S = np.asarray(S, dtype=float)
-        fwd = S >= 0.0
-        out = np.empty((self.fwd.nodes.shape[1], *S.shape))
-        out[:, fwd] = self.fwd.states_at(S[fwd])
-        out[:, ~fwd] = self.bwd.states_at(S[~fwd])
+        ahead = S >= 0.0
+        head, tail = fwd(S[ahead]), bwd(S[~ahead])
+        out = np.empty((len(head), *S.shape, *head.shape[2:]))
+        out[:, ahead], out[:, ~ahead] = head, tail
         return out
+
+
+def stacked_states_at(tables: Sequence, S: np.ndarray) -> np.ndarray:
+    """states_at(S) of many tables on one grid at once, with a trailing table axis.
+
+    tables are DenseODEs on one grid, or CenteredODEs whose forward halves
+    share one grid and whose backward halves share another.  The result has
+    shape (len(state), *S.shape, len(tables)), and entry [..., b] is
+    tables[b].states_at(S) bit for bit: one _hermite runs over the node rows
+    of every table, and an s at or past an end is read by each table's
+    state_at path.
+    """
+    if isinstance(tables[0], CenteredODE):
+        return CenteredODE._halves_at(S, lambda s: stacked_states_at([t.fwd for t in tables], s),
+                                      lambda s: stacked_states_at([t.bwd for t in tables], s))
+    grid = tables[0]
+    if any((t.s0, t.h, t.n_steps) != (grid.s0, grid.h, grid.n_steps) for t in tables):
+        raise ValueError("stacked_states_at needs tables on one grid")
+
+    def rows(j):
+        return [np.stack([x[j] for x in xs], axis=-1)
+                for xs in zip(*[(t.nodes, t.slopes, t._y2) for t in tables])]
+
+    return grid._read(S, (grid.nodes.shape[1], len(tables)), rows,
+                      lambda s: np.stack([t._state_at(s) for t in tables], axis=-1))
 
 
 class FourierSeries:

@@ -12,8 +12,10 @@ such read, and a point query at an s of it is answered from it, not from the
 table (_KeptRead), the one point memo of a generated surface.
 _frame_nodes_batch and _lightlike_nodes step the tables of many draws at
 once, bit for bit the scalar builds; both take g as an RK4 quadrature
-(rk4_quadrature).  The draws (ruled._Draw: the series, the seed state y0
-and frame_signs()) and the choice of build live in ruled.
+(rk4_quadrature).  _frame_stack_at and _lightlike_stack_at read the frames
+of many draws' tables at once, bit for bit each table's frame_at.  The
+draws (ruled._Draw: the series, the seed state y0 and frame_signs()) and
+the choice of build live in ruled.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .curves import (
     rk4_quadrature,
     rk4_stages,
     series_at,
+    stacked_states_at,
 )
 from .surface import _V, along
 
@@ -60,12 +63,14 @@ class _FrameCurve(Curve):
     _frame_curves and _lightlike_curves answer a point query at an s of the
     last read from it (_KeptRead).  A translated _FrameCurve is a plain
     Curve (Curve.translated) with no frame_at, whose point reads are these
-    curves' plus the offset.
+    curves' plus the offset.  table is the frame table both curves read, for
+    the reads of many tables at once (_frame_stack_at, _lightlike_stack_at).
     """
 
-    def __init__(self, value, d1, d2, frame_at):
+    def __init__(self, value, d1, d2, frame_at, table=None):
         super().__init__(value, d1, d2)
         self.frame_at = frame_at
+        self.table = table
 
 
 def _one_table_read(base: Curve, director: Curve):
@@ -145,19 +150,33 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
 
         return value
 
-    def slots(y, k: int) -> _V:
-        return _V(y[k], y[k + 1], y[k + 2])
-
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
         y = table.states_at(S)
-        f = rhs(S, y)
-        return kept.keep(S, (slots(y, 6), slots(f, 6), slots(y, 0), slots(y, 3), slots(f, 3)))
+        return kept.keep(S, _table_frame(y, rhs(S, y)))
 
     g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
-    base = _FrameCurve(kept.serve(0, read(6)), kept.serve(1, read(6, rhs)), g_d2_of_s, frame_at)
+    base = _FrameCurve(kept.serve(0, read(6)), kept.serve(1, read(6, rhs)), g_d2_of_s, frame_at,
+                       table)
     director = _FrameCurve(kept.serve(2, read(0)), kept.serve(3, read(3)),
-                           kept.serve(4, read(3, rhs)), frame_at)
+                           kept.serve(4, read(3, rhs)), frame_at, table)
     return base, director
+
+
+def _table_frame(y, f) -> tuple[_V, _V, _V, _V, _V]:
+    """(g, g', w, w', w'') from the states y = (w, w', g) of a frame table and f = rhs(s, y)."""
+    return tuple(_V(*x[k:k + 3]) for x, k in ((y, 6), (f, 6), (y, 0), (y, 3), (f, 3)))
+
+
+def _frame_stack_at(draws: Sequence, tables: Sequence, S: np.ndarray) -> tuple:
+    """The frame_at(S) read of every draw's frame table at once, with a trailing draw axis.
+
+    tables[b] is the table of draws[b], all on one grid (curves.stacked_states_at),
+    and the right-hand side is taken once for every draw (InlineRHS.bind_stack);
+    entry [..., b] of each component is that of tables[b]'s frame_at(S) bit for bit.
+    """
+    y = stacked_states_at(tables, S)
+    rhs = _SWEEP_FRAME_RHS.bind_stack([d.series for d in draws], *draws[0].frame_signs())
+    return _table_frame(y, rhs(S, y))
 
 
 def _lightlike_curves(table, rhs, g_d2) -> tuple[Curve, Curve]:
@@ -169,21 +188,36 @@ def _lightlike_curves(table, rhs, g_d2) -> tuple[Curve, Curve]:
     form.  The base's g and g' answer an s of frame_at's last read from that
     read (_KeptRead); the director always takes the line's closed form.
     """
-    a, b = _LIGHTLIKE_LINE
-    line = line_curve(a, b)
+    line = line_curve(*_LIGHTLIKE_LINE)
     kept = _KeptRead()
 
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
-        zero = np.zeros(S.shape)
-        return kept.keep(S, (_V(*table.states_at(S)),
-                             _V(*rhs(S, None)),
-                             along(b, S, a),
-                             _V(zero + a.x, zero + a.y, zero + a.z),
-                             _V(zero, zero, zero)))
+        return kept.keep(S, _lightlike_frame(S, table.states_at(S), rhs(S, None)))
 
     base = _FrameCurve(kept.serve(0, lambda s: Vec3(*table.state_at(s))),
-                       kept.serve(1, lambda s: Vec3(*rhs(s, None))), g_d2, frame_at)
-    return base, _FrameCurve(line.value, line.d1, line.d2, frame_at)
+                       kept.serve(1, lambda s: Vec3(*rhs(s, None))), g_d2, frame_at, table)
+    return base, _FrameCurve(line.value, line.d1, line.d2, frame_at, table)
+
+
+def _lightlike_frame(S: np.ndarray, g, gp) -> tuple[_V, _V, _V, _V, _V]:
+    """(g, g', w, w', w'') at S of a lightlike surface from its g and g', with the director
+    a s + b, a, 0 of (a, b) = _LIGHTLIKE_LINE in closed form, of the shape of S."""
+    a, b = _LIGHTLIKE_LINE
+    zero = np.zeros(S.shape)
+    return (_V(*g), _V(*gp), along(b, S, a), _V(zero + a.x, zero + a.y, zero + a.z),
+            _V(zero, zero, zero))
+
+
+def _lightlike_stack_at(draws: Sequence, tables: Sequence, S: np.ndarray) -> tuple:
+    """_lightlike_curves' frame_at(S) of every draw's table at once, with a trailing draw axis.
+
+    As _frame_stack_at: g is read from every table at once, and g' from one
+    fourier_table of every draw's profile.  The director, which every draw
+    shares, has a trailing axis of length 1.
+    """
+    S1 = S[..., None]
+    gp = _lightlike_gp(S1, fourier_table([d.series[0] for d in draws], S))
+    return _lightlike_frame(S1, stacked_states_at(tables, S), gp)
 
 
 def _fourier(rng: np.random.Generator, c0_range: tuple[float, float], amp: float,

@@ -56,9 +56,11 @@ from .frames import (
     _fourier,
     _frame_curves,
     _frame_nodes_batch,
+    _frame_stack_at,
     _lightlike_curves,
     _lightlike_nodes,
     _lightlike_ode,
+    _lightlike_stack_at,
     _one_table_read,
     _sweep_frame_ode,
 )
@@ -567,7 +569,10 @@ def _coefficient_values(rs: RuledSurface, v: Vec3, alpha: float, w, wp, P, Q, dr
 
     dref is P'(s), or Q'(s) in the lightlike class, gam is g(s) and gp is
     g'(s), which only the lightlike class reads.  Written on components:
-    Vec3s and floats at one s, or _V component arrays and arrays at many.
+    Vec3s and floats at one s, or _V component arrays and arrays at many;
+    rs gives the metric, class and delta.  A sweep pass scores surfaces of
+    one class together, with a trailing surface axis on the frame arrays,
+    and v and alpha with one entry per surface on that axis.
     """
     m = rs.metric
     cls = rs.director_class
@@ -839,7 +844,11 @@ def _build_tables(draws: Sequence[_Draw], rhss, n_steps: int) -> list:
 
 
 def _build_surfaces(draws: Sequence[_Draw], n_steps: int = SWEEP_STEPS) -> list[RuledSurface]:
-    """The normalized surfaces of draws of one class and delta, their tables built together."""
+    """The normalized surfaces of draws of one class and delta, their tables built together.
+
+    The tables share one grid, and each surface's curves carry theirs
+    (frames._FrameCurve.table), so that a sweep pass reads them all at once.
+    """
     odes = [d.ode() for d in draws]
     tables = _build_tables(draws, [rhs for rhs, _ in odes], n_steps)
     return [_surface(d, table, rhs, g_d2) for d, table, (rhs, g_d2) in zip(draws, tables, odes)]
@@ -954,8 +963,12 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int):
 # falsification sweep
 # ---------------------------------------------------------------------------
 
-# Most s-samples a sweep scores per surface: scoring holds about 3.9 KB a
-# sample at its peak, so this cap keeps one surface near 390 MB.
+# Most s-samples a sweep scores per surface.  A pass of a sweep scores at most
+# MAX_SWEEP_SAMPLES // n_s_samples surfaces together, so it holds no more
+# samples than one surface at this cap: at its peak, a Euclidean pass holds
+# about 3.4 KB per surface and sample, about 340 MB at the cap, and one
+# Euclidean surface scored alone about 4.6 KB a sample (tracemalloc, 20000
+# samples; the Lorentz classes hold less).
 MAX_SWEEP_SAMPLES = 100_000
 
 
@@ -1019,7 +1032,8 @@ class _SweepFrames(NamedTuple):
 
     g, g', w and w' are _V arrays of shape (n,) at the samples.  P and Q
     have shape (5, n): row k is at point k of curves.fd1_points(s) for
-    every sample s, so row 2 is at the samples themselves.
+    every sample s, so row 2 is at the samples themselves.  The frames of
+    the surfaces of a sweep pass have a trailing surface axis besides.
     """
 
     g: _V
@@ -1035,19 +1049,20 @@ def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames |
 
     Only a base and director of one frame table (_one_table_read) read on
     arrays, at curves.fd1_points.  None for any other surface, when there is
-    nothing to read, or when the read fails (_on_arrays): it raises, a value
-    that frame() computes at one of these s is not finite, or a lightlike |Q|
-    is below ZERO_Q_FLOOR.  _halfspace_window, translate_into_halfspace and
-    sweep_surface each take these arrays when they are there and read
-    pointwise when they are not, so a surface whose read fails is replayed
-    pointwise from its first read, and raises what the pointwise path raises
-    where it raises it.  The surface keeps the result for s_values of the same
-    bits, and translate_into_halfspace hands it on with g shifted; the kept
-    result is looked up first, since a translated base has no frame_at.  So
-    the three steps form P and Q once per generated surface.  The table keeps
-    its last read too (_KeptRead), and its curves answer a point query at one
-    of these s from it: a pointwise replay, and the coefficient oracle at
-    these s, read the table point by point only for g''.
+    nothing to read, or when the read fails (_on_arrays, _frame_values).
+    _halfspace_window, translate_into_halfspace and sweep_surface each take
+    these arrays when they are there and read pointwise when they are not,
+    so a surface whose read fails is replayed pointwise from its first read,
+    and raises what the pointwise path raises where it raises it.  The
+    surface keeps the result for s_values of the same bits, and
+    translate_into_halfspace hands it on with g shifted; the kept result is
+    looked up first, since a translated base has no frame_at.  So the three
+    steps form P and Q once per surface.  The table keeps its last read too
+    (_KeptRead), and its curves answer a point query at one of these s from
+    it: a pointwise replay, and the coefficient oracle at these s, read the
+    table point by point only for g''.  A sweep scores its generated
+    surfaces a pass at a time instead (_score_pass), from one read of all
+    their tables.
     """
     s = np.asarray(s_values, dtype=float)
     key = (s.shape, s.tobytes())
@@ -1057,35 +1072,84 @@ def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames |
     frame_at = _one_table_read(rs.base, rs.director)
     if not (rs.normalized and frame_at is not None and s.ndim == 1 and s.size):
         return None
-    lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
-
-    def read():
-        g, gp, w, wp, wpp = frame_at(np.stack(fd1_points(s)))
-        P, Q = _frame_functions(rs.director_class, w, wp, None if lightlike else wpp, gp)
-        if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
-            raise ZeroQ(f"|Q| < {ZERO_Q_FLOOR}")
-        at_samples = [_V(x.x[2], x.y[2], x.z[2]) for x in (g, gp, w, wp)]
-        # the Vec3s of the pointwise frame must be finite
-        checked = [*g, *gp, *w, *wp, Q, *(() if lightlike else (*wpp, P))]
-        return checked, _SweepFrames(*at_samples, np.zeros_like(Q) if lightlike else P, Q)
-
-    frames = _on_arrays(read)
+    frames = _on_arrays(lambda: _frame_values(rs.director_class,
+                                              frame_at(np.stack(fd1_points(s)))))
     rs._last_sweep_frames = (key, frames)
     return frames
+
+
+def _frame_values(director_class: DirectorClass, frame) -> tuple[list, _SweepFrames]:
+    """(checked, frames) of _on_arrays from (g, g', w, w', w'') read at fd1's stencil points.
+
+    P and Q are formed once (_frame_functions); a lightlike |Q| below
+    ZERO_Q_FLOOR raises ZeroQ.  checked holds every value that frame()
+    computes at these s, whose Vec3s must be finite.
+    """
+    g, gp, w, wp, wpp = frame
+    lightlike = director_class is DirectorClass.LORENTZ_LIGHTLIKE
+    P, Q = _frame_functions(director_class, w, wp, None if lightlike else wpp, gp)
+    if lightlike and (np.abs(Q) < ZERO_Q_FLOOR).any():
+        raise ZeroQ(f"|Q| < {ZERO_Q_FLOOR}")
+    at_samples = [_V(x.x[2], x.y[2], x.z[2]) for x in (g, gp, w, wp)]
+    checked = [*g, *gp, *w, *wp, Q, *(() if lightlike else (*wpp, P))]
+    return checked, _SweepFrames(*at_samples, np.zeros_like(Q) if lightlike else P, Q)
+
+
+def _window(rs: RuledSurface, ref) -> tuple:
+    """The ruling window of _halfspace_window from |P| (nondegenerate) or |Q| (lightlike).
+
+    ref holds the values at the s-samples: shape (n,) for one surface, with
+    float bounds, or (n, width) for a sweep pass, with one bound per
+    surface.  The Euclidean window (-1, 1) reads no ref.
+    """
+    if rs.director_class is DirectorClass.EUCLID_STANDARD:
+        return (-1.0, 1.0)
+    if rs.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
+        return _nondegenerate_window(rs.delta, ref.min(axis=0) if rs.delta == -1
+                                     else ref.max(axis=0))
+    bound = np.minimum(1.0, 0.45 / ref.max(axis=0))
+    return (-bound, bound)
 
 
 def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[float, float]:
     """Class-appropriate ruling window used for the halfspace translation."""
     if rs.director_class is DirectorClass.EUCLID_STANDARD:
-        return (-1.0, 1.0)
+        return _window(rs, None)
     frames = _sweep_frames(rs, s_values)
-    if rs.director_class is DirectorClass.LORENTZ_NONDEGENERATE:
-        ps = ([abs(frame(rs, s).P) for s in s_values] if frames is None
-              else np.abs(frames.P[2]).tolist())
-        return _nondegenerate_window(rs.delta, min(ps) if rs.delta == -1 else max(ps))
-    qs = [abs(frame(rs, s).Q) for s in s_values] if frames is None else np.abs(frames.Q[2]).tolist()
-    bound = min(1.0, 0.45 / max(qs))
-    return (-bound, bound)
+    lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
+    if frames is None:
+        ref = np.array([abs(frame(rs, s).Q if lightlike else frame(rs, s).P) for s in s_values])
+    else:
+        ref = np.abs((frames.Q if lightlike else frames.P)[2])
+    return tuple(float(x) for x in _window(rs, ref))
+
+
+def _heights(m: Metric, g, w, v, t_window) -> tuple[list, np.ndarray]:
+    """<X, v> at X = g + t w, as RuledSurface.point adds it, at each t of t_window; their min.
+
+    One array per t, of the shape of g's components: g and w at the
+    s-samples of one surface with float t, or of a sweep pass with one t
+    per surface, whose min is then one per surface.
+    """
+    heights = [inner(m, along(g, t, w), v) for t in t_window]
+    return heights, np.minimum.reduce([h.min(axis=0) for h in heights])
+
+
+def _offset(m: Metric, lo, v):
+    """The translation along v that lifts the lowest height lo to 0.5.
+
+    <v, v>_L = -1, so a Lorentzian surface moves along -v.  A float lo and a
+    Vec3 v give a Vec3, which raises if it is not finite; arrays with one
+    entry per surface and a _V give a _V.
+    """
+    shift = 0.5 - lo
+    k = shift if m is Metric.EUCLIDEAN else -shift
+    return type(v)(v.x * k, v.y * k, v.z * k)
+
+
+def _shifted(g: _V, offset) -> _V:
+    """g + offset on components, as Curve.translated shifts a value."""
+    return _V(g.x + offset.x, g.y + offset.y, g.z + offset.z)
 
 
 def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float],
@@ -1100,24 +1164,21 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
     frames = _sweep_frames(rs, s_values)
 
     def heights():
-        # X = g + t w as RuledSurface.point adds it, one row per t
-        out = inner(m, along(frames.g, np.array(t_window)[:, None], frames.w), v)
-        return out, float(out.min())
+        out, lo = _heights(m, frames.g, frames.w, v, t_window)
+        return out, float(lo)
 
     lo = None if frames is None else _on_arrays(heights)
     if lo is None:
         lo = min(inner(m, rs.point(s, t), v) for s in s_values for t in t_window)
     if lo >= 0.5:
         return rs
-    shift = 0.5 - lo
-    offset = shift * v if m is Metric.EUCLIDEAN else (-shift) * v
+    offset = _offset(m, lo, v)
     out = RuledSurface(rs.base.translated(offset), rs.director, rs.s_range, rs.metric,
                        rs.director_class, rs.delta, rs.normalized, rs.label)
     if frames is not None:
 
         def shifted():
-            g = frames.g  # as Curve.translated shifts a value
-            g = _V(g.x + offset.x, g.y + offset.y, g.z + offset.z)
+            g = _shifted(frames.g, offset)
             return g, frames._replace(g=g)
 
         kept = _on_arrays(shifted)
@@ -1143,12 +1204,8 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
 
     def scaled_maxima():
         require_unit_direction(rs.metric, v)
-        g, gp, w, wp, P, Q = frames
-        ref = Q if lightlike else P
-        A = _coefficient_values(rs, v, alpha, w, wp, P[2], Q[2],
-                                fd1_stencil(ref[0], ref[1], ref[3], ref[4]), g, gp)
-        scaled = _scaled_max_abs(A, ref[2])
-        return [*A, scaled], scaled.tolist()
+        checked, scaled = _scaled_maxima(rs, v, alpha, frames)
+        return checked, scaled.tolist()
 
     scaled = None if frames is None else _on_arrays(scaled_maxima)
     if scaled is None:
@@ -1159,15 +1216,7 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
             if not math.isfinite(x):
                 raise ValueError(f"scaled coefficient maximum {x} at s = {s}")
             scaled.append(x)
-    worst = max(scaled)
-    return {
-        "id": -1,
-        "class": rs.director_class.value,
-        "alpha": alpha,
-        "max_abs_coeff": worst,
-        "flagged": bool(worst <= ALARM_THRESHOLD),
-        "excluded": False,
-    }
+    return _row(rs.director_class, alpha, max(scaled))
 
 
 def _scaled_max_abs(A, ref):
@@ -1175,6 +1224,75 @@ def _scaled_max_abs(A, ref):
     if isinstance(ref, np.ndarray):
         return np.maximum.reduce(np.abs(A)) / np.maximum(1.0, _cube(np.abs(ref)))
     return max(abs(a) for a in A) / max(1.0, _cube(abs(ref)))
+
+
+def _scaled_maxima(rs: RuledSurface, v, alpha, frames: _SweepFrames) -> tuple[list, np.ndarray]:
+    """(checked, scaled): the scaled coefficient maximum at every s-sample, from frames.
+
+    One surface's frames with a Vec3 v and a float alpha, or a sweep pass's
+    with a _V v and an array alpha, one entry per surface.  checked holds
+    the coefficients too.
+    """
+    g, gp, w, wp, P, Q = frames
+    ref = Q if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE else P
+    A = _coefficient_values(rs, v, alpha, w, wp, P[2], Q[2],
+                            fd1_stencil(ref[0], ref[1], ref[3], ref[4]), g, gp)
+    scaled = _scaled_max_abs(A, ref[2])
+    return [*A, scaled], scaled
+
+
+def _row(director_class: DirectorClass, alpha: float, worst: float) -> dict:
+    """A sweep report row, its id still to be set, from the largest scaled maximum."""
+    return {
+        "id": -1,
+        "class": director_class.value,
+        "alpha": alpha,
+        "max_abs_coeff": worst,
+        "flagged": bool(worst <= ALARM_THRESHOLD),
+        "excluded": False,
+    }
+
+
+def _score_pass(draws: Sequence[_Draw], surfaces: Sequence[RuledSurface], vs: Sequence[Vec3],
+                alphas: Sequence[float], s_values: np.ndarray) -> list[dict] | None:
+    """The report rows of generated surfaces of one class, scored together on arrays.
+
+    surfaces[b] was built from draws[b], and is scored with vs[b] and
+    alphas[b] at s_values, which every surface of a build shares.  One read
+    of all their tables gives the frames with a trailing surface axis
+    (_frame_stack_at, _lightlike_stack_at), P and Q are formed once on them,
+    and the window, the translation and the scaled maxima of every surface
+    follow on the same arrays, from the helpers of _halfspace_window,
+    translate_into_halfspace and sweep_surface: each row is the one those
+    give the surface, byte for byte.  None when any of it fails (_on_arrays):
+    a lightlike |Q| under the floor, a value that is not finite, or a raised
+    error; the caller then scores the surfaces one by one.
+    """
+    rs = surfaces[0]  # the metric, class and delta of them all
+    m = rs.metric
+    lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
+
+    def read():
+        stack_at = _lightlike_stack_at if lightlike else _frame_stack_at
+        frame = stack_at(draws, [x.base.table for x in surfaces], np.stack(fd1_points(s_values)))
+        checked, frames = _frame_values(rs.director_class, frame)
+        for v in vs:
+            require_unit_direction(m, v)
+        v = _V(*np.array([v.as_tuple() for v in vs]).T)
+        heights, lo = _heights(m, frames.g, frames.w, v,
+                               _window(rs, np.abs((frames.Q if lightlike else frames.P)[2])))
+        offset = _offset(m, lo, v)
+        # a surface whose lowest height is 0.5 or more stays where it is
+        g = _V(*np.where(lo < 0.5, _shifted(frames.g, offset), frames.g))
+        scored, scaled = _scaled_maxima(rs, v, np.array(alphas), frames._replace(g=g))
+        # the arrays differ in shape, so they are checked as one flat array
+        checked = np.concatenate([x.ravel() for x in (*checked, *heights, *offset, *g, *scored)])
+        return checked, scaled.max(axis=0).tolist()
+
+    worst = _on_arrays(read)
+    if worst is None:
+        return None
+    return [_row(rs.director_class, alpha, x) for alpha, x in zip(alphas, worst)]
 
 
 def _draw_alpha(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -1195,12 +1313,17 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     Surfaces whose maxima stay at or below ALARM_THRESHOLD at every sample are
     counterexample candidates.  ``planted`` surfaces join the report but cylindrical ones are
     excluded by the w' filter rather than flagged.  Generated surfaces are
-    drawn SWEEP_CHUNK at a time and their tables built together, and each
-    is scored from one read of its frames on arrays (_sweep_frames) and
-    dropped, with the reads it keeps, once it is scored; planted
-    surfaces without a frame table are scored pointwise.  The report is the
-    one that building and scoring each surface alone, pointwise, would give,
-    byte for byte.
+    drawn SWEEP_CHUNK at a time and their tables built together.  A chunk
+    is scored in passes of at most max(1, MAX_SWEEP_SAMPLES // n_s_samples)
+    surfaces, so a pass holds the arrays of one surface at the sample cap:
+    each pass reads all of its tables at once and scores its surfaces on
+    arrays with a trailing surface axis (_score_pass), and its surfaces are
+    dropped once it is scored.  A pass that fails scores its surfaces one by
+    one, from one read of each surface's frames (_sweep_frames), as planted
+    surfaces are scored; planted surfaces without a frame table are scored
+    pointwise.  The report is the one that building and scoring each
+    surface alone, pointwise, would give, byte for byte, and so is the
+    error it raises.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -1216,15 +1339,17 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
         v = random_unit_vector(rng) if metric is Metric.EUCLIDEAN else random_unit_timelike(rng)
         return v, _draw_alpha(rng, *cfg.alpha_range)
 
-    def score(rs: RuledSurface, v: Vec3, alpha: float) -> None:
-        s_values = rs.s_samples(cfg.n_s_samples)
-        window = _halfspace_window(rs, s_values)
-        rs = translate_into_halfspace(rs, v, s_values, window)
-        row = sweep_surface(rs, v, alpha, s_values)
+    def add(row: dict) -> None:
         row["id"] = len(rows)
         rows.append(row)
         if row["flagged"]:
             report.counterexamples.append(row["id"])
+
+    def score(rs: RuledSurface, v: Vec3, alpha: float) -> None:
+        s_values = rs.s_samples(cfg.n_s_samples)
+        window = _halfspace_window(rs, s_values)
+        rs = translate_into_halfspace(rs, v, s_values, window)
+        add(sweep_surface(rs, v, alpha, s_values))
 
     for rs in planted:
         if _is_cylindrical(rs):
@@ -1233,15 +1358,27 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
             continue
         score(rs, *draw_v_alpha(rs.metric))
 
+    # the surfaces of a pass; derived from the cap, which bounds one surface's samples
+    width = max(1, MAX_SWEEP_SAMPLES // cfg.n_s_samples)
     # Scoring draws no random numbers, so a chunk takes all of its draws (each
     # surface, then its v and alpha) before its tables are built together.
     for start in range(0, cfg.n_surfaces, SWEEP_CHUNK):
         chunk = [(draw(rng), *draw_v_alpha(cfg.metric))
                  for _ in range(min(SWEEP_CHUNK, cfg.n_surfaces - start))]
-        surfaces = _build_surfaces([d for d, _, _ in chunk])[::-1]
-        for _, v, alpha in chunk:
-            # each surface goes once it is scored, with the frame reads that it keeps
-            score(surfaces.pop(), v, alpha)
+        surfaces = _build_surfaces([d for d, _, _ in chunk])
+        s_values = surfaces[0].s_samples(cfg.n_s_samples)
+        for a in range(0, len(chunk), width):
+            draws, vs, alphas = zip(*chunk[a:a + width])
+            # each pass's surfaces go once it is scored, with the frame reads that they keep
+            passed = surfaces[:len(draws)]
+            del surfaces[:len(draws)]
+            scored = _score_pass(draws, passed, vs, alphas, s_values)
+            if scored is None:
+                for rs, v, alpha in zip(passed, vs, alphas):
+                    score(rs, v, alpha)
+            else:
+                for row in scored:
+                    add(row)
 
     maxima = [r["max_abs_coeff"] for r in rows if r["max_abs_coeff"] is not None]
     report.min_max_abs_coeff = min(maxima) if maxima else None

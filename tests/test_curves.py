@@ -447,6 +447,28 @@ def _states_at_tables():
 _STATES_AT_TABLES = _states_at_tables()
 
 
+def _stacked_tables():
+    """The tables of _states_at_tables, each with the same table of two more draws on its
+    grid (or grids), and the whole batch build."""
+    from singular_geom import ruled
+
+    rng = np.random.default_rng(13)
+    draws = [ruled._draw_lorentz(rng, 1) for _ in range(2)]
+    rhss = [d.ode()[0] for d in draws]
+    out = {name: [table] for name, table in _STATES_AT_TABLES.items() if name != "centered batch"}
+    for rhs, d in zip(rhss, draws):
+        out["forward"].append(DenseODE(rhs, -0.25, 0.75, d.y0, 32))
+        out["backward"].append(DenseODE(rhs, 0.75, -0.25, d.y0, 32))
+        out["centered"].append(CenteredODE(rhs, 0.8, d.y0, 64))
+    draws = [ruled._draw_lorentz(rng, 1)
+             for _ in range(ruled._MIN_BATCH[ruled.DirectorClass.LORENTZ_NONDEGENERATE])]
+    out["centered batch"] = ruled._build_tables(draws, [d.ode()[0] for d in draws], 64)
+    return out
+
+
+_STACKED_TABLES = _stacked_tables()
+
+
 def _halves(table):
     return (table.fwd, table.bwd) if isinstance(table, CenteredODE) else (table,)
 
@@ -488,3 +510,21 @@ def test_states_at_is_state_at_bitwise(name, points):
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
     assert table.states_at(S.reshape(1, -1)).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(_STACKED_TABLES)), points=st.lists(_POINTS, min_size=1,
+                                                                       max_size=12))
+def test_stacked_states_at_is_each_tables_states_at_bitwise(name, points):
+    tables = _STACKED_TABLES[name]
+    S = np.array([_position(tables[0], p) for p in points]).reshape(1, -1)
+    got = curves.stacked_states_at(tables, S)
+    assert got.shape == (9, *S.shape, len(tables))
+    for b, table in enumerate(tables):
+        assert got[..., b].tobytes() == table.states_at(S).tobytes()
+
+
+def test_stacked_states_at_needs_tables_on_one_grid():
+    forward, backward = _STACKED_TABLES["forward"][0], _STACKED_TABLES["backward"][0]
+    with pytest.raises(ValueError, match="one grid"):
+        curves.stacked_states_at([forward, backward], np.array([0.1]))

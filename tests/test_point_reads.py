@@ -197,14 +197,15 @@ def test_a_read_with_no_point_query_builds_no_lookup(monkeypatch):
     # a new read drops the lookup of the last one
     rs.base.frame_at(_stencil(rs, 5))
     assert kept._keys is None
-    # sweeps scored on arrays make no point query
+    # a sweep reads the tables of a pass all at once, so it keeps no read of one
+    # table and makes no point query
     made.clear()
     for klass, delta in ((DirectorClass.EUCLID_STANDARD, 1), (DirectorClass.LORENTZ_LIGHTLIKE, 1)):
         metric = Metric.EUCLIDEAN if klass is DirectorClass.EUCLID_STANDARD else Metric.LORENTZIAN
         falsification_sweep(SweepConfig(n_surfaces=6, n_s_samples=5, seed=3, metric=metric,
                                         director_class=klass, delta=delta))
     assert len(made) == 12
-    assert all(kept._S is not None and kept._keys is None for kept in made)
+    assert all(kept._S is None and kept._keys == {} for kept in made)
 
 
 @pytest.mark.parametrize("klass", list(_DRAWS))

@@ -1,5 +1,7 @@
 """Ruled surfaces: frames, coefficient polynomials, normalization, sweep."""
 
+import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -445,6 +447,20 @@ def test_batch_build_matches_scalar_tables_bitwise(klass, size):
         for s in batched.s_samples(3):
             assert repr(frame(batched, s)) == repr(frame(scalar, s))
             assert repr(coefficients(batched, s, v, 1.5)) == repr(coefficients(scalar, s, v, 1.5))
+
+
+@pytest.mark.parametrize("kind, n_series, params", [
+    (frames._SWEEP_FRAME_RHS, 2, (-1.0, 1.0)), (frames._PRENORMALIZATION_RHS, 3, (-1.0, -1.0))])
+def test_a_stacked_right_hand_side_is_each_bound_one_bitwise(kind, n_series, params):
+    rng = np.random.default_rng(4100)
+    series = [tuple(frames._fourier(rng, (0.1, 1.0), 0.7, math.pi) for _ in range(n_series))
+              for _ in range(6)]
+    S = rng.uniform(-1.0, 1.0, (5, 4))
+    y = rng.normal(size=(9, 5, 4, len(series)))
+    got = kind.bind_stack(series, *params)(S, y)
+    for b, draw in enumerate(series):
+        expected = kind.bind(draw, *params)(S, y[..., b])
+        assert _bits(x[..., b].ravel() for x in got) == _bits(x.ravel() for x in expected)
 
 
 def _assert_slopes_are_f_at_nodes(table):
@@ -894,18 +910,28 @@ def _fail(*args, **kwargs):
 
 @pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
 def test_generated_surfaces_are_scored_from_one_table_read(metric, klass, delta, monkeypatch):
-    # every frame_at read is kept once (frames._KeptRead.keep)
-    reads, keep = [], frames._KeptRead.keep
-    monkeypatch.setattr(frames._KeptRead, "keep",
-                        lambda self, S, frame: reads.append(S.shape) or keep(self, S, frame))
-    for owner, name in ((ruled, "frame"), (ruled, "coefficients"),
+    # a chunk is one pass at 5 samples: one read of all of its tables at once, and
+    # no read of one table, on arrays (frames._KeptRead.keep) or point by point
+    reads, kept = [], []
+    name = ("_lightlike_stack_at" if klass is DirectorClass.LORENTZ_LIGHTLIKE
+            else "_frame_stack_at")
+    stack_at = getattr(ruled, name)
+    monkeypatch.setattr(ruled, name, lambda draws, tables, S:
+                        reads.append((len(draws), len(tables), S.shape))
+                        or stack_at(draws, tables, S))
+    monkeypatch.setattr(frames._KeptRead, "keep", lambda self, S, frame: kept.append(S.shape))
+    for owner, attr in ((ruled, "frame"), (ruled, "coefficients"),
                         (curves.DenseODE, "state_at"), (curves.CenteredODE, "state_at")):
-        monkeypatch.setattr(owner, name, _fail)
+        monkeypatch.setattr(owner, attr, _fail)
     n = ruled.SWEEP_CHUNK + 1
-    falsification_sweep(SweepConfig(n_surfaces=n, n_s_samples=5, seed=2, metric=metric,
-                                    director_class=klass, delta=delta))
+    cfg = SweepConfig(n_surfaces=n, n_s_samples=5, seed=2, metric=metric, director_class=klass,
+                      delta=delta)
+    report = falsification_sweep(cfg).to_json()
     # the samples and fd1's four stencil points around each
-    assert reads == [(5, 5)] * n
+    assert reads == [(ruled.SWEEP_CHUNK, ruled.SWEEP_CHUNK, (5, 5)), (1, 1, (5, 5))]
+    assert kept == []
+    monkeypatch.undo()
+    assert report == _reference_sweep(cfg, ()).to_json()
 
 
 @pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
@@ -927,8 +953,9 @@ def test_a_base_and_director_of_two_tables_are_scored_pointwise(metric, klass, d
 
 
 @pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
-def test_sweep_forms_p_and_q_once_per_generated_surface(metric, klass, delta, monkeypatch):
-    # the halfspace window, the translation and sweep_surface share one _sweep_frames
+def test_sweep_forms_p_and_q_once_per_pass(metric, klass, delta, monkeypatch):
+    # the window, the translation and the scaled maxima of every surface of a pass
+    # share one evaluation of P and Q; a chunk and one more surface are two passes
     calls, original = [], ruled._frame_functions
     monkeypatch.setattr(ruled, "_frame_functions",
                         lambda *args: calls.append(args[0]) or original(*args))
@@ -936,7 +963,7 @@ def test_sweep_forms_p_and_q_once_per_generated_surface(metric, klass, delta, mo
     cfg = SweepConfig(n_surfaces=n, n_s_samples=7, seed=5, metric=metric, director_class=klass,
                       delta=delta)
     report = falsification_sweep(cfg).to_json()
-    assert calls == [klass] * n
+    assert calls == [klass] * 2
     monkeypatch.setattr(ruled, "_frame_functions", original)
     assert report == _reference_sweep(cfg, ()).to_json()
 
@@ -1013,6 +1040,169 @@ def test_sweep_raises_like_the_pointwise_reference_on_a_non_finite_frame_value()
     got, ref = _sweep_outcomes(cfg, [rs])
     assert isinstance(ref, ValueError) and "finite" in str(ref)
     assert str(got) == str(ref)
+
+
+_DRAW_NAMES = {DirectorClass.EUCLID_STANDARD: "_draw_euclidean",
+               DirectorClass.LORENTZ_NONDEGENERATE: "_draw_lorentz",
+               DirectorClass.LORENTZ_LIGHTLIKE: "_draw_lightlike"}
+
+
+def _altered_draws(monkeypatch, klass, delta, alter):
+    """Make draw k of every sweep of klass alter(k, draw); return the same draws for
+    _reference_sweep."""
+    name = _DRAW_NAMES[klass]
+    original = getattr(ruled, name)
+
+    def draws():
+        count = itertools.count()
+        return lambda rng, *args: alter(next(count), original(rng, *args))
+
+    monkeypatch.setattr(ruled, name, draws())
+    twin = draws()
+    if klass is DirectorClass.LORENTZ_NONDEGENERATE:
+        return lambda rng: twin(rng, delta)
+    return twin
+
+
+def _scaled_series(f, scale: float):
+    """The Fourier series f with every coefficient times scale."""
+    return curves.FourierSeries(scale * f.c0, [scale * a for _, a, _ in f._terms],
+                                [scale * b for _, _, b in f._terms], f._terms[0][0])
+
+
+def _outcome(run):
+    """The report JSON that run() returns, or the type and message of what it raises."""
+    try:
+        return run().to_json()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _passes_that_fall_back(monkeypatch) -> list:
+    """Record, per sweep pass, whether it failed and left its surfaces to be scored one by one."""
+    fell, score = [], ruled._score_pass
+
+    def recorded(*args):
+        rows = score(*args)
+        fell.append(rows is None)
+        return rows
+
+    monkeypatch.setattr(ruled, "_score_pass", recorded)
+    return fell
+
+
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_a_pass_with_an_overflowing_draw_raises_like_the_pointwise_reference(metric, klass, delta,
+                                                                            monkeypatch):
+    # draw 3 of a chunk of 10 has its series scaled up: the frame tables overflow
+    # (1e200), or the lightlike Q, whose cube scales the coefficients, does (1e105)
+    scale = 1e105 if klass is DirectorClass.LORENTZ_LIGHTLIKE else 1e200
+    draw = _altered_draws(monkeypatch, klass, delta, lambda k, d: d if k != 3 else
+                          dataclasses.replace(d, series=tuple(_scaled_series(f, scale)
+                                                              for f in d.series)))
+    fell = _passes_that_fall_back(monkeypatch)
+    windows, window = [], ruled._halfspace_window
+    monkeypatch.setattr(ruled, "_halfspace_window",
+                        lambda rs, s: windows.append(rs) or window(rs, s))
+    cfg = SweepConfig(n_surfaces=10, n_s_samples=10, seed=4, metric=metric, director_class=klass,
+                      delta=delta)
+    # a batch build overflows with a numpy warning, where scalar floats overflow silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _outcome(lambda: falsification_sweep(cfg))
+    ref = _outcome(lambda: _reference_sweep(cfg, (), draw))
+    assert got == ref
+    assert got[0] in (ValueError, OverflowError)
+    # the pass failed, and its surfaces were scored one by one up to the overflowing one
+    assert fell == [True] and len(windows) == 4
+
+
+def _poison_g_beside_a_sample(table, s_values) -> None:
+    """NaN in g at one node of a table, such that g is NaN at a stencil point of
+    fd1_points around one of s_values and finite at every s of s_values."""
+    for s in s_values:
+        half = table if not isinstance(table, curves.CenteredODE) else \
+            (table.fwd if s >= 0.0 else table.bwd)
+        slots = slice(0, 3) if half.nodes.shape[1] == 3 else slice(6, 9)
+        cell = int((s - half.s0) / half.h)
+        for far in (int((x - half.s0) / half.h) for x in (s - 2 * curves.FD_H1,
+                                                             s + 2 * curves.FD_H1)):
+            if far != cell:
+                # the far cell's other node: it borders no cell that holds a sample
+                half.nodes[far + (far > cell), slots] = math.nan
+                return
+    raise AssertionError("no stencil of these samples crosses a node")
+
+
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_a_pass_whose_frames_are_not_finite_beside_the_samples_gives_the_reference_report(
+        metric, klass, delta, monkeypatch):
+    # g of draw 3 is NaN at a stencil point of one sample: the pass fails, and so
+    # does that surface's read on arrays, but its pointwise replay reads g at the
+    # samples alone and scores the surface as the reference does; at 13 samples,
+    # stencils in every class cross a node
+    n, samples = 10, 13
+    build = ruled._build_tables
+
+    def poisoned(draws, rhss, n_steps):
+        tables = build(draws, rhss, n_steps)
+        s_values = RuledSurface(None, None, (0.0, ruled.SWEEP_S_LEN) if metric is E
+                                else (-1.0, 1.0), metric, klass).s_samples(samples)
+        _poison_g_beside_a_sample(tables[3], s_values)
+        return tables
+
+    monkeypatch.setattr(ruled, "_build_tables", poisoned)
+    fell = _passes_that_fall_back(monkeypatch)
+    cfg = SweepConfig(n_surfaces=n, n_s_samples=samples, seed=6, metric=metric,
+                      director_class=klass, delta=delta)
+    got = falsification_sweep(cfg).to_json()
+    assert fell == [True]
+    assert got == _reference_sweep(cfg, ()).to_json()
+
+
+def test_a_lightlike_pass_whose_q_dips_under_the_floor_raises_like_the_reference(monkeypatch):
+    # draw 2 of 6 has the profile m(s) = 1 - (1 - 1e-11) cos(w s), so Q = -m is
+    # about 1e-11 at the middle sample s = 0 and far above the floor elsewhere
+    omega = 2.0 * math.pi / ruled.SWEEP_S_LEN
+    dip = curves.FourierSeries(1.0, [-(1.0 - 1e-11), 0.0], [0.0, 0.0], omega)
+    draw = _altered_draws(monkeypatch, DirectorClass.LORENTZ_LIGHTLIKE, 0,
+                          lambda k, d: d if k != 2 else dataclasses.replace(d, series=(dip,)))
+    fell = _passes_that_fall_back(monkeypatch)
+    cfg = SweepConfig(n_surfaces=6, n_s_samples=5, seed=7, metric=L,
+                      director_class=DirectorClass.LORENTZ_LIGHTLIKE)
+    got = _outcome(lambda: falsification_sweep(cfg))
+    assert got == _outcome(lambda: _reference_sweep(cfg, (), draw))
+    assert got[0] is ZeroQ and fell == [True]
+
+
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_a_chunk_splits_into_passes_of_the_width_the_sample_cap_allows(metric, klass, delta,
+                                                                       monkeypatch):
+    # a pass takes at most MAX_SWEEP_SAMPLES // n_s_samples surfaces: 2 at 3 samples
+    # under a cap of 7, and 3 at 17 samples under a cap of 60
+    widths, score = [], ruled._score_pass
+    monkeypatch.setattr(ruled, "_score_pass",
+                        lambda draws, *args: widths.append(len(draws)) or score(draws, *args))
+    assert ruled.SWEEP_CHUNK == 32
+    for samples, cap, passes in ((3, 7, [2] * 16 + [1]), (17, 60, [3] * 10 + [2, 1])):
+        monkeypatch.setattr(ruled, "MAX_SWEEP_SAMPLES", cap)
+        widths.clear()
+        cfg = SweepConfig(n_surfaces=ruled.SWEEP_CHUNK + 1, n_s_samples=samples, seed=9,
+                          metric=metric, director_class=klass, delta=delta)
+        got = falsification_sweep(cfg).to_json()
+        assert widths == passes
+        assert got == _reference_sweep(cfg, ()).to_json()
+
+
+@pytest.mark.parametrize("samples", [1, 17])
+@pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
+def test_sweeps_of_every_build_width_match_the_reference(metric, klass, delta, samples):
+    # one draw, either side of the class's batch crossover (lightlike tables are
+    # always a batch: the Lorentz crossover), the bench's 10, and a chunk and one more
+    least = ruled._MIN_BATCH.get(klass, ruled._MIN_BATCH[DirectorClass.LORENTZ_NONDEGENERATE])
+    for n in (1, least - 1, least, 10, ruled.SWEEP_CHUNK + 1):
+        cfg = SweepConfig(n_surfaces=n, n_s_samples=samples, seed=30 + n, metric=metric,
+                          director_class=klass, delta=delta)
+        assert falsification_sweep(cfg).to_json() == _reference_sweep(cfg, ()).to_json(), n
 
 
 @pytest.mark.parametrize("fault", [None, "oblique", "timelike", "nan"])
@@ -1297,27 +1487,29 @@ def test_sweep_builds_at_most_one_chunk_of_tables_at_a_time(monkeypatch):
 
 
 def test_sweep_drops_each_surface_once_it_is_scored(monkeypatch):
-    # a surface keeps its frame reads, which hold about 60 MB at 10^5 samples
+    # a pass holds the frames of its surfaces, about as much as one surface holds
+    # at the sample cap; the cap is lowered so that a chunk of 6 takes 3 passes of 2
     built, alive = [], []
-    build, score = ruled._build_surfaces, ruled.sweep_surface
+    build, score = ruled._build_surfaces, ruled._score_pass
 
     def recording(draws, *args):
         out = build(draws, *args)
         built.extend(weakref.ref(rs) for rs in out)
         return out
 
-    def counting(rs, *args):
-        alive.append(sum(ref() is not None for ref in built))
-        return score(rs, *args)
+    def counting(draws, *args):
+        alive.append((len(draws), sum(ref() is not None for ref in built)))
+        return score(draws, *args)
 
     monkeypatch.setattr(ruled, "_build_surfaces", recording)
-    monkeypatch.setattr(ruled, "sweep_surface", counting)
+    monkeypatch.setattr(ruled, "_score_pass", counting)
+    monkeypatch.setattr(ruled, "MAX_SWEEP_SAMPLES", 7)
     n = 6
     falsification_sweep(SweepConfig(n_surfaces=n, n_s_samples=3, seed=1, metric=L,
                                     director_class=DirectorClass.LORENTZ_NONDEGENERATE))
-    # the surface being scored, when translation kept it, and those not yet scored
-    assert len(alive) == n
-    assert all(count <= n - k for k, count in enumerate(alive))
+    # the surfaces being scored and those not yet scored
+    assert [width for width, _ in alive] == [2, 2, 2]
+    assert [count for _, count in alive] == [n - 2 * k for k in range(3)]
 
 
 def test_sweep_report_config_block():
