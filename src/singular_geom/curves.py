@@ -23,14 +23,16 @@ compiles to a pointwise f and to a march, one loop that takes a table's
 whole RK4 build on local floats with f inlined into each stage, bit for bit
 rk4_step's nodes; ``bind_stack`` runs the kind's f for many bindings at once
 on arrays.  DenseODE builds with the march of an f that carries one,
-and steps with rk4_step otherwise.  A kind may read no series and may carry
-a guard, a condition on the state where f is not defined: f raises there
-and the march stops there (catenary.integrate's halfspace exit).
+and steps with rk4_step otherwise, or where the march declines.  A kind
+may read no coefficients and may carry a guard, a condition on the state
+where f is not defined: f raises there and the march stops there
+(catenary.integrate's halfspace exit).
 """
 from __future__ import annotations
 
 import linecache
 import math
+import re
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -78,9 +80,8 @@ def fd2(f: Callable[[float], Vec3], s: float) -> Vec3:
 
 
 def _same_arg(a: float, b: float) -> bool:
-    """a and b are the same argument: equal, of one type, and of one sign at zero."""
-    return (a == b and type(a) is type(b)
-            and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b)))
+    """Floats a and b are the same argument: equal, and of one sign at zero."""
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
 class Curve:
@@ -139,9 +140,9 @@ def rk4_step(f, s: float, y: tuple, h: float, k1: tuple | None = None) -> tuple:
     Every step of a table's overhang query, of the BVP shooter and of a
     table build without a march is a call of this function by its
     module-level name, so a counting or tracing wrapper bound to that name
-    sees it.  The build of a table whose right-hand side is an InlineRHS's,
-    and catenary.integrate, run that kind's march instead and call no
-    rk4_step.
+    sees it.  The build of a table whose right-hand side carries an
+    InlineRHS's march, and catenary.integrate, run that kind's march instead
+    and call no rk4_step.
     """
     body = _rk4_bodies.get(len(y))
     if body is None:
@@ -212,13 +213,14 @@ def {name}(at, {params}):
 """
 
 _MARCH_TEMPLATE = """\
-def {name}_march(y, h, table, {params}):
+def {name}_march({args}):
     ({y}) = y
     {sizes}
     nodes, slopes = [y], []
+    add_node, add_slope = nodes.append, slopes.append
     for {stage_coeffs} in table:
 {step}
-        nodes.append(({y}))
+        add_node(({y}))
     return nodes, slopes
 """
 
@@ -228,29 +230,37 @@ class InlineRHS:
 
     body holds statements and out the expressions of f's n components, in which
     {0} ... {n-1} stand for the components of y, {c} for each name c of
-    coeffs for the value at s of a series the kind reads, and the names of
-    params for constants of one right-hand side.  names are the functions
-    and constants the source reads besides these.  The names body binds must
-    not be those of the generated functions: s, h, half, w, nodes, slopes,
-    table, guard_error, nor a, b, c, d, y or z followed by digits.  A guard
-    (condition, error) marks where f is not defined: condition is written
-    on the components and params as body is, f raises error(s, y) where it
-    holds, and a march ends there.
+    coeffs for the value at s of a coefficient the kind reads, and the names
+    of params for constants of one right-hand side.  A coefficient named s
+    is s itself, for a body that names the s it is taken at.  names are the
+    functions and constants the source reads besides these.  The names body
+    binds must not be those of the generated functions: s, h, half, w,
+    nodes, slopes, add_node, add_slope, table, guard_error, nor a, b, c, d,
+    y or z followed by digits.  A guard (condition, error) marks where f is
+    not defined: condition is written on the components and params as body
+    is, f raises error(s, y) where it holds, and a march ends there.
 
-    bind(series, *params) is one right-hand side f(s, y), which reads its
-    coefficients from series_at(*series), so it runs on floats and on
-    arrays.  When the kind reads series, f.march(s0, s1, y0, n_steps) gives
-    the node states (n_steps + 1) and slopes (n_steps) of DenseODE's loop
-    of rk4_step over f, bit for bit, in one generated loop on local floats
-    with body inlined into each stage: it reads the coefficients at every
-    stage from one fourier_table over rk4_stages.  A kind that reads no
-    series marches with march(y0, h, n_steps, *params) instead, at the step
-    h its caller gives.  A guarded march takes the guard at the states of
-    stages b, c and d and at each new node, not at y0, and stops at the
-    first state where it holds: it returns the nodes before that step and
-    their slopes, so one slope per node.  Both functions are compiled once
-    per kind, at its first bind or march, so binding a draw's series and
-    signs compiles nothing.
+    bind_at(at, *params, rows=rows) is one right-hand side f(s, y), which
+    reads its coefficients at s as at(s), on floats or on arrays as at
+    answers.  Given rows, f.march(s0, s1, y0, n_steps) gives the node states
+    (n_steps + 1) and slopes (n_steps) of DenseODE's loop of rk4_step over
+    f, bit for bit, in one generated loop on local floats with body inlined
+    into each stage.  rows(stages) gives its coefficients at the stage s of
+    rk4_stages(s0, s1, n_steps), one list per step: the coefficients at
+    stage s 0, 1 and 2 one after another, each in the order of coeffs.
+    rows may give None instead, and f.march then gives None, so that
+    DenseODE steps with rk4_step.  bind(series, *params) reads the
+    coefficients of series from series_at(*series), and a march reads them
+    at every stage from one fourier_table.  A kind that reads no
+    coefficients marches with march(y0, h, n_steps, *params) instead, at
+    the step h its caller gives.  A guarded march takes the guard at the
+    states of stages b, c and d and at each new node, not at y0, and stops
+    at the first state where it holds: it returns the nodes before that step
+    and their slopes, so one slope per node.  A march computes the stage
+    states of only the components that body, out or the guard read, and
+    reads names and the list appends as locals.  Both functions are compiled
+    once per kind, at its first bind or march, so binding a draw's series
+    and signs compiles nothing.
     """
 
     def __init__(self, name: str, coeffs: Sequence[str], params: Sequence[str],
@@ -262,16 +272,22 @@ class InlineRHS:
         self._functions: tuple[Callable, Callable] | None = None
 
     def bind(self, series: Sequence[FourierSeries], *params: float):
+        def rows(stages: np.ndarray) -> list:
+            # row i: the series at the three stage s of step i, one after another
+            return fourier_table(series, stages).reshape(len(stages), -1).tolist()
+
+        return self.bind_at(series_at(*series), *params, rows=rows if self._coeffs else None)
+
+    def bind_at(self, at: Callable, *params: float, rows: Callable | None = None):
         make, march = self._functions or self._compile()
-        f = make(series_at(*series), *params)
-        if not self._coeffs:
+        f = make(at, *params)
+        if rows is None:
             return f
 
-        def f_march(s0: float, s1: float, y0: tuple, n_steps: int) -> tuple[list, list]:
+        def f_march(s0: float, s1: float, y0: tuple, n_steps: int) -> tuple[list, list] | None:
             h, stages = rk4_stages(s0, s1, n_steps)
-            # row i: the coefficients at the three stage s of step i, one after another
-            table = fourier_table(series, stages).reshape(n_steps, -1).tolist()
-            return march(y0, h, table, *params)
+            table = rows(stages)
+            return None if table is None else march(y0, h, table, *params)
 
         f.march = f_march
         return f
@@ -295,7 +311,7 @@ class InlineRHS:
 
     def march(self, y0: tuple, h: float, n_steps: int, *params: float) -> tuple[list, list]:
         """Nodes and slopes of up to n_steps RK4 steps of size h from y0, for a kind
-        that reads no series."""
+        that reads no coefficients."""
         return (self._functions or self._compile())[1](y0, h, range(n_steps), *params)
 
     def _lines(self, state: str, stage: int | None) -> tuple[list[str], list[str]]:
@@ -314,6 +330,11 @@ class InlineRHS:
             return []
         return [f"if {self._guard[0].format(*(f'{state}{i}' for i in range(self.n)))}: {action}"]
 
+    def _read_components(self) -> set[int]:
+        """The components {i} that body, out or the guard read."""
+        source = [*self._body, *self._out] + ([self._guard[0]] if self._guard else [])
+        return {int(i) for line in source for i in re.findall(r"\{(\d+)\}", line)}
+
     def _compile(self) -> tuple[Callable, Callable]:
         n, params, y = self.n, ", ".join(self._params), _tup("y{i}", self.n)
         names = dict(self._names)
@@ -329,21 +350,24 @@ class InlineRHS:
             f"<{__name__}.InlineRHS {self.name}>", self.name, **names)
         # stage a at the node y, stages b, c and d at the stage states z; b and
         # c share their s, so a step reads the coefficients at three s
-        step = []
+        read, step = sorted(self._read_components()), []
         for k, stage, z in (("a", 0, None), ("b", 1, _STAGE_STATES[0]),
                             ("c", 1, _STAGE_STATES[1]), ("d", 2, _STAGE_STATES[2])):
             if z is not None:
-                step += [f"z{i} = " + z.format(i=i) for i in range(n)]
+                step += [f"z{i} = " + z.format(i=i) for i in read]
                 step += self._guarded("z", "return nodes, slopes")
             body, out = self._lines("y" if z is None else "z", stage)
             step += body + [f"{k}{i} = {e}" for i, e in enumerate(out)]
             if z is None:
-                step.append(f"slopes.append(({_tup('a{i}', n)}))")
+                step.append(f"add_slope(({_tup('a{i}', n)}))")
         step += [f"y{i} = " + _NEXT_NODE.format(i=i) for i in range(n)]
         step += self._guarded("y", "return nodes, slopes")
         stage_coeffs = ", ".join(f"{c}_{j}" for j in range(3) for c in self._coeffs)
+        # the names as keyword defaults, which the loop reads as locals
+        args = ", ".join(["y", "h", "table", *self._params]
+                         + (["*"] + [f"{k}={k}" for k in names] if names else []))
         march = _compiled(
-            _MARCH_TEMPLATE.format(name=self.name, params=params, y=y, sizes=_STEP_SIZES,
+            _MARCH_TEMPLATE.format(name=self.name, args=args, y=y, sizes=_STEP_SIZES,
                                    stage_coeffs=stage_coeffs or "_", step=_indented(step)),
             f"<{__name__}.InlineRHS {self.name} march>", f"{self.name}_march", **names)
         self._functions = make, march
@@ -500,9 +524,10 @@ class DenseODE:
     def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
         self._set_grid(f, s0, s1, n_steps)
         y = tuple(float(v) for v in y0)
-        march = getattr(f, "march", None)  # an InlineRHS's
-        if march is not None:
-            nodes, slopes = march(self.s0, self.s1, y, self.n_steps)
+        march = getattr(f, "march", None)  # an InlineRHS's, which may give None
+        built = None if march is None else march(self.s0, self.s1, y, self.n_steps)
+        if built is not None:
+            nodes, slopes = built
         else:
             nodes, slopes = [y], []
             for i in range(self.n_steps):
@@ -552,8 +577,15 @@ class DenseODE:
         self._last: tuple[float, tuple] | None = None
 
     def state_at(self, s: float) -> tuple:
-        # callers typically ask for value and several derivatives at the same s;
-        # _same_arg, so that the result is what this s itself reads, float or np.float64
+        """The state at s as a tuple of floats, whatever the type of s.
+
+        s is read as float(s) once, so the Hermite weights and the overhang
+        march take float arithmetic, not numpy-scalar arithmetic, and an
+        np.float64 or int s gives the bits of the equal float.  Callers
+        typically ask for value and several derivatives at the same s, so the
+        last s and its state are kept; -0.0 is not 0.0 there (_same_arg).
+        """
+        s = float(s)
         if self._last is not None and _same_arg(self._last[0], s):
             return self._last[1]
         out = self._state_at(s)
@@ -623,12 +655,13 @@ class DenseODE:
         return [row for x in (self.nodes, self.slopes, self._y2) for row in x[i:i + 2].tolist()]
 
     def jet_at(self, s: float) -> tuple[tuple, tuple, tuple]:
-        """(y, y', y'') at s, with y = state_at(s).
+        """(y, y', y'') at s, with y = state_at(s), read at float(s) as state_at reads it.
 
         In range, y' and y'' are the s-derivatives of the Hermite interpolant.
         At or past an end, y' is f at the (marched) state and y'' is the end
         node's.
         """
+        s = float(s)
         y = self.state_at(s)
         at_low = s <= self._low[0]
         if at_low or s >= self._high[0]:
@@ -729,6 +762,8 @@ class FourierSeries:
         )
 
     def __call__(self, s: float) -> float:
+        # float(s): an np.float64 s gives the bits of the equal float, on float arithmetic
+        s = float(s)
         out = self.c0
         for kw, a, b in self._terms:
             ks = kw * s
@@ -736,6 +771,7 @@ class FourierSeries:
         return out
 
     def deriv(self, s: float) -> float:
+        s = float(s)
         out = 0.0
         for kw, a, b in self._terms:
             ks = kw * s

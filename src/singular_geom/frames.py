@@ -88,11 +88,11 @@ class _KeptRead:
     there.  serve(i, pointwise) is the point function of frame entry i: at
     an s of S whose column (all 15 values at that s) is finite, the Vec3 of
     the read's entry i, which is pointwise(s) bit for bit; at any other s,
-    pointwise(s), which raises what it raises.  0.0 is never served, as
-    ruled._stage_coefficients leaves it out: 0.0 and -0.0 are one key, and a
-    function of s may tell them apart.  The s -> column dict, in which a
-    repeated s maps to its first flat column, is built at the first point
-    query after a read, so a read that no point query follows builds none.
+    pointwise(s), which raises what it raises.  0.0 is never served: 0.0
+    and -0.0 are one key, and a function of s may tell them apart.  The
+    s -> column dict, in which a repeated s maps to its first flat column,
+    is built at the first point query after a read, so a read that no point
+    query follows builds none.
     """
 
     __slots__ = ("_S", "_frame", "_keys")
@@ -278,6 +278,8 @@ def _sweep_frame_ode(Q: FourierSeries, P: FourierSeries, zsign: float, sigma: fl
     return rhs, g_d2
 
 
+# an overflowing draw gives inf and nan without a warning, as the scalar floats do
+@np.errstate(over="ignore", invalid="ignore")
 def _frame_nodes_batch(draws: Sequence, grids) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and node slopes of every draw's frame-ODE table on every grid, in one RK4 pass.
 
@@ -384,6 +386,7 @@ def _lightlike_ode(mf: FourierSeries):
     return rhs, g_d2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _frame_nodes_batch
 def _lightlike_nodes(draws: Sequence, s0: float, s1: float,
                      n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """RK4 nodes and slopes of every lightlike draw's base from s0 to s1.

@@ -34,12 +34,12 @@ from .curves import (
     Curve,
     DenseODE,
     FourierSeries,
+    InlineRHS,
     constant_curve,
     fd1,
     fd1_points,
     fd1_stencil,
     line_curve,
-    rk4_stages,
 )
 from .errors import (
     ConfigError,
@@ -377,11 +377,14 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
     f3 = <g1,w'>_L) from (y1, y2) = (1, 0) with a 4th-order scheme; the sign
     on y2 is tied to delta and is validated after the solve.
 
-    When both curves come from a frame-ODE table (random_prenormalization_input
-    and the random generators make them), f1, f2 and f3 are tabulated at every
-    RK4 stage s of the 512-step grid in one array pass (_stage_coefficients),
-    and the steps read them from there.  Any other s, and any other curve,
-    reads them pointwise; both paths give the same bits.
+    y1' = -(f2 y1 + delta y2)/f3 and y2' = -f1 y1' are the kind
+    _REPARAMETRIZATION_RHS, which reads its coefficients pointwise.  When
+    both curves come from one frame-ODE table (random_prenormalization_input
+    and the random generators make them), the table's march reads f1, f2
+    and f3 at every RK4 stage s of the 512-step grid from one array read
+    (_reparametrization_rows); any other pair, and a read that _on_arrays
+    rejects, steps with rk4_step.  Both give the same bits and raise the
+    same errors at the same s.
     """
     if delta not in (-1, 1):
         raise ConfigError("delta must be +1 or -1")
@@ -405,22 +408,13 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         wp = director.d1(s)
         return g, gp, director.value(s), wp
 
-    def _y1p(f1: float, f2: float, f3: float, y1: float, y2: float, s: float) -> float:
-        num = f2 * y1 + delta * y2
-        if abs(f3) < 1e-9 * (1.0 + abs(f1) + abs(f2)):
-            if abs(num) <= 1e-9 * (1.0 + abs(y1) + abs(y2)):
-                return 0.0
-            raise ODEBreakdown(f"f3 vanishes at s = {s} with inconsistent state")
-        return -num / f3
-
-    at_stage = _stage_coefficients(base, director, a, b, 512)
-
-    def rhs(s: float, y: tuple) -> tuple:
-        f = at_stage.get(s)
-        f1, f2, f3 = _reparametrization_coefficients(*inputs(s)) if f is None else f
-        d1 = _y1p(f1, f2, f3, y[0], y[1], s)
-        return (d1, -f1 * d1)
-
+    d = float(delta)
+    rhs = _REPARAMETRIZATION_RHS.bind_at(
+        lambda s: (*_reparametrization_coefficients(*inputs(s)), s), d,
+        rows=_reparametrization_rows(base, director))
+    # the kind's f at coefficients already read: its at is the identity, so its
+    # first argument is (f1, f2, f3, s)
+    slope_at = _REPARAMETRIZATION_RHS.bind_at(lambda coefficients: coefficients, d)
     table = DenseODE(rhs, a, b, (1.0, 0.0), 512)
     if not (np.isfinite(table.nodes).all() and (np.abs(table.nodes[:, 0]) <= 1e6).all()):
         raise ODEBreakdown("reparametrization state blew up")
@@ -430,11 +424,10 @@ def normalize_lorentz(base: Curve, director: Curve, delta: int,
         return y1 * base.value(s) + y2 * director.value(s)
 
     def g_d1(s: float) -> Vec3:
-        y1, y2 = table.state_at(s)
+        y = table.state_at(s)
         g, gp, w, wp = inputs(s)
-        f1, f2, f3 = _reparametrization_coefficients(g, gp, w, wp)
-        d1 = _y1p(f1, f2, f3, y1, y2, s)
-        return d1 * g + y1 * gp + (-f1 * d1) * w + y2 * wp
+        y1p, y2p = slope_at((*_reparametrization_coefficients(g, gp, w, wp), s), y)
+        return y1p * g + y[0] * gp + y2p * w + y[1] * wp
 
     new_base = Curve(g_value, g_d1)
     rs = RuledSurface.build(new_base, director, (a, b), m,
@@ -456,6 +449,24 @@ def _reparametrization_coefficients(g, gp, w, wp):
     return inner(m, g, w), inner(m, gp, wp), inner(m, g, wp)
 
 
+def _f3_vanishes(num: float, y1: float, y2: float, s: float) -> float:
+    """y1' of normalize_lorentz where f3 is too small to divide by: 0.0 where the
+    state is consistent, f2 y1 + delta y2 = num = 0 up to rounding, else ODEBreakdown."""
+    if abs(num) <= 1e-9 * (1.0 + abs(y1) + abs(y2)):
+        return 0.0
+    raise ODEBreakdown(f"f3 vanishes at s = {s} with inconsistent state")
+
+
+# normalize_lorentz's y1' = -(f2 y1 + delta y2)/f3 and y2' = -f1 y1' on (y1, y2),
+# with the s of its coefficients for the message of a vanishing f3
+_REPARAMETRIZATION_RHS = InlineRHS(
+    "reparametrization_rhs", ("f1", "f2", "f3", "s"), ("delta",),
+    ("num = {f2} * {0} + delta * {1}",
+     "if abs({f3}) < 1e-9 * (1.0 + abs({f1}) + abs({f2})): dy1 = f3_vanishes(num, {0}, {1}, {s})",
+     "else: dy1 = -num / {f3}"),
+    ("dy1", "-{f1} * dy1"), names={"f3_vanishes": _f3_vanishes})
+
+
 def _on_arrays(read):
     """The result of read() = (checked, result) on arrays, or None to read pointwise.
 
@@ -473,29 +484,34 @@ def _on_arrays(read):
     return result if np.isfinite(checked).all() else None
 
 
-def _stage_coefficients(base: Curve, director: Curve, a: float, b: float,
-                        n_steps: int) -> dict:
-    """normalize_lorentz's (f1, f2, f3) by s at the RK4 stages from a to b, in one array pass.
+def _reparametrization_rows(base: Curve, director: Curve):
+    """rows(stages) of normalize_lorentz's march, or None for a pair that reads pointwise.
 
-    Only a base and director of one frame-ODE table (_frame_curves) are
-    tabulated, from one read of that table; the values are those of the
-    pointwise reads bit for bit.  The dict is empty for any other pair, or
-    when the read fails (_on_arrays): the build then reads f1, f2, f3
-    pointwise.  The read takes each stage s once, and no zero: 0.0 and -0.0
-    share a dict key, and a function of s may tell them apart.
+    Only a base and director of one frame-ODE table (_frame_curves) give
+    rows.  rows(stages) reads that table once at every distinct stage s
+    (InlineRHS.bind_at) and gives, per step, (f1, f2, f3, s) at its three
+    stage s by index, those of the pointwise reads bit for bit; None when the
+    read fails (_on_arrays), so that the build reads f1, f2, f3 pointwise.
     """
     frame_at = _one_table_read(base, director)
     if frame_at is None:
-        return {}
-    S = np.array([s for s in dict.fromkeys(rk4_stages(a, b, n_steps)[1].ravel().tolist())
-                  if s != 0.0])
+        return None
 
-    def read():
-        g, gp, w, wp, _ = frame_at(S)
-        return [g, gp, w, wp], _reparametrization_coefficients(g, gp, w, wp)
+    def rows(stages: np.ndarray) -> list | None:
+        # each distinct s once: stage 2 of a step is mostly stage 0 of the next.  A
+        # zero stage s is never of both signs, so each s keeps its own bits
+        S, index = np.unique(stages.ravel(), return_inverse=True)
 
-    values = _on_arrays(read)
-    return {} if values is None else dict(zip(S.tolist(), zip(*[x.tolist() for x in values])))
+        def read():
+            g, gp, w, wp, _ = frame_at(S)
+            return [g, gp, w, wp], _reparametrization_coefficients(g, gp, w, wp)
+
+        values = _on_arrays(read)
+        if values is None:
+            return None
+        return np.stack([*values, S], axis=-1)[index].reshape(len(stages), -1).tolist()
+
+    return rows
 
 
 # ---------------------------------------------------------------------------

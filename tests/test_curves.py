@@ -246,16 +246,51 @@ def test_dense_output_independent_of_query_order():
 
 
 def test_state_at_of_a_float_gives_floats_whatever_was_asked_before():
-    # np.float64(s) and s are two arguments (curves._same_arg), so the last-s memo
-    # does not hand a float query the np.float64 tuple of the query before it
-    s = 0.31  # between nodes: the Hermite of an np.float64 s gives np.float64s
-    fresh = DenseODE(_de_sitter_rhs([]), 0.0, 0.9, Y0, 24).state_at(s)
-    table = DenseODE(_de_sitter_rhs([]), 0.0, 0.9, Y0, 24)
-    wide = table.state_at(np.float64(s))
-    assert {type(x) for x in wide} == {np.float64}
-    got = table.state_at(s)
-    assert [type(x) for x in got] == [type(x) for x in fresh] == [float] * len(Y0)
-    assert _bits(got) == _bits(fresh) == _bits(map(float, wide))
+    # state_at reads float(s), so a float, an np.float64 and an int s give one float
+    # tuple, and the last-s memo (curves._same_arg) hands no query the state of
+    # another type, in either order of the queries
+    for s in (0.31, 1.0):  # both between nodes; 1.0 is also read as the int 1
+        fresh = DenseODE(_de_sitter_rhs([]), 0.0, 1.3, Y0, 24).state_at(s)
+        assert [type(x) for x in fresh] == [float] * len(Y0)
+        args = [s, np.float64(s)] + ([int(s)] if s.is_integer() else [])
+        for order in (args, args[::-1]):
+            table = DenseODE(_de_sitter_rhs([]), 0.0, 1.3, Y0, 24)
+            for x in order:
+                got = table.state_at(x)
+                assert [type(v) for v in got] == [float] * len(Y0)
+                assert _bits(got) == _bits(fresh)
+
+
+def _oscillator(s, y):
+    """y'' = -y + sin s as a system: floats at a float s."""
+    return (y[1], -y[0] + math.sin(s))
+
+
+def _leaves(x):
+    return [v for part in x for v in _leaves(part)] if isinstance(x, tuple) else [x]
+
+
+@pytest.mark.parametrize("read, points", [
+    # [1, 51] in 24 steps: 17 lies between nodes, 26 is node 12, 1 and 51 are the
+    # ends, and 0 and 52 lie in the overhangs (0.02 * 50 = 1)
+    (lambda s: DenseODE(_oscillator, 1.0, 51.0, (1.0, 0.0), 24).state_at(s),
+     [17, 26, 1, 51, 0, 52, 17.3]),
+    (lambda s: DenseODE(_oscillator, 1.0, 51.0, (1.0, 0.0), 24).jet_at(s),
+     [17, 26, 1, 51, 0, 52, 17.3]),
+    (lambda s: CenteredODE(_oscillator, 25.0, (1.0, 0.0), 24).state_at(s),
+     [3, -3, 0, 25, -25, 25.3, -25.3]),
+    (FourierSeries(0.3, [0.1, -0.05], [0.07, 0.02], math.pi), [2, -1, 0.37]),
+    (FourierSeries(0.3, [0.1, -0.05], [0.07, 0.02], math.pi).deriv, [2, -1, 0.37]),
+], ids=["state_at", "jet_at", "centered", "series", "series_deriv"])
+def test_point_reads_compute_on_float_s_whatever_its_type(read, points):
+    # a float, an np.float64 and an int s give floats, with the bits of the float s;
+    # each read is a table's first, so no memo answers it
+    for s in points:
+        args = [float(s), np.float64(s)] + ([int(s)] if float(s).is_integer() else [])
+        got = [_leaves(read(x)) for x in args]
+        for values in got:
+            assert {type(v) for v in values} == {float}
+            assert _bits(values) == _bits(got[0])
 
 
 @pytest.mark.parametrize("s0, s1", [(0.0, 0.9), (0.0, -0.9)])

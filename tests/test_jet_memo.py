@@ -8,8 +8,8 @@ import pytest
 
 from singular_geom import catenary as cat
 from singular_geom.algebra import Metric, Vec3, inner
-from singular_geom import frames, ruled
-from singular_geom.curves import Curve, DenseODE
+from singular_geom import curves, frames, ruled
+from singular_geom.curves import Curve, DenseODE, rk4_stages
 from singular_geom.errors import ODEBreakdown, OutOfDomain
 from singular_geom.ruled import helicoid, random_lorentz_ruled
 from singular_geom.surface import _C1, _C2, _V, Jet2, ParamSurface, unit_normal
@@ -219,7 +219,8 @@ def test_tabulated_lorentz_normalization_matches_pointwise_reference(monkeypatch
 
     for base, director, s_range, delta, tabulated in _pinned_normalization_inputs():
         a, b = s_range
-        assert bool(ruled._stage_coefficients(base, director, a, b, 512)) is tabulated
+        rows = ruled._reparametrization_rows(base, director)
+        assert (rows is not None and rows(rk4_stages(a, b, 512)[1]) is not None) is tabulated
         ref_table, ref = _reference_normalization(base, director, delta, s_range)
         with monkeypatch.context() as m:
             m.setattr(ruled, "DenseODE", Recording)
@@ -259,3 +260,100 @@ def test_tabulation_leaves_curve_errors_to_the_stepwise_build():
         with pytest.raises(ODEBreakdown):
             ruled.normalize_lorentz(*pair, 1, (0.0, 1.0))
     assert reads  # the second pair was read on an array first
+
+
+def _on_one_read(base, director):
+    """base and director as the curves of one frame table, whose frame_at reads them
+    pointwise, one s at a time in the order of S: normalize_lorentz marches over them."""
+    def frame_at(S):
+        rows = [tuple(x.as_tuple() for x in (base.value(s), base.d1(s), director.value(s),
+                                              director.d1(s), director.d2(s)))
+                for s in S.tolist()]
+        return tuple(_V(*np.array(col).T) for col in zip(*rows))
+
+    return tuple(frames._FrameCurve(c.value, c.d1, c.d2, frame_at) for c in (base, director))
+
+
+def _vanishing_f3_input(s_star):
+    """An admissible input on the circle w = (cos s, sin s, 0), delta = +1, with
+    g = w + (cos s*, sin s*, s/2): f3 = <g, w'>_L = sin(s* - s) is 0.0 at s = s*,
+    where f2 = 1 and the state is not consistent."""
+    c, s_ = math.cos(s_star), math.sin(s_star)
+    director = Curve(lambda s: Vec3(math.cos(s), math.sin(s), 0.0),
+                     lambda s: Vec3(-math.sin(s), math.cos(s), 0.0),
+                     lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0))
+    base = Curve(lambda s: Vec3(math.cos(s) + c, math.sin(s) + s_, 0.5 * s),
+                 lambda s: Vec3(-math.sin(s), math.cos(s), 0.5),
+                 lambda s: Vec3(-math.cos(s), -math.sin(s), 0.0))
+    return base, director
+
+
+def _built_table(monkeypatch, base, director, delta, s_range):
+    """The repr of the nodes and slopes of normalize_lorentz's table, or the type and
+    message of what it raises, and the number of rk4_steps taken meanwhile."""
+    built, steps, step = [], [], curves.rk4_step
+
+    class Recording(DenseODE):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ruled, "DenseODE", Recording)
+        m.setattr(curves, "rk4_step", lambda *args: steps.append(1) or step(*args))
+        try:
+            ruled.normalize_lorentz(base, director, delta, s_range)
+        except ODEBreakdown as err:
+            return (type(err), str(err)), len(steps)
+    return repr((built[-1].nodes.tolist(), built[-1].slopes.tolist())), len(steps)
+
+
+def _reference_table(base, director, delta, s_range):
+    """_built_table's first entry for the loop of rk4_step over the closure of
+    _reference_normalization, which reads f1, f2 and f3 pointwise at every stage."""
+    try:
+        table, _ = _reference_normalization(base, director, delta, s_range)
+    except ODEBreakdown as err:
+        return type(err), str(err)
+    return repr((table.nodes.tolist(), table.slopes.tolist()))
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_the_reparametrization_march_takes_the_nodes_and_slopes_of_rk4_steps(delta, monkeypatch):
+    for seed in range(4):
+        base, director, s_range = ruled.random_prenormalization_input(
+            np.random.default_rng(4100 + 10 * seed + delta), delta)
+        got, steps = _built_table(monkeypatch, base, director, delta, s_range)
+        assert steps == 0  # marched: every stage read from the rows of one array read
+        assert got == _reference_table(base, director, delta, s_range)
+
+
+def test_pinned_normalizations_march_or_step_as_their_pair_reads(monkeypatch):
+    # a pair of one frame table marches and takes no rk4_step; the hand-built pair
+    # of plain curves steps 512 times with rk4_step; both give the loop's bits
+    for base, director, s_range, delta, tabulated in _pinned_normalization_inputs():
+        got, steps = _built_table(monkeypatch, base, director, delta, s_range)
+        assert steps == (0 if tabulated else 512)
+        assert got == _reference_table(base, director, delta, s_range)
+
+
+@pytest.mark.parametrize("s_star", [200 / 512, 401 / 1024], ids=["node", "stage"])
+def test_a_vanishing_f3_breaks_the_march_down_where_the_loop_does(s_star, monkeypatch):
+    # on the grid (0, 1, 512), s* is node 200, the s of stage d of step 199, or the
+    # s of stages b and c of step 200; the march and the loop raise there alike
+    expected = (ODEBreakdown, f"f3 vanishes at s = {s_star} with inconsistent state")
+    base, director = _vanishing_f3_input(s_star)
+    assert _reference_table(base, director, 1, (0.0, 1.0)) == expected
+    marched = _built_table(monkeypatch, *_on_one_read(base, director), 1, (0.0, 1.0))
+    stepped = _built_table(monkeypatch, base, director, 1, (0.0, 1.0))
+    assert marched == (expected, 0)
+    assert stepped[0] == expected and stepped[1] > 0
+
+
+def test_a_backward_range_from_minus_zero_marches_the_loops_nodes(monkeypatch):
+    # the first stage s of the grid (-0.0, -1.0, 512) is -0.0 + 0 h = -0.0, its one
+    # zero; the march reads each distinct s once and gives the loop's bits
+    base, director, _, delta = _de_sitter_input()
+    got, steps = _built_table(monkeypatch, *_on_one_read(base, director), delta, (-0.0, -1.0))
+    assert steps == 0
+    assert got == _reference_table(base, director, delta, (-0.0, -1.0))

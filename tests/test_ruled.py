@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -716,6 +717,31 @@ def test_an_overflowing_march_gives_the_generic_loop_non_finite_nodes(monkeypatc
         built[:] = []
 
 
+@pytest.mark.parametrize("kind, read", [
+    (frames._SWEEP_FRAME_RHS, range(6)),  # g, in slots 6:9, is read by no stage
+    (frames._PRENORMALIZATION_RHS, range(6)),
+    (cat._CATENARY_RHS, (1, 2)),  # u is read by no stage
+    (ruled._REPARAMETRIZATION_RHS, (0, 1)),
+], ids=["sweep_frame", "prenormalization", "catenary", "reparametrization"])
+def test_a_march_assigns_the_stage_states_of_read_components_alone(kind, read, monkeypatch):
+    sources = []
+    compile_source = curves._compiled
+    monkeypatch.setattr(curves, "_compiled", lambda source, filename, name, **names:
+                        sources.append(source) or compile_source(source, filename, name, **names))
+    monkeypatch.setattr(kind, "_functions", None)
+    kind._compile()
+    march = sources[-1].splitlines()
+    assigned = [line.split("=")[0].strip() for line in march if line.lstrip().startswith("z")]
+    # three stages, each assigning its stage state once per read component
+    assert sorted(assigned) == sorted(f"z{i}" for i in read for _ in range(3))
+    # every component is still stepped
+    assert [f"y{i} = y{i} + w" in sources[-1] for i in range(kind.n)] == [True] * kind.n
+    # the names and the appends are locals of the march
+    assert all(f"{k}={k}" in march[0] for k in kind._names)
+    assert ".append((" not in sources[-1]
+    assert "add_slope((" in sources[-1] and "add_node((" in sources[-1]
+
+
 def test_a_kind_of_right_hand_side_compiles_once(monkeypatch):
     compiled, compile_source = [], curves._compiled
     monkeypatch.setattr(curves, "_compiled",
@@ -1106,8 +1132,10 @@ def test_a_pass_with_an_overflowing_draw_raises_like_the_pointwise_reference(met
                         lambda rs, s: windows.append(rs) or window(rs, s))
     cfg = SweepConfig(n_surfaces=10, n_s_samples=10, seed=4, metric=metric, director_class=klass,
                       delta=delta)
-    # a batch build overflows with a numpy warning, where scalar floats overflow silently
-    with np.errstate(over="ignore", invalid="ignore"):
+    # warnings raise, as under -W error: a batch build must overflow silently, as
+    # scalar floats do, and not raise a RuntimeWarning where the reference raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = _outcome(lambda: falsification_sweep(cfg))
     ref = _outcome(lambda: _reference_sweep(cfg, (), draw))
     assert got == ref
