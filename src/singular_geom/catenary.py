@@ -29,7 +29,8 @@ from .surface import Jet2, ParamSurface, along, stack_rows
 
 Y_FLOOR = 1e-12
 # integrate keeps every state, so a path is capped well above the 8000 steps
-# the acceptance runs take rather than left to grow until memory runs out
+# the acceptance runs take rather than left to grow until memory runs out; a
+# solve_bvp shot is capped alike, so that no shot runs unbounded
 MAX_STEPS = 10**6
 _BVP_SCAN = 64
 _THETA_GUARD = 0.5 * math.pi - 1e-9
@@ -134,10 +135,8 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
     for name, value in (("length", length), ("step", step)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    for name, value in (("alpha", alpha), ("start.u", start.u), ("start.y", start.y),
-                        ("start.theta", start.theta), ("start.s", start.s)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_finite(("alpha", alpha), ("start.u", start.u), ("start.y", start.y),
+                    ("start.theta", start.theta), ("start.s", start.s))
     if start.y <= Y_FLOOR:
         raise HalfspaceViolation(f"start height y = {start.y} is not in the open halfplane")
     ratio = length / step
@@ -155,6 +154,13 @@ def integrate(start: CatenaryState, alpha: float, length: float, step: float) ->
     return CatenaryPath(s, nodes, slopes, alpha, exited)
 
 
+def _require_finite(*named: tuple[str, float]) -> None:
+    """Raise ValueError naming the first (name, value) whose value is not finite."""
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def classical_catenary(s: float) -> tuple[float, float]:
     """Closed-form arclength parametrization of y = cosh(u) from (0, 1)."""
     return (math.asinh(s), math.sqrt(1.0 + s * s))
@@ -166,9 +172,12 @@ def _shoot_height(theta0: float, u0: float, y0: float, u1: float, alpha: float) 
     Integrates in u (dy/du = tan theta, dtheta/du = alpha/y).  Shots whose
     tangent turns vertical before u1 never arrive: a dive to the halfspace
     floor reads as -inf, a blow-up in height as +inf, which keeps the scan
-    sign-consistent for bracketing.
+    sign-consistent for bracketing.  More than MAX_STEPS steps raise ValueError.
     """
-    n = max(256, int(math.ceil((u1 - u0) / 0.002)))
+    ratio = (u1 - u0) / 0.002
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"(u1 - u0) / 0.002 = {ratio} steps exceed MAX_STEPS = {MAX_STEPS}")
+    n = max(256, int(math.ceil(ratio)))
     h = (u1 - u0) / n
     y, th = y0, theta0
 
@@ -193,10 +202,14 @@ def solve_bvp(p0: tuple[float, float], p1: tuple[float, float], alpha: float,
 
     Scans 64 initial angles in (-pi/2, pi/2) for sign changes of the terminal
     height error at u = p1[0] and bisects the bracket nearest theta = 0.
-    Raises NoSolution when the scan finds no bracketing pair.
+    Raises ValueError before any step for an alpha or endpoint coordinate
+    that is not finite, an endpoint outside the open upper halfplane, p0.u
+    >= p1.u, or shots of more than MAX_STEPS steps; raises NoSolution when
+    the scan finds no bracketing pair.
     """
     u0, y0 = p0
     u1, y1 = p1
+    _require_finite(("p0.u", u0), ("p0.y", y0), ("p1.u", u1), ("p1.y", y1), ("alpha", alpha))
     if y0 <= 0.0 or y1 <= 0.0:
         raise ValueError("both endpoints must lie in the open upper halfplane")
     if not u0 < u1:

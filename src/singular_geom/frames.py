@@ -8,8 +8,9 @@ ODE and of the pre-normalization input are curves.InlineRHS kinds, whose
 march builds their scalar tables.  _frame_curves and _lightlike_curves wrap
 a table as the base and director curves of the surface, which also read
 their whole frame on arrays (_FrameCurve.frame_at); the table keeps its last
-such read, and a point query at an s of it is answered from it, not from the
-table (_KeptRead), the one point memo of a generated surface.
+such read, and a read at the same S, or a point query at an s of it, is
+answered from it, not from the table (_KeptRead), the one frame memo of a
+generated surface.
 _frame_nodes_batch and _lightlike_nodes step the tables of many draws at
 once, bit for bit the scalar builds; both take g as an RK4 quadrature
 (rk4_quadrature).  _frame_stack_at and _lightlike_stack_at read the frames
@@ -59,12 +60,13 @@ class _FrameCurve(Curve):
     frame_at(S), shared by the base and director of one table, gives (g, g',
     w, w', w'') at every s of S as _V component arrays, bit for bit the
     pointwise value(s) and d1(s) of the base and value(s), d1(s) and d2(s)
-    of the director.  Each call reads the table again; the curves of
-    _frame_curves and _lightlike_curves answer a point query at an s of the
-    last read from it (_KeptRead).  A translated _FrameCurve is a plain
-    Curve (Curve.translated) with no frame_at, whose point reads are these
-    curves' plus the offset.  table is the frame table both curves read, for
-    the reads of many tables at once (_frame_stack_at, _lightlike_stack_at).
+    of the director.  The curves of _frame_curves and _lightlike_curves keep
+    their last read (_KeptRead), and answer a call at its S with that frame,
+    not a copy, and a point query at an s of it from it.  A translated
+    _FrameCurve is a plain Curve (Curve.translated) with no frame_at, whose
+    point reads are these curves' plus the offset.  table is the frame table
+    both curves read, for the reads of many tables at once (_frame_stack_at,
+    _lightlike_stack_at).
     """
 
     def __init__(self, value, d1, d2, frame_at, table=None):
@@ -85,13 +87,15 @@ class _KeptRead:
     """The last frame_at read of one table, which also answers point queries at its s.
 
     keep(S, frame) holds a copy of S and the frame (g, g', w, w', w'') read
-    there.  serve(i, pointwise) is the point function of frame entry i: at
-    an s of S whose column (all 15 values at that s) is finite, the Vec3 of
-    the read's entry i, which is pointwise(s) bit for bit; at any other s,
-    pointwise(s), which raises what it raises.  0.0 is never served: 0.0
-    and -0.0 are one key, and a function of s may tell them apart.  The
-    s -> column dict, in which a repeated s maps to its first flat column,
-    is built at the first point query after a read, so a read that no point
+    there.  read(S, frame_of) is that frame when S has the shape and bytes
+    of the kept S, so -0.0 is not 0.0 there, and else keeps frame_of(S).
+    serve(i, pointwise) is the point function of frame entry i: at an s of S
+    whose column (all 15 values at that s) is finite, the Vec3 of the read's
+    entry i, which is pointwise(s) bit for bit; at any other s,
+    pointwise(s), which raises what it raises.  0.0 is never served: 0.0 and
+    -0.0 are one key, and a function of s may tell them apart.  The s ->
+    column dict, in which a repeated s maps to its first flat column, is
+    built at the first point query after a read, so a read that no point
     query follows builds none.
     """
 
@@ -105,6 +109,12 @@ class _KeptRead:
         self._frame = frame
         self._keys = None
         return frame
+
+    def read(self, S: np.ndarray, frame_of) -> tuple:
+        S = np.asarray(S, dtype=float)
+        if self._S is not None and S.shape == self._S.shape and S.tobytes() == self._S.tobytes():
+            return self._frame
+        return self.keep(S, frame_of(S))
 
     def serve(self, i: int, pointwise):
         def at(s: float) -> Vec3:
@@ -151,8 +161,7 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
         return value
 
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
-        y = table.states_at(S)
-        return kept.keep(S, _table_frame(y, rhs(S, y)))
+        return kept.read(S, lambda S: _table_frame(S, table.states_at(S), rhs))
 
     g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
     base = _FrameCurve(kept.serve(0, read(6)), kept.serve(1, read(6, rhs)), g_d2_of_s, frame_at,
@@ -162,8 +171,9 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     return base, director
 
 
-def _table_frame(y, f) -> tuple[_V, _V, _V, _V, _V]:
-    """(g, g', w, w', w'') from the states y = (w, w', g) of a frame table and f = rhs(s, y)."""
+def _table_frame(S: np.ndarray, y, rhs) -> tuple[_V, _V, _V, _V, _V]:
+    """(g, g', w, w', w'') at S from the states y = (w, w', g) of a frame table there."""
+    f = rhs(S, y)
     return tuple(_V(*x[k:k + 3]) for x, k in ((y, 6), (f, 6), (y, 0), (y, 3), (f, 3)))
 
 
@@ -174,9 +184,8 @@ def _frame_stack_at(draws: Sequence, tables: Sequence, S: np.ndarray) -> tuple:
     and the right-hand side is taken once for every draw (InlineRHS.bind_stack);
     entry [..., b] of each component is that of tables[b]'s frame_at(S) bit for bit.
     """
-    y = stacked_states_at(tables, S)
     rhs = _SWEEP_FRAME_RHS.bind_stack([d.series for d in draws], *draws[0].frame_signs())
-    return _table_frame(y, rhs(S, y))
+    return _table_frame(S, stacked_states_at(tables, S), rhs)
 
 
 def _lightlike_curves(table, rhs, g_d2) -> tuple[Curve, Curve]:
@@ -192,7 +201,7 @@ def _lightlike_curves(table, rhs, g_d2) -> tuple[Curve, Curve]:
     kept = _KeptRead()
 
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
-        return kept.keep(S, _lightlike_frame(S, table.states_at(S), rhs(S, None)))
+        return kept.read(S, lambda S: _lightlike_frame(S, table.states_at(S), rhs(S, None)))
 
     base = _FrameCurve(kept.serve(0, lambda s: Vec3(*table.state_at(s))),
                        kept.serve(1, lambda s: Vec3(*rhs(s, None))), g_d2, frame_at, table)

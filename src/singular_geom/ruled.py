@@ -156,8 +156,6 @@ class RuledSurface:
         self.delta = int(delta)
         self.normalized = normalized
         self.label = label
-        # (key of s_values, _sweep_frames(self, s_values)) of the last sweep read
-        self._last_sweep_frames: tuple[tuple, _SweepFrames | None] | None = None
 
     @classmethod
     def build(cls, base: Curve, director: Curve, s_range, metric: Metric,
@@ -1066,32 +1064,21 @@ def _sweep_frames(rs: RuledSurface, s_values: Sequence[float]) -> _SweepFrames |
     Only a base and director of one frame table (_one_table_read) read on
     arrays, at curves.fd1_points.  None for any other surface, when there is
     nothing to read, or when the read fails (_on_arrays, _frame_values).
-    _halfspace_window, translate_into_halfspace and sweep_surface each take
-    these arrays when they are there and read pointwise when they are not,
-    so a surface whose read fails is replayed pointwise from its first read,
-    and raises what the pointwise path raises where it raises it.  The
-    surface keeps the result for s_values of the same bits, and
-    translate_into_halfspace hands it on with g shifted; the kept result is
-    looked up first, since a translated base has no frame_at.  So the three
-    steps form P and Q once per surface.  The table keeps its last read too
-    (_KeptRead), and its curves answer a point query at one of these s from
-    it: a pointwise replay, and the coefficient oracle at these s, read the
-    table point by point only for g''.  A sweep scores its generated
-    surfaces a pass at a time instead (_score_pass), from one read of all
-    their tables.
+    _halfspace_window and translate_into_halfspace each take these arrays
+    when they are there and read pointwise when they are not, so a surface
+    whose read fails is replayed pointwise, and raises what the pointwise
+    path raises where it raises it.  Both read at the same points, which the
+    table answers from its last read (_KeptRead), so it is read once; its
+    curves answer a point query at one of these s from that read too, so
+    sweep_surface and the coefficient oracle at these s read the table point
+    by point only for g''.  A sweep scores its generated surfaces a pass at
+    a time instead (_score_pass), from one read of all their tables.
     """
     s = np.asarray(s_values, dtype=float)
-    key = (s.shape, s.tobytes())
-    last = rs._last_sweep_frames
-    if last is not None and last[0] == key:
-        return last[1]
     frame_at = _one_table_read(rs.base, rs.director)
     if not (rs.normalized and frame_at is not None and s.ndim == 1 and s.size):
         return None
-    frames = _on_arrays(lambda: _frame_values(rs.director_class,
-                                              frame_at(np.stack(fd1_points(s)))))
-    rs._last_sweep_frames = (key, frames)
-    return frames
+    return _on_arrays(lambda: _frame_values(rs.director_class, frame_at(np.stack(fd1_points(s)))))
 
 
 def _frame_values(director_class: DirectorClass, frame) -> tuple[list, _SweepFrames]:
@@ -1163,18 +1150,14 @@ def _offset(m: Metric, lo, v):
     return type(v)(v.x * k, v.y * k, v.z * k)
 
 
-def _shifted(g: _V, offset) -> _V:
-    """g + offset on components, as Curve.translated shifts a value."""
-    return _V(g.x + offset.x, g.y + offset.y, g.z + offset.z)
-
-
 def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float],
                              t_window: tuple[float, float]) -> RuledSurface:
     """Shift the base along +-v until <X, v> >= 0.5 over the sampled box.
 
     The min of <X, v> is taken on arrays when the frames read on arrays
     (_sweep_frames), and pointwise, raising where a Vec3 does, when they do
-    not or a height is not finite.
+    not or a height is not finite.  The translated surface's base is a plain
+    Curve (Curve.translated), which reads pointwise.
     """
     m = rs.metric
     frames = _sweep_frames(rs, s_values)
@@ -1188,19 +1171,8 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
         lo = min(inner(m, rs.point(s, t), v) for s in s_values for t in t_window)
     if lo >= 0.5:
         return rs
-    offset = _offset(m, lo, v)
-    out = RuledSurface(rs.base.translated(offset), rs.director, rs.s_range, rs.metric,
-                       rs.director_class, rs.delta, rs.normalized, rs.label)
-    if frames is not None:
-
-        def shifted():
-            g = _shifted(frames.g, offset)
-            return g, frames._replace(g=g)
-
-        kept = _on_arrays(shifted)
-        if kept is not None:  # else out, whose base has no frame_at, reads pointwise
-            out._last_sweep_frames = (rs._last_sweep_frames[0], kept)
-    return out
+    return RuledSurface(rs.base.translated(_offset(m, lo, v)), rs.director, rs.s_range, rs.metric,
+                        rs.director_class, rs.delta, rs.normalized, rs.label)
 
 
 def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[float]) -> dict:
@@ -1208,31 +1180,23 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
 
     max_abs_coeff is max over s of max_i |A_i| scaled by max(1, |P|^3)
     (max(1, |Q|^3) in the lightlike class) so the flag is scale invariant.
-    The s are scored together on arrays when the frames read on arrays
-    (_sweep_frames), and one at a time through coefficients() otherwise or
-    when the array scoring fails (_on_arrays); both give the same bits.  No
-    s, or a scaled maximum that is not finite, raises rather than flag.
+    The s are scored one at a time through frame() and coefficients(); a
+    generated surface's curves answer them from its table's last read
+    (_KeptRead), which _halfspace_window and translate_into_halfspace leave
+    at these s.  No s, or a scaled maximum that is not finite, raises rather
+    than flag.
     """
     if not len(s_values):
         raise ConfigError("sweep_surface needs at least one s-sample")
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
-    frames = _sweep_frames(rs, s_values)
-
-    def scaled_maxima():
-        require_unit_direction(rs.metric, v)
-        checked, scaled = _scaled_maxima(rs, v, alpha, frames)
-        return checked, scaled.tolist()
-
-    scaled = None if frames is None else _on_arrays(scaled_maxima)
-    if scaled is None:
-        scaled = []
-        for s in s_values:
-            fr = frame(rs, s)
-            x = _scaled_max_abs(coefficients(rs, s, v, alpha).A, fr.Q if lightlike else fr.P)
-            if not math.isfinite(x):
-                raise ValueError(f"scaled coefficient maximum {x} at s = {s}")
-            scaled.append(x)
-    return _row(rs.director_class, alpha, max(scaled))
+    worst = 0.0
+    for s in s_values:
+        fr = frame(rs, s)
+        x = _scaled_max_abs(coefficients(rs, s, v, alpha).A, fr.Q if lightlike else fr.P)
+        if not math.isfinite(x):
+            raise ValueError(f"scaled coefficient maximum {x} at s = {s}")
+        worst = max(worst, x)
+    return _row(rs.director_class, alpha, worst)
 
 
 def _scaled_max_abs(A, ref):
@@ -1240,21 +1204,6 @@ def _scaled_max_abs(A, ref):
     if isinstance(ref, np.ndarray):
         return np.maximum.reduce(np.abs(A)) / np.maximum(1.0, _cube(np.abs(ref)))
     return max(abs(a) for a in A) / max(1.0, _cube(abs(ref)))
-
-
-def _scaled_maxima(rs: RuledSurface, v, alpha, frames: _SweepFrames) -> tuple[list, np.ndarray]:
-    """(checked, scaled): the scaled coefficient maximum at every s-sample, from frames.
-
-    One surface's frames with a Vec3 v and a float alpha, or a sweep pass's
-    with a _V v and an array alpha, one entry per surface.  checked holds
-    the coefficients too.
-    """
-    g, gp, w, wp, P, Q = frames
-    ref = Q if rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE else P
-    A = _coefficient_values(rs, v, alpha, w, wp, P[2], Q[2],
-                            fd1_stencil(ref[0], ref[1], ref[3], ref[4]), g, gp)
-    scaled = _scaled_max_abs(A, ref[2])
-    return [*A, scaled], scaled
 
 
 def _row(director_class: DirectorClass, alpha: float, worst: float) -> dict:
@@ -1279,8 +1228,9 @@ def _score_pass(draws: Sequence[_Draw], surfaces: Sequence[RuledSurface], vs: Se
     (_frame_stack_at, _lightlike_stack_at), P and Q are formed once on them,
     and the window, the translation and the scaled maxima of every surface
     follow on the same arrays, from the helpers of _halfspace_window,
-    translate_into_halfspace and sweep_surface: each row is the one those
-    give the surface, byte for byte.  None when any of it fails (_on_arrays):
+    translate_into_halfspace and sweep_surface, with P' (or Q') from fd1's
+    stencil: each row is the one those give the surface pointwise, byte for
+    byte.  None when any of it fails (_on_arrays):
     a lightlike |Q| under the floor, a value that is not finite, or a raised
     error; the caller then scores the surfaces one by one.
     """
@@ -1291,18 +1241,20 @@ def _score_pass(draws: Sequence[_Draw], surfaces: Sequence[RuledSurface], vs: Se
     def read():
         stack_at = _lightlike_stack_at if lightlike else _frame_stack_at
         frame = stack_at(draws, [x.base.table for x in surfaces], np.stack(fd1_points(s_values)))
-        checked, frames = _frame_values(rs.director_class, frame)
+        checked, (g, gp, w, wp, P, Q) = _frame_values(rs.director_class, frame)
+        ref = Q if lightlike else P
         for v in vs:
             require_unit_direction(m, v)
         v = _V(*np.array([v.as_tuple() for v in vs]).T)
-        heights, lo = _heights(m, frames.g, frames.w, v,
-                               _window(rs, np.abs((frames.Q if lightlike else frames.P)[2])))
+        heights, lo = _heights(m, g, w, v, _window(rs, np.abs(ref[2])))
         offset = _offset(m, lo, v)
-        # a surface whose lowest height is 0.5 or more stays where it is
-        g = _V(*np.where(lo < 0.5, _shifted(frames.g, offset), frames.g))
-        scored, scaled = _scaled_maxima(rs, v, np.array(alphas), frames._replace(g=g))
+        # g + offset as Curve.translated shifts it, where the lowest height is below 0.5
+        g = _V(*np.where(lo < 0.5, [g.x + offset.x, g.y + offset.y, g.z + offset.z], g))
+        A = _coefficient_values(rs, v, np.array(alphas), w, wp, P[2], Q[2],
+                                fd1_stencil(ref[0], ref[1], ref[3], ref[4]), g, gp)
+        scaled = _scaled_max_abs(A, ref[2])
         # the arrays differ in shape, so they are checked as one flat array
-        checked = np.concatenate([x.ravel() for x in (*checked, *heights, *offset, *g, *scored)])
+        checked = np.concatenate([x.ravel() for x in (*checked, *heights, *offset, *g, *A, scaled)])
         return checked, scaled.max(axis=0).tolist()
 
     worst = _on_arrays(read)
@@ -1335,11 +1287,11 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     each pass reads all of its tables at once and scores its surfaces on
     arrays with a trailing surface axis (_score_pass), and its surfaces are
     dropped once it is scored.  A pass that fails scores its surfaces one by
-    one, from one read of each surface's frames (_sweep_frames), as planted
-    surfaces are scored; planted surfaces without a frame table are scored
-    pointwise.  The report is the one that building and scoring each
-    surface alone, pointwise, would give, byte for byte, and so is the
-    error it raises.
+    one, as planted surfaces are scored: the window and the translation read
+    the surface's table once on arrays where it has one (_sweep_frames), and
+    sweep_surface scores it pointwise.  The report is the one that building
+    and scoring each surface alone, pointwise, would give, byte for byte,
+    and so is the error it raises.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)

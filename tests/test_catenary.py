@@ -352,6 +352,44 @@ def test_bvp_rejects_bad_endpoints():
         cat.solve_bvp((1.0, 1.0), (0.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("p0, p1, alpha, name", [
+    ((0.0, 1.0), (math.inf, 1.0), 1.0, "p1.u"),
+    ((0.0, 1.0), (1.0, 2.0), math.nan, "alpha"),
+    ((0.0, math.nan), (1.0, 2.0), 1.0, "p0.y"),
+    ((0.0, 1.0), (1.0, math.inf), 1.0, "p1.y"),
+    ((-math.inf, 1.0), (1.0, 2.0), 1.0, "p0.u"),
+    ((0.0, 1.0), (1.0, 2.0), -math.inf, "alpha"),
+])
+def test_bvp_rejects_a_value_that_is_not_finite_by_name(p0, p1, alpha, name, monkeypatch):
+    # before any shot: an infinite u1 once overflowed the step count, and a NaN
+    # alpha or y0 or an infinite y1 scanned every shot to "no sign change"
+    monkeypatch.setattr(cat, "rk4_step", _no_step)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite, got "):
+        cat.solve_bvp(p0, p1, alpha)
+
+
+def _no_step(*args):
+    raise AssertionError("stepped")
+
+
+@pytest.mark.parametrize("p0, p1", [
+    ((0.0, 1.0), (1e300, 1.0)),
+    ((0.0, 1.0), (0.002 * (cat.MAX_STEPS + 1), 1.0)),
+    ((-1e308, 1.0), (1e308, 1.0)),  # p1.u - p0.u overflows to inf
+])
+def test_bvp_rejects_a_shot_above_max_steps_before_stepping(p0, p1, monkeypatch):
+    monkeypatch.setattr(cat, "rk4_step", _no_step)
+    with pytest.raises(ValueError, match=r"exceed MAX_STEPS = 1000000$"):
+        cat.solve_bvp(p0, p1, 1.0)
+
+
+def test_a_shot_just_under_max_steps_steps(monkeypatch):
+    # the cap rejects no shot that it does not have to
+    monkeypatch.setattr(cat, "rk4_step", _no_step)
+    with pytest.raises(AssertionError, match="stepped"):
+        cat._shoot_height(0.0, 0.0, 1.0, 0.002 * (cat.MAX_STEPS - 1), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # cylinders
 # ---------------------------------------------------------------------------

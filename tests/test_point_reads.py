@@ -208,6 +208,82 @@ def test_a_read_with_no_point_query_builds_no_lookup(monkeypatch):
     assert all(kept._S is None and kept._keys == {} for kept in made)
 
 
+def _states_at_reads(monkeypatch, table):
+    """A list that gets the S of every states_at of this one table."""
+    calls, original = [], table.states_at
+    monkeypatch.setattr(table, "states_at", lambda S: calls.append(S.copy()) or original(S))
+    return calls
+
+
+@pytest.mark.parametrize("klass", list(_DRAWS))
+def test_a_read_at_the_last_s_is_the_kept_frame(klass, monkeypatch):
+    rs, _ = _pair(klass, 38)
+    other, _ = _pair(klass, 38)
+    fresh = other.base.frame_at(_stencil(other, 4))
+    calls = _states_at_reads(monkeypatch, rs.base.table)
+    S = _stencil(rs, 4)
+    frame = rs.base.frame_at(S)
+    assert len(calls) == 1
+    # the same S, and an equal copy of it, from the base or the director: no read
+    assert rs.base.frame_at(S) is frame
+    assert rs.director.frame_at(S.copy()) is frame
+    assert len(calls) == 1
+    assert [repr(c.tolist()) for v in frame for c in v] == \
+        [repr(c.tolist()) for v in fresh for c in v]
+    # another shape, or other points, are read again
+    rs.base.frame_at(S.ravel())
+    rs.base.frame_at(S + FD_H1)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("klass", list(_DRAWS))
+def test_a_read_whose_s_differs_in_the_sign_of_a_zero_is_read_again(klass, monkeypatch):
+    rs, twin = _pair(klass, 39)
+    calls = _states_at_reads(monkeypatch, rs.base.table)
+    S = np.array([0.5, 0.0, 1.0])
+    first = rs.base.frame_at(S)
+    assert rs.base.frame_at(np.array([0.5, 0.0, 1.0])) is first
+    assert len(calls) == 1
+    # -0.0 == 0.0, but the bytes differ: a function of s may tell them apart
+    second = rs.base.frame_at(np.array([0.5, -0.0, 1.0]))
+    assert second is not first
+    assert [repr(x.tolist()) for x in calls] == ["[0.5, 0.0, 1.0]", "[0.5, -0.0, 1.0]"]
+    # the zero's column is read at -0.0 in the new read, and 0.0 is still read pointwise
+    assert repr(rs.base.value(0.5)) == repr(twin.base.value(0.5))
+    assert repr(rs.base.value(-0.0)) == repr(twin.base.value(-0.0))
+
+
+@pytest.mark.parametrize("klass", ["lorentz+1", "lorentz-1", "lightlike"])
+def test_the_window_and_translation_read_the_table_once(klass, monkeypatch):
+    # the window reads the frame at the samples and fd1's points around them; the
+    # translation reads it there again, from the table's kept read.  That read
+    # belongs to the table, so a second surface over the same curves is served
+    # by it too
+    rng = np.random.default_rng(40)
+    values = ruled._frame_values
+    for build in ("same", "rebuilt"):
+        rs, twin = _pair(klass, 41)
+        calls, frames_read = _states_at_reads(monkeypatch, rs.base.table), []
+        monkeypatch.setattr(ruled, "_frame_values", lambda klass, frame:
+                            frames_read.append(frame) or values(klass, frame))
+        v = random_unit_timelike(rng)
+        s_values = rs.s_samples(7)
+        window = _halfspace_window(rs, s_values)
+        assert len(calls) == 1
+        if build == "rebuilt":
+            rs = RuledSurface(rs.base, rs.director, rs.s_range, rs.metric, rs.director_class,
+                              rs.delta, rs.normalized, rs.label)
+        moved = translate_into_halfspace(rs, v, s_values, window)
+        assert len(calls) == 1
+        # the translation took its heights on arrays, from the frame the window read
+        assert len(frames_read) == 2 and frames_read[1] is frames_read[0]
+        monkeypatch.setattr(ruled, "_frame_values", values)
+        assert window == _halfspace_window(twin, s_values)
+        moved_twin = translate_into_halfspace(twin, v, s_values, window)
+        assert [repr(moved.point(s, t)) for s in s_values for t in window] == \
+            [repr(moved_twin.point(s, t)) for s in s_values for t in window]
+
+
 @pytest.mark.parametrize("klass", list(_DRAWS))
 def test_oracle_matches_the_pointwise_twin_at_48_by_8(klass):
     rs, twin = _pair(klass, 34)
