@@ -30,7 +30,7 @@ from .surface import Jet2, ParamSurface, along, stack_rows
 Y_FLOOR = 1e-12
 # integrate keeps every state, so a path is capped well above the 8000 steps
 # the acceptance runs take rather than left to grow until memory runs out; a
-# solve_bvp shot is capped alike, so that no shot runs unbounded
+# whole solve_bvp, all of its shots, is capped alike, so that no solve runs unbounded
 MAX_STEPS = 10**6
 _BVP_SCAN = 64
 _THETA_GUARD = 0.5 * math.pi - 1e-9
@@ -174,10 +174,7 @@ def _shoot_height(theta0: float, u0: float, y0: float, u1: float, alpha: float) 
     floor reads as -inf, a blow-up in height as +inf, which keeps the scan
     sign-consistent for bracketing.  More than MAX_STEPS steps raise ValueError.
     """
-    ratio = (u1 - u0) / 0.002
-    if not ratio <= MAX_STEPS:
-        raise ValueError(f"(u1 - u0) / 0.002 = {ratio} steps exceed MAX_STEPS = {MAX_STEPS}")
-    n = max(256, int(math.ceil(ratio)))
+    n = _shot_steps(u0, u1)
     h = (u1 - u0) / n
     y, th = y0, theta0
 
@@ -196,16 +193,27 @@ def _shoot_height(theta0: float, u0: float, y0: float, u1: float, alpha: float) 
     return math.inf if th > 0.0 else -math.inf
 
 
+def _shot_steps(u0: float, u1: float) -> int:
+    """The RK4 steps of a shot from u0 to u1; ValueError when they exceed MAX_STEPS."""
+    ratio = (u1 - u0) / 0.002
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"(u1 - u0) / 0.002 = {ratio} steps exceed MAX_STEPS = {MAX_STEPS}")
+    return max(256, int(math.ceil(ratio)))
+
+
 def solve_bvp(p0: tuple[float, float], p1: tuple[float, float], alpha: float,
               tol: float = 1e-8) -> float:
     """Initial angle theta0 for the two-point alpha-catenary problem.
 
     Scans 64 initial angles in (-pi/2, pi/2) for sign changes of the terminal
     height error at u = p1[0] and bisects the bracket nearest theta = 0.
+    A whole solve takes at most MAX_STEPS RK4 steps: a shot takes at most
+    n = _shot_steps(u0, u1) steps, and a solve at most MAX_STEPS // n shots.
     Raises ValueError before any step for an alpha or endpoint coordinate
     that is not finite, an endpoint outside the open upper halfplane, p0.u
-    >= p1.u, or shots of more than MAX_STEPS steps; raises NoSolution when
-    the scan finds no bracketing pair.
+    >= p1.u, or a 64-shot scan that could take more than MAX_STEPS steps;
+    raises NoSolution when the scan finds no bracketing pair, or when the
+    next bisection shot could take the solve past MAX_STEPS.
     """
     u0, y0 = p0
     u1, y1 = p1
@@ -215,7 +223,14 @@ def solve_bvp(p0: tuple[float, float], p1: tuple[float, float], alpha: float,
     if not u0 < u1:
         raise ValueError("endpoints must satisfy p0.u < p1.u")
 
+    n = _shot_steps(u0, u1)
+    if MAX_STEPS // n < _BVP_SCAN:
+        raise ValueError(f"{_BVP_SCAN} scan shots of {n} steps exceed MAX_STEPS = {MAX_STEPS}")
+    shots = iter(range(MAX_STEPS // n))  # one item per shot that the solve may take
+
     def miss(theta0: float) -> float:
+        if next(shots, None) is None:
+            raise NoSolution(f"bisection stopped: a shot more would pass MAX_STEPS = {MAX_STEPS}")
         return _shoot_height(theta0, u0, y0, u1, alpha) - y1
 
     eps = 1e-6
@@ -235,7 +250,8 @@ def solve_bvp(p0: tuple[float, float], p1: tuple[float, float], alpha: float,
         if fa == 0.0:
             return a
         lo, hi, flo = a, b, fa
-        for _ in range(200):
+        # halving ends this loop, and the solve's shot budget bounds it besides
+        while hi - lo >= 1e-15:
             mid = 0.5 * (lo + hi)
             fm = miss(mid)
             if math.isfinite(fm) and abs(fm) <= tol:
@@ -244,8 +260,6 @@ def solve_bvp(p0: tuple[float, float], p1: tuple[float, float], alpha: float,
                 lo, flo = mid, fm
             else:
                 hi = mid
-            if hi - lo < 1e-15:
-                break
     raise NoSolution("brackets collapsed without meeting the terminal tolerance")
 
 

@@ -11,10 +11,10 @@ runs from its seed point s0 toward an s1 on either side of it, and can wrap
 RK4 nodes a caller has already taken.  Every table holds one layout: float64
 arrays of its node states, of its node slopes, kept where the nodes are made
 (the first RK4 stage of each step), and of its node y''.  ``state_at`` reads
-them as floats and ``states_at`` answers a whole array of s at once, bit for
-bit as ``state_at`` answers each: the Hermite is written once on components,
-for floats and arrays.  ``stacked_states_at`` answers it for many tables on
-one grid at once, with a trailing table axis.  ``rk4_quadrature`` takes the
+them as floats, and ``stacked_states_at``, the one array read, answers a
+whole array of s for one table or many on one grid at once, with a trailing
+table axis, bit for bit as ``state_at`` answers each: the Hermite is written
+once on components, for floats and arrays.  ``rk4_quadrature`` takes the
 nodes and slopes of many tables of y' = f(s) at once on float64 arrays from
 f at the four stages of every step, and ``rk4_increment`` is its stage sum,
 each bit for bit as ``rk4_step`` takes them one table at a time.  An ``InlineRHS`` is a kind
@@ -462,10 +462,10 @@ def _hermite(t, h: float, y0, y1, f0, f1, a0, a1) -> list:
 
     y, f and a are the node values, slopes and second derivatives at node i
     (0) and node i + 1 (1); the result has one entry per entry of y0.
-    Elementwise: state_at passes a float t and lists of floats, states_at an
-    array of t and one entry holding the (len(state), n) array of each, whose
-    weights broadcast over its last axis; both take the same operations in
-    the same order.
+    Elementwise: state_at passes a float t and lists of floats,
+    stacked_states_at an (n, 1) array of t and one entry holding the
+    (len(state), n, tables) array of each, over whose table axis the weights
+    broadcast; both take the same operations in the same order.
     """
     u = 1.0 - t
     t2, u2 = t * t, u * u
@@ -517,8 +517,9 @@ class DenseODE:
     4 n_steps + 1 times, and a query in range calls no f and takes no RK4
     step.  Queries in the overhang past either end restart from the end node
     and take two RK4 substeps.  jet_at(s) adds the interpolant's first two
-    derivatives; states_at(S) is state_at at every s of an array; from_nodes
-    wraps nodes and slopes taken elsewhere at the same fixed step.
+    derivatives; stacked_states_at([table], S) is state_at at every s of an
+    array; from_nodes wraps nodes and slopes taken elsewhere at the same
+    fixed step.
     """
 
     def __init__(self, f, s0: float, s1: float, y0: Sequence[float], n_steps: int = 1024):
@@ -606,45 +607,6 @@ class DenseODE:
             return tuple(self.nodes[idx].tolist())
         return tuple(_hermite((s - s_node) / self.h, self.h, *self._cell_data(idx)))
 
-    def states_at(self, S: np.ndarray) -> np.ndarray:
-        """state_at(s) at every s of the float array S, bit for bit.
-
-        The result has shape (len(state), *S.shape): entry [k, ...] is
-        component k.  In range, _hermite runs on arrays over the node arrays.
-        An s at or past an end, or one that state_at rejects, is read by
-        state_at's own path, in the order of S.
-        """
-        return self._read(S, self.nodes.shape[1:],
-                          lambda j: (self.nodes[j], self.slopes[j], self._y2[j]), self._state_at)
-
-    def _read(self, S: np.ndarray, shape: tuple, rows, edge) -> np.ndarray:
-        """states_at(S) on this table's grid, from the node rows of this table or of many.
-
-        shape is (len(state), *batch); rows(j) gives the states, slopes and
-        y'' at the node indices j, each of shape (len(j), *shape), and
-        edge(s) the state at an s at or past an end, of shape shape.  The
-        result has shape (len(state), *S.shape, *batch).
-        """
-        S = np.asarray(S, dtype=float)
-        flat = S.ravel()
-        out = np.empty((shape[0], flat.size, *shape[1:]))
-        inside = (flat > self._low[0]) & (flat < self._high[0])
-        for k in np.flatnonzero(~inside).tolist():
-            out[:, k] = edge(float(flat[k]))
-        if inside.any():
-            s = flat[inside]
-            with np.errstate(all="ignore"):  # floats give inf and nan without a warning too
-                idx = np.minimum(((s - self.s0) / self.h).astype(np.intp), self.n_steps - 1)
-                s_node = self.s0 + idx * self.h
-                # node i and i + 1 of the states, slopes and y'' as (len(state), n, *batch)
-                # arrays, over whose batch axes the weights of each s broadcast
-                n = len(s)
-                cells = [x.swapaxes(0, 1) for x in rows(np.concatenate((idx, idx + 1)))]
-                t = ((s - s_node) / self.h).reshape(-1, *[1] * (len(shape) - 1))
-                y, = _hermite(t, self.h, *([x[:, k:k + n]] for x in cells for k in (0, n)))
-            out[:, inside] = np.where((s == s_node).reshape(t.shape), cells[0][:, :n], y)
-        return out.reshape(len(out), *S.shape, *shape[1:])
-
     def _cell(self, s: float) -> tuple[int, float]:
         """Index and s of the node that starts the step holding an in-range s."""
         idx = min(int((s - self.s0) / self.h), self.n_steps - 1)
@@ -706,48 +668,49 @@ class CenteredODE:
             return self.fwd.state_at(s)
         return self.bwd.state_at(s)
 
-    def states_at(self, S: np.ndarray) -> np.ndarray:
-        """state_at(s) at every s of S, bit for bit, as DenseODE.states_at lays it out."""
-        return self._halves_at(S, self.fwd.states_at, self.bwd.states_at)
-
-    @staticmethod
-    def _halves_at(S: np.ndarray, fwd, bwd) -> np.ndarray:
-        """fwd's read at each s >= 0 of S and bwd's at each s < 0, as states_at lays them out.
-
-        fwd and bwd read a 1-D array of s: states_at of a half, or of a stack
-        of halves (stacked_states_at).
-        """
-        S = np.asarray(S, dtype=float)
-        ahead = S >= 0.0
-        head, tail = fwd(S[ahead]), bwd(S[~ahead])
-        out = np.empty((len(head), *S.shape, *head.shape[2:]))
-        out[:, ahead], out[:, ~ahead] = head, tail
-        return out
-
 
 def stacked_states_at(tables: Sequence, S: np.ndarray) -> np.ndarray:
-    """states_at(S) of many tables on one grid at once, with a trailing table axis.
+    """state_at(s) of many tables on one grid at every s of the float array S, bit for bit.
 
     tables are DenseODEs on one grid, or CenteredODEs whose forward halves
-    share one grid and whose backward halves share another.  The result has
-    shape (len(state), *S.shape, len(tables)), and entry [..., b] is
-    tables[b].states_at(S) bit for bit: one _hermite runs over the node rows
-    of every table, and an s at or past an end is read by each table's
-    state_at path.
+    share one grid and whose backward halves share another; one table is a
+    stack of one.  The result has shape (len(state), *S.shape, len(tables)),
+    and entry [k, ..., b] is component k of tables[b].state_at(s).  In range,
+    one _hermite runs on arrays over the node rows of every table; an s at or
+    past an end, or one that state_at rejects, is read by each table's
+    state_at path, in the order of S.
     """
+    S = np.asarray(S, dtype=float)
     if isinstance(tables[0], CenteredODE):
-        return CenteredODE._halves_at(S, lambda s: stacked_states_at([t.fwd for t in tables], s),
-                                      lambda s: stacked_states_at([t.bwd for t in tables], s))
+        ahead = S >= 0.0
+        head = stacked_states_at([t.fwd for t in tables], S[ahead])
+        tail = stacked_states_at([t.bwd for t in tables], S[~ahead])
+        out = np.empty((len(head), *S.shape, len(tables)))
+        out[:, ahead], out[:, ~ahead] = head, tail
+        return out
     grid = tables[0]
     if any((t.s0, t.h, t.n_steps) != (grid.s0, grid.h, grid.n_steps) for t in tables):
         raise ValueError("stacked_states_at needs tables on one grid")
-
-    def rows(j):
-        return [np.stack([x[j] for x in xs], axis=-1)
-                for xs in zip(*[(t.nodes, t.slopes, t._y2) for t in tables])]
-
-    return grid._read(S, (grid.nodes.shape[1], len(tables)), rows,
-                      lambda s: np.stack([t._state_at(s) for t in tables], axis=-1))
+    flat = S.ravel()
+    out = np.empty((grid.nodes.shape[1], flat.size, len(tables)))
+    inside = (flat > grid._low[0]) & (flat < grid._high[0])
+    for k in np.flatnonzero(~inside).tolist():
+        out[:, k] = np.stack([t._state_at(float(flat[k])) for t in tables], axis=-1)
+    if inside.any():
+        s = flat[inside]
+        with np.errstate(all="ignore"):  # floats give inf and nan without a warning too
+            idx = np.minimum(((s - grid.s0) / grid.h).astype(np.intp), grid.n_steps - 1)
+            s_node = grid.s0 + idx * grid.h
+            # node i and i + 1 of the states, slopes and y'' as (len(state), 2 n, tables)
+            # arrays, over whose table axis the weights of each s broadcast
+            n = len(s)
+            j = np.concatenate((idx, idx + 1))
+            cells = [np.stack([x[j] for x in xs], axis=-1).swapaxes(0, 1)
+                     for xs in zip(*[(t.nodes, t.slopes, t._y2) for t in tables])]
+            t = ((s - s_node) / grid.h)[:, None]
+            y, = _hermite(t, grid.h, *([x[:, k:k + n]] for x in cells for k in (0, n)))
+        out[:, inside] = np.where((s == s_node)[:, None], cells[0][:, :n], y)
+    return out.reshape(len(out), *S.shape, len(tables))
 
 
 class FourierSeries:

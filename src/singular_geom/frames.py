@@ -144,9 +144,10 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
     w, w' and g are state slots 0:3, 3:6 and 6:9; w'' and g' are the same
     slots 3:6 and 6:9 of rhs(s, state).  g_d2(s, state) supplies a closed
     form for g''; without it, Curve falls back to the central difference of g'.
-    rhs must also take arrays of s and states, for the curves' frame_at.
-    The value and first derivatives answer an s of frame_at's last read
-    from that read (_KeptRead); g'' is always read pointwise.
+    rhs must also take arrays of s and states: frame_at reads the table as a
+    stack of one (curves.stacked_states_at).  The value and first derivatives
+    answer an s of frame_at's last read from that read (_KeptRead); g'' is
+    always read pointwise.
     """
     kept = _KeptRead()
 
@@ -161,7 +162,7 @@ def _frame_curves(table, rhs, g_d2=None) -> tuple[Curve, Curve]:
         return value
 
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
-        return kept.read(S, lambda S: _table_frame(S, table.states_at(S), rhs))
+        return kept.read(S, lambda S: _table_frame(S, stacked_states_at([table], S)[..., 0], rhs))
 
     g_d2_of_s = None if g_d2 is None else (lambda s: g_d2(s, table.state_at(s)))
     base = _FrameCurve(kept.serve(0, read(6)), kept.serve(1, read(6, rhs)), g_d2_of_s, frame_at,
@@ -192,16 +193,18 @@ def _lightlike_curves(table, rhs, g_d2) -> tuple[Curve, Curve]:
     """Base and director curves of a lightlike table, whose base g solves g' = rhs(s).
 
     The director is line_curve's a s + b with (a, b) = _LIGHTLIKE_LINE.
-    frame_at reads g from the table, g' from rhs(S, None) on arrays, as
-    _frame_curves does, and w, w', w'' = a s + b, a, 0 in the line's closed
-    form.  The base's g and g' answer an s of frame_at's last read from that
-    read (_KeptRead); the director always takes the line's closed form.
+    frame_at reads g from the table as a stack of one, g' from rhs(S, None)
+    on arrays, as _frame_curves does, and w, w', w'' = a s + b, a, 0 in the
+    line's closed form.  The base's g and g' answer an s of frame_at's last
+    read from that read (_KeptRead); the director always takes the line's
+    closed form.
     """
     line = line_curve(*_LIGHTLIKE_LINE)
     kept = _KeptRead()
 
     def frame_at(S: np.ndarray) -> tuple[_V, _V, _V, _V, _V]:
-        return kept.read(S, lambda S: _lightlike_frame(S, table.states_at(S), rhs(S, None)))
+        return kept.read(S, lambda S: _lightlike_frame(S, stacked_states_at([table], S)[..., 0],
+                                                        rhs(S, None)))
 
     base = _FrameCurve(kept.serve(0, lambda s: Vec3(*table.state_at(s))),
                        kept.serve(1, lambda s: Vec3(*rhs(s, None))), g_d2, frame_at, table)

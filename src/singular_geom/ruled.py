@@ -752,7 +752,7 @@ def _lorentz_triad(rng: np.random.Generator) -> tuple[Vec3, Vec3, Vec3]:
     return T, S1, S2
 
 
-# Draws a sweep takes before it builds their tables: a chunk bounds the
+# Most draws a sweep takes before it builds their tables: a batch bounds the
 # sweep's memory whatever n_surfaces is.
 SWEEP_CHUNK = 32
 
@@ -977,9 +977,9 @@ def random_prenormalization_input(rng: np.random.Generator, delta: int):
 # falsification sweep
 # ---------------------------------------------------------------------------
 
-# Most s-samples a sweep scores per surface.  A pass of a sweep scores at most
+# Most s-samples a sweep scores per surface.  A batch of a sweep scores at most
 # MAX_SWEEP_SAMPLES // n_s_samples surfaces together, so it holds no more
-# samples than one surface at this cap: at its peak, a Euclidean pass holds
+# samples than one surface at this cap: at its peak, a Euclidean batch holds
 # about 3.4 KB per surface and sample, about 340 MB at the cap, and one
 # Euclidean surface scored alone about 4.6 KB a sample (tracemalloc, 20000
 # samples; the Lorentz classes hold less).
@@ -1220,10 +1220,10 @@ def _row(director_class: DirectorClass, alpha: float, worst: float) -> dict:
 
 def _score_pass(draws: Sequence[_Draw], surfaces: Sequence[RuledSurface], vs: Sequence[Vec3],
                 alphas: Sequence[float], s_values: np.ndarray) -> list[dict] | None:
-    """The report rows of generated surfaces of one class, scored together on arrays.
+    """The report rows of a sweep batch's surfaces, scored together on arrays in one pass.
 
     surfaces[b] was built from draws[b], and is scored with vs[b] and
-    alphas[b] at s_values, which every surface of a build shares.  One read
+    alphas[b] at s_values, which every surface of the batch shares.  One read
     of all their tables gives the frames with a trailing surface axis
     (_frame_stack_at, _lightlike_stack_at), P and Q are formed once on them,
     and the window, the translation and the scaled maxima of every surface
@@ -1281,12 +1281,12 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
     Surfaces whose maxima stay at or below ALARM_THRESHOLD at every sample are
     counterexample candidates.  ``planted`` surfaces join the report but cylindrical ones are
     excluded by the w' filter rather than flagged.  Generated surfaces are
-    drawn SWEEP_CHUNK at a time and their tables built together.  A chunk
-    is scored in passes of at most max(1, MAX_SWEEP_SAMPLES // n_s_samples)
-    surfaces, so a pass holds the arrays of one surface at the sample cap:
-    each pass reads all of its tables at once and scores its surfaces on
-    arrays with a trailing surface axis (_score_pass), and its surfaces are
-    dropped once it is scored.  A pass that fails scores its surfaces one by
+    drawn, built and scored in batches of max(1, min(SWEEP_CHUNK,
+    MAX_SWEEP_SAMPLES // n_s_samples)): a batch's tables are built together,
+    read all at once and its surfaces scored on arrays with a trailing
+    surface axis (_score_pass), so a batch holds the arrays of at most one
+    surface at the sample cap, and its surfaces are dropped before the next
+    batch is built.  A batch whose pass fails scores its surfaces one by
     one, as planted surfaces are scored: the window and the translation read
     the surface's table once on arrays where it has one (_sweep_frames), and
     sweep_surface scores it pointwise.  The report is the one that building
@@ -1326,27 +1326,26 @@ def falsification_sweep(cfg: SweepConfig, planted: Sequence[RuledSurface] = ()) 
             continue
         score(rs, *draw_v_alpha(rs.metric))
 
-    # the surfaces of a pass; derived from the cap, which bounds one surface's samples
-    width = max(1, MAX_SWEEP_SAMPLES // cfg.n_s_samples)
-    # Scoring draws no random numbers, so a chunk takes all of its draws (each
+    # the surfaces of a batch; the sample cap bounds what one surface holds
+    width = max(1, min(SWEEP_CHUNK, MAX_SWEEP_SAMPLES // cfg.n_s_samples))
+    # Scoring draws no random numbers, so a batch takes all of its draws (each
     # surface, then its v and alpha) before its tables are built together.
-    for start in range(0, cfg.n_surfaces, SWEEP_CHUNK):
-        chunk = [(draw(rng), *draw_v_alpha(cfg.metric))
-                 for _ in range(min(SWEEP_CHUNK, cfg.n_surfaces - start))]
-        surfaces = _build_surfaces([d for d, _, _ in chunk])
+    for start in range(0, cfg.n_surfaces, width):
+        draws, vs, alphas = zip(*[(draw(rng), *draw_v_alpha(cfg.metric))
+                                  for _ in range(min(width, cfg.n_surfaces - start))])
+        surfaces = _build_surfaces(draws)
         s_values = surfaces[0].s_samples(cfg.n_s_samples)
-        for a in range(0, len(chunk), width):
-            draws, vs, alphas = zip(*chunk[a:a + width])
-            # each pass's surfaces go once it is scored, with the frame reads that they keep
-            passed = surfaces[:len(draws)]
-            del surfaces[:len(draws)]
-            scored = _score_pass(draws, passed, vs, alphas, s_values)
-            if scored is None:
-                for rs, v, alpha in zip(passed, vs, alphas):
-                    score(rs, v, alpha)
-            else:
-                for row in scored:
-                    add(row)
+        scored = _score_pass(draws, surfaces, vs, alphas, s_values)
+        # the batch's surfaces, the loop's last rs among them, go before the next
+        # batch is built, and their tables and frame reads with them
+        if scored is None:
+            for rs, v, alpha in zip(surfaces, vs, alphas):
+                score(rs, v, alpha)
+            del rs
+        else:
+            for row in scored:
+                add(row)
+        del surfaces
 
     maxima = [r["max_abs_coeff"] for r in rows if r["max_abs_coeff"] is not None]
     report.min_max_abs_coeff = min(maxima) if maxima else None

@@ -298,6 +298,22 @@ def test_integrate_rejects_arguments_it_cannot_honour(change, name):
         cat.integrate(args["begin"], args["alpha"], args["length"], args["step"])
 
 
+@pytest.mark.parametrize("k", [-3, 2, 5])
+@pytest.mark.parametrize("theta0", [-0.4, 0.0, 0.3])
+@pytest.mark.parametrize("alpha", [-2.0, -0.7, 1.0, 2.5])
+def test_a_dilated_start_gives_the_dilated_path_bitwise(alpha, theta0, k):
+    # theta' = alpha cos(theta) / y: a start at 2^k y0, with length and step times 2^k,
+    # scales s, u and y by 2^k and theta' by 2^-k, and keeps theta, u' and y'.  Powers
+    # of 2 scale floats exactly, so every RK4 stage scales so too, up to a halfspace exit
+    scale = 2.0 ** k
+    dilated = cat.integrate(start(y0=scale, theta0=theta0), alpha, 2.0 * scale, 1e-3 * scale)
+    path = cat.integrate(start(theta0=theta0), alpha, 2.0, 1e-3)
+    assert dilated.exited_halfspace == path.exited_halfspace
+    assert dilated.s == [scale * s for s in path.s]
+    assert dilated.nodes == [(scale * u, scale * y, th) for u, y, th in path.nodes]
+    assert dilated.slopes == [(du, dy, dth / scale) for du, dy, dth in path.slopes]
+
+
 def test_conserved_quantity_along_path():
     # y^alpha cos(theta) is a first integral of the planar equation
     for alpha in (-2.0, -1.0, 1.0, 2.0, 3.0):
@@ -388,6 +404,28 @@ def test_a_shot_just_under_max_steps_steps(monkeypatch):
     monkeypatch.setattr(cat, "rk4_step", _no_step)
     with pytest.raises(AssertionError, match="stepped"):
         cat._shoot_height(0.0, 0.0, 1.0, 0.002 * (cat.MAX_STEPS - 1), 1.0)
+
+
+def test_a_whole_solve_takes_at_most_max_steps_steps(monkeypatch):
+    # a gap of 0.5 takes shots of 256 steps, and this solve takes 83 of them: the
+    # 64-shot scan and 19 bisection shots.  MAX_STEPS is lowered to a budget of
+    # 83 shots, 82 shots and 63 shots
+    solved = cat.solve_bvp((0.0, 1.0), (0.5, 1.4), 1.0)
+    steps = []
+    monkeypatch.setattr(cat, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
+    monkeypatch.setattr(cat, "MAX_STEPS", 83 * 256)
+    assert cat.solve_bvp((0.0, 1.0), (0.5, 1.4), 1.0) == solved
+    assert 64 * 256 < len(steps) <= cat.MAX_STEPS
+    steps.clear()
+    monkeypatch.setattr(cat, "MAX_STEPS", 83 * 256 - 1)
+    with pytest.raises(NoSolution, match=r"^bisection stopped: .* MAX_STEPS = 21247$"):
+        cat.solve_bvp((0.0, 1.0), (0.5, 1.4), 1.0)
+    assert 64 * 256 < len(steps) <= cat.MAX_STEPS
+    # a scan that could pass the cap is refused before its first step
+    monkeypatch.setattr(cat, "rk4_step", _no_step)
+    monkeypatch.setattr(cat, "MAX_STEPS", 64 * 256 - 1)
+    with pytest.raises(ValueError, match=r"^64 scan shots of 256 steps exceed MAX_STEPS = 16383$"):
+        cat.solve_bvp((0.0, 1.0), (0.5, 1.4), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def test_build_calls_f_four_times_per_step_and_queries_take_no_rk4_step(monkeypa
     for s in S:
         table.state_at(s)
         table.jet_at(s)
-    table.states_at(np.array(S))
+    curves.stacked_states_at([table], np.array(S))
     assert steps == [] and calls == []
     table.state_at(0.9 * (1.0 + 0.5 * OVERHANG))
     assert len(steps) == 2
@@ -341,7 +341,8 @@ def test_nan_s_is_out_of_domain_and_named(kind):
     table = {"forward": DenseODE(lambda s, y: (1.0,), 0.0, 1.5, (0.0,), 8),
              "backward": DenseODE(lambda s, y: (1.0,), 1.5, 0.0, (0.0,), 8),
              "centered": CenteredODE(lambda s, y: (1.0,), 1.5, (0.0,), 8)}[kind]
-    reads = [lambda: table.state_at(math.nan), lambda: table.states_at(np.array([0.1, math.nan]))]
+    reads = [lambda: table.state_at(math.nan),
+             lambda: curves.stacked_states_at([table], np.array([0.1, math.nan]))]
     if kind != "centered":
         reads.append(lambda: table._state_at(math.nan))
     for read in reads:
@@ -537,26 +538,27 @@ _POINTS = st.one_of(_CELLS, st.tuples(st.just("zero"), st.sampled_from([0.0, -0.
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(name=st.sampled_from(sorted(_STATES_AT_TABLES)), points=st.lists(_POINTS, min_size=1,
                                                                          max_size=12))
-def test_states_at_is_state_at_bitwise(name, points):
+def test_a_stack_of_one_reads_state_at_bitwise(name, points):
     table = _STATES_AT_TABLES[name]
     S = np.array([_position(table, p) for p in points])
     expected = np.array([table.state_at(s) for s in S.tolist()]).T
-    got = table.states_at(S)
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-    assert table.states_at(S.reshape(1, -1)).tobytes() == expected.tobytes()
+    got = curves.stacked_states_at([table], S)
+    assert got.shape == (*expected.shape, 1)
+    assert got[..., 0].tobytes() == expected.tobytes()
+    assert curves.stacked_states_at([table], S.reshape(1, -1)).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(name=st.sampled_from(sorted(_STACKED_TABLES)), points=st.lists(_POINTS, min_size=1,
                                                                        max_size=12))
-def test_stacked_states_at_is_each_tables_states_at_bitwise(name, points):
+def test_stacked_states_at_is_each_tables_state_at_bitwise(name, points):
     tables = _STACKED_TABLES[name]
     S = np.array([_position(tables[0], p) for p in points]).reshape(1, -1)
     got = curves.stacked_states_at(tables, S)
     assert got.shape == (9, *S.shape, len(tables))
     for b, table in enumerate(tables):
-        assert got[..., b].tobytes() == table.states_at(S).tobytes()
+        expected = np.array([table.state_at(s) for s in S.ravel().tolist()]).T.reshape(9, *S.shape)
+        assert got[..., b].tobytes() == expected.tobytes()
 
 
 def test_stacked_states_at_needs_tables_on_one_grid():

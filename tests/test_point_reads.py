@@ -209,9 +209,15 @@ def test_a_read_with_no_point_query_builds_no_lookup(monkeypatch):
 
 
 def _states_at_reads(monkeypatch, table):
-    """A list that gets the S of every states_at of this one table."""
-    calls, original = [], table.states_at
-    monkeypatch.setattr(table, "states_at", lambda S: calls.append(S.copy()) or original(S))
+    """A list that gets the S of every array read of this one table, a stack of one."""
+    calls, original = [], frames.stacked_states_at
+
+    def spy(tables, S):
+        if list(tables) == [table]:
+            calls.append(S.copy())
+        return original(tables, S)
+
+    monkeypatch.setattr(frames, "stacked_states_at", spy)
     return calls
 
 

@@ -1203,21 +1203,26 @@ def test_a_lightlike_pass_whose_q_dips_under_the_floor_raises_like_the_reference
 
 
 @pytest.mark.parametrize("metric, klass, delta", _SWEEP_CLASSES)
-def test_a_chunk_splits_into_passes_of_the_width_the_sample_cap_allows(metric, klass, delta,
-                                                                       monkeypatch):
-    # a pass takes at most MAX_SWEEP_SAMPLES // n_s_samples surfaces: 2 at 3 samples
-    # under a cap of 7, and 3 at 17 samples under a cap of 60
-    widths, score = [], ruled._score_pass
+def test_a_sweep_builds_and_scores_batches_of_the_width_the_sample_cap_allows(metric, klass,
+                                                                              delta, monkeypatch):
+    # a batch takes at most MAX_SWEEP_SAMPLES // n_s_samples surfaces: 2 at 3 samples
+    # under a cap of 7, and 3 at 17 samples under a cap of 60; each batch is one
+    # build and one pass
+    built, widths = [], []
+    build, score = ruled._build_surfaces, ruled._score_pass
+    monkeypatch.setattr(ruled, "_build_surfaces",
+                        lambda draws, *args: built.append(len(draws)) or build(draws, *args))
     monkeypatch.setattr(ruled, "_score_pass",
                         lambda draws, *args: widths.append(len(draws)) or score(draws, *args))
     assert ruled.SWEEP_CHUNK == 32
-    for samples, cap, passes in ((3, 7, [2] * 16 + [1]), (17, 60, [3] * 10 + [2, 1])):
+    for samples, cap, batches in ((3, 7, [2] * 16 + [1]), (17, 60, [3] * 11)):
         monkeypatch.setattr(ruled, "MAX_SWEEP_SAMPLES", cap)
+        built.clear()
         widths.clear()
         cfg = SweepConfig(n_surfaces=ruled.SWEEP_CHUNK + 1, n_s_samples=samples, seed=9,
                           metric=metric, director_class=klass, delta=delta)
         got = falsification_sweep(cfg).to_json()
-        assert widths == passes
+        assert built == widths == batches
         assert got == _reference_sweep(cfg, ()).to_json()
 
 
@@ -1515,29 +1520,35 @@ def test_sweep_builds_at_most_one_chunk_of_tables_at_a_time(monkeypatch):
 
 
 def test_sweep_drops_each_surface_once_it_is_scored(monkeypatch):
-    # a pass holds the frames of its surfaces, about as much as one surface holds
-    # at the sample cap; the cap is lowered so that a chunk of 6 takes 3 passes of 2
+    # a batch holds the frames of its surfaces, about as much as one surface holds
+    # at the sample cap; the cap is lowered so that 6 surfaces take 3 batches of 2,
+    # scored in their pass, or one by one after a failed pass
     built, alive = [], []
     build, score = ruled._build_surfaces, ruled._score_pass
 
     def recording(draws, *args):
+        alive.append(("build", sum(ref() is not None for ref in built)))
         out = build(draws, *args)
         built.extend(weakref.ref(rs) for rs in out)
         return out
 
-    def counting(draws, *args):
-        alive.append((len(draws), sum(ref() is not None for ref in built)))
-        return score(draws, *args)
-
     monkeypatch.setattr(ruled, "_build_surfaces", recording)
-    monkeypatch.setattr(ruled, "_score_pass", counting)
     monkeypatch.setattr(ruled, "MAX_SWEEP_SAMPLES", 7)
-    n = 6
-    falsification_sweep(SweepConfig(n_surfaces=n, n_s_samples=3, seed=1, metric=L,
-                                    director_class=DirectorClass.LORENTZ_NONDEGENERATE))
-    # the surfaces being scored and those not yet scored
-    assert [width for width, _ in alive] == [2, 2, 2]
-    assert [count for _, count in alive] == [n - 2 * k for k in range(3)]
+    cfg = SweepConfig(n_surfaces=6, n_s_samples=3, seed=1, metric=L,
+                      director_class=DirectorClass.LORENTZ_NONDEGENERATE)
+    for fails in (False, True):
+        def counting(draws, *args):
+            alive.append(("score", sum(ref() is not None for ref in built)))
+            return None if fails else score(draws, *args)
+
+        monkeypatch.setattr(ruled, "_score_pass", counting)
+        alive.clear()
+        got = falsification_sweep(cfg).to_json()
+        # no surface of an earlier batch is alive when a batch is built, and only the
+        # batch's own 2 while it is scored
+        assert alive == [("build", 0), ("score", 2)] * 3
+        assert all(ref() is None for ref in built)
+        assert got == _reference_sweep(cfg, ()).to_json()
 
 
 def test_sweep_report_config_block():

@@ -80,13 +80,13 @@ COMMANDS=(
   "sweep --metric lorentz --class nondegenerate --delta 1 --n 5 --samples 1 --seed 9 --out sweep_lorentz_p1.json"
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 5 --samples 1 --seed 9 --out sweep_lorentz_m1.json"
   "sweep --metric lorentz --class lightlike --n 5 --samples 1 --seed 9 --out sweep_lightlike1.json"
-  # the bench's shape: one chunk of 10, scored in one pass at 10 samples
+  # the bench's shape: one batch of 10, scored in one pass at 10 samples
   "sweep --metric euclid --class standard --n 10 --samples 10 --seed 3 --out sweep_euclid_bench.json"
   "sweep --metric lorentz --class nondegenerate --delta 1 --n 10 --samples 10 --seed 3 --out sweep_lorentz_p_bench.json"
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 10 --samples 10 --seed 3 --out sweep_lorentz_m_bench.json"
   "sweep --metric lorentz --class lightlike --n 10 --samples 10 --seed 3 --out sweep_lightlike_bench.json"
-  # 4000 samples split a chunk under ruled.MAX_SWEEP_SAMPLES: passes of 25 and 7,
-  # then a chunk of 1
+  # 4000 samples cap a batch under ruled.MAX_SWEEP_SAMPLES at 25 surfaces: batches
+  # of 25 and 8
   "sweep --metric lorentz --class nondegenerate --delta -1 --n 33 --samples 4000 --seed 9 --out sweep_lorentz_m_split.json"
   "variational --init noisy --noise 0.01 --seed 3 --grid 33x17 --steps 20 --out-prefix noisy"
   "residual --surface file --file noisy_field.csv --grid 20x20 --out residual_file.csv"
