@@ -695,7 +695,7 @@ def stacked_states_at(tables: Sequence, S: np.ndarray) -> np.ndarray:
     out = np.empty((grid.nodes.shape[1], flat.size, len(tables)))
     inside = (flat > grid._low[0]) & (flat < grid._high[0])
     for k in np.flatnonzero(~inside).tolist():
-        out[:, k] = np.stack([t._state_at(float(flat[k])) for t in tables], axis=-1)
+        out[:, k] = np.stack([table._state_at(float(flat[k])) for table in tables], axis=-1)
     if inside.any():
         s = flat[inside]
         with np.errstate(all="ignore"):  # floats give inf and nan without a warning too
@@ -706,7 +706,7 @@ def stacked_states_at(tables: Sequence, S: np.ndarray) -> np.ndarray:
             n = len(s)
             j = np.concatenate((idx, idx + 1))
             cells = [np.stack([x[j] for x in xs], axis=-1).swapaxes(0, 1)
-                     for xs in zip(*[(t.nodes, t.slopes, t._y2) for t in tables])]
+                     for xs in zip(*[(table.nodes, table.slopes, table._y2) for table in tables])]
             t = ((s - s_node) / grid.h)[:, None]
             y, = _hermite(t, grid.h, *([x[:, k:k + n]] for x in cells for k in (0, n)))
         out[:, inside] = np.where((s == s_node)[:, None], cells[0][:, :n], y)
