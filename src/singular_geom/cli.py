@@ -70,26 +70,6 @@ _CLASSES = {
     "lightlike": DirectorClass.LORENTZ_LIGHTLIKE,
 }
 
-# built-in surfaces, each with the metric `residual` uses when --metric is unset
-_SURFACES = {
-    "catenary-cylinder": "euclid",
-    "helicoid": "euclid",
-    "sphere": "euclid",
-    "hyperboloid": "euclid",
-    "lightlike-reference": "lorentz",
-    "file": "euclid",
-}
-
-# arclength budget per alpha for built-in catenary cylinders: negative alpha
-# curves bend toward the halfplane floor, so they get shorter runs
-def _catenary_length(alpha: float) -> float:
-    if alpha >= -0.5:
-        return 2.0
-    if alpha >= -1.5:
-        return 1.2
-    return 1.0
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the exit-1-on-usage-error contract and a one-line message.
 
@@ -219,53 +199,102 @@ def _write_text(path: str, text: str) -> None:
 # built-in surfaces
 # ---------------------------------------------------------------------------
 
+# arclength budget per alpha for built-in catenary cylinders: negative alpha
+# curves bend toward the halfplane floor, so they get shorter runs
+def _catenary_length(alpha: float) -> float:
+    if alpha >= -0.5:
+        return 2.0
+    if alpha >= -1.5:
+        return 1.2
+    return 1.0
+
+
+def _catenary_cylinder(alpha: float, file_path: str | None) -> ParamSurface:
+    path = cat.integrate(cat.CatenaryState(0.0, 1.0, 0.0, 0.0), alpha,
+                         _catenary_length(alpha), 5e-4)
+    return cat.catenary_cylinder(path, Vec3(0, 0, 1), Vec3(0, 1, 0))
+
+
+def _helicoid(alpha: float, file_path: str | None) -> ParamSurface:
+    return helicoid(1.0).as_param_surface((-1.0, 1.0))
+
+
+def _sphere(alpha: float, file_path: str | None) -> ParamSurface:
+    def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
+        cs = np.array([math.cos(s) for s in S.tolist()])[:, None]
+        ss = np.array([math.sin(s) for s in S.tolist()])[:, None]
+        ct = np.array([math.cos(t) for t in T.tolist()])[None, :]
+        st = np.array([math.sin(t) for t in T.tolist()])[None, :]
+        return Jet2(
+            _V(cs * ct, ss * ct, st),
+            _V(-ss * ct, cs * ct, 0.0),
+            _V(-cs * st, -ss * st, ct),
+            _V(-cs * ct, -ss * ct, 0.0),
+            _V(ss * st, -cs * st, 0.0),
+            _V(-cs * ct, -ss * ct, -st),
+        )
+
+    return ParamSurface.exact((0.0, 2.0 * math.pi, 0.2, 1.35), grid_fn=grid_fn)
+
+
+def _hyperboloid(alpha: float, file_path: str | None) -> ParamSurface:
+    def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
+        s, t = S[:, None], T[None, :]
+        r = np.sqrt(1.0 + s * s + t * t)
+        r3 = power_each(r, 3)
+        return Jet2(
+            _V(s, t, r),
+            _V(1.0, 0.0, s / r),
+            _V(0.0, 1.0, t / r),
+            _V(0.0, 0.0, (1.0 + t * t) / r3),
+            _V(0.0, 0.0, -s * t / r3),
+            _V(0.0, 0.0, (1.0 + s * s) / r3),
+        )
+
+    return ParamSurface.exact((-1.0, 1.0, -1.0, 1.0), grid_fn=grid_fn)
+
+
+def _lightlike_reference(alpha: float, file_path: str | None) -> ParamSurface:
+    return lightlike_reference().as_param_surface((-0.3, 0.3))
+
+
+def _height_file(alpha: float, file_path: str | None) -> ParamSurface:
+    if not file_path:
+        raise ConfigError("--surface file requires --file <heightfield.csv>")
+    with open(file_path) as f:
+        field = HeightField.from_csv(f.read())
+    return height_surface(field)
+
+
+# The --surface choices: each name's metric, which `residual` takes when
+# --metric is unset, and its builder of (alpha, file_path).
+_SURFACES = {
+    "catenary-cylinder": ("euclid", _catenary_cylinder),
+    "helicoid": ("euclid", _helicoid),
+    "sphere": ("euclid", _sphere),
+    "hyperboloid": ("euclid", _hyperboloid),
+    "lightlike-reference": ("lorentz", _lightlike_reference),
+    "file": ("euclid", _height_file),
+}
+
+
 def build_named_surface(name: str, alpha: float, file_path: str | None = None) -> ParamSurface:
-    if name == "catenary-cylinder":
-        path = cat.integrate(cat.CatenaryState(0.0, 1.0, 0.0, 0.0), alpha,
-                             _catenary_length(alpha), 5e-4)
-        return cat.catenary_cylinder(path, Vec3(0, 0, 1), Vec3(0, 1, 0))
-    if name == "helicoid":
-        return helicoid(1.0).as_param_surface((-1.0, 1.0))
-    if name == "sphere":
-        def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
-            cs = np.array([math.cos(s) for s in S.tolist()])[:, None]
-            ss = np.array([math.sin(s) for s in S.tolist()])[:, None]
-            ct = np.array([math.cos(t) for t in T.tolist()])[None, :]
-            st = np.array([math.sin(t) for t in T.tolist()])[None, :]
-            return Jet2(
-                _V(cs * ct, ss * ct, st),
-                _V(-ss * ct, cs * ct, 0.0),
-                _V(-cs * st, -ss * st, ct),
-                _V(-cs * ct, -ss * ct, 0.0),
-                _V(ss * st, -cs * st, 0.0),
-                _V(-cs * ct, -ss * ct, -st),
-            )
+    """The surface of a --surface choice, a key of _SURFACES, from its builder."""
+    return _SURFACES[name][1](alpha, file_path)
 
-        return ParamSurface.exact((0.0, 2.0 * math.pi, 0.2, 1.35), grid_fn=grid_fn)
-    if name == "hyperboloid":
-        def grid_fn(S: np.ndarray, T: np.ndarray) -> Jet2:
-            s, t = S[:, None], T[None, :]
-            r = np.sqrt(1.0 + s * s + t * t)
-            r3 = power_each(r, 3)
-            return Jet2(
-                _V(s, t, r),
-                _V(1.0, 0.0, s / r),
-                _V(0.0, 1.0, t / r),
-                _V(0.0, 0.0, (1.0 + t * t) / r3),
-                _V(0.0, 0.0, -s * t / r3),
-                _V(0.0, 0.0, (1.0 + s * s) / r3),
-            )
 
-        return ParamSurface.exact((-1.0, 1.0, -1.0, 1.0), grid_fn=grid_fn)
-    if name == "lightlike-reference":
-        return lightlike_reference().as_param_surface((-0.3, 0.3))
-    if name == "file":
-        if not file_path:
-            raise ConfigError("--surface file requires --file <heightfield.csv>")
-        with open(file_path) as f:
-            field = HeightField.from_csv(f.read())
-        return height_surface(field)
-    raise ConfigError(f"unknown surface {name!r}")
+def _surface_grid(cfg: dict) -> tuple:
+    """(surface, S, T, v) of a command's resolved flags: the --surface at --alpha
+    and the --grid axes over its domain, and --v, None if the command has none.
+
+    The flags are checked in this order, so that the first bad one is the one
+    reported: --grid, --v, then what the surface's builder reads (--file).
+    """
+    ns, nt = _parse_grid(cfg["grid"])
+    v = _parse_vec(cfg["v"]) if "v" in cfg else None
+    surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
+    s0, s1, t0, t1 = surf.domain
+    return surf, np.linspace(s0, s1, ns), np.linspace(t0, t1, nt), v
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +328,9 @@ def _failed_cell(exc: GeometryError) -> int:
 
 
 def cmd_residual(args) -> int:
-    cfg = _resolve(args, metric=lambda cfg: _SURFACES[cfg["surface"]])
+    cfg = _resolve(args, metric=lambda cfg: _SURFACES[cfg["surface"]][0])
     metric = _METRICS[cfg["metric"]]
-    grid = _parse_grid(cfg["grid"])
-    v = _parse_vec(cfg["v"])
-    surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
-
-    s0, s1, t0, t1 = surf.domain
-    S, T = np.linspace(s0, s1, grid[0]), np.linspace(t0, t1, grid[1])
+    surf, S, T, v = _surface_grid(cfg)
     try:
         R = singular_residual_grid(metric, surf, S, T, v, cfg["alpha"])
     except _CELL_FAILURES as exc:
@@ -322,17 +346,15 @@ def cmd_residual(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, klass=lambda cfg: (
+        "standard" if _METRICS[cfg["metric"]] is Metric.EUCLIDEAN else "nondegenerate"))
     metric = _METRICS[cfg["metric"]]
-    klass_name = cfg["klass"]
-    if klass_name is None:
-        klass_name = "standard" if metric is Metric.EUCLIDEAN else "nondegenerate"
     sweep_cfg = SweepConfig(
         n_surfaces=cfg["n"],
         n_s_samples=cfg["samples"],
         seed=cfg["seed"],
         metric=metric,
-        director_class=_CLASSES[klass_name],
+        director_class=_CLASSES[cfg["klass"]],
         delta=cfg["delta"],
         alpha_range=(cfg["alpha_min"], cfg["alpha_max"]),
     )
@@ -346,11 +368,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_mesh(args) -> int:
     cfg = _resolve(args)
-    ns, nt = _parse_grid(cfg["grid"])
-    surf = build_named_surface(cfg["surface"], cfg["alpha"], cfg["file"])
-    s0, s1, t0, t1 = surf.domain
+    surf, S, T, _ = _surface_grid(cfg)
+    ns, nt = len(S), len(T)
     try:
-        X = grid_points(surf, np.linspace(s0, s1, ns), np.linspace(t0, t1, nt))
+        X = grid_points(surf, S, T)
     except _CELL_FAILURES as exc:
         return _failed_cell(exc)
     lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in X.reshape(-1, 3).tolist()]
@@ -417,7 +438,7 @@ _COMMANDS = {
         ("--file", None, {"help": "height-field CSV for --surface file"}),
         ("--out", "residual.csv", {})]),
     "sweep": (cmd_sweep, "randomized coefficient-vanishing search", [
-        # unset, --class is the metric's first class, which cmd_sweep takes
+        # unset, --class is the metric's first class, which cmd_sweep passes
         ("--metric", "euclid", {"choices": sorted(_METRICS)}),
         ("--class", None, {"dest": "klass", "choices": list(_CLASSES)}),
         ("--delta", 1, {"type": int, "choices": [-1, 1]}), ("--n", 100, {"type": int}),

@@ -1006,6 +1006,10 @@ class SweepConfig:
         lo, hi = self.alpha_range
         if not lo <= hi:
             raise ConfigError("alpha_range must be ordered")
+        # an infinite end or width would reach numpy's uniform draw, which refuses it
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"alpha_range must have finite ends and a finite width, "
+                              f"got ({lo!r}, {hi!r})")
         if max(abs(lo), abs(hi)) < MIN_ABS_ALPHA:
             raise ConfigError(f"alpha_range excludes every |alpha| >= {MIN_ABS_ALPHA}")
         if self.metric is Metric.EUCLIDEAN:
@@ -1114,8 +1118,15 @@ def _window(rs: RuledSurface, ref) -> tuple:
     return (-bound, bound)
 
 
+def _require_s_samples(name: str, s_values: Sequence[float]) -> None:
+    """ConfigError unless s_values holds an s: no s gives no window, height or score."""
+    if not len(s_values):
+        raise ConfigError(f"{name} needs at least one s-sample")
+
+
 def _halfspace_window(rs: RuledSurface, s_values: Sequence[float]) -> tuple[float, float]:
     """Class-appropriate ruling window used for the halfspace translation."""
+    _require_s_samples("_halfspace_window", s_values)
     if rs.director_class is DirectorClass.EUCLID_STANDARD:
         return _window(rs, None)
     frames = _sweep_frames(rs, s_values)
@@ -1159,6 +1170,7 @@ def translate_into_halfspace(rs: RuledSurface, v: Vec3, s_values: Sequence[float
     not or a height is not finite.  The translated surface's base is a plain
     Curve (Curve.translated), which reads pointwise.
     """
+    _require_s_samples("translate_into_halfspace", s_values)
     m = rs.metric
     frames = _sweep_frames(rs, s_values)
 
@@ -1186,8 +1198,7 @@ def sweep_surface(rs: RuledSurface, v: Vec3, alpha: float, s_values: Sequence[fl
     at these s.  No s, or a scaled maximum that is not finite, raises rather
     than flag.
     """
-    if not len(s_values):
-        raise ConfigError("sweep_surface needs at least one s-sample")
+    _require_s_samples("sweep_surface", s_values)
     lightlike = rs.director_class is DirectorClass.LORENTZ_LIGHTLIKE
     worst = 0.0
     for s in s_values:

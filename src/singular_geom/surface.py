@@ -677,7 +677,8 @@ def first_variation(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
     """Central difference of the potential energy under a normal perturbation.
 
     Evaluates (E(X + h*bump*N) - E(X - h*bump*N)) / (2h) with the perturbed
-    surfaces differentiated by finite differences.  The base surface must be
+    surfaces differentiated by finite differences; h must be finite and
+    positive, or ValueError names it.  The base surface must be
     evaluable slightly outside its rectangle (analytic and spline evaluators
     are); for variations that keep the boundary fixed use a bump vanishing at
     the boundary.
@@ -688,6 +689,8 @@ def first_variation(m: Metric, surf: ParamSurface, v: Vec3, alpha: float,
     on two surfaces whose grid evaluator is the same perturbation, and the
     first rejected cell raises as it would there.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
     require_unit_direction(m, v)
     fd_h = _fd_step(surf.domain)
     try:

@@ -271,14 +271,16 @@ def descend(h: HeightField, alpha: float, steps: int, rate: float) -> tuple[Heig
     """Projected gradient descent on the interior heights.
 
     The projection clamps z >= 1e-9 (the energy is singular at z = 0 for
-    alpha < 1).  Raises Diverged, with the partial trace attached: with an
-    empty trace when the starting field's energy is not finite; with the
-    failing rate in the message when the energy increases 5 consecutive
-    steps, or at once, naming the step, when the heights or the energy turn
-    non-finite.
+    alpha < 1).  A negative steps or rate raises ValueError.  Raises
+    Diverged, with the partial trace attached: with an empty trace when the
+    starting field's energy is not finite; with the failing rate in the
+    message when the energy increases 5 consecutive steps, or at once,
+    naming the step, when the heights or the energy turn non-finite.
     """
-    if rate < 0.0:
-        raise ValueError("rate must be >= 0")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps!r}")
+    if not rate >= 0.0:  # NaN included
+        raise ValueError(f"rate must be >= 0, got {rate!r}")
     unstable = f"rate {rate} exceeds the stability threshold"
     _check_positive(h.z)
     z = h.z.copy()

@@ -524,3 +524,31 @@ def test_a_window_whose_derivatives_overflow_exits_3_naming_the_cell(tmp_path, m
     assert problems[0].startswith("DegenerateMetric at cell s=0.0, t=0.0: height-field graph "
                                   "derivatives are not finite: z_x=")
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("metric, klass", [("lorentz", "nondegenerate"), ("euclid", "standard")])
+def test_sweep_logs_and_runs_the_class_its_metric_gives(tmp_path, monkeypatch, capsys, metric,
+                                                        klass):
+    # with --class unset the log once read "klass": null and the class was chosen after it
+    from singular_geom import cli
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "--metric", metric, "--n", "1", "--samples", "2"])
+    assert info.value.code == 0
+    line = capsys.readouterr().err.splitlines()[0]
+    assert json.loads(line.split("resolved config: ", 1)[1])["klass"] == klass
+    ran = json.loads((tmp_path / "sweep.json").read_text())["config"]["director_class"]
+    assert ran == cli._CLASSES[klass].value
+
+
+def test_sweep_alpha_range_wider_than_a_float_exits_1_with_one_error_line(tmp_path):
+    # numpy's uniform draw once raised OverflowError for a finite range whose width is not
+    r = run(["sweep", "--n", "1", "--samples", "2", "--alpha-min=-1.7e308",
+             "--alpha-max=1.7e308"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    problems = [ln for ln in r.stderr.splitlines() if "resolved config" not in ln]
+    assert problems == ["error: alpha_range must have finite ends and a finite width, "
+                        "got (-1.7e+308, 1.7e+308)"]
+    assert list(tmp_path.iterdir()) == []

@@ -33,10 +33,11 @@ EXIT_CODES = {
 }
 
 # (plausible values, edge values) per kind of flag: zeros, a subnormal,
-# overflow-sized and negative numbers, and text that is not a value at all
+# overflow-sized and negative numbers (a pair of +-1.7e308 spans more than the
+# largest float), and text that is not a value at all
 FLOATS = (["0.5", "1", "2.5", "-1", "-2", "3"],
-          ["0", "-0.0", "5e-324", "1e-300", "1e300", "-1e300", "1e400", "nan", "inf", "-inf",
-           "abc", ""])
+          ["0", "-0.0", "5e-324", "1e-300", "1e300", "-1e300", "1.7e308", "-1.7e308", "1e400",
+           "nan", "inf", "-inf", "abc", ""])
 INTS = (["0", "1", "2", "3"], ["-1", "1.5", "1e3", "abc", "", "99999999999999999999"])
 GRIDS = (["2", "3x2", "4x4", "5x3", "2x7"],
          ["1x5", "0x0", "-3x4", "x", "3x", "2x2x2", "nan", "1e1x2", "", "2001x2000"])

@@ -1503,6 +1503,27 @@ def test_sweep_surface_needs_a_sample():
         sweep_surface(helicoid(1.0), EZ, 1.0, [])
 
 
+def test_the_halfspace_translation_needs_a_sample():
+    # with no s, the pointwise min and the window's reduction once raised bare
+    # ValueErrors of their own, and the Euclidean window was returned regardless
+    for name, call in [("translate_into_halfspace",
+                        lambda: translate_into_halfspace(helicoid(), EZ, [], (-1.0, 1.0))),
+                       ("_halfspace_window", lambda: _halfspace_window(lightlike_reference(), [])),
+                       ("_halfspace_window", lambda: _halfspace_window(helicoid(), []))]:
+        with pytest.raises(ConfigError, match=f"^{name} needs at least one s-sample$"):
+            call()
+
+
+@pytest.mark.parametrize("alpha_range", [(0.5, math.inf), (-math.inf, 1.0),
+                                         (-math.inf, math.inf), (-1.7e308, 1.7e308)])
+def test_sweep_config_rejects_an_alpha_range_of_infinite_end_or_width(alpha_range):
+    # numpy's uniform draw once raised its OverflowError on these
+    cfg = SweepConfig(n_surfaces=1, n_s_samples=2, alpha_range=alpha_range)
+    with pytest.raises(ConfigError, match=r"^alpha_range must have finite ends and a finite "
+                                          r"width, got \("):
+        falsification_sweep(cfg)
+
+
 def test_sweep_builds_at_most_one_chunk_of_tables_at_a_time(monkeypatch):
     sizes = []
     build = ruled._build_surfaces

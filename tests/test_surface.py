@@ -362,6 +362,17 @@ def test_first_variation_catenary_cylinder():
     assert abs(dE) <= 1e-5
 
 
+@pytest.mark.parametrize("h", [0.0, -0.0, -1e-3, math.nan, math.inf])
+def test_first_variation_rejects_a_step_that_is_not_finite_and_positive(h):
+    # h = 0 once divided by zero, h = nan raised a Vec3 error about NaN components,
+    # and a negative h was taken as its absolute value
+    surf = ParamSurface.exact((0, 1, 0.5, 1.5),
+                              lambda s, t: Jet2(Vec3(s, 1, t), Vec3(1, 0, 0), Vec3(0, 0, 1),
+                                                ZERO, ZERO, ZERO))
+    with pytest.raises(ValueError, match=rf"^h must be finite and > 0, got {h!r}$"):
+        first_variation(E, surf, EZ, 1.0, _window_bump(*surf.domain), h=h, grid=(8, 8))
+
+
 def _variation_formula(surf, v, alpha, bump, grid):
     """Quadrature of bump * <X,v>^(alpha-1) (alpha <N,v> - 2 H <X,v>) dM."""
     s0, s1, t0, t1 = surf.domain

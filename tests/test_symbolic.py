@@ -9,6 +9,7 @@ cleared-denominator residual D (surface._cleared), and ORACLE_SIGN times
 sum A_n t^n (ruled._coefficient_values) minus D must expand to 0, and must
 not with the opposite sign.  The tests skip where sympy is not installed.
 """
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -102,15 +103,10 @@ def test_coefficients_are_the_cleared_residual_with_the_oracle_sign(klass, delta
     assert sp.expand(-sign * poly - D) != 0
 
 
-@pytest.mark.parametrize("klass, delta", CASES[:3])
-def test_coefficient_system_determinant(klass, delta):
-    """The A_n are linear in x = (<w,v>, <w',v>, (w,w',v), <g,v>), with a fixed determinant.
-
-    The matrix M of A = M x is solved for from A - M x = 0 identically in v
-    and g; it exists, and det M is alpha^2 P^3 P'^2 (Euclidean) or
-    -delta alpha^2 P^3 P'^2 (Lorentz), so A = 0 at nonzero alpha P P'
-    forces x = 0.
-    """
+@functools.cache
+def _coefficient_matrix(klass: DirectorClass, delta: int) -> sp.ImmutableMatrix:
+    """M of A = M x, x = (<w,v>, <w',v>, (w,w',v), <g,v>), solved for from A - M x = 0
+    identically in v and g; each row's solution must be unique."""
     frame = _frame(klass, delta)
     m, w, wp = frame[:3]
     x = [inner(m, w, v), inner(m, wp, v), triple(w, wp, v), inner(m, gam, v)]
@@ -121,9 +117,54 @@ def test_coefficient_system_determinant(klass, delta):
         sol = sp.solve(sp.Poly(rest, *v, *gam).coeffs(), list(M.row(n)), dict=True)
         assert len(sol) == 1
         rows.append([sol[0][M[n, k]] for k in range(4)])
-    sign = 1 if klass is DirectorClass.EUCLID_STANDARD else -delta
-    det = sp.Matrix(rows).det(method="berkowitz")  # no division by the Float 0.0 entries
-    assert sp.expand(det - sign * alpha ** 2 * P ** 3 * Pp ** 2) == 0
+    return sp.ImmutableMatrix(rows)
+
+
+def _sign(klass: DirectorClass, delta: int) -> int:
+    """1 in the Euclidean class, -delta in the Lorentz nondegenerate classes."""
+    return 1 if klass is DirectorClass.EUCLID_STANDARD else -delta
+
+
+@pytest.mark.parametrize("klass, delta", CASES[:3])
+def test_coefficient_system_determinant(klass, delta):
+    """The A_n are linear in x = (<w,v>, <w',v>, (w,w',v), <g,v>), with a fixed determinant.
+
+    det M is alpha^2 P^3 P'^2 (Euclidean) or -delta alpha^2 P^3 P'^2
+    (Lorentz), so A = 0 at nonzero alpha P P' forces x = 0.
+    """
+    det = _coefficient_matrix(klass, delta).det(method="berkowitz")  # no division by Float 0.0
+    assert sp.expand(det - _sign(klass, delta) * alpha ** 2 * P ** 3 * Pp ** 2) == 0
+
+
+@pytest.mark.parametrize("locus", ["P'=0", "P=P'=0", "P=0"])
+@pytest.mark.parametrize("klass, delta", CASES[:3])
+def test_coefficient_system_rank_on_the_locus_where_the_determinant_vanishes(klass, delta,
+                                                                              locus):
+    """Where alpha P P' = 0 at nonzero alpha, M loses rank, and these vectors span its kernel.
+
+    With sigma = 1 (Euclidean) or -delta (Lorentz), the last row of M is
+    (sigma Q, 0, -alpha, 0), so a kernel vector has sigma Q x1 = alpha x3; with
+    tau = 1 (Euclidean) or -1 (Lorentz), the first row is
+    (0, tau alpha P^3, 0, P^2 Q):
+    - P' = 0: rank 2, kernel (sigma alpha/Q, 0, 1, 0) and (0, -tau Q/(P alpha), 0, 1);
+    - P = P' = 0, a cone (P = 0 at every s): rank 2, kernel (sigma alpha/Q, 0, 1, 0)
+      and (0, 1, 0, 0), since every entry of M's <w',v> column carries a factor P;
+    - P = 0 at an s where P' != 0: rank 3, kernel (0, 1, 0, 0).
+    A vector k is in the kernel when M k expands to 0, and rank + number of
+    independent k = 4 makes them a basis of it.
+    """
+    sigma = _sign(klass, delta)
+    tau = 1 if klass is DirectorClass.EUCLID_STANDARD else -1
+    on = {"P'=0": {Pp: 0}, "P=P'=0": {P: 0, Pp: 0}, "P=0": {P: 0}}[locus]
+    M = _coefficient_matrix(klass, delta).subs(on).applyfunc(sp.nsimplify)
+    first = [sigma * alpha / Q, 0, 1, 0]
+    kernel = {"P'=0": [first, [0, -tau * Q / (P * alpha), 0, 1]],
+              "P=P'=0": [first, [0, 1, 0, 0]],
+              "P=0": [[0, 1, 0, 0]]}[locus]
+    assert M.rank(simplify=True) == 4 - len(kernel)
+    assert sp.Matrix(kernel).rank() == len(kernel)
+    for k in kernel:
+        assert (M * sp.Matrix(k)).applyfunc(sp.simplify) == sp.zeros(4, 1)
 
 
 @pytest.mark.parametrize("m", [E, L])

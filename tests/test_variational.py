@@ -340,6 +340,19 @@ def test_descend_identity_at_zero_rate():
     assert trace[0] == trace[-1]
 
 
+@pytest.mark.parametrize("steps, rate, message", [
+    (-1, 0.1, "steps must be >= 0, got -1"),
+    (2, -0.1, "rate must be >= 0, got -0.1"),
+    (2, math.nan, "rate must be >= 0, got nan"),
+])
+def test_descend_rejects_a_negative_step_count_or_rate(steps, rate, message):
+    # -1 steps once returned the starting energy alone, and a NaN rate ran a
+    # step and raised Diverged, calling nan a rate above the stability threshold
+    h = catenary_heights(shape=(9, 5))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        descend(h, 1.0, steps, rate)
+
+
 def test_descend_stationary_at_catenary():
     h = catenary_heights(shape=(65, 33))
     _, trace = descend(h, 1.0, 100, 1e-3)
